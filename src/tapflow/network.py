@@ -50,11 +50,6 @@ class PhaseVector:
         phases = canonical_phases(phases)
         return cls(phases, [0.0] * len(phases))
 
-    @classmethod
-    def from_dict(cls, mapping) -> "PhaseVector":
-        phases = canonical_phases(mapping.keys())
-        return cls(phases, [mapping[p] for p in phases])
-
     def __getitem__(self, phase: str) -> complex:
         try:
             return complex(self.values[self.phases.index(phase)])
@@ -66,9 +61,6 @@ class PhaseVector:
 
     def __len__(self) -> int:
         return len(self.phases)
-
-    def to_dict(self) -> dict[str, complex]:
-        return {p: complex(v) for p, v in zip(self.phases, self.values)}
 
     def __eq__(self, other) -> bool:
         return (

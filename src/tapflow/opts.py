@@ -11,7 +11,7 @@ nonlinear power flow.
 Minimizing real power import leaves the optimum massively degenerate whenever
 loads are constant-power and shunts are pure susceptance (the objective is
 then constant over the feasible set). A second lexicographic pass therefore
-minimizes the sum of squared voltage magnitudes at the optimal import value,
+minimizes the sum of squared voltage magnitudes over the optimal-import face,
 deterministically selecting the lowest feasible voltage profile.
 """
 
@@ -86,9 +86,6 @@ class LpVariables:
     flow: dict         # (edge key, phase) -> (re column, im column)
     slack_cols: dict   # (svr index, phase) -> (low-slack column, high-slack column)
     n_rows: int
-
-    def column(self, name: str) -> int:
-        return self.names.index(name)
 
 
 def _effective_ratio_range(svr, config: OptsConfig) -> tuple[float, float]:
@@ -259,28 +256,16 @@ def build_lp(model: FeederModel, constants: LinearizationConstants,
 
 def solve_lp_lexicographic(lp: SparseLp, varmap: LpVariables) -> tuple[LpSolution, float]:
     """Minimize import, then break the (typically massive) tie by minimizing
-    the total squared-magnitude profile at the optimal import value.
+    the total squared-magnitude profile over the optimal-import face.
 
-    Returns (solution at the tie-broken point, optimal import objective).
+    Returns (solution at the tie-broken point, optimal import objective). When
+    the tie-break pass does not end optimal, ``solution.tie_break`` says so and
+    the solution is the first pass's point.
     """
-    first = solve_lp(lp)
-    if first.status != "optimal":
-        return first, math.nan
-    import_value = first.objective
-
-    m, n = lp.A.shape
-    pin = sp.coo_matrix((lp.c[lp.c != 0.0], (np.zeros(np.count_nonzero(lp.c)),
-                                             np.nonzero(lp.c)[0])), shape=(1, n))
-    a2 = sp.vstack([lp.A, pin]).tocsc()
-    c2 = np.zeros(n)
-    for col in varmap.vsq.values():
-        c2[col] = 1.0
-    lp2 = SparseLp(A=a2, b=np.concatenate([lp.b, [import_value]]), c=c2,
-                   lower=lp.lower, upper=lp.upper, names=list(lp.names or []))
-    second = solve_lp(lp2)
-    if second.status != "optimal":
-        return first, import_value
-    return second, import_value
+    tie_break = np.zeros(lp.A.shape[1])
+    tie_break[list(varmap.vsq.values())] = 1.0
+    sol = solve_lp(lp, tie_break=tie_break)
+    return sol, (sol.objective if sol.status == "optimal" else math.nan)
 
 
 def recover_ratios(x: np.ndarray, varmap: LpVariables, model: FeederModel,

@@ -1,10 +1,21 @@
 """Self-contained sparse LP solver: two-phase revised simplex with bounds.
 
 Problems are equality-constrained (A x = b) with per-variable lower/upper
-bounds, +-inf allowed. The basis inverse is kept dense and updated by
-elementary row operations, with a full refactorization every 50 pivots and
-whenever the update looks unhealthy. Dantzig pricing switches to Bland's rule
-after a streak of degenerate pivots so cycling cannot occur.
+bounds, +-inf allowed. The basis inverse is kept dense and updated by one
+rank-1 outer-product row operation per pivot, with a full refactorization
+every 50 pivots and whenever the update looks unhealthy. A pivot is a handful
+of numpy calls over whole vectors: pricing scores every column at once and
+takes the first best, and the ratio test computes every row's ratio at once,
+then applies the sequential "strictly better by more than _TOL_RATIO" rule
+to the few rows that can win. The pivot sequence and the arithmetic are
+those of a row-by-row and column-by-column scan. Dantzig pricing switches to
+Bland's rule after a streak of degenerate pivots so cycling cannot occur.
+Problems without rows take the same path, with bound flips only.
+
+An optional tie-break cost is minimized over the optimal face in place: once
+the first objective is optimal, every nonbasic column with a nonzero reduced
+cost is fixed at its bound (by complementary slackness what remains feasible
+is exactly the optimal face) and phase 2 continues on the same tableau.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ _DEGEN_STREAK = 25     # consecutive degenerate pivots before Bland's rule
 _REFACTOR_EVERY = 50
 
 AT_LOWER, AT_UPPER, BASIC, FREE = 0, 1, 2, 3
+_ENTER_SIDE = np.array([-1.0, 1.0, np.nan, 0.0])   # indexed by state
 
 
 @dataclass
@@ -56,9 +68,10 @@ class SparseLp:
 class LpSolution:
     status: str                       # optimal | infeasible | unbounded | iteration_limit
     x: np.ndarray
-    objective: float
-    iterations: int
+    objective: float                  # c.x; pass 1's optimum when a tie-break pass ran
+    iterations: int                   # pivots, both passes together
     basis: np.ndarray | None = field(default=None, repr=False)
+    tie_break: str | None = None      # status of the tie-break pass, when one was asked for
 
 
 def residuals(lp: SparseLp, sol: LpSolution) -> tuple[float, float]:
@@ -81,20 +94,16 @@ class _Tableau:
         art_sign = np.where(resid >= 0.0, 1.0, -1.0)
 
         self.A = sp.hstack([lp.A, sp.diags(art_sign)], format="csc")
+        self.A.sum_duplicates()
         self.AT = self.A.T.tocsr()
         self.lower = np.concatenate([lp.lower, np.zeros(m)])
         self.upper = np.concatenate([lp.upper, np.full(m, np.inf)])
         self.b = lp.b.copy()
 
-        self.state = np.empty(n + m, dtype=np.int8)
-        for j in range(n):
-            if np.isfinite(lp.lower[j]):
-                self.state[j] = AT_LOWER
-            elif np.isfinite(lp.upper[j]):
-                self.state[j] = AT_UPPER
-            else:
-                self.state[j] = FREE
-        self.state[n:] = BASIC
+        self.state = np.concatenate([
+            np.where(np.isfinite(lp.lower), AT_LOWER,
+                     np.where(np.isfinite(lp.upper), AT_UPPER, FREE)),
+            np.full(m, BASIC)]).astype(np.int8)
         self.x = np.concatenate([start, np.abs(resid)])
         self.basis = np.arange(n, n + m)
         self.binv = np.diag(art_sign)   # inverse of the artificial basis
@@ -119,10 +128,24 @@ class _Tableau:
         rhs = self.b - self.A @ xn
         self.x[self.basis] = self.binv @ rhs
 
+    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        y = self.binv.T @ cost[self.basis]
+        return cost - self.AT @ y
+
+    def column(self, j: int) -> np.ndarray:
+        """Dense copy of column j, read straight from the CSC arrays."""
+        col = np.zeros(self.m)
+        sl = slice(self.A.indptr[j], self.A.indptr[j + 1])
+        col[self.A.indices[sl]] = self.A.data[sl]
+        return col
+
     # -- one simplex phase ---------------------------------------------------
 
     def run(self, cost: np.ndarray, max_iter: int, allow_unbounded: bool):
         """Pivot until optimal for ``cost``; returns a status string."""
+        # Entering sign each column needs: d_j < 0 at lower, d_j > 0 at upper,
+        # either when free; NaN marks basic and fixed columns, which never enter.
+        fixed = np.where(self.lower == self.upper, np.nan, 0.0)
         it = 0
         while True:
             if it >= max_iter:
@@ -130,47 +153,36 @@ class _Tableau:
             it += 1
             self.pivots += 1
 
-            y = self.binv.T @ cost[self.basis]
-            d = cost - self.AT @ y
-
-            use_bland = self.degen_streak >= _DEGEN_STREAK
-            enter, direction, best = -1, 0.0, _TOL_COST
-            for j in range(self.n + self.m):
-                st = self.state[j]
-                if st == BASIC:
-                    continue
-                if self.lower[j] == self.upper[j]:
-                    continue   # fixed column can never improve
-                dj = d[j]
-                if st in (AT_LOWER, FREE) and dj < -best:
-                    enter, direction = j, +1.0
-                    if use_bland:
-                        break
-                    best = -dj
-                elif st in (AT_UPPER, FREE) and dj > best:
-                    enter, direction = j, -1.0
-                    if use_bland:
-                        break
-                    best = dj
-            if enter < 0:
+            # Pricing: an eligible column scores |d_j|. Dantzig takes the first
+            # best score, Bland the first eligible column.
+            d = self.reduced_costs(cost)
+            side = _ENTER_SIDE[self.state] + fixed
+            score = np.where(side * d >= 0.0, np.abs(d), -np.inf)
+            if self.degen_streak >= _DEGEN_STREAK:
+                enter = int(np.argmax(score > _TOL_COST))
+            else:
+                enter = int(np.argmax(score))
+            if not score[enter] > _TOL_COST:
                 return "optimal"
+            direction = 1.0 if d[enter] < 0.0 else -1.0
 
-            w = self.binv @ self.A[:, enter].toarray().ravel()
+            w = self.binv @ self.column(enter)
 
             # Ratio test: entering moves by t in `direction`; basics move -t*dir*w.
+            # Scanning rows in order, a row replaces the current candidate only
+            # when its ratio is below t_max - _TOL_RATIO, so near-ties keep the
+            # earlier row. Rows not below the first threshold can never win.
             t_max = self.upper[enter] - self.lower[enter] if self.state[enter] != FREE else np.inf
-            leave, leave_bound = -1, 0.0
-            for i in range(self.m):
-                wi = direction * w[i]
-                bi = self.basis[i]
-                if wi > _TOL_PIVOT:
-                    room = self.x[bi] - self.lower[bi]
-                    if np.isfinite(room) and room / wi < t_max - _TOL_RATIO:
-                        t_max, leave, leave_bound = room / wi, i, self.lower[bi]
-                elif wi < -_TOL_PIVOT:
-                    room = self.x[bi] - self.upper[bi]
-                    if np.isfinite(room) and room / wi < t_max - _TOL_RATIO:
-                        t_max, leave, leave_bound = room / wi, i, self.upper[bi]
+            wd = direction * w
+            bound = np.where(wd > 0.0, self.lower[self.basis], self.upper[self.basis])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = (self.x[self.basis] - bound) / wd
+            ratio[np.abs(wd) <= _TOL_PIVOT] = np.inf
+            leave = -1
+            cand = np.flatnonzero(ratio < t_max - _TOL_RATIO)
+            for i, r in zip(cand.tolist(), ratio[cand].tolist()):
+                if r < t_max - _TOL_RATIO:
+                    t_max, leave = r, i
             if not np.isfinite(t_max):
                 return "unbounded" if allow_unbounded else "iteration_limit"
             t_max = max(t_max, 0.0)
@@ -186,6 +198,7 @@ class _Tableau:
                 continue
 
             out = self.basis[leave]
+            leave_bound = self.lower[out] if wd[leave] > 0 else self.upper[out]
             self.x[out] = leave_bound
             self.state[out] = AT_LOWER if leave_bound == self.lower[out] else AT_UPPER
             self.state[enter] = BASIC
@@ -198,27 +211,38 @@ class _Tableau:
                 self.recompute_basics()
             else:
                 self.binv[leave, :] /= piv
-                for i in range(self.m):
-                    if i != leave and w[i] != 0.0:
-                        self.binv[i, :] -= w[i] * self.binv[leave, :]
+                rows = np.flatnonzero(w)
+                rows = rows[rows != leave]
+                self.binv[rows] -= np.outer(w[rows], self.binv[leave])
                 self.since_refactor += 1
 
+    def solution(self, lp: SparseLp, status: str) -> LpSolution:
+        """Refactor, read the structural point back and vet an optimal basis."""
+        if self.refactor():
+            self.recompute_basics()
+        x = self.x[:self.n].copy()
+        sol = LpSolution(status, x, float(lp.c @ x), self.pivots, basis=self.basis.copy())
+        if status == "optimal":
+            primal, bound = residuals(lp, sol)
+            if primal > 1e-7 or bound > 1e-9:
+                sol.status = "iteration_limit"   # numerically unusable basis
+        return sol
 
-def solve_lp(lp: SparseLp, max_iter: int = 20000) -> LpSolution:
+
+def solve_lp(lp: SparseLp, max_iter: int = 20000,
+             tie_break: np.ndarray | None = None) -> LpSolution:
     """Solve to optimality, or classify as infeasible / unbounded.
+
+    With ``tie_break`` (a cost vector over the structural columns), a second
+    pass minimizes ``tie_break . x`` over the optimal face of ``c . x``,
+    continuing on pass 1's tableau. The solution's ``objective`` is then pass
+    1's optimal ``c . x`` and ``tie_break`` holds the second pass's status;
+    when that is not "optimal", ``x`` is pass 1's point. ``max_iter`` bounds
+    the pivots of both passes together.
 
     Identical inputs produce identical pivot sequences and solutions.
     """
     m, n = lp.A.shape
-    if m == 0:
-        # Bounds-only problem: each variable sits at whichever bound its cost prefers.
-        x = np.where(lp.c > 0, lp.lower, np.where(lp.c < 0, lp.upper,
-                     np.where(np.isfinite(lp.lower), lp.lower, 0.0)))
-        if np.any(~np.isfinite(x) & (lp.c != 0.0)):
-            return LpSolution("unbounded", np.zeros(n), -np.inf, 0)
-        x = np.where(np.isfinite(x), x, 0.0)
-        return LpSolution("optimal", x, float(lp.c @ x), 0)
-
     tab = _Tableau(lp)
 
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
@@ -234,16 +258,20 @@ def solve_lp(lp: SparseLp, max_iter: int = 20000) -> LpSolution:
     tab.x[n:] = np.where(np.abs(tab.x[n:]) < 1e-12, 0.0, tab.x[n:])
     phase2_cost = np.concatenate([lp.c, np.zeros(m)])
     status = tab.run(phase2_cost, max_iter - tab.pivots, allow_unbounded=True)
+    sol = tab.solution(lp, status)
+    if tie_break is None or sol.status != "optimal":
+        return sol
 
-    if tab.refactor():
-        tab.recompute_basics()
-    x = tab.x[:n].copy()
-    sol = LpSolution(status, x, float(lp.c @ x), tab.pivots,
-                     basis=tab.basis.copy())
-    if status == "optimal":
-        primal, bound = residuals(lp, sol)
-        if primal > 1e-7 or bound > 1e-9:
-            sol.status = "iteration_limit"   # numerically unusable basis
+    # Tie-break pass: restrict to the optimal face, then re-optimize in place.
+    d = tab.reduced_costs(phase2_cost)
+    fix = (tab.state != BASIC) & (np.abs(d) > _TOL_COST)
+    tab.lower[fix] = tab.upper[fix] = tab.x[fix]
+    tie_cost = np.concatenate([np.asarray(tie_break, dtype=float), np.zeros(m)])
+    status = tab.run(tie_cost, max_iter - tab.pivots, allow_unbounded=True)
+    second = tab.solution(lp, status)
+    sol.iterations, sol.tie_break = tab.pivots, second.status
+    if second.status == "optimal":
+        sol.x, sol.basis = second.x, second.basis
     return sol
 
 

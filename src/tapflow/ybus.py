@@ -9,6 +9,7 @@ couples the primary directly to the bus behind the regulator's outgoing line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,11 +35,11 @@ class AdmittanceSystem:
     full_coords: tuple       # every (bus, phase) in Y_S column order
     eliminated: tuple        # bus ids removed by regulator elimination
 
-    @property
+    @cached_property
     def index(self) -> dict:
         return {c: i for i, c in enumerate(self.coords)}
 
-    @property
+    @cached_property
     def full_index(self) -> dict:
         return {c: i for i, c in enumerate(self.full_coords)}
 

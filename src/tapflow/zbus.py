@@ -41,6 +41,17 @@ def _load_currents(loads: np.ndarray, v: np.ndarray) -> np.ndarray:
     return -np.conj(loads / v)
 
 
+def _load_vector(model: FeederModel, system: AdmittanceSystem) -> np.ndarray:
+    """Constant-power consumption per retained coordinate, in row order."""
+    by_id = {b.id: b for b in model.buses}
+    loads = np.zeros(len(system.coords), dtype=complex)
+    for k, (bus, phase) in enumerate(system.coords):
+        ld = by_id[bus].load
+        if ld is not None and phase in ld:
+            loads[k] = ld[phase]
+    return loads
+
+
 def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER, v0: dict | None = None) -> PowerFlowSolution:
     """Run the fixed-point iteration at fixed regulator ratios.
@@ -57,12 +68,7 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
     vs = np.array([model.slack_voltage[p] for _, p in system.slack_coords])
     w_s = system.Y_NS @ vs
 
-    loads = np.zeros(len(system.coords), dtype=complex)
-    by_id = {b.id: b for b in model.buses}
-    for k, (bus, phase) in enumerate(system.coords):
-        ld = by_id[bus].load
-        if ld is not None and phase in ld:
-            loads[k] = ld[phase]
+    loads = _load_vector(model, system)
 
     if v0 is None:
         slack_by_phase = {p: model.slack_voltage[p] for p in model.slack_voltage.phases}
@@ -93,10 +99,11 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
         residual = kcl_residual(v)
 
     voltages = {model.slack.id: model.slack_voltage}
+    index = system.index
     for b in model.buses:
         if b.is_slack or b.id in system.eliminated:
             continue
-        vals = [v[system.index[(b.id, p)]] for p in b.phases]
+        vals = [v[index[(b.id, p)]] for p in b.phases]
         voltages[b.id] = PhaseVector(b.phases, vals)
     voltages.update(recover_svr_secondary(model, ratios, voltages))
 
@@ -192,13 +199,8 @@ def feasibility(solution: PowerFlowSolution, model: FeederModel,
 def kcl_certificate(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Recomputed KCL mismatch (inf-norm), independent of the iteration history."""
     system = solution.system if solution.system is not None else assemble(model, solution.ratios)
-    by_id = {b.id: b for b in model.buses}
     v = np.array([solution.voltages[bus][p] for bus, p in system.coords])
-    loads = np.zeros(len(system.coords), dtype=complex)
-    for k, (bus, phase) in enumerate(system.coords):
-        ld = by_id[bus].load
-        if ld is not None and phase in ld:
-            loads[k] = ld[phase]
+    loads = _load_vector(model, system)
     vs = np.array([model.slack_voltage[p] for _, p in system.slack_coords])
     mism = system.Y @ v + system.Y_NS @ vs - _load_currents(loads, v)
     return float(np.max(np.abs(mism))) if len(mism) else 0.0

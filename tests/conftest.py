@@ -31,6 +31,13 @@ def ieee13_base(ieee13):
     return sol
 
 
+@pytest.fixture(scope="session")
+def ieee13_lp(ieee13, ieee13_base):
+    """(LP, variable map) of IEEE-13 at the default config, zero-tap constants."""
+    const = tf.constants_from_solution(ieee13, ieee13_base)
+    return tf.build_lp(ieee13, const, tf.config_from_model(ieee13))
+
+
 def chain_model(loads, z_per_edge=0.02 + 0.06j, svr_kind=None, phases=("a",),
                 v_min=None):
     """Single-phase chain: slack -> [optional SVR ->] bus1 -> bus2 -> ...

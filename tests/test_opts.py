@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import tapflow as tf
+from tapflow import opts
 from tapflow.errors import PipelineError
 
 from conftest import chain_model
+from lp_reference import pin_row_lexicographic
 
 
 def census(model):
@@ -187,6 +189,31 @@ def test_svr_power_balance_in_lp_solution(ieee13):
             re_c, im_c = varmap.flow[(child.key(), p)]
             assert abs(sol.x[re_s] - sol.x[re_c]) <= 1e-7
             assert abs(sol.x[im_s] - sol.x[im_c]) <= 1e-7
+
+
+def test_in_place_tie_break_matches_pin_row_reference(monkeypatch, ieee13, tiny3):
+    """The tie-break pass on pass 1's tableau picks the taps and import value
+    that a from-scratch re-solve with a pinned import row picks."""
+    models = [ieee13, tiny3,
+              chain_model([0.1 + 0.03j] * 3, svr_kind="B"),
+              chain_model([0.05 + 0.02j] * 6, svr_kind="A"),
+              chain_model([0.01 + 0.004j] * 25, z_per_edge=0.002 + 0.006j, svr_kind="B",
+                          phases=("a", "b", "c"))]
+    got = [tf.run_opts(m, tf.config_from_model(m)) for m in models]
+    monkeypatch.setattr(opts, "solve_lp_lexicographic", pin_row_lexicographic)
+    for model, report in zip(models, got):
+        want = tf.run_opts(model, tf.config_from_model(model))
+        assert report.taps == want.taps
+        assert abs(report.objective_lp - want.objective_lp) <= 1e-9
+        assert report.objective_verified == want.objective_verified
+        assert report.v_envelope == want.v_envelope
+
+
+def test_lexicographic_reports_tie_break_status(ieee13_lp):
+    lp, varmap = ieee13_lp
+    sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
+    assert sol.status == "optimal" and sol.tie_break == "optimal"
+    assert import_value == tf.solve_lp(lp).objective
 
 
 def test_lp_objective_not_above_feasible_zero_tap_point(tiny3):

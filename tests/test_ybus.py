@@ -107,6 +107,13 @@ def test_single_line_block():
     assert sys_.Y_S[0, sys_.full_index[("b1", "a")]] == pytest.approx(-1.0 / z)
 
 
+def test_coordinate_indices_built_once(ieee13):
+    sys_ = tf.assemble(ieee13, tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13)))
+    assert sys_.index is sys_.index and sys_.full_index is sys_.full_index
+    assert [sys_.index[c] for c in sys_.coords] == list(range(len(sys_.coords)))
+    assert [sys_.full_index[c] for c in sys_.full_coords] == list(range(len(sys_.full_coords)))
+
+
 def test_identity_gain_matches_closed_connection(tiny3):
     """At ratio 1 the eliminated SVR behaves as a plain closed connection."""
     sys_svr = tf.assemble(tiny3, [{"a": 1.0}])
