@@ -7,31 +7,26 @@ fixed-point iteration.
 """
 
 from .errors import FeederFormatError, ModelValidationError, PipelineError
-from .linflow import (LinearizationConstants, LinDiffReport, constants_balanced,
-                      constants_from_solution, lindiff, linear_powerflow)
+from .linflow import constants_balanced, constants_from_solution, lindiff, linear_powerflow
 from .network import (BusSpec, FeederModel, LineSpec, PhaseMatrix, PhaseVector,
-                      SvrSpec, Violation, parse_feeder, ratio_to_tap, serialize,
-                      tap_to_ratio, taps_to_ratios, tree_index, validate, zero_taps)
-from .opts import (BruteForceResult, LpVariables, OptsConfig, OptsReport, brute_force,
-                   build_lp, config_from_model, optimality_gap, recover_ratios, run_opts,
-                   solve_lp_lexicographic)
-from .simplex import LpSolution, SparseLp, dump_mps_like, residuals, solve_lp
-from .ybus import AdmittanceSystem, assemble, recover_svr_secondary, write_matrix_market
+                      SvrSpec, parse_feeder, ratio_to_tap, serialize, tap_to_ratio,
+                      taps_to_ratios, tree_index, validate, zero_taps)
+from .opts import (OptsConfig, brute_force, build_lp, config_from_model, optimality_gap,
+                   recover_ratios, run_opts, solve_lp_lexicographic)
+from .simplex import SparseLp, residuals, solve_lp
+from .ybus import assemble, recover_svr_secondary
 from .zbus import (PowerFlowSolution, feasibility, import_objective,
                    import_objective_edges, kcl_certificate, solution_csv, solve_zbus,
                    voltage_envelope, voltage_unbalance)
 
 __all__ = [
-    "AdmittanceSystem", "BruteForceResult", "BusSpec", "FeederModel",
-    "FeederFormatError", "LineSpec", "LinDiffReport", "LinearizationConstants",
-    "LpSolution", "LpVariables", "ModelValidationError", "OptsConfig", "OptsReport",
-    "PhaseMatrix", "PhaseVector", "PipelineError", "PowerFlowSolution", "SparseLp",
-    "SvrSpec", "Violation", "assemble", "brute_force", "build_lp", "config_from_model",
-    "constants_balanced", "constants_from_solution", "dump_mps_like", "feasibility",
-    "import_objective", "import_objective_edges", "kcl_certificate", "lindiff",
-    "linear_powerflow", "optimality_gap", "parse_feeder", "ratio_to_tap",
-    "recover_ratios", "recover_svr_secondary", "residuals", "run_opts", "serialize",
-    "solution_csv", "solve_lp", "solve_lp_lexicographic", "solve_zbus", "tap_to_ratio",
-    "taps_to_ratios", "tree_index", "validate", "voltage_envelope", "voltage_unbalance",
-    "write_matrix_market", "zero_taps",
+    "BusSpec", "FeederFormatError", "FeederModel", "LineSpec", "ModelValidationError",
+    "OptsConfig", "PhaseMatrix", "PhaseVector", "PipelineError", "PowerFlowSolution",
+    "SparseLp", "SvrSpec", "assemble", "brute_force", "build_lp", "config_from_model",
+    "constants_balanced", "constants_from_solution", "feasibility", "import_objective",
+    "import_objective_edges", "kcl_certificate", "lindiff", "linear_powerflow",
+    "optimality_gap", "parse_feeder", "ratio_to_tap", "recover_ratios",
+    "recover_svr_secondary", "residuals", "run_opts", "serialize", "solution_csv",
+    "solve_lp", "solve_lp_lexicographic", "solve_zbus", "tap_to_ratio", "taps_to_ratios",
+    "tree_index", "validate", "voltage_envelope", "voltage_unbalance", "zero_taps",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: powerflow, opts, lindiff, bruteforce, validate.
-Exit codes are a stable contract: 0 ok, 1 input error, 2 numeric failure,
-3 infeasible result. All outputs are deterministic byte-for-byte.
+Exit codes are a stable contract: 0 ok, 1 input error (bad file or usage),
+2 numeric failure, 3 infeasible result. All outputs are deterministic
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import FeederFormatError, ModelValidationError, PipelineError
-from .linflow import constants_balanced, lindiff, linear_powerflow
+from .linflow import constants_balanced, constants_from_solution, lindiff, linear_powerflow
 from .network import parse_feeder, taps_to_ratios, validate, zero_taps
 from .opts import brute_force, config_from_model, run_opts
 from .zbus import solution_csv, solve_zbus
@@ -108,7 +109,9 @@ def cmd_lindiff(args) -> int:
     if not exact.converged:
         print("exact power flow did not converge", file=sys.stderr)
         return EXIT_NUMERIC
-    v_sq, _ = linear_powerflow(model, constants_balanced(model), ratios)
+    constants = (constants_from_solution(model, exact) if args.constants == "base"
+                 else constants_balanced(model))
+    v_sq, _ = linear_powerflow(model, constants, ratios)
     _emit(lindiff(model, exact, v_sq).to_csv(), args.out)
     return EXIT_OK
 
@@ -207,17 +210,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
-        code = args.func(args)
+        return args.func(args)
     except (FeederFormatError, ModelValidationError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
-        code = EXIT_INPUT
+        return EXIT_INPUT
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
-        code = EXIT_NUMERIC
+        return EXIT_NUMERIC
+
+
+def main(argv=None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has already printed the help (exit 0) or a usage error (exit 2).
+        code = EXIT_OK if exc.code == 0 else EXIT_INPUT
+    else:
+        code = _run(args)
     if argv is None:
         sys.exit(code)
     return code

@@ -12,6 +12,11 @@ With the constants taken from an exact solution the equations reproduce that
 solution's squared magnitudes and flows to machine precision; with balanced
 rotation entries and zeroed loss vectors they form the classic lossless
 approximation.
+
+The equations are written once, as the sparse rows of ``linear_system``, with
+each regulator phase's ratio confined to a window. The tap-selection LP uses
+the attainable ratio range as the window; ``linear_powerflow`` fixes every
+ratio with a zero-width window and solves the square system that remains.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import PipelineError
 from .network import FeederModel, PhaseMatrix, PhaseVector, tree_index
@@ -83,91 +90,198 @@ def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> Line
     return LinearizationConstants(gamma=gamma, h=h, l=l)
 
 
+@dataclass(frozen=True)
+class LinearSystem:
+    """The linear model's equations as sparse rows ``A x = b``.
+
+    Columns: squared magnitudes per non-slack (bus, phase), then Re/Im flow per
+    (edge, phase), then a low and a high slack per regulator phase. Rows: one
+    voltage drop per line phase, the Re/Im power balances at every line's
+    to-bus, then per regulator phase its low and high ratio-window rows and
+    its Re/Im pass-through rows.
+    """
+
+    A: sp.csc_matrix
+    b: np.ndarray
+    vsq: dict          # (bus, phase) -> column, non-slack buses only
+    flow: dict         # (edge key, phase) -> (re column, im column)
+    slack_cols: dict   # (svr index, phase) -> (low-slack column, high-slack column)
+    upper_rows: tuple  # rows of the high ratio-window equations
+
+
+def _slack_squares(model: FeederModel) -> dict:
+    return {p: abs(model.slack_voltage[p]) ** 2 for p in model.slack_voltage.phases}
+
+
+def linear_system(model: FeederModel, constants: LinearizationConstants,
+                  windows) -> LinearSystem:
+    """Assemble the linear model with each regulator ratio confined to a window.
+
+    ``windows[svx][p] = (r_lo, r_hi)`` for regulator ``svx``, phase ``p``. With
+    up/down the primary/secondary for type B and the reverse for type A, the
+    window rows read v~[up] - r_lo^2 v~[down] - s_lo = 0 and
+    v~[up] - r_hi^2 v~[down] + s_hi = 0, so nonnegative slacks say
+    r_lo^2 v~[down] <= v~[up] <= r_hi^2 v~[down]. Slack-bus magnitudes are
+    constants and move to ``b``.
+    """
+    idx = tree_index(model)
+    by_id = {b.id: b for b in model.buses}
+    slack_id = model.slack.id
+    slack_sq = _slack_squares(model)
+
+    vsq: dict = {}
+    flow: dict = {}
+    slack_cols: dict = {}
+    for b in model.buses:
+        if not b.is_slack:
+            for p in b.phases:
+                vsq[(b.id, p)] = len(vsq)
+    n = len(vsq)
+    for e in idx.edges:
+        for p in e.phases:
+            flow[(e.key(), p)] = (n, n + 1)
+            n += 2
+    for svx, sv in enumerate(model.svrs):
+        for p in sv.phases:
+            slack_cols[(svx, p)] = (n, n + 1)
+            n += 2
+
+    rows_i: list[int] = []
+    rows_j: list[int] = []
+    rows_v: list[float] = []
+    rhs: list[float] = []
+    upper_rows: list[int] = []
+
+    def new_row(entries, b_val) -> None:
+        r = len(rhs)
+        for col, coef in entries:
+            if coef != 0.0:
+                rows_i.append(r)
+                rows_j.append(col)
+                rows_v.append(float(coef))
+        rhs.append(float(b_val))
+
+    def vsq_term(bus, phase, coef, entries, b_shift):
+        """Add coef * v~[bus,phase]; slack-bus magnitudes are constants."""
+        if bus == slack_id:
+            return b_shift - coef * slack_sq[phase]
+        entries.append((vsq[(bus, phase)], coef))
+        return b_shift
+
+    # Voltage-drop rows (one real equation per line-edge phase).
+    for e in idx.edges:
+        if e.kind != "line":
+            continue
+        ln = model.lines[e.index]
+        key = e.key()
+        m_rot = constants.gamma[key].array * np.conj(ln.z.array)
+        hvec = constants.h[key]
+        ph = e.phases
+        for a, p in enumerate(ph):
+            entries: list = []
+            b_val = hvec[p].real
+            b_val = vsq_term(e.from_bus, p, +1.0, entries, b_val)
+            b_val = vsq_term(e.to_bus, p, -1.0, entries, b_val)
+            for bq, q in enumerate(ph):
+                re_col, im_col = flow[(key, q)]
+                entries.append((re_col, -2.0 * m_rot[a, bq].real))
+                entries.append((im_col, +2.0 * m_rot[a, bq].imag))
+            new_row(entries, b_val)
+
+    # Power-balance rows at the to-bus of every line edge (Re and Im).
+    for e in idx.edges:
+        if e.kind != "line":
+            continue
+        bus = by_id[e.to_bus]
+        key = e.key()
+        lvec = constants.l[key]
+        shunt = bus.shunt
+        ybar = np.conj(shunt.array).T if shunt is not None else None
+        for p in e.phases:
+            re_col, im_col = flow[(key, p)]
+            for part, col in (("re", re_col), ("im", im_col)):
+                entries = [(col, 1.0)]
+                load = bus.load[p] if (bus.load is not None and p in bus.load) else 0.0
+                b_val = (load.real + lvec[p].real) if part == "re" else (load.imag + lvec[p].imag)
+                for child in idx.children[bus.id]:
+                    if p in child.phases:
+                        c_re, c_im = flow[(child.key(), p)]
+                        entries.append((c_re if part == "re" else c_im, -1.0))
+                if shunt is not None and p in shunt.phases:
+                    a = shunt.phases.index(p)
+                    for bq, q in enumerate(shunt.phases):
+                        coef = ybar[a, bq]
+                        val = coef.real if part == "re" else coef.imag
+                        b_val = vsq_term(bus.id, q, -val, entries, b_val)
+                new_row(entries, b_val)
+
+    # Regulator ratio windows (slacked) and exact power pass-through.
+    for svx, sv in enumerate(model.svrs):
+        child = idx.children[sv.to_bus][0]
+        for p in sv.phases:
+            r_lo, r_hi = windows[svx][p]
+            lo_col, hi_col = slack_cols[(svx, p)]
+            if sv.kind == "B":
+                up_bus, dn_bus = sv.from_bus, sv.to_bus
+            else:
+                up_bus, dn_bus = sv.to_bus, sv.from_bus
+            entries: list = []
+            b_val = vsq_term(up_bus, p, +1.0, entries, 0.0)
+            b_val = vsq_term(dn_bus, p, -r_lo**2, entries, b_val)
+            entries.append((lo_col, -1.0))
+            new_row(entries, b_val)
+            entries = []
+            b_val = vsq_term(up_bus, p, +1.0, entries, 0.0)
+            b_val = vsq_term(dn_bus, p, -r_hi**2, entries, b_val)
+            entries.append((hi_col, +1.0))
+            upper_rows.append(len(rhs))
+            new_row(entries, b_val)
+
+            re_col, im_col = flow[(f"{sv.from_bus}->{sv.to_bus}", p)]
+            if p in child.phases:
+                c_re, c_im = flow[(child.key(), p)]
+                new_row([(re_col, 1.0), (c_re, -1.0)], 0.0)
+                new_row([(im_col, 1.0), (c_im, -1.0)], 0.0)
+            else:
+                # Phase regulated but not carried onward: no current can flow.
+                new_row([(re_col, 1.0)], 0.0)
+                new_row([(im_col, 1.0)], 0.0)
+
+    A = sp.coo_matrix((rows_v, (rows_i, rows_j)), shape=(len(rhs), n)).tocsc()
+    return LinearSystem(A=A, b=np.array(rhs), vsq=vsq, flow=flow,
+                        slack_cols=slack_cols, upper_rows=tuple(upper_rows))
+
+
 def linear_powerflow(model: FeederModel, constants: LinearizationConstants,
                      ratios) -> tuple[dict, dict]:
     """Solve the linear model at fixed regulator ratios.
 
-    Returns (v_sq, flows): squared voltage magnitudes per bus (real PhaseVector)
-    and complex per-phase flows per edge key, both over the relevant masks.
-    Radiality is exploited with backward flow accumulation and forward voltage
-    propagation, iterated to a fixed point when shunts couple the two sweeps.
+    These are ``linear_system``'s rows at a zero-width window ``(r, r)``:
+    without the slack columns and the high-window rows they form a square
+    system, three rows and three columns per line phase and per regulator
+    phase, solved by one sparse LU factorization.
+
+    Returns (v_sq, flows): squared voltage magnitudes per bus, slack included
+    (real PhaseVector), and complex per-phase flows per edge key.
     """
-    idx = tree_index(model)
-    by_id = {b.id: b for b in model.buses}
-    slack_sq = {p: abs(model.slack_voltage[p]) ** 2 for p in model.slack_voltage.phases}
+    windows = [{p: (float(r[p]), float(r[p])) for p in sv.phases}
+               for sv, r in zip(model.svrs, ratios)]
+    system = linear_system(model, constants, windows)
+    n = len(system.vsq) + 2 * len(system.flow)
+    rows = np.setdiff1d(np.arange(system.A.shape[0]), system.upper_rows)
+    try:
+        x = splu(system.A[rows][:, :n].tocsc()).solve(system.b[rows])
+    except RuntimeError as exc:
+        raise PipelineError("linear_powerflow", f"linear system is singular: {exc}") from None
 
-    v_sq = {b.id: {p: slack_sq[p] for p in b.phases} for b in model.buses}
+    slack_sq = _slack_squares(model)
+    v_out = {b.id: PhaseVector(b.phases, [slack_sq[p] if b.is_slack else x[system.vsq[(b.id, p)]]
+                                          for p in b.phases])
+             for b in model.buses}
     flows: dict[str, dict[str, complex]] = {}
-
-    for sweep in range(100):
-        # Backward: accumulate flows from the leaves toward the root.
-        for bus_id in reversed(idx.order):
-            edge = idx.parent.get(bus_id)
-            if edge is None:
-                continue
-            if edge.kind == "svr":
-                child = idx.children[bus_id][0]  # exactly one outgoing line
-                child_flow = flows[child.key()]
-                flows[edge.key()] = {p: child_flow.get(p, 0.0 + 0.0j) for p in edge.phases}
-                continue
-            ln = model.lines[edge.index]
-            bus = by_id[bus_id]
-            acc = {p: 0.0 + 0.0j for p in edge.phases}
-            for child in idx.children[bus_id]:
-                for p, val in flows[child.key()].items():
-                    acc[p] += val
-            if bus.load is not None:
-                for p in bus.load.phases:
-                    acc[p] += bus.load[p]
-            if bus.shunt is not None:
-                sp_ = bus.shunt.phases
-                ybar = np.conj(bus.shunt.array).T
-                vv = np.array([v_sq[bus_id][p] for p in sp_])
-                contrib = ybar @ vv
-                for k, p in enumerate(sp_):
-                    acc[p] += contrib[k]
-            lkey = edge.key()
-            lvec = constants.l[lkey]
-            for p in edge.phases:
-                acc[p] += lvec[p]
-            flows[lkey] = acc
-
-        # Forward: propagate squared magnitudes from the root.
-        delta = 0.0
-        for bus_id in idx.order:
-            edge = idx.parent.get(bus_id)
-            if edge is None:
-                continue
-            up = v_sq[edge.from_bus]
-            if edge.kind == "svr":
-                sv = model.svrs[edge.index]
-                for p in edge.phases:
-                    r = float(ratios[edge.index][p])
-                    new = up[p] / r**2 if sv.kind == "B" else up[p] * r**2
-                    delta = max(delta, abs(new - v_sq[bus_id][p]))
-                    v_sq[bus_id][p] = new
-                continue
-            key = edge.key()
-            ph = edge.phases
-            m_rot = constants.gamma[key].array * np.conj(model.lines[edge.index].z.array)
-            s_vec = np.array([flows[key][p] for p in ph])
-            drop = 2.0 * (m_rot @ s_vec).real
-            hvec = constants.h[key]
-            for k, p in enumerate(ph):
-                new = up[p] - drop[k] - hvec[p].real
-                delta = max(delta, abs(new - v_sq[bus_id][p]))
-                v_sq[bus_id][p] = new
-        if delta < 1e-13:
-            break
-    else:
-        raise PipelineError("linear_powerflow", "sweep iteration did not settle")
-
-    v_out = {bid: PhaseVector(by_id[bid].phases,
-                              [complex(v_sq[bid][p]) for p in by_id[bid].phases])
-             for bid in v_sq}
-    f_out = {key: PhaseVector(tuple(p for p in ("a", "b", "c") if p in fl),
-                              [fl[p] for p in ("a", "b", "c") if p in fl])
-             for key, fl in flows.items()}
+    for (key, p), (re_col, im_col) in system.flow.items():
+        flows.setdefault(key, {})[p] = complex(x[re_col], x[im_col])
+    f_out = {key: PhaseVector(tuple(fl), tuple(fl.values())) for key, fl in flows.items()}
     return v_out, f_out
 
 

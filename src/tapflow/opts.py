@@ -1,7 +1,8 @@
 """Tap-selection pipeline: build the linear program, solve, snap, verify, report.
 
-The LP decides squared voltage magnitudes and complex edge flows. Regulator
-ratios are not explicit variables: each regulator contributes a pair of valid
+The LP decides squared voltage magnitudes and complex edge flows; its rows
+are the linear model's own (``linflow.linear_system``). Regulator ratios are
+not explicit variables: each regulator contributes a pair of valid
 inequalities confining the primary-side squared magnitude to the attainable
 ratio window times the secondary-side one, plus an exact per-phase power
 balance. Ratios are recovered afterwards from the voltage variables, snapped
@@ -25,10 +26,10 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import PipelineError
-from .linflow import LinearizationConstants, constants_balanced, constants_from_solution
+from .linflow import (LinearizationConstants, LinearSystem, constants_balanced,
+                      constants_from_solution, linear_system)
 from .network import (FeederModel, ratio_to_tap, taps_to_ratios, tree_index,
                       zero_taps)
 from .simplex import LpSolution, SparseLp, solve_lp
@@ -77,17 +78,6 @@ def config_from_model(model: FeederModel, **overrides) -> OptsConfig:
     return OptsConfig(**values)
 
 
-@dataclass(frozen=True)
-class LpVariables:
-    """Column/row bookkeeping so solutions can be read back by name."""
-
-    names: tuple
-    vsq: dict          # (bus, phase) -> column, non-slack buses only
-    flow: dict         # (edge key, phase) -> (re column, im column)
-    slack_cols: dict   # (svr index, phase) -> (low-slack column, high-slack column)
-    n_rows: int
-
-
 def _effective_ratio_range(svr, config: OptsConfig) -> tuple[float, float]:
     lo_dev, hi_dev = svr.ratio_range()
     lo, hi = max(lo_dev, config.r_min), min(hi_dev, config.r_max)
@@ -97,164 +87,31 @@ def _effective_ratio_range(svr, config: OptsConfig) -> tuple[float, float]:
 
 
 def build_lp(model: FeederModel, constants: LinearizationConstants,
-             config: OptsConfig) -> tuple[SparseLp, LpVariables]:
+             config: OptsConfig) -> tuple[SparseLp, LinearSystem]:
     """Assemble the tap-selection LP for a validated model.
 
-    Variables: squared magnitudes per non-slack (bus, phase) bounded by the
-    configured voltage window, then Re/Im flow per (edge, phase) free, then two
-    nonnegative slacks per regulator phase for the ratio-window inequalities.
+    The rows are the linear model's (``linear_system``) with each regulator
+    phase's window set to the attainable ratio range. Bounds: squared
+    magnitudes within the configured voltage band, flows free, window slacks
+    nonnegative. Objective: real power leaving the slack bus.
     """
-    idx = tree_index(model)
-    by_id = {b.id: b for b in model.buses}
-    slack_id = model.slack.id
-    slack_sq = {p: abs(model.slack_voltage[p]) ** 2 for p in model.slack_voltage.phases}
+    windows = [dict.fromkeys(sv.phases, _effective_ratio_range(sv, config)) for sv in model.svrs]
+    system = linear_system(model, constants, windows)
 
-    names: list[str] = []
-    vsq: dict = {}
-    flow: dict = {}
-    slack_cols: dict = {}
-    lower: list[float] = []
-    upper: list[float] = []
-
-    def add_var(name, lo, hi) -> int:
-        names.append(name)
-        lower.append(lo)
-        upper.append(hi)
-        return len(names) - 1
-
-    for b in model.buses:
-        if b.is_slack:
-            continue
-        for p in b.phases:
-            vsq[(b.id, p)] = add_var(f"v[{b.id}.{p}]", config.v_min**2, config.v_max**2)
-    for e in idx.edges:
-        for p in e.phases:
-            re = add_var(f"Sre[{e.key()}.{p}]", -np.inf, np.inf)
-            im = add_var(f"Sim[{e.key()}.{p}]", -np.inf, np.inf)
-            flow[(e.key(), p)] = (re, im)
-    for svx, sv in enumerate(model.svrs):
-        for p in sv.phases:
-            lo = add_var(f"rlo[{sv.from_bus}->{sv.to_bus}.{p}]", 0.0, np.inf)
-            hi = add_var(f"rhi[{sv.from_bus}->{sv.to_bus}.{p}]", 0.0, np.inf)
-            slack_cols[(svx, p)] = (lo, hi)
-
-    rows_i: list[int] = []
-    rows_j: list[int] = []
-    rows_v: list[float] = []
-    rhs: list[float] = []
-
-    def new_row(entries, b_val) -> None:
-        r = len(rhs)
-        for col, coef in entries:
-            if coef != 0.0:
-                rows_i.append(r)
-                rows_j.append(col)
-                rows_v.append(float(coef))
-        rhs.append(float(b_val))
-
-    def vsq_term(bus, phase, coef, entries, b_shift):
-        """Add coef * v~[bus,phase]; slack-bus magnitudes are constants."""
-        if bus == slack_id:
-            return b_shift - coef * slack_sq[phase]
-        entries.append((vsq[(bus, phase)], coef))
-        return b_shift
-
-    # Voltage-drop rows (one real equation per line-edge phase).
-    for e in idx.edges:
-        if e.kind != "line":
-            continue
-        ln = model.lines[e.index]
-        key = e.key()
-        m_rot = constants.gamma[key].array * np.conj(ln.z.array)
-        hvec = constants.h[key]
-        ph = e.phases
-        for a, p in enumerate(ph):
-            entries: list = []
-            b_val = hvec[p].real
-            b_val = vsq_term(e.from_bus, p, +1.0, entries, b_val)
-            b_val = vsq_term(e.to_bus, p, -1.0, entries, b_val)
-            for bq, q in enumerate(ph):
-                re_col, im_col = flow[(key, q)]
-                entries.append((re_col, -2.0 * m_rot[a, bq].real))
-                entries.append((im_col, +2.0 * m_rot[a, bq].imag))
-            new_row(entries, b_val)
-
-    # Power-balance rows at the to-bus of every line edge (Re and Im).
-    for e in idx.edges:
-        if e.kind != "line":
-            continue
-        bus = by_id[e.to_bus]
-        key = e.key()
-        lvec = constants.l[key]
-        shunt = bus.shunt
-        ybar = np.conj(shunt.array).T if shunt is not None else None
-        for p in e.phases:
-            re_col, im_col = flow[(key, p)]
-            for part, col in (("re", re_col), ("im", im_col)):
-                entries = [(col, 1.0)]
-                load = bus.load[p] if (bus.load is not None and p in bus.load) else 0.0
-                b_val = (load.real + lvec[p].real) if part == "re" else (load.imag + lvec[p].imag)
-                for child in idx.children[bus.id]:
-                    if p in child.phases:
-                        c_re, c_im = flow[(child.key(), p)]
-                        entries.append((c_re if part == "re" else c_im, -1.0))
-                if ybar is not None:
-                    a = shunt.phases.index(p) if p in shunt.phases else None
-                    if a is not None:
-                        for bq, q in enumerate(shunt.phases):
-                            coef = ybar[a, bq]
-                            val = coef.real if part == "re" else coef.imag
-                            b_val = vsq_term(bus.id, q, -val, entries, b_val)
-                new_row(entries, b_val)
-
-    # Regulator ratio-window inequalities (slacked) and exact power balance.
-    for svx, sv in enumerate(model.svrs):
-        r_lo, r_hi = _effective_ratio_range(sv, config)
-        child = idx.children[sv.to_bus][0]
-        for p in sv.phases:
-            lo_col, hi_col = slack_cols[(svx, p)]
-            if sv.kind == "B":
-                up_bus, dn_bus = sv.from_bus, sv.to_bus
-            else:
-                up_bus, dn_bus = sv.to_bus, sv.from_bus
-            # r_lo^2 * v~[dn] <= v~[up] <= r_hi^2 * v~[dn]
-            entries: list = []
-            b_val = vsq_term(up_bus, p, +1.0, entries, 0.0)
-            b_val = vsq_term(dn_bus, p, -r_lo**2, entries, b_val)
-            entries.append((lo_col, -1.0))
-            new_row(entries, b_val)
-            entries = []
-            b_val = vsq_term(up_bus, p, +1.0, entries, 0.0)
-            b_val = vsq_term(dn_bus, p, -r_hi**2, entries, b_val)
-            entries.append((hi_col, +1.0))
-            new_row(entries, b_val)
-
-            re_col, im_col = flow[(f"{sv.from_bus}->{sv.to_bus}", p)]
-            if p in child.phases:
-                c_re, c_im = flow[(child.key(), p)]
-                new_row([(re_col, 1.0), (c_re, -1.0)], 0.0)
-                new_row([(im_col, 1.0), (c_im, -1.0)], 0.0)
-            else:
-                # Phase regulated but not carried onward: no current can flow.
-                new_row([(re_col, 1.0)], 0.0)
-                new_row([(im_col, 1.0)], 0.0)
-
-    n = len(names)
+    n = system.A.shape[1]
+    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    vsq_cols = list(system.vsq.values())
+    lower[vsq_cols], upper[vsq_cols] = config.v_min**2, config.v_max**2
+    lower[[col for pair in system.slack_cols.values() for col in pair]] = 0.0
     c = np.zeros(n)
-    for e in idx.edges:
-        if e.from_bus == slack_id:
+    for e in tree_index(model).edges:
+        if e.from_bus == model.slack.id:
             for p in e.phases:
-                c[flow[(e.key(), p)][0]] = 1.0
-
-    A = sp.coo_matrix((rows_v, (rows_i, rows_j)), shape=(len(rhs), n)).tocsc()
-    lp = SparseLp(A=A, b=np.array(rhs), c=c,
-                  lower=np.array(lower), upper=np.array(upper), names=list(names))
-    varmap = LpVariables(names=tuple(names), vsq=vsq, flow=flow,
-                         slack_cols=slack_cols, n_rows=len(rhs))
-    return lp, varmap
+                c[system.flow[(e.key(), p)][0]] = 1.0
+    return SparseLp(A=system.A, b=system.b, c=c, lower=lower, upper=upper), system
 
 
-def solve_lp_lexicographic(lp: SparseLp, varmap: LpVariables) -> tuple[LpSolution, float]:
+def solve_lp_lexicographic(lp: SparseLp, varmap: LinearSystem) -> tuple[LpSolution, float]:
     """Minimize import, then break the (typically massive) tie by minimizing
     the total squared-magnitude profile over the optimal-import face.
 
@@ -268,7 +125,7 @@ def solve_lp_lexicographic(lp: SparseLp, varmap: LpVariables) -> tuple[LpSolutio
     return sol, (sol.objective if sol.status == "optimal" else math.nan)
 
 
-def recover_ratios(x: np.ndarray, varmap: LpVariables, model: FeederModel,
+def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel,
                    config: OptsConfig) -> list[dict]:
     """Effective ratios from the optimal squared magnitudes, r = sqrt(up/down).
 

@@ -20,8 +20,7 @@ is exactly the optimal face) and phase 2 continues on the same tableau.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,7 +44,6 @@ class SparseLp:
     c: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    names: list | None = None
 
     def __post_init__(self):
         self.A = sp.csc_matrix(self.A, dtype=float)
@@ -70,7 +68,6 @@ class LpSolution:
     x: np.ndarray
     objective: float                  # c.x; pass 1's optimum when a tie-break pass ran
     iterations: int                   # pivots, both passes together
-    basis: np.ndarray | None = field(default=None, repr=False)
     tie_break: str | None = None      # status of the tie-break pass, when one was asked for
 
 
@@ -221,7 +218,7 @@ class _Tableau:
         if self.refactor():
             self.recompute_basics()
         x = self.x[:self.n].copy()
-        sol = LpSolution(status, x, float(lp.c @ x), self.pivots, basis=self.basis.copy())
+        sol = LpSolution(status, x, float(lp.c @ x), self.pivots)
         if status == "optimal":
             primal, bound = residuals(lp, sol)
             if primal > 1e-7 or bound > 1e-9:
@@ -271,39 +268,6 @@ def solve_lp(lp: SparseLp, max_iter: int = 20000,
     second = tab.solution(lp, status)
     sol.iterations, sol.tie_break = tab.pivots, second.status
     if second.status == "optimal":
-        sol.x, sol.basis = second.x, second.basis
+        sol.x = second.x
     return sol
 
-
-def dump_mps_like(lp: SparseLp, name: str = "LP") -> str:
-    """Fixed-column text dump (MPS-flavoured, equality rows only) for cross-checks."""
-    buf = io.StringIO()
-    m, n = lp.A.shape
-    names = lp.names or [f"X{j}" for j in range(n)]
-    buf.write(f"NAME          {name}\n")
-    buf.write("ROWS\n N  COST\n")
-    for i in range(m):
-        buf.write(f" E  R{i}\n")
-    buf.write("COLUMNS\n")
-    acsc = lp.A.tocsc()
-    for j in range(n):
-        if lp.c[j] != 0.0:
-            buf.write(f"    {names[j]:<10}COST      {lp.c[j]:.12g}\n")
-        sl = slice(acsc.indptr[j], acsc.indptr[j + 1])
-        for i, v in zip(acsc.indices[sl], acsc.data[sl]):
-            buf.write(f"    {names[j]:<10}R{i:<9}{v:.12g}\n")
-    buf.write("RHS\n")
-    for i in range(m):
-        if lp.b[i] != 0.0:
-            buf.write(f"    RHS       R{i:<9}{lp.b[i]:.12g}\n")
-    buf.write("BOUNDS\n")
-    for j in range(n):
-        lo, up = lp.lower[j], lp.upper[j]
-        if np.isfinite(lo):
-            buf.write(f" LO BND       {names[j]:<10}{lo:.12g}\n")
-        else:
-            buf.write(f" MI BND       {names[j]}\n")
-        if np.isfinite(up):
-            buf.write(f" UP BND       {names[j]:<10}{up:.12g}\n")
-    buf.write("ENDATA\n")
-    return buf.getvalue()

@@ -171,9 +171,3 @@ def recover_svr_secondary(model: FeederModel, ratios, voltages: dict) -> dict:
         out[sv.to_bus] = PhaseVector(sec_phases, vals)
     return out
 
-
-def write_matrix_market(system: AdmittanceSystem, path) -> None:
-    """Debug dump of the retained Y block in Matrix Market coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), system.Y.tocoo(), field="complex")

@@ -5,7 +5,9 @@ pivot loop the vectorized ``_Tableau.run`` replaced; swapped in for
 ``tapflow.simplex._Tableau`` it must make the same pivots and return the same
 bits. ``pin_row_lexicographic`` is the two-solve lexicographic method the
 in-place tie-break pass replaced: solve for import, then re-solve from scratch
-with the import objective pinned by an extra equality row.
+with the import objective pinned by an extra equality row. ``sweep_powerflow``
+is the backward/forward sweep that solved the linear model at fixed ratios
+before ``linear_powerflow`` solved the model's own rows.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from tapflow import simplex
+from tapflow.errors import PipelineError
+from tapflow.network import PhaseVector, tree_index
 from tapflow.simplex import AT_LOWER, AT_UPPER, BASIC, FREE, SparseLp, solve_lp
 
 
@@ -114,8 +118,95 @@ def pin_row_lexicographic(lp, varmap):
     for col in varmap.vsq.values():
         c2[col] = 1.0
     lp2 = SparseLp(A=sp.vstack([lp.A, pin]).tocsc(), b=np.concatenate([lp.b, [import_value]]),
-                   c=c2, lower=lp.lower, upper=lp.upper, names=list(lp.names or []))
+                   c=c2, lower=lp.lower, upper=lp.upper)
     second = solve_lp(lp2)
     if second.status != "optimal":
         return first, import_value
     return second, import_value
+
+
+def sweep_powerflow(model, constants, ratios):
+    """Solve the linear model at fixed regulator ratios.
+
+    Returns (v_sq, flows): squared voltage magnitudes per bus (real PhaseVector)
+    and complex per-phase flows per edge key, both over the relevant masks.
+    Radiality is exploited with backward flow accumulation and forward voltage
+    propagation, iterated to a fixed point when shunts couple the two sweeps.
+    """
+    idx = tree_index(model)
+    by_id = {b.id: b for b in model.buses}
+    slack_sq = {p: abs(model.slack_voltage[p]) ** 2 for p in model.slack_voltage.phases}
+
+    v_sq = {b.id: {p: slack_sq[p] for p in b.phases} for b in model.buses}
+    flows: dict[str, dict[str, complex]] = {}
+
+    for sweep in range(100):
+        # Backward: accumulate flows from the leaves toward the root.
+        for bus_id in reversed(idx.order):
+            edge = idx.parent.get(bus_id)
+            if edge is None:
+                continue
+            if edge.kind == "svr":
+                child = idx.children[bus_id][0]  # exactly one outgoing line
+                child_flow = flows[child.key()]
+                flows[edge.key()] = {p: child_flow.get(p, 0.0 + 0.0j) for p in edge.phases}
+                continue
+            ln = model.lines[edge.index]
+            bus = by_id[bus_id]
+            acc = {p: 0.0 + 0.0j for p in edge.phases}
+            for child in idx.children[bus_id]:
+                for p, val in flows[child.key()].items():
+                    acc[p] += val
+            if bus.load is not None:
+                for p in bus.load.phases:
+                    acc[p] += bus.load[p]
+            if bus.shunt is not None:
+                sp_ = bus.shunt.phases
+                ybar = np.conj(bus.shunt.array).T
+                vv = np.array([v_sq[bus_id][p] for p in sp_])
+                contrib = ybar @ vv
+                for k, p in enumerate(sp_):
+                    acc[p] += contrib[k]
+            lkey = edge.key()
+            lvec = constants.l[lkey]
+            for p in edge.phases:
+                acc[p] += lvec[p]
+            flows[lkey] = acc
+
+        # Forward: propagate squared magnitudes from the root.
+        delta = 0.0
+        for bus_id in idx.order:
+            edge = idx.parent.get(bus_id)
+            if edge is None:
+                continue
+            up = v_sq[edge.from_bus]
+            if edge.kind == "svr":
+                sv = model.svrs[edge.index]
+                for p in edge.phases:
+                    r = float(ratios[edge.index][p])
+                    new = up[p] / r**2 if sv.kind == "B" else up[p] * r**2
+                    delta = max(delta, abs(new - v_sq[bus_id][p]))
+                    v_sq[bus_id][p] = new
+                continue
+            key = edge.key()
+            ph = edge.phases
+            m_rot = constants.gamma[key].array * np.conj(model.lines[edge.index].z.array)
+            s_vec = np.array([flows[key][p] for p in ph])
+            drop = 2.0 * (m_rot @ s_vec).real
+            hvec = constants.h[key]
+            for k, p in enumerate(ph):
+                new = up[p] - drop[k] - hvec[p].real
+                delta = max(delta, abs(new - v_sq[bus_id][p]))
+                v_sq[bus_id][p] = new
+        if delta < 1e-13:
+            break
+    else:
+        raise PipelineError("linear_powerflow", "sweep iteration did not settle")
+
+    v_out = {bid: PhaseVector(by_id[bid].phases,
+                              [complex(v_sq[bid][p]) for p in by_id[bid].phases])
+             for bid in v_sq}
+    f_out = {key: PhaseVector(tuple(p for p in ("a", "b", "c") if p in fl),
+                              [fl[p] for p in ("a", "b", "c") if p in fl])
+             for key, fl in flows.items()}
+    return v_out, f_out

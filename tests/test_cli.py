@@ -106,6 +106,32 @@ def test_lindiff_csv(tmp_path):
     assert all(d <= 0.015 for d in diffs.values())
 
 
+def test_lindiff_base_constants_exact_at_zero_taps(tmp_path):
+    """Constants from the zero-tap exact solution make the linear model exact there."""
+    out = tmp_path / "ld.csv"
+    for feeder in (IEEE13, TINY3):
+        assert run(["lindiff", "--feeder", feeder, "--constants", "base",
+                    "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+        diffs = [float(r[1]) for r in rows if r[0] != "all"]
+        assert diffs and max(diffs) <= 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["opts", "--feeder", TINY3, "--vmin", "abc"],
+    ["opts", "--feeder", TINY3, "--no-such-flag"],
+    [],
+], ids=["bad-value", "unknown-flag", "no-subcommand"])
+def test_usage_errors_exit_1(argv, capsys):
+    assert run(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert run(["opts", "--help"]) == 0
+    assert "--feeder" in capsys.readouterr().out
+
+
 def test_bruteforce_csv_and_cap(tmp_path, capsys):
     out = tmp_path / "bf.csv"
     assert run(["bruteforce", "--feeder", TINY3, "--format", "csv",

@@ -3,7 +3,8 @@ import pytest
 
 import tapflow as tf
 
-from conftest import chain_model
+from conftest import BALANCED, chain_model
+from lp_reference import sweep_powerflow
 
 ALPHA = np.exp(2j * np.pi / 3)
 
@@ -139,3 +140,85 @@ def test_lindiff_csv_schema(ieee13, ieee13_base):
     lines = text.strip().splitlines()
     assert lines[0] == "phase,max_abs_diff,min_v_linear,min_v_exact"
     assert [ln.split(",")[0] for ln in lines[1:]] == ["a", "b", "c", "all"]
+
+
+def cascade_model():
+    """Head type-B and cascaded type-A regulators, a capacitor shunt, and a
+    regulated phase (c) that the line after the second regulator does not carry."""
+    abc = ("a", "b", "c")
+    z = [[0.02 + 0.06j, 0.006 + 0.02j, 0.005 + 0.018j],
+         [0.006 + 0.02j, 0.021 + 0.062j, 0.006 + 0.019j],
+         [0.005 + 0.018j, 0.006 + 0.019j, 0.019 + 0.058j]]
+    z_ab = [row[:2] for row in z[:2]]
+    shunt = tf.PhaseMatrix(abc, [[0.03j, 0.0, 0.0], [0.0, 0.03j, 0.0], [0.0, 0.0, 0.03j]])
+    buses = (
+        tf.BusSpec(id="sub", phases=abc, is_slack=True),
+        tf.BusSpec(id="r1", phases=abc),
+        tf.BusSpec(id="n1", phases=abc, shunt=shunt,
+                   load=tf.PhaseVector(abc, [0.1 + 0.04j, 0.08 + 0.03j, 0.12 + 0.05j])),
+        tf.BusSpec(id="r2", phases=abc),
+        tf.BusSpec(id="n2", phases=("a", "b"),
+                   load=tf.PhaseVector(("a", "b"), [0.15 + 0.06j, 0.1 + 0.05j])),
+        tf.BusSpec(id="n3", phases=("c",), load=tf.PhaseVector(("c",), [0.05 + 0.02j])),
+    )
+    lines = (
+        tf.LineSpec(from_bus="r1", to_bus="n1", z=tf.PhaseMatrix(abc, z)),
+        tf.LineSpec(from_bus="r2", to_bus="n2", z=tf.PhaseMatrix(("a", "b"), z_ab)),
+        tf.LineSpec(from_bus="n1", to_bus="n3", z=tf.PhaseMatrix(("c",), [[0.03 + 0.05j]])),
+    )
+    svrs = (tf.SvrSpec(from_bus="sub", to_bus="r1", kind="B", phases=abc),
+            tf.SvrSpec(from_bus="n1", to_bus="r2", kind="A", phases=abc))
+    model = tf.FeederModel(buses=buses, lines=lines, svrs=svrs,
+                           slack_voltage=tf.PhaseVector(abc, [BALANCED[p] for p in abc]))
+    assert not tf.validate(model)
+    return model
+
+
+PARITY_FEEDERS = {
+    "ieee13": lambda request: request.getfixturevalue("ieee13"),
+    "tiny3": lambda request: request.getfixturevalue("tiny3"),
+    "chain-A-1ph": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="A"),
+    "chain-B-1ph": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="B"),
+    "chain-A-3ph": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="A",
+                                         phases=("a", "b", "c")),
+    "chain-B-3ph": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="B",
+                                         phases=("a", "b", "c")),
+    "cascade": lambda _: cascade_model(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_FEEDERS))
+def test_linear_powerflow_matches_sweep(name, request):
+    """One LU solve of the model's rows agrees with the backward/forward sweep."""
+    model = PARITY_FEEDERS[name](request)
+    zero = tf.taps_to_ratios(model, tf.zero_taps(model))
+    taps = [{p: (-1) ** k * (3 + 2 * k) for k, p in enumerate(sv.phases)} for sv in model.svrs]
+    shifted = tf.taps_to_ratios(model, taps)
+    base = tf.solve_zbus(model, zero, tol=1e-12)
+    assert base.converged
+    for constants in (tf.constants_balanced(model), tf.constants_from_solution(model, base)):
+        for ratios in (zero, shifted):
+            v_sq, flows = tf.linear_powerflow(model, constants, ratios)
+            v_ref, f_ref = sweep_powerflow(model, constants, ratios)
+            assert v_sq.keys() == v_ref.keys() and flows.keys() == f_ref.keys()
+            for bid, vec in v_ref.items():
+                assert v_sq[bid].phases == vec.phases
+                assert np.max(np.abs(v_sq[bid].values - vec.values)) <= 1e-12
+            for key, vec in f_ref.items():
+                assert flows[key].phases == vec.phases
+                assert np.max(np.abs(flows[key].values - vec.values)) <= 1e-12
+
+
+def test_singular_linear_system_raises_pipeline_error():
+    """A shunt whose coupling cancels the line's voltage drop makes the rows singular."""
+    phases = ("a",)
+    model = tf.FeederModel(
+        buses=(tf.BusSpec(id="sub", phases=phases, is_slack=True),
+               tf.BusSpec(id="b1", phases=phases, load=tf.PhaseVector(phases, [0.1]),
+                          shunt=tf.PhaseMatrix(phases, [[1j]]))),
+        lines=(tf.LineSpec(from_bus="sub", to_bus="b1",
+                           z=tf.PhaseMatrix(phases, [[0.25 + 0.5j]])),),
+        svrs=(), slack_voltage=tf.PhaseVector(phases, [1.0]))
+    with pytest.raises(tf.PipelineError) as err:
+        tf.linear_powerflow(model, tf.constants_balanced(model), [])
+    assert err.value.stage == "linear_powerflow"

@@ -245,11 +245,3 @@ def test_dimension_validation():
         make_lp([[1.0]], [1.0], [1.0], [2.0], [1.0])     # lower > upper
     with pytest.raises(ValueError):
         make_lp([[0.0]], [1.0], [1.0], [0.0], [1.0])     # empty row
-
-
-def test_mps_like_dump():
-    lp = make_lp([[1.0, -1.0]], [0.5], [1.0, 2.0], [0.0, -1.0], [2.0, np.inf])
-    text = tf.dump_mps_like(lp, name="T")
-    for section in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-        assert section in text
-    assert " E  R0" in text

@@ -209,11 +209,3 @@ def test_elimination_exactness_ieee13(ieee13):
     worst = max(abs(sol.voltages[b][p] - ref[b][p])
                 for b in ref for p in ref[b].phases)
     assert worst < 1e-10
-
-
-def test_matrix_market_dump(tmp_path, tiny3):
-    sys_ = tf.assemble(tiny3, [{"a": 1.0}])
-    path = tmp_path / "y.mtx"
-    tf.write_matrix_market(sys_, path)
-    head = path.read_text().splitlines()[0]
-    assert head.startswith("%%MatrixMarket matrix coordinate complex")
