@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: powerflow, opts, lindiff, bruteforce, validate.
-Exit codes are a stable contract: 0 ok, 1 input error (bad file or usage),
-2 numeric failure, 3 infeasible result. All outputs are deterministic
-byte-for-byte.
+Subcommands: powerflow, opts, lindiff, bruteforce, validate; each accepts
+only the flags its handler reads. Exit codes are a stable contract: 0 ok,
+1 input error (bad file, feeder config or usage), 2 numeric failure,
+3 infeasible result. ``_run`` is the one place that maps an exception to an
+exit code. Outputs are deterministic byte-for-byte, except the wall-clock
+fields of ``opts``: ``time_sec`` in its CSV and ``timings`` in its JSON.
 """
 
 from __future__ import annotations
@@ -88,12 +90,7 @@ def cmd_powerflow(args) -> int:
 
 def cmd_opts(args) -> int:
     model = _load_model(args.feeder)
-    config = _config_from_args(model, args)
-    try:
-        report = run_opts(model, config, lower_bound=args.lower_bound)
-    except PipelineError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NUMERIC
+    report = run_opts(model, _config_from_args(model, args), lower_bound=args.lower_bound)
     if args.format == "json":
         _emit(report.to_json(), args.out)
     else:
@@ -118,15 +115,7 @@ def cmd_lindiff(args) -> int:
 
 def cmd_bruteforce(args) -> int:
     model = _load_model(args.feeder)
-    config = _config_from_args(model, args)
-    try:
-        result = brute_force(model, config, cap=args.cap)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-    except PipelineError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INFEASIBLE
+    result = brute_force(model, _config_from_args(model, args), cap=args.cap)
     doc = {
         "taps": [{"svr": f"{sv.from_bus}->{sv.to_bus}", "taps": t}
                  for sv, t in zip(model.svrs, result.taps)],
@@ -148,21 +137,44 @@ def cmd_bruteforce(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        text = Path(args.feeder).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read {args.feeder}: {exc.strerror}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        parse_feeder(text)
+        _load_model(args.feeder)
     except ModelValidationError as exc:
+        # The violations are this command's report; _run still sets the exit code.
         for v in exc.violations:
             print(str(v))
-        return EXIT_INPUT
-    except FeederFormatError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
+        raise
     print("ok")
     return EXIT_OK
+
+
+# Each flag is defined once; a subcommand lists the flags its handler reads.
+_FLAGS = {
+    "--feeder": dict(required=True, help="feeder JSON file"),
+    "--vmin": dict(type=float, help="LP lower voltage bound, p.u."),
+    "--vmax": dict(type=float, help="LP upper voltage bound, p.u."),
+    "--tol": dict(type=float, help="power-flow update tolerance"),
+    "--max-iter": dict(type=int, help="power-flow iteration cap"),
+    "--constants": dict(choices=["balanced", "base"],
+                        help="linearization constants: balanced or from the zero-tap base case"),
+    "--out": dict(help="output path (default: stdout)"),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--lower-bound": dict(type=float, help="external lower bound for the optimality gap"),
+    "--taps": dict(default="0", help="'0' broadcasts; 'a,b,c' per SVR, ';'-separated"),
+    "--cap": dict(type=int, default=100_000, help="max tap combinations"),
+}
+
+_SUBCOMMANDS = (
+    ("powerflow", cmd_powerflow, "exact power flow at fixed taps",
+     ("--feeder", "--tol", "--max-iter", "--out", "--taps")),
+    ("opts", cmd_opts, "solve tap selection and verify",
+     ("--feeder", "--vmin", "--vmax", "--tol", "--max-iter", "--constants", "--out",
+      "--format", "--lower-bound")),
+    ("lindiff", cmd_lindiff, "linear-vs-exact voltage comparison at zero taps",
+     ("--feeder", "--tol", "--max-iter", "--constants", "--out")),
+    ("bruteforce", cmd_bruteforce, "exhaustive tap sweep with exact verification",
+     ("--feeder", "--tol", "--max-iter", "--out", "--format", "--cap")),
+    ("validate", cmd_validate, "parse a feeder file and report violations", ("--feeder",)),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,42 +183,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Regulator tap selection and verification for unbalanced feeders",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, lower_bound=False):
-        p.add_argument("--feeder", required=True, help="feeder JSON file")
-        p.add_argument("--vmin", type=float, default=None, help="LP lower voltage bound, p.u.")
-        p.add_argument("--vmax", type=float, default=None, help="LP upper voltage bound, p.u.")
-        p.add_argument("--tol", type=float, default=None, help="power-flow update tolerance")
-        p.add_argument("--max-iter", type=int, default=None, help="power-flow iteration cap")
-        p.add_argument("--constants", choices=["balanced", "base"], default=None,
-                       help="linearization constants: balanced or from the zero-tap base case")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        if lower_bound:
-            p.add_argument("--lower-bound", type=float, default=None,
-                           help="external lower bound for the optimality gap")
-
-    p = sub.add_parser("powerflow", help="exact power flow at fixed taps")
-    common(p)
-    p.add_argument("--taps", default="0", help="'0' broadcasts; 'a,b,c' per SVR, ';'-separated")
-    p.set_defaults(func=cmd_powerflow)
-
-    p = sub.add_parser("opts", help="solve tap selection and verify")
-    common(p, lower_bound=True)
-    p.set_defaults(func=cmd_opts)
-
-    p = sub.add_parser("lindiff", help="linear-vs-exact voltage comparison at zero taps")
-    common(p)
-    p.set_defaults(func=cmd_lindiff)
-
-    p = sub.add_parser("bruteforce", help="exhaustive tap sweep with exact verification")
-    common(p)
-    p.add_argument("--cap", type=int, default=100_000, help="max tap combinations")
-    p.set_defaults(func=cmd_bruteforce)
-
-    p = sub.add_parser("validate", help="parse a feeder file and report violations")
-    p.add_argument("--feeder", required=True)
-    p.set_defaults(func=cmd_validate)
+    for name, func, help_text, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -218,7 +199,8 @@ def _run(args) -> int:
         return EXIT_INPUT
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_NUMERIC
+        # Only the exhaustive sweep fails for want of a feasible answer.
+        return EXIT_INFEASIBLE if exc.stage == "bruteforce" else EXIT_NUMERIC
 
 
 def main(argv=None) -> int:

@@ -22,8 +22,9 @@ import io
 import itertools
 import json
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from .linflow import (LinearizationConstants, LinearSystem, constants_balanced,
 from .network import (FeederModel, ratio_to_tap, taps_to_ratios, tree_index,
                       zero_taps)
 from .simplex import LpSolution, SparseLp, solve_lp
-from .zbus import (feasibility, import_objective, solve_zbus, voltage_envelope,
-                   voltage_unbalance)
+from .zbus import (DEFAULT_MAX_ITER, DEFAULT_TOL, feasibility, import_objective,
+                   solve_zbus, voltage_envelope, voltage_unbalance)
 
 
 @dataclass(frozen=True)
@@ -43,47 +44,40 @@ class OptsConfig:
 
     v_min: float = 0.9
     v_max: float = 1.1
-    r_min: float = 0.9
-    r_max: float = 1.1
-    zbus_tol: float = 1e-9
-    zbus_max_iter: int = 200
+    zbus_tol: float = DEFAULT_TOL
+    zbus_max_iter: int = DEFAULT_MAX_ITER
     constants_mode: str = "from_zero_tap_solution"   # or "balanced"
     v_min_verify: float = 0.9
     v_max_verify: float = 1.1
 
     def __post_init__(self):
+        # Values may come from a feeder file, so check types before comparing.
+        for key in ("v_min", "v_max", "zbus_tol", "v_min_verify", "v_max_verify"):
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):
+                raise ValueError(f"config key {key!r} must be a number, got {val!r}")
+        val = self.zbus_max_iter
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
+            raise ValueError(f"config key 'zbus_max_iter' must be an integer >= 1, got {val!r}")
         if not 0.0 < self.v_min < self.v_max:
             raise ValueError("need 0 < v_min < v_max")
-        if not 0.0 < self.r_min < self.r_max:
-            raise ValueError("need 0 < r_min < r_max")
         if self.constants_mode not in ("balanced", "from_zero_tap_solution"):
             raise ValueError(f"unknown constants_mode {self.constants_mode!r}")
 
 
-_CONFIG_KEYS = ("v_min", "v_max", "r_min", "r_max", "zbus_tol", "zbus_max_iter",
-                "constants_mode", "v_min_verify", "v_max_verify")
-
-
 def config_from_model(model: FeederModel, **overrides) -> OptsConfig:
-    """Built-in defaults, overlaid with feeder-embedded config, then overrides."""
-    values = {}
-    for key in _CONFIG_KEYS:
-        if key in model.config:
-            values[key] = model.config[key]
-    for key, val in overrides.items():
-        if key not in _CONFIG_KEYS:
+    """Built-in defaults, overlaid with feeder-embedded config, then overrides.
+
+    Keys that are not ``OptsConfig`` fields are rejected; ``None`` overrides
+    are skipped.
+    """
+    keys = {f.name for f in fields(OptsConfig)}
+    for key in (*model.config, *overrides):
+        if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
-        if val is not None:
-            values[key] = val
+    values = dict(model.config)
+    values.update((key, val) for key, val in overrides.items() if val is not None)
     return OptsConfig(**values)
-
-
-def _effective_ratio_range(svr, config: OptsConfig) -> tuple[float, float]:
-    lo_dev, hi_dev = svr.ratio_range()
-    lo, hi = max(lo_dev, config.r_min), min(hi_dev, config.r_max)
-    if lo > hi:
-        raise ValueError(f"svr {svr.from_bus}->{svr.to_bus}: empty effective ratio range")
-    return lo, hi
 
 
 def build_lp(model: FeederModel, constants: LinearizationConstants,
@@ -95,7 +89,7 @@ def build_lp(model: FeederModel, constants: LinearizationConstants,
     magnitudes within the configured voltage band, flows free, window slacks
     nonnegative. Objective: real power leaving the slack bus.
     """
-    windows = [dict.fromkeys(sv.phases, _effective_ratio_range(sv, config)) for sv in model.svrs]
+    windows = [dict.fromkeys(sv.phases, sv.ratio_range()) for sv in model.svrs]
     system = linear_system(model, constants, windows)
 
     n = system.A.shape[1]
@@ -125,8 +119,7 @@ def solve_lp_lexicographic(lp: SparseLp, varmap: LinearSystem) -> tuple[LpSoluti
     return sol, (sol.objective if sol.status == "optimal" else math.nan)
 
 
-def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel,
-                   config: OptsConfig) -> list[dict]:
+def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel) -> list[dict]:
     """Effective ratios from the optimal squared magnitudes, r = sqrt(up/down).
 
     Clamps excursions beyond the ratio window up to 1e-6 (solver tolerance);
@@ -140,8 +133,8 @@ def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel,
         return float(x[varmap.vsq[(bus, phase)]])
 
     out = []
-    for svx, sv in enumerate(model.svrs):
-        r_lo, r_hi = _effective_ratio_range(sv, config)
+    for sv in model.svrs:
+        r_lo, r_hi = sv.ratio_range()
         ratios = {}
         for p in sv.phases:
             vn = value(sv.from_bus, p)
@@ -229,53 +222,40 @@ def run_opts(model: FeederModel, config: OptsConfig,
         raise PipelineError("base_powerflow", "zero-tap power flow did not converge")
     done("base_powerflow")
 
-    if not model.svrs:
-        stage("metrics")
-        envelope = voltage_envelope(base, model)
-        report = OptsReport(
-            svr_ids=[], taps=[], ratios=[], objective_lp=None,
-            objective_verified=import_objective(base, model),
-            v_envelope=envelope,
-            feasible=feasibility(base, model, config.v_min_verify, config.v_max_verify),
-            unbalance=voltage_unbalance(base),
-            gap_percent=None if lower_bound is None else
-            optimality_gap(import_objective(base, model), lower_bound),
-            timings=timings,
-        )
-        done("metrics")
-        return report
+    # Without regulators there is nothing to decide: the base case is the answer.
+    taps, snapped, import_value, verified = [], [], None, base
+    if model.svrs:
+        stage("constants")
+        if config.constants_mode == "balanced":
+            constants = constants_balanced(model)
+        else:
+            constants = constants_from_solution(model, base)
+        done("constants")
 
-    stage("constants")
-    if config.constants_mode == "balanced":
-        constants = constants_balanced(model)
-    else:
-        constants = constants_from_solution(model, base)
-    done("constants")
+        stage("build_lp")
+        lp, varmap = build_lp(model, constants, config)
+        done("build_lp")
 
-    stage("build_lp")
-    lp, varmap = build_lp(model, constants, config)
-    done("build_lp")
+        stage("solve_lp")
+        sol, import_value = solve_lp_lexicographic(lp, varmap)
+        if sol.status != "optimal":
+            raise PipelineError("solve_lp", f"LP terminated with status {sol.status}")
+        done("solve_lp")
 
-    stage("solve_lp")
-    sol, import_value = solve_lp_lexicographic(lp, varmap)
-    if sol.status != "optimal":
-        raise PipelineError("solve_lp", f"LP terminated with status {sol.status}")
-    done("solve_lp")
+        stage("recover")
+        cont_ratios = recover_ratios(sol.x, varmap, model)
+        taps = [{p: ratio_to_tap(rmap[p], sv.kind, sv.step, sv.tap_min, sv.tap_max)
+                 for p in sv.phases} for sv, rmap in zip(model.svrs, cont_ratios)]
+        snapped = taps_to_ratios(model, taps)
+        done("recover")
 
-    stage("recover")
-    cont_ratios = recover_ratios(sol.x, varmap, model, config)
-    taps = []
-    for sv, rmap in zip(model.svrs, cont_ratios):
-        taps.append({p: ratio_to_tap(rmap[p], sv.kind, sv.step, sv.tap_min, sv.tap_max)
-                     for p in sv.phases})
-    snapped = taps_to_ratios(model, taps)
-    done("recover")
-
-    stage("verify_powerflow")
-    verified = solve_zbus(model, snapped, tol=config.zbus_tol, max_iter=config.zbus_max_iter)
-    if not verified.converged:
-        raise PipelineError("verify_powerflow", "power flow at snapped taps did not converge")
-    done("verify_powerflow")
+        stage("verify_powerflow")
+        verified = solve_zbus(model, snapped, tol=config.zbus_tol,
+                              max_iter=config.zbus_max_iter)
+        if not verified.converged:
+            raise PipelineError("verify_powerflow",
+                                "power flow at snapped taps did not converge")
+        done("verify_powerflow")
 
     stage("metrics")
     objective_verified = import_objective(verified, model)

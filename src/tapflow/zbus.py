@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .network import FeederModel, PhaseVector
+from .network import FeederModel, PhaseVector, tree_index
 from .ybus import AdmittanceSystem, assemble, recover_svr_secondary
 
 DEFAULT_TOL = 1e-9
@@ -142,10 +142,11 @@ def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> f
         vm = np.array([solution.voltages[ln.to_bus][p] for p in ph])
         i_edge = zinv @ (vn - vm)
         total += float(np.sum((vn * np.conj(i_edge)).real))
+    children = tree_index(model).children
     for svx, sv in enumerate(model.svrs):
         if sv.from_bus != slack_id:
             continue
-        line = _svr_outgoing_line(model, sv)
+        line = model.lines[children[sv.to_bus][0].index]
         ph = line.z.phases
         zinv = np.linalg.inv(line.z.array)
         r = np.array([float(solution.ratios[svx][p]) for p in ph])
@@ -155,13 +156,6 @@ def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> f
         i_edge = np.diag(g) @ (zinv @ (g * vn - vm))
         total += float(np.sum((vn * np.conj(i_edge)).real))
     return total
-
-
-def _svr_outgoing_line(model: FeederModel, sv):
-    for ln in model.lines:
-        if ln.from_bus == sv.to_bus:
-            return ln
-    raise ValueError(f"svr {sv.from_bus}->{sv.to_bus} has no outgoing line")
 
 
 def voltage_unbalance(solution: PowerFlowSolution) -> float:

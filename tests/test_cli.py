@@ -1,8 +1,12 @@
+import argparse
+import dataclasses
 import json
+import re
 
 import pytest
 
-from tapflow.cli import main
+from tapflow.cli import _build_parser, main
+from tapflow.opts import OptsConfig
 
 from conftest import FIXTURES
 
@@ -121,10 +125,51 @@ def test_lindiff_base_constants_exact_at_zero_taps(tmp_path):
     ["opts", "--feeder", TINY3, "--vmin", "abc"],
     ["opts", "--feeder", TINY3, "--no-such-flag"],
     [],
-], ids=["bad-value", "unknown-flag", "no-subcommand"])
+    ["powerflow", "--feeder", TINY3, "--format", "json"],
+    ["lindiff", "--feeder", TINY3, "--vmin", "0.95"],
+    ["bruteforce", "--feeder", TINY3, "--constants", "base"],
+], ids=["bad-value", "unknown-flag", "no-subcommand", "powerflow-format",
+        "lindiff-vmin", "bruteforce-constants"])
 def test_usage_errors_exit_1(argv, capsys):
     assert run(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_every_flag_is_read_by_its_subcommand():
+    """Each subcommand accepts exactly the flags its handler reads."""
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(opt for a in p._actions if not isinstance(a, argparse._HelpAction)
+                          for opt in a.option_strings)
+             for name, p in subparsers.choices.items()}
+    assert flags == {
+        "powerflow": ["--feeder", "--max-iter", "--out", "--taps", "--tol"],
+        "opts": ["--constants", "--feeder", "--format", "--lower-bound", "--max-iter",
+                 "--out", "--tol", "--vmax", "--vmin"],
+        "lindiff": ["--constants", "--feeder", "--max-iter", "--out", "--tol"],
+        "bruteforce": ["--cap", "--feeder", "--format", "--max-iter", "--out", "--tol"],
+        "validate": ["--feeder"],
+    }
+    assert sum(map(len, flags.values())) == 26
+    assert [f.name for f in dataclasses.fields(OptsConfig)] == [
+        "v_min", "v_max", "zbus_tol", "zbus_max_iter", "constants_mode",
+        "v_min_verify", "v_max_verify"]
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"v_min": "0.9"}, "v_min"),
+    ({"zbus_max_iter": 2.5}, "zbus_max_iter"),
+    ({"zbus_tol": True}, "zbus_tol"),
+    ({"vmin": 0.99}, "vmin"),
+    ({"r_min": 0.9}, "r_min"),
+], ids=["string-band", "fractional-iter", "bool-tol", "typo", "removed-key"])
+def test_bad_feeder_config_exit_1(tmp_path, capsys, config, key):
+    doc = json.loads((FIXTURES / "tiny3.json").read_text())
+    doc["config"].update(config)
+    feeder = tmp_path / "bad-config.json"
+    feeder.write_text(json.dumps(doc))
+    assert run(["opts", "--feeder", str(feeder)]) == 1
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):
@@ -163,8 +208,34 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "svr-secondary-isolation" in capsys.readouterr().out
 
 
-def test_outputs_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(["powerflow", "--feeder", IEEE13, "--taps", "3,-6,6", "--out", str(a)])
-    run(["powerflow", "--feeder", IEEE13, "--taps", "3,-6,6", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+def _mask_timings(text):
+    """Blank the wall-clock ``timings`` object of an opts JSON report."""
+    masked, n = re.subn(r'"timings": \{[^}]*\}', '"timings": {}', text)
+    assert n == 1
+    return masked
+
+
+def _mask_time_sec(text):
+    """Blank the wall-clock ``time_sec`` cell of an opts CSV summary."""
+    header, row, rest = text.split("\n", 2)
+    cells = row.split(",")
+    cells[header.split(",").index("time_sec")] = ""
+    return "\n".join([header, ",".join(cells), rest])
+
+
+@pytest.mark.parametrize("argv, mask", [
+    (["powerflow", "--feeder", IEEE13, "--taps", "3,-6,6"], None),
+    (["opts", "--feeder", IEEE13], _mask_timings),
+    (["opts", "--feeder", IEEE13, "--format", "csv"], _mask_time_sec),
+    (["lindiff", "--feeder", IEEE13], None),
+    (["bruteforce", "--feeder", TINY3], None),
+], ids=["powerflow", "opts-json", "opts-csv", "lindiff", "bruteforce-json"])
+def test_outputs_deterministic(tmp_path, argv, mask):
+    """Outputs repeat byte for byte; only opts' wall-clock fields are masked."""
+    a, b = tmp_path / "a.out", tmp_path / "b.out"
+    assert run(argv + ["--out", str(a)]) == 0
+    assert run(argv + ["--out", str(b)]) == 0
+    texts = [p.read_bytes().decode("utf-8") for p in (a, b)]
+    if mask is not None:
+        texts = [mask(t) for t in texts]
+    assert texts[0] == texts[1]

@@ -75,39 +75,39 @@ def test_voltage_bounds_applied(ieee13):
 # ---------------------------------------------------------------------------
 
 def test_recover_ratio_formula(tiny3):
-    (lp, varmap), cfg = build(tiny3)
+    (lp, varmap), _ = build(tiny3)
     x = np.zeros(lp.A.shape[1])
     x[varmap.vsq[("reg", "a")]] = 1.0
     x[varmap.vsq[("load", "a")]] = 1.0
-    assert tf.recover_ratios(x, varmap, tiny3, cfg)[0]["a"] == pytest.approx(1.0)
+    assert tf.recover_ratios(x, varmap, tiny3)[0]["a"] == pytest.approx(1.0)
     x[varmap.vsq[("reg", "a")]] = 1.0 / 0.81
     # sqrt(v_up / v_down) with the slack as the upstream side: 1 / sqrt(1.2346) = 0.9
-    assert tf.recover_ratios(x, varmap, tiny3, cfg)[0]["a"] == pytest.approx(0.9)
+    assert tf.recover_ratios(x, varmap, tiny3)[0]["a"] == pytest.approx(0.9)
 
 
 def test_recover_rejects_nonpositive(tiny3):
-    (lp, varmap), cfg = build(tiny3)
+    (lp, varmap), _ = build(tiny3)
     x = np.zeros(lp.A.shape[1])
     with pytest.raises(ValueError, match="nonpositive"):
-        tf.recover_ratios(x, varmap, tiny3, cfg)
+        tf.recover_ratios(x, varmap, tiny3)
 
 
 def test_recover_rejects_large_excursion(tiny3):
-    (lp, varmap), cfg = build(tiny3)
+    (lp, varmap), _ = build(tiny3)
     x = np.zeros(lp.A.shape[1])
     x[varmap.vsq[("reg", "a")]] = 4.0     # ratio sqrt(1/4) = 0.5, far out of range
     x[varmap.vsq[("load", "a")]] = 4.0
     with pytest.raises(ValueError, match="outside"):
-        tf.recover_ratios(x, varmap, tiny3, cfg)
+        tf.recover_ratios(x, varmap, tiny3)
 
 
 def test_recover_clamps_solver_noise(tiny3):
-    (lp, varmap), cfg = build(tiny3)
+    (lp, varmap), _ = build(tiny3)
     x = np.zeros(lp.A.shape[1])
     eps = 1e-8
     x[varmap.vsq[("reg", "a")]] = (1.0 / 0.81) * (1 + eps)
     x[varmap.vsq[("load", "a")]] = 1.0
-    r = tf.recover_ratios(x, varmap, tiny3, cfg)[0]["a"]
+    r = tf.recover_ratios(x, varmap, tiny3)[0]["a"]
     assert r == 0.9
 
 
