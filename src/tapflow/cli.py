@@ -106,7 +106,10 @@ def cmd_lindiff(args) -> int:
     if not exact.converged:
         print("exact power flow did not converge", file=sys.stderr)
         return EXIT_NUMERIC
-    constants = (constants_from_solution(model, exact) if args.constants == "base"
+    # A flag or the feeder's config chooses the constants; lindiff's default is balanced.
+    chosen = args.constants is not None or "constants_mode" in model.config
+    constants = (constants_from_solution(model, exact)
+                 if chosen and config.constants_mode == "from_zero_tap_solution"
                  else constants_balanced(model))
     v_sq, _ = linear_powerflow(model, constants, ratios)
     _emit(lindiff(model, exact, v_sq).to_csv(), args.out)

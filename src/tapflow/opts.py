@@ -34,6 +34,7 @@ from .linflow import (LinearizationConstants, LinearSystem, constants_balanced,
 from .network import (FeederModel, ratio_to_tap, taps_to_ratios, tree_index,
                       zero_taps)
 from .simplex import LpSolution, SparseLp, solve_lp
+from .ybus import build_stamps
 from .zbus import (DEFAULT_MAX_ITER, DEFAULT_TOL, feasibility, import_objective,
                    solve_zbus, voltage_envelope, voltage_unbalance)
 
@@ -54,8 +55,10 @@ class OptsConfig:
         # Values may come from a feeder file, so check types before comparing.
         for key in ("v_min", "v_max", "zbus_tol", "v_min_verify", "v_max_verify"):
             val = getattr(self, key)
-            if isinstance(val, bool) or not isinstance(val, numbers.Real):
+            if isinstance(val, bool) or not isinstance(val, numbers.Real) or math.isnan(val):
                 raise ValueError(f"config key {key!r} must be a number, got {val!r}")
+        if not self.zbus_tol > 0:
+            raise ValueError(f"config key 'zbus_tol' must be positive, got {self.zbus_tol!r}")
         val = self.zbus_max_iter
         if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
             raise ValueError(f"config key 'zbus_max_iter' must be an integer >= 1, got {val!r}")
@@ -216,8 +219,10 @@ def run_opts(model: FeederModel, config: OptsConfig,
         timings[name] = time.perf_counter() - timings[name]
 
     stage("base_powerflow")
+    stamps = build_stamps(model)          # shared by the base and verify solves
     base_ratios = taps_to_ratios(model, zero_taps(model))
-    base = solve_zbus(model, base_ratios, tol=config.zbus_tol, max_iter=config.zbus_max_iter)
+    base = solve_zbus(model, base_ratios, tol=config.zbus_tol, max_iter=config.zbus_max_iter,
+                      stamps=stamps)
     if not base.converged:
         raise PipelineError("base_powerflow", "zero-tap power flow did not converge")
     done("base_powerflow")
@@ -251,7 +256,7 @@ def run_opts(model: FeederModel, config: OptsConfig,
 
         stage("verify_powerflow")
         verified = solve_zbus(model, snapped, tol=config.zbus_tol,
-                              max_iter=config.zbus_max_iter)
+                              max_iter=config.zbus_max_iter, stamps=stamps)
         if not verified.converged:
             raise PipelineError("verify_powerflow",
                                 "power flow at snapped taps did not converge")
@@ -306,6 +311,7 @@ def brute_force(model: FeederModel, config: OptsConfig,
     if total > cap:
         raise ValueError(f"{total} tap combinations exceed cap {cap}")
 
+    stamps = build_stamps(model)          # only the regulator blocks change per combination
     best_obj = np.inf
     best_key = None
     best_taps = None
@@ -318,7 +324,8 @@ def brute_force(model: FeederModel, config: OptsConfig,
         for (svx, p, _), t in zip(axes, combo):
             taps[svx][p] = t
         ratios = taps_to_ratios(model, taps)
-        sol = solve_zbus(model, ratios, tol=config.zbus_tol, max_iter=config.zbus_max_iter)
+        sol = solve_zbus(model, ratios, tol=config.zbus_tol, max_iter=config.zbus_max_iter,
+                         stamps=stamps)
         if not sol.converged:
             continue
         if not feasibility(sol, model, config.v_min_verify, config.v_max_verify):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .network import FeederModel, PhaseVector, tree_index
-from .ybus import AdmittanceSystem, assemble, recover_svr_secondary
+from .ybus import AdmittanceSystem, StampSet, assemble, recover_svr_secondary
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
@@ -53,16 +53,19 @@ def _load_vector(model: FeederModel, system: AdmittanceSystem) -> np.ndarray:
 
 
 def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER, v0: dict | None = None) -> PowerFlowSolution:
+               max_iter: int = DEFAULT_MAX_ITER, v0: dict | None = None,
+               stamps: StampSet | None = None) -> PowerFlowSolution:
     """Run the fixed-point iteration at fixed regulator ratios.
 
     ``ratios`` is a list aligned with ``model.svrs`` mapping phase -> ratio.
     ``v0`` optionally maps bus id -> PhaseVector to seed the iteration;
-    the default is a flat start at the slack voltage.
+    the default is a flat start at the slack voltage. ``stamps`` is
+    ``ybus.build_stamps(model)``, passed by callers that solve one model at
+    many ratios.
     """
-    if tol <= 0:
+    if not tol > 0:      # also rejects NaN
         raise ValueError("tol must be positive")
-    system = assemble(model, ratios)
+    system = assemble(model, ratios, stamps=stamps)
     lu = splu(system.Y.tocsc())
 
     vs = np.array([model.slack_voltage[p] for _, p in system.slack_coords])

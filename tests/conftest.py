@@ -67,3 +67,48 @@ def chain_model(loads, z_per_edge=0.02 + 0.06j, svr_kind=None, phases=("a",),
                            config=config)
     assert not tf.validate(model)
     return model
+
+
+def cascade_model():
+    """Head type-B and cascaded type-A regulators, a capacitor shunt, and a
+    regulated phase (c) that the line after the second regulator does not carry."""
+    abc = ("a", "b", "c")
+    z = [[0.02 + 0.06j, 0.006 + 0.02j, 0.005 + 0.018j],
+         [0.006 + 0.02j, 0.021 + 0.062j, 0.006 + 0.019j],
+         [0.005 + 0.018j, 0.006 + 0.019j, 0.019 + 0.058j]]
+    z_ab = [row[:2] for row in z[:2]]
+    shunt = tf.PhaseMatrix(abc, [[0.03j, 0.0, 0.0], [0.0, 0.03j, 0.0], [0.0, 0.0, 0.03j]])
+    buses = (
+        tf.BusSpec(id="sub", phases=abc, is_slack=True),
+        tf.BusSpec(id="r1", phases=abc),
+        tf.BusSpec(id="n1", phases=abc, shunt=shunt,
+                   load=tf.PhaseVector(abc, [0.1 + 0.04j, 0.08 + 0.03j, 0.12 + 0.05j])),
+        tf.BusSpec(id="r2", phases=abc),
+        tf.BusSpec(id="n2", phases=("a", "b"),
+                   load=tf.PhaseVector(("a", "b"), [0.15 + 0.06j, 0.1 + 0.05j])),
+        tf.BusSpec(id="n3", phases=("c",), load=tf.PhaseVector(("c",), [0.05 + 0.02j])),
+    )
+    lines = (
+        tf.LineSpec(from_bus="r1", to_bus="n1", z=tf.PhaseMatrix(abc, z)),
+        tf.LineSpec(from_bus="r2", to_bus="n2", z=tf.PhaseMatrix(("a", "b"), z_ab)),
+        tf.LineSpec(from_bus="n1", to_bus="n3", z=tf.PhaseMatrix(("c",), [[0.03 + 0.05j]])),
+    )
+    svrs = (tf.SvrSpec(from_bus="sub", to_bus="r1", kind="B", phases=abc),
+            tf.SvrSpec(from_bus="n1", to_bus="r2", kind="A", phases=abc))
+    model = tf.FeederModel(buses=buses, lines=lines, svrs=svrs,
+                           slack_voltage=tf.PhaseVector(abc, [BALANCED[p] for p in abc]))
+    assert not tf.validate(model)
+    return model
+
+
+PARITY_FEEDERS = {
+    "ieee13": lambda request: request.getfixturevalue("ieee13"),
+    "tiny3": lambda request: request.getfixturevalue("tiny3"),
+    "chain-A-1ph": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="A"),
+    "chain-B-1ph": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="B"),
+    "chain-A-3ph": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="A",
+                                         phases=("a", "b", "c")),
+    "chain-B-3ph": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="B",
+                                         phases=("a", "b", "c")),
+    "cascade": lambda _: cascade_model(),
+}

@@ -110,6 +110,22 @@ def test_lindiff_csv(tmp_path):
     assert all(d <= 0.015 for d in diffs.values())
 
 
+def test_lindiff_reads_feeder_constants_mode(tmp_path):
+    """Flag > feeder config > lindiff's balanced default."""
+    doc = json.loads((FIXTURES / "tiny3.json").read_text())
+    doc["config"]["constants_mode"] = "from_zero_tap_solution"
+    feeder = tmp_path / "base-mode.json"
+    feeder.write_text(json.dumps(doc))
+    outs = {name: tmp_path / f"{name}.csv" for name in ("config", "flag", "override")}
+    assert run(["lindiff", "--feeder", str(feeder), "--out", str(outs["config"])]) == 0
+    assert run(["lindiff", "--feeder", TINY3, "--constants", "base",
+                "--out", str(outs["flag"])]) == 0
+    assert run(["lindiff", "--feeder", str(feeder), "--constants", "balanced",
+                "--out", str(outs["override"])]) == 0
+    assert outs["config"].read_bytes() == outs["flag"].read_bytes()
+    assert outs["override"].read_bytes() != outs["flag"].read_bytes()
+
+
 def test_lindiff_base_constants_exact_at_zero_taps(tmp_path):
     """Constants from the zero-tap exact solution make the linear model exact there."""
     out = tmp_path / "ld.csv"
@@ -156,19 +172,24 @@ def test_every_flag_is_read_by_its_subcommand():
         "v_min_verify", "v_max_verify"]
 
 
-@pytest.mark.parametrize("config, key", [
-    ({"v_min": "0.9"}, "v_min"),
-    ({"zbus_max_iter": 2.5}, "zbus_max_iter"),
-    ({"zbus_tol": True}, "zbus_tol"),
-    ({"vmin": 0.99}, "vmin"),
-    ({"r_min": 0.9}, "r_min"),
-], ids=["string-band", "fractional-iter", "bool-tol", "typo", "removed-key"])
-def test_bad_feeder_config_exit_1(tmp_path, capsys, config, key):
+@pytest.mark.parametrize("config, flags, key", [
+    ({"v_min": "0.9"}, [], "v_min"),
+    ({"zbus_max_iter": 2.5}, [], "zbus_max_iter"),
+    ({"zbus_tol": True}, [], "zbus_tol"),
+    ({"vmin": 0.99}, [], "vmin"),
+    ({"r_min": 0.9}, [], "r_min"),
+    ({"zbus_tol": float("nan")}, [], "zbus_tol"),
+    ({"zbus_tol": 0.0}, [], "zbus_tol"),
+    ({"v_min_verify": float("nan")}, [], "v_min_verify"),
+    ({}, ["--tol", "nan"], "zbus_tol"),
+], ids=["string-band", "fractional-iter", "bool-tol", "typo", "removed-key", "nan-tol",
+        "zero-tol", "nan-verify-band", "nan-tol-flag"])
+def test_bad_feeder_config_exit_1(tmp_path, capsys, config, flags, key):
     doc = json.loads((FIXTURES / "tiny3.json").read_text())
     doc["config"].update(config)
     feeder = tmp_path / "bad-config.json"
     feeder.write_text(json.dumps(doc))
-    assert run(["opts", "--feeder", str(feeder)]) == 1
+    assert run(["opts", "--feeder", str(feeder)] + flags) == 1
     assert repr(key) in capsys.readouterr().err
 
 

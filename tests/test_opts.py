@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -303,3 +304,28 @@ def test_bruteforce_best_not_above_any_feasible(tiny3):
                                                    cfg.v_max_verify):
             continue
         assert best.objective <= tf.import_objective(sol, tiny3) + 1e-12
+
+
+@pytest.mark.parametrize("name", ["tiny3", "ieee13"])
+def test_bruteforce_shared_stamps_match_fresh_solves(monkeypatch, request, name):
+    """One stamp set per sweep gives the answer of a fresh assembly for each
+    combination (IEEE-13 with its taps windowed to -2..2)."""
+    model = request.getfixturevalue(name)
+    if name == "ieee13":
+        model = dataclasses.replace(model, svrs=tuple(
+            dataclasses.replace(sv, tap_min=-2, tap_max=2) for sv in model.svrs))
+    cfg = tf.config_from_model(model)
+    shared = tf.brute_force(model, cfg)
+
+    passed = []
+
+    def fresh_solve(*args, stamps=None, **kwargs):
+        passed.append(stamps is not None)
+        return tf.solve_zbus(*args, **kwargs)
+
+    monkeypatch.setattr(opts, "solve_zbus", fresh_solve)
+    fresh = tf.brute_force(model, cfg)
+    assert len(passed) == fresh.evaluated and all(passed)
+    assert shared.taps == fresh.taps
+    assert shared.objective.hex() == fresh.objective.hex()
+    assert (shared.feasible_count, shared.evaluated) == (fresh.feasible_count, fresh.evaluated)

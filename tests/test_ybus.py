@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import tapflow as tf
+from tapflow.ybus import build_stamps
 
-from conftest import chain_model
+from conftest import PARITY_FEEDERS, cascade_model, chain_model
+from ybus_reference import loop_assemble
 
 
 def reference_solve(model, ratios, tol=1e-12, max_iter=300):
@@ -209,3 +213,65 @@ def test_elimination_exactness_ieee13(ieee13):
     worst = max(abs(sol.voltages[b][p] - ref[b][p])
                 for b in ref for p in ref[b].phases)
     assert worst < 1e-10
+
+
+def _ratio_sets(model):
+    """Zero taps, alternating shifted taps, and each phase at a tap limit."""
+    shifted = [{p: (-1) ** k * (3 + 2 * k) for k, p in enumerate(sv.phases)}
+               for sv in model.svrs]
+    extreme = [{p: sv.tap_max if k % 2 else sv.tap_min for k, p in enumerate(sv.phases)}
+               for sv in model.svrs]
+    return {name: tf.taps_to_ratios(model, taps)
+            for name, taps in (("zero", tf.zero_taps(model)), ("shifted", shifted),
+                               ("extreme", extreme))}
+
+
+def _assert_same_system(got, ref):
+    assert (got.coords, got.slack_coords, got.full_coords, got.eliminated) == \
+        (ref.coords, ref.slack_coords, ref.full_coords, ref.eliminated)
+    for name in ("Y", "Y_NS", "Y_S"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.format == b.format == "csc" and a.shape == b.shape, name
+        for part in ("indptr", "indices", "data"):
+            x, y = getattr(a, part), getattr(b, part)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, part)
+
+
+def _cascade_with_large_capacitor():
+    """cascade_model with a 0.123 p.u. capacitor at the second regulator's
+    primary. That diagonal sums both regulators' blocks, a line block and
+    the shunt, and with these values its rounding depends on the order of
+    the sum, so a reordered stamp shows in the last bits."""
+    model = cascade_model()
+    abc = ("a", "b", "c")
+    shunt = tf.PhaseMatrix(abc, np.diag([0.123j] * 3))
+    return dataclasses.replace(model, buses=tuple(
+        dataclasses.replace(b, shunt=shunt) if b.id == "n1" else b for b in model.buses))
+
+
+YBUS_FEEDERS = {**PARITY_FEEDERS, "cascade-capacitor": lambda _: _cascade_with_large_capacitor()}
+
+
+@pytest.mark.parametrize("name", sorted(YBUS_FEEDERS))
+def test_assemble_matches_loop_reference(name, request):
+    """Stamp set plus per-ratio step gives the per-entry loop's bytes, with
+    a fresh stamp set and with one reused across ratios."""
+    model = YBUS_FEEDERS[name](request)
+    stamps = build_stamps(model)
+    for ratios in _ratio_sets(model).values():
+        ref = loop_assemble(model, ratios)
+        _assert_same_system(tf.assemble(model, ratios), ref)
+        _assert_same_system(tf.assemble(model, ratios, stamps=stamps), ref)
+
+
+def test_stamp_set_keeps_no_state_between_ratios():
+    """r1, r2, r1 from one stamp set equal fresh builds, even after a caller
+    writes into a returned matrix."""
+    model = cascade_model()
+    sets = _ratio_sets(model)
+    stamps = build_stamps(model)
+    for key in ("shifted", "extreme", "shifted"):
+        got = tf.assemble(model, sets[key], stamps=stamps)
+        _assert_same_system(got, tf.assemble(model, sets[key]))
+        for name in ("Y", "Y_NS", "Y_S"):
+            getattr(got, name).data[:] = np.nan

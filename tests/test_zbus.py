@@ -42,6 +42,13 @@ def test_divergence_reported_not_silently_truncated():
         tf.import_objective(sol, model)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+def test_nonpositive_or_nan_tol_rejected(tol):
+    model = chain_model([0.1])
+    with pytest.raises(ValueError, match="tol must be positive"):
+        tf.solve_zbus(model, [], tol=tol)
+
+
 def test_import_objective_zero_load():
     model = chain_model([0.0])
     sol = tf.solve_zbus(model, [])
