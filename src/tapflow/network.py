@@ -329,8 +329,8 @@ def validate(model: FeederModel) -> list[Violation]:
         name = f"svr {sv.from_bus}->{sv.to_bus}"
         if not (sv.tap_min <= 0 <= sv.tap_max):
             out.append(Violation(name, "svr-bounds", f"tap range [{sv.tap_min}, {sv.tap_max}] must contain 0"))
-        if sv.step <= 0:
-            out.append(Violation(name, "svr-bounds", "step must be positive"))
+        if not sv.step > 0 or not math.isfinite(sv.step):      # NaN fails the first test
+            out.append(Violation(name, "svr-bounds", "step must be positive and finite"))
         fp, tp = set(by_id[sv.from_bus].phases), set(by_id[sv.to_bus].phases)
         if not set(sv.phases) <= fp & tp:
             out.append(Violation(name, "svr-mask", "SVR phases not present at both endpoints"))
@@ -396,9 +396,36 @@ def validate(model: FeederModel) -> list[Violation]:
 FORMAT_VERSION = 1
 
 
+# JSON value kinds a scalar field may hold. JSON's true and false are never
+# numbers here, although Python's bool is an int.
+_KINDS = {"a boolean": (bool,), "an integer": (int,), "a number": (int, float)}
+
+
+def _scalar(node: dict, key: str, default, kind: str, where: str):
+    value = node.get(key, default)
+    types = _KINDS[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise FeederFormatError(f"{where}: {key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _objects(doc: dict, key: str) -> list:
+    nodes = doc[key]
+    if not isinstance(nodes, list) or not all(isinstance(n, dict) for n in nodes):
+        raise FeederFormatError(f"{key!r} must be an array of objects")
+    return nodes
+
+
+def _phases(node: dict, where: str) -> str:
+    phases = node["phases"]
+    if not isinstance(phases, str):
+        raise FeederFormatError(f"{where}: 'phases' must be a string such as \"abc\"")
+    return phases
+
+
 def _as_complex(node, where: str) -> complex:
     if (not isinstance(node, (list, tuple)) or len(node) != 2
-            or not all(isinstance(x, (int, float)) for x in node)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)):
         raise FeederFormatError(f"{where}: complex values must be [re, im] 2-arrays")
     return complex(node[0], node[1])
 
@@ -406,9 +433,11 @@ def _as_complex(node, where: str) -> complex:
 def _parse_phase_vector(node, where: str) -> PhaseVector:
     if not isinstance(node, dict) or "phases" not in node or "values" not in node:
         raise FeederFormatError(f"{where}: expected {{phases, values}}")
-    phases = list(node["phases"])
+    phases = list(_phases(node, where))
     values = node["values"]
-    if not isinstance(values, list) or len(values) != len(phases):
+    if not isinstance(values, list):
+        raise FeederFormatError(f"{where}: 'values' must be an array")
+    if len(values) != len(phases):
         raise FeederFormatError(f"{where}: values arity {len(values)} != phase count {len(phases)}")
     return PhaseVector(phases, [_as_complex(v, where) for v in values])
 
@@ -416,9 +445,11 @@ def _parse_phase_vector(node, where: str) -> PhaseVector:
 def _parse_phase_matrix(node, where: str) -> PhaseMatrix:
     if not isinstance(node, dict) or "phases" not in node or "rows" not in node:
         raise FeederFormatError(f"{where}: expected {{phases, rows}}")
-    phases = list(node["phases"])
+    phases = list(_phases(node, where))
     rows = node["rows"]
-    if not isinstance(rows, list) or len(rows) != len(phases):
+    if not isinstance(rows, list):
+        raise FeederFormatError(f"{where}: 'rows' must be an array")
+    if len(rows) != len(phases):
         raise FeederFormatError(f"{where}: row count {len(rows)} != phase count {len(phases)}")
     mat = []
     for r in rows:
@@ -443,7 +474,7 @@ def parse_feeder(text: str) -> FeederModel:
             raise FeederFormatError(f"missing top-level key {key!r}")
 
     buses = []
-    for node in doc["buses"]:
+    for node in _objects(doc, "buses"):
         if "id" not in node or "phases" not in node:
             raise FeederFormatError("bus entries need 'id' and 'phases'")
         where = f"bus {node['id']}"
@@ -459,14 +490,14 @@ def parse_feeder(text: str) -> FeederModel:
             raise FeederFormatError(f"{where}: only wye constant-power loads are supported")
         buses.append(BusSpec(
             id=str(node["id"]),
-            phases=canonical_phases(node["phases"]),
+            phases=canonical_phases(_phases(node, where)),
             load=load,
             shunt=shunt,
-            is_slack=bool(node.get("is_slack", False)),
+            is_slack=_scalar(node, "is_slack", False, "a boolean", where),
         ))
 
     lines = []
-    for node in doc["lines"]:
+    for node in _objects(doc, "lines"):
         if not {"from", "to", "z"} <= set(node):
             raise FeederFormatError("line entries need 'from', 'to', 'z'")
         lines.append(LineSpec(
@@ -476,19 +507,20 @@ def parse_feeder(text: str) -> FeederModel:
         ))
 
     svrs = []
-    for node in doc["svrs"]:
+    for node in _objects(doc, "svrs"):
         if not {"from", "to", "kind", "phases"} <= set(node):
             raise FeederFormatError("svr entries need 'from', 'to', 'kind', 'phases'")
         if node["kind"] not in ("A", "B"):
             raise FeederFormatError(f"svr kind must be 'A' or 'B', got {node['kind']!r}")
+        where = f"svr {node['from']}->{node['to']}"
         svrs.append(SvrSpec(
             from_bus=str(node["from"]),
             to_bus=str(node["to"]),
             kind=node["kind"],
-            phases=canonical_phases(node["phases"]),
-            tap_min=int(node.get("tap_min", -16)),
-            tap_max=int(node.get("tap_max", 16)),
-            step=float(node.get("step", 0.00625)),
+            phases=canonical_phases(_phases(node, where)),
+            tap_min=_scalar(node, "tap_min", -16, "an integer", where),
+            tap_max=_scalar(node, "tap_max", 16, "an integer", where),
+            step=float(_scalar(node, "step", 0.00625, "a number", where)),
         ))
 
     config = doc.get("config", {})

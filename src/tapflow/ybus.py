@@ -6,12 +6,14 @@ i_primary = A^-1 i_line (type-B, diagonal real gain A), leaving a reduced Y that
 couples the primary directly to the bus behind the regulator's outgoing line.
 
 Assembly has two steps. ``build_stamps`` does the tap-independent work once
-per feeder: the coordinate tuples, the checked inverse of every line
-impedance, the line and shunt stamps as (row, column, value)
-triplets, and for each regulator its outgoing line's inverse and the target
-slots of its four blocks. ``assemble`` then computes only the regulator
-blocks G zinv G, -G zinv and -zinv G (G the diagonal gain) for the given
-ratios and builds Y, Y_NS and Y_S; called without a stamp set it builds one.
+per feeder and is the one record of its layout: the coordinate tuples and
+the retained-row index, the slack voltages, constant-power loads and flat
+start over those coordinates, the checked inverse of every line impedance,
+the line and shunt stamps as (row, column, value) triplets, and for each
+regulator its outgoing line's inverse and the target slots of its four
+blocks. ``assemble`` then computes only the regulator blocks G zinv G,
+-G zinv and -zinv G (G the diagonal gain) for the given ratios and builds
+Y, Y_NS and Y_S; called without a stamp set it builds one.
 Tap sweeps build the stamp set once and pass it to every ``assemble`` call.
 Exact zeros are not stored, and the triplets are always emitted in one
 order (lines, regulators, shunts), so the CSC matrices are bit-identical
@@ -21,39 +23,11 @@ whether or not the stamp set was reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .network import FeederModel, PhaseVector, SvrSpec, tree_index
-
-
-@dataclass(frozen=True)
-class AdmittanceSystem:
-    """Reduced admittance blocks and the coordinate bookkeeping around them.
-
-    Y       : retained (non-slack, non-eliminated) square block
-    Y_NS    : coupling of retained rows to slack columns
-    Y_S     : slack-injection rows over the full coordinate set (slack included,
-              eliminated secondaries included with zero weight)
-    """
-
-    Y: sp.csc_matrix
-    Y_NS: sp.csc_matrix
-    Y_S: sp.csc_matrix
-    coords: tuple            # retained (bus, phase) in row order
-    slack_coords: tuple      # slack (bus, phase) in Y_NS column order
-    full_coords: tuple       # every (bus, phase) in Y_S column order
-    eliminated: tuple        # bus ids removed by regulator elimination
-
-    @cached_property
-    def index(self) -> dict:
-        return {c: i for i, c in enumerate(self.coords)}
-
-    @cached_property
-    def full_index(self) -> dict:
-        return {c: i for i, c in enumerate(self.full_coords)}
 
 
 def _gain_diag(svr, ratios, phases) -> np.ndarray:
@@ -120,19 +94,39 @@ class _RegulatorStamp:
 
 @dataclass(frozen=True)
 class StampSet:
-    """The tap-independent part of a feeder's admittance assembly.
+    """The tap-independent part of a feeder's admittance assembly and power flow.
 
     ``lines`` and ``shunts`` hold one (rows, cols, values) triplet per target
     block; a regulator's blocks are recomputed for each set of ratios.
     """
 
-    coords: tuple
-    slack_coords: tuple
-    full_coords: tuple
-    eliminated: tuple
+    coords: tuple            # retained (bus, phase) in row order
+    slack_coords: tuple      # slack (bus, phase) in Y_NS column order
+    full_coords: tuple       # every (bus, phase) in Y_S column order
+    eliminated: tuple        # bus ids removed by regulator elimination
+    row: dict                # retained (bus, phase) -> row
+    v_slack: np.ndarray      # slack voltages in Y_NS column order
+    loads: np.ndarray        # constant-power consumption per retained row
+    v_flat: np.ndarray       # flat start: the slack voltage of each row's phase
     lines: tuple
     regulators: tuple
     shunts: tuple
+
+
+@dataclass(frozen=True)
+class AdmittanceSystem:
+    """Reduced admittance blocks at one set of ratios, over ``stamps``' layout.
+
+    Y       : retained (non-slack, non-eliminated) square block
+    Y_NS    : coupling of retained rows to slack columns
+    Y_S     : slack-injection rows over the full coordinate set (slack included,
+              eliminated secondaries included with zero weight)
+    """
+
+    Y: sp.csc_matrix
+    Y_NS: sp.csc_matrix
+    Y_S: sp.csc_matrix
+    stamps: StampSet
 
 
 def build_stamps(model: FeederModel) -> StampSet:
@@ -144,8 +138,8 @@ def build_stamps(model: FeederModel) -> StampSet:
     elim_set = set(eliminated)
     slack_id = model.slack.id
 
-    coords = tuple((b.id, p) for b in model.buses
-                   if not b.is_slack and b.id not in elim_set for p in b.phases)
+    retained = [b for b in model.buses if not b.is_slack and b.id not in elim_set]
+    coords = tuple((b.id, p) for b in retained for p in b.phases)
     slack_coords = tuple((slack_id, p) for p in model.slack.phases)
     full_coords = tuple((b.id, p) for b in model.buses for p in b.phases)
     row = {c: i for i, c in enumerate(coords)}
@@ -203,9 +197,14 @@ def build_stamps(model: FeederModel) -> StampSet:
     shunt_blocks = [(slots(b.id, b.id, b.shunt.phases, b.shunt.phases), b.shunt.array)
                     for b in model.buses if b.shunt is not None]
 
+    loads = np.array([b.load[p] if b.load is not None and p in b.load else 0.0
+                      for b in retained for p in b.phases], dtype=complex)
     return StampSet(coords=coords, slack_coords=slack_coords, full_coords=full_coords,
-                    eliminated=eliminated, lines=triplets(line_blocks),
-                    regulators=tuple(regulators), shunts=triplets(shunt_blocks))
+                    eliminated=eliminated, row=row,
+                    v_slack=np.array([model.slack_voltage[p] for _, p in slack_coords]),
+                    loads=loads, v_flat=np.array([model.slack_voltage[p] for _, p in coords]),
+                    lines=triplets(line_blocks), regulators=tuple(regulators),
+                    shunts=triplets(shunt_blocks))
 
 
 def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> AdmittanceSystem:
@@ -236,11 +235,7 @@ def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> Admi
     n, ns, nf = len(stamps.coords), len(stamps.slack_coords), len(stamps.full_coords)
     Y, Y_NS, Y_S = (_csc(part, shape) for part, shape in
                     zip(parts, ((n, n), (n, ns), (ns, nf))))
-    return AdmittanceSystem(
-        Y=Y, Y_NS=Y_NS, Y_S=Y_S,
-        coords=stamps.coords, slack_coords=stamps.slack_coords,
-        full_coords=stamps.full_coords, eliminated=stamps.eliminated,
-    )
+    return AdmittanceSystem(Y=Y, Y_NS=Y_NS, Y_S=Y_S, stamps=stamps)
 
 
 def _csc(parts, shape) -> sp.csc_matrix:

@@ -4,7 +4,9 @@ The iteration solves Y v = i(v) - Y_NS v_S with constant-power injections
 re-evaluated at the previous iterate and constant-admittance shunts folded
 into Y. Convergence requires both a small voltage update and a small
 Kirchhoff current residual, so every converged solution carries an
-independent physics certificate.
+independent physics certificate. The loads, slack voltages, flat start and
+coordinate layout come from the feeder's stamp set (``ybus.StampSet``), built
+once per feeder, so a solve or a metric rebuilds none of them.
 """
 
 from __future__ import annotations
@@ -41,15 +43,11 @@ def _load_currents(loads: np.ndarray, v: np.ndarray) -> np.ndarray:
     return -np.conj(loads / v)
 
 
-def _load_vector(model: FeederModel, system: AdmittanceSystem) -> np.ndarray:
-    """Constant-power consumption per retained coordinate, in row order."""
-    by_id = {b.id: b for b in model.buses}
-    loads = np.zeros(len(system.coords), dtype=complex)
-    for k, (bus, phase) in enumerate(system.coords):
-        ld = by_id[bus].load
-        if ld is not None and phase in ld:
-            loads[k] = ld[phase]
-    return loads
+def _kcl_residual(system: AdmittanceSystem, v: np.ndarray) -> float:
+    """Inf-norm of the KCL current mismatch Y v + Y_NS v_S - i(v)."""
+    st = system.stamps
+    mism = system.Y @ v + system.Y_NS @ st.v_slack - _load_currents(st.loads, v)
+    return float(np.max(np.abs(mism))) if len(mism) else 0.0
 
 
 def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
@@ -66,48 +64,37 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
     if not tol > 0:      # also rejects NaN
         raise ValueError("tol must be positive")
     system = assemble(model, ratios, stamps=stamps)
+    st = system.stamps
     lu = splu(system.Y.tocsc())
-
-    vs = np.array([model.slack_voltage[p] for _, p in system.slack_coords])
-    w_s = system.Y_NS @ vs
-
-    loads = _load_vector(model, system)
-
+    w_s = system.Y_NS @ st.v_slack
     if v0 is None:
-        slack_by_phase = {p: model.slack_voltage[p] for p in model.slack_voltage.phases}
-        v = np.array([slack_by_phase[p] for _, p in system.coords])
+        v = st.v_flat
     else:
-        v = np.array([v0[bus][phase] for bus, phase in system.coords])
-
-    def kcl_residual(vv: np.ndarray) -> float:
-        mism = system.Y @ vv + w_s - _load_currents(loads, vv)
-        return float(np.max(np.abs(mism))) if len(mism) else 0.0
+        v = np.array([v0[bus][phase] for bus, phase in st.coords])
 
     converged = False
     residual = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        v_new = lu.solve(_load_currents(loads, v) - w_s)
+        v_new = lu.solve(_load_currents(st.loads, v) - w_s)
         if not np.all(np.isfinite(v_new.view(float))):
             v = v_new
             break
         delta = float(np.max(np.abs(v_new - v))) if len(v) else 0.0
         v = v_new
         if delta < tol:
-            residual = kcl_residual(v)
+            residual = _kcl_residual(system, v)
             if residual <= _KCL_TOL:
                 converged = True
                 break
     if not converged and np.all(np.isfinite(v.view(float))):
-        residual = kcl_residual(v)
+        residual = _kcl_residual(system, v)
 
     voltages = {model.slack.id: model.slack_voltage}
-    index = system.index
     for b in model.buses:
-        if b.is_slack or b.id in system.eliminated:
+        if b.is_slack or b.id in st.eliminated:
             continue
-        vals = [v[index[(b.id, p)]] for p in b.phases]
-        voltages[b.id] = PhaseVector(b.phases, vals)
+        voltages[b.id] = PhaseVector(b.phases, [v[st.row[(b.id, p)]] for p in b.phases])
     voltages.update(recover_svr_secondary(model, ratios, voltages))
 
     return PowerFlowSolution(
@@ -125,10 +112,10 @@ def import_objective(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Real power import at the slack bus from the admittance-matrix form."""
     _require_converged(solution)
     system = solution.system if solution.system is not None else assemble(model, solution.ratios)
-    v_full = np.array([solution.voltages[bus][p] for bus, p in system.full_coords])
+    st = system.stamps
+    v_full = np.array([solution.voltages[bus][p] for bus, p in st.full_coords])
     i_s = system.Y_S @ v_full
-    vs = np.array([model.slack_voltage[p] for _, p in system.slack_coords])
-    return float(np.sum((vs * np.conj(i_s)).real))
+    return float(np.sum((st.v_slack * np.conj(i_s)).real))
 
 
 def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> float:
@@ -196,11 +183,8 @@ def feasibility(solution: PowerFlowSolution, model: FeederModel,
 def kcl_certificate(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Recomputed KCL mismatch (inf-norm), independent of the iteration history."""
     system = solution.system if solution.system is not None else assemble(model, solution.ratios)
-    v = np.array([solution.voltages[bus][p] for bus, p in system.coords])
-    loads = _load_vector(model, system)
-    vs = np.array([model.slack_voltage[p] for _, p in system.slack_coords])
-    mism = system.Y @ v + system.Y_NS @ vs - _load_currents(loads, v)
-    return float(np.max(np.abs(mism))) if len(mism) else 0.0
+    v = np.array([solution.voltages[bus][p] for bus, p in system.stamps.coords])
+    return _kcl_residual(system, v)
 
 
 def solution_csv(solution: PowerFlowSolution, model: FeederModel) -> str:

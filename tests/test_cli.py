@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -227,6 +230,19 @@ def test_validate_reports_violations(tmp_path, capsys):
     feeder.write_text(json.dumps(doc))
     assert run(["validate", "--feeder", str(feeder)]) == 1
     assert "svr-secondary-isolation" in capsys.readouterr().out
+
+
+def test_malformed_feeder_structure_exit_1_without_traceback(tmp_path):
+    doc = json.loads((FIXTURES / "tiny3.json").read_text())
+    doc["buses"].append(1)
+    feeder = tmp_path / "malformed.json"
+    feeder.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tapflow.cli", "validate", "--feeder",
+                           str(feeder)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "'buses' must be an array of objects" in proc.stderr
 
 
 def _mask_timings(text):

@@ -5,7 +5,7 @@ import pytest
 import tapflow as tf
 from tapflow.network import canonical_phases
 
-from conftest import chain_model
+from conftest import FIXTURES, chain_model
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +140,38 @@ def test_parse_rejects_schema_problems():
     doc = json.loads(MINIMAL)
     doc["buses"][1]["model"] = "delta-z"
     with pytest.raises(tf.FeederFormatError):
+        tf.parse_feeder(json.dumps(doc))
+    # Wrong JSON types where the schema has arrays, objects or phase strings.
+    for edit in (lambda d: d.update(buses=5),
+                 lambda d: d["buses"].append(1),
+                 lambda d: d["lines"].append(3),
+                 lambda d: d["buses"][1].update(phases=5),
+                 lambda d: d["svrs"].append({"from": "src", "to": "load", "kind": "B",
+                                             "phases": 3}),
+                 lambda d: d["lines"][0].update(z={"phases": "a", "rows": None}),
+                 lambda d: d["buses"][1]["load"].update(values=[[True, 0]])):
+        doc = json.loads(MINIMAL)
+        edit(doc)
+        with pytest.raises(tf.FeederFormatError):
+            tf.parse_feeder(json.dumps(doc))
+    doc = json.loads(MINIMAL)
+    doc["buses"][1]["load"]["values"] = "x"
+    with pytest.raises(tf.FeederFormatError, match="'values' must be an array"):
+        tf.parse_feeder(json.dumps(doc))
+
+
+@pytest.mark.parametrize("svr,bus,error,match", [
+    ({"tap_min": -15.7}, {}, tf.FeederFormatError, "'tap_min' must be an integer"),
+    ({"step": True}, {}, tf.FeederFormatError, "'step' must be a number"),
+    ({"step": float("nan")}, {}, tf.ModelValidationError, "step must be positive and finite"),
+    ({"step": float("inf")}, {}, tf.ModelValidationError, "step must be positive and finite"),
+    ({}, {"is_slack": "false"}, tf.FeederFormatError, "'is_slack' must be a boolean"),
+], ids=["fractional-tap", "bool-step", "nan-step", "inf-step", "string-slack"])
+def test_parse_types_regulator_and_slack_fields(svr, bus, error, match):
+    doc = json.loads((FIXTURES / "tiny3.json").read_text())
+    doc["svrs"][0].update(svr)
+    doc["buses"][2].update(bus)
+    with pytest.raises(error, match=match):
         tf.parse_feeder(json.dumps(doc))
 
 

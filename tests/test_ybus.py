@@ -107,22 +107,16 @@ def test_single_line_block():
     assert sys_.Y[0, 0] == pytest.approx(1.0 / z)
     assert sys_.Y_NS[0, 0] == pytest.approx(-1.0 / z)
     # Slack row over the full coordinates: [slack, load] columns.
-    assert sys_.Y_S[0, sys_.full_index[("sub", "a")]] == pytest.approx(1.0 / z)
-    assert sys_.Y_S[0, sys_.full_index[("b1", "a")]] == pytest.approx(-1.0 / z)
-
-
-def test_coordinate_indices_built_once(ieee13):
-    sys_ = tf.assemble(ieee13, tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13)))
-    assert sys_.index is sys_.index and sys_.full_index is sys_.full_index
-    assert [sys_.index[c] for c in sys_.coords] == list(range(len(sys_.coords)))
-    assert [sys_.full_index[c] for c in sys_.full_coords] == list(range(len(sys_.full_coords)))
+    full = sys_.stamps.full_coords
+    assert sys_.Y_S[0, full.index(("sub", "a"))] == pytest.approx(1.0 / z)
+    assert sys_.Y_S[0, full.index(("b1", "a"))] == pytest.approx(-1.0 / z)
 
 
 def test_identity_gain_matches_closed_connection(tiny3):
     """At ratio 1 the eliminated SVR behaves as a plain closed connection."""
     sys_svr = tf.assemble(tiny3, [{"a": 1.0}])
     z = tiny3.lines[0].z.array[0, 0]
-    k = sys_svr.index[("load", "a")]
+    k = sys_svr.stamps.row[("load", "a")]
     assert sys_svr.Y[k, k] == pytest.approx(1.0 / z)
     assert sys_svr.Y_NS[k, 0] == pytest.approx(-1.0 / z)
 
@@ -132,11 +126,12 @@ def test_gain_scaling_formulas(tiny3):
     r = 0.95
     sys_ = tf.assemble(tiny3, [{"a": r}])
     y = 1.0 / tiny3.lines[0].z.array[0, 0]
-    k = sys_.index[("load", "a")]
+    k = sys_.stamps.row[("load", "a")]
+    full = sys_.stamps.full_coords
     assert sys_.Y[k, k] == pytest.approx(y)
     assert sys_.Y_NS[k, 0] == pytest.approx(-y / r)
-    assert sys_.Y_S[0, sys_.full_index[("sub", "a")]] == pytest.approx(y / r**2)
-    assert sys_.Y_S[0, sys_.full_index[("load", "a")]] == pytest.approx(-y / r)
+    assert sys_.Y_S[0, full.index(("sub", "a"))] == pytest.approx(y / r**2)
+    assert sys_.Y_S[0, full.index(("load", "a"))] == pytest.approx(-y / r)
 
 
 def test_missing_ratio_raises(tiny3):
@@ -226,9 +221,15 @@ def _ratio_sets(model):
                                ("extreme", extreme))}
 
 
+def _layout(system):
+    # An AdmittanceSystem keeps its layout in its stamp set; the loop
+    # reference's record carries its own.
+    s = getattr(system, "stamps", system)
+    return s.coords, s.slack_coords, s.full_coords, s.eliminated
+
+
 def _assert_same_system(got, ref):
-    assert (got.coords, got.slack_coords, got.full_coords, got.eliminated) == \
-        (ref.coords, ref.slack_coords, ref.full_coords, ref.eliminated)
+    assert _layout(got) == _layout(ref)
     for name in ("Y", "Y_NS", "Y_S"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.format == b.format == "csc" and a.shape == b.shape, name
@@ -262,6 +263,27 @@ def test_assemble_matches_loop_reference(name, request):
         ref = loop_assemble(model, ratios)
         _assert_same_system(tf.assemble(model, ratios), ref)
         _assert_same_system(tf.assemble(model, ratios, stamps=stamps), ref)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_FEEDERS))
+def test_shared_stamp_set_changes_no_bits(name, request):
+    """Solves that share one stamp set give a fresh set's voltages, iteration
+    count and residual bit for bit, and the certificate recomputed from the
+    returned voltages equals the residual the solve stopped on."""
+    model = PARITY_FEEDERS[name](request)
+    stamps = build_stamps(model)
+    assert [stamps.row[c] for c in stamps.coords] == list(range(len(stamps.coords)))
+    for ratios in _ratio_sets(model).values():
+        assert tf.assemble(model, ratios, stamps=stamps).stamps is stamps
+        shared = tf.solve_zbus(model, ratios, stamps=stamps)
+        fresh = tf.solve_zbus(model, ratios)
+        assert shared.converged and fresh.converged
+        assert (shared.iterations, shared.residual) == (fresh.iterations, fresh.residual)
+        assert shared.voltages.keys() == fresh.voltages.keys()
+        for bus, vec in fresh.voltages.items():
+            got = shared.voltages[bus]
+            assert got.phases == vec.phases and got.values.tobytes() == vec.values.tobytes()
+        assert tf.kcl_certificate(shared, model) == shared.residual
 
 
 def test_stamp_set_keeps_no_state_between_ratios():

@@ -9,14 +9,29 @@ return byte-equal CSC matrices.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
 from tapflow.network import FeederModel, tree_index
-from tapflow.ybus import AdmittanceSystem, _gain_diag, _inv
+from tapflow.ybus import _gain_diag, _inv
 
 
-def loop_assemble(model: FeederModel, ratios) -> AdmittanceSystem:
+@dataclass(frozen=True)
+class LoopSystem:
+    """``loop_assemble``'s blocks with the coordinate layout it built for them."""
+
+    Y: sp.csc_matrix
+    Y_NS: sp.csc_matrix
+    Y_S: sp.csc_matrix
+    coords: tuple
+    slack_coords: tuple
+    full_coords: tuple
+    eliminated: tuple
+
+
+def loop_assemble(model: FeederModel, ratios) -> LoopSystem:
     """Build the admittance blocks for a validated model at fixed regulator ratios.
 
     ``ratios`` is a list aligned with ``model.svrs``, each item mapping phase to
@@ -97,7 +112,7 @@ def loop_assemble(model: FeederModel, ratios) -> AdmittanceSystem:
     Y = sp.coo_matrix((yv, (yi, yj)), shape=(n, n), dtype=complex).tocsc()
     Y_NS = sp.coo_matrix((bv, (bi, bj)), shape=(n, ns), dtype=complex).tocsc()
     Y_S = sp.coo_matrix((sv_, (si, sj)), shape=(ns, nf), dtype=complex).tocsc()
-    return AdmittanceSystem(
+    return LoopSystem(
         Y=Y, Y_NS=Y_NS, Y_S=Y_S,
         coords=tuple(coords), slack_coords=tuple(slack_coords),
         full_coords=tuple(full_coords), eliminated=eliminated,
