@@ -420,7 +420,18 @@ def _phases(node: dict, where: str) -> str:
     phases = node["phases"]
     if not isinstance(phases, str):
         raise FeederFormatError(f"{where}: 'phases' must be a string such as \"abc\"")
+    try:
+        canonical_phases(phases)
+    except ValueError as exc:
+        raise FeederFormatError(f"{where}: {exc}") from None
     return phases
+
+
+def _bus_ref(node: dict, key: str, where: str) -> str:
+    value = node[key]
+    if not isinstance(value, str):
+        raise FeederFormatError(f"{where}: {key!r} must be a string, got {value!r}")
+    return value
 
 
 def _as_complex(node, where: str) -> complex:
@@ -474,10 +485,11 @@ def parse_feeder(text: str) -> FeederModel:
             raise FeederFormatError(f"missing top-level key {key!r}")
 
     buses = []
-    for node in _objects(doc, "buses"):
+    for k, node in enumerate(_objects(doc, "buses")):
         if "id" not in node or "phases" not in node:
             raise FeederFormatError("bus entries need 'id' and 'phases'")
-        where = f"bus {node['id']}"
+        bus_id = _bus_ref(node, "id", f"buses[{k}]")
+        where = f"bus {bus_id}"
         load = shunt = None
         if node.get("load") is not None:
             load = _parse_phase_vector(node["load"], where)
@@ -489,7 +501,7 @@ def parse_feeder(text: str) -> FeederModel:
         if node.get("model", "wye-pq") != "wye-pq":
             raise FeederFormatError(f"{where}: only wye constant-power loads are supported")
         buses.append(BusSpec(
-            id=str(node["id"]),
+            id=bus_id,
             phases=canonical_phases(_phases(node, where)),
             load=load,
             shunt=shunt,
@@ -497,25 +509,29 @@ def parse_feeder(text: str) -> FeederModel:
         ))
 
     lines = []
-    for node in _objects(doc, "lines"):
+    for k, node in enumerate(_objects(doc, "lines")):
         if not {"from", "to", "z"} <= set(node):
             raise FeederFormatError("line entries need 'from', 'to', 'z'")
+        from_bus = _bus_ref(node, "from", f"lines[{k}]")
+        to_bus = _bus_ref(node, "to", f"lines[{k}]")
         lines.append(LineSpec(
-            from_bus=str(node["from"]),
-            to_bus=str(node["to"]),
-            z=_parse_phase_matrix(node["z"], f"line {node['from']}->{node['to']}"),
+            from_bus=from_bus,
+            to_bus=to_bus,
+            z=_parse_phase_matrix(node["z"], f"line {from_bus}->{to_bus}"),
         ))
 
     svrs = []
-    for node in _objects(doc, "svrs"):
+    for k, node in enumerate(_objects(doc, "svrs")):
         if not {"from", "to", "kind", "phases"} <= set(node):
             raise FeederFormatError("svr entries need 'from', 'to', 'kind', 'phases'")
         if node["kind"] not in ("A", "B"):
             raise FeederFormatError(f"svr kind must be 'A' or 'B', got {node['kind']!r}")
-        where = f"svr {node['from']}->{node['to']}"
+        from_bus = _bus_ref(node, "from", f"svrs[{k}]")
+        to_bus = _bus_ref(node, "to", f"svrs[{k}]")
+        where = f"svr {from_bus}->{to_bus}"
         svrs.append(SvrSpec(
-            from_bus=str(node["from"]),
-            to_bus=str(node["to"]),
+            from_bus=from_bus,
+            to_bus=to_bus,
             kind=node["kind"],
             phases=canonical_phases(_phases(node, where)),
             tap_min=_scalar(node, "tap_min", -16, "an integer", where),

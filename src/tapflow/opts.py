@@ -9,11 +9,19 @@ balance. Ratios are recovered afterwards from the voltage variables, snapped
 to the integer tap grid, and the result is verified against the exact
 nonlinear power flow.
 
+The LP has one degree of freedom per regulator phase. ``solve_lp_lexicographic``
+keeps the k high-window slacks theta as the free variables and eliminates
+every other column with one sparse LU factorization, x = x0 + N theta; the
+finite bounds become k-column inequalities G theta <= h, and each pass solves
+the k-row dual of min d.theta over them with the in-repo simplex, reading
+theta from the dual's row duals.
+
 Minimizing real power import leaves the optimum massively degenerate whenever
 loads are constant-power and shunts are pure susceptance (the objective is
-then constant over the feasible set). A second lexicographic pass therefore
-minimizes the sum of squared voltage magnitudes over the optimal-import face,
-deterministically selecting the lowest feasible voltage profile.
+then constant over the feasible set, and the import pass is skipped). A
+second lexicographic pass therefore minimizes the sum of squared voltage
+magnitudes over the optimal-import face, deterministically selecting the
+lowest feasible voltage profile.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ import time
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import PipelineError
 from .linflow import (LinearizationConstants, LinearSystem, constants_balanced,
@@ -108,18 +118,80 @@ def build_lp(model: FeederModel, constants: LinearizationConstants,
     return SparseLp(A=system.A, b=system.b, c=c, lower=lower, upper=upper), system
 
 
+def _condense(lp: SparseLp, varmap: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(x0, N) with every solution of ``A x = b`` equal to x0 + N theta, theta
+    the high-window slack columns; one LU of the remaining square columns."""
+    n = lp.A.shape[1]
+    theta = [hi for _, hi in varmap.slack_cols.values()]
+    keep = np.setdiff1d(np.arange(n), theta)
+    rhs = np.column_stack([lp.b, -lp.A[:, theta].toarray()])
+    try:
+        sol = splu(lp.A[:, keep].tocsc()).solve(rhs)
+    except RuntimeError as exc:
+        raise PipelineError("solve_lp", f"LP elimination is singular: {exc}") from None
+    x0 = np.zeros(n)
+    x0[keep] = sol[:, 0]
+    N = np.zeros((n, len(theta)))
+    N[keep] = sol[:, 1:]
+    N[theta, np.arange(len(theta))] = 1.0
+    return x0, N
+
+
+def _solve_condensed(G: np.ndarray, h: np.ndarray, d: np.ndarray) -> LpSolution:
+    """min d.theta subject to G theta <= h, as its dual min h.lam subject to
+    G^T lam = -d, lam >= 0; theta is the dual's row-dual vector.
+
+    On ``build_lp``'s LPs the voltage bounds keep theta in a box, so the dual
+    is feasible and an unbounded dual means an infeasible primal; both
+    outcomes are reported as "infeasible".
+    """
+    sol = solve_lp(SparseLp(A=sp.csc_matrix(G.T), b=-d, c=h, lower=np.zeros(len(h)),
+                            upper=np.full(len(h), np.inf)))
+    if sol.status in ("unbounded", "infeasible"):
+        sol.status = "infeasible"
+    return sol
+
+
 def solve_lp_lexicographic(lp: SparseLp, varmap: LinearSystem) -> tuple[LpSolution, float]:
     """Minimize import, then break the (typically massive) tie by minimizing
     the total squared-magnitude profile over the optimal-import face.
 
-    Returns (solution at the tie-broken point, optimal import objective). When
-    the tie-break pass does not end optimal, ``solution.tie_break`` says so and
-    the solution is the first pass's point.
+    Both passes run on the condensed LP (``_condense``). The import pass is
+    skipped when import does not depend on theta; the profile pass carries
+    the pin row import <= optimum + 1e-9. Returns (solution at the tie-broken
+    point, in the full column space, and the optimal import objective). When
+    the profile pass does not end optimal, ``solution.tie_break`` says so and
+    the solution is the import pass's point.
     """
-    tie_break = np.zeros(lp.A.shape[1])
-    tie_break[list(varmap.vsq.values())] = 1.0
-    sol = solve_lp(lp, tie_break=tie_break)
-    return sol, (sol.objective if sol.status == "optimal" else math.nan)
+    x0, N = _condense(lp, varmap)
+    upper, lower = np.isfinite(lp.upper), np.isfinite(lp.lower)
+    G = np.vstack([N[upper], -N[lower]])
+    h = np.concatenate([lp.upper[upper] - x0[upper], x0[lower] - lp.lower[lower]])
+    profile = np.zeros(lp.A.shape[1])
+    profile[list(varmap.vsq.values())] = 1.0
+
+    import_cost = lp.c @ N
+    x1, pivots = None, 0
+    if np.any(import_cost):
+        first = _solve_condensed(G, h, import_cost)
+        pivots = first.iterations
+        if first.status != "optimal":
+            return LpSolution(first.status, x0, float(lp.c @ x0), pivots), math.nan
+        x1 = x0 + N @ first.duals
+        import_value = float(lp.c @ x1)
+        G = np.vstack([G, import_cost])
+        h = np.append(h, import_value - lp.c @ x0 + 1e-9)
+
+    second = _solve_condensed(G, h, profile @ N)
+    pivots += second.iterations
+    if second.status == "optimal":
+        x = x0 + N @ second.duals
+        if x1 is None:
+            import_value = float(lp.c @ x)
+        return LpSolution("optimal", x, import_value, pivots, tie_break="optimal"), import_value
+    if x1 is None:
+        return LpSolution(second.status, x0, float(lp.c @ x0), pivots), math.nan
+    return LpSolution("optimal", x1, import_value, pivots, tie_break=second.status), import_value
 
 
 def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel) -> list[dict]:

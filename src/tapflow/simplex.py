@@ -8,14 +8,18 @@ of numpy calls over whole vectors: pricing scores every column at once and
 takes the first best, and the ratio test computes every row's ratio at once,
 then applies the sequential "strictly better by more than _TOL_RATIO" rule
 to the few rows that can win. The pivot sequence and the arithmetic are
-those of a row-by-row and column-by-column scan. Dantzig pricing switches to
-Bland's rule after a streak of degenerate pivots so cycling cannot occur.
-Problems without rows take the same path, with bound flips only.
+those of a row-by-row and column-by-column scan. Problems without rows take
+the same path, with bound flips only.
 
-An optional tie-break cost is minimized over the optimal face in place: once
-the first objective is optimal, every nonbasic column with a nonzero reduced
-cost is fixed at its bound (by complementary slackness what remains feasible
-is exactly the optimal face) and phase 2 continues on the same tableau.
+After a streak of degenerate pivots, Dantzig pricing switches to Bland's
+rule: the entering column is the eligible one of smallest index, and among
+the rows tied in the ratio test (within _TOL_RATIO of the step) the one whose
+basic variable has the smallest index leaves. In exact arithmetic that rule
+cannot cycle; here ties are decided up to the tolerances.
+
+An optimal solution carries the row duals of its final basis,
+y = B^-T c_B, which the tap-selection pipeline reads as the primal point of
+the LP whose dual it solved.
 """
 
 from __future__ import annotations
@@ -66,9 +70,10 @@ class SparseLp:
 class LpSolution:
     status: str                       # optimal | infeasible | unbounded | iteration_limit
     x: np.ndarray
-    objective: float                  # c.x; pass 1's optimum when a tie-break pass ran
-    iterations: int                   # pivots, both passes together
-    tie_break: str | None = None      # status of the tie-break pass, when one was asked for
+    objective: float                  # c.x
+    iterations: int                   # pivots, both phases together
+    duals: np.ndarray | None = None   # row duals B^-T c_B of an optimal basis
+    tie_break: str | None = None      # status of a lexicographic second pass, when one ran
 
 
 def residuals(lp: SparseLp, sol: LpSolution) -> tuple[float, float]:
@@ -155,7 +160,8 @@ class _Tableau:
             d = self.reduced_costs(cost)
             side = _ENTER_SIDE[self.state] + fixed
             score = np.where(side * d >= 0.0, np.abs(d), -np.inf)
-            if self.degen_streak >= _DEGEN_STREAK:
+            bland = self.degen_streak >= _DEGEN_STREAK
+            if bland:
                 enter = int(np.argmax(score > _TOL_COST))
             else:
                 enter = int(np.argmax(score))
@@ -182,6 +188,10 @@ class _Tableau:
                     t_max, leave = r, i
             if not np.isfinite(t_max):
                 return "unbounded" if allow_unbounded else "iteration_limit"
+            if leave >= 0 and bland:
+                # Bland: of the rows tied with the winner, the smallest basic index leaves.
+                tied = np.flatnonzero(ratio <= t_max + _TOL_RATIO)
+                leave = int(tied[np.argmin(self.basis[tied])])
             t_max = max(t_max, 0.0)
 
             self.degen_streak = self.degen_streak + 1 if t_max <= _TOL_RATIO else 0
@@ -226,18 +236,12 @@ class _Tableau:
         return sol
 
 
-def solve_lp(lp: SparseLp, max_iter: int = 20000,
-             tie_break: np.ndarray | None = None) -> LpSolution:
+def solve_lp(lp: SparseLp, max_iter: int = 20000) -> LpSolution:
     """Solve to optimality, or classify as infeasible / unbounded.
 
-    With ``tie_break`` (a cost vector over the structural columns), a second
-    pass minimizes ``tie_break . x`` over the optimal face of ``c . x``,
-    continuing on pass 1's tableau. The solution's ``objective`` is then pass
-    1's optimal ``c . x`` and ``tie_break`` holds the second pass's status;
-    when that is not "optimal", ``x`` is pass 1's point. ``max_iter`` bounds
-    the pivots of both passes together.
-
-    Identical inputs produce identical pivot sequences and solutions.
+    ``max_iter`` bounds the pivots of both phases together. An optimal
+    solution carries its final basis's row duals in ``duals``. Identical
+    inputs produce identical pivot sequences and solutions.
     """
     m, n = lp.A.shape
     tab = _Tableau(lp)
@@ -256,18 +260,6 @@ def solve_lp(lp: SparseLp, max_iter: int = 20000,
     phase2_cost = np.concatenate([lp.c, np.zeros(m)])
     status = tab.run(phase2_cost, max_iter - tab.pivots, allow_unbounded=True)
     sol = tab.solution(lp, status)
-    if tie_break is None or sol.status != "optimal":
-        return sol
-
-    # Tie-break pass: restrict to the optimal face, then re-optimize in place.
-    d = tab.reduced_costs(phase2_cost)
-    fix = (tab.state != BASIC) & (np.abs(d) > _TOL_COST)
-    tab.lower[fix] = tab.upper[fix] = tab.x[fix]
-    tie_cost = np.concatenate([np.asarray(tie_break, dtype=float), np.zeros(m)])
-    status = tab.run(tie_cost, max_iter - tab.pivots, allow_unbounded=True)
-    second = tab.solution(lp, status)
-    sol.iterations, sol.tie_break = tab.pivots, second.status
-    if second.status == "optimal":
-        sol.x = second.x
+    if sol.status == "optimal":
+        sol.duals = tab.binv.T @ phase2_cost[tab.basis]
     return sol
-

@@ -69,15 +69,16 @@ def chain_model(loads, z_per_edge=0.02 + 0.06j, svr_kind=None, phases=("a",),
     return model
 
 
-def cascade_model():
-    """Head type-B and cascaded type-A regulators, a capacitor shunt, and a
-    regulated phase (c) that the line after the second regulator does not carry."""
+def cascade_model(shunt_y=0.03j):
+    """Head type-B and cascaded type-A regulators, a shunt of admittance
+    ``shunt_y`` per phase (a capacitor by default), and a regulated phase (c)
+    that the line after the second regulator does not carry."""
     abc = ("a", "b", "c")
     z = [[0.02 + 0.06j, 0.006 + 0.02j, 0.005 + 0.018j],
          [0.006 + 0.02j, 0.021 + 0.062j, 0.006 + 0.019j],
          [0.005 + 0.018j, 0.006 + 0.019j, 0.019 + 0.058j]]
     z_ab = [row[:2] for row in z[:2]]
-    shunt = tf.PhaseMatrix(abc, [[0.03j, 0.0, 0.0], [0.0, 0.03j, 0.0], [0.0, 0.0, 0.03j]])
+    shunt = tf.PhaseMatrix.diagonal(abc, [shunt_y] * 3)
     buses = (
         tf.BusSpec(id="sub", phases=abc, is_slack=True),
         tf.BusSpec(id="r1", phases=abc),
@@ -111,4 +112,6 @@ PARITY_FEEDERS = {
     "chain-B-3ph": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="B",
                                          phases=("a", "b", "c")),
     "cascade": lambda _: cascade_model(),
+    # A conductive shunt makes import depend on the regulator ratios.
+    "cascade-lossy": lambda _: cascade_model(shunt_y=0.01 + 0.03j),
 }

@@ -1,13 +1,15 @@
 """Reference versions of solver steps that the library now does differently.
 
 ``LoopTableau`` is the simplex tableau with the row-by-row and column-by-column
-pivot loop the vectorized ``_Tableau.run`` replaced; swapped in for
-``tapflow.simplex._Tableau`` it must make the same pivots and return the same
-bits. ``pin_row_lexicographic`` is the two-solve lexicographic method the
-in-place tie-break pass replaced: solve for import, then re-solve from scratch
-with the import objective pinned by an extra equality row. ``sweep_powerflow``
-is the backward/forward sweep that solved the linear model at fixed ratios
-before ``linear_powerflow`` solved the model's own rows.
+pivot loop the vectorized ``_Tableau.run`` replaced (with the same Bland
+leaving rule: among ratio-test ties, the smallest basic index leaves); swapped
+in for ``tapflow.simplex._Tableau`` it must make the same pivots and return
+the same bits. ``pin_row_lexicographic`` is the full-LP lexicographic method
+the condensed solve replaced: solve ``build_lp``'s whole LP for import, then
+re-solve it from scratch with the import objective pinned by an extra
+equality row. ``sweep_powerflow`` is the backward/forward sweep that solved
+the linear model at fixed ratios before ``linear_powerflow`` solved the
+model's own rows.
 """
 
 from __future__ import annotations
@@ -74,6 +76,20 @@ class LoopTableau(simplex._Tableau):
                         t_max, leave, leave_bound = room / wi, i, self.upper[bi]
             if not np.isfinite(t_max):
                 return "unbounded" if allow_unbounded else "iteration_limit"
+            if leave >= 0 and use_bland:
+                for i in range(self.m):
+                    wi = direction * w[i]
+                    bi = self.basis[i]
+                    if wi > simplex._TOL_PIVOT:
+                        bound = self.lower[bi]
+                    elif wi < -simplex._TOL_PIVOT:
+                        bound = self.upper[bi]
+                    else:
+                        continue
+                    room = self.x[bi] - bound
+                    if (np.isfinite(room) and room / wi <= t_max + simplex._TOL_RATIO
+                            and bi < self.basis[leave]):
+                        leave, leave_bound = i, bound
             t_max = max(t_max, 0.0)
 
             self.degen_streak = self.degen_streak + 1 if t_max <= simplex._TOL_RATIO else 0

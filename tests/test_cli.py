@@ -245,6 +245,24 @@ def test_malformed_feeder_structure_exit_1_without_traceback(tmp_path):
     assert "'buses' must be an array of objects" in proc.stderr
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["buses"][3].update(phases="abx"), "bus 633: unknown phase 'x'"),
+    (lambda d: d["buses"][3].update(id=[1]), "buses[3]: 'id' must be a string"),
+], ids=["phase-letter", "bus-id"])
+def test_bad_phase_or_bus_id_exit_1_without_traceback(tmp_path, edit, message):
+    doc = json.loads((FIXTURES / "ieee13.json").read_text())
+    edit(doc)
+    feeder = tmp_path / "bad.json"
+    feeder.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tapflow.cli", "opts", "--feeder",
+                           str(feeder)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
 def _mask_timings(text):
     """Blank the wall-clock ``timings`` object of an opts JSON report."""
     masked, n = re.subn(r'"timings": \{[^}]*\}', '"timings": {}', text)

@@ -175,6 +175,24 @@ def test_parse_types_regulator_and_slack_fields(svr, bus, error, match):
         tf.parse_feeder(json.dumps(doc))
 
 
+@pytest.mark.parametrize("edit,match", [
+    (lambda d: d["buses"][3].update(phases="abx"), "bus 633: unknown phase 'x'"),
+    (lambda d: d["buses"][3].update(phases="aab"), "bus 633: duplicate phase 'a'"),
+    (lambda d: d["lines"][0]["z"].update(phases="ax"), "line RG60->632: unknown phase 'x'"),
+    (lambda d: d["svrs"][0].update(phases="abd"), "svr 650->RG60: unknown phase 'd'"),
+    (lambda d: d["slack_voltage"].update(phases="abq"), "slack_voltage: unknown phase 'q'"),
+    (lambda d: d["buses"][3].update(id=[1]), r"buses\[3\]: 'id' must be a string, got \[1\]"),
+    (lambda d: d["lines"][0].update({"from": 650}), r"lines\[0\]: 'from' must be a string"),
+    (lambda d: d["svrs"][0].update(to=None), r"svrs\[0\]: 'to' must be a string, got None"),
+], ids=["bus-letter", "bus-duplicate", "line-letter", "svr-letter", "slack-letter",
+        "bus-id-list", "line-from-int", "svr-to-null"])
+def test_parse_names_bad_phase_letters_and_bus_references(edit, match):
+    doc = json.loads((FIXTURES / "ieee13.json").read_text())
+    edit(doc)
+    with pytest.raises(tf.FeederFormatError, match=match):
+        tf.parse_feeder(json.dumps(doc))
+
+
 def test_parse_ieee13_fixture(ieee13):
     head_svrs = [s for s in ieee13.svrs if s.from_bus == ieee13.slack.id]
     assert len(head_svrs) == 1 and head_svrs[0].phases == ("a", "b", "c")

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,17 @@ import tapflow as tf
 from tapflow import opts
 from tapflow.errors import PipelineError
 
-from conftest import chain_model
+from conftest import PARITY_FEEDERS, cascade_model, chain_model
 from lp_reference import pin_row_lexicographic
+
+
+def _bench_feeders():
+    """``bench/feeders.py`` loaded by path, without putting ``bench/`` on sys.path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "feeders.py"
+    spec = importlib.util.spec_from_file_location("bench_feeders", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def census(model):
@@ -193,13 +205,15 @@ def test_svr_power_balance_in_lp_solution(ieee13):
 
 
 def test_in_place_tie_break_matches_pin_row_reference(monkeypatch, ieee13, tiny3):
-    """The tie-break pass on pass 1's tableau picks the taps and import value
-    that a from-scratch re-solve with a pinned import row picks."""
+    """The condensed lexicographic solve picks the taps and import value that
+    two full-LP solves of build_lp's LP, the second with a pinned import row,
+    pick."""
     models = [ieee13, tiny3,
               chain_model([0.1 + 0.03j] * 3, svr_kind="B"),
               chain_model([0.05 + 0.02j] * 6, svr_kind="A"),
               chain_model([0.01 + 0.004j] * 25, z_per_edge=0.002 + 0.006j, svr_kind="B",
-                          phases=("a", "b", "c"))]
+                          phases=("a", "b", "c")),
+              cascade_model(shunt_y=0.01 + 0.03j)]
     got = [tf.run_opts(m, tf.config_from_model(m)) for m in models]
     monkeypatch.setattr(opts, "solve_lp_lexicographic", pin_row_lexicographic)
     for model, report in zip(models, got):
@@ -208,6 +222,80 @@ def test_in_place_tie_break_matches_pin_row_reference(monkeypatch, ieee13, tiny3
         assert abs(report.objective_lp - want.objective_lp) <= 1e-9
         assert report.objective_verified == want.objective_verified
         assert report.v_envelope == want.v_envelope
+
+
+_GENERATED = [(960, 15), (961, 30), (962, 45), (963, 60)]
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_FEEDERS) + ["cascade-injecting"]
+                         + [f"gen{s}-{n}" for s, n in _GENERATED])
+def test_condensed_matches_full_lp_reference(request, name):
+    """On the parity feeders and generated 15-60 bus feeders the condensed
+    solve lands on the full-LP reference's taps and import value. The
+    injecting shunt (negative conductance) makes the lowest profile import
+    more than the optimum, so there the pin row decides the answer."""
+    if name in PARITY_FEEDERS:
+        model = PARITY_FEEDERS[name](request)
+    elif name == "cascade-injecting":
+        model = cascade_model(shunt_y=-0.01 + 0.03j)
+    else:
+        seed, n_buses = (int(v) for v in name[3:].split("-"))
+        model = _bench_feeders().generate_feeder(seed, n_buses)
+    (lp, varmap), _ = build(model)
+    sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
+    ref, ref_value = pin_row_lexicographic(lp, varmap)
+    assert sol.status == ref.status == "optimal" and sol.tie_break == "optimal"
+    assert abs(import_value - ref_value) <= 1e-9
+    assert sol.objective == import_value
+    primal, bound = tf.residuals(lp, sol)
+    assert primal <= 1e-9 and bound <= 1e-9
+
+    def taps(x):
+        return [{p: tf.ratio_to_tap(r[p], sv.kind, sv.step, sv.tap_min, sv.tap_max)
+                 for p in sv.phases}
+                for sv, r in zip(model.svrs, tf.recover_ratios(x, varmap, model))]
+
+    assert taps(sol.x) == taps(ref.x)
+
+
+def test_condensed_without_regulators():
+    """With no regulator (k = 0) the LP has one point, the linear power flow;
+    it is returned when it lies inside the band and reported infeasible when not."""
+    model = chain_model([0.25 + 0.1j, 0.2 + 0.08j])
+    base = tf.solve_zbus(model, [])
+    const = tf.constants_from_solution(model, base)
+    v_sq, flows = tf.linear_powerflow(model, const, [])
+    lp, varmap = tf.build_lp(model, const, tf.config_from_model(model))
+    sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
+    assert sol.status == "optimal" and sol.tie_break == "optimal"
+    for (bus, p), col in varmap.vsq.items():
+        assert sol.x[col] == pytest.approx(v_sq[bus][p].real, abs=1e-12)
+    assert import_value == pytest.approx(flows["sub->b1"]["a"].real, abs=1e-12)
+
+    tight = tf.config_from_model(model, v_min=1.0, v_max=1.05)
+    lp, varmap = tf.build_lp(model, const, tight)
+    sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
+    assert sol.status == "infeasible" and math.isnan(import_value)
+
+
+@pytest.mark.parametrize("model", [cascade_model(), cascade_model(shunt_y=0.01 + 0.03j)],
+                         ids=["profile-pass-only", "import-pass"])
+def test_infeasible_band_raises_at_solve_lp(model):
+    """No regulator ratio brings the first secondary down to the band."""
+    cfg = tf.config_from_model(model, v_min=0.5, v_max=0.6)
+    with pytest.raises(PipelineError, match="status infeasible") as err:
+        tf.run_opts(model, cfg)
+    assert err.value.stage == "solve_lp"
+
+
+def test_singular_elimination_raises_pipeline_error(monkeypatch, tiny3):
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(opts, "splu", singular)
+    with pytest.raises(PipelineError, match="singular") as err:
+        tf.run_opts(tiny3, tf.config_from_model(tiny3))
+    assert err.value.stage == "solve_lp"
 
 
 def test_lexicographic_reports_tie_break_status(ieee13_lp):

@@ -6,8 +6,9 @@ import pytest
 import scipy.sparse as sp
 
 import tapflow as tf
-from tapflow import simplex
+from tapflow import opts, simplex
 
+from conftest import cascade_model
 from lp_oracle import enumerate_lp, random_lp
 from lp_reference import LoopTableau
 
@@ -86,6 +87,48 @@ def test_beale_cycling_guard():
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
 
+# Condensed tap-LP dual (3 significant digits) of a 200-bus generated feeder
+# with a zero right-hand side: every pivot is degenerate. Bland's rule with
+# ratio ties broken by row position revisits a basis here and never ends.
+_CYCLING_G = [
+    [0.876, -0.0194, -0.00356, -0.0344, 0.0136, 0.00249],
+    [-0.0179, -0.00257, 0.876, 0.0126, 0.00179, -0.035],
+    [-0.00413, -0.000624, 0.838, 0.0029, 0.000436, -0.00813],
+    [-0.00475, 0.868, -0.0136, 0.00333, -0.029, 0.00954],
+    [0.838, -0.00455, -0.000822, -0.00799, 0.0032, 0.000576],
+    [-0.00133, 0.838, -0.00386, 0.000934, -0.00826, 0.00271],
+    [-0.0258, -0.00364, 1.07, 0.0192, 0.00271, -1.05],
+    [1.07, -0.0278, -0.00514, -1.05, 0.0207, 0.00384],
+    [-0.878, 0.0203, 0.00372, 0.0366, -0.0145, -0.00265],
+    [0.0061, -0.879, 0.0174, -0.00436, 0.0378, -0.0125],
+    [0.0187, 0.00267, -0.879, -0.0134, -0.0019, 0.0372],
+    [0.00739, -1.06, 0.0211, -0.00527, 1.05, -0.0151],
+    [0.0226, 0.00323, -1.06, -0.0162, -0.0023, 1.05],
+    [-0.866, 0.0159, 0.0029, 0.028, -0.0111, -0.00203],
+    [0.00475, -0.868, 0.0136, -0.00333, 0.029, -0.00954],
+    [0.0146, 0.00212, -0.867, -0.0102, -0.00148, 0.0285],
+    [-1.07, 0.0284, 0.00523, 1.05, -0.0212, -0.00394],
+]
+_CYCLING_H = [0.472, 0.45, 0.407, 0.438, 0.41, 0.395, 0.308, 0.339, -0.075, -0.0154,
+              -0.0521, 0.152, 0.107, -0.0777, -0.0371, -0.0586, 0.0585]
+
+
+def _cycling_lp():
+    G = np.array(_CYCLING_G)
+    return make_lp(G.T, np.zeros(G.shape[1]), _CYCLING_H, np.zeros(len(_CYCLING_H)),
+                   np.full(len(_CYCLING_H), np.inf))
+
+
+def test_bland_ties_leave_by_smallest_basic_index():
+    """The degenerate condensed dual that cycled under row-position tie
+    breaking ends optimal; its duals satisfy the primal rows G y <= h."""
+    lp = _cycling_lp()
+    sol = tf.solve_lp(lp, max_iter=2000)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(0.0, abs=1e-12)
+    assert np.all(np.array(_CYCLING_G) @ sol.duals <= np.array(_CYCLING_H) + 1e-9)
+
+
 def _check_random_corpus():
     rng = np.random.default_rng(20240811)
     optimal = infeasible = 0
@@ -115,12 +158,6 @@ def test_random_lps_match_vertex_oracle_under_bland(monkeypatch):
     _check_random_corpus()
 
 
-def _vsq_tie_break(lp, varmap):
-    tie = np.zeros(lp.A.shape[1])
-    tie[list(varmap.vsq.values())] = 1.0
-    return tie
-
-
 def test_ieee13_pass1_matches_recorded(ieee13_lp):
     """Pass 1 on the IEEE-13 LP makes as many pivots and lands on the same bits
     as the row-by-row pivot loop did when ieee13_lp_pass1.json was recorded
@@ -132,77 +169,95 @@ def test_ieee13_pass1_matches_recorded(ieee13_lp):
     assert np.array_equal(sol.x, np.array(ref["x"]))
 
 
+def _condensed_duals(lp, varmap):
+    """Both lexicographic passes' dual LPs, as solve_lp_lexicographic builds them."""
+    duals = []
+
+    def record(dual, **kwargs):
+        duals.append(dual)
+        return tf.solve_lp(dual, **kwargs)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(opts, "solve_lp", record)
+    try:
+        tf.solve_lp_lexicographic(lp, varmap)
+    finally:
+        mp.undo()
+    return duals
+
+
+def _cascade_lp(shunt_y):
+    model = cascade_model(shunt_y=shunt_y)
+    base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
+    return tf.build_lp(model, tf.constants_from_solution(model, base),
+                       tf.config_from_model(model))
+
+
 @pytest.mark.parametrize("degen_streak", [simplex._DEGEN_STREAK, 0])
 def test_vectorized_pivots_match_loop_reference(monkeypatch, ieee13_lp, degen_streak):
-    """The vectorized tableau pivots exactly like the loop version, tie-break
-    pass included, under Dantzig and under Bland pricing."""
-    monkeypatch.setattr(simplex, "_DEGEN_STREAK", degen_streak)
+    """The vectorized tableau pivots exactly like the loop version, duals
+    included, under Dantzig and under Bland pricing: on random LPs, the full
+    IEEE-13 LP, the condensed duals of IEEE-13 and of a lossy feeder, and a
+    degenerate LP that needs the Bland leaving rule."""
     rng = np.random.default_rng(5)
-    cases = []
-    for _ in range(40):
-        lp = random_lp(rng)
-        cases.append((lp, None))
-        cases.append((lp, rng.integers(-2, 3, size=lp.A.shape[1]).astype(float)))
-    lp13, varmap = ieee13_lp
-    cases += [(lp13, None), (lp13, _vsq_tie_break(lp13, varmap))]
+    cases = [random_lp(rng) for _ in range(40)]
+    cases += [ieee13_lp[0], _cycling_lp(), *_condensed_duals(*ieee13_lp),
+              *_condensed_duals(*_cascade_lp(0.01 + 0.03j))]
+    monkeypatch.setattr(simplex, "_DEGEN_STREAK", degen_streak)
 
-    got = [tf.solve_lp(lp, tie_break=tie) for lp, tie in cases]
+    got = [tf.solve_lp(lp) for lp in cases]
     monkeypatch.setattr(simplex, "_Tableau", LoopTableau)
-    want = [tf.solve_lp(lp, tie_break=tie) for lp, tie in cases]
+    want = [tf.solve_lp(lp) for lp in cases]
     for g, w in zip(got, want):
-        assert (g.status, g.iterations, g.tie_break) == (w.status, w.iterations, w.tie_break)
+        assert (g.status, g.iterations) == (w.status, w.iterations)
         assert np.array_equal(g.x, w.x)
         assert g.objective == w.objective
+        assert (g.duals is None) == (w.duals is None)
+        assert g.duals is None or np.array_equal(g.duals, w.duals)
 
 
-def test_tie_break_matches_vertex_oracle_on_optimal_face():
-    """The tie-break pass stays on the optimal face of c.x and reaches the
-    tie-break optimum over it, checked by enumerating the face's vertices."""
-    rng = np.random.default_rng(31)
-    checked = 0
-    for _ in range(60):
-        lp = random_lp(rng)
-        tie = rng.integers(-3, 4, size=lp.A.shape[1]).astype(float)
-        sol = tf.solve_lp(lp, tie_break=tie)
-        if sol.status != "optimal" or not np.any(lp.c):
-            continue
-        assert sol.tie_break == "optimal"
-        assert lp.c @ sol.x == pytest.approx(sol.objective, abs=1e-7)
-        face = tf.SparseLp(A=sp.vstack([lp.A, sp.csc_matrix(lp.c)]),
-                           b=np.append(lp.b, sol.objective), c=tie,
-                           lower=lp.lower, upper=lp.upper)
-        status, want = enumerate_lp(face)
-        assert status == "optimal"
-        assert tie @ sol.x == pytest.approx(want, abs=1e-7)
-        checked += 1
-    assert checked >= 15
-
-
-def test_tie_break_fallback_keeps_pass1_point(ieee13_lp):
-    """Pass 2 cut off by the pivot budget is reported, and pass 1's point returned."""
-    lp, varmap = ieee13_lp
-    tie = _vsq_tie_break(lp, varmap)
-    first = tf.solve_lp(lp)
-    full = tf.solve_lp(lp, tie_break=tie)
-    assert first.tie_break is None
+def test_tie_break_fallback_keeps_pass1_point(monkeypatch):
+    """Pass 2 cut off by the pivot budget is reported, and pass 1's point
+    returned (an injecting shunt, so the two passes end at different points)."""
+    lp, varmap = _cascade_lp(-0.01 + 0.03j)
+    full, import_value = tf.solve_lp_lexicographic(lp, varmap)
     assert full.status == "optimal" and full.tie_break == "optimal"
-    assert full.iterations > first.iterations
-    assert full.objective == first.objective
-    cut = tf.solve_lp(lp, max_iter=first.iterations, tie_break=tie)
+
+    passes = []
+
+    def capped(dual, max_iter=20000):
+        passes.append(tf.solve_lp(dual, max_iter=max_iter if not passes else 0))
+        return passes[-1]
+
+    monkeypatch.setattr(opts, "solve_lp", capped)
+    cut, cut_value = tf.solve_lp_lexicographic(lp, varmap)
+    assert len(passes) == 2 and passes[1].status == "iteration_limit"
     assert cut.status == "optimal" and cut.tie_break == "iteration_limit"
-    assert np.array_equal(cut.x, first.x)
-    assert cut.objective == first.objective
+    assert cut.objective == cut_value == full.objective == import_value
+    x0, N = opts._condense(lp, varmap)
+    assert np.array_equal(cut.x, x0 + N @ passes[0].duals)
+    assert not np.array_equal(cut.x, full.x)
+    assert cut.iterations == passes[0].iterations
 
 
-def test_tie_break_without_rows():
-    lp = tf.SparseLp(A=sp.csc_matrix((0, 3)), b=np.zeros(0), c=np.array([1.0, 0.0, 0.0]),
-                     lower=np.zeros(3), upper=np.array([1.0, 2.0, np.inf]))
-    sol = tf.solve_lp(lp, tie_break=np.array([5.0, -1.0, 1.0]))
-    assert sol.tie_break == "optimal"
-    assert np.array_equal(sol.x, [0.0, 2.0, 0.0])
-    sol = tf.solve_lp(lp, tie_break=np.array([0.0, 0.0, -1.0]))
-    assert sol.status == "optimal" and sol.tie_break == "unbounded"
-    assert np.array_equal(sol.x, [0.0, 0.0, 0.0])
+def test_duals_solve_the_primal_of_the_dual():
+    """An optimal solution's row duals are optimal for the LP's own dual:
+    A^T y <= c on columns at a zero lower bound, and b.y equals c.x."""
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(40):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        A[:, 0] = 1.0                                  # no empty rows
+        x_feas = rng.uniform(0.0, 2.0, size=n)
+        lp = make_lp(A, A @ x_feas, rng.uniform(0.1, 3.0, size=n), np.zeros(n),
+                     np.full(n, np.inf))
+        sol = tf.solve_lp(lp)
+        assert sol.status == "optimal"
+        assert np.all(A.T @ sol.duals <= lp.c + 1e-9)
+        assert lp.b @ sol.duals == pytest.approx(sol.objective, abs=1e-9)
+        checked += 1
+    assert checked == 40
 
 
 def test_determinism():
