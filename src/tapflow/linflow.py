@@ -14,9 +14,12 @@ rotation entries and zeroed loss vectors they form the classic lossless
 approximation.
 
 The equations are written once, as the sparse rows of ``linear_system``, with
-each regulator phase's ratio confined to a window. The tap-selection LP uses
-the attainable ratio range as the window; ``linear_powerflow`` fixes every
-ratio with a zero-width window and solves the square system that remains.
+each regulator phase's ratio confined to a window, and solved once, by
+``eliminate``: one sparse LU factorization writes every solution as
+x0 + N theta over the high-window slacks theta, one per regulator phase. The
+tap-selection LP uses the attainable ratio range as the window and searches
+over theta; ``linear_powerflow`` fixes every ratio with a zero-width window
+and reads the solution at theta = 0.
 """
 
 from __future__ import annotations
@@ -106,7 +109,6 @@ class LinearSystem:
     vsq: dict          # (bus, phase) -> column, non-slack buses only
     flow: dict         # (edge key, phase) -> (re column, im column)
     slack_cols: dict   # (svr index, phase) -> (low-slack column, high-slack column)
-    upper_rows: tuple  # rows of the high ratio-window equations
 
 
 def _slack_squares(model: FeederModel) -> dict:
@@ -150,7 +152,6 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     rows_j: list[int] = []
     rows_v: list[float] = []
     rhs: list[float] = []
-    upper_rows: list[int] = []
 
     def new_row(entries, b_val) -> None:
         r = len(rhs)
@@ -234,7 +235,6 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
             b_val = vsq_term(up_bus, p, +1.0, entries, 0.0)
             b_val = vsq_term(dn_bus, p, -r_hi**2, entries, b_val)
             entries.append((hi_col, +1.0))
-            upper_rows.append(len(rhs))
             new_row(entries, b_val)
 
             re_col, im_col = flow[(f"{sv.from_bus}->{sv.to_bus}", p)]
@@ -248,18 +248,38 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
                 new_row([(im_col, 1.0)], 0.0)
 
     A = sp.coo_matrix((rows_v, (rows_i, rows_j)), shape=(len(rhs), n)).tocsc()
-    return LinearSystem(A=A, b=np.array(rhs), vsq=vsq, flow=flow,
-                        slack_cols=slack_cols, upper_rows=tuple(upper_rows))
+    return LinearSystem(A=A, b=np.array(rhs), vsq=vsq, flow=flow, slack_cols=slack_cols)
+
+
+def eliminate(system: LinearSystem, stage: str) -> tuple[np.ndarray, np.ndarray]:
+    """(x0, N) with every solution of ``A x = b`` equal to x0 + N theta, theta
+    the high-window slack columns; one LU of the remaining square columns.
+
+    Raises ``PipelineError`` tagged ``stage`` when those columns are singular.
+    """
+    n = system.A.shape[1]
+    theta = [hi for _, hi in system.slack_cols.values()]
+    keep = np.setdiff1d(np.arange(n), theta)
+    rhs = np.column_stack([system.b, -system.A[:, theta].toarray()])
+    try:
+        sol = splu(system.A[:, keep].tocsc()).solve(rhs)
+    except RuntimeError as exc:
+        raise PipelineError(stage, f"linear system is singular: {exc}") from None
+    x0 = np.zeros(n)
+    x0[keep] = sol[:, 0]
+    N = np.zeros((n, len(theta)))
+    N[keep] = sol[:, 1:]
+    N[theta, np.arange(len(theta))] = 1.0
+    return x0, N
 
 
 def linear_powerflow(model: FeederModel, constants: LinearizationConstants,
                      ratios) -> tuple[dict, dict]:
     """Solve the linear model at fixed regulator ratios.
 
-    These are ``linear_system``'s rows at a zero-width window ``(r, r)``:
-    without the slack columns and the high-window rows they form a square
-    system, three rows and three columns per line phase and per regulator
-    phase, solved by one sparse LU factorization.
+    These are ``linear_system``'s rows at a zero-width window ``(r, r)``,
+    solved by ``eliminate`` and read at theta = 0, where both window slacks
+    are zero.
 
     Returns (v_sq, flows): squared voltage magnitudes per bus, slack included
     (real PhaseVector), and complex per-phase flows per edge key.
@@ -267,13 +287,7 @@ def linear_powerflow(model: FeederModel, constants: LinearizationConstants,
     windows = [{p: (float(r[p]), float(r[p])) for p in sv.phases}
                for sv, r in zip(model.svrs, ratios)]
     system = linear_system(model, constants, windows)
-    n = len(system.vsq) + 2 * len(system.flow)
-    rows = np.setdiff1d(np.arange(system.A.shape[0]), system.upper_rows)
-    try:
-        x = splu(system.A[rows][:, :n].tocsc()).solve(system.b[rows])
-    except RuntimeError as exc:
-        raise PipelineError("linear_powerflow", f"linear system is singular: {exc}") from None
-
+    x, _ = eliminate(system, "linear_powerflow")
     slack_sq = _slack_squares(model)
     v_out = {b.id: PhaseVector(b.phases, [slack_sq[p] if b.is_slack else x[system.vsq[(b.id, p)]]
                                           for p in b.phases])

@@ -11,10 +11,11 @@ nonlinear power flow.
 
 The LP has one degree of freedom per regulator phase. ``solve_lp_lexicographic``
 keeps the k high-window slacks theta as the free variables and eliminates
-every other column with one sparse LU factorization, x = x0 + N theta; the
-finite bounds become k-column inequalities G theta <= h, and each pass solves
-the k-row dual of min d.theta over them with the in-repo simplex, reading
-theta from the dual's row duals.
+every other column with one sparse LU factorization, x = x0 + N theta
+(``linflow.eliminate``, shared with ``linear_powerflow``); the finite bounds
+become k-column inequalities G theta <= h, and each pass solves the k-row
+dual of min d.theta over them with the in-repo simplex, reading theta from
+the dual's row duals.
 
 Minimizing real power import leaves the optimum massively degenerate whenever
 loads are constant-power and shunts are pure susceptance (the objective is
@@ -36,11 +37,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import PipelineError
-from .linflow import (LinearizationConstants, LinearSystem, constants_balanced,
-                      constants_from_solution, linear_system)
+from .linflow import (LinearizationConstants, LinearSystem, _slack_squares,
+                      constants_balanced, constants_from_solution, eliminate, linear_system)
 from .network import (FeederModel, ratio_to_tap, taps_to_ratios, tree_index,
                       zero_taps)
 from .simplex import LpSolution, SparseLp, solve_lp
@@ -72,8 +72,9 @@ class OptsConfig:
         val = self.zbus_max_iter
         if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
             raise ValueError(f"config key 'zbus_max_iter' must be an integer >= 1, got {val!r}")
-        if not 0.0 < self.v_min < self.v_max:
-            raise ValueError("need 0 < v_min < v_max")
+        for lo, hi in (("v_min", "v_max"), ("v_min_verify", "v_max_verify")):
+            if not 0.0 < getattr(self, lo) < getattr(self, hi):
+                raise ValueError(f"config keys {lo!r} and {hi!r} need 0 < {lo} < {hi}")
         if self.constants_mode not in ("balanced", "from_zero_tap_solution"):
             raise ValueError(f"unknown constants_mode {self.constants_mode!r}")
 
@@ -118,25 +119,6 @@ def build_lp(model: FeederModel, constants: LinearizationConstants,
     return SparseLp(A=system.A, b=system.b, c=c, lower=lower, upper=upper), system
 
 
-def _condense(lp: SparseLp, varmap: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(x0, N) with every solution of ``A x = b`` equal to x0 + N theta, theta
-    the high-window slack columns; one LU of the remaining square columns."""
-    n = lp.A.shape[1]
-    theta = [hi for _, hi in varmap.slack_cols.values()]
-    keep = np.setdiff1d(np.arange(n), theta)
-    rhs = np.column_stack([lp.b, -lp.A[:, theta].toarray()])
-    try:
-        sol = splu(lp.A[:, keep].tocsc()).solve(rhs)
-    except RuntimeError as exc:
-        raise PipelineError("solve_lp", f"LP elimination is singular: {exc}") from None
-    x0 = np.zeros(n)
-    x0[keep] = sol[:, 0]
-    N = np.zeros((n, len(theta)))
-    N[keep] = sol[:, 1:]
-    N[theta, np.arange(len(theta))] = 1.0
-    return x0, N
-
-
 def _solve_condensed(G: np.ndarray, h: np.ndarray, d: np.ndarray) -> LpSolution:
     """min d.theta subject to G theta <= h, as its dual min h.lam subject to
     G^T lam = -d, lam >= 0; theta is the dual's row-dual vector.
@@ -156,14 +138,14 @@ def solve_lp_lexicographic(lp: SparseLp, varmap: LinearSystem) -> tuple[LpSoluti
     """Minimize import, then break the (typically massive) tie by minimizing
     the total squared-magnitude profile over the optimal-import face.
 
-    Both passes run on the condensed LP (``_condense``). The import pass is
+    Both passes run on the condensed LP (``linflow.eliminate``). The import pass is
     skipped when import does not depend on theta; the profile pass carries
     the pin row import <= optimum + 1e-9. Returns (solution at the tie-broken
     point, in the full column space, and the optimal import objective). When
     the profile pass does not end optimal, ``solution.tie_break`` says so and
     the solution is the import pass's point.
     """
-    x0, N = _condense(lp, varmap)
+    x0, N = eliminate(varmap, "solve_lp")
     upper, lower = np.isfinite(lp.upper), np.isfinite(lp.lower)
     G = np.vstack([N[upper], -N[lower]])
     h = np.concatenate([lp.upper[upper] - x0[upper], x0[lower] - lp.lower[lower]])
@@ -200,7 +182,7 @@ def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel) -> l
     Clamps excursions beyond the ratio window up to 1e-6 (solver tolerance);
     anything larger indicates a broken solution and raises.
     """
-    slack_sq = {p: abs(model.slack_voltage[p]) ** 2 for p in model.slack_voltage.phases}
+    slack_sq = _slack_squares(model)
 
     def value(bus, phase) -> float:
         if bus == model.slack.id:
@@ -227,8 +209,8 @@ def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel) -> l
 
 def optimality_gap(verified: float, lower_bound: float) -> float:
     """Percent gap of a verified objective above an external lower bound."""
-    if lower_bound <= 0.0:
-        raise ValueError("lower bound must be positive")
+    if not 0.0 < lower_bound < math.inf:      # also rejects NaN
+        raise ValueError(f"lower bound must be positive and finite, got {lower_bound!r}")
     return (verified - lower_bound) / lower_bound * 100.0
 
 

@@ -9,15 +9,16 @@ Assembly has two steps. ``build_stamps`` does the tap-independent work once
 per feeder and is the one record of its layout: the coordinate tuples and
 the retained-row index, the slack voltages, constant-power loads and flat
 start over those coordinates, the checked inverse of every line impedance,
-the line and shunt stamps as (row, column, value) triplets, and for each
-regulator its outgoing line's inverse and the target slots of its four
-blocks. ``assemble`` then computes only the regulator blocks G zinv G,
--G zinv and -zinv G (G the diagonal gain) for the given ratios and builds
-Y, Y_NS and Y_S; called without a stamp set it builds one.
-Tap sweeps build the stamp set once and pass it to every ``assemble`` call.
-Exact zeros are not stored, and the triplets are always emitted in one
-order (lines, regulators, shunts), so the CSC matrices are bit-identical
-whether or not the stamp set was reused.
+and one list of stamped entries in stamp order (lines, then regulators, then
+shunts, each block row-major). Each entry is routed once: Y, Y_NS and Y_S
+are fixed selections of the list, and each regulator owns one slice of it.
+``assemble`` then computes only the regulator blocks G zinv G, -G zinv and
+-zinv G (G the diagonal gain) for the given ratios, writes them into their
+slices and builds the three matrices; called without a stamp set it builds
+one. Tap sweeps build the stamp set once and pass it to every ``assemble``
+call. Exact zeros are not stored, and each matrix takes its entries in
+stamp order, so the CSC matrices are bit-identical whether or not the stamp
+set was reused.
 """
 
 from __future__ import annotations
@@ -74,30 +75,27 @@ def _line_inverses(lines) -> list:
     return out
 
 
-# The three blocks a stamp lands in: retained x retained, retained x slack,
-# slack x full.
-_Y, _Y_NS, _Y_S = range(3)
-
-
 @dataclass(frozen=True)
 class _RegulatorStamp:
     """A regulator's tap-independent data: the inverted impedance of its
-    outgoing line and where each of its four blocks lands."""
+    outgoing line and the slice of the entry list its four blocks fill."""
 
     svr: SvrSpec
     index: int               # position in ``model.svrs`` and in ``ratios``
     phases: tuple            # current-carrying phases through the regulator
     zinv: np.ndarray
-    slots: tuple             # (target, rows, cols) of the G zinv G, -G zinv,
-                             # -zinv G and zinv blocks, in that order
+    entries: slice           # the G zinv G, -G zinv, -zinv G and zinv blocks,
+                             # in that order, each row-major
 
 
 @dataclass(frozen=True)
 class StampSet:
     """The tap-independent part of a feeder's admittance assembly and power flow.
 
-    ``lines`` and ``shunts`` hold one (rows, cols, values) triplet per target
-    block; a regulator's blocks are recomputed for each set of ratios.
+    ``values`` is every stamped entry in stamp order, the regulator slices
+    left at zero. ``targets`` holds, for Y, Y_NS and Y_S in turn, the
+    positions in ``values`` of that matrix's entries and their rows and
+    columns.
     """
 
     coords: tuple            # retained (bus, phase) in row order
@@ -108,9 +106,9 @@ class StampSet:
     v_slack: np.ndarray      # slack voltages in Y_NS column order
     loads: np.ndarray        # constant-power consumption per retained row
     v_flat: np.ndarray       # flat start: the slack voltage of each row's phase
-    lines: tuple
+    values: np.ndarray
+    targets: tuple           # per matrix: (positions, rows, cols)
     regulators: tuple
-    shunts: tuple
 
 
 @dataclass(frozen=True)
@@ -136,38 +134,23 @@ def build_stamps(model: FeederModel) -> StampSet:
     """
     eliminated = tuple(sv.to_bus for sv in model.svrs)
     elim_set = set(eliminated)
-    slack_id = model.slack.id
 
     retained = [b for b in model.buses if not b.is_slack and b.id not in elim_set]
     coords = tuple((b.id, p) for b in retained for p in b.phases)
-    slack_coords = tuple((slack_id, p) for p in model.slack.phases)
+    slack_coords = tuple((model.slack.id, p) for p in model.slack.phases)
     full_coords = tuple((b.id, p) for b in model.buses for p in b.phases)
     row = {c: i for i, c in enumerate(coords)}
-    scol = {c: i for i, c in enumerate(slack_coords)}
-    fcol = {c: i for i, c in enumerate(full_coords)}
+    fidx = {c: i for i, c in enumerate(full_coords)}
 
-    def slots(bus_r: str, bus_c: str, phases_r, phases_c) -> tuple[int, list, list]:
-        # A block lands in one target; its entries are listed row-major.
-        if bus_r == slack_id:
-            target, rmap, cmap = _Y_S, scol, fcol
-        elif bus_c == slack_id:
-            target, rmap, cmap = _Y_NS, row, scol
-        else:
-            target, rmap, cmap = _Y, row, row
-        ri = [rmap[(bus_r, p)] for p in phases_r]
-        ci = [cmap[(bus_c, p)] for p in phases_c]
-        return target, [r for r in ri for _ in ci], ci * len(ri)
+    # Entries in stamp order: full-coordinate row, column and value.
+    rows, cols, values = [], [], []
 
-    def triplets(blocks) -> tuple:
-        # One (rows, cols, values) triplet per target, blocks in the given order.
-        parts = [([], [], []) for _ in range(3)]
-        for (target, rows, cols), block in blocks:
-            parts[target][0].extend(rows)
-            parts[target][1].extend(cols)
-            parts[target][2].append(block.ravel())
-        return tuple((np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                      np.concatenate(vals) if vals else np.empty(0, dtype=complex))
-                     for rows, cols, vals in parts)
+    def stamp(bus_r: str, bus_c: str, phases, block: np.ndarray) -> None:
+        ri = [fidx[(bus_r, p)] for p in phases]
+        ci = [fidx[(bus_c, p)] for p in phases]
+        rows.extend(r for r in ri for _ in ci)
+        cols.extend(ci * len(ri))
+        values.append(block.ravel())
 
     # Lines whose from-bus is a regulator secondary are handled by elimination.
     plain = [ln for ln in model.lines if ln.from_bus not in elim_set]
@@ -175,27 +158,40 @@ def build_stamps(model: FeederModel) -> StampSet:
     svr_lines = [model.lines[children[sv.to_bus][0].index] for sv in model.svrs]
     inverses = _line_inverses(plain + svr_lines)
 
-    line_blocks = []
     for ln, zinv in zip(plain, inverses):
         ph = ln.z.phases
-        line_blocks += [(slots(ln.from_bus, ln.from_bus, ph, ph), zinv),
-                        (slots(ln.to_bus, ln.to_bus, ph, ph), zinv),
-                        (slots(ln.from_bus, ln.to_bus, ph, ph), -zinv),
-                        (slots(ln.to_bus, ln.from_bus, ph, ph), -zinv)]
+        stamp(ln.from_bus, ln.from_bus, ph, zinv)
+        stamp(ln.to_bus, ln.to_bus, ph, zinv)
+        stamp(ln.from_bus, ln.to_bus, ph, -zinv)
+        stamp(ln.to_bus, ln.from_bus, ph, -zinv)
 
     regulators = []
     for svx, (sv, line, zinv) in enumerate(zip(model.svrs, svr_lines, inverses[len(plain):])):
         ph = line.z.phases
-        nbus, mbus = sv.from_bus, line.to_bus
-        blocks = (slots(nbus, nbus, ph, ph), slots(nbus, mbus, ph, ph),
-                  slots(mbus, nbus, ph, ph), slots(mbus, mbus, ph, ph))
-        regulators.append(_RegulatorStamp(
-            svr=sv, index=svx, phases=ph, zinv=zinv,
-            slots=tuple((target, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
-                        for target, rows, cols in blocks)))
+        start, zero = len(rows), np.zeros_like(zinv)
+        for bus_r, bus_c in ((sv.from_bus, sv.from_bus), (sv.from_bus, line.to_bus),
+                             (line.to_bus, sv.from_bus), (line.to_bus, line.to_bus)):
+            stamp(bus_r, bus_c, ph, zero)
+        regulators.append(_RegulatorStamp(svr=sv, index=svx, phases=ph, zinv=zinv,
+                                          entries=slice(start, len(rows))))
 
-    shunt_blocks = [(slots(b.id, b.id, b.shunt.phases, b.shunt.phases), b.shunt.array)
-                    for b in model.buses if b.shunt is not None]
+    for b in model.buses:
+        if b.shunt is not None:
+            stamp(b.id, b.id, b.shunt.phases, b.shunt.array)
+
+    # Route each entry once: a slack row goes to Y_S, a slack column to Y_NS,
+    # anything else to Y. Each matrix keeps its entries in stamp order.
+    retained_of = np.full(len(full_coords), -1, dtype=np.intp)
+    slack_of = np.full(len(full_coords), -1, dtype=np.intp)
+    retained_of[[fidx[c] for c in coords]] = np.arange(len(coords))
+    slack_of[[fidx[c] for c in slack_coords]] = np.arange(len(slack_coords))
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    r_ret, c_ret, r_slack, c_slack = (m[rc] for m in (retained_of, slack_of) for rc in (rows, cols))
+    to_s = r_slack >= 0
+    to_ns = ~to_s & (c_slack >= 0)
+    to_y = ~(to_s | to_ns)
+    targets = tuple((np.flatnonzero(m), r[m], c[m]) for m, r, c in
+                    ((to_y, r_ret, c_ret), (to_ns, r_ret, c_slack), (to_s, r_slack, cols)))
 
     loads = np.array([b.load[p] if b.load is not None and p in b.load else 0.0
                       for b in retained for p in b.phases], dtype=complex)
@@ -203,8 +199,8 @@ def build_stamps(model: FeederModel) -> StampSet:
                     eliminated=eliminated, row=row,
                     v_slack=np.array([model.slack_voltage[p] for _, p in slack_coords]),
                     loads=loads, v_flat=np.array([model.slack_voltage[p] for _, p in coords]),
-                    lines=triplets(line_blocks), regulators=tuple(regulators),
-                    shunts=triplets(shunt_blocks))
+                    values=np.concatenate(values) if values else np.empty(0, dtype=complex),
+                    targets=targets, regulators=tuple(regulators))
 
 
 def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> AdmittanceSystem:
@@ -217,30 +213,27 @@ def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> Admi
     """
     if stamps is None:
         stamps = build_stamps(model)
-    # Per target: lines, then regulators, then shunts, each block row-major.
-    # This order fixes how duplicate entries are summed, so it fixes the bits.
-    parts = [[fixed] for fixed in stamps.lines]
+    values = stamps.values.copy()
     for reg in stamps.regulators:
         a = _gain_diag(reg.svr, ratios[reg.index], reg.phases)
         # Type-B: v_n = A v_n', so v_n' = A^-1 v_n. Type-A mirrors the gain.
         g = (1.0 / a) if reg.svr.kind == "B" else a
         G = np.diag(g)
         zinv = reg.zinv
-        blocks = (G @ zinv @ G, -(G @ zinv), -(zinv @ G), zinv)
-        for (target, rows, cols), block in zip(reg.slots, blocks):
-            parts[target].append((rows, cols, block.ravel()))
-    for target, fixed in enumerate(stamps.shunts):
-        parts[target].append(fixed)
+        values[reg.entries] = np.concatenate(
+            [(G @ zinv @ G).ravel(), -(G @ zinv).ravel(), -(zinv @ G).ravel(), zinv.ravel()])
 
+    # Stamp order (lines, regulators, shunts, each block row-major) fixes how
+    # duplicate entries are summed, so it fixes the bits. Exact zeros are not
+    # stored.
     n, ns, nf = len(stamps.coords), len(stamps.slack_coords), len(stamps.full_coords)
-    Y, Y_NS, Y_S = (_csc(part, shape) for part, shape in
-                    zip(parts, ((n, n), (n, ns), (ns, nf))))
+    Y, Y_NS, Y_S = (_csc(values[take], rows, cols, shape) for (take, rows, cols), shape in
+                    zip(stamps.targets, ((n, n), (n, ns), (ns, nf))))
     return AdmittanceSystem(Y=Y, Y_NS=Y_NS, Y_S=Y_S, stamps=stamps)
 
 
-def _csc(parts, shape) -> sp.csc_matrix:
-    rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
-    keep = vals != 0.0            # exact zeros are not stored
+def _csc(vals, rows, cols, shape) -> sp.csc_matrix:
+    keep = vals != 0.0
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape,
                          dtype=complex).tocsc()
 

@@ -59,7 +59,8 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
     ``v0`` optionally maps bus id -> PhaseVector to seed the iteration;
     the default is a flat start at the slack voltage. ``stamps`` is
     ``ybus.build_stamps(model)``, passed by callers that solve one model at
-    many ratios.
+    many ratios. An update that is not finite ends the iteration unconverged
+    at the last finite iterate.
     """
     if not tol > 0:      # also rejects NaN
         raise ValueError("tol must be positive")
@@ -73,22 +74,23 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
         v = np.array([v0[bus][phase] for bus, phase in st.coords])
 
     converged = False
-    residual = np.inf
     it = 0
-    for it in range(1, max_iter + 1):
-        v_new = lu.solve(_load_currents(st.loads, v) - w_s)
-        if not np.all(np.isfinite(v_new.view(float))):
-            v = v_new
-            break
-        delta = float(np.max(np.abs(v_new - v))) if len(v) else 0.0
-        v = v_new
-        if delta < tol:
-            residual = _kcl_residual(system, v)
-            if residual <= _KCL_TOL:
-                converged = True
+    # A diverging iterate may overflow; it is caught as non-finite and dropped,
+    # and the residual of the last finite iterate may be inf or NaN.
+    with np.errstate(all="ignore"):
+        for it in range(1, max_iter + 1):
+            v_new = lu.solve(_load_currents(st.loads, v) - w_s)
+            if not np.all(np.isfinite(v_new.view(float))):
                 break
-    if not converged and np.all(np.isfinite(v.view(float))):
-        residual = _kcl_residual(system, v)
+            delta = float(np.max(np.abs(v_new - v))) if len(v) else 0.0
+            v = v_new
+            if delta < tol:
+                residual = _kcl_residual(system, v)
+                if residual <= _KCL_TOL:
+                    converged = True
+                    break
+        if not converged:
+            residual = _kcl_residual(system, v)
 
     voltages = {model.slack.id: model.slack_voltage}
     for b in model.buses:

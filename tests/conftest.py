@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,16 @@ import pytest
 import tapflow as tf
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def bench_feeders():
+    """``bench/feeders.py`` loaded by path, without putting ``bench/`` on sys.path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "feeders.py"
+    spec = importlib.util.spec_from_file_location("bench_feeders", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 BALANCED = {"a": 1.0 + 0.0j,
             "b": np.exp(-2j * np.pi / 3),

@@ -104,6 +104,28 @@ def test_opts_gap_populated(tmp_path):
     assert doc["gap_percent"] == pytest.approx(0.32, abs=0.1)
 
 
+@pytest.mark.parametrize("command, message", [("powerflow", "did not converge"),
+                                              ("opts", "[base_powerflow]")])
+def test_overflowing_power_flow_exit_2(tmp_path, capsys, command, message):
+    """A solve whose iterate overflows is reported unconverged, not as bad input."""
+    doc = json.loads((FIXTURES / "tiny3.json").read_text())
+    doc["buses"][2]["load"]["values"] = [[0.65e307, 0.35e307]]
+    feeder = tmp_path / "huge-load.json"
+    feeder.write_text(json.dumps(doc))
+    assert run([command, "--feeder", str(feeder)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["0", "-1", "nan", "inf"])
+def test_opts_rejects_bad_lower_bound(tmp_path, capsys, bound):
+    """A gap against a bound that is not a positive finite number would be
+    meaningless, and NaN would make the report invalid JSON."""
+    out = tmp_path / "r.json"
+    assert run(["opts", "--feeder", TINY3, "--lower-bound", bound, "--out", str(out)]) == 1
+    assert "lower bound must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lindiff_csv(tmp_path):
     out = tmp_path / "ld.csv"
     assert run(["lindiff", "--feeder", IEEE13, "--out", str(out)]) == 0
@@ -185,8 +207,12 @@ def test_every_flag_is_read_by_its_subcommand():
     ({"zbus_tol": 0.0}, [], "zbus_tol"),
     ({"v_min_verify": float("nan")}, [], "v_min_verify"),
     ({}, ["--tol", "nan"], "zbus_tol"),
+    ({"v_min_verify": 1.2, "v_max_verify": 0.8}, [], "v_min_verify"),
+    ({"v_min_verify": 0.0}, [], "v_min_verify"),
+    ({"v_min": 1.2}, [], "v_min"),
 ], ids=["string-band", "fractional-iter", "bool-tol", "typo", "removed-key", "nan-tol",
-        "zero-tol", "nan-verify-band", "nan-tol-flag"])
+        "zero-tol", "nan-verify-band", "nan-tol-flag", "inverted-verify-band",
+        "zero-verify-floor", "inverted-lp-band"])
 def test_bad_feeder_config_exit_1(tmp_path, capsys, config, flags, key):
     doc = json.loads((FIXTURES / "tiny3.json").read_text())
     doc["config"].update(config)

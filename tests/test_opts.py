@@ -1,27 +1,16 @@
 import dataclasses
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tapflow as tf
-from tapflow import opts
+from tapflow import linflow, opts
 from tapflow.errors import PipelineError
 
-from conftest import PARITY_FEEDERS, cascade_model, chain_model
+from conftest import PARITY_FEEDERS, bench_feeders, cascade_model, chain_model
 from lp_reference import pin_row_lexicographic
-
-
-def _bench_feeders():
-    """``bench/feeders.py`` loaded by path, without putting ``bench/`` on sys.path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "feeders.py"
-    spec = importlib.util.spec_from_file_location("bench_feeders", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def census(model):
@@ -240,7 +229,7 @@ def test_condensed_matches_full_lp_reference(request, name):
         model = cascade_model(shunt_y=-0.01 + 0.03j)
     else:
         seed, n_buses = (int(v) for v in name[3:].split("-"))
-        model = _bench_feeders().generate_feeder(seed, n_buses)
+        model = bench_feeders().generate_feeder(seed, n_buses)
     (lp, varmap), _ = build(model)
     sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
     ref, ref_value = pin_row_lexicographic(lp, varmap)
@@ -292,7 +281,7 @@ def test_singular_elimination_raises_pipeline_error(monkeypatch, tiny3):
     def singular(matrix):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(opts, "splu", singular)
+    monkeypatch.setattr(linflow, "splu", singular)
     with pytest.raises(PipelineError, match="singular") as err:
         tf.run_opts(tiny3, tf.config_from_model(tiny3))
     assert err.value.stage == "solve_lp"

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import tapflow as tf
-from tapflow import opts, simplex
+from tapflow import linflow, opts, simplex
 
 from conftest import cascade_model
 from lp_oracle import enumerate_lp, random_lp
@@ -234,7 +234,7 @@ def test_tie_break_fallback_keeps_pass1_point(monkeypatch):
     assert len(passes) == 2 and passes[1].status == "iteration_limit"
     assert cut.status == "optimal" and cut.tie_break == "iteration_limit"
     assert cut.objective == cut_value == full.objective == import_value
-    x0, N = opts._condense(lp, varmap)
+    x0, N = linflow.eliminate(varmap, "solve_lp")
     assert np.array_equal(cut.x, x0 + N @ passes[0].duals)
     assert not np.array_equal(cut.x, full.x)
     assert cut.iterations == passes[0].iterations

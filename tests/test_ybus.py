@@ -6,7 +6,7 @@ import pytest
 import tapflow as tf
 from tapflow.ybus import build_stamps
 
-from conftest import PARITY_FEEDERS, cascade_model, chain_model
+from conftest import PARITY_FEEDERS, bench_feeders, cascade_model, chain_model
 from ybus_reference import loop_assemble
 
 
@@ -211,14 +211,18 @@ def test_elimination_exactness_ieee13(ieee13):
 
 
 def _ratio_sets(model):
-    """Zero taps, alternating shifted taps, and each phase at a tap limit."""
+    """Zero taps, alternating shifted taps, each phase at a tap limit, and
+    seeded random taps."""
     shifted = [{p: (-1) ** k * (3 + 2 * k) for k, p in enumerate(sv.phases)}
                for sv in model.svrs]
     extreme = [{p: sv.tap_max if k % 2 else sv.tap_min for k, p in enumerate(sv.phases)}
                for sv in model.svrs]
+    rng = np.random.default_rng(len(model.buses))
+    random = [{p: int(rng.integers(sv.tap_min, sv.tap_max + 1)) for p in sv.phases}
+              for sv in model.svrs]
     return {name: tf.taps_to_ratios(model, taps)
             for name, taps in (("zero", tf.zero_taps(model)), ("shifted", shifted),
-                               ("extreme", extreme))}
+                               ("extreme", extreme), ("random", random))}
 
 
 def _layout(system):
@@ -250,7 +254,11 @@ def _cascade_with_large_capacitor():
         dataclasses.replace(b, shunt=shunt) if b.id == "n1" else b for b in model.buses))
 
 
-YBUS_FEEDERS = {**PARITY_FEEDERS, "cascade-capacitor": lambda _: _cascade_with_large_capacitor()}
+# Generated feeders whose Y columns sum up to 27 and 35 stamped entries
+# (IEEE-13: 22), where the order of duplicate summation is most exposed.
+YBUS_FEEDERS = {**PARITY_FEEDERS, "cascade-capacitor": lambda _: _cascade_with_large_capacitor(),
+                "gen972-60": lambda _: bench_feeders().generate_feeder(972, 60),
+                "gen973-200": lambda _: bench_feeders().generate_feeder(973, 200)}
 
 
 @pytest.mark.parametrize("name", sorted(YBUS_FEEDERS))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,20 @@ def test_divergence_reported_not_silently_truncated():
     assert not sol.converged
     with pytest.raises(ValueError):
         tf.import_objective(sol, model)
+
+
+def test_overflowing_iterate_stops_at_last_finite_one(tiny3):
+    """With tiny3's load scaled by 1e307 an update overflows. The solve stops
+    there unconverged, returns the last finite iterate and lets no overflow
+    warning escape (warnings are errors under the test settings)."""
+    huge = tf.PhaseVector(("a",), [(0.65 + 0.35j) * 1e307])
+    model = dataclasses.replace(tiny3, buses=tuple(
+        dataclasses.replace(b, load=huge) if b.load is not None else b for b in tiny3.buses))
+    sol = tf.solve_zbus(model, [{"a": 1.0}])
+    assert not sol.converged and sol.iterations < 200
+    for vec in sol.voltages.values():
+        assert np.all(np.isfinite(vec.values))
+    assert not sol.residual <= 1e-8
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
