@@ -207,10 +207,14 @@ def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel) -> l
     return out
 
 
-def optimality_gap(verified: float, lower_bound: float) -> float:
-    """Percent gap of a verified objective above an external lower bound."""
+def _check_lower_bound(lower_bound: float) -> None:
     if not 0.0 < lower_bound < math.inf:      # also rejects NaN
         raise ValueError(f"lower bound must be positive and finite, got {lower_bound!r}")
+
+
+def optimality_gap(verified: float, lower_bound: float) -> float:
+    """Percent gap of a verified objective above an external lower bound."""
+    _check_lower_bound(lower_bound)
     return (verified - lower_bound) / lower_bound * 100.0
 
 
@@ -262,7 +266,13 @@ class OptsReport:
 
 def run_opts(model: FeederModel, config: OptsConfig,
              lower_bound: float | None = None) -> OptsReport:
-    """Full pipeline; raises PipelineError with a stage tag on any failure."""
+    """Full pipeline; raises PipelineError with a stage tag on any failure.
+
+    A ``lower_bound`` that is not positive and finite raises ``ValueError``
+    before any solve.
+    """
+    if lower_bound is not None:
+        _check_lower_bound(lower_bound)
     timings: dict[str, float] = {}
 
     def stage(name):

@@ -7,18 +7,26 @@ couples the primary directly to the bus behind the regulator's outgoing line.
 
 Assembly has two steps. ``build_stamps`` does the tap-independent work once
 per feeder and is the one record of its layout: the coordinate tuples and
-the retained-row index, the slack voltages, constant-power loads and flat
+each retained bus's rows, the slack voltages, constant-power loads and flat
 start over those coordinates, the checked inverse of every line impedance,
-and one list of stamped entries in stamp order (lines, then regulators, then
-shunts, each block row-major). Each entry is routed once: Y, Y_NS and Y_S
-are fixed selections of the list, and each regulator owns one slice of it.
-``assemble`` then computes only the regulator blocks G zinv G, -G zinv and
--zinv G (G the diagonal gain) for the given ratios, writes them into their
-slices and builds the three matrices; called without a stamp set it builds
-one. Tap sweeps build the stamp set once and pass it to every ``assemble``
-call. Exact zeros are not stored, and each matrix takes its entries in
-stamp order, so the CSC matrices are bit-identical whether or not the stamp
-set was reused.
+one list of stamped entries in stamp order (lines, then regulators, then
+shunts, each block row-major), and the final CSC pattern of Y, Y_NS and
+Y_S. Each regulator owns one slice of the entry list. ``assemble`` then
+computes only the regulator blocks G zinv G, -G zinv and -zinv G (G the
+diagonal gain) for the given ratios, writes them into their slices and
+scatters the list into the fixed patterns; called without a stamp set it
+builds one. Tap sweeps build the stamp set once and pass it to every
+``assemble`` call.
+
+The pattern does not depend on the ratios: a regulator block is a diagonal
+rescaling of its line's ``zinv``, so at any finite nonzero ratio it is
+exactly zero where ``zinv`` is. Exact zeros are not stored. The bits of a
+stored value depend on the order in which its duplicate entries are summed.
+scipy's ``coo_matrix.tocsc`` sorts each column with an unstable sort and
+then sums left to right. ``build_stamps`` lets scipy sort the entry
+positions once and keeps that order, so the matrices are bit-identical to
+``coo_matrix(...).tocsc()`` of the entries in stamp order, whether or not
+the stamp set was reused.
 """
 
 from __future__ import annotations
@@ -35,7 +43,12 @@ def _gain_diag(svr, ratios, phases) -> np.ndarray:
     missing = [p for p in phases if p not in ratios]
     if missing:
         raise ValueError(f"svr {svr.from_bus}->{svr.to_bus}: no ratio for phase(s) {missing}")
-    return np.array([float(ratios[p]) for p in phases])
+    a = np.array([float(ratios[p]) for p in phases])
+    # The fixed CSC pattern holds only for finite nonzero gains.
+    if not np.all(np.isfinite(a) & (a != 0.0)):
+        raise ValueError(f"svr {svr.from_bus}->{svr.to_bus}: ratios must be finite and "
+                         f"nonzero, got {a.tolist()}")
+    return a
 
 
 def _inv(z: np.ndarray, what: str) -> np.ndarray:
@@ -92,22 +105,26 @@ class _RegulatorStamp:
 class StampSet:
     """The tap-independent part of a feeder's admittance assembly and power flow.
 
-    ``values`` is every stamped entry in stamp order, the regulator slices
-    left at zero. ``targets`` holds, for Y, Y_NS and Y_S in turn, the
-    positions in ``values`` of that matrix's entries and their rows and
-    columns.
+    ``values`` is every stamped entry in stamp order; each regulator slice
+    holds ``zinv`` four times, the zero pattern of its blocks. The stored
+    values of Y, Y_NS and Y_S, concatenated, are ``values[first]`` plus,
+    for each ``(slots, take)`` of ``further`` in turn,
+    ``values[take]`` added at ``slots``. ``patterns`` holds each matrix's
+    shape and CSC ``indices`` and ``indptr``.
     """
 
     coords: tuple            # retained (bus, phase) in row order
     slack_coords: tuple      # slack (bus, phase) in Y_NS column order
     full_coords: tuple       # every (bus, phase) in Y_S column order
     eliminated: tuple        # bus ids removed by regulator elimination
-    row: dict                # retained (bus, phase) -> row
+    bus_rows: tuple          # per retained bus, in model order: (bus, its rows as a slice)
     v_slack: np.ndarray      # slack voltages in Y_NS column order
     loads: np.ndarray        # constant-power consumption per retained row
     v_flat: np.ndarray       # flat start: the slack voltage of each row's phase
     values: np.ndarray
-    targets: tuple           # per matrix: (positions, rows, cols)
+    first: np.ndarray        # per stored value: position of its first summand
+    further: tuple           # per further summand rank: (slots, positions)
+    patterns: tuple          # per matrix: (shape, indices, indptr)
     regulators: tuple
 
 
@@ -139,16 +156,16 @@ def build_stamps(model: FeederModel) -> StampSet:
     coords = tuple((b.id, p) for b in retained for p in b.phases)
     slack_coords = tuple((model.slack.id, p) for p in model.slack.phases)
     full_coords = tuple((b.id, p) for b in model.buses for p in b.phases)
-    row = {c: i for i, c in enumerate(coords)}
     fidx = {c: i for i, c in enumerate(full_coords)}
 
     # Entries in stamp order: full-coordinate row, column and value.
     rows, cols, values = [], [], []
 
-    def stamp(bus_r: str, bus_c: str, phases, block: np.ndarray) -> None:
-        ri = [fidx[(bus_r, p)] for p in phases]
-        ci = [fidx[(bus_c, p)] for p in phases]
-        rows.extend(r for r in ri for _ in ci)
+    def at(bus: str, phases) -> list:
+        return [fidx[(bus, p)] for p in phases]
+
+    def stamp(ri: list, ci: list, block: np.ndarray) -> None:
+        rows.extend([r for r in ri for _ in ci])
         cols.extend(ci * len(ri))
         values.append(block.ravel())
 
@@ -159,28 +176,30 @@ def build_stamps(model: FeederModel) -> StampSet:
     inverses = _line_inverses(plain + svr_lines)
 
     for ln, zinv in zip(plain, inverses):
-        ph = ln.z.phases
-        stamp(ln.from_bus, ln.from_bus, ph, zinv)
-        stamp(ln.to_bus, ln.to_bus, ph, zinv)
-        stamp(ln.from_bus, ln.to_bus, ph, -zinv)
-        stamp(ln.to_bus, ln.from_bus, ph, -zinv)
+        f, t, neg = at(ln.from_bus, ln.z.phases), at(ln.to_bus, ln.z.phases), -zinv
+        stamp(f, f, zinv)
+        stamp(t, t, zinv)
+        stamp(f, t, neg)
+        stamp(t, f, neg)
 
     regulators = []
     for svx, (sv, line, zinv) in enumerate(zip(model.svrs, svr_lines, inverses[len(plain):])):
         ph = line.z.phases
-        start, zero = len(rows), np.zeros_like(zinv)
-        for bus_r, bus_c in ((sv.from_bus, sv.from_bus), (sv.from_bus, line.to_bus),
-                             (line.to_bus, sv.from_bus), (line.to_bus, line.to_bus)):
-            stamp(bus_r, bus_c, ph, zero)
+        start = len(rows)
+        n, m = at(sv.from_bus, ph), at(line.to_bus, ph)
+        for ri, ci in ((n, n), (n, m), (m, n), (m, m)):
+            stamp(ri, ci, zinv)
         regulators.append(_RegulatorStamp(svr=sv, index=svx, phases=ph, zinv=zinv,
                                           entries=slice(start, len(rows))))
 
     for b in model.buses:
         if b.shunt is not None:
-            stamp(b.id, b.id, b.shunt.phases, b.shunt.array)
+            i = at(b.id, b.shunt.phases)
+            stamp(i, i, b.shunt.array)
 
-    # Route each entry once: a slack row goes to Y_S, a slack column to Y_NS,
-    # anything else to Y. Each matrix keeps its entries in stamp order.
+    # Route each stored entry once: a slack row goes to Y_S, a slack column
+    # to Y_NS, anything else to Y.
+    values = np.concatenate(values) if values else np.empty(0, dtype=complex)
     retained_of = np.full(len(full_coords), -1, dtype=np.intp)
     slack_of = np.full(len(full_coords), -1, dtype=np.intp)
     retained_of[[fidx[c] for c in coords]] = np.arange(len(coords))
@@ -190,17 +209,78 @@ def build_stamps(model: FeederModel) -> StampSet:
     to_s = r_slack >= 0
     to_ns = ~to_s & (c_slack >= 0)
     to_y = ~(to_s | to_ns)
-    targets = tuple((np.flatnonzero(m), r[m], c[m]) for m, r, c in
-                    ((to_y, r_ret, c_ret), (to_ns, r_ret, c_slack), (to_s, r_slack, cols)))
+    keep = values != 0.0
+    n, ns, nf = len(coords), len(slack_coords), len(full_coords)
+    first, further, patterns = _scatter_plan([
+        (np.flatnonzero(m), r[m], c[m], shape)
+        for m, r, c, shape in zip((to_y & keep, to_ns & keep, to_s & keep),
+                                  (r_ret, r_ret, r_slack), (c_ret, c_slack, cols),
+                                  ((n, n), (n, ns), (ns, nf)))])
 
-    loads = np.array([b.load[p] if b.load is not None and p in b.load else 0.0
-                      for b in retained for p in b.phases], dtype=complex)
+    bus_rows, loads = [], []
+    for b in retained:
+        bus_rows.append((b, slice(len(loads), len(loads) + len(b.phases))))
+        load = {} if b.load is None else dict(zip(b.load.phases, b.load.values.tolist()))
+        loads.extend([load.get(p, 0.0) for p in b.phases])
+    v_source = dict(zip(model.slack_voltage.phases, model.slack_voltage.values.tolist()))
     return StampSet(coords=coords, slack_coords=slack_coords, full_coords=full_coords,
-                    eliminated=eliminated, row=row,
-                    v_slack=np.array([model.slack_voltage[p] for _, p in slack_coords]),
-                    loads=loads, v_flat=np.array([model.slack_voltage[p] for _, p in coords]),
-                    values=np.concatenate(values) if values else np.empty(0, dtype=complex),
-                    targets=targets, regulators=tuple(regulators))
+                    eliminated=eliminated, bus_rows=tuple(bus_rows),
+                    v_slack=np.array([v_source[p] for _, p in slack_coords]),
+                    loads=np.array(loads, dtype=complex),
+                    v_flat=np.array([v_source[p] for _, p in coords]),
+                    values=values, first=first, further=further, patterns=patterns,
+                    regulators=tuple(regulators))
+
+
+def _scatter_plan(targets):
+    """How entries of the stamp list sum into the CSC matrices that
+    ``coo_matrix.tocsc`` builds from them, for each ``(take, rows, cols,
+    shape)`` target: the entries ``take`` at ``rows`` and ``cols``.
+
+    Returns ``StampSet``'s ``first``, ``further`` and ``patterns``.
+    """
+    # tocsc groups a matrix's entries by column, keeping their order, then
+    # sorts each column with libstdc++'s std::sort, which is not stable for
+    # more than 16 entries, and sums each run of equal rows left to right.
+    # The sort permutes by the row indices alone, so a marker matrix holding
+    # the positions ``take`` is sorted exactly like the values. Flagging its
+    # COO form canonical makes tocsc keep the duplicates unsummed.
+    markers = []
+    for take, rows, cols, shape in targets:
+        coo = sp.coo_matrix((take, (rows, cols)), shape=shape)
+        coo.has_canonical_format = True
+        marker = coo.tocsc()
+        if marker.nnz != len(take):
+            raise RuntimeError("scipy summed the entries of a marker matrix")
+        marker.sort_indices()
+        markers.append(marker)
+
+    # The matrices' sorted entries in turn; an entry opens a new slot (a
+    # stored value) when it starts a column or changes the row.
+    offsets = np.cumsum([0] + [m.nnz for m in markers])
+    take = np.concatenate([m.data for m in markers])
+    rows = np.concatenate([m.indices for m in markers])
+    k = len(rows)
+    new = np.zeros(k + 1, dtype=bool)
+    new[1:k] = rows[1:] != rows[:-1]
+    for m, off in zip(markers, offsets):
+        new[m.indptr + off] = True
+    new = new[:k]
+    opened = np.concatenate(([0], np.cumsum(new)))      # slots opened before each entry
+
+    # A slot's r-th further summand sits r entries after its first.
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=k)
+    slots = np.arange(len(starts))
+    further = []
+    for r in range(1, sizes.max(initial=0)):
+        more = sizes > r
+        slots, starts, sizes = slots[more], starts[more], sizes[more]
+        further.append((slots, take[starts + r]))
+    patterns = tuple((m.shape, m.indices[new[off:off + m.nnz]],
+                      (opened[m.indptr + off] - opened[off]).astype(m.indptr.dtype))
+                     for m, off in zip(markers, offsets))
+    return take[new], tuple(further), patterns
 
 
 def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> AdmittanceSystem:
@@ -223,19 +303,20 @@ def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> Admi
         values[reg.entries] = np.concatenate(
             [(G @ zinv @ G).ravel(), -(G @ zinv).ravel(), -(zinv @ G).ravel(), zinv.ravel()])
 
-    # Stamp order (lines, regulators, shunts, each block row-major) fixes how
-    # duplicate entries are summed, so it fixes the bits. Exact zeros are not
-    # stored.
-    n, ns, nf = len(stamps.coords), len(stamps.slack_coords), len(stamps.full_coords)
-    Y, Y_NS, Y_S = (_csc(values[take], rows, cols, shape) for (take, rows, cols), shape in
-                    zip(stamps.targets, ((n, n), (n, ns), (ns, nf))))
+    # Sum duplicates left to right in scipy's order; see ``_scatter_plan``.
+    data = values[stamps.first]
+    for slots, take in stamps.further:
+        data[slots] += values[take]
+    blocks, start = [], 0
+    for shape, indices, indptr in stamps.patterns:
+        stop = start + len(indices)
+        # Copies of the pattern, so a caller cannot write into the stamp set.
+        m = sp.csc_matrix((data[start:stop], indices.copy(), indptr.copy()), shape=shape)
+        m.has_canonical_format = True
+        blocks.append(m)
+        start = stop
+    Y, Y_NS, Y_S = blocks
     return AdmittanceSystem(Y=Y, Y_NS=Y_NS, Y_S=Y_S, stamps=stamps)
-
-
-def _csc(vals, rows, cols, shape) -> sp.csc_matrix:
-    keep = vals != 0.0
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape,
-                         dtype=complex).tocsc()
 
 
 def recover_svr_secondary(model: FeederModel, ratios, voltages: dict) -> dict:

@@ -4,15 +4,19 @@ The iteration solves Y v = i(v) - Y_NS v_S with constant-power injections
 re-evaluated at the previous iterate and constant-admittance shunts folded
 into Y. Convergence requires both a small voltage update and a small
 Kirchhoff current residual, so every converged solution carries an
-independent physics certificate. The loads, slack voltages, flat start and
-coordinate layout come from the feeder's stamp set (``ybus.StampSet``), built
-once per feeder, so a solve or a metric rebuilds none of them.
+independent physics certificate. The loads, slack voltages, flat start,
+coordinate layout and each bus's rows come from the feeder's stamp set
+(``ybus.StampSet``), built once per feeder, so a solve or a metric rebuilds
+none of them. The stamp set also fixes the CSC pattern of Y and scipy's order
+of summing its duplicate entries, captured once, so a solve at new taps only
+recomputes the regulator blocks and scatters them into that pattern.
 """
 
 from __future__ import annotations
 
 import cmath
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +70,7 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     system = assemble(model, ratios, stamps=stamps)
     st = system.stamps
-    lu = splu(system.Y.tocsc())
+    lu = splu(system.Y)
     w_s = system.Y_NS @ st.v_slack
     if v0 is None:
         v = st.v_flat
@@ -80,9 +84,11 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
     with np.errstate(all="ignore"):
         for it in range(1, max_iter + 1):
             v_new = lu.solve(_load_currents(st.loads, v) - w_s)
-            if not np.all(np.isfinite(v_new.view(float))):
-                break
+            # A non-finite component of v_new, or a change too large to
+            # represent, makes delta NaN or inf.
             delta = float(np.max(np.abs(v_new - v))) if len(v) else 0.0
+            if not math.isfinite(delta):
+                break
             v = v_new
             if delta < tol:
                 residual = _kcl_residual(system, v)
@@ -93,10 +99,8 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
             residual = _kcl_residual(system, v)
 
     voltages = {model.slack.id: model.slack_voltage}
-    for b in model.buses:
-        if b.is_slack or b.id in st.eliminated:
-            continue
-        voltages[b.id] = PhaseVector(b.phases, [v[st.row[(b.id, p)]] for p in b.phases])
+    for b, rows in st.bus_rows:
+        voltages[b.id] = PhaseVector(b.phases, v[rows])
     voltages.update(recover_svr_secondary(model, ratios, voltages))
 
     return PowerFlowSolution(

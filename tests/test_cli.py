@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from tapflow import opts
 from tapflow.cli import _build_parser, main
 from tapflow.opts import OptsConfig
 
@@ -117,9 +118,15 @@ def test_overflowing_power_flow_exit_2(tmp_path, capsys, command, message):
 
 
 @pytest.mark.parametrize("bound", ["0", "-1", "nan", "inf"])
-def test_opts_rejects_bad_lower_bound(tmp_path, capsys, bound):
+def test_opts_rejects_bad_lower_bound(tmp_path, capsys, monkeypatch, bound):
     """A gap against a bound that is not a positive finite number would be
-    meaningless, and NaN would make the report invalid JSON."""
+    meaningless, and NaN would make the report invalid JSON. The bound is
+    rejected before any power flow runs."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_zbus ran before the lower bound was checked")
+
+    monkeypatch.setattr(opts, "solve_zbus", no_solve)
     out = tmp_path / "r.json"
     assert run(["opts", "--feeder", TINY3, "--lower-bound", bound, "--out", str(out)]) == 1
     assert "lower bound must be positive and finite" in capsys.readouterr().err

@@ -383,6 +383,18 @@ def test_bruteforce_best_not_above_any_feasible(tiny3):
         assert best.objective <= tf.import_objective(sol, tiny3) + 1e-12
 
 
+def test_bruteforce_ieee13_optimum(ieee13):
+    """IEEE-13's discrete optimum over the full tap grid (35,937 combinations)
+    is 0.714279 at taps (14, 13, 14). The grid windowed to taps 12..16 on
+    every regulator phase holds it and takes 125 solves."""
+    model = dataclasses.replace(ieee13, svrs=tuple(
+        dataclasses.replace(sv, tap_min=12, tap_max=16) for sv in ieee13.svrs))
+    result = tf.brute_force(model, tf.config_from_model(model))
+    assert result.taps == [{"a": 14, "b": 13, "c": 14}]
+    assert result.objective == pytest.approx(0.7142790613732702, abs=1e-9)
+    assert result.evaluated == 125
+
+
 @pytest.mark.parametrize("name", ["tiny3", "ieee13"])
 def test_bruteforce_shared_stamps_match_fresh_solves(monkeypatch, request, name):
     """One stamp set per sweep gives the answer of a fresh assembly for each

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tapflow as tf
 from tapflow.ybus import build_stamps
@@ -116,7 +117,7 @@ def test_identity_gain_matches_closed_connection(tiny3):
     """At ratio 1 the eliminated SVR behaves as a plain closed connection."""
     sys_svr = tf.assemble(tiny3, [{"a": 1.0}])
     z = tiny3.lines[0].z.array[0, 0]
-    k = sys_svr.stamps.row[("load", "a")]
+    k = sys_svr.stamps.coords.index(("load", "a"))
     assert sys_svr.Y[k, k] == pytest.approx(1.0 / z)
     assert sys_svr.Y_NS[k, 0] == pytest.approx(-1.0 / z)
 
@@ -126,7 +127,7 @@ def test_gain_scaling_formulas(tiny3):
     r = 0.95
     sys_ = tf.assemble(tiny3, [{"a": r}])
     y = 1.0 / tiny3.lines[0].z.array[0, 0]
-    k = sys_.stamps.row[("load", "a")]
+    k = sys_.stamps.coords.index(("load", "a"))
     full = sys_.stamps.full_coords
     assert sys_.Y[k, k] == pytest.approx(y)
     assert sys_.Y_NS[k, 0] == pytest.approx(-y / r)
@@ -137,6 +138,12 @@ def test_gain_scaling_formulas(tiny3):
 def test_missing_ratio_raises(tiny3):
     with pytest.raises(ValueError, match="no ratio"):
         tf.assemble(tiny3, [{}])
+
+
+@pytest.mark.parametrize("ratio", [0.0, float("nan"), float("inf")])
+def test_degenerate_ratio_raises(tiny3, ratio):
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        tf.assemble(tiny3, [{"a": ratio}])
 
 
 def test_singular_impedance_raises():
@@ -211,10 +218,13 @@ def test_elimination_exactness_ieee13(ieee13):
 
 
 def _ratio_sets(model):
-    """Zero taps, alternating shifted taps, each phase at a tap limit, and
-    seeded random taps."""
+    """Zero taps, alternating shifted taps, every phase at the lower and at
+    the upper tap limit, the limits alternating by phase, and seeded random
+    taps."""
     shifted = [{p: (-1) ** k * (3 + 2 * k) for k, p in enumerate(sv.phases)}
                for sv in model.svrs]
+    low = [{p: sv.tap_min for p in sv.phases} for sv in model.svrs]
+    high = [{p: sv.tap_max for p in sv.phases} for sv in model.svrs]
     extreme = [{p: sv.tap_max if k % 2 else sv.tap_min for k, p in enumerate(sv.phases)}
                for sv in model.svrs]
     rng = np.random.default_rng(len(model.buses))
@@ -222,7 +232,8 @@ def _ratio_sets(model):
               for sv in model.svrs]
     return {name: tf.taps_to_ratios(model, taps)
             for name, taps in (("zero", tf.zero_taps(model)), ("shifted", shifted),
-                               ("extreme", extreme), ("random", random))}
+                               ("low", low), ("high", high), ("extreme", extreme),
+                               ("random", random))}
 
 
 def _layout(system):
@@ -240,6 +251,8 @@ def _assert_same_system(got, ref):
         for part in ("indptr", "indices", "data"):
             x, y = getattr(a, part), getattr(b, part)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, part)
+        for flag in ("has_sorted_indices", "has_canonical_format"):
+            assert getattr(a, flag) == getattr(b, flag), (name, flag)
 
 
 def _cascade_with_large_capacitor():
@@ -256,6 +269,8 @@ def _cascade_with_large_capacitor():
 
 # Generated feeders whose Y columns sum up to 27 and 35 stamped entries
 # (IEEE-13: 22), where the order of duplicate summation is most exposed.
+# chain-A-3ph and chain-B-3ph have a diagonal impedance behind the
+# regulator, so exact zeros of its blocks are dropped at every ratio.
 YBUS_FEEDERS = {**PARITY_FEEDERS, "cascade-capacitor": lambda _: _cascade_with_large_capacitor(),
                 "gen972-60": lambda _: bench_feeders().generate_feeder(972, 60),
                 "gen973-200": lambda _: bench_feeders().generate_feeder(973, 200)}
@@ -280,7 +295,10 @@ def test_shared_stamp_set_changes_no_bits(name, request):
     returned voltages equals the residual the solve stopped on."""
     model = PARITY_FEEDERS[name](request)
     stamps = build_stamps(model)
-    assert [stamps.row[c] for c in stamps.coords] == list(range(len(stamps.coords)))
+    # Each bus's rows hold its phases in order, and together they cover the rows.
+    assert all(stamps.coords[rows] == tuple((b.id, p) for p in b.phases)
+               for b, rows in stamps.bus_rows)
+    assert [c for _, rows in stamps.bus_rows for c in stamps.coords[rows]] == list(stamps.coords)
     for ratios in _ratio_sets(model).values():
         assert tf.assemble(model, ratios, stamps=stamps).stamps is stamps
         shared = tf.solve_zbus(model, ratios, stamps=stamps)
@@ -296,7 +314,7 @@ def test_shared_stamp_set_changes_no_bits(name, request):
 
 def test_stamp_set_keeps_no_state_between_ratios():
     """r1, r2, r1 from one stamp set equal fresh builds, even after a caller
-    writes into a returned matrix."""
+    writes into a returned matrix's values and pattern."""
     model = cascade_model()
     sets = _ratio_sets(model)
     stamps = build_stamps(model)
@@ -304,4 +322,20 @@ def test_stamp_set_keeps_no_state_between_ratios():
         got = tf.assemble(model, sets[key], stamps=stamps)
         _assert_same_system(got, tf.assemble(model, sets[key]))
         for name in ("Y", "Y_NS", "Y_S"):
-            getattr(got, name).data[:] = np.nan
+            m = getattr(got, name)
+            m.data[:] = np.nan
+            m.indices[:] = -1
+            m.indptr[:] = -1
+
+
+def test_shared_stamp_set_builds_no_coo_matrix(monkeypatch, ieee13):
+    """With a stamp set, assembly scatters into the fixed CSC pattern and
+    converts no COO matrix."""
+    stamps = build_stamps(ieee13)
+
+    def no_coo(*args, **kwargs):
+        raise AssertionError("assemble built a COO matrix")
+
+    monkeypatch.setattr(sp, "coo_matrix", no_coo)
+    for ratios in _ratio_sets(ieee13).values():
+        tf.assemble(ieee13, ratios, stamps=stamps)
