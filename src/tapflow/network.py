@@ -46,6 +46,14 @@ class PhaseVector:
             raise ValueError("non-finite phase value")
 
     @classmethod
+    def _wrap(cls, phases: tuple, values: np.ndarray) -> "PhaseVector":
+        """A vector holding ``values`` as is: the caller guarantees canonical
+        ``phases`` and a finite complex array of the same length."""
+        vec = cls.__new__(cls)
+        vec.phases, vec.values = phases, values
+        return vec
+
+    @classmethod
     def zeros(cls, phases) -> "PhaseVector":
         phases = canonical_phases(phases)
         return cls(phases, [0.0] * len(phases))

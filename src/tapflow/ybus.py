@@ -11,7 +11,12 @@ each retained bus's rows, the slack voltages, constant-power loads and flat
 start over those coordinates, the checked inverse of every line impedance,
 one list of stamped entries in stamp order (lines, then regulators, then
 shunts, each block row-major), and the final CSC pattern of Y, Y_NS and
-Y_S. Each regulator owns one slice of the entry list. ``assemble`` then
+Y_S. Each regulator owns one slice of the entry list. The list is placed
+with numpy, not entry by entry: an item's entries start at an offset fixed
+by the block sizes before it (4 s x s blocks per line or regulator, one
+per shunt, s its phase count), and one broadcast fills the rows, columns
+and values of all items of one kind and phase set, reading their
+coordinates from a (bus, phase) table. ``assemble`` then
 computes only the regulator blocks G zinv G, -G zinv and -zinv G (G the
 diagonal gain) for the given ratios, writes them into their slices and
 scatters the list into the fixed patterns; called without a stamp set it
@@ -32,11 +37,12 @@ the stamp set was reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 import numpy as np
 import scipy.sparse as sp
 
-from .network import FeederModel, PhaseVector, SvrSpec, tree_index
+from .network import PHASES, FeederModel, PhaseVector, SvrSpec, tree_index
 
 
 def _gain_diag(svr, ratios, phases) -> np.ndarray:
@@ -147,64 +153,85 @@ class AdmittanceSystem:
 def build_stamps(model: FeederModel) -> StampSet:
     """Invert every line impedance of a validated model and place its stamps.
 
-    Raises ``ValueError`` on a singular line impedance.
+    Raises ``ValueError`` on a singular line impedance, and on a model whose
+    phases fail validation so that a stamp would land on another coordinate.
     """
+    buses = model.buses
     eliminated = tuple(sv.to_bus for sv in model.svrs)
     elim_set = set(eliminated)
-
-    retained = [b for b in model.buses if not b.is_slack and b.id not in elim_set]
+    kept = [not b.is_slack and b.id not in elim_set for b in buses]
+    retained = list(compress(buses, kept))
     coords = tuple((b.id, p) for b in retained for p in b.phases)
     slack_coords = tuple((model.slack.id, p) for p in model.slack.phases)
-    full_coords = tuple((b.id, p) for b in model.buses for p in b.phases)
-    fidx = {c: i for i, c in enumerate(full_coords)}
+    full_coords = tuple((b.id, p) for b in buses for p in b.phases)
 
-    # Entries in stamp order: full-coordinate row, column and value.
-    rows, cols, values = [], [], []
-
-    def at(bus: str, phases) -> list:
-        return [fidx[(bus, p)] for p in phases]
-
-    def stamp(ri: list, ci: list, block: np.ndarray) -> None:
-        rows.extend([r for r in ri for _ in ci])
-        cols.extend(ci * len(ri))
-        values.append(block.ravel())
+    # at[k, q]: the full coordinate of bus k's phase PHASES[q], -1 if absent.
+    pos = {p: q for q, p in enumerate(PHASES)}
+    bus_of = {b.id: k for k, b in enumerate(buses)}
+    per_bus = [len(b.phases) for b in buses]
+    phase_of = np.array([pos[p] for _, p in full_coords], dtype=np.intp)
+    at = np.full((len(buses), len(PHASES)), -1, dtype=np.intp)
+    at[np.repeat(np.arange(len(buses)), per_bus), phase_of] = np.arange(len(full_coords))
+    is_retained = np.repeat(kept, per_bus)
+    is_slack = np.repeat([b.is_slack for b in buses], per_bus)
 
     # Lines whose from-bus is a regulator secondary are handled by elimination.
     plain = [ln for ln in model.lines if ln.from_bus not in elim_set]
     children = tree_index(model).children
     svr_lines = [model.lines[children[sv.to_bus][0].index] for sv in model.svrs]
-    inverses = _line_inverses(plain + svr_lines)
+    shunted = [b for b in buses if b.shunt is not None]
+    # Stamped items in stamp order: (kind, phases, first bus, second bus).
+    items = ([("line", ln.z.phases, ln.from_bus, ln.to_bus) for ln in plain]
+             + [("svr", ln.z.phases, sv.from_bus, ln.to_bus)
+                for sv, ln in zip(model.svrs, svr_lines)]
+             + [("shunt", b.shunt.phases, b.id, b.id) for b in shunted])
+    blocks = _line_inverses(plain + svr_lines) + [b.shunt.array for b in shunted]
 
-    for ln, zinv in zip(plain, inverses):
-        f, t, neg = at(ln.from_bus, ln.z.phases), at(ln.to_bus, ln.z.phases), -zinv
-        stamp(f, f, zinv)
-        stamp(t, t, zinv)
-        stamp(f, t, neg)
-        stamp(t, f, neg)
-
-    regulators = []
-    for svx, (sv, line, zinv) in enumerate(zip(model.svrs, svr_lines, inverses[len(plain):])):
-        ph = line.z.phases
-        start = len(rows)
-        n, m = at(sv.from_bus, ph), at(line.to_bus, ph)
-        for ri, ci in ((n, n), (n, m), (m, n), (m, m)):
-            stamp(ri, ci, zinv)
-        regulators.append(_RegulatorStamp(svr=sv, index=svx, phases=ph, zinv=zinv,
-                                          entries=slice(start, len(rows))))
-
-    for b in model.buses:
-        if b.shunt is not None:
-            i = at(b.id, b.shunt.phases)
-            stamp(i, i, b.shunt.array)
+    # Each item's entries start at its offset: 4 s x s blocks per line or
+    # regulator, one per shunt, each row-major.
+    offsets = np.cumsum([0] + [len(ph) ** 2 * (1 if kind == "shunt" else 4)
+                               for kind, ph, _, _ in items])
+    rows = np.empty(offsets[-1], dtype=np.intp)
+    cols = np.empty(offsets[-1], dtype=np.intp)
+    values = np.empty(offsets[-1], dtype=complex)
+    groups = {}
+    for k, (kind, ph, _, _) in enumerate(items):
+        groups.setdefault((kind, ph), []).append(k)
+    for (kind, ph), ks in groups.items():
+        q = [pos[p] for p in ph]
+        i = at[[bus_of[items[k][2]] for k in ks]][:, q]         # (items, s)
+        j = at[[bus_of[items[k][3]] for k in ks]][:, q]
+        z = np.array([blocks[k] for k in ks])                    # (items, s, s)
+        if kind == "line":      # zinv at (f, f) and (t, t), -zinv at (f, t) and (t, f)
+            r, c, v = (i, j, i, j), (i, j, j, i), (z, z, -z, -z)
+        elif kind == "svr":     # zinv at (n, n), (n, m), (m, n), (m, m); assemble rescales them
+            r, c, v = (i, i, j, j), (i, j, i, j), (z, z, z, z)
+        else:
+            r, c, v = (i,), (i,), (z,)
+        r, c = np.stack(r, axis=1), np.stack(c, axis=1)          # (items, blocks, s)
+        dims = r.shape + (len(ph),)                              # (items, blocks, s, s)
+        slots = offsets[ks][:, None] + np.arange(np.prod(dims[1:]))
+        rows[slots] = np.broadcast_to(r[..., None], dims).reshape(len(ks), -1)
+        cols[slots] = np.broadcast_to(c[:, :, None, :], dims).reshape(len(ks), -1)
+        values[slots] = np.stack(v, axis=1).reshape(len(ks), -1)
+    v_source = np.full(len(PHASES), np.nan, dtype=complex)
+    v_source[[pos[p] for p in model.slack_voltage.phases]] = model.slack_voltage.values
+    # Only a model that fails validation stamps a phase its bus lacks (``at``
+    # is -1 there; every stamped coordinate is also a stamped row) or has a
+    # bus phase the slack voltage lacks.
+    if (rows.size and rows.min() < 0) or np.isnan(v_source[phase_of]).any():
+        raise ValueError("model fails validation: a phase has no coordinate or no slack voltage")
+    regulators = tuple(
+        _RegulatorStamp(svr=sv, index=svx, phases=ln.z.phases, zinv=blocks[k],
+                        entries=slice(int(offsets[k]), int(offsets[k + 1])))
+        for svx, (sv, ln, k) in enumerate(zip(model.svrs, svr_lines, count(len(plain)))))
 
     # Route each stored entry once: a slack row goes to Y_S, a slack column
     # to Y_NS, anything else to Y.
-    values = np.concatenate(values) if values else np.empty(0, dtype=complex)
     retained_of = np.full(len(full_coords), -1, dtype=np.intp)
     slack_of = np.full(len(full_coords), -1, dtype=np.intp)
-    retained_of[[fidx[c] for c in coords]] = np.arange(len(coords))
-    slack_of[[fidx[c] for c in slack_coords]] = np.arange(len(slack_coords))
-    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    retained_of[is_retained] = np.arange(len(coords))
+    slack_of[is_slack] = np.arange(len(slack_coords))
     r_ret, c_ret, r_slack, c_slack = (m[rc] for m in (retained_of, slack_of) for rc in (rows, cols))
     to_s = r_slack >= 0
     to_ns = ~to_s & (c_slack >= 0)
@@ -217,19 +244,24 @@ def build_stamps(model: FeederModel) -> StampSet:
                                   (r_ret, r_ret, r_slack), (c_ret, c_slack, cols),
                                   ((n, n), (n, ns), (ns, nf)))])
 
-    bus_rows, loads = [], []
+    bus_rows, load_rows, load_values, start = [], [], [], 0
     for b in retained:
-        bus_rows.append((b, slice(len(loads), len(loads) + len(b.phases))))
-        load = {} if b.load is None else dict(zip(b.load.phases, b.load.values.tolist()))
-        loads.extend([load.get(p, 0.0) for p in b.phases])
-    v_source = dict(zip(model.slack_voltage.phases, model.slack_voltage.values.tolist()))
+        stop = start + len(b.phases)
+        bus_rows.append((b, slice(start, stop)))
+        if b.load is not None:
+            load_rows.extend(range(start, stop) if b.load.phases == b.phases
+                             else [start + b.phases.index(p) for p in b.load.phases])
+            load_values.append(b.load.values)
+        start = stop
+    loads = np.zeros(len(coords), dtype=complex)
+    if load_values:
+        loads[load_rows] = np.concatenate(load_values)
     return StampSet(coords=coords, slack_coords=slack_coords, full_coords=full_coords,
                     eliminated=eliminated, bus_rows=tuple(bus_rows),
-                    v_slack=np.array([v_source[p] for _, p in slack_coords]),
-                    loads=np.array(loads, dtype=complex),
-                    v_flat=np.array([v_source[p] for _, p in coords]),
+                    v_slack=v_source[phase_of[is_slack]], loads=loads,
+                    v_flat=v_source[phase_of[is_retained]],
                     values=values, first=first, further=further, patterns=patterns,
-                    regulators=tuple(regulators))
+                    regulators=regulators)
 
 
 def _scatter_plan(targets):

@@ -10,6 +10,12 @@ coordinate layout and each bus's rows come from the feeder's stamp set
 none of them. The stamp set also fixes the CSC pattern of Y and scipy's order
 of summing its duplicate entries, captured once, so a solve at new taps only
 recomputes the regulator blocks and scatters them into that pattern.
+
+The result wraps one copy of the final iterate: each bus's vector is a view
+of its rows, built without ``PhaseVector``'s canonicalisation and finiteness
+check. That is safe because the bus phases are canonical (``BusSpec`` sorts
+them), a non-finite ``v0`` is rejected on entry and the iteration keeps only
+finite iterates. The metrics read the voltages back as whole arrays.
 """
 
 from __future__ import annotations
@@ -70,12 +76,14 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     system = assemble(model, ratios, stamps=stamps)
     st = system.stamps
-    lu = splu(system.Y)
-    w_s = system.Y_NS @ st.v_slack
     if v0 is None:
         v = st.v_flat
     else:
         v = np.array([v0[bus][phase] for bus, phase in st.coords])
+        if not np.all(np.isfinite(v)):
+            raise ValueError("v0 must be finite")
+    lu = splu(system.Y)
+    w_s = system.Y_NS @ st.v_slack
 
     converged = False
     it = 0
@@ -98,9 +106,12 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
         if not converged:
             residual = _kcl_residual(system, v)
 
+    # A copy: the loop may end on the stamp set's own flat start. The module
+    # docstring says why the vectors may wrap it unchecked.
+    v = v.astype(complex)
     voltages = {model.slack.id: model.slack_voltage}
     for b, rows in st.bus_rows:
-        voltages[b.id] = PhaseVector(b.phases, v[rows])
+        voltages[b.id] = PhaseVector._wrap(b.phases, v[rows])
     voltages.update(recover_svr_secondary(model, ratios, voltages))
 
     return PowerFlowSolution(
@@ -114,14 +125,24 @@ def _require_converged(solution: PowerFlowSolution):
         raise ValueError("power flow did not converge; metrics would be meaningless")
 
 
+def _voltage_array(solution: PowerFlowSolution, buses) -> np.ndarray:
+    """The solution's voltages at ``buses``, each over its bus's phases, as
+    one vector. A vector over other phases is read phase by phase, so a
+    missing phase raises ``KeyError``."""
+    parts = []
+    for b in buses:
+        vec = solution.voltages[b.id]
+        parts.append(vec.values if vec.phases == b.phases
+                     else np.array([vec[p] for p in b.phases], dtype=complex))
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+
+
 def import_objective(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Real power import at the slack bus from the admittance-matrix form."""
     _require_converged(solution)
     system = solution.system if solution.system is not None else assemble(model, solution.ratios)
-    st = system.stamps
-    v_full = np.array([solution.voltages[bus][p] for bus, p in st.full_coords])
-    i_s = system.Y_S @ v_full
-    return float(np.sum((st.v_slack * np.conj(i_s)).real))
+    i_s = system.Y_S @ _voltage_array(solution, model.buses)     # full_coords order
+    return float(np.sum((system.stamps.v_slack * np.conj(i_s)).real))
 
 
 def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> float:
@@ -174,9 +195,10 @@ def voltage_envelope(solution: PowerFlowSolution, model: FeederModel) -> tuple[f
     """(min, max) voltage magnitude over non-slack buses and phases."""
     _require_converged(solution)
     slack_id = model.slack.id
-    mags = np.concatenate([
-        np.abs(vec.values) for bus, vec in solution.voltages.items() if bus != slack_id
-    ])
+    parts = [vec.values for bus, vec in solution.voltages.items() if bus != slack_id]
+    if not parts:
+        raise ValueError("no voltage envelope: the feeder has no non-slack bus")
+    mags = np.abs(np.concatenate(parts))
     return float(np.min(mags)), float(np.max(mags))
 
 
@@ -189,8 +211,7 @@ def feasibility(solution: PowerFlowSolution, model: FeederModel,
 def kcl_certificate(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Recomputed KCL mismatch (inf-norm), independent of the iteration history."""
     system = solution.system if solution.system is not None else assemble(model, solution.ratios)
-    v = np.array([solution.voltages[bus][p] for bus, p in system.stamps.coords])
-    return _kcl_residual(system, v)
+    return _kcl_residual(system, _voltage_array(solution, [b for b, _ in system.stamps.bus_rows]))
 
 
 def solution_csv(solution: PowerFlowSolution, model: FeederModel) -> str:

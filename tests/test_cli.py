@@ -83,6 +83,25 @@ def test_opts_feeder_without_svrs(tmp_path):
     assert doc["svrs"] == [] and doc["feasible"] is True
 
 
+@pytest.mark.parametrize("command", ["opts", "bruteforce"])
+def test_slack_only_feeder_exit_1(tmp_path, capsys, command):
+    """A feeder whose only bus is the slack is valid and solves, but has no
+    voltage envelope to check, so the commands that need one stop with a
+    message that says why."""
+    feeder = tmp_path / "slack-only.json"
+    feeder.write_text(json.dumps({
+        "format": 1,
+        "slack_voltage": {"phases": "a", "values": [[1.0, 0.0]]},
+        "buses": [{"id": "s", "phases": "a", "is_slack": True}],
+        "lines": [], "svrs": [],
+    }))
+    assert run(["validate", "--feeder", str(feeder)]) == 0
+    assert run(["powerflow", "--feeder", str(feeder)]) == 0
+    capsys.readouterr()
+    assert run([command, "--feeder", str(feeder)]) == 1
+    assert "no non-slack bus" in capsys.readouterr().err
+
+
 def test_opts_infeasible_exit_code(tmp_path):
     # Verification band (feeder config) tighter than any tap can satisfy.
     doc = json.loads((FIXTURES / "tiny3.json").read_text())

@@ -159,6 +159,22 @@ def test_singular_impedance_raises():
         tf.assemble(bad, [])
 
 
+@pytest.mark.parametrize("where", ["line", "slack"])
+def test_unvalidated_phase_mismatch_raises(tiny3, where):
+    """A hand-built model that fails validation with a line phase its buses
+    lack, or a bus phase the slack voltage lacks, is refused rather than
+    stamped into another coordinate."""
+    if where == "line":
+        ln = tiny3.lines[0]
+        bad = dataclasses.replace(ln, z=tf.PhaseMatrix(("b",), [[ln.z.array[0, 0]]]))
+        model = dataclasses.replace(tiny3, lines=(bad,) + tiny3.lines[1:])
+    else:
+        model = dataclasses.replace(tiny3, slack_voltage=tf.PhaseVector(("b",), [1.0]))
+    assert tf.validate(model)
+    with pytest.raises(ValueError, match="model fails validation"):
+        build_stamps(model)
+
+
 def test_zero_row_sum_without_shunts_or_svrs(ieee13):
     """Kirchhoff consistency: Y 1 + Y_NS 1 = 0 when only lines are present."""
     stripped = tf.FeederModel(
@@ -310,6 +326,26 @@ def test_shared_stamp_set_changes_no_bits(name, request):
             got = shared.voltages[bus]
             assert got.phases == vec.phases and got.values.tobytes() == vec.values.tobytes()
         assert tf.kcl_certificate(shared, model) == shared.residual
+
+
+@pytest.mark.parametrize("name", sorted(YBUS_FEEDERS))
+def test_array_metrics_match_per_coordinate_reads(name, request):
+    """The import, the KCL certificate and the envelope read the voltages as
+    whole arrays and give the bits of reading them coordinate by coordinate."""
+    model = YBUS_FEEDERS[name](request)
+    stamps = build_stamps(model)
+    for ratios in _ratio_sets(model).values():
+        sol = tf.solve_zbus(model, ratios, stamps=stamps)
+        assert sol.converged
+        system, vs = sol.system, sol.voltages
+        i_s = system.Y_S @ np.array([vs[bus][p] for bus, p in stamps.full_coords])
+        assert tf.import_objective(sol, model) == float(np.sum((stamps.v_slack * np.conj(i_s)).real))
+        v = np.array([vs[bus][p] for bus, p in stamps.coords])
+        mism = system.Y @ v + system.Y_NS @ stamps.v_slack - (-np.conj(stamps.loads / v))
+        assert tf.kcl_certificate(sol, model) == float(np.max(np.abs(mism)))
+        mags = np.concatenate([np.abs(vec.values) for bus, vec in vs.items()
+                               if bus != model.slack.id])
+        assert tf.voltage_envelope(sol, model) == (float(np.min(mags)), float(np.max(mags)))
 
 
 def test_stamp_set_keeps_no_state_between_ratios():

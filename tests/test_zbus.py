@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tapflow as tf
+from tapflow.ybus import build_stamps
 
 from conftest import chain_model
 
@@ -44,18 +45,77 @@ def test_divergence_reported_not_silently_truncated():
         tf.import_objective(sol, model)
 
 
+def _huge_load_tiny3(tiny3, load=(0.65 + 0.35j) * 1e307):
+    huge = tf.PhaseVector(("a",), [load])
+    return dataclasses.replace(tiny3, buses=tuple(
+        dataclasses.replace(b, load=huge) if b.load is not None else b for b in tiny3.buses))
+
+
 def test_overflowing_iterate_stops_at_last_finite_one(tiny3):
     """With tiny3's load scaled by 1e307 an update overflows. The solve stops
     there unconverged, returns the last finite iterate and lets no overflow
     warning escape (warnings are errors under the test settings)."""
-    huge = tf.PhaseVector(("a",), [(0.65 + 0.35j) * 1e307])
-    model = dataclasses.replace(tiny3, buses=tuple(
-        dataclasses.replace(b, load=huge) if b.load is not None else b for b in tiny3.buses))
+    model = _huge_load_tiny3(tiny3)
     sol = tf.solve_zbus(model, [{"a": 1.0}])
     assert not sol.converged and sol.iterations < 200
     for vec in sol.voltages.values():
         assert np.all(np.isfinite(vec.values))
     assert not sol.residual <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [float("nan"), complex(float("inf"), 0.0)])
+def test_nonfinite_start_rejected_before_any_solve(ieee13, ieee13_base, monkeypatch, bad):
+    """A non-finite start value raises on entry; no factorization or iteration runs."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_zbus factorized Y")
+
+    monkeypatch.setattr(tf.zbus, "splu", no_solve)
+    v0 = {bus: dict(zip(vec.phases, vec.values)) for bus, vec in ieee13_base.voltages.items()}
+    v0["675"]["b"] = bad
+    ratios = tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
+    with pytest.raises(ValueError, match="v0 must be finite"):
+        tf.solve_zbus(ieee13, ratios, v0=v0)
+
+
+@pytest.mark.parametrize("case", ["ieee13", "overflowing-tiny3"])
+def test_returned_voltages_alias_no_solver_state(case, ieee13, tiny3):
+    """Writing into a returned bus vector leaves the stamp set's flat start
+    and loads alone, and a second solve on the shared stamp set gives the
+    same bits. The overflowing load's first update is not finite, so that
+    solve stops at iteration 1 with the flat start as its iterate."""
+    if case == "ieee13":
+        model, ratios = ieee13, tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
+    else:
+        model, ratios = _huge_load_tiny3(tiny3, 1.7e308 - 1.7e308j), [{"a": 1.0}]
+    stamps = build_stamps(model)
+    v_flat, loads = stamps.v_flat.tobytes(), stamps.loads.tobytes()
+    first = tf.solve_zbus(model, ratios, stamps=stamps)
+    assert first.converged == (case == "ieee13")
+    assert case == "ieee13" or first.iterations == 1
+    bits = {bus: vec.values.tobytes() for bus, vec in first.voltages.items()}
+    for bus, _ in stamps.bus_rows:
+        first.voltages[bus.id].values[:] = 7.0 + 7.0j
+    assert stamps.v_flat.tobytes() == v_flat and stamps.loads.tobytes() == loads
+    again = tf.solve_zbus(model, ratios, stamps=stamps)
+    assert (again.iterations, again.converged) == (first.iterations, first.converged)
+    assert {bus: vec.values.tobytes() for bus, vec in again.voltages.items()} == bits
+
+
+def test_metrics_raise_on_a_missing_phase(ieee13, ieee13_base):
+    """A bus vector without one of its bus's phases raises KeyError in the
+    metrics that read every coordinate; a vector with an extra phase is
+    read phase by phase and gives the same bits."""
+    sol = dataclasses.replace(ieee13_base, voltages=dict(ieee13_base.voltages))
+    full = sol.voltages["611"]                # a phase-c bus
+    assert full.phases == ("c",)
+    sol.voltages["611"] = tf.PhaseVector(("a", "c"), [1.0, full["c"]])
+    assert tf.import_objective(sol, ieee13) == tf.import_objective(ieee13_base, ieee13)
+    assert tf.kcl_certificate(sol, ieee13) == tf.kcl_certificate(ieee13_base, ieee13)
+    sol.voltages["671"] = tf.PhaseVector(("a", "c"), [1.0, 1.0])
+    with pytest.raises(KeyError, match="'b' not present"):
+        tf.import_objective(sol, ieee13)
+    with pytest.raises(KeyError, match="'b' not present"):
+        tf.kcl_certificate(sol, ieee13)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
