@@ -13,13 +13,15 @@ solution's squared magnitudes and flows to machine precision; with balanced
 rotation entries and zeroed loss vectors they form the classic lossless
 approximation.
 
-The equations are written once, as the sparse rows of ``linear_system``, with
-each regulator phase's ratio confined to a window, and solved once, by
-``eliminate``: one sparse LU factorization writes every solution as
-x0 + N theta over the high-window slacks theta, one per regulator phase. The
-tap-selection LP uses the attainable ratio range as the window and searches
-over theta; ``linear_powerflow`` fixes every ratio with a zero-width window
-and reads the solution at theta = 0.
+The constants are stacked per line phase set over the feeder's one layout
+(``ybus.Layout``); from a solution they use the stamp set's line inverses.
+The equations are written once, as the sparse rows of ``linear_system``,
+placed by offset over the layout's tables, with each regulator phase's ratio
+in a window, and solved once, by ``eliminate``: one sparse LU writes every
+solution as x0 + N theta over the high-window slacks theta, one per
+regulator phase. The tap-selection LP uses the attainable ratio range as the
+window and searches over theta; ``linear_powerflow`` fixes every ratio with
+a zero-width window and reads the solution at theta = 0.
 """
 
 from __future__ import annotations
@@ -32,36 +34,57 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import PipelineError
-from .network import FeederModel, PhaseMatrix, PhaseVector, tree_index
-from .zbus import PowerFlowSolution
+from .network import PHASES, FeederModel, PhaseVector
+from .ybus import Layout, build_layout, build_stamps
+from .zbus import PowerFlowSolution, _voltage_array
 
 _ALPHA = np.exp(2j * np.pi / 3.0)
-_BALANCED_UNIT = {"a": 1.0 + 0.0j, "b": _ALPHA**2, "c": _ALPHA}
+_UNITS = np.array([1.0 + 0.0j, _ALPHA**2, _ALPHA])           # balanced phases a, b, c
+_BALANCED_GAMMA = np.outer(_UNITS, 1.0 / _UNITS)
+
+
+@dataclass(frozen=True)
+class LineGroup:
+    """The lines that share one phase set, in model order, and their constants."""
+
+    phases: tuple
+    lines: np.ndarray        # model.lines indices
+    frm: np.ndarray          # position of each line's from-bus in model.buses
+    to: np.ndarray           # position of each line's to-bus
+    gamma: np.ndarray        # (L, s, s) voltage ratios, [p, q] = v_to[p] / v_from[q]
+    h: np.ndarray            # (L, s) real voltage-loss terms
+    l: np.ndarray            # (L, s) complex power-loss terms
 
 
 @dataclass(frozen=True)
 class LinearizationConstants:
-    """Per-line-edge constants held fixed by the linear model.
+    """Per-line constants held fixed by the linear model, stacked per line
+    phase set. Regulator edges carry no impedance and need no constants."""
 
-    Keys are edge strings "from->to" for line edges; regulator edges carry no
-    impedance and need no constants.
-    """
+    layout: Layout
+    groups: tuple            # LineGroup per line phase set, in order of first appearance
 
-    gamma: dict      # edge key -> PhaseMatrix of voltage ratios
-    h: dict          # edge key -> PhaseVector, real voltage-loss term
-    l: dict          # edge key -> PhaseVector, complex power-loss term
+
+def _line_groups(model: FeederModel, layout: Layout) -> list:
+    """(phases, their PHASES positions, line indices, from-buses, to-buses)
+    per line phase set, in order of first appearance."""
+    by_phases: dict = {}
+    for k, ln in enumerate(model.lines):
+        by_phases.setdefault(ln.z.phases, []).append(k)
+    ends = np.array([[layout.bus_of[ln.from_bus], layout.bus_of[ln.to_bus]] for ln in model.lines],
+                    dtype=np.intp).reshape(-1, 2)
+    return [(ph, [PHASES.index(p) for p in ph], np.array(ks), *ends[ks].T)
+            for ph, ks in by_phases.items()]
 
 
 def constants_balanced(model: FeederModel) -> LinearizationConstants:
     """Balanced-voltage rotation entries (powers of 1|120deg), zero loss terms."""
-    gamma, h, l = {}, {}, {}
-    for ln in model.lines:
-        ph = ln.z.phases
-        u = np.array([_BALANCED_UNIT[p] for p in ph])
-        gamma[f"{ln.from_bus}->{ln.to_bus}"] = PhaseMatrix(ph, np.outer(u, 1.0 / u))
-        h[f"{ln.from_bus}->{ln.to_bus}"] = PhaseVector.zeros(ph)
-        l[f"{ln.from_bus}->{ln.to_bus}"] = PhaseVector.zeros(ph)
-    return LinearizationConstants(gamma=gamma, h=h, l=l)
+    layout = build_layout(model)
+    return LinearizationConstants(layout=layout, groups=tuple(
+        LineGroup(ph, ks, frm, to, h=np.zeros((len(ks), len(q))),
+                  l=np.zeros((len(ks), len(q)), dtype=complex),
+                  gamma=np.broadcast_to(_BALANCED_GAMMA[np.ix_(q, q)], (len(ks), len(q), len(q))))
+        for ph, q, ks, frm, to in _line_groups(model, layout)))
 
 
 def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> LinearizationConstants:
@@ -70,27 +93,34 @@ def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> Line
     Per line: with edge current i from the base voltages and I = i i*, the
     voltage-loss vector is diag(Z I Z*) (real up to round-off, asserted) and
     the power-loss vector is diag(Z I). Rotation entries are v_to[p] / v_from[q].
+    The layout and the line inverses are the stamp set's.
     """
     if not base.converged:
         raise ValueError("base power flow must be converged")
-    gamma, h, l = {}, {}, {}
-    for ln in model.lines:
-        ph = ln.z.phases
-        key = f"{ln.from_bus}->{ln.to_bus}"
-        vn = np.array([base.voltages[ln.from_bus][p] for p in ph])
-        vm = np.array([base.voltages[ln.to_bus][p] for p in ph])
-        if np.any(vn == 0.0) or np.any(vm == 0.0):
+    stamps = base.system.stamps if base.system is not None else build_stamps(model)
+    at, v = stamps.layout.at, _voltage_array(base, model.buses)      # v over full coordinates
+    # Per line: 1 if an endpoint voltage is zero, 2 if its voltage loss is not real.
+    bad = np.zeros(len(model.lines), dtype=np.int8)
+    parts = []
+    for ph, q, ks, frm, to in _line_groups(model, stamps.layout):
+        vn, vm = v[at[frm][:, q]], v[at[to][:, q]]
+        z = np.array([model.lines[k].z.array for k in ks])
+        zinv = np.array([stamps.zinv[k] for k in ks])
+        i_edge = (zinv @ (vn - vm)[:, :, None])[:, :, 0]
+        z_i = z @ (i_edge[:, :, None] * np.conj(i_edge)[:, None, :])
+        h = np.diagonal(z_i @ np.conj(z).transpose(0, 2, 1), axis1=1, axis2=2)
+        bad[ks] = np.where(np.any(vn == 0.0, axis=1) | np.any(vm == 0.0, axis=1), 1,
+                           2 * (np.max(np.abs(h.imag), axis=1) > 1e-10))
+        parts.append((ph, ks, frm, to, vn, vm, h.real, np.diagonal(z_i, axis1=1, axis2=2)))
+    for k in np.flatnonzero(bad)[:1]:
+        key = f"{model.lines[k].from_bus}->{model.lines[k].to_bus}"
+        if bad[k] == 1:
             raise ValueError(f"zero phase voltage at an endpoint of line {key}")
-        z = ln.z.array
-        i_edge = np.linalg.inv(z) @ (vn - vm)
-        big_i = np.outer(i_edge, np.conj(i_edge))
-        h_cplx = np.diag(z @ big_i @ np.conj(z).T)
-        if np.max(np.abs(h_cplx.imag)) > 1e-10:
-            raise AssertionError(f"voltage-loss term not real on line {key}")
-        gamma[key] = PhaseMatrix(ph, np.outer(vm, 1.0 / vn))
-        h[key] = PhaseVector(ph, h_cplx.real.astype(complex))
-        l[key] = PhaseVector(ph, np.diag(z @ big_i))
-    return LinearizationConstants(gamma=gamma, h=h, l=l)
+        raise AssertionError(f"voltage-loss term not real on line {key}")
+    groups = tuple(LineGroup(ph, ks, frm, to, gamma=vm[:, :, None] * (1.0 / vn)[:, None, :],
+                             h=h, l=l)
+                   for ph, ks, frm, to, vn, vm, h, l in parts)
+    return LinearizationConstants(layout=stamps.layout, groups=groups)
 
 
 @dataclass(frozen=True)
@@ -98,10 +128,9 @@ class LinearSystem:
     """The linear model's equations as sparse rows ``A x = b``.
 
     Columns: squared magnitudes per non-slack (bus, phase), then Re/Im flow per
-    (edge, phase), then a low and a high slack per regulator phase. Rows: one
-    voltage drop per line phase, the Re/Im power balances at every line's
-    to-bus, then per regulator phase its low and high ratio-window rows and
-    its Re/Im pass-through rows.
+    (edge, phase), edges being the lines, then the regulators, then a low and a
+    high slack per regulator phase. ``vsq``, ``flow`` and ``slack_cols`` name
+    the columns; ``vcol`` and ``fcol`` hold them as arrays over the layout.
     """
 
     A: sp.csc_matrix
@@ -109,6 +138,9 @@ class LinearSystem:
     vsq: dict          # (bus, phase) -> column, non-slack buses only
     flow: dict         # (edge key, phase) -> (re column, im column)
     slack_cols: dict   # (svr index, phase) -> (low-slack column, high-slack column)
+    layout: Layout
+    vcol: np.ndarray   # vcol[k, q]: v~ column of bus k's phase PHASES[q], -1 at the slack or absent
+    fcol: np.ndarray   # fcol[e, q]: Re-flow column of edge e's phase PHASES[q], -1 if absent
 
 
 def _slack_squares(model: FeederModel) -> dict:
@@ -125,130 +157,92 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     v~[up] - r_hi^2 v~[down] + s_hi = 0, so nonnegative slacks say
     r_lo^2 v~[down] <= v~[up] <= r_hi^2 v~[down]. Slack-bus magnitudes are
     constants and move to ``b``.
+
+    Rows are placed by offset. Line phase j owns voltage-drop row j and the
+    Re/Im power balance at the line's to-bus, rows m + 2j and m + 2j + 1 (m
+    line phases); regulator phase i owns its low and high window rows 3m + 4i
+    and 3m + 4i + 1, then the Re/Im pass-through, the power balance at its
+    secondary. Each kind of entry is one broadcast over (bus, phase) and
+    (edge, phase) tables; zero coefficients, slack-bus columns and absent
+    phases are dropped at the end.
     """
-    idx = tree_index(model)
-    by_id = {b.id: b for b in model.buses}
-    slack_id = model.slack.id
-    slack_sq = _slack_squares(model)
+    at, bus_of, load = constants.layout.at, constants.layout.bus_of, constants.layout.load
+    lines = model.lines
+    slack = bus_of[model.slack.id]
+    has = (at >= 0) & (np.arange(len(at)) != slack)[:, None]
+    n_v = int(has.sum())
+    vcol = np.full(at.shape, -1, dtype=np.intp)
+    vcol[has] = np.arange(n_v)
+    sq = np.zeros(at.shape)                                     # squared slack magnitudes
+    for p, square in _slack_squares(model).items():
+        sq[slack, PHASES.index(p)] = square
+    ybar = np.zeros(at.shape + (len(PHASES),), dtype=complex)   # conj(Y)^T of each shunt
+    for k, bus in enumerate(model.buses):
+        if bus.shunt is not None:
+            q = [PHASES.index(p) for p in bus.shunt.phases]
+            ybar[k][np.ix_(q, q)] = np.conj(bus.shunt.array).T
 
-    vsq: dict = {}
-    flow: dict = {}
+    # pos[e, q]: the place j of edge e's phase PHASES[q] among all edge phases.
+    edges = ([(ln.from_bus, ln.to_bus, ln.z.phases) for ln in lines]
+             + [(sv.from_bus, sv.to_bus, sv.phases) for sv in model.svrs])
+    sizes = [len(ph) for _, _, ph in edges]
+    pos = np.full((len(edges), len(PHASES)), -1, dtype=np.intp)
+    pos[np.repeat(np.arange(len(edges)), sizes),
+        [PHASES.index(p) for _, _, ph in edges for p in ph]] = np.arange(sum(sizes))
+    fcol = np.where(pos >= 0, n_v + 2 * pos, -1)
+    m, n_reg = sum(sizes[:len(lines)]), sum(sizes[len(lines):])
+    # balance[e, q]: the Re row of the power balance at edge e's to-bus.
+    balance = np.select([pos < 0, pos < m], [-1, m + 2 * pos], 3 * m + 4 * (pos - m) + 2)
+    b = np.zeros(3 * m + 4 * n_reg)
+
+    parts = []                             # (rows, columns, values), broadcast together
+    for g in constants.groups:
+        q = [PHASES.index(p) for p in g.phases]
+        r, f = pos[g.lines][:, q], fcol[g.lines][:, q]                  # (L, s)
+        rr, ff, v_to = r[:, :, None], f[:, None, :], vcol[g.to][:, None, :]
+        rot = g.gamma * np.conj(np.array([lines[k].z.array for k in g.lines]))
+        y = ybar[g.to][:, q]                                            # (L, s, 3)
+        parts += [(r, vcol[g.frm][:, q], 1.0), (r, vcol[g.to][:, q], -1.0),
+                  (rr, ff, -2.0 * rot.real), (rr, ff + 1, 2.0 * rot.imag),
+                  (m + 2 * rr, v_to, -y.real), (m + 2 * rr + 1, v_to, -y.imag)]
+        b[r] = g.h - sq[g.frm][:, q]
+        b[m + 2 * r] = load[g.to][:, q].real + g.l.real
+        b[m + 2 * r + 1] = load[g.to][:, q].imag + g.l.imag
+
+    # Each edge's flow enters the balance at its to-bus and leaves the one at
+    # its from-bus, on the phases the edge feeding that bus carries.
+    feeding = np.full(len(model.buses), -1, dtype=np.intp)          # -1 at the slack bus
+    feeding[[bus_of[t] for _, t, _ in edges]] = np.arange(len(edges))
+    src = feeding[[bus_of[f] for f, _, _ in edges]]                 # the edge into e's from-bus
+    into = np.where(src[:, None] >= 0, balance[src], -1)
+    own, out = pos >= 0, (pos >= 0) & (into >= 0)
+    parts += [(balance[own], fcol[own], 1.0), (balance[own] + 1, fcol[own] + 1, 1.0),
+              (into[out], fcol[out], -1.0), (into[out] + 1, fcol[out] + 1, -1.0)]
+
+    # Regulator ratio windows, slacked.
     slack_cols: dict = {}
-    for b in model.buses:
-        if not b.is_slack:
-            for p in b.phases:
-                vsq[(b.id, p)] = len(vsq)
-    n = len(vsq)
-    for e in idx.edges:
-        for p in e.phases:
-            flow[(e.key(), p)] = (n, n + 1)
-            n += 2
+    row, col = 3 * m, n_v + 2 * (m + n_reg)
     for svx, sv in enumerate(model.svrs):
+        up, dn = (sv.from_bus, sv.to_bus) if sv.kind == "B" else (sv.to_bus, sv.from_bus)
+        u, d = bus_of[up], bus_of[dn]
         for p in sv.phases:
-            slack_cols[(svx, p)] = (n, n + 1)
-            n += 2
+            qp = PHASES.index(p)
+            slack_cols[(svx, p)] = (col, col + 1)
+            for ratio, sign in zip(windows[svx][p], (-1.0, 1.0)):
+                parts.append(([row] * 3, [vcol[u, qp], vcol[d, qp], col], [1.0, -ratio**2, sign]))
+                b[row] = ratio**2 * sq[d, qp] - sq[u, qp]
+                row, col = row + 1, col + 1
+            row += 2
 
-    rows_i: list[int] = []
-    rows_j: list[int] = []
-    rows_v: list[float] = []
-    rhs: list[float] = []
-
-    def new_row(entries, b_val) -> None:
-        r = len(rhs)
-        for col, coef in entries:
-            if coef != 0.0:
-                rows_i.append(r)
-                rows_j.append(col)
-                rows_v.append(float(coef))
-        rhs.append(float(b_val))
-
-    def vsq_term(bus, phase, coef, entries, b_shift):
-        """Add coef * v~[bus,phase]; slack-bus magnitudes are constants."""
-        if bus == slack_id:
-            return b_shift - coef * slack_sq[phase]
-        entries.append((vsq[(bus, phase)], coef))
-        return b_shift
-
-    # Voltage-drop rows (one real equation per line-edge phase).
-    for e in idx.edges:
-        if e.kind != "line":
-            continue
-        ln = model.lines[e.index]
-        key = e.key()
-        m_rot = constants.gamma[key].array * np.conj(ln.z.array)
-        hvec = constants.h[key]
-        ph = e.phases
-        for a, p in enumerate(ph):
-            entries: list = []
-            b_val = hvec[p].real
-            b_val = vsq_term(e.from_bus, p, +1.0, entries, b_val)
-            b_val = vsq_term(e.to_bus, p, -1.0, entries, b_val)
-            for bq, q in enumerate(ph):
-                re_col, im_col = flow[(key, q)]
-                entries.append((re_col, -2.0 * m_rot[a, bq].real))
-                entries.append((im_col, +2.0 * m_rot[a, bq].imag))
-            new_row(entries, b_val)
-
-    # Power-balance rows at the to-bus of every line edge (Re and Im).
-    for e in idx.edges:
-        if e.kind != "line":
-            continue
-        bus = by_id[e.to_bus]
-        key = e.key()
-        lvec = constants.l[key]
-        shunt = bus.shunt
-        ybar = np.conj(shunt.array).T if shunt is not None else None
-        for p in e.phases:
-            re_col, im_col = flow[(key, p)]
-            for part, col in (("re", re_col), ("im", im_col)):
-                entries = [(col, 1.0)]
-                load = bus.load[p] if (bus.load is not None and p in bus.load) else 0.0
-                b_val = (load.real + lvec[p].real) if part == "re" else (load.imag + lvec[p].imag)
-                for child in idx.children[bus.id]:
-                    if p in child.phases:
-                        c_re, c_im = flow[(child.key(), p)]
-                        entries.append((c_re if part == "re" else c_im, -1.0))
-                if shunt is not None and p in shunt.phases:
-                    a = shunt.phases.index(p)
-                    for bq, q in enumerate(shunt.phases):
-                        coef = ybar[a, bq]
-                        val = coef.real if part == "re" else coef.imag
-                        b_val = vsq_term(bus.id, q, -val, entries, b_val)
-                new_row(entries, b_val)
-
-    # Regulator ratio windows (slacked) and exact power pass-through.
-    for svx, sv in enumerate(model.svrs):
-        child = idx.children[sv.to_bus][0]
-        for p in sv.phases:
-            r_lo, r_hi = windows[svx][p]
-            lo_col, hi_col = slack_cols[(svx, p)]
-            if sv.kind == "B":
-                up_bus, dn_bus = sv.from_bus, sv.to_bus
-            else:
-                up_bus, dn_bus = sv.to_bus, sv.from_bus
-            entries: list = []
-            b_val = vsq_term(up_bus, p, +1.0, entries, 0.0)
-            b_val = vsq_term(dn_bus, p, -r_lo**2, entries, b_val)
-            entries.append((lo_col, -1.0))
-            new_row(entries, b_val)
-            entries = []
-            b_val = vsq_term(up_bus, p, +1.0, entries, 0.0)
-            b_val = vsq_term(dn_bus, p, -r_hi**2, entries, b_val)
-            entries.append((hi_col, +1.0))
-            new_row(entries, b_val)
-
-            re_col, im_col = flow[(f"{sv.from_bus}->{sv.to_bus}", p)]
-            if p in child.phases:
-                c_re, c_im = flow[(child.key(), p)]
-                new_row([(re_col, 1.0), (c_re, -1.0)], 0.0)
-                new_row([(im_col, 1.0), (c_im, -1.0)], 0.0)
-            else:
-                # Phase regulated but not carried onward: no current can flow.
-                new_row([(re_col, 1.0)], 0.0)
-                new_row([(im_col, 1.0)], 0.0)
-
-    A = sp.coo_matrix((rows_v, (rows_i, rows_j)), shape=(len(rhs), n)).tocsc()
-    return LinearSystem(A=A, b=np.array(rhs), vsq=vsq, flow=flow, slack_cols=slack_cols)
+    rows, cols, vals = (np.concatenate(x) for x in zip(
+        *([a.ravel() for a in np.broadcast_arrays(*part)] for part in parts)))
+    keep = (cols >= 0) & (vals != 0.0)
+    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(len(b), col)).tocsc()
+    names = [(f"{f}->{t}", p) for f, t, ph in edges for p in ph]
+    vsq = [(bus.id, p) for bus in model.buses if not bus.is_slack for p in bus.phases]
+    return LinearSystem(A=A, b=b, vsq=dict(zip(vsq, range(n_v))), slack_cols=slack_cols,
+                        flow={key: (c, c + 1) for key, c in zip(names, range(n_v, col, 2))},
+                        layout=constants.layout, vcol=vcol, fcol=fcol)
 
 
 def eliminate(system: LinearSystem, stage: str) -> tuple[np.ndarray, np.ndarray]:
@@ -292,10 +286,9 @@ def linear_powerflow(model: FeederModel, constants: LinearizationConstants,
     v_out = {b.id: PhaseVector(b.phases, [slack_sq[p] if b.is_slack else x[system.vsq[(b.id, p)]]
                                           for p in b.phases])
              for b in model.buses}
-    flows: dict[str, dict[str, complex]] = {}
-    for (key, p), (re_col, im_col) in system.flow.items():
-        flows.setdefault(key, {})[p] = complex(x[re_col], x[im_col])
-    f_out = {key: PhaseVector(tuple(fl), tuple(fl.values())) for key, fl in flows.items()}
+    f_out = {f"{e.from_bus}->{e.to_bus}": PhaseVector(e.phases, [complex(x[c], x[c + 1])
+                                                                 for c in cols if c >= 0])
+             for e, cols in zip((*model.lines, *model.svrs), system.fcol)}
     return v_out, f_out
 
 

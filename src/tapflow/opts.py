@@ -41,7 +41,8 @@ import scipy.sparse as sp
 from .errors import PipelineError
 from .linflow import (LinearizationConstants, LinearSystem, _slack_squares,
                       constants_balanced, constants_from_solution, eliminate, linear_system)
-from .network import (FeederModel, ratio_to_tap, taps_to_ratios, tree_index,
+# tree_index is not called here; bench/tracing.py wraps opts.tree_index.
+from .network import (PHASES, FeederModel, ratio_to_tap, taps_to_ratios, tree_index,
                       zero_taps)
 from .simplex import LpSolution, SparseLp, solve_lp
 from .ybus import build_stamps
@@ -108,14 +109,12 @@ def build_lp(model: FeederModel, constants: LinearizationConstants,
 
     n = system.A.shape[1]
     lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
-    vsq_cols = list(system.vsq.values())
+    vsq_cols = system.vcol[system.vcol >= 0]
     lower[vsq_cols], upper[vsq_cols] = config.v_min**2, config.v_max**2
     lower[[col for pair in system.slack_cols.values() for col in pair]] = 0.0
+    head = system.fcol[[e.from_bus == model.slack.id for e in (*model.lines, *model.svrs)]]
     c = np.zeros(n)
-    for e in tree_index(model).edges:
-        if e.from_bus == model.slack.id:
-            for p in e.phases:
-                c[system.flow[(e.key(), p)][0]] = 1.0
+    c[head[head >= 0]] = 1.0
     return SparseLp(A=system.A, b=system.b, c=c, lower=lower, upper=upper), system
 
 
@@ -150,7 +149,7 @@ def solve_lp_lexicographic(lp: SparseLp, varmap: LinearSystem) -> tuple[LpSoluti
     G = np.vstack([N[upper], -N[lower]])
     h = np.concatenate([lp.upper[upper] - x0[upper], x0[lower] - lp.lower[lower]])
     profile = np.zeros(lp.A.shape[1])
-    profile[list(varmap.vsq.values())] = 1.0
+    profile[varmap.vcol[varmap.vcol >= 0]] = 1.0
 
     import_cost = lp.c @ N
     x1, pivots = None, 0
@@ -183,19 +182,15 @@ def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel) -> l
     anything larger indicates a broken solution and raises.
     """
     slack_sq = _slack_squares(model)
-
-    def value(bus, phase) -> float:
-        if bus == model.slack.id:
-            return slack_sq[phase]
-        return float(x[varmap.vsq[(bus, phase)]])
-
+    bus_of = varmap.layout.bus_of
     out = []
     for sv in model.svrs:
         r_lo, r_hi = sv.ratio_range()
         ratios = {}
         for p in sv.phases:
-            vn = value(sv.from_bus, p)
-            vs = value(sv.to_bus, p)
+            # Squared magnitudes at the primary and the secondary; the slack's are constants.
+            vn, vs = (slack_sq[p] if col < 0 else float(x[col]) for col in
+                      varmap.vcol[[bus_of[sv.from_bus], bus_of[sv.to_bus]], PHASES.index(p)])
             if vn <= 0.0 or vs <= 0.0:
                 raise ValueError(f"nonpositive squared magnitude on svr phase {p}")
             r = math.sqrt(vn / vs) if sv.kind == "B" else math.sqrt(vs / vn)

@@ -5,23 +5,25 @@ the retained system using the ideal two-port relations v_primary = A v_secondary
 i_primary = A^-1 i_line (type-B, diagonal real gain A), leaving a reduced Y that
 couples the primary directly to the bus behind the regulator's outgoing line.
 
+A feeder has one ``Layout``: a (bus, phase) table of its coordinates, its
+loads over that table and each regulator's outgoing line, found with the
+feeder's one ``tree_index``. The stamps, ``linflow`` and ``zbus`` read it.
+
 Assembly has two steps. ``build_stamps`` does the tap-independent work once
-per feeder and is the one record of its layout: the coordinate tuples and
-each retained bus's rows, the slack voltages, constant-power loads and flat
-start over those coordinates, the checked inverse of every line impedance,
-one list of stamped entries in stamp order (lines, then regulators, then
-shunts, each block row-major), and the final CSC pattern of Y, Y_NS and
-Y_S. Each regulator owns one slice of the entry list. The list is placed
-with numpy, not entry by entry: an item's entries start at an offset fixed
-by the block sizes before it (4 s x s blocks per line or regulator, one
-per shunt, s its phase count), and one broadcast fills the rows, columns
-and values of all items of one kind and phase set, reading their
-coordinates from a (bus, phase) table. ``assemble`` then
-computes only the regulator blocks G zinv G, -G zinv and -zinv G (G the
-diagonal gain) for the given ratios, writes them into their slices and
-scatters the list into the fixed patterns; called without a stamp set it
-builds one. Tap sweeps build the stamp set once and pass it to every
-``assemble`` call.
+per feeder: the layout, the retained coordinate tuples and each retained
+bus's rows, the slack voltages, loads and flat start over them, the checked
+inverse of every line impedance, one list of stamped entries in stamp order
+(lines, then regulators, then shunts, each block row-major), and the final
+CSC pattern of Y, Y_NS and Y_S. Each regulator owns one slice of the entry
+list. The list is placed with numpy: an item's entries start at an offset
+fixed by the block sizes before it (4 s x s blocks per line or regulator,
+one per shunt, s its phase count), and one broadcast fills the rows,
+columns and values of all items of one kind and phase set, reading their
+coordinates from the layout. ``assemble`` then computes only the regulator
+blocks G zinv G, -G zinv and -zinv G (G the diagonal gain) for the given
+ratios, writes them into their slices and scatters the list into the fixed
+patterns; called without a stamp set it builds one. Tap sweeps build the
+stamp set once and pass it to every ``assemble`` call.
 
 The pattern does not depend on the ratios: a regulator block is a diagonal
 rescaling of its line's ``zinv``, so at any finite nonzero ratio it is
@@ -37,7 +39,7 @@ the stamp set was reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import accumulate, compress, count
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,16 +72,14 @@ def _inv(z: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _line_inverses(lines) -> list:
-    """``_inv`` of every line impedance, one LAPACK call per matrix size.
-
-    If any inverse fails the check, the lines are inverted one by one, so the
-    error names the first bad line in the given order.
-    """
+def _line_inverses(lines, order) -> tuple:
+    """``_inv`` of each line impedance in ``order``, per line, one LAPACK call
+    per matrix size. If an inverse fails the check, the lines are inverted one
+    by one, so the error names the first bad line in ``order``."""
     out = [None] * len(lines)
     by_size = {}
-    for k, ln in enumerate(lines):
-        by_size.setdefault(len(ln.z.phases), []).append(k)
+    for k in order:
+        by_size.setdefault(len(lines[k].z.phases), []).append(k)
     try:
         for n, ks in by_size.items():
             z = np.stack([lines[k].z.array for k in ks])
@@ -90,8 +90,41 @@ def _line_inverses(lines) -> list:
             for k, x in zip(ks, inv):
                 out[k] = x
     except np.linalg.LinAlgError:
-        return [_inv(ln.z.array, f"line {ln.from_bus}->{ln.to_bus}") for ln in lines]
-    return out
+        for k in order:
+            out[k] = _inv(lines[k].z.array, f"line {lines[k].from_bus}->{lines[k].to_bus}")
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class Layout:
+    """A feeder's (bus, phase) layout, the one index that the admittance
+    stamps, the linear model and the metrics read."""
+
+    at: np.ndarray           # at[k, q]: full coordinate of bus k's phase PHASES[q], -1 if absent
+    bus_of: dict             # bus id -> its position k in model.buses, the rows of the tables
+    load: np.ndarray         # load[k, q]: constant-power consumption, 0 where none
+    svr_lines: tuple         # per regulator: model.lines index of its outgoing line
+
+
+def build_layout(model: FeederModel) -> Layout:
+    """The coordinate table, loads and regulator lines of a validated model.
+    Full coordinates number the buses' phases in model order, each bus's in
+    canonical order, so they run row by row through ``at``."""
+    buses = model.buses
+    pos = {p: q for q, p in enumerate(PHASES)}
+    phase_of = [pos[p] for b in buses for p in b.phases]
+    at = np.full((len(buses), len(PHASES)), -1, dtype=np.intp)
+    at[np.repeat(np.arange(len(buses)), [len(b.phases) for b in buses]), phase_of] = \
+        np.arange(len(phase_of))
+    loaded = [(k, b.load) for k, b in enumerate(buses) if b.load is not None]
+    load = np.zeros(at.shape, dtype=complex)
+    if loaded:
+        ks, vecs = zip(*loaded)
+        load[np.repeat(ks, [len(v) for v in vecs]), [pos[p] for v in vecs for p in v.phases]] = \
+            np.concatenate([v.values for v in vecs])
+    children = tree_index(model).children
+    return Layout(at=at, bus_of={b.id: k for k, b in enumerate(buses)}, load=load,
+                  svr_lines=tuple(children[sv.to_bus][0].index for sv in model.svrs))
 
 
 @dataclass(frozen=True)
@@ -132,6 +165,8 @@ class StampSet:
     further: tuple           # per further summand rank: (slots, positions)
     patterns: tuple          # per matrix: (shape, indices, indptr)
     regulators: tuple
+    layout: Layout
+    zinv: tuple              # per model line: the checked inverse of its impedance
 
 
 @dataclass(frozen=True)
@@ -157,35 +192,31 @@ def build_stamps(model: FeederModel) -> StampSet:
     phases fail validation so that a stamp would land on another coordinate.
     """
     buses = model.buses
+    layout = build_layout(model)
+    at, bus_of = layout.at, layout.bus_of
     eliminated = tuple(sv.to_bus for sv in model.svrs)
     elim_set = set(eliminated)
-    kept = [not b.is_slack and b.id not in elim_set for b in buses]
+    kept = np.array([not b.is_slack and b.id not in elim_set for b in buses], dtype=bool)
     retained = list(compress(buses, kept))
     coords = tuple((b.id, p) for b in retained for p in b.phases)
     slack_coords = tuple((model.slack.id, p) for p in model.slack.phases)
     full_coords = tuple((b.id, p) for b in buses for p in b.phases)
-
-    # at[k, q]: the full coordinate of bus k's phase PHASES[q], -1 if absent.
-    pos = {p: q for q, p in enumerate(PHASES)}
-    bus_of = {b.id: k for k, b in enumerate(buses)}
-    per_bus = [len(b.phases) for b in buses]
-    phase_of = np.array([pos[p] for _, p in full_coords], dtype=np.intp)
-    at = np.full((len(buses), len(PHASES)), -1, dtype=np.intp)
-    at[np.repeat(np.arange(len(buses)), per_bus), phase_of] = np.arange(len(full_coords))
-    is_retained = np.repeat(kept, per_bus)
-    is_slack = np.repeat([b.is_slack for b in buses], per_bus)
+    bus_at, phase_of = np.nonzero(at >= 0)  # full coordinates run row by row through ``at``
+    is_retained = kept[bus_at]
+    is_slack = np.array([b.is_slack for b in buses], dtype=bool)[bus_at]
 
     # Lines whose from-bus is a regulator secondary are handled by elimination.
-    plain = [ln for ln in model.lines if ln.from_bus not in elim_set]
-    children = tree_index(model).children
-    svr_lines = [model.lines[children[sv.to_bus][0].index] for sv in model.svrs]
+    lines = model.lines
+    plain = [k for k, ln in enumerate(lines) if ln.from_bus not in elim_set]
+    line_order = plain + list(layout.svr_lines)
+    zinv = _line_inverses(lines, line_order)          # stamp order names the first bad line
     shunted = [b for b in buses if b.shunt is not None]
     # Stamped items in stamp order: (kind, phases, first bus, second bus).
-    items = ([("line", ln.z.phases, ln.from_bus, ln.to_bus) for ln in plain]
-             + [("svr", ln.z.phases, sv.from_bus, ln.to_bus)
-                for sv, ln in zip(model.svrs, svr_lines)]
+    items = ([("line", lines[k].z.phases, lines[k].from_bus, lines[k].to_bus) for k in plain]
+             + [("svr", lines[k].z.phases, sv.from_bus, lines[k].to_bus)
+                for sv, k in zip(model.svrs, layout.svr_lines)]
              + [("shunt", b.shunt.phases, b.id, b.id) for b in shunted])
-    blocks = _line_inverses(plain + svr_lines) + [b.shunt.array for b in shunted]
+    blocks = [zinv[k] for k in line_order] + [b.shunt.array for b in shunted]
 
     # Each item's entries start at its offset: 4 s x s blocks per line or
     # regulator, one per shunt, each row-major.
@@ -198,7 +229,7 @@ def build_stamps(model: FeederModel) -> StampSet:
     for k, (kind, ph, _, _) in enumerate(items):
         groups.setdefault((kind, ph), []).append(k)
     for (kind, ph), ks in groups.items():
-        q = [pos[p] for p in ph]
+        q = [PHASES.index(p) for p in ph]
         i = at[[bus_of[items[k][2]] for k in ks]][:, q]         # (items, s)
         j = at[[bus_of[items[k][3]] for k in ks]][:, q]
         z = np.array([blocks[k] for k in ks])                    # (items, s, s)
@@ -215,23 +246,20 @@ def build_stamps(model: FeederModel) -> StampSet:
         cols[slots] = np.broadcast_to(c[:, :, None, :], dims).reshape(len(ks), -1)
         values[slots] = np.stack(v, axis=1).reshape(len(ks), -1)
     v_source = np.full(len(PHASES), np.nan, dtype=complex)
-    v_source[[pos[p] for p in model.slack_voltage.phases]] = model.slack_voltage.values
+    v_source[[PHASES.index(p) for p in model.slack_voltage.phases]] = model.slack_voltage.values
     # Only a model that fails validation stamps a phase its bus lacks (``at``
     # is -1 there; every stamped coordinate is also a stamped row) or has a
     # bus phase the slack voltage lacks.
     if (rows.size and rows.min() < 0) or np.isnan(v_source[phase_of]).any():
         raise ValueError("model fails validation: a phase has no coordinate or no slack voltage")
     regulators = tuple(
-        _RegulatorStamp(svr=sv, index=svx, phases=ln.z.phases, zinv=blocks[k],
+        _RegulatorStamp(svr=sv, index=svx, phases=lines[ln].z.phases, zinv=zinv[ln],
                         entries=slice(int(offsets[k]), int(offsets[k + 1])))
-        for svx, (sv, ln, k) in enumerate(zip(model.svrs, svr_lines, count(len(plain)))))
+        for svx, (sv, ln, k) in enumerate(zip(model.svrs, layout.svr_lines, count(len(plain)))))
 
     # Route each stored entry once: a slack row goes to Y_S, a slack column
     # to Y_NS, anything else to Y.
-    retained_of = np.full(len(full_coords), -1, dtype=np.intp)
-    slack_of = np.full(len(full_coords), -1, dtype=np.intp)
-    retained_of[is_retained] = np.arange(len(coords))
-    slack_of[is_slack] = np.arange(len(slack_coords))
+    retained_of, slack_of = (np.where(m, np.cumsum(m) - 1, -1) for m in (is_retained, is_slack))
     r_ret, c_ret, r_slack, c_slack = (m[rc] for m in (retained_of, slack_of) for rc in (rows, cols))
     to_s = r_slack >= 0
     to_ns = ~to_s & (c_slack >= 0)
@@ -244,24 +272,14 @@ def build_stamps(model: FeederModel) -> StampSet:
                                   (r_ret, r_ret, r_slack), (c_ret, c_slack, cols),
                                   ((n, n), (n, ns), (ns, nf)))])
 
-    bus_rows, load_rows, load_values, start = [], [], [], 0
-    for b in retained:
-        stop = start + len(b.phases)
-        bus_rows.append((b, slice(start, stop)))
-        if b.load is not None:
-            load_rows.extend(range(start, stop) if b.load.phases == b.phases
-                             else [start + b.phases.index(p) for p in b.load.phases])
-            load_values.append(b.load.values)
-        start = stop
-    loads = np.zeros(len(coords), dtype=complex)
-    if load_values:
-        loads[load_rows] = np.concatenate(load_values)
+    stops = list(accumulate(len(b.phases) for b in retained))
+    bus_rows = tuple(zip(retained, map(slice, [0, *stops], stops)))
     return StampSet(coords=coords, slack_coords=slack_coords, full_coords=full_coords,
-                    eliminated=eliminated, bus_rows=tuple(bus_rows),
-                    v_slack=v_source[phase_of[is_slack]], loads=loads,
+                    eliminated=eliminated, bus_rows=bus_rows,
+                    v_slack=v_source[phase_of[is_slack]], loads=layout.load[kept][at[kept] >= 0],
                     v_flat=v_source[phase_of[is_retained]],
                     values=values, first=first, further=further, patterns=patterns,
-                    regulators=regulators)
+                    regulators=regulators, layout=layout, zinv=zinv)
 
 
 def _scatter_plan(targets):

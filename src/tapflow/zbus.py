@@ -5,11 +5,11 @@ re-evaluated at the previous iterate and constant-admittance shunts folded
 into Y. Convergence requires both a small voltage update and a small
 Kirchhoff current residual, so every converged solution carries an
 independent physics certificate. The loads, slack voltages, flat start,
-coordinate layout and each bus's rows come from the feeder's stamp set
-(``ybus.StampSet``), built once per feeder, so a solve or a metric rebuilds
-none of them. The stamp set also fixes the CSC pattern of Y and scipy's order
-of summing its duplicate entries, captured once, so a solve at new taps only
-recomputes the regulator blocks and scatters them into that pattern.
+each bus's rows and the line inverses come from the feeder's stamp set
+(``ybus.StampSet``) and its layout, built once per feeder, so a solve or a
+metric rebuilds none of them. The stamp set also fixes the CSC pattern of Y
+and scipy's order of summing its duplicate entries, captured once, so a
+solve at new taps only recomputes the regulator blocks and scatters them.
 
 The result wraps one copy of the final iterate: each bus's vector is a view
 of its rows, built without ``PhaseVector``'s canonicalisation and finiteness
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .network import FeederModel, PhaseVector, tree_index
-from .ybus import AdmittanceSystem, StampSet, assemble, recover_svr_secondary
+from .network import FeederModel, PhaseVector
+from .ybus import AdmittanceSystem, StampSet, assemble, build_stamps, recover_svr_secondary
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
@@ -146,31 +146,24 @@ def import_objective(solution: PowerFlowSolution, model: FeederModel) -> float:
 
 
 def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> float:
-    """Same import objective evaluated edge-wise at the feeder head."""
+    """Same import objective evaluated edge-wise at the feeder head, with the
+    stamp set's line inverses."""
     _require_converged(solution)
+    stamps = solution.system.stamps if solution.system is not None else build_stamps(model)
     slack_id = model.slack.id
+    # (line, gain) at the head: each line leaving the slack bus, without a
+    # gain, then the outgoing line of each regulator at the slack bus.
+    heads = [(k, None) for k, ln in enumerate(model.lines) if ln.from_bus == slack_id]
+    for svx, (sv, k) in enumerate(zip(model.svrs, stamps.layout.svr_lines)):
+        if sv.from_bus == slack_id:
+            r = np.array([float(solution.ratios[svx][p]) for p in model.lines[k].z.phases])
+            heads.append((k, 1.0 / r if sv.kind == "B" else r))
     total = 0.0
-    for ln in model.lines:
-        if ln.from_bus != slack_id:
-            continue
-        ph = ln.z.phases
-        zinv = np.linalg.inv(ln.z.array)
-        vn = np.array([model.slack_voltage[p] for p in ph])
-        vm = np.array([solution.voltages[ln.to_bus][p] for p in ph])
-        i_edge = zinv @ (vn - vm)
-        total += float(np.sum((vn * np.conj(i_edge)).real))
-    children = tree_index(model).children
-    for svx, sv in enumerate(model.svrs):
-        if sv.from_bus != slack_id:
-            continue
-        line = model.lines[children[sv.to_bus][0].index]
-        ph = line.z.phases
-        zinv = np.linalg.inv(line.z.array)
-        r = np.array([float(solution.ratios[svx][p]) for p in ph])
-        g = 1.0 / r if sv.kind == "B" else r
-        vn = np.array([model.slack_voltage[p] for p in ph])
-        vm = np.array([solution.voltages[line.to_bus][p] for p in ph])
-        i_edge = np.diag(g) @ (zinv @ (g * vn - vm))
+    for k, g in heads:
+        ln, zinv = model.lines[k], stamps.zinv[k]
+        vn = np.array([model.slack_voltage[p] for p in ln.z.phases])
+        vm = np.array([solution.voltages[ln.to_bus][p] for p in ln.z.phases])
+        i_edge = zinv @ (vn - vm) if g is None else np.diag(g) @ (zinv @ (g * vn - vm))
         total += float(np.sum((vn * np.conj(i_edge)).real))
     return total
 
@@ -180,14 +173,14 @@ def voltage_unbalance(solution: PowerFlowSolution) -> float:
 
     Per bus: 100 * max_phase |  |v| - mean| / mean  with mean over phase magnitudes.
     """
-    worst = 0.0
+    by_size: dict = {}
     for vec in solution.voltages.values():
-        if len(vec.phases) < 2:
-            continue
-        mags = np.abs(vec.values)
-        avg = float(np.mean(mags))
-        dev = float(np.max(np.abs(mags - avg)))
-        worst = max(worst, 100.0 * dev / avg)
+        by_size.setdefault(len(vec.phases), []).append(vec.values)
+    worst = 0.0
+    for mags in (np.abs(np.array(values)) for size, values in by_size.items() if size >= 2):
+        avg = np.mean(mags, axis=1)
+        dev = np.max(np.abs(mags - avg[:, None]), axis=1)
+        worst = max(worst, float(np.max(100.0 * dev / avg)))
     return worst
 
 

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import tapflow as tf
 
-from conftest import PARITY_FEEDERS, chain_model
+import linflow_reference
+from conftest import PARITY_FEEDERS, bench_feeders, chain_model
 from lp_reference import sweep_powerflow
 
 ALPHA = np.exp(2j * np.pi / 3)
@@ -12,30 +15,33 @@ ALPHA = np.exp(2j * np.pi / 3)
 def test_balanced_rotation_entries():
     model = chain_model([0.1], phases=("a", "b", "c"))
     const = tf.constants_balanced(model)
-    g = const.gamma["sub->b1"]
-    assert g.entry("a", "a") == pytest.approx(1.0)
-    assert g.entry("a", "b") == pytest.approx(ALPHA)
-    assert g.entry("a", "c") == pytest.approx(ALPHA**2)
-    assert g.entry("b", "c") == pytest.approx(ALPHA)
-    assert g.entry("c", "a") == pytest.approx(ALPHA)
-    assert np.max(np.abs(const.h["sub->b1"].values)) == 0.0
-    assert np.max(np.abs(const.l["sub->b1"].values)) == 0.0
+    (group,) = const.groups
+    assert group.phases == ("a", "b", "c") and list(group.lines) == [0]
+    g = group.gamma[0]                      # line sub->b1; rows and columns a, b, c
+    assert g[0, 0] == pytest.approx(1.0)
+    assert g[0, 1] == pytest.approx(ALPHA)
+    assert g[0, 2] == pytest.approx(ALPHA**2)
+    assert g[1, 2] == pytest.approx(ALPHA)
+    assert g[2, 0] == pytest.approx(ALPHA)
+    assert np.max(np.abs(group.h[0])) == 0.0
+    assert np.max(np.abs(group.l[0])) == 0.0
 
 
 def test_balanced_single_phase_is_identity():
     model = chain_model([0.1])
-    g = tf.constants_balanced(model).gamma["sub->b1"]
-    assert g.array.shape == (1, 1) and g.entry("a", "a") == 1.0
+    g = tf.constants_balanced(model).groups[0].gamma[0]
+    assert g.shape == (1, 1) and g[0, 0] == 1.0
 
 
 def test_constants_zero_current_base():
     model = chain_model([0.0, 0.0])
     base = tf.solve_zbus(model, [])
-    const = tf.constants_from_solution(model, base)
-    for key in ("sub->b1", "b1->b2"):
-        assert np.max(np.abs(const.h[key].values)) < 1e-15
-        assert np.max(np.abs(const.l[key].values)) < 1e-15
-        assert const.gamma[key].entry("a", "a") == pytest.approx(1.0)
+    (group,) = tf.constants_from_solution(model, base).groups
+    assert list(group.lines) == [0, 1]      # sub->b1, b1->b2
+    for k in range(2):
+        assert np.max(np.abs(group.h[k])) < 1e-15
+        assert np.max(np.abs(group.l[k])) < 1e-15
+        assert group.gamma[k][0, 0] == pytest.approx(1.0)
 
 
 def test_constants_require_convergence():
@@ -45,13 +51,39 @@ def test_constants_require_convergence():
         tf.constants_from_solution(model, sol)
 
 
+def _with_zero_voltage(solution, buses):
+    voltages = dict(solution.voltages)
+    for bus in buses:
+        vec = voltages[bus]
+        voltages[bus] = tf.PhaseVector(vec.phases, [0.0] + list(vec.values[1:]))
+    return dataclasses.replace(solution, voltages=voltages)
+
+
+@pytest.mark.parametrize("zeroed, named", [
+    (("b1",), "sub->b1"),          # an endpoint of both lines: the first is named
+    (("b2",), "b1->b2"),
+])
+def test_zero_endpoint_voltage_names_the_line(zeroed, named):
+    model = chain_model([0.1, 0.1])
+    base = _with_zero_voltage(tf.solve_zbus(model, []), zeroed)
+    with pytest.raises(ValueError, match=f"zero phase voltage at an endpoint of line {named}$"):
+        tf.constants_from_solution(model, base)
+
+
+def test_zero_endpoint_voltage_names_the_first_line_in_model_order(ieee13, ieee13_base):
+    """645->646 (line 4, phases bc) comes before 692->675 (line 11, phases
+    abc), although the abc lines are grouped first."""
+    base = _with_zero_voltage(ieee13_base, ("675", "646"))
+    with pytest.raises(ValueError, match="line 645->646$"):
+        tf.constants_from_solution(ieee13, base)
+
+
 def test_flat_balanced_base_equals_balanced_constants():
     model = chain_model([0.0], phases=("a", "b", "c"))
     base = tf.solve_zbus(model, [])
     got = tf.constants_from_solution(model, base)
     want = tf.constants_balanced(model)
-    assert np.allclose(got.gamma["sub->b1"].array, want.gamma["sub->b1"].array,
-                       atol=1e-12)
+    assert np.allclose(got.groups[0].gamma[0], want.groups[0].gamma[0], atol=1e-12)
 
 
 def test_zero_load_linear_flow_flat():
@@ -151,10 +183,13 @@ def test_linear_powerflow_matches_sweep(name, request):
     shifted = tf.taps_to_ratios(model, taps)
     base = tf.solve_zbus(model, zero, tol=1e-12)
     assert base.converged
-    for constants in (tf.constants_balanced(model), tf.constants_from_solution(model, base)):
+    for constants, reference in (
+            (tf.constants_balanced(model), linflow_reference.constants_balanced(model)),
+            (tf.constants_from_solution(model, base),
+             linflow_reference.constants_from_solution(model, base))):
         for ratios in (zero, shifted):
             v_sq, flows = tf.linear_powerflow(model, constants, ratios)
-            v_ref, f_ref = sweep_powerflow(model, constants, ratios)
+            v_ref, f_ref = sweep_powerflow(model, reference, ratios)
             assert v_sq.keys() == v_ref.keys() and flows.keys() == f_ref.keys()
             for bid, vec in v_ref.items():
                 assert v_sq[bid].phases == vec.phases
@@ -177,3 +212,41 @@ def test_singular_linear_system_raises_pipeline_error():
     with pytest.raises(tf.PipelineError) as err:
         tf.linear_powerflow(model, tf.constants_balanced(model), [])
     assert err.value.stage == "linear_powerflow"
+
+
+LP_FEEDERS = {**PARITY_FEEDERS,
+              **{f"gen{seed}-{n}": (lambda _, seed=seed, n=n: bench_feeders().generate_feeder(seed, n))
+                 for seed, n in ((0, 15), (1, 30), (2, 60), (3, 120), (4, 200), (5, 400))}}
+
+
+@pytest.mark.parametrize("name", sorted(LP_FEEDERS))
+def test_lp_matches_reference(name, request):
+    """The grouped constants hold the per-line reference values, and
+    ``build_lp`` on them gives the per-entry reference's LP byte for byte,
+    for both constants modes."""
+    model = LP_FEEDERS[name](request)
+    base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
+    assert base.converged
+    config = tf.config_from_model(model)
+    for mode in ("balanced", "from_solution"):
+        if mode == "balanced":
+            got, want = tf.constants_balanced(model), linflow_reference.constants_balanced(model)
+        else:
+            got = tf.constants_from_solution(model, base)
+            want = linflow_reference.constants_from_solution(model, base)
+        assert sorted(k for g in got.groups for k in g.lines) == list(range(len(model.lines)))
+        for g in got.groups:
+            for i, k in enumerate(g.lines):
+                key = f"{model.lines[k].from_bus}->{model.lines[k].to_bus}"
+                assert g.phases == want.gamma[key].phases
+                assert g.gamma[i].tobytes() == want.gamma[key].array.tobytes(), (mode, key)
+                assert g.h[i].tobytes() == want.h[key].values.real.tobytes(), (mode, key)
+                assert g.l[i].tobytes() == want.l[key].values.tobytes(), (mode, key)
+        lp, varmap = tf.build_lp(model, got, config)
+        lp_ref, varmap_ref = linflow_reference.build_lp(model, want, config)
+        assert lp.A.shape == lp_ref.A.shape
+        for a, b in [(getattr(lp.A, f), getattr(lp_ref.A, f)) for f in ("indptr", "indices", "data")] + \
+                    [(getattr(lp, f), getattr(lp_ref, f)) for f in ("b", "c", "lower", "upper")]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), mode
+        assert (varmap.vsq, varmap.flow, varmap.slack_cols) == \
+            (varmap_ref.vsq, varmap_ref.flow, varmap_ref.slack_cols)

@@ -159,6 +159,19 @@ def test_singular_impedance_raises():
         tf.assemble(bad, [])
 
 
+def test_singular_impedance_names_the_first_line_in_stamp_order():
+    """Lines are inverted in stamp order: lines that leave no regulator
+    secondary, then each regulator's outgoing line. With both singular, the
+    plain line b1->b2 is named although reg->b1 comes first in the model."""
+    model = chain_model([0.1, 0.1], svr_kind="B")
+    zero = tf.PhaseMatrix(("a",), [[0.0]])
+    bad = dataclasses.replace(model, lines=tuple(dataclasses.replace(ln, z=zero)
+                                                 for ln in model.lines))
+    assert [(ln.from_bus, ln.to_bus) for ln in bad.lines] == [("reg", "b1"), ("b1", "b2")]
+    with pytest.raises(ValueError, match="singular impedance matrix on line b1->b2$"):
+        build_stamps(bad)
+
+
 @pytest.mark.parametrize("where", ["line", "slack"])
 def test_unvalidated_phase_mismatch_raises(tiny3, where):
     """A hand-built model that fails validation with a line phase its buses
@@ -328,10 +341,51 @@ def test_shared_stamp_set_changes_no_bits(name, request):
         assert tf.kcl_certificate(shared, model) == shared.residual
 
 
+def _edge_import_by_line(solution, model):
+    """``import_objective_edges`` inverting each head line's impedance itself
+    and finding each regulator's line through ``tree_index``."""
+    slack_id = model.slack.id
+    total = 0.0
+    for ln in model.lines:
+        if ln.from_bus != slack_id:
+            continue
+        ph = ln.z.phases
+        vn = np.array([model.slack_voltage[p] for p in ph])
+        vm = np.array([solution.voltages[ln.to_bus][p] for p in ph])
+        i_edge = np.linalg.inv(ln.z.array) @ (vn - vm)
+        total += float(np.sum((vn * np.conj(i_edge)).real))
+    children = tf.tree_index(model).children
+    for svx, sv in enumerate(model.svrs):
+        if sv.from_bus != slack_id:
+            continue
+        line = model.lines[children[sv.to_bus][0].index]
+        ph = line.z.phases
+        r = np.array([float(solution.ratios[svx][p]) for p in ph])
+        g = 1.0 / r if sv.kind == "B" else r
+        vn = np.array([model.slack_voltage[p] for p in ph])
+        vm = np.array([solution.voltages[line.to_bus][p] for p in ph])
+        i_edge = np.diag(g) @ (np.linalg.inv(line.z.array) @ (g * vn - vm))
+        total += float(np.sum((vn * np.conj(i_edge)).real))
+    return total
+
+
+def _unbalance_by_bus(solution):
+    worst = 0.0
+    for vec in solution.voltages.values():
+        if len(vec.phases) < 2:
+            continue
+        mags = np.abs(vec.values)
+        avg = float(np.mean(mags))
+        worst = max(worst, 100.0 * float(np.max(np.abs(mags - avg))) / avg)
+    return worst
+
+
 @pytest.mark.parametrize("name", sorted(YBUS_FEEDERS))
 def test_array_metrics_match_per_coordinate_reads(name, request):
-    """The import, the KCL certificate and the envelope read the voltages as
-    whole arrays and give the bits of reading them coordinate by coordinate."""
+    """The import, the KCL certificate, the envelope and the unbalance read
+    the voltages as whole arrays and give the bits of reading them coordinate
+    by coordinate or bus by bus; the edge-wise import with the stamp set's
+    line inverses gives the bits of inverting each line again."""
     model = YBUS_FEEDERS[name](request)
     stamps = build_stamps(model)
     for ratios in _ratio_sets(model).values():
@@ -346,6 +400,8 @@ def test_array_metrics_match_per_coordinate_reads(name, request):
         mags = np.concatenate([np.abs(vec.values) for bus, vec in vs.items()
                                if bus != model.slack.id])
         assert tf.voltage_envelope(sol, model) == (float(np.min(mags)), float(np.max(mags)))
+        assert tf.voltage_unbalance(sol) == _unbalance_by_bus(sol)
+        assert tf.import_objective_edges(sol, model) == _edge_import_by_line(sol, model)
 
 
 def test_stamp_set_keeps_no_state_between_ratios():
