@@ -79,7 +79,11 @@ def _line_groups(model: FeederModel, layout: Layout) -> list:
 
 def constants_balanced(model: FeederModel) -> LinearizationConstants:
     """Balanced-voltage rotation entries (powers of 1|120deg), zero loss terms."""
-    layout = build_layout(model)
+    return _balanced_over(model, build_layout(model))
+
+
+def _balanced_over(model: FeederModel, layout: Layout) -> LinearizationConstants:
+    """``constants_balanced`` over a layout already built, such as a stamp set's."""
     return LinearizationConstants(layout=layout, groups=tuple(
         LineGroup(ph, ks, frm, to, h=np.zeros((len(ks), len(q))),
                   l=np.zeros((len(ks), len(q)), dtype=complex),

@@ -39,9 +39,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import PipelineError
-from .linflow import (LinearizationConstants, LinearSystem, _slack_squares,
+from .linflow import (LinearizationConstants, LinearSystem, _balanced_over, _slack_squares,
                       constants_balanced, constants_from_solution, eliminate, linear_system)
-# tree_index is not called here; bench/tracing.py wraps opts.tree_index.
+# tree_index and constants_balanced are not called here; bench/tracing.py
+# wraps them in this namespace.
 from .network import (PHASES, FeederModel, ratio_to_tap, taps_to_ratios, tree_index,
                       zero_taps)
 from .simplex import LpSolution, SparseLp, solve_lp
@@ -291,7 +292,7 @@ def run_opts(model: FeederModel, config: OptsConfig,
     if model.svrs:
         stage("constants")
         if config.constants_mode == "balanced":
-            constants = constants_balanced(model)
+            constants = _balanced_over(model, stamps.layout)     # the layout is built once
         else:
             constants = constants_from_solution(model, base)
         done("constants")

@@ -23,7 +23,15 @@ coordinates from the layout. ``assemble`` then computes only the regulator
 blocks G zinv G, -G zinv and -zinv G (G the diagonal gain) for the given
 ratios, writes them into their slices and scatters the list into the fixed
 patterns; called without a stamp set it builds one. Tap sweeps build the
-stamp set once and pass it to every ``assemble`` call.
+stamp set once and pass it to every ``assemble`` call. Each matrix is a
+shallow copy of a template built and checked once, given the new values
+and copies of the pattern, so scipy does not check the pattern again.
+
+``build_stamps`` also decides whether Y depends on the ratios at all. The
+first three regulator blocks move with them; when every one that is
+nonzero lands in Y_NS or Y_S (a regulator whose primary is the slack bus,
+as on IEEE-13), Y's values are the same bits at every ratio and
+``zbus.solve_zbus`` factors Y once per stamp set.
 
 The pattern does not depend on the ratios: a regulator block is a diagonal
 rescaling of its line's ``zinv``, so at any finite nonzero ratio it is
@@ -38,7 +46,8 @@ the stamp set was reused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from itertools import accumulate, compress, count
 
 import numpy as np
@@ -148,8 +157,8 @@ class StampSet:
     holds ``zinv`` four times, the zero pattern of its blocks. The stored
     values of Y, Y_NS and Y_S, concatenated, are ``values[first]`` plus,
     for each ``(slots, take)`` of ``further`` in turn,
-    ``values[take]`` added at ``slots``. ``patterns`` holds each matrix's
-    shape and CSC ``indices`` and ``indptr``.
+    ``values[take]`` added at ``slots``. ``templates`` holds each matrix
+    with its checked CSC pattern; ``assemble`` copies it and sets the data.
     """
 
     coords: tuple            # retained (bus, phase) in row order
@@ -163,10 +172,12 @@ class StampSet:
     values: np.ndarray
     first: np.ndarray        # per stored value: position of its first summand
     further: tuple           # per further summand rank: (slots, positions)
-    patterns: tuple          # per matrix: (shape, indices, indptr)
+    templates: tuple         # Y, Y_NS, Y_S with their fixed patterns
     regulators: tuple
     layout: Layout
     zinv: tuple              # per model line: the checked inverse of its impedance
+    y_fixed: bool            # no block that moves with the ratios lands in Y
+    y_lu: list = field(default_factory=list, repr=False)   # Y's factorization, when y_fixed
 
 
 @dataclass(frozen=True)
@@ -265,8 +276,11 @@ def build_stamps(model: FeederModel) -> StampSet:
     to_ns = ~to_s & (c_slack >= 0)
     to_y = ~(to_s | to_ns)
     keep = values != 0.0
+    # G zinv G, -G zinv and -zinv G fill a regulator's first three blocks.
+    y_fixed = not any((to_y & keep)[r.entries.start:r.entries.stop - r.zinv.size].any()
+                      for r in regulators)
     n, ns, nf = len(coords), len(slack_coords), len(full_coords)
-    first, further, patterns = _scatter_plan([
+    first, further, templates = _scatter_plan([
         (np.flatnonzero(m), r[m], c[m], shape)
         for m, r, c, shape in zip((to_y & keep, to_ns & keep, to_s & keep),
                                   (r_ret, r_ret, r_slack), (c_ret, c_slack, cols),
@@ -278,8 +292,8 @@ def build_stamps(model: FeederModel) -> StampSet:
                     eliminated=eliminated, bus_rows=bus_rows,
                     v_slack=v_source[phase_of[is_slack]], loads=layout.load[kept][at[kept] >= 0],
                     v_flat=v_source[phase_of[is_retained]],
-                    values=values, first=first, further=further, patterns=patterns,
-                    regulators=regulators, layout=layout, zinv=zinv)
+                    values=values, first=first, further=further, templates=templates,
+                    regulators=regulators, layout=layout, zinv=zinv, y_fixed=y_fixed)
 
 
 def _scatter_plan(targets):
@@ -287,7 +301,7 @@ def _scatter_plan(targets):
     ``coo_matrix.tocsc`` builds from them, for each ``(take, rows, cols,
     shape)`` target: the entries ``take`` at ``rows`` and ``cols``.
 
-    Returns ``StampSet``'s ``first``, ``further`` and ``patterns``.
+    Returns ``StampSet``'s ``first``, ``further`` and ``templates``.
     """
     # tocsc groups a matrix's entries by column, keeping their order, then
     # sorts each column with libstdc++'s std::sort, which is not stable for
@@ -327,10 +341,15 @@ def _scatter_plan(targets):
         more = sizes > r
         slots, starts, sizes = slots[more], starts[more], sizes[more]
         further.append((slots, take[starts + r]))
-    patterns = tuple((m.shape, m.indices[new[off:off + m.nnz]],
-                      (opened[m.indptr + off] - opened[off]).astype(m.indptr.dtype))
-                     for m, off in zip(markers, offsets))
-    return take[new], tuple(further), patterns
+    templates = []
+    for m, off in zip(markers, offsets):
+        indices = m.indices[new[off:off + m.nnz]]
+        indptr = (opened[m.indptr + off] - opened[off]).astype(m.indptr.dtype)
+        # Zeros as one broadcast value: a template's data is never read.
+        t = sp.csc_matrix((np.broadcast_to(0j, len(indices)), indices, indptr), shape=m.shape)
+        t.has_canonical_format = True
+        templates.append(t)
+    return take[new], tuple(further), tuple(templates)
 
 
 def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> AdmittanceSystem:
@@ -358,11 +377,12 @@ def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> Admi
     for slots, take in stamps.further:
         data[slots] += values[take]
     blocks, start = [], 0
-    for shape, indices, indptr in stamps.patterns:
-        stop = start + len(indices)
-        # Copies of the pattern, so a caller cannot write into the stamp set.
-        m = sp.csc_matrix((data[start:stop], indices.copy(), indptr.copy()), shape=shape)
-        m.has_canonical_format = True
+    for t in stamps.templates:
+        # The template's pattern was checked once; scipy's constructor would
+        # check it again. Copies of it, so a caller cannot write into the stamp set.
+        m = copy.copy(t)
+        stop = start + len(t.indices)
+        m.data, m.indices, m.indptr = data[start:stop], t.indices.copy(), t.indptr.copy()
         blocks.append(m)
         start = stop
     Y, Y_NS, Y_S = blocks

@@ -10,6 +10,12 @@ each bus's rows and the line inverses come from the feeder's stamp set
 metric rebuilds none of them. The stamp set also fixes the CSC pattern of Y
 and scipy's order of summing its duplicate entries, captured once, so a
 solve at new taps only recomputes the regulator blocks and scatters them.
+When the taps cannot move Y (``StampSet.y_fixed``), the first solve on a
+stamp set keeps its factorization of Y there and later solves reuse it.
+That is exact: Y has the same bits at every tap, and so the same factors;
+the iteration itself, the map that the Z-bus convergence analysis covers,
+is unchanged. The loop evaluates the injection into a buffer made once per
+solve, with the same ufuncs in the same order as ``_load_currents``.
 
 The result wraps one copy of the final iterate: each bus's vector is a view
 of its rows, built without ``PhaseVector``'s canonicalisation and finiteness
@@ -53,10 +59,9 @@ def _load_currents(loads: np.ndarray, v: np.ndarray) -> np.ndarray:
     return -np.conj(loads / v)
 
 
-def _kcl_residual(system: AdmittanceSystem, v: np.ndarray) -> float:
-    """Inf-norm of the KCL current mismatch Y v + Y_NS v_S - i(v)."""
-    st = system.stamps
-    mism = system.Y @ v + system.Y_NS @ st.v_slack - _load_currents(st.loads, v)
+def _kcl_residual(system: AdmittanceSystem, w_s: np.ndarray, v: np.ndarray) -> float:
+    """Inf-norm of the KCL current mismatch Y v + w_s - i(v), w_s = Y_NS v_S."""
+    mism = system.Y @ v + w_s - _load_currents(system.stamps.loads, v)
     return float(np.max(np.abs(mism))) if len(mism) else 0.0
 
 
@@ -82,29 +87,35 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
         v = np.array([v0[bus][phase] for bus, phase in st.coords])
         if not np.all(np.isfinite(v)):
             raise ValueError("v0 must be finite")
-    lu = splu(system.Y)
+    lu = st.y_lu[0] if st.y_lu else splu(system.Y)
+    if st.y_fixed and not st.y_lu:
+        st.y_lu.append(lu)
     w_s = system.Y_NS @ st.v_slack
 
     converged = False
     it = 0
+    loads = st.loads
+    rhs = np.empty_like(loads)
     # A diverging iterate may overflow; it is caught as non-finite and dropped,
     # and the residual of the last finite iterate may be inf or NaN.
     with np.errstate(all="ignore"):
         for it in range(1, max_iter + 1):
-            v_new = lu.solve(_load_currents(st.loads, v) - w_s)
+            # _load_currents(loads, v) - w_s, ufunc by ufunc into one buffer.
+            np.negative(np.conjugate(np.divide(loads, v, out=rhs), out=rhs), out=rhs)
+            v_new = lu.solve(np.subtract(rhs, w_s, out=rhs))
             # A non-finite component of v_new, or a change too large to
             # represent, makes delta NaN or inf.
-            delta = float(np.max(np.abs(v_new - v))) if len(v) else 0.0
+            delta = float(np.abs(v_new - v).max()) if len(v) else 0.0
             if not math.isfinite(delta):
                 break
             v = v_new
             if delta < tol:
-                residual = _kcl_residual(system, v)
+                residual = _kcl_residual(system, w_s, v)
                 if residual <= _KCL_TOL:
                     converged = True
                     break
         if not converged:
-            residual = _kcl_residual(system, v)
+            residual = _kcl_residual(system, w_s, v)
 
     # A copy: the loop may end on the stamp set's own flat start. The module
     # docstring says why the vectors may wrap it unchecked.
@@ -204,7 +215,8 @@ def feasibility(solution: PowerFlowSolution, model: FeederModel,
 def kcl_certificate(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Recomputed KCL mismatch (inf-norm), independent of the iteration history."""
     system = solution.system if solution.system is not None else assemble(model, solution.ratios)
-    return _kcl_residual(system, _voltage_array(solution, [b for b, _ in system.stamps.bus_rows]))
+    return _kcl_residual(system, system.Y_NS @ system.stamps.v_slack, _voltage_array(
+        solution, [b for b, _ in system.stamps.bus_rows]))
 
 
 def solution_csv(solution: PowerFlowSolution, model: FeederModel) -> str:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tapflow as tf
-from tapflow import linflow, opts
+from tapflow import linflow, opts, ybus
 from tapflow.errors import PipelineError
 
 from conftest import PARITY_FEEDERS, bench_feeders, cascade_model, chain_model
@@ -418,3 +418,19 @@ def test_bruteforce_shared_stamps_match_fresh_solves(monkeypatch, request, name)
     assert shared.taps == fresh.taps
     assert shared.objective.hex() == fresh.objective.hex()
     assert (shared.feasible_count, shared.evaluated) == (fresh.feasible_count, fresh.evaluated)
+
+
+@pytest.mark.parametrize("mode", ["from_zero_tap_solution", "balanced"])
+def test_run_opts_builds_the_tree_index_once(monkeypatch, ieee13, mode):
+    """Both constants modes read the stamp set's layout, so a pipeline run
+    builds the feeder's tree index once."""
+    calls = []
+    original = ybus.tree_index
+
+    def counting(model):
+        calls.append(None)
+        return original(model)
+
+    monkeypatch.setattr(ybus, "tree_index", counting)
+    tf.run_opts(ieee13, tf.config_from_model(ieee13, constants_mode=mode))
+    assert len(calls) == 1

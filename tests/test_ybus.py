@@ -431,3 +431,38 @@ def test_shared_stamp_set_builds_no_coo_matrix(monkeypatch, ieee13):
     monkeypatch.setattr(sp, "coo_matrix", no_coo)
     for ratios in _ratio_sets(ieee13).values():
         tf.assemble(ieee13, ratios, stamps=stamps)
+
+
+@pytest.mark.parametrize("name", sorted(YBUS_FEEDERS))
+def test_y_fixed_exactly_when_the_ratios_leave_y_alone(name, request):
+    """A stamp set marks Y fixed exactly when Y's bytes are equal at every
+    ratio set: on the feeders whose regulators all sit at the slack bus."""
+    model = YBUS_FEEDERS[name](request)
+    stamps = build_stamps(model)
+    ys = [tf.assemble(model, ratios, stamps=stamps).Y for ratios in _ratio_sets(model).values()]
+    same = all(y.data.tobytes() == ys[0].data.tobytes() for y in ys)
+    assert stamps.y_fixed == same
+    assert stamps.y_fixed == all(sv.from_bus == model.slack.id for sv in model.svrs)
+
+
+@pytest.mark.parametrize("name", ["ieee13", "cascade"])
+def test_written_system_changes_no_later_assembly_or_solve(name, request):
+    """Writing into a returned system's values and patterns changes neither
+    the next assembly on its stamp set nor later solves, which reuse the
+    factorization of Y where the stamp set keeps one."""
+    model = PARITY_FEEDERS[name](request)
+    sets = _ratio_sets(model)
+    stamps = build_stamps(model)
+    for key in ("zero", "shifted", "extreme", "shifted"):
+        _assert_same_system(tf.assemble(model, sets[key], stamps=stamps),
+                            tf.assemble(model, sets[key]))
+        got, want = (tf.solve_zbus(model, sets[key], stamps=s) for s in (stamps, None))
+        assert (got.iterations, got.residual) == (want.iterations, want.residual)
+        assert all(got.voltages[bus].values.tobytes() == vec.values.tobytes()
+                   for bus, vec in want.voltages.items())
+        for system in (got.system, tf.assemble(model, sets[key], stamps=stamps)):
+            for m in (system.Y, system.Y_NS, system.Y_S):
+                m.data[:] = np.nan
+                m.indices[:] = -1
+                m.indptr[:] = -1
+    assert len(stamps.y_lu) == stamps.y_fixed

@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import tapflow as tf
+from tapflow import zbus
 from tapflow.ybus import build_stamps
 
-from conftest import chain_model
+from conftest import bench_feeders, chain_model
 
 
 def two_bus_oracle(z: complex, s: complex, vs: float = 1.0) -> complex:
@@ -225,3 +228,97 @@ def test_solution_csv_format(tiny3):
     assert lines[0] == "bus,phase,re,im,magnitude,angle_deg"
     assert len(lines) == 1 + 3   # three single-phase buses
     assert text == tf.solution_csv(sol, tiny3)   # deterministic
+
+
+# ---------------------------------------------------------------------------
+# Factorization reuse
+
+
+def _windowed(model, lo, hi):
+    return dataclasses.replace(model, svrs=tuple(
+        dataclasses.replace(sv, tap_min=lo, tap_max=hi) for sv in model.svrs))
+
+
+def _tap_grid(model):
+    """Ratios of every tap combination, in ``brute_force``'s order."""
+    axes = [(svx, p, sv) for svx, sv in enumerate(model.svrs) for p in sv.phases]
+    for combo in itertools.product(*(range(sv.tap_min, sv.tap_max + 1) for _, _, sv in axes)):
+        taps = [{} for _ in model.svrs]
+        for (svx, p, _), t in zip(axes, combo):
+            taps[svx][p] = t
+        yield tf.taps_to_ratios(model, taps)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """The number of factorizations made through ``tapflow.zbus.splu``."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(zbus, "splu", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["tiny3", "ieee13"])
+def test_one_factorization_per_sweep_when_y_is_fixed(case, request, splu_calls):
+    """tiny3's and IEEE-13's regulators sit at the slack bus, so a sweep and
+    a pipeline run factor Y once."""
+    model = request.getfixturevalue(case)
+    cfg = tf.config_from_model(model)
+    if case == "ieee13":
+        tf.run_opts(model, cfg)               # base and verify solves
+        assert len(splu_calls) == 1
+        model = _windowed(model, -2, 2)
+    del splu_calls[:]
+    result = tf.brute_force(model, cfg)
+    assert len(splu_calls) == 1 and result.evaluated == (125 if case == "ieee13" else 33)
+
+
+def test_one_factorization_per_combination_when_taps_move_y(splu_calls):
+    """A generated feeder's type-A regulator sits mid-feeder, so its blocks
+    land in Y and every combination factors Y again."""
+    model = _windowed(bench_feeders().generate_feeder(3, 30), 0, 1)
+    result = tf.brute_force(model, tf.config_from_model(model, v_min_verify=0.5,
+                                                        v_max_verify=1.5))
+    assert len(splu_calls) == result.evaluated == 64
+
+
+def test_fresh_solve_factors_once(ieee13, splu_calls):
+    sol = tf.solve_zbus(ieee13, tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13)))
+    assert sol.converged and len(splu_calls) == 1
+
+
+@pytest.mark.parametrize("case,scale", [("tiny3", 1.0), ("ieee13", 1.0), ("ieee13", 0.75)])
+def test_reused_factorization_changes_no_bits_over_the_grid(case, scale, request):
+    """At every tap combination, a solve on one shared stamp set, which
+    reuses its factorization of Y, equals a fresh solve bit for bit, and
+    Y's values are the same bytes at every combination (IEEE-13 windowed to
+    taps -2..2)."""
+    model = request.getfixturevalue(case)
+    if case == "ieee13":
+        model = _windowed(model, -2, 2)
+    model = bench_feeders().scale_loads(model, lambda _bus, _phase: scale)
+    stamps = build_stamps(model)
+    assert stamps.y_fixed
+    y_data = set()
+    for ratios in _tap_grid(model):
+        shared = tf.solve_zbus(model, ratios, stamps=stamps)
+        fresh = tf.solve_zbus(model, ratios)
+        assert shared.converged
+        assert (shared.iterations, shared.residual) == (fresh.iterations, fresh.residual)
+        assert shared.voltages.keys() == fresh.voltages.keys()
+        assert all(shared.voltages[bus].values.tobytes() == vec.values.tobytes()
+                   for bus, vec in fresh.voltages.items())
+        y_data.add(shared.system.Y.data.tobytes())
+    assert len(y_data) == 1 and len(stamps.y_lu) == 1
+
+
+@pytest.mark.parametrize("seed,n", [(0, 30), (5, 60), (12, 120)])
+def test_generated_feeders_keep_no_factorization(seed, n):
+    model = bench_feeders().generate_feeder(seed, n)
+    stamps = build_stamps(model)
+    tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)), stamps=stamps)
+    assert not stamps.y_fixed and stamps.y_lu == []
