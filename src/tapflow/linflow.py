@@ -238,8 +238,13 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
                 row, col = row + 1, col + 1
             row += 2
 
-    rows, cols, vals = (np.concatenate(x) for x in zip(
-        *([a.ravel() for a in np.broadcast_arrays(*part)] for part in parts)))
+    flat = []
+    for part in parts:
+        # Integer zeros of the broadcast shape, added to, broadcast for less
+        # than np.broadcast_arrays; rows and columns stay integer.
+        zero = np.zeros(np.broadcast(*part).shape, dtype=np.intp)
+        flat.append([(zero + a).ravel() for a in part])
+    rows, cols, vals = (np.concatenate(x) for x in zip(*flat))
     keep = (cols >= 0) & (vals != 0.0)
     A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(len(b), col)).tocsc()
     names = [(f"{f}->{t}", p) for f, t, ph in edges for p in ph]

@@ -23,12 +23,17 @@ then constant over the feasible set, and the import pass is skipped). A
 second lexicographic pass therefore minimizes the sum of squared voltage
 magnitudes over the optimal-import face, deterministically selecting the
 lowest feasible voltage profile.
+
+The exhaustive oracle ``brute_force`` numbers the tap combinations as
+integers in product order and verifies them in blocks (``zbus.solve_block``
+and ``zbus.block_metrics``): when the taps cannot move Y, up to
+``_SWEEP_BLOCK`` combinations share one iteration and one factorization;
+otherwise a block is one combination with its own assembly and factorization.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import math
 import numbers
@@ -43,12 +48,13 @@ from .linflow import (LinearizationConstants, LinearSystem, _balanced_over, _sla
                       constants_balanced, constants_from_solution, eliminate, linear_system)
 # tree_index and constants_balanced are not called here; bench/tracing.py
 # wraps them in this namespace.
-from .network import (PHASES, FeederModel, ratio_to_tap, taps_to_ratios, tree_index,
-                      zero_taps)
+from .network import (PHASES, FeederModel, ratio_to_tap, tap_to_ratio, taps_to_ratios,
+                      tree_index, zero_taps)
 from .simplex import LpSolution, SparseLp, solve_lp
 from .ybus import build_stamps
-from .zbus import (DEFAULT_MAX_ITER, DEFAULT_TOL, feasibility, import_objective,
-                   solve_zbus, voltage_envelope, voltage_unbalance)
+from .zbus import (DEFAULT_MAX_ITER, DEFAULT_TOL, block_metrics, feasibility,
+                   import_objective, solve_block, solve_zbus, voltage_envelope,
+                   voltage_unbalance)
 
 
 @dataclass(frozen=True)
@@ -353,6 +359,10 @@ class BruteForceResult:
     evaluated: int
 
 
+# Tap combinations per block of a sweep whose taps cannot move Y.
+_SWEEP_BLOCK = 1024
+
+
 def _tap_order_key(flat_taps) -> tuple:
     # Neutral taps first, then small magnitudes, positive before negative.
     return tuple((abs(t), 0 if t >= 0 else 1, t) for t in flat_taps)
@@ -363,40 +373,44 @@ def brute_force(model: FeederModel, config: OptsConfig,
     """Enumerate every tap combination, verify each with the exact power flow,
     and keep the feasible minimum import. Ties (within 1e-12) prefer small
     tap magnitudes, so the all-zero vector wins on lossless networks.
+    Combinations run in ``itertools.product`` order over the regulators'
+    phases.
     """
-    axes = [(svx, p, sv) for svx, sv in enumerate(model.svrs) for p in sv.phases]
-    total = 1
-    for _, _, sv in axes:
-        total *= sv.tap_max - sv.tap_min + 1
+    axes = [sv for sv in model.svrs for _ in sv.phases]
+    sizes = [sv.tap_max - sv.tap_min + 1 for sv in axes]
+    total = math.prod(sizes)
     if total > cap:
         raise ValueError(f"{total} tap combinations exceed cap {cap}")
 
     stamps = build_stamps(model)          # only the regulator blocks change per combination
+    # Each axis's ratio at each of its taps, from the tap grid's own formula.
+    tables = [np.array([tap_to_ratio(t, sv.kind, sv.step, sv.tap_min, sv.tap_max)
+                        for t in range(sv.tap_min, sv.tap_max + 1)]) for sv in axes]
+    step = _SWEEP_BLOCK if stamps.y_fixed else 1
     best_obj = np.inf
     best_key = None
-    best_taps = None
+    best_combo = None
     feasible_count = 0
-    evaluated = 0
-    ranges = [range(sv.tap_min, sv.tap_max + 1) for _, _, sv in axes]
-    for combo in itertools.product(*ranges):
-        evaluated += 1
-        taps = [dict() for _ in model.svrs]
-        for (svx, p, _), t in zip(axes, combo):
-            taps[svx][p] = t
-        ratios = taps_to_ratios(model, taps)
-        sol = solve_zbus(model, ratios, tol=config.zbus_tol, max_iter=config.zbus_max_iter,
-                         stamps=stamps)
-        if not sol.converged:
-            continue
-        if not feasibility(sol, model, config.v_min_verify, config.v_max_verify):
-            continue
-        feasible_count += 1
-        obj = import_objective(sol, model)
-        key = _tap_order_key(combo)
-        if obj < best_obj - 1e-12 or (abs(obj - best_obj) <= 1e-12
-                                      and (best_key is None or key < best_key)):
-            best_obj, best_key, best_taps = obj, key, taps
-    if best_taps is None:
+    for start in range(0, total, step):
+        combos = np.arange(start, min(start + step, total))
+        digits = np.unravel_index(combos, sizes) if axes else ()
+        # (combinations, axes), also with no axes at all.
+        ratios = np.array([tab[d] for tab, d in zip(tables, digits)]).T.reshape(len(combos),
+                                                                                len(axes))
+        block = solve_block(model, ratios, stamps, tol=config.zbus_tol,
+                            max_iter=config.zbus_max_iter)
+        feasible, objective = block_metrics(block, model, config.v_min_verify,
+                                            config.v_max_verify)
+        feasible_count += int(feasible.sum())
+        for j, obj in zip(np.flatnonzero(feasible).tolist(), objective[feasible].tolist()):
+            if obj < best_obj - 1e-12 or abs(obj - best_obj) <= 1e-12:
+                combo = tuple(int(d[j]) + sv.tap_min for d, sv in zip(digits, axes))
+                key = _tap_order_key(combo)
+                if obj < best_obj - 1e-12 or best_key is None or key < best_key:
+                    best_obj, best_key, best_combo = obj, key, combo
+    if best_combo is None:
         raise PipelineError("bruteforce", "no feasible tap combination found")
-    return BruteForceResult(taps=best_taps, objective=float(best_obj),
-                            feasible_count=feasible_count, evaluated=evaluated)
+    flat = iter(best_combo)
+    return BruteForceResult(taps=[{p: next(flat) for p in sv.phases} for sv in model.svrs],
+                            objective=float(best_obj),
+                            feasible_count=feasible_count, evaluated=total)

@@ -21,11 +21,14 @@ one per shunt, s its phase count), and one broadcast fills the rows,
 columns and values of all items of one kind and phase set, reading their
 coordinates from the layout. ``assemble`` then computes only the regulator
 blocks G zinv G, -G zinv and -zinv G (G the diagonal gain) for the given
-ratios, writes them into their slices and scatters the list into the fixed
-patterns; called without a stamp set it builds one. Tap sweeps build the
-stamp set once and pass it to every ``assemble`` call. Each matrix is a
-shallow copy of a template built and checked once, given the new values
-and copies of the pattern, so scipy does not check the pattern again.
+ratios, elementwise as (g_i zinv_ij) g_j and so on, reads them in place of
+their entries and scatters the list into the fixed patterns; called
+without a stamp set it builds one. Each matrix is a shallow copy of a
+template built and checked once, given the new values and copies of the
+pattern, so scipy does not check the pattern again. ``assemble_block``
+does the same for m ratio sets at once: the scatter runs on (entries, m)
+arrays, and Y_NS and Y_S come back block-diagonal, one block per set, so
+that one sparse product applies every set's blocks at its own bits.
 
 ``build_stamps`` also decides whether Y depends on the ratios at all. The
 first three regulator blocks move with them; when every one that is
@@ -154,22 +157,26 @@ class StampSet:
     """The tap-independent part of a feeder's admittance assembly and power flow.
 
     ``values`` is every stamped entry in stamp order; each regulator slice
-    holds ``zinv`` four times, the zero pattern of its blocks. The stored
-    values of Y, Y_NS and Y_S, concatenated, are ``values[first]`` plus,
-    for each ``(slots, take)`` of ``further`` in turn,
-    ``values[take]`` added at ``slots``. ``templates`` holds each matrix
+    holds ``zinv`` four times, the zero pattern of its blocks. The first
+    three blocks move with the ratios: ``moving`` numbers their entries in
+    stamp order, and ``assemble`` reads those from the blocks it computes.
+    The stored values of Y, Y_NS and Y_S, concatenated, are the entries at
+    ``first`` plus, for each ``(slots, take)`` of ``further`` in turn, the
+    entries at ``take`` added at ``slots``. ``templates`` holds each matrix
     with its checked CSC pattern; ``assemble`` copies it and sets the data.
     """
 
     coords: tuple            # retained (bus, phase) in row order
     slack_coords: tuple      # slack (bus, phase) in Y_NS column order
     full_coords: tuple       # every (bus, phase) in Y_S column order
+    full_of: tuple           # positions in full_coords of coords and of slack_coords
     eliminated: tuple        # bus ids removed by regulator elimination
     bus_rows: tuple          # per retained bus, in model order: (bus, its rows as a slice)
     v_slack: np.ndarray      # slack voltages in Y_NS column order
     loads: np.ndarray        # constant-power consumption per retained row
     v_flat: np.ndarray       # flat start: the slack voltage of each row's phase
     values: np.ndarray
+    moving: np.ndarray       # per entry: its row among the regulators' moving blocks, or -1
     first: np.ndarray        # per stored value: position of its first summand
     further: tuple           # per further summand rank: (slots, positions)
     templates: tuple         # Y, Y_NS, Y_S with their fixed patterns
@@ -277,8 +284,10 @@ def build_stamps(model: FeederModel) -> StampSet:
     to_y = ~(to_s | to_ns)
     keep = values != 0.0
     # G zinv G, -G zinv and -zinv G fill a regulator's first three blocks.
-    y_fixed = not any((to_y & keep)[r.entries.start:r.entries.stop - r.zinv.size].any()
-                      for r in regulators)
+    moves = np.zeros(len(values), dtype=bool)
+    for r in regulators:
+        moves[r.entries.start:r.entries.stop - r.zinv.size] = True
+    y_fixed = not (to_y & keep & moves).any()
     n, ns, nf = len(coords), len(slack_coords), len(full_coords)
     first, further, templates = _scatter_plan([
         (np.flatnonzero(m), r[m], c[m], shape)
@@ -289,10 +298,12 @@ def build_stamps(model: FeederModel) -> StampSet:
     stops = list(accumulate(len(b.phases) for b in retained))
     bus_rows = tuple(zip(retained, map(slice, [0, *stops], stops)))
     return StampSet(coords=coords, slack_coords=slack_coords, full_coords=full_coords,
+                    full_of=(np.flatnonzero(is_retained), np.flatnonzero(is_slack)),
                     eliminated=eliminated, bus_rows=bus_rows,
                     v_slack=v_source[phase_of[is_slack]], loads=layout.load[kept][at[kept] >= 0],
                     v_flat=v_source[phase_of[is_retained]],
-                    values=values, first=first, further=further, templates=templates,
+                    values=values, moving=np.where(moves, np.cumsum(moves) - 1, -1),
+                    first=first, further=further, templates=templates,
                     regulators=regulators, layout=layout, zinv=zinv, y_fixed=y_fixed)
 
 
@@ -352,6 +363,51 @@ def _scatter_plan(targets):
     return take[new], tuple(further), tuple(templates)
 
 
+def _regulator_blocks(reg: _RegulatorStamp, a: np.ndarray) -> np.ndarray:
+    """The G zinv G, -G zinv and -zinv G blocks of ``reg`` at each row of
+    ratios ``a`` (m, s) over its phases, row-major as in its entry slice:
+    (3 s s, m), column j at row j of ``a``.
+
+    With G the diagonal gain, (G zinv G)_ij = (g_i zinv_ij) g_j, and so on:
+    elementwise products give the bits of the dense products, whose other
+    summands are exact zeros.
+    """
+    # Type-B: v_n = A v_n', so v_n' = A^-1 v_n. Type-A mirrors the gain.
+    g = (1.0 / a) if reg.svr.kind == "B" else a
+    gz = g[:, :, None] * reg.zinv
+    blocks = np.concatenate([gz * g[:, None, :], -gz, -(reg.zinv * g[:, None, :])], axis=1)
+    return blocks.reshape(len(a), -1).T
+
+
+def _stored_values(stamps: StampSet, read, rows: slice | None = None) -> np.ndarray:
+    """The stored values of Y, Y_NS and Y_S, concatenated, or ``rows`` of
+    them. ``read(positions)`` gives the entries at those positions of the
+    entry list: a vector for one ratio set, (positions, m) for m sets."""
+    # Sum duplicates left to right in scipy's order; see ``_scatter_plan``.
+    rows = rows or slice(0, len(stamps.first))
+    data = read(stamps.first[rows])
+    for slots, take in stamps.further:
+        if rows.start or rows.stop < len(stamps.first):
+            inside = (rows.start <= slots) & (slots < rows.stop)
+            slots, take = slots[inside] - rows.start, take[inside]
+        data[slots] += read(take)
+    return data
+
+
+def _read_moved(stamps: StampSet, moved: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The entries at ``pos`` at each of m ratio sets: a moving entry's row
+    of ``moved`` (the stacked regulator blocks, then a zero row), else the
+    fixed value."""
+    k = stamps.moving[pos]
+    return np.where(k[:, None] >= 0, moved[k], stamps.values[pos][:, None])
+
+
+def _slots(stamps: StampSet) -> list:
+    """Each template's rows of the stored values: Y's, Y_NS's and Y_S's."""
+    stops = list(accumulate(len(t.indices) for t in stamps.templates))
+    return list(map(slice, [0, *stops], stops))
+
+
 def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> AdmittanceSystem:
     """Build the admittance blocks for a validated model at fixed regulator ratios.
 
@@ -362,31 +418,61 @@ def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> Admi
     """
     if stamps is None:
         stamps = build_stamps(model)
-    values = stamps.values.copy()
-    for reg in stamps.regulators:
-        a = _gain_diag(reg.svr, ratios[reg.index], reg.phases)
-        # Type-B: v_n = A v_n', so v_n' = A^-1 v_n. Type-A mirrors the gain.
-        g = (1.0 / a) if reg.svr.kind == "B" else a
-        G = np.diag(g)
-        zinv = reg.zinv
-        values[reg.entries] = np.concatenate(
-            [(G @ zinv @ G).ravel(), -(G @ zinv).ravel(), -(zinv @ G).ravel(), zinv.ravel()])
+    return _assemble(stamps, [_gain_diag(reg.svr, ratios[reg.index], reg.phases)[None, :]
+                              for reg in stamps.regulators], 1)
 
-    # Sum duplicates left to right in scipy's order; see ``_scatter_plan``.
-    data = values[stamps.first]
-    for slots, take in stamps.further:
-        data[slots] += values[take]
-    blocks, start = [], 0
-    for t in stamps.templates:
-        # The template's pattern was checked once; scipy's constructor would
-        # check it again. Copies of it, so a caller cannot write into the stamp set.
-        m = copy.copy(t)
-        stop = start + len(t.indices)
-        m.data, m.indices, m.indptr = data[start:stop], t.indices.copy(), t.indptr.copy()
-        blocks.append(m)
-        start = stop
+
+def assemble_block(stamps: StampSet, ratios: np.ndarray) -> AdmittanceSystem:
+    """The admittance blocks at m ratio sets at once.
+
+    ``ratios`` is (m, k): row j is set j over the regulators' phases in
+    model order, each ratio finite and nonzero. With m > 1, Y_NS and Y_S
+    are block-diagonal, set j's blocks at j times their shape, so one sparse
+    product applies each set's blocks at the bits of ``assemble``'s; Y is
+    the first set's, and the block needs ``stamps.y_fixed``.
+    """
+    starts = accumulate((len(r.svr.phases) for r in stamps.regulators), initial=0)
+    return _assemble(stamps, [ratios[:, [k + r.svr.phases.index(p) for p in r.phases]]
+                              for r, k in zip(stamps.regulators, starts)], len(ratios))
+
+
+def _assemble(stamps: StampSet, gains, m: int) -> AdmittanceSystem:
+    """``assemble_block`` at m sets of regulator ratios; ``gains[k]`` is
+    regulator k's (m, s) ratios over its phases."""
+    # The moving blocks, stacked in stamp order, then a zero row for the
+    # fixed entries' -1 in ``stamps.moving`` to index; np.where drops it.
+    moved = np.concatenate([*(_regulator_blocks(r, a) for r, a in zip(stamps.regulators, gains)),
+                            np.zeros((1, m))])
+    values = stamps.values.copy()
+    values[stamps.moving >= 0] = moved[:-1, 0]
+    data = _stored_values(stamps, values.__getitem__)
+    slots = _slots(stamps)
+    blocks = [_with_data(t, data[rows]) for t, rows in zip(stamps.templates, slots)]
+    if m > 1:      # only the entries that a stored value sums are gathered for all sets
+        blocks[1:] = [_tiled(t, _stored_values(
+            stamps, lambda pos: _read_moved(stamps, moved, pos), rows))
+            for t, rows in zip(stamps.templates[1:], slots[1:])]
     Y, Y_NS, Y_S = blocks
     return AdmittanceSystem(Y=Y, Y_NS=Y_NS, Y_S=Y_S, stamps=stamps)
+
+
+def _with_data(t: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
+    """Template ``t`` holding ``data``. The template's pattern was checked
+    once; scipy's constructor would check it again. Copies of it, so a
+    caller cannot write into the stamp set."""
+    m = copy.copy(t)
+    m.data, m.indices, m.indptr = data, t.indices.copy(), t.indptr.copy()
+    return m
+
+
+def _tiled(t: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
+    """Template ``t``'s pattern repeated block-diagonally, block j holding
+    column j of ``data`` (stored values, m)."""
+    nnz, m = data.shape
+    steps = np.arange(m)[:, None]
+    return sp.csc_matrix((data.T.ravel(), (t.indices + t.shape[0] * steps).ravel(),
+                          np.append((t.indptr[:-1] + nnz * steps).ravel(), m * nnz)),
+                         shape=(m * t.shape[0], m * t.shape[1]))
 
 
 def recover_svr_secondary(model: FeederModel, ratios, voltages: dict) -> dict:

@@ -14,8 +14,17 @@ When the taps cannot move Y (``StampSet.y_fixed``), the first solve on a
 stamp set keeps its factorization of Y there and later solves reuse it.
 That is exact: Y has the same bits at every tap, and so the same factors;
 the iteration itself, the map that the Z-bus convergence analysis covers,
-is unchanged. The loop evaluates the injection into a buffer made once per
-solve, with the same ufuncs in the same order as ``_load_currents``.
+is unchanged.
+
+The iteration is one kernel over an (n, m) block of columns, with one
+multi-column LU solve per step; each column stops on its own (update below
+``tol`` and KCL residual at most ``_KCL_TOL``, a non-finite update, or
+``max_iter``) and leaves the block. ``solve_zbus`` runs it on one column.
+A tap sweep with Y fixed runs it on many (``solve_block``): the columns
+then differ only in w_s = Y_NS v_S, which one product with the block's
+block-diagonal Y_NS gives at each column's own bits. ``block_metrics``
+computes feasibility and import for the converged columns of a block at
+the bits of the one-solve metrics.
 
 The result wraps one copy of the final iterate: each bus's vector is a view
 of its rows, built without ``PhaseVector``'s canonicalisation and finiteness
@@ -30,12 +39,14 @@ import cmath
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .network import FeederModel, PhaseVector
-from .ybus import AdmittanceSystem, StampSet, assemble, build_stamps, recover_svr_secondary
+from .network import PHASES, FeederModel, PhaseVector
+from .ybus import (AdmittanceSystem, StampSet, assemble, assemble_block, build_stamps,
+                   recover_svr_secondary)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
@@ -59,10 +70,77 @@ def _load_currents(loads: np.ndarray, v: np.ndarray) -> np.ndarray:
     return -np.conj(loads / v)
 
 
-def _kcl_residual(system: AdmittanceSystem, w_s: np.ndarray, v: np.ndarray) -> float:
-    """Inf-norm of the KCL current mismatch Y v + w_s - i(v), w_s = Y_NS v_S."""
-    mism = system.Y @ v + w_s - _load_currents(system.stamps.loads, v)
-    return float(np.max(np.abs(mism))) if len(mism) else 0.0
+def _kcl_residual(Y, loads: np.ndarray, w_s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inf-norm of the KCL current mismatch Y v + w_s - i(v), w_s = Y_NS v_S,
+    per column of ``v``; ``loads`` broadcasts against ``v``."""
+    return np.abs(Y @ v + w_s - _load_currents(loads, v)).max(axis=0, initial=0.0)
+
+
+def _fixed_point(lu, Y, loads: np.ndarray, w_s: np.ndarray, v: np.ndarray, tol: float,
+                 max_iter: int) -> tuple:
+    """Iterate v <- Y^-1 (i(v) - w_s) on each column of the (n, m) blocks
+    ``w_s`` and ``v`` (the start), with one multi-column solve per step.
+
+    A column stops when its update is below ``tol`` and its KCL residual is
+    at most ``_KCL_TOL`` (converged), when its update is not finite (at its
+    last finite iterate, unconverged) or after ``max_iter`` steps. Returns
+    each column's final iterate, steps, residual and converged flag.
+    """
+    m = w_s.shape[1]
+    out = np.empty_like(w_s)
+    iterations = np.full(m, max_iter)
+    residual = np.empty(m)
+    converged = np.zeros(m, dtype=bool)
+    loads = loads[:, None]
+    live, w = np.arange(m), w_s           # the running columns, and theirs of w_s
+    # A diverging iterate may overflow; it is caught as non-finite and dropped,
+    # and the residual of the last finite iterate may be inf or NaN.
+    with np.errstate(all="ignore"):
+        for it in range(1, max_iter + 1):
+            v_new = lu.solve(_load_currents(loads, v) - w)
+            # A non-finite component of v_new, or a change too large to
+            # represent, makes delta NaN or inf.
+            delta = np.abs(v_new - v).max(axis=0, initial=0.0).tolist()
+            # The sum is finite unless a delta is NaN or inf, or it overflows.
+            if math.isfinite(sum(delta)) and tol <= min(delta):
+                v = v_new                # no column stops or checks its residual
+                continue
+            # Positions in ``live`` of the columns that stop here.
+            stop = [j for j, d in enumerate(delta) if not math.isfinite(d)]
+            if stop:
+                v_new[:, stop] = v[:, stop]
+            v = v_new
+            small = [j for j, d in enumerate(delta) if d < tol]
+            if small:
+                res = _kcl_residual(Y, loads, w[:, small], v[:, small])
+                ok = res <= _KCL_TOL
+                hit = live[small][ok]
+                residual[hit], converged[hit] = res[ok], True
+                stop += list(compress(small, ok))
+            if len(stop) == len(live):   # the last running columns stop
+                out[:, live], iterations[live] = v, it
+                break
+            if stop:
+                out[:, live[stop]], iterations[live[stop]] = v[:, stop], it
+                keep = np.ones(len(live), dtype=bool)
+                keep[stop] = False
+                live, v, w = live[keep], v[:, keep], w[:, keep]
+        else:
+            out[:, live] = v
+        if not converged.all():
+            rest = ~converged
+            residual[rest] = _kcl_residual(Y, loads, w_s[:, rest], out[:, rest])
+    return out, iterations, residual, converged
+
+
+def _factor(stamps: StampSet, Y):
+    """Y's factorization; kept in the stamp set when the taps cannot move Y."""
+    if stamps.y_lu:
+        return stamps.y_lu[0]
+    lu = splu(Y)
+    if stamps.y_fixed:
+        stamps.y_lu.append(lu)
+    return lu
 
 
 def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
@@ -87,48 +165,109 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
         v = np.array([v0[bus][phase] for bus, phase in st.coords])
         if not np.all(np.isfinite(v)):
             raise ValueError("v0 must be finite")
-    lu = st.y_lu[0] if st.y_lu else splu(system.Y)
-    if st.y_fixed and not st.y_lu:
-        st.y_lu.append(lu)
+    lu = _factor(st, system.Y)
     w_s = system.Y_NS @ st.v_slack
+    out, iterations, residual, converged = _fixed_point(
+        lu, system.Y, st.loads, w_s[:, None], v[:, None], tol, max_iter)
 
-    converged = False
-    it = 0
-    loads = st.loads
-    rhs = np.empty_like(loads)
-    # A diverging iterate may overflow; it is caught as non-finite and dropped,
-    # and the residual of the last finite iterate may be inf or NaN.
-    with np.errstate(all="ignore"):
-        for it in range(1, max_iter + 1):
-            # _load_currents(loads, v) - w_s, ufunc by ufunc into one buffer.
-            np.negative(np.conjugate(np.divide(loads, v, out=rhs), out=rhs), out=rhs)
-            v_new = lu.solve(np.subtract(rhs, w_s, out=rhs))
-            # A non-finite component of v_new, or a change too large to
-            # represent, makes delta NaN or inf.
-            delta = float(np.abs(v_new - v).max()) if len(v) else 0.0
-            if not math.isfinite(delta):
-                break
-            v = v_new
-            if delta < tol:
-                residual = _kcl_residual(system, w_s, v)
-                if residual <= _KCL_TOL:
-                    converged = True
-                    break
-        if not converged:
-            residual = _kcl_residual(system, w_s, v)
-
-    # A copy: the loop may end on the stamp set's own flat start. The module
-    # docstring says why the vectors may wrap it unchecked.
-    v = v.astype(complex)
+    # The module docstring says why the vectors may wrap the iterate unchecked.
+    v = out[:, 0]
     voltages = {model.slack.id: model.slack_voltage}
     for b, rows in st.bus_rows:
         voltages[b.id] = PhaseVector._wrap(b.phases, v[rows])
     voltages.update(recover_svr_secondary(model, ratios, voltages))
 
     return PowerFlowSolution(
-        voltages=voltages, iterations=it, residual=residual,
-        converged=converged, ratios=list(ratios), system=system,
+        voltages=voltages, iterations=int(iterations[0]), residual=float(residual[0]),
+        converged=bool(converged[0]), ratios=list(ratios), system=system,
     )
+
+
+@dataclass(frozen=True)
+class BlockSolution:
+    """The fixed-point results of m ratio sets on one stamp set; column or
+    entry j is set j."""
+
+    v: np.ndarray              # (n, m) final iterates over the stamp set's coords
+    iterations: np.ndarray
+    residual: np.ndarray
+    converged: np.ndarray
+    ratios: np.ndarray         # (m, k) over the regulators' phases in model order
+    system: AdmittanceSystem   # block-diagonal Y_NS and Y_S (``ybus.assemble_block``)
+
+
+def solve_block(model: FeederModel, ratios: np.ndarray, stamps: StampSet,
+                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> BlockSolution:
+    """``solve_zbus`` from a flat start at each row of ``ratios`` (m, k), the
+    regulators' phases in model order, as one iteration over m columns.
+
+    More than one row needs ``stamps.y_fixed``: the rows then share one
+    factorization of Y. The first row with a zero or non-finite ratio is
+    solved alone first, so that it raises the error ``solve_zbus`` raises
+    for it.
+    """
+    bad = np.flatnonzero(~np.all(np.isfinite(ratios) & (ratios != 0.0), axis=1))
+    if bad.size:
+        solve_zbus(model, _ratio_maps(model, ratios[bad[0]]), tol, max_iter, stamps=stamps)
+    system = assemble_block(stamps, ratios)
+    m, n = len(ratios), len(stamps.coords)
+    w_s = (system.Y_NS @ np.tile(stamps.v_slack, m)).reshape(m, n).T
+    v, iterations, residual, converged = _fixed_point(
+        _factor(stamps, system.Y), system.Y, stamps.loads, w_s,
+        np.broadcast_to(stamps.v_flat[:, None], (n, m)), tol, max_iter)
+    return BlockSolution(v=v, iterations=iterations, residual=residual, converged=converged,
+                         ratios=ratios, system=system)
+
+
+def block_metrics(block: BlockSolution, model: FeederModel, v_min: float,
+                  v_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """``feasibility`` and ``import_objective`` at each converged column of
+    ``block``, at the bits of the one-solve metrics; False and NaN elsewhere.
+
+    Only converged columns are read, so no metric meets a diverged iterate.
+    """
+    st = block.system.stamps
+    at, bus_of = st.layout.at, st.layout.bus_of
+    m, ns = len(block.converged), len(st.slack_coords)
+    cols = np.flatnonzero(block.converged)
+    v = block.v[:, cols]
+    # Each set's voltages over the full coordinates; the secondaries stay
+    # zero there, for Y_S has no entries in their columns.
+    full = np.zeros((m, len(st.full_coords)), dtype=complex)
+    retained_at, slack_at = st.full_of
+    full[:, slack_at] = st.v_slack
+    full[cols[:, None], retained_at] = v.T
+
+    # Regulator secondaries as ``recover_svr_secondary`` has them, from the
+    # primary's voltage, each part divided or multiplied by the ratio as
+    # Python divides or multiplies a complex by a float.
+    prim_at, ratio_cols, type_b = [], [], []
+    for start, sv in zip(accumulate((len(sv.phases) for sv in model.svrs), initial=0),
+                         model.svrs):
+        for p in model.bus(sv.to_bus).phases:
+            prim_at.append(at[bus_of[sv.from_bus], PHASES.index(p)])
+            ratio_cols.append(start + sv.phases.index(p))
+            type_b.append(sv.kind == "B")
+    prim = full[cols][:, prim_at].T
+    r = block.ratios[cols][:, ratio_cols].T
+    type_b = np.array(type_b, dtype=bool)[:, None]
+    sec = np.empty(prim.shape, dtype=complex)
+    sec.real = np.where(type_b, prim.real / r, prim.real * r)
+    sec.imag = np.where(type_b, prim.imag / r, prim.imag * r)
+    lo, hi = _envelope(np.abs(np.concatenate([v, sec])))
+    feasible = np.zeros(m, dtype=bool)
+    feasible[cols] = (v_min <= lo) & (hi <= v_max)
+
+    i_s = (block.system.Y_S @ full.ravel()).reshape(m, ns)
+    objective = np.full(m, np.nan)
+    objective[cols] = (st.v_slack * np.conj(i_s[cols])).real.sum(axis=1)
+    return feasible, objective
+
+
+def _ratio_maps(model: FeederModel, row) -> list:
+    """One row of flat ratios as ``solve_zbus``'s per-regulator maps."""
+    it = iter(row.tolist())
+    return [{p: next(it) for p in sv.phases} for sv in model.svrs]
 
 
 def _require_converged(solution: PowerFlowSolution):
@@ -200,10 +339,15 @@ def voltage_envelope(solution: PowerFlowSolution, model: FeederModel) -> tuple[f
     _require_converged(solution)
     slack_id = model.slack.id
     parts = [vec.values for bus, vec in solution.voltages.items() if bus != slack_id]
-    if not parts:
+    lo, hi = _envelope(np.abs(np.concatenate(parts)) if parts else np.zeros(0))
+    return float(lo), float(hi)
+
+
+def _envelope(mags: np.ndarray) -> tuple:
+    """Per column, (min, max) of magnitudes over the non-slack coordinates."""
+    if not len(mags):
         raise ValueError("no voltage envelope: the feeder has no non-slack bus")
-    mags = np.abs(np.concatenate(parts))
-    return float(np.min(mags)), float(np.max(mags))
+    return mags.min(axis=0), mags.max(axis=0)
 
 
 def feasibility(solution: PowerFlowSolution, model: FeederModel,
@@ -215,8 +359,8 @@ def feasibility(solution: PowerFlowSolution, model: FeederModel,
 def kcl_certificate(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Recomputed KCL mismatch (inf-norm), independent of the iteration history."""
     system = solution.system if solution.system is not None else assemble(model, solution.ratios)
-    return _kcl_residual(system, system.Y_NS @ system.stamps.v_slack, _voltage_array(
-        solution, [b for b, _ in system.stamps.bus_rows]))
+    return float(_kcl_residual(system.Y, system.stamps.loads, system.Y_NS @ system.stamps.v_slack,
+                               _voltage_array(solution, [b for b, _ in system.stamps.bus_rows])))
 
 
 def solution_csv(solution: PowerFlowSolution, model: FeederModel) -> str:

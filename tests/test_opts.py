@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import tapflow as tf
-from tapflow import linflow, opts, ybus
+from tapflow import linflow, opts, ybus, zbus
 from tapflow.errors import PipelineError
 
 from conftest import PARITY_FEEDERS, bench_feeders, cascade_model, chain_model
 from lp_reference import pin_row_lexicographic
+from sweep_reference import loop_brute_force
 
 
 def census(model):
@@ -395,29 +397,81 @@ def test_bruteforce_ieee13_optimum(ieee13):
     assert result.evaluated == 125
 
 
-@pytest.mark.parametrize("name", ["tiny3", "ieee13"])
-def test_bruteforce_shared_stamps_match_fresh_solves(monkeypatch, request, name):
-    """One stamp set per sweep gives the answer of a fresh assembly for each
-    combination (IEEE-13 with its taps windowed to -2..2)."""
-    model = request.getfixturevalue(name)
-    if name == "ieee13":
-        model = dataclasses.replace(model, svrs=tuple(
-            dataclasses.replace(sv, tap_min=-2, tap_max=2) for sv in model.svrs))
+def _windowed(model, lo, hi, scale=1.0):
+    model = dataclasses.replace(model, svrs=tuple(
+        dataclasses.replace(sv, tap_min=lo, tap_max=hi) for sv in model.svrs))
+    return model if scale == 1.0 else bench_feeders().scale_loads(model, lambda _b, _p: scale)
+
+
+# IEEE-13 sweeps: (lowest tap, load scale) on a window of five taps. At
+# load x1.3 taps -2..2 have no feasible combination.
+IEEE13_SWEEPS = {"ieee13": (-2, 1.0), "ieee13x0.75": (-2, 0.75), "ieee13x1.3": (-2, 1.3),
+                 "ieee13-12..16": (12, 1.0), "ieee13-12..16x0.75": (12, 0.75),
+                 "ieee13-12..16x1.3": (12, 1.3)}
+
+
+@pytest.mark.parametrize("name", ["tiny3", "gen3-30", *IEEE13_SWEEPS])
+def test_bruteforce_shared_stamps_match_fresh_solves(request, name):
+    """The block sweep returns what one solve per combination on a shared
+    stamp set returns (``sweep_reference``): the same taps, the objective to
+    the bit and the same counts, or the same error when no combination is
+    feasible. Y of generate_feeder(3, 30) moves with its taps."""
+    if name == "tiny3":
+        model = request.getfixturevalue("tiny3")
+    elif name == "gen3-30":
+        model = _windowed(bench_feeders().generate_feeder(3, 30), 0, 1)
+    else:
+        lo, scale = IEEE13_SWEEPS[name]
+        model = _windowed(request.getfixturevalue("ieee13"), lo, lo + 4, scale)
     cfg = tf.config_from_model(model)
-    shared = tf.brute_force(model, cfg)
+    try:
+        want = loop_brute_force(model, cfg)
+    except PipelineError as exc:
+        assert name == "ieee13x1.3"
+        with pytest.raises(PipelineError) as got:
+            tf.brute_force(model, cfg)
+        assert (got.value.stage, str(got.value)) == (exc.stage, str(exc))
+        return
+    assert name != "ieee13x1.3"
+    got = tf.brute_force(model, cfg)
+    assert got.taps == want.taps
+    assert got.objective.hex() == want.objective.hex()
+    assert (got.feasible_count, got.evaluated) == (want.feasible_count, want.evaluated)
 
-    passed = []
 
-    def fresh_solve(*args, stamps=None, **kwargs):
-        passed.append(stamps is not None)
-        return tf.solve_zbus(*args, **kwargs)
+def test_bruteforce_blocks_change_no_result(monkeypatch, ieee13):
+    """Blocks of 7 combinations give the sweep's result and still factor Y once."""
+    model = _windowed(ieee13, -2, 2)
+    cfg = tf.config_from_model(model)
+    want = tf.brute_force(model, cfg)
+    calls = []
 
-    monkeypatch.setattr(opts, "solve_zbus", fresh_solve)
-    fresh = tf.brute_force(model, cfg)
-    assert len(passed) == fresh.evaluated and all(passed)
-    assert shared.taps == fresh.taps
-    assert shared.objective.hex() == fresh.objective.hex()
-    assert (shared.feasible_count, shared.evaluated) == (fresh.feasible_count, fresh.evaluated)
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(opts, "_SWEEP_BLOCK", 7)
+    monkeypatch.setattr(zbus, "splu", counting)
+    got = tf.brute_force(model, cfg)
+    assert len(calls) == 1 and got.evaluated == 125
+    assert (got.taps, got.objective.hex(), got.feasible_count) == \
+        (want.taps, want.objective.hex(), want.feasible_count)
+
+
+@pytest.mark.parametrize("kind,zero_tap", [("B", 10), ("A", -10)])
+def test_bruteforce_zero_ratio_raises_the_solve_error(kind, zero_tap):
+    """With a step of 0.1 the tap grid reaches ratio 0; the sweep raises the
+    error of the first combination there, as the per-combination loop does."""
+    model = chain_model([0.1 + 0.05j], svr_kind=kind)
+    model = dataclasses.replace(model, svrs=(dataclasses.replace(model.svrs[0], step=0.1),))
+    assert tf.tap_to_ratio(zero_tap, kind, 0.1) == 0.0
+    cfg = tf.config_from_model(model)
+    with pytest.raises(ValueError) as want:
+        loop_brute_force(model, cfg)
+    with pytest.raises(ValueError) as got:
+        tf.brute_force(model, cfg)
+    assert str(got.value) == str(want.value)
+    assert "ratios must be finite and nonzero, got [0.0]" in str(got.value)
 
 
 @pytest.mark.parametrize("mode", ["from_zero_tap_solution", "balanced"])

@@ -322,3 +322,48 @@ def test_generated_feeders_keep_no_factorization(seed, n):
     stamps = build_stamps(model)
     tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)), stamps=stamps)
     assert not stamps.y_fixed and stamps.y_lu == []
+
+
+# ---------------------------------------------------------------------------
+# Block solves
+
+
+# (feeder, load scale, max_iter) -> how the columns stop. At load x1.8 some
+# IEEE-13 columns converge and the others run to max_iter; at x1e307 some
+# tiny3 columns stop at a non-finite update and the others run to max_iter.
+BLOCK_CASES = {("tiny3", 1.0, 200): {"converged"}, ("tiny3", 1e307, 200): {"non-finite", "capped"},
+               ("tiny3", 1.0, 3): {"capped"}, ("ieee13", 1.0, 200): {"converged"},
+               ("ieee13", 1.8, 200): {"converged", "capped"}, ("ieee13", 1.0, 3): {"capped"}}
+
+
+@pytest.mark.parametrize("case,scale,max_iter", sorted(BLOCK_CASES))
+def test_block_columns_equal_single_solves(case, scale, max_iter, request):
+    """Column j of a block solve is ``solve_zbus`` at combination j (tiny3's
+    33 taps, IEEE-13 windowed to taps -2..2): the voltage bytes, steps,
+    residual and converged flag. At converged columns the block metrics are
+    the one-solve metrics to the bit; no metric reads another column, so no
+    overflow warning escapes (warnings are errors under the test settings)."""
+    model = request.getfixturevalue(case)
+    if case == "ieee13":
+        model = _windowed(model, -2, 2)
+    model = bench_feeders().scale_loads(model, lambda _bus, _phase: scale)
+    stamps = build_stamps(model)
+    grid = list(_tap_grid(model))
+    flat = np.array([[r[p] for r in ratios for p in r] for ratios in grid])
+    block = zbus.solve_block(model, flat, stamps, max_iter=max_iter)
+    feasible, objective = zbus.block_metrics(block, model, 0.9, 1.1)
+    stops = set()
+    for j, ratios in enumerate(grid):
+        sol = tf.solve_zbus(model, ratios, max_iter=max_iter, stamps=stamps)
+        v = np.concatenate([sol.voltages[b.id].values for b, _ in stamps.bus_rows])
+        assert block.v[:, j].tobytes() == v.tobytes()
+        assert (block.iterations[j], block.converged[j]) == (sol.iterations, sol.converged)
+        assert float(block.residual[j]).hex() == sol.residual.hex()
+        if sol.converged:
+            assert feasible[j] == tf.feasibility(sol, model, 0.9, 1.1)
+            assert objective[j].hex() == tf.import_objective(sol, model).hex()
+        else:
+            assert not feasible[j] and np.isnan(objective[j])
+        stops.add("converged" if sol.converged
+                  else "capped" if sol.iterations == max_iter else "non-finite")
+    assert stops == BLOCK_CASES[case, scale, max_iter]
