@@ -13,8 +13,9 @@ solution's squared magnitudes and flows to machine precision; with balanced
 rotation entries and zeroed loss vectors they form the classic lossless
 approximation.
 
-The constants are stacked per line phase set over the feeder's one layout
-(``ybus.Layout``); from a solution they use the stamp set's line inverses.
+The constants are stacked over the line groups of the feeder's one layout
+(``ybus.Layout``), one group per line phase set; from a solution they use
+the group's impedances and the stamp set's inverses of them.
 The equations are written once, as the sparse rows of ``linear_system``,
 placed by offset over the layout's tables, with each regulator phase's ratio
 in a window, and solved once, by ``eliminate``: one sparse LU writes every
@@ -62,33 +63,22 @@ class LinearizationConstants:
     phase set. Regulator edges carry no impedance and need no constants."""
 
     layout: Layout
-    groups: tuple            # LineGroup per line phase set, in order of first appearance
-
-
-def _line_groups(model: FeederModel, layout: Layout) -> list:
-    """(phases, their PHASES positions, line indices, from-buses, to-buses)
-    per line phase set, in order of first appearance."""
-    by_phases: dict = {}
-    for k, ln in enumerate(model.lines):
-        by_phases.setdefault(ln.z.phases, []).append(k)
-    ends = np.array([[layout.bus_of[ln.from_bus], layout.bus_of[ln.to_bus]] for ln in model.lines],
-                    dtype=np.intp).reshape(-1, 2)
-    return [(ph, [PHASES.index(p) for p in ph], np.array(ks), *ends[ks].T)
-            for ph, ks in by_phases.items()]
+    groups: tuple            # LineGroup per group of ``layout.groups``, in its order
 
 
 def constants_balanced(model: FeederModel) -> LinearizationConstants:
     """Balanced-voltage rotation entries (powers of 1|120deg), zero loss terms."""
-    return _balanced_over(model, build_layout(model))
+    return _balanced_over(build_layout(model))
 
 
-def _balanced_over(model: FeederModel, layout: Layout) -> LinearizationConstants:
+def _balanced_over(layout: Layout) -> LinearizationConstants:
     """``constants_balanced`` over a layout already built, such as a stamp set's."""
     return LinearizationConstants(layout=layout, groups=tuple(
-        LineGroup(ph, ks, frm, to, h=np.zeros((len(ks), len(q))),
-                  l=np.zeros((len(ks), len(q)), dtype=complex),
-                  gamma=np.broadcast_to(_BALANCED_GAMMA[np.ix_(q, q)], (len(ks), len(q), len(q))))
-        for ph, q, ks, frm, to in _line_groups(model, layout)))
+        LineGroup(g.phases, g.lines, g.frm, g.to, h=np.zeros((len(g.lines), len(g.q))),
+                  l=np.zeros((len(g.lines), len(g.q)), dtype=complex),
+                  gamma=np.broadcast_to(_BALANCED_GAMMA[np.ix_(g.q, g.q)],
+                                        (len(g.lines), len(g.q), len(g.q))))
+        for g in layout.groups))
 
 
 def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> LinearizationConstants:
@@ -97,7 +87,7 @@ def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> Line
     Per line: with edge current i from the base voltages and I = i i*, the
     voltage-loss vector is diag(Z I Z*) (real up to round-off, asserted) and
     the power-loss vector is diag(Z I). Rotation entries are v_to[p] / v_from[q].
-    The layout and the line inverses are the stamp set's.
+    The layout, its line groups and their inverses are the stamp set's.
     """
     if not base.converged:
         raise ValueError("base power flow must be converged")
@@ -106,16 +96,15 @@ def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> Line
     # Per line: 1 if an endpoint voltage is zero, 2 if its voltage loss is not real.
     bad = np.zeros(len(model.lines), dtype=np.int8)
     parts = []
-    for ph, q, ks, frm, to in _line_groups(model, stamps.layout):
-        vn, vm = v[at[frm][:, q]], v[at[to][:, q]]
-        z = np.array([model.lines[k].z.array for k in ks])
-        zinv = np.array([stamps.zinv[k] for k in ks])
+    for g, zinv in zip(stamps.layout.groups, stamps.zinv):
+        vn, vm = v[at[g.frm][:, g.q]], v[at[g.to][:, g.q]]
         i_edge = (zinv @ (vn - vm)[:, :, None])[:, :, 0]
-        z_i = z @ (i_edge[:, :, None] * np.conj(i_edge)[:, None, :])
-        h = np.diagonal(z_i @ np.conj(z).transpose(0, 2, 1), axis1=1, axis2=2)
-        bad[ks] = np.where(np.any(vn == 0.0, axis=1) | np.any(vm == 0.0, axis=1), 1,
-                           2 * (np.max(np.abs(h.imag), axis=1) > 1e-10))
-        parts.append((ph, ks, frm, to, vn, vm, h.real, np.diagonal(z_i, axis1=1, axis2=2)))
+        z_i = g.z @ (i_edge[:, :, None] * np.conj(i_edge)[:, None, :])
+        h = np.diagonal(z_i @ np.conj(g.z).transpose(0, 2, 1), axis1=1, axis2=2)
+        bad[g.lines] = np.where(np.any(vn == 0.0, axis=1) | np.any(vm == 0.0, axis=1), 1,
+                                2 * (np.max(np.abs(h.imag), axis=1) > 1e-10))
+        parts.append((g.phases, g.lines, g.frm, g.to, vn, vm, h.real,
+                      np.diagonal(z_i, axis1=1, axis2=2)))
     for k in np.flatnonzero(bad)[:1]:
         key = f"{model.lines[k].from_bus}->{model.lines[k].to_bus}"
         if bad[k] == 1:
@@ -181,10 +170,9 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     for p, square in _slack_squares(model).items():
         sq[slack, PHASES.index(p)] = square
     ybar = np.zeros(at.shape + (len(PHASES),), dtype=complex)   # conj(Y)^T of each shunt
-    for k, bus in enumerate(model.buses):
-        if bus.shunt is not None:
-            q = [PHASES.index(p) for p in bus.shunt.phases]
-            ybar[k][np.ix_(q, q)] = np.conj(bus.shunt.array).T
+    for k, shunt in constants.layout.shunts:
+        q = [PHASES.index(p) for p in shunt.phases]
+        ybar[k][np.ix_(q, q)] = np.conj(shunt.array).T
 
     # pos[e, q]: the place j of edge e's phase PHASES[q] among all edge phases.
     edges = ([(ln.from_bus, ln.to_bus, ln.z.phases) for ln in lines]
@@ -200,11 +188,11 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     b = np.zeros(3 * m + 4 * n_reg)
 
     parts = []                             # (rows, columns, values), broadcast together
-    for g in constants.groups:
-        q = [PHASES.index(p) for p in g.phases]
+    for g, lg in zip(constants.groups, constants.layout.groups):
+        q = lg.q
         r, f = pos[g.lines][:, q], fcol[g.lines][:, q]                  # (L, s)
         rr, ff, v_to = r[:, :, None], f[:, None, :], vcol[g.to][:, None, :]
-        rot = g.gamma * np.conj(np.array([lines[k].z.array for k in g.lines]))
+        rot = g.gamma * np.conj(lg.z)
         y = ybar[g.to][:, q]                                            # (L, s, 3)
         parts += [(r, vcol[g.frm][:, q], 1.0), (r, vcol[g.to][:, q], -1.0),
                   (rr, ff, -2.0 * rot.real), (rr, ff + 1, 2.0 * rot.imag),

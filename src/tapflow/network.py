@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -612,8 +615,7 @@ def serialize(model: FeederModel) -> str:
 # Tree index (shared by the admittance, linear-flow, and LP builders)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A series element in tree context: kind is 'line' or 'svr', index into the model."""
 
     kind: str
@@ -626,39 +628,48 @@ class Edge:
         return f"{self.from_bus}->{self.to_bus}"
 
 
+_TO_BUS = itemgetter(3)          # Edge.to_bus
+
+
 @dataclass(frozen=True)
 class TreeIndex:
-    """Parent/child maps and a root-first bus ordering for a validated model."""
+    """Parent/child maps and a root-first bus ordering for a validated model.
+    The ordering and the parent map are built on first use: the admittance
+    stamps read only ``children``."""
 
     root: str
-    order: tuple[str, ...]                 # buses, root first, parents before children
-    parent: dict                           # bus id -> Edge (absent for root)
     children: dict                         # bus id -> tuple of Edge
     edges: tuple[Edge, ...]                # all edges, model order: lines then svrs
+
+    @cached_property
+    def order(self) -> tuple[str, ...]:
+        """Buses, root first, parents before children."""
+        order = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            kids = self.children[node]
+            if kids:
+                stack.extend(map(_TO_BUS, reversed(kids)))
+        return tuple(order)
+
+    @cached_property
+    def parent(self) -> dict:
+        """Bus id -> the Edge into it (absent for the root)."""
+        return dict(zip(map(_TO_BUS, self.edges), self.edges))
 
 
 def tree_index(model: FeederModel) -> TreeIndex:
     """Build the traversal index; the model must already be valid."""
-    edges = [Edge("line", i, ln.from_bus, ln.to_bus, ln.z.phases)
+    # tuple.__new__ builds each Edge as Edge._make does, without its Python call.
+    new = tuple.__new__
+    edges = [new(Edge, ("line", i, ln.from_bus, ln.to_bus, ln.z.phases))
              for i, ln in enumerate(model.lines)]
-    edges += [Edge("svr", i, sv.from_bus, sv.to_bus, sv.phases)
+    edges += [new(Edge, ("svr", i, sv.from_bus, sv.to_bus, sv.phases))
               for i, sv in enumerate(model.svrs)]
     children: dict[str, list[Edge]] = {b.id: [] for b in model.buses}
-    parent: dict[str, Edge] = {}
     for e in edges:
         children[e.from_bus].append(e)
-        parent[e.to_bus] = e
-    root = model.slack.id
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(e.to_bus for e in reversed(children[node]))
-    return TreeIndex(
-        root=root,
-        order=tuple(order),
-        parent=parent,
-        children={k: tuple(v) for k, v in children.items()},
-        edges=tuple(edges),
-    )
+    return TreeIndex(root=model.slack.id, children={k: tuple(v) for k, v in children.items()},
+                     edges=tuple(edges))

@@ -298,7 +298,7 @@ def run_opts(model: FeederModel, config: OptsConfig,
     if model.svrs:
         stage("constants")
         if config.constants_mode == "balanced":
-            constants = _balanced_over(model, stamps.layout)     # the layout is built once
+            constants = _balanced_over(stamps.layout)     # the layout is built once
         else:
             constants = constants_from_solution(model, base)
         done("constants")

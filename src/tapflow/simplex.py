@@ -17,6 +17,12 @@ the rows tied in the ratio test (within _TOL_RATIO of the step) the one whose
 basic variable has the smallest index leaves. In exact arithmetic that rule
 cannot cycle; here ties are decided up to the tolerances.
 
+The tableau's matrix [A | diag(s)], s the artificial columns' signs, is
+built straight from A's canonical CSC arrays, and its CSR transpose, which
+pricing multiplies by, is a view on the same arrays: no sparse stacking or
+conversion, whose fixed cost exceeds the pivots' on the small condensed
+duals of the tap-selection LP.
+
 An optimal solution carries the row duals of its final basis,
 y = B^-T c_B, which the tap-selection pipeline reads as the primal point of
 the LP whose dual it solved.
@@ -95,9 +101,18 @@ class _Tableau:
         resid = lp.b - lp.A @ start
         art_sign = np.where(resid >= 0.0, 1.0, -1.0)
 
-        self.A = sp.hstack([lp.A, sp.diags(art_sign)], format="csc")
-        self.A.sum_duplicates()
-        self.AT = self.A.T.tocsr()
+        # [A | diag(art_sign)] built from A's canonical CSC arrays: column
+        # n + i holds art_sign[i] in row i. Its CSR transpose is a view on
+        # the same arrays.
+        a = lp.A
+        if not a.has_canonical_format:
+            a = a.copy()
+            a.sum_duplicates()
+        arrays = (np.concatenate([a.data, art_sign]),
+                  np.concatenate([a.indices, np.arange(m, dtype=a.indices.dtype)]),
+                  np.concatenate([a.indptr, a.nnz + np.arange(1, m + 1, dtype=a.indptr.dtype)]))
+        self.A = sp.csc_matrix(arrays, shape=(m, n + m))
+        self.AT = sp.csr_matrix(arrays, shape=(n + m, m))
         self.lower = np.concatenate([lp.lower, np.zeros(m)])
         self.upper = np.concatenate([lp.upper, np.full(m, np.inf)])
         self.b = lp.b.copy()

@@ -5,25 +5,30 @@ the retained system using the ideal two-port relations v_primary = A v_secondary
 i_primary = A^-1 i_line (type-B, diagonal real gain A), leaving a reduced Y that
 couples the primary directly to the bus behind the regulator's outgoing line.
 
-A feeder has one ``Layout``: a (bus, phase) table of its coordinates, its
-loads over that table and each regulator's outgoing line, found with the
-feeder's one ``tree_index``. The stamps, ``linflow`` and ``zbus`` read it.
+A feeder has one ``Layout``, built by reading its buses and its lines once
+each: a (bus, phase) table of its coordinates, its loads and shunts over
+that table, its lines grouped by phase set (one ``PhaseGroup`` per phase
+set: model-order line indices, from- and to-bus positions and stacked
+impedances) and each regulator's outgoing line, found with the feeder's one
+``tree_index``. The stamps, ``linflow`` and ``zbus`` read it.
 
 Assembly has two steps. ``build_stamps`` does the tap-independent work once
-per feeder: the layout, the retained coordinate tuples and each retained
-bus's rows, the slack voltages, loads and flat start over them, the checked
-inverse of every line impedance, one list of stamped entries in stamp order
+per feeder: the layout, each retained bus's rows, the slack voltages, loads
+and flat start over them, the checked inverses of the line impedances (one
+stack per phase-set group), one list of stamped entries in stamp order
 (lines, then regulators, then shunts, each block row-major), and the final
 CSC pattern of Y, Y_NS and Y_S. Each regulator owns one slice of the entry
 list. The list is placed with numpy: an item's entries start at an offset
 fixed by the block sizes before it (4 s x s blocks per line or regulator,
-one per shunt, s its phase count), and one broadcast fills the rows,
-columns and values of all items of one kind and phase set, reading their
-coordinates from the layout. ``assemble`` then computes only the regulator
-blocks G zinv G, -G zinv and -zinv G (G the diagonal gain) for the given
-ratios, elementwise as (g_i zinv_ij) g_j and so on, reads them in place of
-their entries and scatters the list into the fixed patterns; called
-without a stamp set it builds one. Each matrix is a shallow copy of a
+one per shunt, s its phase count), and one broadcast per phase-set group
+fills the rows, columns and values of its plain lines and regulator lines
+together, each line's kind choosing its blocks' endpoints and signs; shunts
+take one broadcast per phase set. The coordinates come from the layout; the
+(bus, phase) tuples that name them are built only when read. ``assemble``
+then computes only the regulator blocks G zinv G, -G zinv and -zinv G (G
+the diagonal gain) for the given ratios, elementwise as (g_i zinv_ij) g_j
+and so on, reads them in place of their entries and scatters the list into
+the fixed patterns; called without a stamp set it builds one. Each matrix is a shallow copy of a
 template built and checked once, given the new values and copies of the
 pattern, so scipy does not check the pattern again. ``assemble_block``
 does the same for m ratio sets at once: the scatter runs on (entries, m)
@@ -42,21 +47,24 @@ exactly zero where ``zinv`` is. Exact zeros are not stored. The bits of a
 stored value depend on the order in which its duplicate entries are summed.
 scipy's ``coo_matrix.tocsc`` sorts each column with an unstable sort and
 then sums left to right. ``build_stamps`` lets scipy sort the entry
-positions once and keeps that order, so the matrices are bit-identical to
-``coo_matrix(...).tocsc()`` of the entries in stamp order, whether or not
+positions once, in one marker matrix holding Y, Y_NS and Y_S
+block-diagonally, and keeps that order, so the matrices are bit-identical
+to ``coo_matrix(...).tocsc()`` of the entries in stamp order, whether or not
 the stamp set was reused.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count
+from functools import cached_property
+from itertools import accumulate, chain, compress, count
 
 import numpy as np
 import scipy.sparse as sp
 
-from .network import PHASES, FeederModel, PhaseVector, SvrSpec, tree_index
+from .network import _PHASE_POS, PHASES, FeederModel, PhaseVector, SvrSpec, tree_index
 
 
 def _gain_diag(svr, ratios, phases) -> np.ndarray:
@@ -84,27 +92,37 @@ def _inv(z: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _line_inverses(lines, order) -> tuple:
-    """``_inv`` of each line impedance in ``order``, per line, one LAPACK call
-    per matrix size. If an inverse fails the check, the lines are inverted one
-    by one, so the error names the first bad line in ``order``."""
-    out = [None] * len(lines)
-    by_size = {}
-    for k in order:
-        by_size.setdefault(len(lines[k].z.phases), []).append(k)
+def _line_inverses(lines, groups, order) -> tuple:
+    """``_inv`` of each group's stacked impedances, one ``np.linalg.inv`` per
+    group. If an inverse fails the check, the lines are inverted one by one
+    in ``order``, which holds every line, so the error names the first bad
+    line in ``order``."""
     try:
-        for n, ks in by_size.items():
-            z = np.stack([lines[k].z.array for k in ks])
-            inv = np.linalg.inv(z)
-            resid = np.max(np.abs(z @ inv - np.eye(n)), axis=(1, 2))
-            if not np.all(resid <= 1e-8):        # NaN fails too
+        out = []
+        for g in groups:
+            inv, n = np.linalg.inv(g.z), len(g.phases)
+            # z @ inv - I, summed over j elementwise: no BLAS call per matrix.
+            resid = sum(g.z[:, :, j, None] * inv[:, None, j] for j in range(n)) - np.eye(n)
+            if not np.abs(resid).max() <= 1e-8:        # NaN fails too
                 raise np.linalg.LinAlgError
-            for k, x in zip(ks, inv):
-                out[k] = x
+            out.append(inv)
+        return tuple(out)
     except np.linalg.LinAlgError:
-        for k in order:
-            out[k] = _inv(lines[k].z.array, f"line {lines[k].from_bus}->{lines[k].to_bus}")
-    return tuple(out)
+        one = {k: _inv(lines[k].z.array, f"line {lines[k].from_bus}->{lines[k].to_bus}")
+               for k in order}
+        return tuple(np.array([one[k] for k in g.lines.tolist()]) for g in groups)
+
+
+@dataclass(frozen=True)
+class PhaseGroup:
+    """The lines that share one phase set, in model order."""
+
+    phases: tuple
+    q: list                  # the phases' positions in PHASES
+    lines: np.ndarray        # model.lines indices
+    frm: np.ndarray          # position of each line's from-bus in model.buses
+    to: np.ndarray           # position of each line's to-bus
+    z: np.ndarray            # (L, s, s) impedances
 
 
 @dataclass(frozen=True)
@@ -114,28 +132,53 @@ class Layout:
 
     at: np.ndarray           # at[k, q]: full coordinate of bus k's phase PHASES[q], -1 if absent
     bus_of: dict             # bus id -> its position k in model.buses, the rows of the tables
+    slack: np.ndarray        # slack[k]: bus k is the slack bus
     load: np.ndarray         # load[k, q]: constant-power consumption, 0 where none
+    shunts: tuple            # (k, PhaseMatrix) per bus k with a shunt, in model order
+    groups: tuple            # PhaseGroup per line phase set, in order of first appearance
+    line_at: np.ndarray      # line_at[i]: (group, row there) of model.lines[i]
     svr_lines: tuple         # per regulator: model.lines index of its outgoing line
 
 
 def build_layout(model: FeederModel) -> Layout:
-    """The coordinate table, loads and regulator lines of a validated model.
-    Full coordinates number the buses' phases in model order, each bus's in
+    """The coordinate table, loads, shunts, line groups and regulator lines
+    of a validated model, reading its buses and its lines once each. Full
+    coordinates number the buses' phases in model order, each bus's in
     canonical order, so they run row by row through ``at``."""
     buses = model.buses
-    pos = {p: q for q, p in enumerate(PHASES)}
-    phase_of = [pos[p] for b in buses for p in b.phases]
-    at = np.full((len(buses), len(PHASES)), -1, dtype=np.intp)
-    at[np.repeat(np.arange(len(buses)), [len(b.phases) for b in buses]), phase_of] = \
-        np.arange(len(phase_of))
-    loaded = [(k, b.load) for k, b in enumerate(buses) if b.load is not None]
+    ids, phases, loads = [b.id for b in buses], [b.phases for b in buses], [b.load for b in buses]
+    bus_of = dict(zip(ids, count()))
+    phase_of = list(map(_PHASE_POS.__getitem__, chain.from_iterable(phases)))
+    at = np.full((len(ids), len(PHASES)), -1, dtype=np.intp)
+    at[np.repeat(np.arange(len(ids)), list(map(len, phases))), phase_of] = np.arange(len(phase_of))
     load = np.zeros(at.shape, dtype=complex)
+    loaded = [k for k, v in enumerate(loads) if v is not None]
     if loaded:
-        ks, vecs = zip(*loaded)
-        load[np.repeat(ks, [len(v) for v in vecs]), [pos[p] for v in vecs for p in v.phases]] = \
+        vecs = list(map(loads.__getitem__, loaded))
+        load_phases = [v.phases for v in vecs]
+        load[np.repeat(loaded, list(map(len, load_phases))),
+             list(map(_PHASE_POS.__getitem__, chain.from_iterable(load_phases)))] = \
             np.concatenate([v.values for v in vecs])
+
+    # Lines by phase set, phase sets in order of first appearance.
+    lines = model.lines
+    frm, to, z = [ln.from_bus for ln in lines], [ln.to_bus for ln in lines], [ln.z for ln in lines]
+    line_phases = [m.phases for m in z]
+    code = {ph: c for c, ph in enumerate(dict.fromkeys(line_phases))}
+    codes = np.fromiter(map(code.__getitem__, line_phases), np.intp, len(z))
+    ends = np.fromiter(map(bus_of.__getitem__, chain(frm, to)), np.intp, 2 * len(z)).reshape(2, -1)
+    by_code = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=len(code))
+    groups = tuple(
+        PhaseGroup(ph, [_PHASE_POS[p] for p in ph], ks, ends[0, ks], ends[1, ks],
+                   np.concatenate([z[k].array for k in ks.tolist()]).reshape(-1, len(ph), len(ph)))
+        for ph, ks in zip(code, np.split(by_code, np.cumsum(counts)[:-1])))
+    line_at = np.column_stack([codes, codes])
+    line_at[by_code, 1] = np.arange(len(codes)) - np.repeat(np.cumsum(counts) - counts, counts)
     children = tree_index(model).children
-    return Layout(at=at, bus_of={b.id: k for k, b in enumerate(buses)}, load=load,
+    return Layout(at=at, bus_of=bus_of, slack=np.array([b.is_slack for b in buses], dtype=bool),
+                  load=load, groups=groups, line_at=line_at,
+                  shunts=tuple((k, b.shunt) for k, b in enumerate(buses) if b.shunt is not None),
                   svr_lines=tuple(children[sv.to_bus][0].index for sv in model.svrs))
 
 
@@ -166,9 +209,6 @@ class StampSet:
     with its checked CSC pattern; ``assemble`` copies it and sets the data.
     """
 
-    coords: tuple            # retained (bus, phase) in row order
-    slack_coords: tuple      # slack (bus, phase) in Y_NS column order
-    full_coords: tuple       # every (bus, phase) in Y_S column order
     full_of: tuple           # positions in full_coords of coords and of slack_coords
     eliminated: tuple        # bus ids removed by regulator elimination
     bus_rows: tuple          # per retained bus, in model order: (bus, its rows as a slice)
@@ -182,9 +222,36 @@ class StampSet:
     templates: tuple         # Y, Y_NS, Y_S with their fixed patterns
     regulators: tuple
     layout: Layout
-    zinv: tuple              # per model line: the checked inverse of its impedance
+    zinv: tuple              # per layout line group: its checked inverses, (L, s, s)
+    secondaries: tuple       # per regulator secondary phase, regulators in model order:
+                             # primary full coordinate, ratio column, type-B flag (n, 1)
     y_fixed: bool            # no block that moves with the ratios lands in Y
     y_lu: list = field(default_factory=list, repr=False)   # Y's factorization, when y_fixed
+
+    def line_zinv(self, k: int) -> np.ndarray:
+        """The checked inverse of ``model.lines[k]``'s impedance."""
+        g, row = self.layout.line_at[k]
+        return self.zinv[g][row]
+
+    # The (bus, phase) tuples name the rows and columns for readers at the
+    # boundary; a solve reads only arrays, so they are built on first use.
+    @cached_property
+    def full_coords(self) -> tuple:
+        """Every (bus, phase) in Y_S column order."""
+        ids = list(self.layout.bus_of)
+        bus_at, phase_of = np.nonzero(self.layout.at >= 0)
+        return tuple(zip(map(ids.__getitem__, bus_at.tolist()),
+                         map(PHASES.__getitem__, phase_of.tolist())))
+
+    @cached_property
+    def coords(self) -> tuple:
+        """Retained (bus, phase) in row order."""
+        return tuple(map(self.full_coords.__getitem__, self.full_of[0].tolist()))
+
+    @cached_property
+    def slack_coords(self) -> tuple:
+        """Slack (bus, phase) in Y_NS column order."""
+        return tuple(map(self.full_coords.__getitem__, self.full_of[1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -203,114 +270,138 @@ class AdmittanceSystem:
     stamps: StampSet
 
 
+# Per kind (0 line, 1 regulator) and end (0 rows, 1 columns): the endpoint
+# (0 from-bus or primary, 1 to-bus) of each of the four blocks. A line puts
+# zinv at (f, f) and (t, t), -zinv at (f, t) and (t, f); a regulator zinv at
+# (n, n), (n, m), (m, n), (m, m), which ``assemble`` rescales.
+_BLOCK_ENDS = np.array([[[0, 1, 0, 1], [0, 1, 1, 0]],
+                        [[0, 0, 1, 1], [0, 1, 0, 1]]], dtype=np.intp)
+
+
 def build_stamps(model: FeederModel) -> StampSet:
     """Invert every line impedance of a validated model and place its stamps.
 
-    Raises ``ValueError`` on a singular line impedance, and on a model whose
-    phases fail validation so that a stamp would land on another coordinate.
+    Raises ``ValueError`` on a singular line impedance, and on a model that
+    fails validation so that a stamp would land on another coordinate or a
+    regulator secondary feeds a line other than its own.
     """
-    buses = model.buses
+    buses, lines, svrs = model.buses, model.lines, model.svrs
     layout = build_layout(model)
-    at, bus_of = layout.at, layout.bus_of
-    eliminated = tuple(sv.to_bus for sv in model.svrs)
-    elim_set = set(eliminated)
-    kept = np.array([not b.is_slack and b.id not in elim_set for b in buses], dtype=bool)
-    retained = list(compress(buses, kept))
-    coords = tuple((b.id, p) for b in retained for p in b.phases)
-    slack_coords = tuple((model.slack.id, p) for p in model.slack.phases)
-    full_coords = tuple((b.id, p) for b in buses for p in b.phases)
+    at, bus_of, groups = layout.at, layout.bus_of, layout.groups
+    eliminated = tuple(sv.to_bus for sv in svrs)
+    elim = np.zeros(len(buses), dtype=bool)
+    elim[[bus_of[b] for b in eliminated]] = True
+    kept = ~layout.slack & ~elim
     bus_at, phase_of = np.nonzero(at >= 0)  # full coordinates run row by row through ``at``
-    is_retained = kept[bus_at]
-    is_slack = np.array([b.is_slack for b in buses], dtype=bool)[bus_at]
 
-    # Lines whose from-bus is a regulator secondary are handled by elimination.
-    lines = model.lines
-    plain = [k for k, ln in enumerate(lines) if ln.from_bus not in elim_set]
-    line_order = plain + list(layout.svr_lines)
-    zinv = _line_inverses(lines, line_order)          # stamp order names the first bad line
-    shunted = [b for b in buses if b.shunt is not None]
-    # Stamped items in stamp order: (kind, phases, first bus, second bus).
-    items = ([("line", lines[k].z.phases, lines[k].from_bus, lines[k].to_bus) for k in plain]
-             + [("svr", lines[k].z.phases, sv.from_bus, lines[k].to_bus)
-                for sv, k in zip(model.svrs, layout.svr_lines)]
-             + [("shunt", b.shunt.phases, b.id, b.id) for b in shunted])
-    blocks = [zinv[k] for k in line_order] + [b.shunt.array for b in shunted]
+    # Stamp order: the lines whose from-bus is no regulator secondary (those
+    # are handled by elimination), each regulator's outgoing line, shunts.
+    svr_lines = np.array(layout.svr_lines, dtype=np.intp)
+    ends, size = np.empty((len(lines), 2), dtype=np.intp), np.empty(len(lines), dtype=np.intp)
+    for g in groups:
+        ends[g.lines, 0], ends[g.lines, 1], size[g.lines] = g.frm, g.to, len(g.phases)
+    stamped = np.concatenate([np.flatnonzero(~elim[ends[:, 0]]), svr_lines])
+    if not np.array_equal(np.sort(stamped), np.arange(len(lines))):
+        raise ValueError("model fails validation: a regulator secondary feeds another line")
+    # A regulator's blocks sit at its primary n and its line's to-bus m.
+    kind = np.zeros(len(lines), dtype=np.intp)
+    kind[svr_lines] = 1
+    ends[svr_lines, 0] = [bus_of[sv.from_bus] for sv in svrs]
+    zinv = _line_inverses(lines, groups, stamped.tolist())   # stamp order names the first bad line
 
     # Each item's entries start at its offset: 4 s x s blocks per line or
     # regulator, one per shunt, each row-major.
-    offsets = np.cumsum([0] + [len(ph) ** 2 * (1 if kind == "shunt" else 4)
-                               for kind, ph, _, _ in items])
+    offsets = np.cumsum(np.concatenate([[0], 4 * size[stamped] ** 2,
+                                        [len(sh.phases) ** 2 for _, sh in layout.shunts]]),
+                        dtype=np.intp)
     rows = np.empty(offsets[-1], dtype=np.intp)
     cols = np.empty(offsets[-1], dtype=np.intp)
     values = np.empty(offsets[-1], dtype=complex)
-    groups = {}
-    for k, (kind, ph, _, _) in enumerate(items):
-        groups.setdefault((kind, ph), []).append(k)
-    for (kind, ph), ks in groups.items():
-        q = [PHASES.index(p) for p in ph]
-        i = at[[bus_of[items[k][2]] for k in ks]][:, q]         # (items, s)
-        j = at[[bus_of[items[k][3]] for k in ks]][:, q]
-        z = np.array([blocks[k] for k in ks])                    # (items, s, s)
-        if kind == "line":      # zinv at (f, f) and (t, t), -zinv at (f, t) and (t, f)
-            r, c, v = (i, j, i, j), (i, j, j, i), (z, z, -z, -z)
-        elif kind == "svr":     # zinv at (n, n), (n, m), (m, n), (m, m); assemble rescales them
-            r, c, v = (i, i, j, j), (i, j, i, j), (z, z, z, z)
-        else:
-            r, c, v = (i,), (i,), (z,)
-        r, c = np.stack(r, axis=1), np.stack(c, axis=1)          # (items, blocks, s)
-        dims = r.shape + (len(ph),)                              # (items, blocks, s, s)
-        slots = offsets[ks][:, None] + np.arange(np.prod(dims[1:]))
-        rows[slots] = np.broadcast_to(r[..., None], dims).reshape(len(ks), -1)
-        cols[slots] = np.broadcast_to(c[:, :, None, :], dims).reshape(len(ks), -1)
-        values[slots] = np.stack(v, axis=1).reshape(len(ks), -1)
+    line_start = np.empty(len(lines), dtype=np.intp)
+    line_start[stamped] = offsets[:len(stamped)]
+    # Per line and block: the bus of its rows and the bus of its columns.
+    row_bus, col_bus = (np.take_along_axis(ends, _BLOCK_ENDS[kind, e], axis=1) for e in (0, 1))
+    for g, inv in zip(groups, zinv):      # one broadcast per phase set
+        k, at_q = g.lines, at[:, g.q]
+        v = np.repeat(inv[:, None], 4, axis=1)                                  # (L, 4, s, s)
+        np.negative(v[:, 2:], out=v[:, 2:], where=(kind[k] == 0)[:, None, None, None])
+        _place(rows, cols, values, line_start[k], at_q[row_bus[k]], at_q[col_bus[k]], v)
+    by_phases: dict = {}
+    for item, (k, sh) in enumerate(layout.shunts, len(stamped)):
+        by_phases.setdefault(sh.phases, []).append((item, k, sh.array))
+    for ph, group in by_phases.items():      # a shunt puts its admittance at (k, k)
+        items, ks, arrays = map(list, zip(*group))
+        at_k = at[ks][:, None][:, :, [_PHASE_POS[p] for p in ph]]
+        _place(rows, cols, values, offsets[items], at_k, at_k, np.array(arrays)[:, None])
     v_source = np.full(len(PHASES), np.nan, dtype=complex)
-    v_source[[PHASES.index(p) for p in model.slack_voltage.phases]] = model.slack_voltage.values
+    v_source[[_PHASE_POS[p] for p in model.slack_voltage.phases]] = model.slack_voltage.values
     # Only a model that fails validation stamps a phase its bus lacks (``at``
     # is -1 there; every stamped coordinate is also a stamped row) or has a
     # bus phase the slack voltage lacks.
-    if (rows.size and rows.min() < 0) or np.isnan(v_source[phase_of]).any():
+    if (rows.size and (rows.min() < 0 or not (kept | layout.slack)[bus_at[rows]].all())) \
+            or np.isnan(v_source[phase_of]).any():
         raise ValueError("model fails validation: a phase has no coordinate or no slack voltage")
     regulators = tuple(
-        _RegulatorStamp(svr=sv, index=svx, phases=lines[ln].z.phases, zinv=zinv[ln],
+        _RegulatorStamp(svr=sv, index=svx, phases=groups[g].phases, zinv=zinv[g][row],
                         entries=slice(int(offsets[k]), int(offsets[k + 1])))
-        for svx, (sv, ln, k) in enumerate(zip(model.svrs, layout.svr_lines, count(len(plain)))))
+        for svx, (sv, (g, row), k) in enumerate(zip(
+            svrs, layout.line_at[svr_lines].tolist(), count(len(stamped) - len(svrs)))))
 
     # Route each stored entry once: a slack row goes to Y_S, a slack column
-    # to Y_NS, anything else to Y.
-    retained_of, slack_of = (np.where(m, np.cumsum(m) - 1, -1) for m in (is_retained, is_slack))
-    r_ret, c_ret, r_slack, c_slack = (m[rc] for m in (retained_of, slack_of) for rc in (rows, cols))
-    to_s = r_slack >= 0
-    to_ns = ~to_s & (c_slack >= 0)
-    to_y = ~(to_s | to_ns)
+    # to Y_NS, anything else to Y. Their coordinates are taken block-diagonally
+    # in one matrix: Y, then Y_NS, then Y_S, each shifted past the ones before.
+    is_retained, is_slack = kept[bus_at], layout.slack[bus_at]
+    n, ns, nf = int(is_retained.sum()), int(is_slack.sum()), len(bus_at)
+    retained_of, slack_of = np.cumsum(is_retained) - 1, np.cumsum(is_slack) - 1
+    to_s = is_slack[rows]
+    to_ns = ~to_s & is_slack[cols]
     keep = values != 0.0
     # G zinv G, -G zinv and -zinv G fill a regulator's first three blocks.
     moves = np.zeros(len(values), dtype=bool)
     for r in regulators:
         moves[r.entries.start:r.entries.stop - r.zinv.size] = True
-    y_fixed = not (to_y & keep & moves).any()
-    n, ns, nf = len(coords), len(slack_coords), len(full_coords)
-    first, further, templates = _scatter_plan([
-        (np.flatnonzero(m), r[m], c[m], shape)
-        for m, r, c, shape in zip((to_y & keep, to_ns & keep, to_s & keep),
-                                  (r_ret, r_ret, r_slack), (c_ret, c_slack, cols),
-                                  ((n, n), (n, ns), (ns, nf)))])
+    y_fixed = not (~to_s & ~to_ns & keep & moves).any()
+    first, further, templates = _scatter_plan(
+        np.flatnonzero(keep),
+        np.where(to_s, 2 * n + slack_of[rows], retained_of[rows] + n * to_ns)[keep],
+        np.where(to_s, n + ns + cols, np.where(to_ns, n + slack_of[cols], retained_of[cols]))[keep],
+        ((n, n), (n, ns), (ns, nf)))
 
-    stops = list(accumulate(len(b.phases) for b in retained))
-    bus_rows = tuple(zip(retained, map(slice, [0, *stops], stops)))
-    return StampSet(coords=coords, slack_coords=slack_coords, full_coords=full_coords,
-                    full_of=(np.flatnonzero(is_retained), np.flatnonzero(is_slack)),
-                    eliminated=eliminated, bus_rows=bus_rows,
+    # Each regulator secondary's phases: the primary's full coordinate, the
+    # ratio column (regulators' phases in model order) and the kind.
+    col0 = accumulate((len(sv.phases) for sv in svrs), initial=0)
+    sec = np.array([(at[bus_of[sv.from_bus], _PHASE_POS[p]], c + sv.phases.index(p), sv.kind == "B")
+                    for c, sv in zip(col0, svrs) for p in buses[bus_of[sv.to_bus]].phases],
+                   dtype=np.intp).reshape(-1, 3)
+
+    stops = np.cumsum(np.count_nonzero(at[kept] >= 0, axis=1)).tolist()
+    return StampSet(full_of=(np.flatnonzero(is_retained), np.flatnonzero(is_slack)),
+                    eliminated=eliminated,
+                    bus_rows=tuple(zip(compress(buses, kept.tolist()),
+                                       map(slice, [0, *stops], stops))),
                     v_slack=v_source[phase_of[is_slack]], loads=layout.load[kept][at[kept] >= 0],
                     v_flat=v_source[phase_of[is_retained]],
                     values=values, moving=np.where(moves, np.cumsum(moves) - 1, -1),
                     first=first, further=further, templates=templates,
-                    regulators=regulators, layout=layout, zinv=zinv, y_fixed=y_fixed)
+                    regulators=regulators, layout=layout, zinv=zinv,
+                    secondaries=(sec[:, 0], sec[:, 1], sec[:, 2:] == 1), y_fixed=y_fixed)
 
 
-def _scatter_plan(targets):
+def _place(rows, cols, values, starts, r, c, v):
+    """Fill the entries of L items at their ``starts``: item l's blocks b,
+    each s x s and row-major, sit at rows ``r[l, b]`` and columns ``c[l, b]``
+    (each (L, b, s)) and hold ``v[l, b]``."""
+    slots = (starts[:, None] + np.arange(v[0].size)).reshape(v.shape)
+    rows[slots] = r[..., None]
+    cols[slots] = c[:, :, None, :]
+    values[slots] = v
+
+
+def _scatter_plan(take, rows, cols, shapes):
     """How entries of the stamp list sum into the CSC matrices that
-    ``coo_matrix.tocsc`` builds from them, for each ``(take, rows, cols,
-    shape)`` target: the entries ``take`` at ``rows`` and ``cols``.
+    ``coo_matrix.tocsc`` builds from them. The entries ``take`` sit at
+    ``rows`` and ``cols`` of the matrices of ``shapes`` placed
+    block-diagonally, each shifted past the ones before it.
 
     Returns ``StampSet``'s ``first``, ``further`` and ``templates``.
     """
@@ -319,45 +410,45 @@ def _scatter_plan(targets):
     # more than 16 entries, and sums each run of equal rows left to right.
     # The sort permutes by the row indices alone, so a marker matrix holding
     # the positions ``take`` is sorted exactly like the values. Flagging its
-    # COO form canonical makes tocsc keep the duplicates unsummed.
-    markers = []
-    for take, rows, cols, shape in targets:
-        coo = sp.coo_matrix((take, (rows, cols)), shape=shape)
-        coo.has_canonical_format = True
-        marker = coo.tocsc()
-        if marker.nnz != len(take):
-            raise RuntimeError("scipy summed the entries of a marker matrix")
-        marker.sort_indices()
-        markers.append(marker)
+    # COO form canonical makes tocsc keep the duplicates unsummed. A column
+    # of the block-diagonal marker holds one matrix's rows, shifted by a
+    # constant, in that matrix's order, so it sorts as that matrix's would.
+    r0, c0 = (np.cumsum([0, *dims]).tolist() for dims in zip(*shapes))
+    coo = sp.coo_matrix((take, (rows, cols)), shape=(r0[-1], c0[-1]))
+    coo.has_canonical_format = True
+    marker = coo.tocsc()
+    if marker.nnz != coo.nnz:
+        raise RuntimeError("scipy summed the entries of a marker matrix")
+    marker.sort_indices()
 
-    # The matrices' sorted entries in turn; an entry opens a new slot (a
-    # stored value) when it starts a column or changes the row.
-    offsets = np.cumsum([0] + [m.nnz for m in markers])
-    take = np.concatenate([m.data for m in markers])
-    rows = np.concatenate([m.indices for m in markers])
+    # The sorted entries; an entry opens a new slot (a stored value) when it
+    # starts a column or changes the row.
+    take, rows, indptr = marker.data, marker.indices, marker.indptr
     k = len(rows)
     new = np.zeros(k + 1, dtype=bool)
     new[1:k] = rows[1:] != rows[:-1]
-    for m, off in zip(markers, offsets):
-        new[m.indptr + off] = True
+    new[indptr] = True
     new = new[:k]
     opened = np.concatenate(([0], np.cumsum(new)))      # slots opened before each entry
 
-    # A slot's r-th further summand sits r entries after its first.
-    starts = np.flatnonzero(new)
-    sizes = np.diff(starts, append=k)
-    slots = np.arange(len(starts))
-    further = []
-    for r in range(1, sizes.max(initial=0)):
-        more = sizes > r
-        slots, starts, sizes = slots[more], starts[more], sizes[more]
-        further.append((slots, take[starts + r]))
+    # A slot's r-th further summand sits r entries after its first; rank r's
+    # entries, in slot order, are those r after the last opening entry.
+    slot = opened[1:] - 1
+    rank = np.arange(k) - np.flatnonzero(new)[slot]
+    later = np.flatnonzero(rank)
+    by_rank = later[np.argsort(rank[later], kind="stable")]
+    counts = np.bincount(rank[later])[1:]
+    cuts = np.cumsum(counts)[:-1]
+    further = list(zip(np.split(slot[by_rank], cuts), np.split(take[by_rank], cuts)))[:len(counts)]
     templates = []
-    for m, off in zip(markers, offsets):
-        indices = m.indices[new[off:off + m.nnz]]
-        indptr = (opened[m.indptr + off] - opened[off]).astype(m.indptr.dtype)
+    for (n_rows, n_cols), r, c in zip(shapes, r0, c0):
+        ptr = indptr[c:c + n_cols + 1]
+        block = slice(ptr[0], ptr[-1])
+        indices = rows[block][new[block]] - r
         # Zeros as one broadcast value: a template's data is never read.
-        t = sp.csc_matrix((np.broadcast_to(0j, len(indices)), indices, indptr), shape=m.shape)
+        t = sp.csc_matrix((np.broadcast_to(0j, len(indices)), indices,
+                           (opened[ptr] - opened[ptr[0]]).astype(indptr.dtype)),
+                          shape=(n_rows, n_cols))
         t.has_canonical_format = True
         templates.append(t)
     return take[new], tuple(further), tuple(templates)

@@ -39,12 +39,12 @@ import cmath
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import compress
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .network import PHASES, FeederModel, PhaseVector
+from .network import FeederModel, PhaseVector
 from .ybus import (AdmittanceSystem, StampSet, assemble, assemble_block, build_stamps,
                    recover_svr_secondary)
 
@@ -210,7 +210,7 @@ def solve_block(model: FeederModel, ratios: np.ndarray, stamps: StampSet,
     if bad.size:
         solve_zbus(model, _ratio_maps(model, ratios[bad[0]]), tol, max_iter, stamps=stamps)
     system = assemble_block(stamps, ratios)
-    m, n = len(ratios), len(stamps.coords)
+    m, n = len(ratios), len(stamps.v_flat)
     w_s = (system.Y_NS @ np.tile(stamps.v_slack, m)).reshape(m, n).T
     v, iterations, residual, converged = _fixed_point(
         _factor(stamps, system.Y), system.Y, stamps.loads, w_s,
@@ -227,13 +227,12 @@ def block_metrics(block: BlockSolution, model: FeederModel, v_min: float,
     Only converged columns are read, so no metric meets a diverged iterate.
     """
     st = block.system.stamps
-    at, bus_of = st.layout.at, st.layout.bus_of
-    m, ns = len(block.converged), len(st.slack_coords)
+    m, ns = len(block.converged), len(st.v_slack)
     cols = np.flatnonzero(block.converged)
     v = block.v[:, cols]
     # Each set's voltages over the full coordinates; the secondaries stay
     # zero there, for Y_S has no entries in their columns.
-    full = np.zeros((m, len(st.full_coords)), dtype=complex)
+    full = np.zeros((m, st.templates[2].shape[1]), dtype=complex)
     retained_at, slack_at = st.full_of
     full[:, slack_at] = st.v_slack
     full[cols[:, None], retained_at] = v.T
@@ -241,16 +240,9 @@ def block_metrics(block: BlockSolution, model: FeederModel, v_min: float,
     # Regulator secondaries as ``recover_svr_secondary`` has them, from the
     # primary's voltage, each part divided or multiplied by the ratio as
     # Python divides or multiplies a complex by a float.
-    prim_at, ratio_cols, type_b = [], [], []
-    for start, sv in zip(accumulate((len(sv.phases) for sv in model.svrs), initial=0),
-                         model.svrs):
-        for p in model.bus(sv.to_bus).phases:
-            prim_at.append(at[bus_of[sv.from_bus], PHASES.index(p)])
-            ratio_cols.append(start + sv.phases.index(p))
-            type_b.append(sv.kind == "B")
+    prim_at, ratio_cols, type_b = st.secondaries
     prim = full[cols][:, prim_at].T
     r = block.ratios[cols][:, ratio_cols].T
-    type_b = np.array(type_b, dtype=bool)[:, None]
     sec = np.empty(prim.shape, dtype=complex)
     sec.real = np.where(type_b, prim.real / r, prim.real * r)
     sec.imag = np.where(type_b, prim.imag / r, prim.imag * r)
@@ -310,7 +302,7 @@ def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> f
             heads.append((k, 1.0 / r if sv.kind == "B" else r))
     total = 0.0
     for k, g in heads:
-        ln, zinv = model.lines[k], stamps.zinv[k]
+        ln, zinv = model.lines[k], stamps.line_zinv(k)
         vn = np.array([model.slack_voltage[p] for p in ln.z.phases])
         vm = np.array([solution.voltages[ln.to_bus][p] for p in ln.z.phases])
         i_edge = zinv @ (vn - vm) if g is None else np.diag(g) @ (zinv @ (g * vn - vm))

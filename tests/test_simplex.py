@@ -216,6 +216,23 @@ def test_vectorized_pivots_match_loop_reference(monkeypatch, ieee13_lp, degen_st
         assert g.duals is None or np.array_equal(g.duals, w.duals)
 
 
+def test_condensed_solve_stacks_no_sparse_matrix(monkeypatch, ieee13_lp):
+    """The tableau is built from A's arrays: a condensed solve calls neither
+    ``sp.hstack`` nor ``sp.diags``, and gives the duals of an unpatched solve."""
+    duals = _condensed_duals(*ieee13_lp)
+    want = [tf.solve_lp(lp) for lp in duals]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tableau stacked a sparse matrix")
+
+    monkeypatch.setattr(sp, "hstack", refuse)
+    monkeypatch.setattr(sp, "diags", refuse)
+    for lp, w in zip(duals, want):
+        g = tf.solve_lp(lp)
+        assert (g.status, g.iterations) == (w.status, w.iterations)
+        assert g.duals.tobytes() == w.duals.tobytes()
+
+
 def test_tie_break_fallback_keeps_pass1_point(monkeypatch):
     """Pass 2 cut off by the pivot budget is reported, and pass 1's point
     returned (an injecting shunt, so the two passes end at different points)."""

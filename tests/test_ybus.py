@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tapflow as tf
 from tapflow.ybus import build_stamps
 
+import stamps_reference
 from conftest import PARITY_FEEDERS, bench_feeders, cascade_model, chain_model
 from ybus_reference import loop_assemble
 
@@ -170,6 +173,33 @@ def test_singular_impedance_names_the_first_line_in_stamp_order():
     assert [(ln.from_bus, ln.to_bus) for ln in bad.lines] == [("reg", "b1"), ("b1", "b2")]
     with pytest.raises(ValueError, match="singular impedance matrix on line b1->b2$"):
         build_stamps(bad)
+
+
+@pytest.mark.parametrize("bad,named", [
+    # n1->n3 (phase c) is the last phase-set group but the first line in stamp order.
+    (("r1->n1", "n1->n3"), "n1->n3"),
+    # Only regulator outgoing lines: the first regulator's line is named.
+    (("r2->n2",), "r2->n2"),
+    (("r2->n2", "r1->n1"), "r1->n1"),
+])
+def test_singular_impedance_names_the_first_line_across_phase_groups(bad, named):
+    """The lines are inverted per phase set, but a singular one is named in
+    stamp order: plain lines, then regulators' outgoing lines. In
+    cascade_model the groups are abc (r1->n1), ab (r2->n2) and c (n1->n3),
+    and the stamp order is n1->n3, r1->n1, r2->n2."""
+    model = cascade_model()
+    assert [(g.phases, g.lines.tolist()) for g in build_stamps(model).layout.groups] == \
+        [(("a", "b", "c"), [0]), (("a", "b"), [1]), (("c",), [2])]
+
+    def singular(ln):       # rank one, or zero on one phase
+        s = len(ln.z.phases)
+        z = np.full((s, s), 0.1 + 0.2j if s > 1 else 0.0)
+        return dataclasses.replace(ln, z=tf.PhaseMatrix(ln.z.phases, z))
+
+    lines = tuple(singular(ln) if f"{ln.from_bus}->{ln.to_bus}" in bad else ln
+                  for ln in model.lines)
+    with pytest.raises(ValueError, match=f"singular impedance matrix on line {named}$"):
+        build_stamps(dataclasses.replace(model, lines=lines))
 
 
 @pytest.mark.parametrize("where", ["line", "slack"])
@@ -466,3 +496,74 @@ def test_written_system_changes_no_later_assembly_or_solve(name, request):
                 m.indices[:] = -1
                 m.indptr[:] = -1
     assert len(stamps.y_lu) == stamps.y_fixed
+
+
+def _edge_fields(e):
+    return (e.kind, e.index, e.from_bus, e.to_bus, e.phases, e.key())
+
+
+def _assert_same_bytes(a, b, what):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), what
+
+
+def _assert_stamp_parity(model):
+    """``build_stamps`` gives the reference build's stamp set field by field
+    and bit for bit, ``tree_index`` gives its fields, and assembly on the
+    stamp set gives the per-entry loop's matrices at two ratio sets."""
+    got, want = build_stamps(model), stamps_reference.build_stamps(model)
+    for name in ("values", "moving", "first", "v_flat", "v_slack", "loads"):
+        _assert_same_bytes(getattr(got, name), getattr(want, name), name)
+    for a, b in zip(got.full_of, want.full_of, strict=True):
+        _assert_same_bytes(a, b, "full_of")
+    assert len(got.further) == len(want.further)
+    for (slots, take), (ref_slots, ref_take) in zip(got.further, want.further):
+        _assert_same_bytes(slots, ref_slots, "further slots")
+        _assert_same_bytes(take, ref_take, "further take")
+    for t, ref in zip(got.templates, want.templates, strict=True):
+        assert t.shape == ref.shape and t.has_canonical_format
+        _assert_same_bytes(t.indices, ref.indices, "template indices")
+        _assert_same_bytes(t.indptr, ref.indptr, "template indptr")
+    for name in ("coords", "slack_coords", "full_coords", "eliminated", "y_fixed"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert [(b.id, rows) for b, rows in got.bus_rows] == [(b.id, rows) for b, rows in want.bus_rows]
+    assert all(b is ref for (b, _), (ref, _) in zip(got.bus_rows, want.bus_rows))
+    for r, ref in zip(got.regulators, want.regulators, strict=True):
+        assert (r.svr, r.index, r.phases, r.entries) == \
+            (ref.svr, ref.index, ref.phases, ref.entries)
+        _assert_same_bytes(r.zinv, ref.zinv, "regulator zinv")
+    for k, ref in enumerate(want.zinv):
+        _assert_same_bytes(got.line_zinv(k), ref, f"zinv of line {k}")
+    layout, ref_layout = got.layout, want.layout
+    _assert_same_bytes(layout.at, ref_layout.at, "at")
+    _assert_same_bytes(layout.load, ref_layout.load, "load")
+    assert (layout.bus_of, layout.svr_lines) == (ref_layout.bus_of, ref_layout.svr_lines)
+
+    tree, ref_tree = tf.tree_index(model), stamps_reference.tree_index(model)
+    assert (tree.root, tree.order) == (ref_tree.root, ref_tree.order)
+    assert list(map(_edge_fields, tree.edges)) == list(map(_edge_fields, ref_tree.edges))
+    assert {b: _edge_fields(e) for b, e in tree.parent.items()} == \
+        {b: _edge_fields(e) for b, e in ref_tree.parent.items()}
+    assert {b: list(map(_edge_fields, es)) for b, es in tree.children.items()} == \
+        {b: list(map(_edge_fields, es)) for b, es in ref_tree.children.items()}
+
+    sets = _ratio_sets(model)
+    for key in ("zero", "random"):
+        _assert_same_system(tf.assemble(model, sets[key], stamps=got),
+                            loop_assemble(model, sets[key]))
+
+
+@pytest.mark.parametrize("name", ["ieee13", "tiny3"])
+def test_stamp_set_matches_reference_build_on_fixtures(name, request):
+    _assert_stamp_parity(request.getfixturevalue(name))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), n_buses=st.integers(10, 300),
+       shares=st.tuples(*[st.integers(0, 8)] * 3).filter(any))
+def test_stamp_set_matches_reference_build(seed, n_buses, shares):
+    """On generated feeders of drawn size and 1-, 2- and 3-phase lateral
+    shares, the one-pass stamp set equals the reference build's."""
+    mix = tuple(s / sum(shares) for s in shares)
+    _assert_stamp_parity(bench_feeders().generate_feeder(seed, n_buses, mix))
