@@ -399,8 +399,7 @@ def brute_force(model: FeederModel, config: OptsConfig,
                                                                                 len(axes))
         block = solve_block(model, ratios, stamps, tol=config.zbus_tol,
                             max_iter=config.zbus_max_iter)
-        feasible, objective = block_metrics(block, model, config.v_min_verify,
-                                            config.v_max_verify)
+        feasible, objective = block_metrics(block, config.v_min_verify, config.v_max_verify)
         feasible_count += int(feasible.sum())
         for j, obj in zip(np.flatnonzero(feasible).tolist(), objective[feasible].tolist()):
             if obj < best_obj - 1e-12 or abs(obj - best_obj) <= 1e-12:

@@ -19,12 +19,13 @@ is unchanged.
 The iteration is one kernel over an (n, m) block of columns, with one
 multi-column LU solve per step; each column stops on its own (update below
 ``tol`` and KCL residual at most ``_KCL_TOL``, a non-finite update, or
-``max_iter``) and leaves the block. ``solve_zbus`` runs it on one column.
-A tap sweep with Y fixed runs it on many (``solve_block``): the columns
-then differ only in w_s = Y_NS v_S, which one product with the block's
-block-diagonal Y_NS gives at each column's own bits. ``block_metrics``
-computes feasibility and import for the converged columns of a block at
-the bits of the one-solve metrics.
+``max_iter``) and leaves the block. One core, ``_solve``, checks ``tol`` and
+that many columns share one Y, forms w_s = Y_NS v_S with one product (Y_NS
+block-diagonal over the columns, so each gets its own bits), factors Y and
+runs the kernel: on one column for ``solve_zbus``, on many for a tap sweep
+with Y fixed (``solve_block``). ``block_metrics`` computes feasibility and
+import for the converged columns of a block at the bits of the one-solve
+metrics.
 
 The result wraps one copy of the final iterate: each bus's vector is a view
 of its rows, built without ``PhaseVector``'s canonicalisation and finiteness
@@ -39,7 +40,6 @@ import cmath
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -85,6 +85,7 @@ def _fixed_point(lu, Y, loads: np.ndarray, w_s: np.ndarray, v: np.ndarray, tol: 
     at most ``_KCL_TOL`` (converged), when its update is not finite (at its
     last finite iterate, unconverged) or after ``max_iter`` steps. Returns
     each column's final iterate, steps, residual and converged flag.
+    ``_solve`` has checked ``tol``.
     """
     m = w_s.shape[1]
     out = np.empty_like(w_s)
@@ -100,31 +101,26 @@ def _fixed_point(lu, Y, loads: np.ndarray, w_s: np.ndarray, v: np.ndarray, tol: 
             v_new = lu.solve(_load_currents(loads, v) - w)
             # A non-finite component of v_new, or a change too large to
             # represent, makes delta NaN or inf.
-            delta = np.abs(v_new - v).max(axis=0, initial=0.0).tolist()
+            delta = np.abs(v_new - v).max(axis=0, initial=0.0)
             # The sum is finite unless a delta is NaN or inf, or it overflows.
-            if math.isfinite(sum(delta)) and tol <= min(delta):
+            d = delta.tolist()
+            if math.isfinite(sum(d)) and tol <= min(d):
                 v = v_new                # no column stops or checks its residual
                 continue
-            # Positions in ``live`` of the columns that stop here.
-            stop = [j for j, d in enumerate(delta) if not math.isfinite(d)]
-            if stop:
-                v_new[:, stop] = v[:, stop]
+            # Stop at the last finite iterate, or converged: small update, KCL holds.
+            bad = ~np.isfinite(delta)
+            np.copyto(v_new, v, where=bad)
             v = v_new
-            small = [j for j, d in enumerate(delta) if d < tol]
-            if small:
-                res = _kcl_residual(Y, loads, w[:, small], v[:, small])
-                ok = res <= _KCL_TOL
-                hit = live[small][ok]
-                residual[hit], converged[hit] = res[ok], True
-                stop += list(compress(small, ok))
-            if len(stop) == len(live):   # the last running columns stop
-                out[:, live], iterations[live] = v, it
+            small = delta < tol
+            res = np.full(len(live), np.inf)
+            res[small] = _kcl_residual(Y, loads, w[:, small], v[:, small])
+            ok = res <= _KCL_TOL
+            stop = bad | ok
+            j = live[stop]
+            out[:, j], iterations[j], residual[j], converged[j] = v[:, stop], it, res[stop], ok[stop]
+            if len(j) == len(live):      # the last running columns stop
                 break
-            if stop:
-                out[:, live[stop]], iterations[live[stop]] = v[:, stop], it
-                keep = np.ones(len(live), dtype=bool)
-                keep[stop] = False
-                live, v, w = live[keep], v[:, keep], w[:, keep]
+            live, v, w = live[~stop], v[:, ~stop], w[:, ~stop]
         else:
             out[:, live] = v
         if not converged.all():
@@ -143,6 +139,19 @@ def _factor(stamps: StampSet, Y):
     return lu
 
 
+def _solve(system: AdmittanceSystem, v: np.ndarray, tol: float, max_iter: int) -> tuple:
+    """``_fixed_point`` on ``system`` from the (n, m) start ``v``, column j at
+    ratio set j; m > 1 columns share Y's factorization, so need ``y_fixed``."""
+    if not tol > 0:      # also rejects NaN
+        raise ValueError("tol must be positive")
+    st = system.stamps
+    n, m = v.shape
+    if m > 1 and not st.y_fixed:
+        raise ValueError("a block of ratio sets needs taps that cannot move Y")
+    w_s = (system.Y_NS @ np.tile(st.v_slack, m)).reshape(m, n).T
+    return _fixed_point(_factor(st, system.Y), system.Y, st.loads, w_s, v, tol, max_iter)
+
+
 def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER, v0: dict | None = None,
                stamps: StampSet | None = None) -> PowerFlowSolution:
@@ -155,8 +164,6 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
     many ratios. An update that is not finite ends the iteration unconverged
     at the last finite iterate.
     """
-    if not tol > 0:      # also rejects NaN
-        raise ValueError("tol must be positive")
     system = assemble(model, ratios, stamps=stamps)
     st = system.stamps
     if v0 is None:
@@ -165,10 +172,7 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
         v = np.array([v0[bus][phase] for bus, phase in st.coords])
         if not np.all(np.isfinite(v)):
             raise ValueError("v0 must be finite")
-    lu = _factor(st, system.Y)
-    w_s = system.Y_NS @ st.v_slack
-    out, iterations, residual, converged = _fixed_point(
-        lu, system.Y, st.loads, w_s[:, None], v[:, None], tol, max_iter)
+    out, iterations, residual, converged = _solve(system, v[:, None], tol, max_iter)
 
     # The module docstring says why the vectors may wrap the iterate unchecked.
     v = out[:, 0]
@@ -201,25 +205,22 @@ def solve_block(model: FeederModel, ratios: np.ndarray, stamps: StampSet,
     """``solve_zbus`` from a flat start at each row of ``ratios`` (m, k), the
     regulators' phases in model order, as one iteration over m columns.
 
-    More than one row needs ``stamps.y_fixed``: the rows then share one
-    factorization of Y. The first row with a zero or non-finite ratio is
-    solved alone first, so that it raises the error ``solve_zbus`` raises
-    for it.
+    More than one row needs ``stamps.y_fixed`` (else ``ValueError``): the
+    rows then share one factorization of Y. The first row with a zero or
+    non-finite ratio is solved alone first, so that it raises the error
+    ``solve_zbus`` raises for it.
     """
     bad = np.flatnonzero(~np.all(np.isfinite(ratios) & (ratios != 0.0), axis=1))
     if bad.size:
         solve_zbus(model, _ratio_maps(model, ratios[bad[0]]), tol, max_iter, stamps=stamps)
     system = assemble_block(stamps, ratios)
-    m, n = len(ratios), len(stamps.v_flat)
-    w_s = (system.Y_NS @ np.tile(stamps.v_slack, m)).reshape(m, n).T
-    v, iterations, residual, converged = _fixed_point(
-        _factor(stamps, system.Y), system.Y, stamps.loads, w_s,
-        np.broadcast_to(stamps.v_flat[:, None], (n, m)), tol, max_iter)
+    start = np.broadcast_to(stamps.v_flat[:, None], (len(stamps.v_flat), len(ratios)))
+    v, iterations, residual, converged = _solve(system, start, tol, max_iter)
     return BlockSolution(v=v, iterations=iterations, residual=residual, converged=converged,
                          ratios=ratios, system=system)
 
 
-def block_metrics(block: BlockSolution, model: FeederModel, v_min: float,
+def block_metrics(block: BlockSolution, v_min: float,
                   v_max: float) -> tuple[np.ndarray, np.ndarray]:
     """``feasibility`` and ``import_objective`` at each converged column of
     ``block``, at the bits of the one-solve metrics; False and NaN elsewhere.

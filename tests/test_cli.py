@@ -38,6 +38,9 @@ def test_powerflow_missing_file(capsys):
 
 def test_powerflow_bad_taps_arity(capsys):
     assert run(["powerflow", "--feeder", TINY3, "--taps", "1,2"]) == 1
+    capsys.readouterr()
+    assert run(["powerflow", "--feeder", TINY3, "--taps", "1;2"]) == 1
+    assert "has 2 group(s)" in capsys.readouterr().err
 
 
 def test_powerflow_ieee13_min_magnitude(tmp_path):
@@ -125,7 +128,8 @@ def test_opts_gap_populated(tmp_path):
 
 
 @pytest.mark.parametrize("command, message", [("powerflow", "did not converge"),
-                                              ("opts", "[base_powerflow]")])
+                                              ("opts", "[base_powerflow]"),
+                                              ("lindiff", "exact power flow did not converge")])
 def test_overflowing_power_flow_exit_2(tmp_path, capsys, command, message):
     """A solve whose iterate overflows is reported unconverged, not as bad input."""
     doc = json.loads((FIXTURES / "tiny3.json").read_text())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import tapflow as tf
 from tapflow.network import canonical_phases
 
-from conftest import FIXTURES, chain_model
+from conftest import FIXTURES, bench_feeders, chain_model
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +120,17 @@ def test_serialize_round_trip():
     again = tf.parse_feeder(text)
     assert again == model
     assert tf.serialize(again) == text     # serialize-parse is a fixed point
+
+
+@pytest.mark.parametrize("name", ["ieee13", "tiny3", "gen3-60"])
+def test_serialize_round_trip_real_feeders(request, name):
+    """Regulators, shunts and config survive the round trip too."""
+    model = (bench_feeders().generate_feeder(3, 60) if name == "gen3-60"
+             else request.getfixturevalue(name))
+    text = tf.serialize(model)
+    again = tf.parse_feeder(text)
+    assert again == model
+    assert tf.serialize(again) == text
 
 
 def test_parse_reports_syntax_position():
@@ -264,6 +276,64 @@ def test_asymmetric_impedance_flagged():
         lines=(tf.LineSpec(from_bus="sub", to_bus="b1", z=z),),
         svrs=(), slack_voltage=tf.PhaseVector("ab", [1.0, 1.0]))
     assert any(v.rule == "line-symmetric" for v in tf.validate(bad))
+
+
+def _with_bus(model, bus_id, **fields):
+    return dataclasses.replace(model, buses=tuple(
+        dataclasses.replace(b, **fields) if b.id == bus_id else b for b in model.buses))
+
+
+def _with_lines(model, *extra):
+    """``model`` with more lines over phase a, each (from, to)."""
+    z = model.lines[0].z
+    return dataclasses.replace(model, lines=model.lines + tuple(
+        tf.LineSpec(from_bus=f, to_bus=t, z=z) for f, t in extra))
+
+
+def _with_svr(model, **fields):
+    return dataclasses.replace(model, svrs=(dataclasses.replace(model.svrs[0], **fields),))
+
+
+# Case -> (rule, message part, edit). tiny3 is sub (slack) -SVR-> reg -line-> load,
+# all on phase a.
+RULE_EDITS = {
+    "duplicate-bus": ("duplicate-bus", "appears more than once",
+                      lambda m: dataclasses.replace(m, buses=m.buses + m.buses[-1:])),
+    "slack-injection": ("slack-injection", "no load and no shunt",
+                        lambda m: _with_bus(m, "sub", load=tf.PhaseVector("a", [0.1]))),
+    "load-mask": ("load-mask", "load phases not a subset",
+                  lambda m: _with_bus(m, "load", load=tf.PhaseVector("ab", [0.1, 0.1]))),
+    "shunt-mask": ("shunt-mask", "shunt phases not a subset",
+                   lambda m: _with_bus(m, "load", shunt=tf.PhaseMatrix("b", [[0.01j]]))),
+    "line-diagonal": ("line-diagonal", "diagonal entry is zero", lambda m: dataclasses.replace(
+        m, lines=(dataclasses.replace(m.lines[0], z=tf.PhaseMatrix("a", [[0.0]])),))),
+    "svr-bounds": ("svr-bounds", "must contain 0", lambda m: _with_svr(m, tap_min=1)),
+    "svr-mask": ("svr-mask", "not present at both endpoints",
+                 lambda m: _with_svr(m, phases=("a", "b"))),
+    "slack-incoming": ("not-a-tree", "slack bus has an incoming edge",
+                       lambda m: _with_lines(m, ("load", "sub"))),
+    "island-cycle": ("not-a-tree", "not reachable from the slack bus", lambda m: _with_lines(
+        dataclasses.replace(m, buses=m.buses + (tf.BusSpec(id="x", phases=("a",)),
+                                                tf.BusSpec(id="y", phases=("a",)))),
+        ("x", "y"), ("y", "x"))),
+    "secondary-outgoing": ("svr-secondary-isolation", "exactly one outgoing line",
+                           lambda m: _with_lines(dataclasses.replace(
+                               m, buses=m.buses + (tf.BusSpec(id="x", phases=("a",)),)),
+                               ("reg", "x"))),
+    "secondary-slack": ("svr-secondary-isolation", "cannot be the slack bus",
+                        lambda m: _with_svr(m, from_bus="load", to_bus="sub")),
+    "secondary-mask": ("svr-secondary-isolation", "must equal the SVR phase mask",
+                       lambda m: _with_bus(m, "reg", phases=("a", "b"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_EDITS))
+def test_validate_rule_reached(tiny3, case):
+    """Each edit of the valid tiny3 model breaks the named rule."""
+    rule, message, edit = RULE_EDITS[case]
+    assert tf.validate(tiny3) == []
+    found = {(v.rule, v.message) for v in tf.validate(edit(tiny3))}
+    assert any(r == rule and message in text for r, text in found), found
 
 
 def test_every_valid_model_has_unique_root_path(ieee13):

@@ -336,6 +336,33 @@ BLOCK_CASES = {("tiny3", 1.0, 200): {"converged"}, ("tiny3", 1e307, 200): {"non-
                ("ieee13", 1.8, 200): {"converged", "capped"}, ("ieee13", 1.0, 3): {"capped"}}
 
 
+@pytest.mark.parametrize("tol", [0.0, float("nan")])
+def test_block_rejects_nonpositive_or_nan_tol(tiny3, tol):
+    """A block checks ``tol`` as ``solve_zbus`` does, rather than running
+    every column to ``max_iter`` unconverged."""
+    with pytest.raises(ValueError, match="tol must be positive"):
+        zbus.solve_block(tiny3, np.ones((1, 1)), build_stamps(tiny3), tol=tol, max_iter=50)
+
+
+def test_block_of_many_sets_needs_fixed_y():
+    """Y of generate_feeder(3, 30) moves with its taps, so two ratio sets
+    cannot share one factorization of it: the block raises. One set at a
+    time, as the sweep sends them there, is ``solve_zbus`` to the bit."""
+    model = bench_feeders().generate_feeder(3, 30)
+    stamps = build_stamps(model)
+    assert not stamps.y_fixed
+    base = tf.taps_to_ratios(model, tf.zero_taps(model))
+    grid = [base, [{p: r + 0.05 for p, r in ratios.items()} for ratios in base]]
+    flat = np.array([[r[p] for r in ratios for p in r] for ratios in grid])
+    with pytest.raises(ValueError, match="taps that cannot move Y"):
+        zbus.solve_block(model, flat, stamps)
+    for row, ratios in zip(flat, grid):
+        block = zbus.solve_block(model, row[None, :], stamps)
+        sol = tf.solve_zbus(model, ratios, stamps=stamps)
+        v = np.concatenate([sol.voltages[b.id].values for b, _ in stamps.bus_rows])
+        assert block.converged[0] and block.v[:, 0].tobytes() == v.tobytes()
+
+
 @pytest.mark.parametrize("case,scale,max_iter", sorted(BLOCK_CASES))
 def test_block_columns_equal_single_solves(case, scale, max_iter, request):
     """Column j of a block solve is ``solve_zbus`` at combination j (tiny3's
@@ -351,7 +378,7 @@ def test_block_columns_equal_single_solves(case, scale, max_iter, request):
     grid = list(_tap_grid(model))
     flat = np.array([[r[p] for r in ratios for p in r] for ratios in grid])
     block = zbus.solve_block(model, flat, stamps, max_iter=max_iter)
-    feasible, objective = zbus.block_metrics(block, model, 0.9, 1.1)
+    feasible, objective = zbus.block_metrics(block, 0.9, 1.1)
     stops = set()
     for j, ratios in enumerate(grid):
         sol = tf.solve_zbus(model, ratios, max_iter=max_iter, stamps=stamps)
