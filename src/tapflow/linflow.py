@@ -37,7 +37,7 @@ from scipy.sparse.linalg import splu
 from .errors import PipelineError
 from .network import PHASES, FeederModel, PhaseVector
 from .ybus import Layout, build_layout, build_stamps
-from .zbus import PowerFlowSolution, _voltage_array
+from .zbus import PowerFlowSolution, _voltages_of
 
 _ALPHA = np.exp(2j * np.pi / 3.0)
 _UNITS = np.array([1.0 + 0.0j, _ALPHA**2, _ALPHA])           # balanced phases a, b, c
@@ -92,7 +92,7 @@ def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> Line
     if not base.converged:
         raise ValueError("base power flow must be converged")
     stamps = base.system.stamps if base.system is not None else build_stamps(model)
-    at, v = stamps.layout.at, _voltage_array(base, model.buses)      # v over full coordinates
+    at, v = stamps.layout.at, _voltages_of(base, model, stamps)      # v over full coordinates
     # Per line: 1 if an endpoint voltage is zero, 2 if its voltage loss is not real.
     bad = np.zeros(len(model.lines), dtype=np.int8)
     parts = []

@@ -13,8 +13,9 @@ impedances) and each regulator's outgoing line, found with the feeder's one
 ``tree_index``. The stamps, ``linflow`` and ``zbus`` read it.
 
 Assembly has two steps. ``build_stamps`` does the tap-independent work once
-per feeder: the layout, each retained bus's rows, the slack voltages, loads
-and flat start over them, the checked inverses of the line impedances (one
+per feeder: the layout, the slack voltages, loads and flat start over the
+retained rows, each regulator secondary's coordinates, the primary's and
+its ratio column, the checked inverses of the line impedances (one
 stack per phase-set group), one list of stamped entries in stamp order
 (lines, then regulators, then shunts, each block row-major), and the final
 CSC pattern of Y, Y_NS and Y_S. Each regulator owns one slice of the entry
@@ -24,7 +25,8 @@ one per shunt, s its phase count), and one broadcast per phase-set group
 fills the rows, columns and values of its plain lines and regulator lines
 together, each line's kind choosing its blocks' endpoints and signs; shunts
 take one broadcast per phase set. The coordinates come from the layout; the
-(bus, phase) tuples that name them are built only when read. ``assemble``
+(bus, phase) tuples that name them and each retained bus's rows are built
+only when read. ``assemble``
 then computes only the regulator blocks G zinv G, -G zinv and -zinv G (G
 the diagonal gain) for the given ratios, elementwise as (g_i zinv_ij) g_j
 and so on, reads them in place of their entries and scatters the list into
@@ -211,7 +213,7 @@ class StampSet:
 
     full_of: tuple           # positions in full_coords of coords and of slack_coords
     eliminated: tuple        # bus ids removed by regulator elimination
-    bus_rows: tuple          # per retained bus, in model order: (bus, its rows as a slice)
+    buses: tuple             # the model's buses
     v_slack: np.ndarray      # slack voltages in Y_NS column order
     loads: np.ndarray        # constant-power consumption per retained row
     v_flat: np.ndarray       # flat start: the slack voltage of each row's phase
@@ -224,7 +226,8 @@ class StampSet:
     layout: Layout
     zinv: tuple              # per layout line group: its checked inverses, (L, s, s)
     secondaries: tuple       # per regulator secondary phase, regulators in model order:
-                             # primary full coordinate, ratio column, type-B flag (n, 1)
+                             # its full coordinate, the primary's, the ratio column,
+                             # type-B flag (n, 1), and (regulator index, phase)
     y_fixed: bool            # no block that moves with the ratios lands in Y
     y_lu: list = field(default_factory=list, repr=False)   # Y's factorization, when y_fixed
 
@@ -252,6 +255,19 @@ class StampSet:
     def slack_coords(self) -> tuple:
         """Slack (bus, phase) in Y_NS column order."""
         return tuple(map(self.full_coords.__getitem__, self.full_of[1].tolist()))
+
+    @cached_property
+    def bus_rows(self) -> tuple:
+        """Per retained bus, in model order: (bus, its rows as a slice)."""
+        kept = ~self.layout.slack
+        kept[[self.layout.bus_of[b] for b in self.eliminated]] = False
+        stops = np.cumsum(np.count_nonzero(self.layout.at[kept] >= 0, axis=1)).tolist()
+        return tuple(zip(compress(self.buses, kept.tolist()), map(slice, [0, *stops], stops)))
+
+    @cached_property
+    def nonslack_at(self) -> np.ndarray:
+        """Positions in full_coords of every coordinate but the slack's."""
+        return np.flatnonzero(~self.layout.slack[np.nonzero(self.layout.at >= 0)[0]])
 
 
 @dataclass(frozen=True)
@@ -367,24 +383,25 @@ def build_stamps(model: FeederModel) -> StampSet:
         np.where(to_s, n + ns + cols, np.where(to_ns, n + slack_of[cols], retained_of[cols]))[keep],
         ((n, n), (n, ns), (ns, nf)))
 
-    # Each regulator secondary's phases: the primary's full coordinate, the
-    # ratio column (regulators' phases in model order) and the kind.
-    col0 = accumulate((len(sv.phases) for sv in svrs), initial=0)
-    sec = np.array([(at[bus_of[sv.from_bus], _PHASE_POS[p]], c + sv.phases.index(p), sv.kind == "B")
-                    for c, sv in zip(col0, svrs) for p in buses[bus_of[sv.to_bus]].phases],
-                   dtype=np.intp).reshape(-1, 3)
+    # Each regulator secondary's phases: its full coordinate, the primary's,
+    # the ratio column (regulators' phases in model order) and the kind.
+    keys, sec = [], []
+    for i, (c, sv) in enumerate(zip(accumulate((len(sv.phases) for sv in svrs), initial=0), svrs)):
+        for p in buses[bus_of[sv.to_bus]].phases:
+            keys.append((i, p))
+            sec.append((at[bus_of[sv.to_bus], _PHASE_POS[p]], at[bus_of[sv.from_bus], _PHASE_POS[p]],
+                        c + sv.phases.index(p), sv.kind == "B"))
+    sec = np.array(sec, dtype=np.intp).reshape(-1, 4)
 
-    stops = np.cumsum(np.count_nonzero(at[kept] >= 0, axis=1)).tolist()
     return StampSet(full_of=(np.flatnonzero(is_retained), np.flatnonzero(is_slack)),
-                    eliminated=eliminated,
-                    bus_rows=tuple(zip(compress(buses, kept.tolist()),
-                                       map(slice, [0, *stops], stops))),
+                    eliminated=eliminated, buses=buses,
                     v_slack=v_source[phase_of[is_slack]], loads=layout.load[kept][at[kept] >= 0],
                     v_flat=v_source[phase_of[is_retained]],
                     values=values, moving=np.where(moves, np.cumsum(moves) - 1, -1),
                     first=first, further=further, templates=templates,
                     regulators=regulators, layout=layout, zinv=zinv,
-                    secondaries=(sec[:, 0], sec[:, 1], sec[:, 2:] == 1), y_fixed=y_fixed)
+                    secondaries=(sec[:, 0], sec[:, 1], sec[:, 2], sec[:, 3:] == 1, tuple(keys)),
+                    y_fixed=y_fixed)
 
 
 def _place(rows, cols, values, starts, r, c, v):

@@ -4,8 +4,8 @@ The iteration solves Y v = i(v) - Y_NS v_S with constant-power injections
 re-evaluated at the previous iterate and constant-admittance shunts folded
 into Y. Convergence requires both a small voltage update and a small
 Kirchhoff current residual, so every converged solution carries an
-independent physics certificate. The loads, slack voltages, flat start,
-each bus's rows and the line inverses come from the feeder's stamp set
+independent physics certificate. The loads, slack voltages, flat start
+and the line inverses come from the feeder's stamp set
 (``ybus.StampSet``) and its layout, built once per feeder, so a solve or a
 metric rebuilds none of them. The stamp set also fixes the CSC pattern of Y
 and scipy's order of summing its duplicate entries, captured once, so a
@@ -23,15 +23,18 @@ multi-column LU solve per step; each column stops on its own (update below
 that many columns share one Y, forms w_s = Y_NS v_S with one product (Y_NS
 block-diagonal over the columns, so each gets its own bits), factors Y and
 runs the kernel: on one column for ``solve_zbus``, on many for a tap sweep
-with Y fixed (``solve_block``). ``block_metrics`` computes feasibility and
-import for the converged columns of a block at the bits of the one-solve
-metrics.
+with Y fixed (``solve_block``).
 
-The result wraps one copy of the final iterate: each bus's vector is a view
-of its rows, built without ``PhaseVector``'s canonicalisation and finiteness
-check. That is safe because the bus phases are canonical (``BusSpec`` sorts
-them), a non-finite ``v0`` is rejected on entry and the iteration keeps only
-finite iterates. The metrics read the voltages back as whole arrays.
+Voltages are kept as arrays over the stamp set's full coordinates: slack,
+retained rows and regulator secondaries (``_full_voltages``). Each metric
+has one implementation that reads them, for one solve or for every column
+of a block (``block_metrics``). ``PowerFlowSolution.voltages`` is a per-bus
+view of a solve's array (``BusVoltages``), built only when read. Its
+vectors skip ``PhaseVector``'s canonicalisation and finiteness check: bus
+phases are canonical (``BusSpec`` sorts them), a non-finite ``v0`` is
+rejected, the iteration keeps only finite iterates and a secondary that is
+not finite raises. A solution made with a dict of its own is read from that
+dict, one conversion per metric.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ from __future__ import annotations
 import cmath
 import io
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -53,11 +58,45 @@ DEFAULT_MAX_ITER = 200
 _KCL_TOL = 5e-9   # stop threshold; comfortably under the 1e-8 certificate
 
 
+class BusVoltages(Mapping):
+    """bus id -> PhaseVector over a solve's voltages ``v`` (over
+    ``stamps.full_coords``), built as a dict on first read: the slack bus
+    (the model's ``slack_voltage``), the retained buses in model order, then
+    the regulator secondaries in regulator order, each vector a view of ``v``."""
+
+    def __init__(self, v: np.ndarray, stamps: StampSet, model: FeederModel):
+        self.v, self.stamps, self._model, self._dict = v, stamps, model, None
+
+    def _built(self) -> dict:
+        if self._dict is None:
+            st, bus_of = self.stamps, self.stamps.layout.bus_of
+            stops = np.cumsum(np.count_nonzero(st.layout.at >= 0, axis=1)).tolist()
+            out = {self._model.slack.id: self._model.slack_voltage}
+            for b in chain((b for b, _ in st.bus_rows), (st.buses[bus_of[i]] for i in st.eliminated)):
+                stop = stops[bus_of[b.id]]
+                out[b.id] = PhaseVector._wrap(b.phases, self.v[stop - len(b.phases):stop])
+            self._dict = out
+        return self._dict
+
+    def __getitem__(self, bus):
+        return self._built()[bus]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 @dataclass
 class PowerFlowSolution:
     """Per-bus complex voltages with convergence diagnostics."""
 
-    voltages: dict                      # bus id -> PhaseVector (slack + secondaries included)
+    voltages: Mapping                   # bus id -> PhaseVector (slack + secondaries included);
+                                        # a solve's is a ``BusVoltages``
     iterations: int
     residual: float                     # inf-norm of the KCL current mismatch
     converged: bool
@@ -148,7 +187,8 @@ def _solve(system: AdmittanceSystem, v: np.ndarray, tol: float, max_iter: int) -
     n, m = v.shape
     if m > 1 and not st.y_fixed:
         raise ValueError("a block of ratio sets needs taps that cannot move Y")
-    w_s = (system.Y_NS @ np.tile(st.v_slack, m)).reshape(m, n).T
+    v_s = st.v_slack if m == 1 else np.tile(st.v_slack, m)   # Y_NS is block-diagonal
+    w_s = (system.Y_NS @ v_s).reshape(m, n).T
     return _fixed_point(_factor(st, system.Y), system.Y, st.loads, w_s, v, tol, max_iter)
 
 
@@ -174,17 +214,45 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
             raise ValueError("v0 must be finite")
     out, iterations, residual, converged = _solve(system, v[:, None], tol, max_iter)
 
-    # The module docstring says why the vectors may wrap the iterate unchecked.
-    v = out[:, 0]
-    voltages = {model.slack.id: model.slack_voltage}
-    for b, rows in st.bus_rows:
-        voltages[b.id] = PhaseVector._wrap(b.phases, v[rows])
-    voltages.update(recover_svr_secondary(model, ratios, voltages))
+    # The secondaries' ratios, read as ``recover_svr_secondary`` reads them.
+    # Should it reject one (a zero, or a secondary voltage that is not
+    # finite), it is called to raise its error.
+    sec_at, *_, keys = st.secondaries
+    r = np.array([float(ratios[i][p]) for i, p in keys]).reshape(-1, 1)
+    full = _full_voltages(st, out, r)[0]
+    voltages = BusVoltages(full, st, model)
+    if not (r.all() and np.isfinite(full[sec_at]).all()):
+        recover_svr_secondary(model, ratios, voltages)
 
     return PowerFlowSolution(
         voltages=voltages, iterations=int(iterations[0]), residual=float(residual[0]),
         converged=bool(converged[0]), ratios=list(ratios), system=system,
     )
+
+
+def _full_voltages(stamps: StampSet, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(m, nf) voltages over the full coordinates from the m iterates ``v``
+    (n, m), ``r`` (k, m) the ratios of the k regulator secondary phases: the
+    slack, the retained rows, and the secondaries as ``recover_svr_secondary``
+    has them, from the primary's voltage divided (type B) or multiplied by
+    the ratio. A part that overflows is left infinite, with no warning."""
+    sec_at, prim_at, _, type_b, _ = stamps.secondaries
+    retained_at, slack_at = stamps.full_of
+    full = np.empty((v.shape[1], stamps.templates[2].shape[1]), dtype=complex)
+    full[:, slack_at] = stamps.v_slack
+    full[:, retained_at] = v.T
+    a = full[:, prim_at].T
+    sec = np.empty(a.shape, dtype=complex)
+    # Python's complex arithmetic with the ratio as r + 0j, step by step, so
+    # that the signs of zero parts match too: the product for type A, the
+    # quotient with q = 0 / r and denominator r + 0 q for type B.
+    with np.errstate(all="ignore"):
+        q = 0.0 / r
+        d = r + 0.0 * q
+        sec.real = np.where(type_b, (a.real + a.imag * q) / d, a.real * r - a.imag * 0.0)
+        sec.imag = np.where(type_b, (a.imag - a.real * q) / d, a.real * 0.0 + a.imag * r)
+    full[:, sec_at] = sec.T
+    return full
 
 
 @dataclass(frozen=True)
@@ -223,38 +291,16 @@ def solve_block(model: FeederModel, ratios: np.ndarray, stamps: StampSet,
 def block_metrics(block: BlockSolution, v_min: float,
                   v_max: float) -> tuple[np.ndarray, np.ndarray]:
     """``feasibility`` and ``import_objective`` at each converged column of
-    ``block``, at the bits of the one-solve metrics; False and NaN elsewhere.
+    ``block``, with the one-solve metrics' code; False and NaN elsewhere.
 
-    Only converged columns are read, so no metric meets a diverged iterate.
+    A column that did not converge is zeroed first, so no metric meets a
+    diverged iterate.
     """
-    st = block.system.stamps
-    m, ns = len(block.converged), len(st.v_slack)
-    cols = np.flatnonzero(block.converged)
-    v = block.v[:, cols]
-    # Each set's voltages over the full coordinates; the secondaries stay
-    # zero there, for Y_S has no entries in their columns.
-    full = np.zeros((m, st.templates[2].shape[1]), dtype=complex)
-    retained_at, slack_at = st.full_of
-    full[:, slack_at] = st.v_slack
-    full[cols[:, None], retained_at] = v.T
-
-    # Regulator secondaries as ``recover_svr_secondary`` has them, from the
-    # primary's voltage, each part divided or multiplied by the ratio as
-    # Python divides or multiplies a complex by a float.
-    prim_at, ratio_cols, type_b = st.secondaries
-    prim = full[cols][:, prim_at].T
-    r = block.ratios[cols][:, ratio_cols].T
-    sec = np.empty(prim.shape, dtype=complex)
-    sec.real = np.where(type_b, prim.real / r, prim.real * r)
-    sec.imag = np.where(type_b, prim.imag / r, prim.imag * r)
-    lo, hi = _envelope(np.abs(np.concatenate([v, sec])))
-    feasible = np.zeros(m, dtype=bool)
-    feasible[cols] = (v_min <= lo) & (hi <= v_max)
-
-    i_s = (block.system.Y_S @ full.ravel()).reshape(m, ns)
-    objective = np.full(m, np.nan)
-    objective[cols] = (st.v_slack * np.conj(i_s[cols])).real.sum(axis=1)
-    return feasible, objective
+    st, ok = block.system.stamps, block.converged
+    full = _full_voltages(st, block.v, block.ratios[:, st.secondaries[2]].T)
+    full[~ok] = 0.0
+    lo, hi = _envelope(np.abs(full[:, st.nonslack_at]))
+    return ok & (v_min <= lo) & (hi <= v_max), np.where(ok, _import(block.system, full), np.nan)
 
 
 def _ratio_maps(model: FeederModel, row) -> list:
@@ -268,24 +314,28 @@ def _require_converged(solution: PowerFlowSolution):
         raise ValueError("power flow did not converge; metrics would be meaningless")
 
 
-def _voltage_array(solution: PowerFlowSolution, buses) -> np.ndarray:
-    """The solution's voltages at ``buses``, each over its bus's phases, as
-    one vector. A vector over other phases is read phase by phase, so a
-    missing phase raises ``KeyError``."""
-    parts = []
-    for b in buses:
-        vec = solution.voltages[b.id]
-        parts.append(vec.values if vec.phases == b.phases
-                     else np.array([vec[p] for p in b.phases], dtype=complex))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+def _voltages_of(solution: PowerFlowSolution, model: FeederModel, stamps: StampSet) -> np.ndarray:
+    """The solution's voltages over ``stamps.full_coords``: its solve's own
+    array, or else its dict read phase by phase (a missing phase raises
+    ``KeyError``)."""
+    vs = solution.voltages
+    if isinstance(vs, BusVoltages) and vs.stamps is stamps:
+        return vs.v
+    return np.array([vs[b.id][p] for b in model.buses for p in b.phases], dtype=complex)
+
+
+def _import(system: AdmittanceSystem, full: np.ndarray) -> np.ndarray:
+    """Slack import at each row of ``full`` (m, nf); with m > 1, Y_S is
+    block-diagonal over the rows (``ybus.assemble_block``)."""
+    i_s = (system.Y_S @ full.ravel()).reshape(len(full), -1)
+    return (system.stamps.v_slack * np.conj(i_s)).real.sum(axis=1)
 
 
 def import_objective(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Real power import at the slack bus from the admittance-matrix form."""
     _require_converged(solution)
     system = solution.system if solution.system is not None else assemble(model, solution.ratios)
-    i_s = system.Y_S @ _voltage_array(solution, model.buses)     # full_coords order
-    return float(np.sum((system.stamps.v_slack * np.conj(i_s)).real))
+    return float(_import(system, _voltages_of(solution, model, system.stamps)[None])[0])
 
 
 def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> float:
@@ -312,35 +362,41 @@ def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> f
 
 
 def voltage_unbalance(solution: PowerFlowSolution) -> float:
-    """Worst percent unbalance over buses with at least two phases.
+    """Worst percent unbalance over buses with at least two phases, the
+    slack bus included.
 
     Per bus: 100 * max_phase |  |v| - mean| / mean  with mean over phase magnitudes.
     """
-    by_size: dict = {}
-    for vec in solution.voltages.values():
-        by_size.setdefault(len(vec.phases), []).append(vec.values)
+    vs = solution.voltages
+    if isinstance(vs, BusVoltages):
+        v, sizes = vs.v, np.count_nonzero(vs.stamps.layout.at >= 0, axis=1)
+    else:
+        v = np.array([z for vec in vs.values() for z in vec.values], dtype=complex)
+        sizes = np.array([len(vec.phases) for vec in vs.values()], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
     worst = 0.0
-    for mags in (np.abs(np.array(values)) for size, values in by_size.items() if size >= 2):
-        avg = np.mean(mags, axis=1)
-        dev = np.max(np.abs(mags - avg[:, None]), axis=1)
-        worst = max(worst, float(np.max(100.0 * dev / avg)))
+    for size in dict.fromkeys(sizes.tolist()):      # in order of first appearance
+        if size >= 2:
+            mags = np.abs(v[starts[sizes == size][:, None] + np.arange(size)])
+            avg = np.mean(mags, axis=1)
+            dev = np.max(np.abs(mags - avg[:, None]), axis=1)
+            worst = max(worst, float(np.max(100.0 * dev / avg)))
     return worst
 
 
 def voltage_envelope(solution: PowerFlowSolution, model: FeederModel) -> tuple[float, float]:
     """(min, max) voltage magnitude over non-slack buses and phases."""
     _require_converged(solution)
-    slack_id = model.slack.id
-    parts = [vec.values for bus, vec in solution.voltages.items() if bus != slack_id]
-    lo, hi = _envelope(np.abs(np.concatenate(parts)) if parts else np.zeros(0))
+    st = solution.system.stamps if solution.system is not None else build_stamps(model)
+    lo, hi = _envelope(np.abs(_voltages_of(solution, model, st)[st.nonslack_at]))
     return float(lo), float(hi)
 
 
 def _envelope(mags: np.ndarray) -> tuple:
-    """Per column, (min, max) of magnitudes over the non-slack coordinates."""
-    if not len(mags):
+    """(min, max) of magnitudes over the non-slack coordinates, the last axis."""
+    if not mags.shape[-1]:
         raise ValueError("no voltage envelope: the feeder has no non-slack bus")
-    return mags.min(axis=0), mags.max(axis=0)
+    return mags.min(axis=-1), mags.max(axis=-1)
 
 
 def feasibility(solution: PowerFlowSolution, model: FeederModel,
@@ -352,8 +408,9 @@ def feasibility(solution: PowerFlowSolution, model: FeederModel,
 def kcl_certificate(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Recomputed KCL mismatch (inf-norm), independent of the iteration history."""
     system = solution.system if solution.system is not None else assemble(model, solution.ratios)
-    return float(_kcl_residual(system.Y, system.stamps.loads, system.Y_NS @ system.stamps.v_slack,
-                               _voltage_array(solution, [b for b, _ in system.stamps.bus_rows])))
+    st = system.stamps
+    v = _voltages_of(solution, model, st)[st.full_of[0]]
+    return float(_kcl_residual(system.Y, st.loads, system.Y_NS @ st.v_slack, v))
 
 
 def solution_csv(solution: PowerFlowSolution, model: FeederModel) -> str:

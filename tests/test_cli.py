@@ -8,11 +8,12 @@ import sys
 
 import pytest
 
+import tapflow as tf
 from tapflow import opts
 from tapflow.cli import _build_parser, main
 from tapflow.opts import OptsConfig
 
-from conftest import FIXTURES
+from conftest import FIXTURES, bench_feeders
 
 IEEE13 = str(FIXTURES / "ieee13.json")
 TINY3 = str(FIXTURES / "tiny3.json")
@@ -138,6 +139,17 @@ def test_overflowing_power_flow_exit_2(tmp_path, capsys, command, message):
     feeder.write_text(json.dumps(doc))
     assert run([command, "--feeder", str(feeder)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_unconverged_verify_exit_2(tmp_path, capsys):
+    """The generated feeder's solve at the LP's taps needs one step more than
+    its zero-tap solve (``test_opts``), so a cap between them fails only the
+    verification."""
+    feeder = tmp_path / "gen0-60.json"
+    feeder.write_text(tf.serialize(bench_feeders().generate_feeder(0, 60)))
+    assert run(["opts", "--feeder", str(feeder), "--max-iter", "10"]) == 2
+    assert capsys.readouterr().err == \
+        "[verify_powerflow] power flow at snapped taps did not converge\n"
 
 
 @pytest.mark.parametrize("bound", ["0", "-1", "nan", "inf"])

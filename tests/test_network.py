@@ -172,6 +172,36 @@ def test_parse_rejects_schema_problems():
         tf.parse_feeder(json.dumps(doc))
 
 
+_SVR = {"from": "src", "to": "load", "kind": "B", "phases": "a"}
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda d: d.pop("lines"), "missing top-level key 'lines'"),
+    (lambda d: d["buses"][1].pop("phases"), "bus entries need 'id' and 'phases'"),
+    (lambda d: d["buses"][1].update(colour="red"), r"bus load: unknown keys \['colour'\]"),
+    (lambda d: d["lines"][0].pop("z"), "line entries need 'from', 'to', 'z'"),
+    (lambda d: d["svrs"].append({k: v for k, v in _SVR.items() if k != "kind"}),
+     "svr entries need 'from', 'to', 'kind', 'phases'"),
+    (lambda d: d["svrs"].append(dict(_SVR, kind="C")), "svr kind must be 'A' or 'B', got 'C'"),
+    (lambda d: d.update(config=[]), "'config' must be an object"),
+    (lambda d: d["buses"][1].update(load=[0.1, 0.05]), r"bus load: expected \{phases, values\}"),
+    (lambda d: d["lines"][0].update(z=[[0.01, 0.03]]),
+     r"line src->load: expected \{phases, rows\}"),
+    (lambda d: d["lines"][0]["z"].update(rows=[]), "line src->load: row count 0 != phase count 1"),
+    (lambda d: d["lines"][0]["z"].update(rows=[[[0.01, 0.03], [0.0, 0.0]]]),
+     "line src->load: matrix rows must have 1 entries"),
+    (lambda d: d["buses"][1]["load"].update(values=[[0.1, 0.05, 0.0]]),
+     r"bus load: complex values must be \[re, im\] 2-arrays"),
+], ids=["top-level-key", "bus-keys", "bus-unknown-key", "line-keys", "svr-keys", "svr-kind",
+        "config-list", "vector-shape", "matrix-shape", "matrix-row-count", "matrix-row-width",
+        "complex-pair"])
+def test_parse_names_each_structure_error(edit, match):
+    doc = json.loads(MINIMAL)
+    edit(doc)
+    with pytest.raises(tf.FeederFormatError, match=match):
+        tf.parse_feeder(json.dumps(doc))
+
+
 @pytest.mark.parametrize("svr,bus,error,match", [
     ({"tap_min": -15.7}, {}, tf.FeederFormatError, "'tap_min' must be an integer"),
     ({"step": True}, {}, tf.FeederFormatError, "'step' must be a number"),

@@ -321,6 +321,23 @@ def test_pipeline_error_carries_stage(tiny3):
     assert err.value.stage == "solve_lp"
 
 
+def _verify_outlasts_base():
+    """A generated feeder whose zero-tap solve converges in 10 steps and
+    whose solve at the LP's snapped taps needs 11."""
+    model = bench_feeders().generate_feeder(0, 60)
+    base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
+    verified = tf.solve_zbus(model, tf.run_opts(model, tf.OptsConfig()).ratios)
+    assert (base.iterations, verified.iterations) == (10, 11)
+    return model
+
+
+def test_unconverged_verify_raises_at_its_stage():
+    model = _verify_outlasts_base()
+    with pytest.raises(PipelineError, match="power flow at snapped taps did not converge") as err:
+        tf.run_opts(model, tf.OptsConfig(zbus_max_iter=10))
+    assert err.value.stage == "verify_powerflow"
+
+
 def test_run_opts_with_lower_bound(tiny3):
     cfg = tf.config_from_model(tiny3)
     oracle = tf.brute_force(tiny3, cfg)

@@ -11,6 +11,7 @@ from tapflow.ybus import build_stamps
 
 import stamps_reference
 from conftest import PARITY_FEEDERS, bench_feeders, cascade_model, chain_model
+from solution_reference import assert_solution_parity
 from ybus_reference import loop_assemble
 
 
@@ -218,6 +219,17 @@ def test_unvalidated_phase_mismatch_raises(tiny3, where):
         build_stamps(model)
 
 
+def test_unvalidated_secondary_feeding_two_lines_raises(tiny3):
+    """A hand-built model whose regulator secondary feeds a second line
+    fails validation and is refused: the elimination would drop that line."""
+    extra = tf.BusSpec(id="tap", phases=("a",))
+    line = dataclasses.replace(tiny3.lines[0], to_bus="tap")
+    model = dataclasses.replace(tiny3, buses=tiny3.buses + (extra,), lines=tiny3.lines + (line,))
+    assert tf.validate(model)
+    with pytest.raises(ValueError, match="a regulator secondary feeds another line"):
+        build_stamps(model)
+
+
 def test_zero_row_sum_without_shunts_or_svrs(ieee13):
     """Kirchhoff consistency: Y 1 + Y_NS 1 = 0 when only lines are present."""
     stripped = tf.FeederModel(
@@ -250,6 +262,29 @@ def test_recover_secondary_identity_and_division(tiny3):
     assert rec["reg"]["a"] == pytest.approx(1.0 + 0.0j)
     rec = tf.recover_svr_secondary(tiny3, [{"a": 1.0}], volts)
     assert rec["reg"]["a"] == pytest.approx(1.1 + 0.0j)
+
+
+def test_recover_secondary_rejects_a_zero_ratio(tiny3):
+    volts = {"sub": tf.PhaseVector("a", [1.1 + 0.0j])}
+    with pytest.raises(ValueError, match=r"svr sub->reg: zero ratio on phase a"):
+        tf.recover_svr_secondary(tiny3, [{"a": 0.0}], volts)
+
+
+@pytest.mark.parametrize("ratio,error,match", [
+    (0.0, ValueError, r"svr n1->r2: zero ratio on phase c"),
+    (float("inf"), ValueError, "non-finite phase value"),
+    (float("nan"), ValueError, "non-finite phase value"),
+    (None, KeyError, "'c'"),
+])
+def test_solve_rejects_a_secondary_ratio_as_recovery_does(ratio, error, match):
+    """Phase c of the cascade's second (type-A) regulator is on its
+    secondary but not on the line behind it, so assembly never reads its
+    ratio. A solve still raises recovery's error for a zero or missing one,
+    or one that makes the secondary voltage not finite."""
+    model = cascade_model()
+    second = {"a": 1.0, "b": 1.0} if ratio is None else {"a": 1.0, "b": 1.0, "c": ratio}
+    with pytest.raises(error, match=match):
+        tf.solve_zbus(model, [{p: 1.0 for p in "abc"}, second])
 
 
 @pytest.mark.parametrize("kind,ratios", [
@@ -369,6 +404,40 @@ def test_shared_stamp_set_changes_no_bits(name, request):
             got = shared.voltages[bus]
             assert got.phases == vec.phases and got.values.tobytes() == vec.values.tobytes()
         assert tf.kcl_certificate(shared, model) == shared.residual
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_FEEDERS))
+def test_solution_view_and_metrics_match_eager_reference(name, request):
+    """A solve's per-bus view and its array metrics equal the eagerly built
+    dict and the metrics that read it, bit for bit, at every ratio set."""
+    model = PARITY_FEEDERS[name](request)
+    stamps = build_stamps(model)
+    for ratios in _ratio_sets(model).values():
+        assert_solution_parity(model, ratios, stamps=stamps)
+
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_secondaries_are_recovery_bits_to_the_sign_of_zero(kind):
+    """The solve's regulator secondaries are ``recover_svr_secondary``'s
+    bits, zero signs and underflow included, at primaries with zero,
+    negative-zero and subnormal parts (the cascade's second regulator, whose
+    primary n1 is a retained bus, made type ``kind``)."""
+    model = cascade_model()
+    model = dataclasses.replace(model, svrs=(model.svrs[0],
+                                             dataclasses.replace(model.svrs[1], kind=kind)))
+    stamps = build_stamps(model)
+    parts = [0.0, -0.0, 1.5, -1.5, 5e-324, -2.5e-310]
+    cols = [(complex(x, y), g) for x in parts for y in parts for g in (0.9, 1.1, 1e-300)]
+    v = np.repeat(stamps.v_flat[:, None], len(cols), axis=1)
+    v[[stamps.coords.index(("n1", p)) for p in "abc"]] = [z for z, _ in cols]
+    r = np.array([[1.0] * 3 + [g] * 3 for _, g in cols]).T
+    full = tf.zbus._full_voltages(stamps, v, r)
+    for j, (z, g) in enumerate(cols):
+        want = tf.recover_svr_secondary(model, [dict.fromkeys("abc", 1.0), dict.fromkeys("abc", g)],
+                                        {"sub": model.slack_voltage,
+                                         "n1": tf.PhaseVector("abc", [z] * 3)})
+        assert full[j, stamps.secondaries[0]].tobytes() == \
+            np.concatenate([want["r1"].values, want["r2"].values]).tobytes(), (z, g)
 
 
 def _edge_import_by_line(solution, model):
@@ -564,6 +633,12 @@ def test_stamp_set_matches_reference_build_on_fixtures(name, request):
        shares=st.tuples(*[st.integers(0, 8)] * 3).filter(any))
 def test_stamp_set_matches_reference_build(seed, n_buses, shares):
     """On generated feeders of drawn size and 1-, 2- and 3-phase lateral
-    shares, the one-pass stamp set equals the reference build's."""
+    shares (a type-B regulator at the head, a type-A one mid-feeder), the
+    one-pass stamp set equals the reference build's, and a solve's voltages
+    and metrics equal the eagerly built reference's."""
     mix = tuple(s / sum(shares) for s in shares)
-    _assert_stamp_parity(bench_feeders().generate_feeder(seed, n_buses, mix))
+    model = bench_feeders().generate_feeder(seed, n_buses, mix)
+    _assert_stamp_parity(model)
+    sets = _ratio_sets(model)
+    for key in ("zero", "random"):
+        assert_solution_parity(model, sets[key])
