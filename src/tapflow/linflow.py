@@ -36,8 +36,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import PipelineError
 from .network import PHASES, FeederModel, PhaseVector
-from .ybus import Layout, build_layout, build_stamps
-from .zbus import PowerFlowSolution, _voltages_of
+from .ybus import Layout, build_layout
+from .zbus import PowerFlowSolution, _require_converged
 
 _ALPHA = np.exp(2j * np.pi / 3.0)
 _UNITS = np.array([1.0 + 0.0j, _ALPHA**2, _ALPHA])           # balanced phases a, b, c
@@ -91,8 +91,8 @@ def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> Line
     """
     if not base.converged:
         raise ValueError("base power flow must be converged")
-    stamps = base.system.stamps if base.system is not None else build_stamps(model)
-    at, v = stamps.layout.at, _voltages_of(base, model, stamps)      # v over full coordinates
+    stamps = base.system.stamps
+    at, v = stamps.layout.at, base.v          # v over full coordinates
     # Per line: 1 if an endpoint voltage is zero, 2 if its voltage loss is not real.
     bad = np.zeros(len(model.lines), dtype=np.int8)
     parts = []
@@ -122,15 +122,14 @@ class LinearSystem:
 
     Columns: squared magnitudes per non-slack (bus, phase), then Re/Im flow per
     (edge, phase), edges being the lines, then the regulators, then a low and a
-    high slack per regulator phase. ``vsq``, ``flow`` and ``slack_cols`` name
-    the columns; ``vcol`` and ``fcol`` hold them as arrays over the layout.
+    high slack per regulator phase. ``vcol``, ``fcol`` and ``slack_cols`` name
+    the columns, as arrays over the layout and the regulator phases.
     """
 
     A: sp.csc_matrix
     b: np.ndarray
-    vsq: dict          # (bus, phase) -> column, non-slack buses only
-    flow: dict         # (edge key, phase) -> (re column, im column)
-    slack_cols: dict   # (svr index, phase) -> (low-slack column, high-slack column)
+    slack_cols: np.ndarray   # (k, 2): low- and high-slack column per regulator phase, in
+                             # regulator order, each regulator's phases in its order
     layout: Layout
     vcol: np.ndarray   # vcol[k, q]: v~ column of bus k's phase PHASES[q], -1 at the slack or absent
     fcol: np.ndarray   # fcol[e, q]: Re-flow column of edge e's phase PHASES[q], -1 if absent
@@ -212,14 +211,12 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
               (into[out], fcol[out], -1.0), (into[out] + 1, fcol[out] + 1, -1.0)]
 
     # Regulator ratio windows, slacked.
-    slack_cols: dict = {}
     row, col = 3 * m, n_v + 2 * (m + n_reg)
     for svx, sv in enumerate(model.svrs):
         up, dn = (sv.from_bus, sv.to_bus) if sv.kind == "B" else (sv.to_bus, sv.from_bus)
         u, d = bus_of[up], bus_of[dn]
         for p in sv.phases:
             qp = PHASES.index(p)
-            slack_cols[(svx, p)] = (col, col + 1)
             for ratio, sign in zip(windows[svx][p], (-1.0, 1.0)):
                 parts.append(([row] * 3, [vcol[u, qp], vcol[d, qp], col], [1.0, -ratio**2, sign]))
                 b[row] = ratio**2 * sq[d, qp] - sq[u, qp]
@@ -235,10 +232,7 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     rows, cols, vals = (np.concatenate(x) for x in zip(*flat))
     keep = (cols >= 0) & (vals != 0.0)
     A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(len(b), col)).tocsc()
-    names = [(f"{f}->{t}", p) for f, t, ph in edges for p in ph]
-    vsq = [(bus.id, p) for bus in model.buses if not bus.is_slack for p in bus.phases]
-    return LinearSystem(A=A, b=b, vsq=dict(zip(vsq, range(n_v))), slack_cols=slack_cols,
-                        flow={key: (c, c + 1) for key, c in zip(names, range(n_v, col, 2))},
+    return LinearSystem(A=A, b=b, slack_cols=np.arange(col - 2 * n_reg, col).reshape(-1, 2),
                         layout=constants.layout, vcol=vcol, fcol=fcol)
 
 
@@ -249,7 +243,7 @@ def eliminate(system: LinearSystem, stage: str) -> tuple[np.ndarray, np.ndarray]
     Raises ``PipelineError`` tagged ``stage`` when those columns are singular.
     """
     n = system.A.shape[1]
-    theta = [hi for _, hi in system.slack_cols.values()]
+    theta = system.slack_cols[:, 1]
     keep = np.setdiff1d(np.arange(n), theta)
     rhs = np.column_stack([system.b, -system.A[:, theta].toarray()])
     try:
@@ -279,10 +273,10 @@ def linear_powerflow(model: FeederModel, constants: LinearizationConstants,
                for sv, r in zip(model.svrs, ratios)]
     system = linear_system(model, constants, windows)
     x, _ = eliminate(system, "linear_powerflow")
-    slack_sq = _slack_squares(model)
-    v_out = {b.id: PhaseVector(b.phases, [slack_sq[p] if b.is_slack else x[system.vsq[(b.id, p)]]
+    vcol, slack_sq = system.vcol, _slack_squares(model)
+    v_out = {b.id: PhaseVector(b.phases, [slack_sq[p] if b.is_slack else x[vcol[k, PHASES.index(p)]]
                                           for p in b.phases])
-             for b in model.buses}
+             for k, b in enumerate(model.buses)}
     f_out = {f"{e.from_bus}->{e.to_bus}": PhaseVector(e.phases, [complex(x[c], x[c + 1])
                                                                  for c in cols if c >= 0])
              for e, cols in zip((*model.lines, *model.svrs), system.fcol)}
@@ -312,7 +306,9 @@ class LinDiffReport:
 
 
 def lindiff(model: FeederModel, exact: PowerFlowSolution, v_sq: dict) -> LinDiffReport:
-    """Compare a linear solution against an exact one over non-slack buses."""
+    """Compare a linear solution against a converged exact one over non-slack
+    buses; a negative or non-finite v~ raises ``ValueError``."""
+    _require_converged(exact)
     slack_id = model.slack.id
     max_diff: dict[str, float] = {}
     min_lin = np.inf
@@ -321,7 +317,10 @@ def lindiff(model: FeederModel, exact: PowerFlowSolution, v_sq: dict) -> LinDiff
         if b.id == slack_id:
             continue
         for p in b.phases:
-            lin_mag = float(np.sqrt(v_sq[b.id][p].real))
+            sq = float(v_sq[b.id][p].real)
+            if not 0.0 <= sq < np.inf:      # also rejects NaN
+                raise ValueError(f"linear v~ at bus {b.id} phase {p} is {sq!r}, not a finite square")
+            lin_mag = float(np.sqrt(sq))
             ex_mag = abs(exact.voltages[b.id][p])
             max_diff[p] = max(max_diff.get(p, 0.0), abs(lin_mag - ex_mag))
             min_lin = min(min_lin, lin_mag)

@@ -118,7 +118,7 @@ def build_lp(model: FeederModel, constants: LinearizationConstants,
     lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
     vsq_cols = system.vcol[system.vcol >= 0]
     lower[vsq_cols], upper[vsq_cols] = config.v_min**2, config.v_max**2
-    lower[[col for pair in system.slack_cols.values() for col in pair]] = 0.0
+    lower[system.slack_cols] = 0.0
     head = system.fcol[[e.from_bus == model.slack.id for e in (*model.lines, *model.svrs)]]
     c = np.zeros(n)
     c[head[head >= 0]] = 1.0

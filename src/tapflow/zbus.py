@@ -28,13 +28,13 @@ with Y fixed (``solve_block``).
 Voltages are kept as arrays over the stamp set's full coordinates: slack,
 retained rows and regulator secondaries (``_full_voltages``). Each metric
 has one implementation that reads them, for one solve or for every column
-of a block (``block_metrics``). ``PowerFlowSolution.voltages`` is a per-bus
-view of a solve's array (``BusVoltages``), built only when read. Its
-vectors skip ``PhaseVector``'s canonicalisation and finiteness check: bus
-phases are canonical (``BusSpec`` sorts them), a non-finite ``v0`` is
-rejected, the iteration keeps only finite iterates and a secondary that is
-not finite raises. A solution made with a dict of its own is read from that
-dict, one conversion per metric.
+of a block (``block_metrics``). A ``PowerFlowSolution`` is always a solve's
+result: it holds the solve's array ``v`` and its system, and its per-bus
+``voltages`` dict is built from ``v`` only when read, for readers at the
+boundary. Its vectors skip ``PhaseVector``'s canonicalisation and finiteness
+check: bus phases are canonical (``BusSpec`` sorts them), a non-finite
+``v0`` is rejected, the iteration keeps only finite iterates and a secondary
+that is not finite raises.
 """
 
 from __future__ import annotations
@@ -42,66 +42,45 @@ from __future__ import annotations
 import cmath
 import io
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .network import FeederModel, PhaseVector
-from .ybus import (AdmittanceSystem, StampSet, assemble, assemble_block, build_stamps,
-                   recover_svr_secondary)
+from .network import PHASES, FeederModel, PhaseVector
+from .ybus import AdmittanceSystem, StampSet, assemble, assemble_block, recover_svr_secondary
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
 _KCL_TOL = 5e-9   # stop threshold; comfortably under the 1e-8 certificate
 
 
-class BusVoltages(Mapping):
-    """bus id -> PhaseVector over a solve's voltages ``v`` (over
-    ``stamps.full_coords``), built as a dict on first read: the slack bus
-    (the model's ``slack_voltage``), the retained buses in model order, then
-    the regulator secondaries in regulator order, each vector a view of ``v``."""
-
-    def __init__(self, v: np.ndarray, stamps: StampSet, model: FeederModel):
-        self.v, self.stamps, self._model, self._dict = v, stamps, model, None
-
-    def _built(self) -> dict:
-        if self._dict is None:
-            st, bus_of = self.stamps, self.stamps.layout.bus_of
-            stops = np.cumsum(np.count_nonzero(st.layout.at >= 0, axis=1)).tolist()
-            out = {self._model.slack.id: self._model.slack_voltage}
-            for b in chain((b for b, _ in st.bus_rows), (st.buses[bus_of[i]] for i in st.eliminated)):
-                stop = stops[bus_of[b.id]]
-                out[b.id] = PhaseVector._wrap(b.phases, self.v[stop - len(b.phases):stop])
-            self._dict = out
-        return self._dict
-
-    def __getitem__(self, bus):
-        return self._built()[bus]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __len__(self) -> int:
-        return len(self._built())
-
-    def __repr__(self) -> str:
-        return repr(self._built())
-
-
-@dataclass
+@dataclass(eq=False)
 class PowerFlowSolution:
-    """Per-bus complex voltages with convergence diagnostics."""
+    """A Z-bus solve's voltages with convergence diagnostics."""
 
-    voltages: Mapping                   # bus id -> PhaseVector (slack + secondaries included);
-                                        # a solve's is a ``BusVoltages``
+    v: np.ndarray = field(repr=False)   # voltages over ``system.stamps.full_coords``
     iterations: int
     residual: float                     # inf-norm of the KCL current mismatch
     converged: bool
-    ratios: list = field(default_factory=list, repr=False)
-    system: AdmittanceSystem | None = field(default=None, repr=False)
+    ratios: list = field(repr=False)
+    system: AdmittanceSystem = field(repr=False)
+    model: FeederModel = field(repr=False)
+
+    @cached_property
+    def voltages(self) -> dict:
+        """bus id -> PhaseVector, built on first read: the slack bus (the
+        model's ``slack_voltage``), the retained buses in model order, then the
+        regulator secondaries in regulator order, each vector a view of ``v``."""
+        st, bus_of = self.system.stamps, self.system.stamps.layout.bus_of
+        stops = np.cumsum(np.count_nonzero(st.layout.at >= 0, axis=1)).tolist()
+        out = {self.model.slack.id: self.model.slack_voltage}
+        for b in chain((b for b, _ in st.bus_rows), (st.buses[bus_of[i]] for i in st.eliminated)):
+            stop = stops[bus_of[b.id]]
+            out[b.id] = PhaseVector._wrap(b.phases, self.v[stop - len(b.phases):stop])
+        return out
 
 
 def _load_currents(loads: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -220,14 +199,13 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
     sec_at, *_, keys = st.secondaries
     r = np.array([float(ratios[i][p]) for i, p in keys]).reshape(-1, 1)
     full = _full_voltages(st, out, r)[0]
-    voltages = BusVoltages(full, st, model)
-    if not (r.all() and np.isfinite(full[sec_at]).all()):
-        recover_svr_secondary(model, ratios, voltages)
-
-    return PowerFlowSolution(
-        voltages=voltages, iterations=int(iterations[0]), residual=float(residual[0]),
-        converged=bool(converged[0]), ratios=list(ratios), system=system,
+    solution = PowerFlowSolution(
+        v=full, iterations=int(iterations[0]), residual=float(residual[0]),
+        converged=bool(converged[0]), ratios=list(ratios), system=system, model=model,
     )
+    if not (r.all() and np.isfinite(full[sec_at]).all()):
+        recover_svr_secondary(model, ratios, solution.voltages)
+    return solution
 
 
 def _full_voltages(stamps: StampSet, v: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -314,16 +292,6 @@ def _require_converged(solution: PowerFlowSolution):
         raise ValueError("power flow did not converge; metrics would be meaningless")
 
 
-def _voltages_of(solution: PowerFlowSolution, model: FeederModel, stamps: StampSet) -> np.ndarray:
-    """The solution's voltages over ``stamps.full_coords``: its solve's own
-    array, or else its dict read phase by phase (a missing phase raises
-    ``KeyError``)."""
-    vs = solution.voltages
-    if isinstance(vs, BusVoltages) and vs.stamps is stamps:
-        return vs.v
-    return np.array([vs[b.id][p] for b in model.buses for p in b.phases], dtype=complex)
-
-
 def _import(system: AdmittanceSystem, full: np.ndarray) -> np.ndarray:
     """Slack import at each row of ``full`` (m, nf); with m > 1, Y_S is
     block-diagonal over the rows (``ybus.assemble_block``)."""
@@ -334,15 +302,15 @@ def _import(system: AdmittanceSystem, full: np.ndarray) -> np.ndarray:
 def import_objective(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Real power import at the slack bus from the admittance-matrix form."""
     _require_converged(solution)
-    system = solution.system if solution.system is not None else assemble(model, solution.ratios)
-    return float(_import(system, _voltages_of(solution, model, system.stamps)[None])[0])
+    return float(_import(solution.system, solution.v[None])[0])
 
 
 def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Same import objective evaluated edge-wise at the feeder head, with the
-    stamp set's line inverses."""
+    stamp set's line inverses and the to-bus voltages read from ``v``."""
     _require_converged(solution)
-    stamps = solution.system.stamps if solution.system is not None else build_stamps(model)
+    stamps = solution.system.stamps
+    at, bus_of = stamps.layout.at, stamps.layout.bus_of
     slack_id = model.slack.id
     # (line, gain) at the head: each line leaving the slack bus, without a
     # gain, then the outgoing line of each regulator at the slack bus.
@@ -355,7 +323,7 @@ def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> f
     for k, g in heads:
         ln, zinv = model.lines[k], stamps.line_zinv(k)
         vn = np.array([model.slack_voltage[p] for p in ln.z.phases])
-        vm = np.array([solution.voltages[ln.to_bus][p] for p in ln.z.phases])
+        vm = solution.v[at[bus_of[ln.to_bus], [PHASES.index(p) for p in ln.z.phases]]]
         i_edge = zinv @ (vn - vm) if g is None else np.diag(g) @ (zinv @ (g * vn - vm))
         total += float(np.sum((vn * np.conj(i_edge)).real))
     return total
@@ -367,12 +335,8 @@ def voltage_unbalance(solution: PowerFlowSolution) -> float:
 
     Per bus: 100 * max_phase |  |v| - mean| / mean  with mean over phase magnitudes.
     """
-    vs = solution.voltages
-    if isinstance(vs, BusVoltages):
-        v, sizes = vs.v, np.count_nonzero(vs.stamps.layout.at >= 0, axis=1)
-    else:
-        v = np.array([z for vec in vs.values() for z in vec.values], dtype=complex)
-        sizes = np.array([len(vec.phases) for vec in vs.values()], dtype=np.intp)
+    _require_converged(solution)
+    v, sizes = solution.v, np.count_nonzero(solution.system.stamps.layout.at >= 0, axis=1)
     starts = np.cumsum(sizes) - sizes
     worst = 0.0
     for size in dict.fromkeys(sizes.tolist()):      # in order of first appearance
@@ -387,8 +351,7 @@ def voltage_unbalance(solution: PowerFlowSolution) -> float:
 def voltage_envelope(solution: PowerFlowSolution, model: FeederModel) -> tuple[float, float]:
     """(min, max) voltage magnitude over non-slack buses and phases."""
     _require_converged(solution)
-    st = solution.system.stamps if solution.system is not None else build_stamps(model)
-    lo, hi = _envelope(np.abs(_voltages_of(solution, model, st)[st.nonslack_at]))
+    lo, hi = _envelope(np.abs(solution.v[solution.system.stamps.nonslack_at]))
     return float(lo), float(hi)
 
 
@@ -407,9 +370,8 @@ def feasibility(solution: PowerFlowSolution, model: FeederModel,
 
 def kcl_certificate(solution: PowerFlowSolution, model: FeederModel) -> float:
     """Recomputed KCL mismatch (inf-norm), independent of the iteration history."""
-    system = solution.system if solution.system is not None else assemble(model, solution.ratios)
-    st = system.stamps
-    v = _voltages_of(solution, model, st)[st.full_of[0]]
+    system, st = solution.system, solution.system.stamps
+    v = solution.v[st.full_of[0]]
     return float(_kcl_residual(system.Y, st.loads, system.Y_NS @ st.v_slack, v))
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tapflow as tf
+from tapflow.network import PHASES
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -21,6 +22,19 @@ def bench_feeders():
 BALANCED = {"a": 1.0 + 0.0j,
             "b": np.exp(-2j * np.pi / 3),
             "c": np.exp(2j * np.pi / 3)}
+
+
+def lp_columns(model, system) -> tuple[dict, dict, dict]:
+    """A ``LinearSystem``'s columns by name, read from its arrays: (bus,
+    phase) -> v~ column over non-slack buses, (edge key, phase) -> (Re, Im)
+    flow columns, and (regulator index, phase) -> (low, high) window slacks."""
+    vsq = {(b.id, p): int(system.vcol[k, PHASES.index(p)])
+           for k, b in enumerate(model.buses) if not b.is_slack for p in b.phases}
+    flow = {(f"{e.from_bus}->{e.to_bus}", p): (int(c), int(c) + 1)
+            for e, row in zip((*model.lines, *model.svrs), system.fcol)
+            for p, c in zip(PHASES, row) if c >= 0}
+    regulator_phases = [(svx, p) for svx, sv in enumerate(model.svrs) for p in sv.phases]
+    return vsq, flow, dict(zip(regulator_phases, map(tuple, system.slack_cols.tolist())))
 
 
 @pytest.fixture(scope="session")

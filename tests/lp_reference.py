@@ -131,8 +131,7 @@ def pin_row_lexicographic(lp, varmap):
     pin = sp.coo_matrix((lp.c[lp.c != 0.0], (np.zeros(np.count_nonzero(lp.c)),
                                              np.nonzero(lp.c)[0])), shape=(1, n))
     c2 = np.zeros(n)
-    for col in varmap.vsq.values():
-        c2[col] = 1.0
+    c2[varmap.vcol[varmap.vcol >= 0]] = 1.0
     lp2 = SparseLp(A=sp.vstack([lp.A, pin]).tocsc(), b=np.concatenate([lp.b, [import_value]]),
                    c=c2, lower=lp.lower, upper=lp.upper)
     second = solve_lp(lp2)

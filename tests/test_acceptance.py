@@ -12,7 +12,7 @@ import pytest
 
 import tapflow as tf
 
-from conftest import chain_model
+from conftest import chain_model, lp_columns
 from lp_oracle import enumerate_lp, random_lp
 
 
@@ -185,10 +185,11 @@ def test_criterion_9_roundtrip_and_relaxation(ieee13, tiny3):
             sol, _ = tf.solve_lp_lexicographic(lp, varmap)
             assert sol.status == "optimal"
             idx = tf.tree_index(model)
+            _, flow, _ = lp_columns(model, varmap)
             for svx, sv in enumerate(model.svrs):
                 child = idx.children[sv.to_bus][0]
                 for p in sv.phases:
-                    re_s, im_s = varmap.flow[(f"{sv.from_bus}->{sv.to_bus}", p)]
-                    re_c, im_c = varmap.flow[(child.key(), p)]
+                    re_s, im_s = flow[(f"{sv.from_bus}->{sv.to_bus}", p)]
+                    re_c, im_c = flow[(child.key(), p)]
                     assert abs(sol.x[re_s] - sol.x[re_c]) <= 1e-7
                     assert abs(sol.x[im_s] - sol.x[im_c]) <= 1e-7

@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion against this checkout's sources.
+"""Every narrative demo runs to completion against this checkout's sources,
+with RuntimeWarnings raised as errors, as the in-process tests run.
 
 ``build_ieee13_fixture.py`` is left out: it rewrites the shipped fixture.
 """
@@ -17,6 +18,6 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ import pytest
 import tapflow as tf
 
 import linflow_reference
-from conftest import PARITY_FEEDERS, bench_feeders, chain_model
+from conftest import PARITY_FEEDERS, bench_feeders, chain_model, lp_columns
 from lp_reference import sweep_powerflow
 
 ALPHA = np.exp(2j * np.pi / 3)
@@ -52,11 +52,12 @@ def test_constants_require_convergence():
 
 
 def _with_zero_voltage(solution, buses):
-    voltages = dict(solution.voltages)
+    """``solution`` with a copy of its voltages, each bus's first phase zeroed."""
+    layout, v = solution.system.stamps.layout, solution.v.copy()
     for bus in buses:
-        vec = voltages[bus]
-        voltages[bus] = tf.PhaseVector(vec.phases, [0.0] + list(vec.values[1:]))
-    return dataclasses.replace(solution, voltages=voltages)
+        at = layout.at[layout.bus_of[bus]]
+        v[at[at >= 0][0]] = 0.0
+    return dataclasses.replace(solution, v=v)
 
 
 @pytest.mark.parametrize("zeroed, named", [
@@ -135,21 +136,54 @@ def test_linear_rows_satisfied_by_sweep_solution(ieee13, ieee13_base):
     cfg = tf.config_from_model(ieee13, v_min=0.5, v_max=1.5)
     lp, varmap = tf.build_lp(ieee13, const, cfg)
     x = np.zeros(lp.A.shape[1])
-    for (bus, p), col in varmap.vsq.items():
+    vsq, flow, _ = lp_columns(ieee13, varmap)
+    for (bus, p), col in vsq.items():
         x[col] = v_sq[bus][p].real
-    for (key, p), (re_col, im_col) in varmap.flow.items():
+    for (key, p), (re_col, im_col) in flow.items():
         x[re_col] = flows[key][p].real
         x[im_col] = flows[key][p].imag
     resid = lp.A @ x - lp.b
     # Ratio-window rows contain slack columns we left at zero; check the rest.
     eq_rows = [i for i in range(lp.A.shape[0])]
-    slack_cols = {c for pair in varmap.slack_cols.values() for c in pair}
+    slack_cols = set(varmap.slack_cols.ravel().tolist())
     acsr = lp.A.tocsr()
     for i in eq_rows:
         cols = set(acsr.indices[acsr.indptr[i]:acsr.indptr[i + 1]])
         if cols & slack_cols:
             continue
         assert abs(resid[i]) < 1e-9, f"row {i}"
+
+
+def _heavy_chain():
+    """A three-phase chain whose load no power flow carries: the exact solve
+    does not converge and every balanced linear v~ at b1 is negative (-9)."""
+    model = chain_model([40.0 + 20.0j], z_per_edge=0.05 + 0.15j, phases=("a", "b", "c"))
+    v_sq, _ = tf.linear_powerflow(model, tf.constants_balanced(model), [])
+    return model, v_sq
+
+
+def test_lindiff_requires_a_converged_exact_solution():
+    model, v_sq = _heavy_chain()
+    exact = tf.solve_zbus(model, [], max_iter=50)
+    assert not exact.converged
+    with pytest.raises(ValueError, match="did not converge"):
+        tf.lindiff(model, exact, v_sq)
+
+
+@pytest.mark.parametrize("bad", [None, float("nan"), float("inf")],
+                         ids=["negative", "nan", "inf"])
+def test_lindiff_rejects_a_negative_or_nonfinite_square(bad):
+    """A v~ that has no real square root raises, rather than dropping out of
+    the worst difference (max(0.0, nan) is 0.0)."""
+    model, v_sq = _heavy_chain()
+    light = chain_model([0.1 + 0.05j], z_per_edge=0.05 + 0.15j, phases=("a", "b", "c"))
+    exact = tf.solve_zbus(light, [])
+    assert exact.converged and v_sq["b1"]["a"].real < 0.0
+    if bad is not None:
+        v_sq = {bus: {p: 1.0 for p in vec.phases} for bus, vec in v_sq.items()}
+        v_sq["b1"]["b"] = bad
+    with pytest.raises(ValueError, match="not a finite square"):
+        tf.lindiff(light, exact, v_sq)
 
 
 def test_overestimation_on_shipped_fixtures(ieee13, ieee13_base, tiny3):
@@ -248,5 +282,4 @@ def test_lp_matches_reference(name, request):
         for a, b in [(getattr(lp.A, f), getattr(lp_ref.A, f)) for f in ("indptr", "indices", "data")] + \
                     [(getattr(lp, f), getattr(lp_ref, f)) for f in ("b", "c", "lower", "upper")]:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), mode
-        assert (varmap.vsq, varmap.flow, varmap.slack_cols) == \
-            (varmap_ref.vsq, varmap_ref.flow, varmap_ref.slack_cols)
+        assert lp_columns(model, varmap) == (varmap_ref.vsq, varmap_ref.flow, varmap_ref.slack_cols)

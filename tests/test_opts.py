@@ -10,7 +10,7 @@ import tapflow as tf
 from tapflow import linflow, opts, ybus, zbus
 from tapflow.errors import PipelineError
 
-from conftest import PARITY_FEEDERS, bench_feeders, cascade_model, chain_model
+from conftest import PARITY_FEEDERS, bench_feeders, cascade_model, chain_model, lp_columns
 from lp_reference import pin_row_lexicographic
 from sweep_reference import loop_brute_force
 
@@ -41,7 +41,8 @@ def test_two_bus_single_phase_counts():
     model = chain_model([0.2 + 0.1j])
     (lp, varmap), _ = build(model)
     assert lp.A.shape == (3, 3)            # 1 drop row + 2 balance rows
-    assert len(varmap.vsq) == 1 and len(varmap.flow) == 1
+    vsq, flow, _ = lp_columns(model, varmap)
+    assert len(vsq) == 1 and len(flow) == 1
 
 
 def test_single_phase_svr_adds_four_rows():
@@ -51,7 +52,7 @@ def test_single_phase_svr_adds_four_rows():
     (lp1, vm1), _ = build(with_svr)
     # Two ratio-window inequality rows + Re/Im of the exact SVR balance.
     assert lp1.A.shape[0] - lp0.A.shape[0] == 4
-    assert len(vm1.slack_cols) == 1
+    assert vm1.slack_cols.shape == (1, 2)
 
 
 def test_ieee13_census_matches_manifest(ieee13):
@@ -67,10 +68,11 @@ def test_ieee13_census_matches_manifest(ieee13):
 
 def test_voltage_bounds_applied(ieee13):
     (lp, varmap), cfg = build(ieee13)
-    for col in varmap.vsq.values():
+    vsq, flow, _ = lp_columns(ieee13, varmap)
+    for col in vsq.values():
         assert lp.lower[col] == pytest.approx(cfg.v_min**2)
         assert lp.upper[col] == pytest.approx(cfg.v_max**2)
-    for (key, p), (re_col, im_col) in varmap.flow.items():
+    for (key, p), (re_col, im_col) in flow.items():
         assert lp.lower[re_col] == -np.inf and lp.upper[im_col] == np.inf
 
 
@@ -80,11 +82,12 @@ def test_voltage_bounds_applied(ieee13):
 
 def test_recover_ratio_formula(tiny3):
     (lp, varmap), _ = build(tiny3)
+    vsq, _, _ = lp_columns(tiny3, varmap)
     x = np.zeros(lp.A.shape[1])
-    x[varmap.vsq[("reg", "a")]] = 1.0
-    x[varmap.vsq[("load", "a")]] = 1.0
+    x[vsq[("reg", "a")]] = 1.0
+    x[vsq[("load", "a")]] = 1.0
     assert tf.recover_ratios(x, varmap, tiny3)[0]["a"] == pytest.approx(1.0)
-    x[varmap.vsq[("reg", "a")]] = 1.0 / 0.81
+    x[vsq[("reg", "a")]] = 1.0 / 0.81
     # sqrt(v_up / v_down) with the slack as the upstream side: 1 / sqrt(1.2346) = 0.9
     assert tf.recover_ratios(x, varmap, tiny3)[0]["a"] == pytest.approx(0.9)
 
@@ -98,19 +101,21 @@ def test_recover_rejects_nonpositive(tiny3):
 
 def test_recover_rejects_large_excursion(tiny3):
     (lp, varmap), _ = build(tiny3)
+    vsq, _, _ = lp_columns(tiny3, varmap)
     x = np.zeros(lp.A.shape[1])
-    x[varmap.vsq[("reg", "a")]] = 4.0     # ratio sqrt(1/4) = 0.5, far out of range
-    x[varmap.vsq[("load", "a")]] = 4.0
+    x[vsq[("reg", "a")]] = 4.0     # ratio sqrt(1/4) = 0.5, far out of range
+    x[vsq[("load", "a")]] = 4.0
     with pytest.raises(ValueError, match="outside"):
         tf.recover_ratios(x, varmap, tiny3)
 
 
 def test_recover_clamps_solver_noise(tiny3):
     (lp, varmap), _ = build(tiny3)
+    vsq, _, _ = lp_columns(tiny3, varmap)
     x = np.zeros(lp.A.shape[1])
     eps = 1e-8
-    x[varmap.vsq[("reg", "a")]] = (1.0 / 0.81) * (1 + eps)
-    x[varmap.vsq[("load", "a")]] = 1.0
+    x[vsq[("reg", "a")]] = (1.0 / 0.81) * (1 + eps)
+    x[vsq[("load", "a")]] = 1.0
     r = tf.recover_ratios(x, varmap, tiny3)[0]["a"]
     assert r == 0.9
 
@@ -186,11 +191,12 @@ def test_svr_power_balance_in_lp_solution(ieee13):
     sol, _ = tf.solve_lp_lexicographic(lp, varmap)
     assert sol.status == "optimal"
     idx = tf.tree_index(ieee13)
+    _, flow, _ = lp_columns(ieee13, varmap)
     for svx, sv in enumerate(ieee13.svrs):
         child = idx.children[sv.to_bus][0]
         for p in sv.phases:
-            re_s, im_s = varmap.flow[(f"{sv.from_bus}->{sv.to_bus}", p)]
-            re_c, im_c = varmap.flow[(child.key(), p)]
+            re_s, im_s = flow[(f"{sv.from_bus}->{sv.to_bus}", p)]
+            re_c, im_c = flow[(child.key(), p)]
             assert abs(sol.x[re_s] - sol.x[re_c]) <= 1e-7
             assert abs(sol.x[im_s] - sol.x[im_c]) <= 1e-7
 
@@ -259,7 +265,7 @@ def test_condensed_without_regulators():
     lp, varmap = tf.build_lp(model, const, tf.config_from_model(model))
     sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
     assert sol.status == "optimal" and sol.tie_break == "optimal"
-    for (bus, p), col in varmap.vsq.items():
+    for (bus, p), col in lp_columns(model, varmap)[0].items():
         assert sol.x[col] == pytest.approx(v_sq[bus][p].real, abs=1e-12)
     assert import_value == pytest.approx(flows["sub->b1"]["a"].real, abs=1e-12)
 

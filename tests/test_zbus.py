@@ -104,23 +104,6 @@ def test_returned_voltages_alias_no_solver_state(case, ieee13, tiny3):
     assert {bus: vec.values.tobytes() for bus, vec in again.voltages.items()} == bits
 
 
-def test_metrics_raise_on_a_missing_phase(ieee13, ieee13_base):
-    """A bus vector without one of its bus's phases raises KeyError in the
-    metrics that read every coordinate; a vector with an extra phase is
-    read phase by phase and gives the same bits."""
-    sol = dataclasses.replace(ieee13_base, voltages=dict(ieee13_base.voltages))
-    full = sol.voltages["611"]                # a phase-c bus
-    assert full.phases == ("c",)
-    sol.voltages["611"] = tf.PhaseVector(("a", "c"), [1.0, full["c"]])
-    assert tf.import_objective(sol, ieee13) == tf.import_objective(ieee13_base, ieee13)
-    assert tf.kcl_certificate(sol, ieee13) == tf.kcl_certificate(ieee13_base, ieee13)
-    sol.voltages["671"] = tf.PhaseVector(("a", "c"), [1.0, 1.0])
-    with pytest.raises(KeyError, match="'b' not present"):
-        tf.import_objective(sol, ieee13)
-    with pytest.raises(KeyError, match="'b' not present"):
-        tf.kcl_certificate(sol, ieee13)
-
-
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
 def test_nonpositive_or_nan_tol_rejected(tol):
     model = chain_model([0.1])
@@ -140,6 +123,38 @@ def test_objective_forms_agree(ieee13, ieee13_base):
     assert abs(adm - edge) < 1e-10
 
 
+def _edges_from_view(solution, model):
+    """``import_objective_edges`` reading the to-bus voltages from the per-bus view."""
+    stamps = solution.system.stamps
+    heads = [(k, None) for k, ln in enumerate(model.lines) if ln.from_bus == model.slack.id]
+    for svx, (sv, k) in enumerate(zip(model.svrs, stamps.layout.svr_lines)):
+        if sv.from_bus == model.slack.id:
+            r = np.array([float(solution.ratios[svx][p]) for p in model.lines[k].z.phases])
+            heads.append((k, 1.0 / r if sv.kind == "B" else r))
+    total = 0.0
+    for k, g in heads:
+        ln, zinv = model.lines[k], stamps.line_zinv(k)
+        vn = np.array([model.slack_voltage[p] for p in ln.z.phases])
+        vm = np.array([solution.voltages[ln.to_bus][p] for p in ln.z.phases])
+        i_edge = zinv @ (vn - vm) if g is None else np.diag(g) @ (zinv @ (g * vn - vm))
+        total += float(np.sum((vn * np.conj(i_edge)).real))
+    return total
+
+
+@pytest.mark.parametrize("case", ["ieee13", "tiny3", "generated"])
+def test_edge_objective_reads_the_array(case, request):
+    """The edge-wise import reads ``v`` without building the per-bus view,
+    and has the bits of the reading through that view."""
+    if case == "generated":
+        model = bench_feeders().generate_feeder(7, 120)
+    else:
+        model = request.getfixturevalue(case)
+    sol = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
+    got = tf.import_objective_edges(sol, model)
+    assert "voltages" not in vars(sol)
+    assert got.hex() == _edges_from_view(sol, model).hex()
+
+
 def test_kcl_certificate_on_converged_solutions(ieee13, ieee13_base, tiny3):
     assert tf.kcl_certificate(ieee13_base, ieee13) <= 1e-8
     sol = tf.solve_zbus(tiny3, [{"a": 0.95}])
@@ -147,26 +162,41 @@ def test_kcl_certificate_on_converged_solutions(ieee13, ieee13_base, tiny3):
     assert tf.kcl_certificate(sol, tiny3) <= 1e-8
 
 
-def test_unbalance_direct_formula():
-    sol = tf.PowerFlowSolution(
-        voltages={"x": tf.PhaseVector("abc", [1.0, 1.0, 0.97])},
-        iterations=1, residual=0.0, converged=True)
-    assert tf.voltage_unbalance(sol) == pytest.approx(100 * 0.02 / 0.99, abs=1e-9)
+def test_unbalance_direct_formula(ieee13, ieee13_base):
+    """The worst over IEEE-13's multi-phase buses of 100 max |  |v| - mean| / mean."""
+    worst = 0.0
+    for vec in ieee13_base.voltages.values():
+        if len(vec.phases) >= 2:
+            mags = [abs(z) for z in vec.values]
+            mean = sum(mags) / len(mags)
+            worst = max(worst, 100.0 * max(abs(m - mean) for m in mags) / mean)
+    assert worst > 1.0
+    assert tf.voltage_unbalance(ieee13_base) == pytest.approx(worst, rel=1e-12)
 
 
 def test_unbalance_balanced_is_zero():
-    a = np.exp(2j * np.pi / 3)
-    sol = tf.PowerFlowSolution(
-        voltages={"x": tf.PhaseVector("abc", [0.98, 0.98 * a**2, 0.98 * a])},
-        iterations=1, residual=0.0, converged=True)
+    model = chain_model([0.0, 0.0], phases=("a", "b", "c"))
+    sol = tf.solve_zbus(model, [])
     assert tf.voltage_unbalance(sol) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_single_phase_buses_skipped_in_unbalance():
-    sol = tf.PowerFlowSolution(
-        voltages={"x": tf.PhaseVector("a", [0.5])},
-        iterations=1, residual=0.0, converged=True)
-    assert tf.voltage_unbalance(sol) == 0.0
+def test_single_phase_buses_skipped_in_unbalance(tiny3):
+    """tiny3's buses are all single-phase, so no bus counts."""
+    sol = tf.solve_zbus(tiny3, [{"a": 0.9}])
+    assert sol.converged and tf.voltage_unbalance(sol) == 0.0
+
+
+def test_metrics_reject_an_unconverged_solve():
+    """An unconverged three-phase solve raises in every metric, rather than
+    reporting an unbalance of its last iterate."""
+    model = chain_model([40.0 + 20.0j], z_per_edge=0.05 + 0.15j, phases=("a", "b", "c"))
+    sol = tf.solve_zbus(model, [], max_iter=50)
+    assert not sol.converged
+    for metric in (tf.voltage_unbalance, lambda s: tf.voltage_envelope(s, model),
+                   lambda s: tf.import_objective(s, model),
+                   lambda s: tf.import_objective_edges(s, model)):
+        with pytest.raises(ValueError, match="did not converge"):
+            metric(sol)
 
 
 def test_envelope_and_feasibility():
