@@ -270,7 +270,7 @@ def linear_powerflow(model: FeederModel, constants: LinearizationConstants,
     (real PhaseVector), and complex per-phase flows per edge key.
     """
     windows = [{p: (float(r[p]), float(r[p])) for p in sv.phases}
-               for sv, r in zip(model.svrs, ratios)]
+               for sv, r in zip(model.svrs, ratios, strict=True)]
     system = linear_system(model, constants, windows)
     x, _ = eliminate(system, "linear_powerflow")
     vcol, slack_sq = system.vcol, _slack_squares(model)

@@ -115,7 +115,7 @@ class PhaseMatrix:
             raise KeyError(f"phase pair ({p},{q}) not in mask {''.join(self.phases)}") from None
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.array, self.array.T, rtol=0.0, atol=tol))
+        return bool((abs(self.array - self.array.T) <= tol).all())
 
     def __eq__(self, other) -> bool:
         return (

@@ -397,8 +397,7 @@ def brute_force(model: FeederModel, config: OptsConfig,
         # (combinations, axes), also with no axes at all.
         ratios = np.array([tab[d] for tab, d in zip(tables, digits)]).T.reshape(len(combos),
                                                                                 len(axes))
-        block = solve_block(model, ratios, stamps, tol=config.zbus_tol,
-                            max_iter=config.zbus_max_iter)
+        block = solve_block(stamps, ratios, tol=config.zbus_tol, max_iter=config.zbus_max_iter)
         feasible, objective = block_metrics(block, config.v_min_verify, config.v_max_verify)
         feasible_count += int(feasible.sum())
         for j, obj in zip(np.flatnonzero(feasible).tolist(), objective[feasible].tolist()):

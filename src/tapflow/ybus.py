@@ -26,16 +26,21 @@ fills the rows, columns and values of its plain lines and regulator lines
 together, each line's kind choosing its blocks' endpoints and signs; shunts
 take one broadcast per phase set. The coordinates come from the layout; the
 (bus, phase) tuples that name them and each retained bus's rows are built
-only when read. ``assemble``
-then computes only the regulator blocks G zinv G, -G zinv and -zinv G (G
-the diagonal gain) for the given ratios, elementwise as (g_i zinv_ij) g_j
-and so on, reads them in place of their entries and scatters the list into
-the fixed patterns; called without a stamp set it builds one. Each matrix is a shallow copy of a
-template built and checked once, given the new values and copies of the
-pattern, so scipy does not check the pattern again. ``assemble_block``
-does the same for m ratio sets at once: the scatter runs on (entries, m)
-arrays, and Y_NS and Y_S come back block-diagonal, one block per set, so
-that one sparse product applies every set's blocks at its own bits.
+only when read.
+
+Below the public API a set of ratios is a row, one float per regulator
+phase: regulators in model order, each one's phases in its own order.
+``assemble`` turns its per-regulator ``{phase: ratio}`` maps into a row
+(building a stamp set if given none) for ``assemble_block``, which takes m
+rows, checks once that every ratio is finite and nonzero, and computes
+only the regulator blocks G zinv G, -G zinv and -zinv G (G the diagonal
+gain) at each row, elementwise as (g_i zinv_ij) g_j and so on. It reads
+them in place of their entries and scatters the list into the fixed
+patterns. Each matrix is a shallow copy of a template built and checked
+once, given the new values and copies of the pattern, so scipy does not
+check the pattern again. With m > 1 the scatter also runs on (entries, m)
+arrays, and Y_NS and Y_S come back block-diagonal, one block per row, so
+that one sparse product applies every row's blocks at its own bits.
 
 ``build_stamps`` also decides whether Y depends on the ratios at all. The
 first three regulator blocks move with them; when every one that is
@@ -69,16 +74,19 @@ import scipy.sparse as sp
 from .network import _PHASE_POS, PHASES, FeederModel, PhaseVector, SvrSpec, tree_index
 
 
-def _gain_diag(svr, ratios, phases) -> np.ndarray:
-    missing = [p for p in phases if p not in ratios]
-    if missing:
-        raise ValueError(f"svr {svr.from_bus}->{svr.to_bus}: no ratio for phase(s) {missing}")
-    a = np.array([float(ratios[p]) for p in phases])
-    # The fixed CSC pattern holds only for finite nonzero gains.
-    if not np.all(np.isfinite(a) & (a != 0.0)):
-        raise ValueError(f"svr {svr.from_bus}->{svr.to_bus}: ratios must be finite and "
-                         f"nonzero, got {a.tolist()}")
-    return a
+def _ratio_row(svrs, ratios) -> np.ndarray:
+    """The per-regulator ``{phase: ratio}`` maps ``ratios``, one per regulator
+    in ``svrs``, as one row over the regulator phases: regulators in model
+    order, each one's phases in its own order."""
+    if len(ratios) != len(svrs):
+        raise ValueError(f"{len(ratios)} ratio maps for {len(svrs)} regulators")
+    row = []
+    for sv, r in zip(svrs, ratios):
+        missing = [p for p in sv.phases if p not in r]
+        if missing:
+            raise ValueError(f"svr {sv.from_bus}->{sv.to_bus}: no ratio for phase(s) {missing}")
+        row += [float(r[p]) for p in sv.phases]
+    return np.array(row, dtype=float)
 
 
 def _inv(z: np.ndarray, what: str) -> np.ndarray:
@@ -190,8 +198,7 @@ class _RegulatorStamp:
     outgoing line and the slice of the entry list its four blocks fill."""
 
     svr: SvrSpec
-    index: int               # position in ``model.svrs`` and in ``ratios``
-    phases: tuple            # current-carrying phases through the regulator
+    cols: list               # the ratio row's columns of the line's phases
     zinv: np.ndarray
     entries: slice           # the G zinv G, -G zinv, -zinv G and zinv blocks,
                              # in that order, each row-major
@@ -226,8 +233,8 @@ class StampSet:
     layout: Layout
     zinv: tuple              # per layout line group: its checked inverses, (L, s, s)
     secondaries: tuple       # per regulator secondary phase, regulators in model order:
-                             # its full coordinate, the primary's, the ratio column,
-                             # type-B flag (n, 1), and (regulator index, phase)
+                             # its full coordinate, the primary's, the ratio column
+                             # and the type-B flag (n, 1)
     y_fixed: bool            # no block that moves with the ratios lands in Y
     y_lu: list = field(default_factory=list, repr=False)   # Y's factorization, when y_fixed
 
@@ -272,7 +279,7 @@ class StampSet:
 
 @dataclass(frozen=True)
 class AdmittanceSystem:
-    """Reduced admittance blocks at one set of ratios, over ``stamps``' layout.
+    """Reduced admittance blocks at m ratio rows, over ``stamps``' layout.
 
     Y       : retained (non-slack, non-eliminated) square block
     Y_NS    : coupling of retained rows to slack columns
@@ -283,6 +290,7 @@ class AdmittanceSystem:
     Y: sp.csc_matrix
     Y_NS: sp.csc_matrix
     Y_S: sp.csc_matrix
+    ratios: np.ndarray       # (m, k) the ratio rows (``assemble_block``)
     stamps: StampSet
 
 
@@ -357,11 +365,13 @@ def build_stamps(model: FeederModel) -> StampSet:
     if (rows.size and (rows.min() < 0 or not (kept | layout.slack)[bus_at[rows]].all())) \
             or np.isnan(v_source[phase_of]).any():
         raise ValueError("model fails validation: a phase has no coordinate or no slack voltage")
+    # Each regulator's first column in the ratio row.
+    starts = list(accumulate((len(sv.phases) for sv in svrs), initial=0))
     regulators = tuple(
-        _RegulatorStamp(svr=sv, index=svx, phases=groups[g].phases, zinv=zinv[g][row],
-                        entries=slice(int(offsets[k]), int(offsets[k + 1])))
-        for svx, (sv, (g, row), k) in enumerate(zip(
-            svrs, layout.line_at[svr_lines].tolist(), count(len(stamped) - len(svrs)))))
+        _RegulatorStamp(svr=sv, cols=[c + sv.phases.index(p) for p in groups[g].phases],
+                        zinv=zinv[g][row], entries=slice(int(offsets[k]), int(offsets[k + 1])))
+        for sv, c, (g, row), k in zip(svrs, starts, layout.line_at[svr_lines].tolist(),
+                                      count(len(stamped) - len(svrs))))
 
     # Route each stored entry once: a slack row goes to Y_S, a slack column
     # to Y_NS, anything else to Y. Their coordinates are taken block-diagonally
@@ -384,11 +394,10 @@ def build_stamps(model: FeederModel) -> StampSet:
         ((n, n), (n, ns), (ns, nf)))
 
     # Each regulator secondary's phases: its full coordinate, the primary's,
-    # the ratio column (regulators' phases in model order) and the kind.
-    keys, sec = [], []
-    for i, (c, sv) in enumerate(zip(accumulate((len(sv.phases) for sv in svrs), initial=0), svrs)):
+    # the ratio column and the kind.
+    sec = []
+    for c, sv in zip(starts, svrs):
         for p in buses[bus_of[sv.to_bus]].phases:
-            keys.append((i, p))
             sec.append((at[bus_of[sv.to_bus], _PHASE_POS[p]], at[bus_of[sv.from_bus], _PHASE_POS[p]],
                         c + sv.phases.index(p), sv.kind == "B"))
     sec = np.array(sec, dtype=np.intp).reshape(-1, 4)
@@ -400,7 +409,7 @@ def build_stamps(model: FeederModel) -> StampSet:
                     values=values, moving=np.where(moves, np.cumsum(moves) - 1, -1),
                     first=first, further=further, templates=templates,
                     regulators=regulators, layout=layout, zinv=zinv,
-                    secondaries=(sec[:, 0], sec[:, 1], sec[:, 2], sec[:, 3:] == 1, tuple(keys)),
+                    secondaries=(sec[:, 0], sec[:, 1], sec[:, 2], sec[:, 3:] == 1),
                     y_fixed=y_fixed)
 
 
@@ -490,7 +499,7 @@ def _regulator_blocks(reg: _RegulatorStamp, a: np.ndarray) -> np.ndarray:
 def _stored_values(stamps: StampSet, read, rows: slice | None = None) -> np.ndarray:
     """The stored values of Y, Y_NS and Y_S, concatenated, or ``rows`` of
     them. ``read(positions)`` gives the entries at those positions of the
-    entry list: a vector for one ratio set, (positions, m) for m sets."""
+    entry list: a vector for one ratio row, (positions, m) for m rows."""
     # Sum duplicates left to right in scipy's order; see ``_scatter_plan``.
     rows = rows or slice(0, len(stamps.first))
     data = read(stamps.first[rows])
@@ -503,7 +512,7 @@ def _stored_values(stamps: StampSet, read, rows: slice | None = None) -> np.ndar
 
 
 def _read_moved(stamps: StampSet, moved: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """The entries at ``pos`` at each of m ratio sets: a moving entry's row
+    """The entries at ``pos`` at each of m ratio rows: a moving entry's row
     of ``moved`` (the stacked regulator blocks, then a zero row), else the
     fixed value."""
     k = stamps.moving[pos]
@@ -524,44 +533,46 @@ def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> Admi
     ``stamps`` is ``build_stamps(model)`` for callers that assemble one model at
     many ratios; only the regulator blocks are then computed again.
     """
-    if stamps is None:
-        stamps = build_stamps(model)
-    return _assemble(stamps, [_gain_diag(reg.svr, ratios[reg.index], reg.phases)[None, :]
-                              for reg in stamps.regulators], 1)
+    row = _ratio_row(model.svrs, ratios)
+    return assemble_block(build_stamps(model) if stamps is None else stamps, row[None])
 
 
 def assemble_block(stamps: StampSet, ratios: np.ndarray) -> AdmittanceSystem:
-    """The admittance blocks at m ratio sets at once.
+    """The admittance blocks at m ratio rows at once.
 
-    ``ratios`` is (m, k): row j is set j over the regulators' phases in
-    model order, each ratio finite and nonzero. With m > 1, Y_NS and Y_S
-    are block-diagonal, set j's blocks at j times their shape, so one sparse
-    product applies each set's blocks at the bits of ``assemble``'s; Y is
-    the first set's, and the block needs ``stamps.y_fixed``.
+    ``ratios`` is (m, k): row j holds one ratio per regulator phase,
+    regulators in model order, each one's phases in its own order. Every
+    ratio must be finite and nonzero, else ``ValueError`` names the first bad
+    row's first bad regulator. With m > 1, Y_NS and Y_S are block-diagonal,
+    row j's blocks at j times their shape, so one sparse product applies each
+    row's blocks at the bits of a single row's; Y is the first row's, and the
+    block needs ``stamps.y_fixed``.
     """
-    starts = accumulate((len(r.svr.phases) for r in stamps.regulators), initial=0)
-    return _assemble(stamps, [ratios[:, [k + r.svr.phases.index(p) for p in r.phases]]
-                              for r, k in zip(stamps.regulators, starts)], len(ratios))
-
-
-def _assemble(stamps: StampSet, gains, m: int) -> AdmittanceSystem:
-    """``assemble_block`` at m sets of regulator ratios; ``gains[k]`` is
-    regulator k's (m, s) ratios over its phases."""
+    # The fixed CSC pattern holds only for finite nonzero gains.
+    ok = np.isfinite(ratios) & (ratios != 0.0)
+    if not ok.all():
+        j = int(np.argmin(ok.all(axis=1)))
+        stops = np.cumsum([len(r.svr.phases) for r in stamps.regulators])
+        i = int(np.searchsorted(stops, np.argmin(ok[j]), side="right"))
+        sv = stamps.regulators[i].svr
+        raise ValueError(f"svr {sv.from_bus}->{sv.to_bus}: ratios must be finite and nonzero, "
+                         f"got {ratios[j, stops[i] - len(sv.phases):stops[i]].tolist()}")
+    m = len(ratios)
     # The moving blocks, stacked in stamp order, then a zero row for the
     # fixed entries' -1 in ``stamps.moving`` to index; np.where drops it.
-    moved = np.concatenate([*(_regulator_blocks(r, a) for r, a in zip(stamps.regulators, gains)),
+    moved = np.concatenate([*(_regulator_blocks(r, ratios[:, r.cols]) for r in stamps.regulators),
                             np.zeros((1, m))])
     values = stamps.values.copy()
     values[stamps.moving >= 0] = moved[:-1, 0]
     data = _stored_values(stamps, values.__getitem__)
     slots = _slots(stamps)
     blocks = [_with_data(t, data[rows]) for t, rows in zip(stamps.templates, slots)]
-    if m > 1:      # only the entries that a stored value sums are gathered for all sets
+    if m > 1:      # only the entries that a stored value sums are gathered for all rows
         blocks[1:] = [_tiled(t, _stored_values(
             stamps, lambda pos: _read_moved(stamps, moved, pos), rows))
             for t, rows in zip(stamps.templates[1:], slots[1:])]
     Y, Y_NS, Y_S = blocks
-    return AdmittanceSystem(Y=Y, Y_NS=Y_NS, Y_S=Y_S, stamps=stamps)
+    return AdmittanceSystem(Y=Y, Y_NS=Y_NS, Y_S=Y_S, ratios=ratios, stamps=stamps)
 
 
 def _with_data(t: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:

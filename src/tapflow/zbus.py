@@ -23,7 +23,10 @@ multi-column LU solve per step; each column stops on its own (update below
 that many columns share one Y, forms w_s = Y_NS v_S with one product (Y_NS
 block-diagonal over the columns, so each gets its own bits), factors Y and
 runs the kernel: on one column for ``solve_zbus``, on many for a tap sweep
-with Y fixed (``solve_block``).
+with Y fixed (``solve_block``). Both take ratios as ``ybus`` rows over the
+regulator phases, ``solve_zbus`` through ``assemble``, which converts its
+per-regulator maps. The secondaries and the edge-wise import read the rows
+in ``AdmittanceSystem.ratios``; ``PowerFlowSolution.ratios`` keeps the maps.
 
 Voltages are kept as arrays over the stamp set's full coordinates: slack,
 retained rows and regulator secondaries (``_full_voltages``). Each metric
@@ -159,7 +162,7 @@ def _factor(stamps: StampSet, Y):
 
 def _solve(system: AdmittanceSystem, v: np.ndarray, tol: float, max_iter: int) -> tuple:
     """``_fixed_point`` on ``system`` from the (n, m) start ``v``, column j at
-    ratio set j; m > 1 columns share Y's factorization, so need ``y_fixed``."""
+    ratio row j; m > 1 columns share Y's factorization, so need ``y_fixed``."""
     if not tol > 0:      # also rejects NaN
         raise ValueError("tol must be positive")
     st = system.stamps
@@ -192,18 +195,13 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
         if not np.all(np.isfinite(v)):
             raise ValueError("v0 must be finite")
     out, iterations, residual, converged = _solve(system, v[:, None], tol, max_iter)
-
-    # The secondaries' ratios, read as ``recover_svr_secondary`` reads them.
-    # Should it reject one (a zero, or a secondary voltage that is not
-    # finite), it is called to raise its error.
-    sec_at, *_, keys = st.secondaries
-    r = np.array([float(ratios[i][p]) for i, p in keys]).reshape(-1, 1)
-    full = _full_voltages(st, out, r)[0]
+    full = _full_voltages(st, out, system.ratios[:, st.secondaries[2]].T)[0]
     solution = PowerFlowSolution(
         v=full, iterations=int(iterations[0]), residual=float(residual[0]),
         converged=bool(converged[0]), ratios=list(ratios), system=system, model=model,
     )
-    if not (r.all() and np.isfinite(full[sec_at]).all()):
+    # A secondary voltage that is not finite: recovery raises its error.
+    if not np.isfinite(full[st.secondaries[0]]).all():
         recover_svr_secondary(model, ratios, solution.voltages)
     return solution
 
@@ -214,7 +212,7 @@ def _full_voltages(stamps: StampSet, v: np.ndarray, r: np.ndarray) -> np.ndarray
     slack, the retained rows, and the secondaries as ``recover_svr_secondary``
     has them, from the primary's voltage divided (type B) or multiplied by
     the ratio. A part that overflows is left infinite, with no warning."""
-    sec_at, prim_at, _, type_b, _ = stamps.secondaries
+    sec_at, prim_at, _, type_b = stamps.secondaries
     retained_at, slack_at = stamps.full_of
     full = np.empty((v.shape[1], stamps.templates[2].shape[1]), dtype=complex)
     full[:, slack_at] = stamps.v_slack
@@ -235,35 +233,30 @@ def _full_voltages(stamps: StampSet, v: np.ndarray, r: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class BlockSolution:
-    """The fixed-point results of m ratio sets on one stamp set; column or
-    entry j is set j."""
+    """The fixed-point results of m ratio rows on one stamp set; column or
+    entry j is row j."""
 
     v: np.ndarray              # (n, m) final iterates over the stamp set's coords
     iterations: np.ndarray
     residual: np.ndarray
     converged: np.ndarray
-    ratios: np.ndarray         # (m, k) over the regulators' phases in model order
-    system: AdmittanceSystem   # block-diagonal Y_NS and Y_S (``ybus.assemble_block``)
+    system: AdmittanceSystem   # the ratio rows, block-diagonal Y_NS and Y_S
+                               # (``ybus.assemble_block``)
 
 
-def solve_block(model: FeederModel, ratios: np.ndarray, stamps: StampSet,
+def solve_block(stamps: StampSet, ratios: np.ndarray,
                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> BlockSolution:
-    """``solve_zbus`` from a flat start at each row of ``ratios`` (m, k), the
-    regulators' phases in model order, as one iteration over m columns.
+    """``solve_zbus`` from a flat start at each ratio row of ``ratios`` (m, k)
+    (``ybus.assemble_block``), as one iteration over m columns.
 
     More than one row needs ``stamps.y_fixed`` (else ``ValueError``): the
-    rows then share one factorization of Y. The first row with a zero or
-    non-finite ratio is solved alone first, so that it raises the error
-    ``solve_zbus`` raises for it.
+    rows then share one factorization of Y.
     """
-    bad = np.flatnonzero(~np.all(np.isfinite(ratios) & (ratios != 0.0), axis=1))
-    if bad.size:
-        solve_zbus(model, _ratio_maps(model, ratios[bad[0]]), tol, max_iter, stamps=stamps)
     system = assemble_block(stamps, ratios)
     start = np.broadcast_to(stamps.v_flat[:, None], (len(stamps.v_flat), len(ratios)))
     v, iterations, residual, converged = _solve(system, start, tol, max_iter)
     return BlockSolution(v=v, iterations=iterations, residual=residual, converged=converged,
-                         ratios=ratios, system=system)
+                         system=system)
 
 
 def block_metrics(block: BlockSolution, v_min: float,
@@ -275,16 +268,10 @@ def block_metrics(block: BlockSolution, v_min: float,
     diverged iterate.
     """
     st, ok = block.system.stamps, block.converged
-    full = _full_voltages(st, block.v, block.ratios[:, st.secondaries[2]].T)
+    full = _full_voltages(st, block.v, block.system.ratios[:, st.secondaries[2]].T)
     full[~ok] = 0.0
     lo, hi = _envelope(np.abs(full[:, st.nonslack_at]))
     return ok & (v_min <= lo) & (hi <= v_max), np.where(ok, _import(block.system, full), np.nan)
-
-
-def _ratio_maps(model: FeederModel, row) -> list:
-    """One row of flat ratios as ``solve_zbus``'s per-regulator maps."""
-    it = iter(row.tolist())
-    return [{p: next(it) for p in sv.phases} for sv in model.svrs]
 
 
 def _require_converged(solution: PowerFlowSolution):
@@ -315,10 +302,10 @@ def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> f
     # (line, gain) at the head: each line leaving the slack bus, without a
     # gain, then the outgoing line of each regulator at the slack bus.
     heads = [(k, None) for k, ln in enumerate(model.lines) if ln.from_bus == slack_id]
-    for svx, (sv, k) in enumerate(zip(model.svrs, stamps.layout.svr_lines)):
-        if sv.from_bus == slack_id:
-            r = np.array([float(solution.ratios[svx][p]) for p in model.lines[k].z.phases])
-            heads.append((k, 1.0 / r if sv.kind == "B" else r))
+    for reg, k in zip(stamps.regulators, stamps.layout.svr_lines):
+        if reg.svr.from_bus == slack_id:
+            r = solution.system.ratios[0, reg.cols]
+            heads.append((k, 1.0 / r if reg.svr.kind == "B" else r))
     total = 0.0
     for k, g in heads:
         ln, zinv = model.lines[k], stamps.line_zinv(k)

@@ -134,8 +134,7 @@ class _RegulatorStamp:
     outgoing line and the slice of the entry list its four blocks fill."""
 
     svr: SvrSpec
-    index: int               # position in ``model.svrs`` and in ``ratios``
-    phases: tuple            # current-carrying phases through the regulator
+    cols: list               # the ratio row's columns of the line's phases
     zinv: np.ndarray
     entries: slice           # the G zinv G, -G zinv, -zinv G and zinv blocks,
                              # in that order, each row-major
@@ -243,10 +242,13 @@ def build_stamps(model: FeederModel) -> StampSet:
     # bus phase the slack voltage lacks.
     if (rows.size and rows.min() < 0) or np.isnan(v_source[phase_of]).any():
         raise ValueError("model fails validation: a phase has no coordinate or no slack voltage")
+    # The ratio row holds each regulator's phases in turn.
     regulators = tuple(
-        _RegulatorStamp(svr=sv, index=svx, phases=lines[ln].z.phases, zinv=zinv[ln],
-                        entries=slice(int(offsets[k]), int(offsets[k + 1])))
-        for svx, (sv, ln, k) in enumerate(zip(model.svrs, layout.svr_lines, count(len(plain)))))
+        _RegulatorStamp(svr=sv, cols=[c + sv.phases.index(p) for p in lines[ln].z.phases],
+                        zinv=zinv[ln], entries=slice(int(offsets[k]), int(offsets[k + 1])))
+        for sv, c, ln, k in zip(model.svrs, accumulate((len(sv.phases) for sv in model.svrs),
+                                                       initial=0),
+                                layout.svr_lines, count(len(plain))))
 
     # Route each stored entry once: a slack row goes to Y_S, a slack column
     # to Y_NS, anything else to Y.

@@ -283,3 +283,11 @@ def test_lp_matches_reference(name, request):
                     [(getattr(lp, f), getattr(lp_ref, f)) for f in ("b", "c", "lower", "upper")]:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), mode
         assert lp_columns(model, varmap) == (varmap_ref.vsq, varmap_ref.flow, varmap_ref.slack_cols)
+
+
+def test_linear_powerflow_rejects_a_wrong_number_of_ratio_maps(ieee13):
+    ratios = tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
+    constants = tf.constants_balanced(ieee13)
+    for wrong in ([], ratios * 2):
+        with pytest.raises(ValueError, match="zip"):
+            tf.linear_powerflow(ieee13, constants, wrong)

@@ -308,6 +308,15 @@ def test_asymmetric_impedance_flagged():
     assert any(v.rule == "line-symmetric" for v in tf.validate(bad))
 
 
+@pytest.mark.parametrize("gap,symmetric", [(1e-12, True), (2e-12, False)])
+def test_symmetry_tolerance_boundary(gap, symmetric):
+    """An asymmetry of exactly the tolerance is accepted; twice it is not,
+    on the real and on the imaginary part."""
+    for off in (gap, gap * 1j):
+        z = tf.PhaseMatrix("ab", [[1.0, off], [0.0, 1.0]])
+        assert z.is_symmetric() is symmetric
+
+
 def _with_bus(model, bus_id, **fields):
     return dataclasses.replace(model, buses=tuple(
         dataclasses.replace(b, **fields) if b.id == bus_id else b for b in model.buses))

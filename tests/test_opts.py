@@ -497,6 +497,26 @@ def test_bruteforce_zero_ratio_raises_the_solve_error(kind, zero_tap):
     assert "ratios must be finite and nonzero, got [0.0]" in str(got.value)
 
 
+def test_bruteforce_raises_the_solve_error_on_an_unstamped_phase():
+    """The cascade's second regulator, made type B with step 0.1 and taps
+    -2..10, reaches ratio 0 first on phase c alone, which the line behind it
+    does not carry. The sweep raises the per-combination loop's error, which
+    names that regulator's whole ratio row."""
+    model = cascade_model()
+    head, second = model.svrs
+    model = dataclasses.replace(model, svrs=(
+        dataclasses.replace(head, tap_min=0, tap_max=0),
+        dataclasses.replace(second, kind="B", step=0.1, tap_min=-2, tap_max=10)))
+    cfg = tf.config_from_model(model)
+    with pytest.raises(ValueError) as want:
+        loop_brute_force(model, cfg)
+    with pytest.raises(ValueError) as got:
+        tf.brute_force(model, cfg)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("svr n1->r2: ratios must be finite and nonzero, got [1.2")
+    assert str(got.value).endswith(", 0.0]")
+
+
 @pytest.mark.parametrize("mode", ["from_zero_tap_solution", "balanced"])
 def test_run_opts_builds_the_tree_index_once(monkeypatch, ieee13, mode):
     """Both constants modes read the stamp set's layout, so a pipeline run

@@ -270,21 +270,38 @@ def test_recover_secondary_rejects_a_zero_ratio(tiny3):
         tf.recover_svr_secondary(tiny3, [{"a": 0.0}], volts)
 
 
-@pytest.mark.parametrize("ratio,error,match", [
-    (0.0, ValueError, r"svr n1->r2: zero ratio on phase c"),
-    (float("inf"), ValueError, "non-finite phase value"),
-    (float("nan"), ValueError, "non-finite phase value"),
-    (None, KeyError, "'c'"),
-])
-def test_solve_rejects_a_secondary_ratio_as_recovery_does(ratio, error, match):
+@pytest.mark.parametrize("ratio", [0.0, float("inf"), float("nan")])
+def test_solve_rejects_a_secondary_ratio(ratio):
     """Phase c of the cascade's second (type-A) regulator is on its
-    secondary but not on the line behind it, so assembly never reads its
-    ratio. A solve still raises recovery's error for a zero or missing one,
-    or one that makes the secondary voltage not finite."""
+    secondary but not on the line behind it, so no stamp reads its ratio.
+    Assembly still checks it with every other regulator phase's."""
+    second = {"a": 1.0, "b": 1.0, "c": ratio}
+    with pytest.raises(ValueError, match=r"svr n1->r2: ratios must be finite and nonzero, "
+                                         rf"got \[1.0, 1.0, {ratio}\]$"):
+        tf.solve_zbus(cascade_model(), [dict.fromkeys("abc", 1.0), second])
+
+
+def test_solve_rejects_a_missing_secondary_ratio():
+    with pytest.raises(ValueError, match=r"svr n1->r2: no ratio for phase\(s\) \['c'\]"):
+        tf.solve_zbus(cascade_model(), [dict.fromkeys("abc", 1.0), {"a": 1.0, "b": 1.0}])
+
+
+def test_solve_raises_recovery_error_on_an_overflowing_secondary():
+    """A finite nonzero ratio can still make a secondary voltage overflow:
+    1e-309 on phase c of the cascade's second regulator, made type B. The
+    solve raises recovery's error for it."""
     model = cascade_model()
-    second = {"a": 1.0, "b": 1.0} if ratio is None else {"a": 1.0, "b": 1.0, "c": ratio}
-    with pytest.raises(error, match=match):
-        tf.solve_zbus(model, [{p: 1.0 for p in "abc"}, second])
+    model = dataclasses.replace(model, svrs=(model.svrs[0],
+                                             dataclasses.replace(model.svrs[1], kind="B")))
+    with pytest.raises(ValueError, match="non-finite phase value"):
+        tf.solve_zbus(model, [dict.fromkeys("abc", 1.0), {"a": 1.0, "b": 1.0, "c": 1e-309}])
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_solve_rejects_a_wrong_number_of_ratio_maps(count):
+    """One ratio map per regulator, no fewer and no more."""
+    with pytest.raises(ValueError, match=rf"{count} ratio maps for 2 regulators"):
+        tf.solve_zbus(cascade_model(), [dict.fromkeys("abc", 1.0)] * count)
 
 
 @pytest.mark.parametrize("kind,ratios", [
@@ -598,8 +615,7 @@ def _assert_stamp_parity(model):
     assert [(b.id, rows) for b, rows in got.bus_rows] == [(b.id, rows) for b, rows in want.bus_rows]
     assert all(b is ref for (b, _), (ref, _) in zip(got.bus_rows, want.bus_rows))
     for r, ref in zip(got.regulators, want.regulators, strict=True):
-        assert (r.svr, r.index, r.phases, r.entries) == \
-            (ref.svr, ref.index, ref.phases, ref.entries)
+        assert (r.svr, r.cols, r.entries) == (ref.svr, ref.cols, ref.entries)
         _assert_same_bytes(r.zinv, ref.zinv, "regulator zinv")
     for k, ref in enumerate(want.zinv):
         _assert_same_bytes(got.line_zinv(k), ref, f"zinv of line {k}")

@@ -371,7 +371,7 @@ def test_block_rejects_nonpositive_or_nan_tol(tiny3, tol):
     """A block checks ``tol`` as ``solve_zbus`` does, rather than running
     every column to ``max_iter`` unconverged."""
     with pytest.raises(ValueError, match="tol must be positive"):
-        zbus.solve_block(tiny3, np.ones((1, 1)), build_stamps(tiny3), tol=tol, max_iter=50)
+        zbus.solve_block(build_stamps(tiny3), np.ones((1, 1)), tol=tol, max_iter=50)
 
 
 def test_block_of_many_sets_needs_fixed_y():
@@ -385,9 +385,9 @@ def test_block_of_many_sets_needs_fixed_y():
     grid = [base, [{p: r + 0.05 for p, r in ratios.items()} for ratios in base]]
     flat = np.array([[r[p] for r in ratios for p in r] for ratios in grid])
     with pytest.raises(ValueError, match="taps that cannot move Y"):
-        zbus.solve_block(model, flat, stamps)
+        zbus.solve_block(stamps, flat)
     for row, ratios in zip(flat, grid):
-        block = zbus.solve_block(model, row[None, :], stamps)
+        block = zbus.solve_block(stamps, row[None, :])
         sol = tf.solve_zbus(model, ratios, stamps=stamps)
         v = np.concatenate([sol.voltages[b.id].values for b, _ in stamps.bus_rows])
         assert block.converged[0] and block.v[:, 0].tobytes() == v.tobytes()
@@ -407,7 +407,7 @@ def test_block_columns_equal_single_solves(case, scale, max_iter, request):
     stamps = build_stamps(model)
     grid = list(_tap_grid(model))
     flat = np.array([[r[p] for r in ratios for p in r] for ratios in grid])
-    block = zbus.solve_block(model, flat, stamps, max_iter=max_iter)
+    block = zbus.solve_block(stamps, flat, max_iter=max_iter)
     feasible, objective = zbus.block_metrics(block, 0.9, 1.1)
     stops = set()
     for j, ratios in enumerate(grid):

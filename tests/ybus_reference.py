@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from tapflow.network import FeederModel, tree_index
-from tapflow.ybus import _gain_diag, _inv
+from tapflow.ybus import _inv
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def loop_assemble(model: FeederModel, ratios) -> LoopSystem:
         line = svr_line[svx]
         ph = line.z.phases   # current-carrying phases through the regulator
         zinv = _inv(line.z.array, f"line {line.from_bus}->{line.to_bus}")
-        a = _gain_diag(sv, ratios[svx], ph)
+        a = np.array([float(ratios[svx][p]) for p in ph])
         # Type-B: v_n = A v_n', so v_n' = A^-1 v_n. Type-A mirrors the gain.
         g = (1.0 / a) if sv.kind == "B" else a
         G = np.diag(g)
