@@ -36,7 +36,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import PipelineError
 from .network import PHASES, FeederModel, PhaseVector
-from .ybus import Layout, build_layout
+from .ybus import Layout, _ratio_row, build_layout
 from .zbus import PowerFlowSolution, _require_converged
 
 _ALPHA = np.exp(2j * np.pi / 3.0)
@@ -46,12 +46,8 @@ _BALANCED_GAMMA = np.outer(_UNITS, 1.0 / _UNITS)
 
 @dataclass(frozen=True)
 class LineGroup:
-    """The lines that share one phase set, in model order, and their constants."""
+    """The constants of the lines of one ``PhaseGroup`` of the layout, in its order."""
 
-    phases: tuple
-    lines: np.ndarray        # model.lines indices
-    frm: np.ndarray          # position of each line's from-bus in model.buses
-    to: np.ndarray           # position of each line's to-bus
     gamma: np.ndarray        # (L, s, s) voltage ratios, [p, q] = v_to[p] / v_from[q]
     h: np.ndarray            # (L, s) real voltage-loss terms
     l: np.ndarray            # (L, s) complex power-loss terms
@@ -74,7 +70,7 @@ def constants_balanced(model: FeederModel) -> LinearizationConstants:
 def _balanced_over(layout: Layout) -> LinearizationConstants:
     """``constants_balanced`` over a layout already built, such as a stamp set's."""
     return LinearizationConstants(layout=layout, groups=tuple(
-        LineGroup(g.phases, g.lines, g.frm, g.to, h=np.zeros((len(g.lines), len(g.q))),
+        LineGroup(h=np.zeros((len(g.lines), len(g.q))),
                   l=np.zeros((len(g.lines), len(g.q)), dtype=complex),
                   gamma=np.broadcast_to(_BALANCED_GAMMA[np.ix_(g.q, g.q)],
                                         (len(g.lines), len(g.q), len(g.q))))
@@ -103,16 +99,14 @@ def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> Line
         h = np.diagonal(z_i @ np.conj(g.z).transpose(0, 2, 1), axis1=1, axis2=2)
         bad[g.lines] = np.where(np.any(vn == 0.0, axis=1) | np.any(vm == 0.0, axis=1), 1,
                                 2 * (np.max(np.abs(h.imag), axis=1) > 1e-10))
-        parts.append((g.phases, g.lines, g.frm, g.to, vn, vm, h.real,
-                      np.diagonal(z_i, axis1=1, axis2=2)))
+        parts.append((vn, vm, h.real, np.diagonal(z_i, axis1=1, axis2=2)))
     for k in np.flatnonzero(bad)[:1]:
         key = f"{model.lines[k].from_bus}->{model.lines[k].to_bus}"
         if bad[k] == 1:
             raise ValueError(f"zero phase voltage at an endpoint of line {key}")
         raise AssertionError(f"voltage-loss term not real on line {key}")
-    groups = tuple(LineGroup(ph, ks, frm, to, gamma=vm[:, :, None] * (1.0 / vn)[:, None, :],
-                             h=h, l=l)
-                   for ph, ks, frm, to, vn, vm, h, l in parts)
+    groups = tuple(LineGroup(gamma=vm[:, :, None] * (1.0 / vn)[:, None, :], h=h, l=l)
+                   for vn, vm, h, l in parts)
     return LinearizationConstants(layout=stamps.layout, groups=groups)
 
 
@@ -128,8 +122,7 @@ class LinearSystem:
 
     A: sp.csc_matrix
     b: np.ndarray
-    slack_cols: np.ndarray   # (k, 2): low- and high-slack column per regulator phase, in
-                             # regulator order, each regulator's phases in its order
+    slack_cols: np.ndarray   # (k, 2): low- and high-slack column per regulator phase
     layout: Layout
     vcol: np.ndarray   # vcol[k, q]: v~ column of bus k's phase PHASES[q], -1 at the slack or absent
     fcol: np.ndarray   # fcol[e, q]: Re-flow column of edge e's phase PHASES[q], -1 if absent
@@ -143,9 +136,10 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
                   windows) -> LinearSystem:
     """Assemble the linear model with each regulator ratio confined to a window.
 
-    ``windows[svx][p] = (r_lo, r_hi)`` for regulator ``svx``, phase ``p``. With
-    up/down the primary/secondary for type B and the reverse for type A, the
-    window rows read v~[up] - r_lo^2 v~[down] - s_lo = 0 and
+    ``windows[i] = (r_lo, r_hi)`` for regulator phase i of the ratio row
+    (``ybus._ratio_row``'s order), a (k, 2) array. With up/down the
+    primary/secondary for type B and the reverse for type A, the window rows
+    read v~[up] - r_lo^2 v~[down] - s_lo = 0 and
     v~[up] - r_hi^2 v~[down] + s_hi = 0, so nonnegative slacks say
     r_lo^2 v~[down] <= v~[up] <= r_hi^2 v~[down]. Slack-bus magnitudes are
     constants and move to ``b``.
@@ -153,10 +147,10 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     Rows are placed by offset. Line phase j owns voltage-drop row j and the
     Re/Im power balance at the line's to-bus, rows m + 2j and m + 2j + 1 (m
     line phases); regulator phase i owns its low and high window rows 3m + 4i
-    and 3m + 4i + 1, then the Re/Im pass-through, the power balance at its
-    secondary. Each kind of entry is one broadcast over (bus, phase) and
-    (edge, phase) tables; zero coefficients, slack-bus columns and absent
-    phases are dropped at the end.
+    and 3m + 4i + 1, with their slack columns, then the Re/Im pass-through,
+    the power balance at its secondary. Each kind of entry is one broadcast
+    over (bus, phase) and (edge, phase) tables; zero coefficients, slack-bus
+    columns and absent phases are dropped at the end.
     """
     at, bus_of, load = constants.layout.at, constants.layout.bus_of, constants.layout.load
     lines = model.lines
@@ -187,18 +181,18 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     b = np.zeros(3 * m + 4 * n_reg)
 
     parts = []                             # (rows, columns, values), broadcast together
-    for g, lg in zip(constants.groups, constants.layout.groups):
-        q = lg.q
+    for c, g in zip(constants.groups, constants.layout.groups):
+        q = g.q
         r, f = pos[g.lines][:, q], fcol[g.lines][:, q]                  # (L, s)
         rr, ff, v_to = r[:, :, None], f[:, None, :], vcol[g.to][:, None, :]
-        rot = g.gamma * np.conj(lg.z)
+        rot = c.gamma * np.conj(g.z)
         y = ybar[g.to][:, q]                                            # (L, s, 3)
         parts += [(r, vcol[g.frm][:, q], 1.0), (r, vcol[g.to][:, q], -1.0),
                   (rr, ff, -2.0 * rot.real), (rr, ff + 1, 2.0 * rot.imag),
                   (m + 2 * rr, v_to, -y.real), (m + 2 * rr + 1, v_to, -y.imag)]
-        b[r] = g.h - sq[g.frm][:, q]
-        b[m + 2 * r] = load[g.to][:, q].real + g.l.real
-        b[m + 2 * r + 1] = load[g.to][:, q].imag + g.l.imag
+        b[r] = c.h - sq[g.frm][:, q]
+        b[m + 2 * r] = load[g.to][:, q].real + c.l.real
+        b[m + 2 * r + 1] = load[g.to][:, q].imag + c.l.imag
 
     # Each edge's flow enters the balance at its to-bus and leaves the one at
     # its from-bus, on the phases the edge feeding that bus carries.
@@ -210,18 +204,19 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     parts += [(balance[own], fcol[own], 1.0), (balance[own] + 1, fcol[own] + 1, 1.0),
               (into[out], fcol[out], -1.0), (into[out] + 1, fcol[out] + 1, -1.0)]
 
-    # Regulator ratio windows, slacked.
-    row, col = 3 * m, n_v + 2 * (m + n_reg)
-    for svx, sv in enumerate(model.svrs):
-        up, dn = (sv.from_bus, sv.to_bus) if sv.kind == "B" else (sv.to_bus, sv.from_bus)
-        u, d = bus_of[up], bus_of[dn]
-        for p in sv.phases:
-            qp = PHASES.index(p)
-            for ratio, sign in zip(windows[svx][p], (-1.0, 1.0)):
-                parts.append(([row] * 3, [vcol[u, qp], vcol[d, qp], col], [1.0, -ratio**2, sign]))
-                b[row] = ratio**2 * sq[d, qp] - sq[u, qp]
-                row, col = row + 1, col + 1
-            row += 2
+    # Regulator ratio windows, slacked. Regulator phases are canonical, so the
+    # row-major (e, q) order is the ratio row's: phase i owns rows 3m + 4i (+1).
+    e, q = np.nonzero(pos[len(lines):] >= 0)
+    up_down = [(bus_of[sv.from_bus], bus_of[sv.to_bus]) if sv.kind == "B"
+               else (bus_of[sv.to_bus], bus_of[sv.from_bus]) for sv in model.svrs]
+    up, dn = np.array(up_down, dtype=np.intp).reshape(-1, 2)[e].T
+    # Python's r ** 2 (C pow): numpy's r * r differs in the last bit for ~0.1 % of ratios.
+    r_sq = np.reshape([r ** 2 for r in np.ravel(windows).tolist()], (n_reg, 2))
+    row = 3 * m + 4 * np.arange(n_reg)[:, None] + [0, 1]
+    slack_cols = n_v + 2 * (m + n_reg) + np.arange(2 * n_reg).reshape(-1, 2)
+    parts += [(row, vcol[up, q][:, None], 1.0), (row, vcol[dn, q][:, None], -r_sq),
+              (row, slack_cols, [-1.0, 1.0])]
+    b[row] = r_sq * sq[dn, q][:, None] - sq[up, q][:, None]
 
     flat = []
     for part in parts:
@@ -231,8 +226,9 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
         flat.append([(zero + a).ravel() for a in part])
     rows, cols, vals = (np.concatenate(x) for x in zip(*flat))
     keep = (cols >= 0) & (vals != 0.0)
-    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(len(b), col)).tocsc()
-    return LinearSystem(A=A, b=b, slack_cols=np.arange(col - 2 * n_reg, col).reshape(-1, 2),
+    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                      shape=(len(b), n_v + 2 * (m + 2 * n_reg))).tocsc()
+    return LinearSystem(A=A, b=b, slack_cols=slack_cols,
                         layout=constants.layout, vcol=vcol, fcol=fcol)
 
 
@@ -269,9 +265,8 @@ def linear_powerflow(model: FeederModel, constants: LinearizationConstants,
     Returns (v_sq, flows): squared voltage magnitudes per bus, slack included
     (real PhaseVector), and complex per-phase flows per edge key.
     """
-    windows = [{p: (float(r[p]), float(r[p])) for p in sv.phases}
-               for sv, r in zip(model.svrs, ratios, strict=True)]
-    system = linear_system(model, constants, windows)
+    row = _ratio_row(model.svrs, ratios)
+    system = linear_system(model, constants, np.column_stack([row, row]))
     x, _ = eliminate(system, "linear_powerflow")
     vcol, slack_sq = system.vcol, _slack_squares(model)
     v_out = {b.id: PhaseVector(b.phases, [slack_sq[p] if b.is_slack else x[vcol[k, PHASES.index(p)]]

@@ -427,6 +427,13 @@ def _objects(doc: dict, key: str) -> list:
     return nodes
 
 
+def _known(node: dict, keys: tuple, where: str) -> None:
+    """The one rule for every feeder-file object: no key outside ``keys``."""
+    extra = set(node) - set(keys)
+    if extra:
+        raise FeederFormatError(f"{where}: unknown keys {sorted(extra)}")
+
+
 def _phases(node: dict, where: str) -> str:
     phases = node["phases"]
     if not isinstance(phases, str):
@@ -452,25 +459,26 @@ def _as_complex(node, where: str) -> complex:
     return complex(node[0], node[1])
 
 
-def _parse_phase_vector(node, where: str) -> PhaseVector:
-    if not isinstance(node, dict) or "phases" not in node or "values" not in node:
-        raise FeederFormatError(f"{where}: expected {{phases, values}}")
+def _phased(node, key: str, where: str) -> tuple:
+    """The phases and the ``key`` array of a ``{phases, <key>}`` object."""
+    if not isinstance(node, dict) or "phases" not in node or key not in node:
+        raise FeederFormatError(f"{where}: expected {{phases, {key}}}")
+    _known(node, ("phases", key), where)
     phases = list(_phases(node, where))
-    values = node["values"]
-    if not isinstance(values, list):
-        raise FeederFormatError(f"{where}: 'values' must be an array")
+    if not isinstance(node[key], list):
+        raise FeederFormatError(f"{where}: {key!r} must be an array")
+    return phases, node[key]
+
+
+def _parse_phase_vector(node, where: str) -> PhaseVector:
+    phases, values = _phased(node, "values", where)
     if len(values) != len(phases):
         raise FeederFormatError(f"{where}: values arity {len(values)} != phase count {len(phases)}")
     return PhaseVector(phases, [_as_complex(v, where) for v in values])
 
 
 def _parse_phase_matrix(node, where: str) -> PhaseMatrix:
-    if not isinstance(node, dict) or "phases" not in node or "rows" not in node:
-        raise FeederFormatError(f"{where}: expected {{phases, rows}}")
-    phases = list(_phases(node, where))
-    rows = node["rows"]
-    if not isinstance(rows, list):
-        raise FeederFormatError(f"{where}: 'rows' must be an array")
+    phases, rows = _phased(node, "rows", where)
     if len(rows) != len(phases):
         raise FeederFormatError(f"{where}: row count {len(rows)} != phase count {len(phases)}")
     mat = []
@@ -494,6 +502,7 @@ def parse_feeder(text: str) -> FeederModel:
     for key in ("buses", "lines", "svrs", "slack_voltage"):
         if key not in doc:
             raise FeederFormatError(f"missing top-level key {key!r}")
+    _known(doc, ("format", "buses", "lines", "svrs", "slack_voltage", "config"), "top level")
 
     buses = []
     for k, node in enumerate(_objects(doc, "buses")):
@@ -506,9 +515,7 @@ def parse_feeder(text: str) -> FeederModel:
             load = _parse_phase_vector(node["load"], where)
         if node.get("shunt") is not None:
             shunt = _parse_phase_matrix(node["shunt"], where)
-        extra = set(node) - {"id", "phases", "load", "shunt", "is_slack", "model"}
-        if extra:
-            raise FeederFormatError(f"{where}: unknown keys {sorted(extra)}")
+        _known(node, ("id", "phases", "load", "shunt", "is_slack", "model"), where)
         if node.get("model", "wye-pq") != "wye-pq":
             raise FeederFormatError(f"{where}: only wye constant-power loads are supported")
         buses.append(BusSpec(
@@ -525,11 +532,10 @@ def parse_feeder(text: str) -> FeederModel:
             raise FeederFormatError("line entries need 'from', 'to', 'z'")
         from_bus = _bus_ref(node, "from", f"lines[{k}]")
         to_bus = _bus_ref(node, "to", f"lines[{k}]")
-        lines.append(LineSpec(
-            from_bus=from_bus,
-            to_bus=to_bus,
-            z=_parse_phase_matrix(node["z"], f"line {from_bus}->{to_bus}"),
-        ))
+        where = f"line {from_bus}->{to_bus}"
+        _known(node, ("from", "to", "z"), where)
+        lines.append(LineSpec(from_bus=from_bus, to_bus=to_bus,
+                              z=_parse_phase_matrix(node["z"], where)))
 
     svrs = []
     for k, node in enumerate(_objects(doc, "svrs")):
@@ -540,6 +546,7 @@ def parse_feeder(text: str) -> FeederModel:
         from_bus = _bus_ref(node, "from", f"svrs[{k}]")
         to_bus = _bus_ref(node, "to", f"svrs[{k}]")
         where = f"svr {from_bus}->{to_bus}"
+        _known(node, ("from", "to", "kind", "phases", "tap_min", "tap_max", "step"), where)
         svrs.append(SvrSpec(
             from_bus=from_bus,
             to_bus=to_bus,

@@ -111,7 +111,7 @@ def build_lp(model: FeederModel, constants: LinearizationConstants,
     magnitudes within the configured voltage band, flows free, window slacks
     nonnegative. Objective: real power leaving the slack bus.
     """
-    windows = [dict.fromkeys(sv.phases, sv.ratio_range()) for sv in model.svrs]
+    windows = [sv.ratio_range() for sv in model.svrs for _ in sv.phases]
     system = linear_system(model, constants, windows)
 
     n = system.A.shape[1]

@@ -67,8 +67,7 @@ class SparseLp:
             raise ValueError("inconsistent LP dimensions")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
-        row_counts = np.diff(sp.csr_matrix(self.A).indptr)
-        if m and np.any(row_counts == 0):
+        if m and not np.bincount(self.A.indices, minlength=m).all():
             raise ValueError("A has an empty row")
 
 

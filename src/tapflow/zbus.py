@@ -17,16 +17,13 @@ the iteration itself, the map that the Z-bus convergence analysis covers,
 is unchanged.
 
 The iteration is one kernel over an (n, m) block of columns, with one
-multi-column LU solve per step; each column stops on its own (update below
-``tol`` and KCL residual at most ``_KCL_TOL``, a non-finite update, or
-``max_iter``) and leaves the block. One core, ``_solve``, checks ``tol`` and
-that many columns share one Y, forms w_s = Y_NS v_S with one product (Y_NS
-block-diagonal over the columns, so each gets its own bits), factors Y and
-runs the kernel: on one column for ``solve_zbus``, on many for a tap sweep
-with Y fixed (``solve_block``). Both take ratios as ``ybus`` rows over the
-regulator phases, ``solve_zbus`` through ``assemble``, which converts its
-per-regulator maps. The secondaries and the edge-wise import read the rows
-in ``AdmittanceSystem.ratios``; ``PowerFlowSolution.ratios`` keeps the maps.
+multi-column LU solve per step, each column stopping on its own
+(``_fixed_point``). One core, ``_solve``, runs it from a flat start, on one
+ratio row for ``solve_zbus`` and on many for a tap sweep with Y fixed
+(``solve_block``). Both take ratios as ``ybus`` rows over the regulator
+phases, ``solve_zbus`` through ``assemble``, which converts its
+per-regulator maps; the secondaries and the edge-wise import read the rows
+in ``AdmittanceSystem.ratios``.
 
 Voltages are kept as arrays over the stamp set's full coordinates: slack,
 retained rows and regulator secondaries (``_full_voltages``). Each metric
@@ -35,9 +32,9 @@ of a block (``block_metrics``). A ``PowerFlowSolution`` is always a solve's
 result: it holds the solve's array ``v`` and its system, and its per-bus
 ``voltages`` dict is built from ``v`` only when read, for readers at the
 boundary. Its vectors skip ``PhaseVector``'s canonicalisation and finiteness
-check: bus phases are canonical (``BusSpec`` sorts them), a non-finite
-``v0`` is rejected, the iteration keeps only finite iterates and a secondary
-that is not finite raises.
+check: bus phases are canonical (``BusSpec`` sorts them), every solve starts
+flat (``StampSet.v_flat``), the iteration keeps only finite iterates and a
+secondary that is not finite raises.
 """
 
 from __future__ import annotations
@@ -52,6 +49,7 @@ from itertools import chain
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from .errors import PipelineError
 from .network import PHASES, FeederModel, PhaseVector
 from .ybus import AdmittanceSystem, StampSet, assemble, assemble_block, recover_svr_secondary
 
@@ -154,47 +152,44 @@ def _factor(stamps: StampSet, Y):
     """Y's factorization; kept in the stamp set when the taps cannot move Y."""
     if stamps.y_lu:
         return stamps.y_lu[0]
-    lu = splu(Y)
+    try:
+        lu = splu(Y)
+    except RuntimeError as exc:
+        raise PipelineError("powerflow", f"admittance matrix is singular: {exc}") from None
     if stamps.y_fixed:
         stamps.y_lu.append(lu)
     return lu
 
 
-def _solve(system: AdmittanceSystem, v: np.ndarray, tol: float, max_iter: int) -> tuple:
-    """``_fixed_point`` on ``system`` from the (n, m) start ``v``, column j at
-    ratio row j; m > 1 columns share Y's factorization, so need ``y_fixed``."""
+def _solve(system: AdmittanceSystem, tol: float, max_iter: int) -> tuple:
+    """``_fixed_point`` on ``system`` from a flat start, column j at ratio
+    row j; m > 1 columns share Y's factorization, so need ``y_fixed``."""
     if not tol > 0:      # also rejects NaN
         raise ValueError("tol must be positive")
     st = system.stamps
-    n, m = v.shape
+    n, m = len(st.v_flat), len(system.ratios)
     if m > 1 and not st.y_fixed:
         raise ValueError("a block of ratio sets needs taps that cannot move Y")
     v_s = st.v_slack if m == 1 else np.tile(st.v_slack, m)   # Y_NS is block-diagonal
     w_s = (system.Y_NS @ v_s).reshape(m, n).T
-    return _fixed_point(_factor(st, system.Y), system.Y, st.loads, w_s, v, tol, max_iter)
+    start = np.broadcast_to(st.v_flat[:, None], (n, m))
+    return _fixed_point(_factor(st, system.Y), system.Y, st.loads, w_s, start, tol, max_iter)
 
 
 def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER, v0: dict | None = None,
+               max_iter: int = DEFAULT_MAX_ITER,
                stamps: StampSet | None = None) -> PowerFlowSolution:
-    """Run the fixed-point iteration at fixed regulator ratios.
+    """Run the fixed-point iteration at fixed regulator ratios, from a flat
+    start at the slack voltage.
 
     ``ratios`` is a list aligned with ``model.svrs`` mapping phase -> ratio.
-    ``v0`` optionally maps bus id -> PhaseVector to seed the iteration;
-    the default is a flat start at the slack voltage. ``stamps`` is
-    ``ybus.build_stamps(model)``, passed by callers that solve one model at
-    many ratios. An update that is not finite ends the iteration unconverged
-    at the last finite iterate.
+    ``stamps`` is ``ybus.build_stamps(model)``, passed by callers that solve
+    one model at many ratios. An update that is not finite ends the iteration
+    unconverged at the last finite iterate.
     """
     system = assemble(model, ratios, stamps=stamps)
     st = system.stamps
-    if v0 is None:
-        v = st.v_flat
-    else:
-        v = np.array([v0[bus][phase] for bus, phase in st.coords])
-        if not np.all(np.isfinite(v)):
-            raise ValueError("v0 must be finite")
-    out, iterations, residual, converged = _solve(system, v[:, None], tol, max_iter)
+    out, iterations, residual, converged = _solve(system, tol, max_iter)
     full = _full_voltages(st, out, system.ratios[:, st.secondaries[2]].T)[0]
     solution = PowerFlowSolution(
         v=full, iterations=int(iterations[0]), residual=float(residual[0]),
@@ -253,8 +248,7 @@ def solve_block(stamps: StampSet, ratios: np.ndarray,
     rows then share one factorization of Y.
     """
     system = assemble_block(stamps, ratios)
-    start = np.broadcast_to(stamps.v_flat[:, None], (len(stamps.v_flat), len(ratios)))
-    v, iterations, residual, converged = _solve(system, start, tol, max_iter)
+    v, iterations, residual, converged = _solve(system, tol, max_iter)
     return BlockSolution(v=v, iterations=iterations, residual=residual, converged=converged,
                          system=system)
 

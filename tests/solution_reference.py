@@ -42,7 +42,7 @@ def eager_solve(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
     """``solve_zbus`` from a flat start, its voltages wrapped bus by bus."""
     system = assemble(model, ratios, stamps=stamps)
     st = system.stamps
-    out, iterations, residual, converged = _solve(system, st.v_flat[:, None], tol, max_iter)
+    out, iterations, residual, converged = _solve(system, tol, max_iter)
     v = out[:, 0]
     voltages = {model.slack.id: model.slack_voltage}
     for b, rows in st.bus_rows:

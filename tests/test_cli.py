@@ -141,6 +141,19 @@ def test_overflowing_power_flow_exit_2(tmp_path, capsys, command, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["powerflow", "opts", "bruteforce", "lindiff"])
+def test_singular_admittance_matrix_exit_2(tmp_path, capsys, command):
+    """A shunt of -1/z at the end of tiny3's line, of impedance z, cancels
+    the line's admittance: Y is exactly singular, a numeric failure."""
+    doc = json.loads((FIXTURES / "tiny3.json").read_text())
+    y = -1.0 / complex(*doc["lines"][0]["z"]["rows"][0][0])
+    doc["buses"][2]["shunt"] = {"phases": "a", "rows": [[[y.real, y.imag]]]}
+    feeder = tmp_path / "singular.json"
+    feeder.write_text(json.dumps(doc))
+    assert run([command, "--feeder", str(feeder)]) == 2
+    assert capsys.readouterr().err.startswith("[powerflow] admittance matrix is singular: ")
+
+
 def test_unconverged_verify_exit_2(tmp_path, capsys):
     """The generated feeder's solve at the LP's taps needs one step more than
     its zero-tap solve (``test_opts``), so a cap between them fails only the

@@ -15,8 +15,8 @@ ALPHA = np.exp(2j * np.pi / 3)
 def test_balanced_rotation_entries():
     model = chain_model([0.1], phases=("a", "b", "c"))
     const = tf.constants_balanced(model)
-    (group,) = const.groups
-    assert group.phases == ("a", "b", "c") and list(group.lines) == [0]
+    (group,), (lines,) = const.groups, const.layout.groups
+    assert lines.phases == ("a", "b", "c") and list(lines.lines) == [0]
     g = group.gamma[0]                      # line sub->b1; rows and columns a, b, c
     assert g[0, 0] == pytest.approx(1.0)
     assert g[0, 1] == pytest.approx(ALPHA)
@@ -36,8 +36,9 @@ def test_balanced_single_phase_is_identity():
 def test_constants_zero_current_base():
     model = chain_model([0.0, 0.0])
     base = tf.solve_zbus(model, [])
-    (group,) = tf.constants_from_solution(model, base).groups
-    assert list(group.lines) == [0, 1]      # sub->b1, b1->b2
+    const = tf.constants_from_solution(model, base)
+    (group,), (lines,) = const.groups, const.layout.groups
+    assert list(lines.lines) == [0, 1]      # sub->b1, b1->b2
     for k in range(2):
         assert np.max(np.abs(group.h[k])) < 1e-15
         assert np.max(np.abs(group.l[k])) < 1e-15
@@ -268,11 +269,13 @@ def test_lp_matches_reference(name, request):
         else:
             got = tf.constants_from_solution(model, base)
             want = linflow_reference.constants_from_solution(model, base)
-        assert sorted(k for g in got.groups for k in g.lines) == list(range(len(model.lines)))
-        for g in got.groups:
-            for i, k in enumerate(g.lines):
+        layout = got.layout.groups
+        assert len(got.groups) == len(layout)
+        assert sorted(k for g in layout for k in g.lines) == list(range(len(model.lines)))
+        for g, lines in zip(got.groups, layout):
+            for i, k in enumerate(lines.lines):
                 key = f"{model.lines[k].from_bus}->{model.lines[k].to_bus}"
-                assert g.phases == want.gamma[key].phases
+                assert lines.phases == want.gamma[key].phases
                 assert g.gamma[i].tobytes() == want.gamma[key].array.tobytes(), (mode, key)
                 assert g.h[i].tobytes() == want.h[key].values.real.tobytes(), (mode, key)
                 assert g.l[i].tobytes() == want.l[key].values.tobytes(), (mode, key)
@@ -289,5 +292,12 @@ def test_linear_powerflow_rejects_a_wrong_number_of_ratio_maps(ieee13):
     ratios = tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
     constants = tf.constants_balanced(ieee13)
     for wrong in ([], ratios * 2):
-        with pytest.raises(ValueError, match="zip"):
+        with pytest.raises(ValueError, match=f"{len(wrong)} ratio maps for 1 regulators"):
             tf.linear_powerflow(ieee13, constants, wrong)
+
+
+def test_linear_powerflow_rejects_a_missing_phase(ieee13):
+    ratios = tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
+    del ratios[0]["b"]
+    with pytest.raises(ValueError, match=r"svr 650->RG60: no ratio for phase\(s\) \['b'\]"):
+        tf.linear_powerflow(ieee13, tf.constants_balanced(ieee13), ratios)

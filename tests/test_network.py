@@ -192,9 +192,21 @@ _SVR = {"from": "src", "to": "load", "kind": "B", "phases": "a"}
      "line src->load: matrix rows must have 1 entries"),
     (lambda d: d["buses"][1]["load"].update(values=[[0.1, 0.05, 0.0]]),
      r"bus load: complex values must be \[re, im\] 2-arrays"),
+    # Every object is checked against its own key set, so a misspelt
+    # ``tap_max`` is not silently read as the default.
+    (lambda d: d.update(name="feeder"), r"top level: unknown keys \['name'\]"),
+    (lambda d: d["lines"][0].update(length=1.0), r"line src->load: unknown keys \['length'\]"),
+    (lambda d: d["svrs"].append(dict(_SVR, tapmax=4)), r"svr src->load: unknown keys \['tapmax'\]"),
+    (lambda d: d["slack_voltage"].update(unit="pu"), r"slack_voltage: unknown keys \['unit'\]"),
+    (lambda d: d["buses"][1]["load"].update(unit="pu"), r"bus load: unknown keys \['unit'\]"),
+    (lambda d: d["lines"][0]["z"].update(unit="ohm"),
+     r"line src->load: unknown keys \['unit'\]"),
+    (lambda d: d["buses"][1].update(shunt={"phases": "a", "rows": [[[0.0, 0.01]]], "unit": "pu"}),
+     r"bus load: unknown keys \['unit'\]"),
 ], ids=["top-level-key", "bus-keys", "bus-unknown-key", "line-keys", "svr-keys", "svr-kind",
         "config-list", "vector-shape", "matrix-shape", "matrix-row-count", "matrix-row-width",
-        "complex-pair"])
+        "complex-pair", "top-level-unknown-key", "line-unknown-key", "svr-unknown-key",
+        "slack-voltage-unknown-key", "load-unknown-key", "z-unknown-key", "shunt-unknown-key"])
 def test_parse_names_each_structure_error(edit, match):
     doc = json.loads(MINIMAL)
     edit(doc)

@@ -66,18 +66,20 @@ def test_overflowing_iterate_stops_at_last_finite_one(tiny3):
     assert not sol.residual <= 1e-8
 
 
-@pytest.mark.parametrize("bad", [float("nan"), complex(float("inf"), 0.0)])
-def test_nonfinite_start_rejected_before_any_solve(ieee13, ieee13_base, monkeypatch, bad):
-    """A non-finite start value raises on entry; no factorization or iteration runs."""
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve_zbus factorized Y")
-
-    monkeypatch.setattr(tf.zbus, "splu", no_solve)
-    v0 = {bus: dict(zip(vec.phases, vec.values)) for bus, vec in ieee13_base.voltages.items()}
-    v0["675"]["b"] = bad
-    ratios = tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
-    with pytest.raises(ValueError, match="v0 must be finite"):
-        tf.solve_zbus(ieee13, ratios, v0=v0)
+def test_singular_admittance_matrix_raises_pipeline_error(tiny3):
+    """A shunt of -1/z at the load bus cancels its line's admittance, so Y
+    is exactly singular: the one-solve and the block paths raise
+    ``PipelineError`` (a ``RuntimeError``) tagged "powerflow"."""
+    (line,) = tiny3.lines
+    shunt = tf.PhaseMatrix(("a",), [[-1.0 / line.z.array[0, 0]]])
+    model = dataclasses.replace(tiny3, buses=tuple(
+        dataclasses.replace(b, shunt=shunt) if b.id == line.to_bus else b for b in tiny3.buses))
+    stamps = build_stamps(model)
+    for solve in (lambda: tf.solve_zbus(model, [{"a": 1.0}], stamps=stamps),
+                  lambda: zbus.solve_block(stamps, np.array([[1.0], [1.00625]]))):
+        with pytest.raises(tf.PipelineError, match="admittance matrix is singular") as err:
+            solve()
+        assert err.value.stage == "powerflow" and isinstance(err.value, RuntimeError)
 
 
 @pytest.mark.parametrize("case", ["ieee13", "overflowing-tiny3"])
@@ -212,21 +214,6 @@ def test_envelope_and_feasibility():
             for p in sol.voltages[b.id].phases]
     assert lo == pytest.approx(min(mags)) and hi == pytest.approx(max(mags))
     assert not tf.feasibility(sol, heavy, 0.95, 1.05)
-
-
-def test_start_point_robustness(ieee13):
-    ratios = tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
-    tol = 1e-9
-    flat = tf.solve_zbus(ieee13, ratios, tol=tol)
-    perturbed = {
-        bid: tf.PhaseVector(vec.phases, [v * 1.02 for v in vec.values])
-        for bid, vec in flat.voltages.items()
-    }
-    again = tf.solve_zbus(ieee13, ratios, tol=tol, v0=perturbed)
-    assert again.converged
-    worst = max(abs(flat.voltages[b][p] - again.voltages[b][p])
-                for b in flat.voltages for p in flat.voltages[b].phases)
-    assert worst <= 10 * tol
 
 
 def test_slack_invariance_zero_load():
