@@ -154,8 +154,8 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     """
     at, bus_of, load = constants.layout.at, constants.layout.bus_of, constants.layout.load
     lines = model.lines
-    slack = bus_of[model.slack.id]
-    has = (at >= 0) & (np.arange(len(at)) != slack)[:, None]
+    slack = constants.layout.slack
+    has = (at >= 0) & ~slack[:, None]
     n_v = int(has.sum())
     vcol = np.full(at.shape, -1, dtype=np.intp)
     vcol[has] = np.arange(n_v)

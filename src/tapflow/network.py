@@ -641,12 +641,30 @@ _TO_BUS = itemgetter(3)          # Edge.to_bus
 @dataclass(frozen=True)
 class TreeIndex:
     """Parent/child maps and a root-first bus ordering for a validated model.
-    The ordering and the parent map are built on first use: the admittance
-    stamps read only ``children``."""
+    Every map is built on first read: the admittance stamps read only
+    ``root``."""
 
     root: str
-    children: dict                         # bus id -> tuple of Edge
-    edges: tuple[Edge, ...]                # all edges, model order: lines then svrs
+    model: FeederModel = field(repr=False)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """All edges, model order: lines then svrs."""
+        # tuple.__new__ builds each Edge as Edge._make does, without its Python call.
+        new = tuple.__new__
+        edges = [new(Edge, ("line", i, ln.from_bus, ln.to_bus, ln.z.phases))
+                 for i, ln in enumerate(self.model.lines)]
+        edges += [new(Edge, ("svr", i, sv.from_bus, sv.to_bus, sv.phases))
+                  for i, sv in enumerate(self.model.svrs)]
+        return tuple(edges)
+
+    @cached_property
+    def children(self) -> dict:
+        """Bus id -> tuple of the Edges out of it, in model order."""
+        children: dict[str, list[Edge]] = {b.id: [] for b in self.model.buses}
+        for e in self.edges:
+            children[e.from_bus].append(e)
+        return {k: tuple(v) for k, v in children.items()}
 
     @cached_property
     def order(self) -> tuple[str, ...]:
@@ -668,15 +686,5 @@ class TreeIndex:
 
 
 def tree_index(model: FeederModel) -> TreeIndex:
-    """Build the traversal index; the model must already be valid."""
-    # tuple.__new__ builds each Edge as Edge._make does, without its Python call.
-    new = tuple.__new__
-    edges = [new(Edge, ("line", i, ln.from_bus, ln.to_bus, ln.z.phases))
-             for i, ln in enumerate(model.lines)]
-    edges += [new(Edge, ("svr", i, sv.from_bus, sv.to_bus, sv.phases))
-              for i, sv in enumerate(model.svrs)]
-    children: dict[str, list[Edge]] = {b.id: [] for b in model.buses}
-    for e in edges:
-        children[e.from_bus].append(e)
-    return TreeIndex(root=model.slack.id, children={k: tuple(v) for k, v in children.items()},
-                     edges=tuple(edges))
+    """The traversal index; the model must already be valid."""
+    return TreeIndex(root=model.slack.id, model=model)

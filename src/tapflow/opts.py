@@ -119,7 +119,8 @@ def build_lp(model: FeederModel, constants: LinearizationConstants,
     vsq_cols = system.vcol[system.vcol >= 0]
     lower[vsq_cols], upper[vsq_cols] = config.v_min**2, config.v_max**2
     lower[system.slack_cols] = 0.0
-    head = system.fcol[[e.from_bus == model.slack.id for e in (*model.lines, *model.svrs)]]
+    slack_id = model.slack.id
+    head = system.fcol[[e.from_bus == slack_id for e in (*model.lines, *model.svrs)]]
     c = np.zeros(n)
     c[head[head >= 0]] = 1.0
     return SparseLp(A=system.A, b=system.b, c=c, lower=lower, upper=upper), system

@@ -9,8 +9,10 @@ A feeder has one ``Layout``, built by reading its buses and its lines once
 each: a (bus, phase) table of its coordinates, its loads and shunts over
 that table, its lines grouped by phase set (one ``PhaseGroup`` per phase
 set: model-order line indices, from- and to-bus positions and stacked
-impedances) and each regulator's outgoing line, found with the feeder's one
-``tree_index``. The stamps, ``linflow`` and ``zbus`` read it.
+impedances) and each regulator's outgoing line, the line that leaves its
+secondary, read from the same from-bus positions as the groups. Its slack
+bus is the root of the feeder's ``tree_index``, which builds no edge for
+it. The stamps, ``linflow`` and ``zbus`` read the layout.
 
 Assembly has two steps. ``build_stamps`` does the tap-independent work once
 per feeder: the layout, the slack voltages, loads and flat start over the
@@ -185,11 +187,18 @@ def build_layout(model: FeederModel) -> Layout:
         for ph, ks in zip(code, np.split(by_code, np.cumsum(counts)[:-1])))
     line_at = np.column_stack([codes, codes])
     line_at[by_code, 1] = np.arange(len(codes)) - np.repeat(np.cumsum(counts) - counts, counts)
-    children = tree_index(model).children
-    return Layout(at=at, bus_of=bus_of, slack=np.array([b.is_slack for b in buses], dtype=bool),
-                  load=load, groups=groups, line_at=line_at,
+    # A regulator's outgoing line: the first line out of its secondary.
+    svr_lines = []
+    for sv in model.svrs:
+        out = np.flatnonzero(ends[0] == bus_of[sv.to_bus])
+        if not out.size:
+            raise ValueError("model fails validation: a regulator secondary feeds no line")
+        svr_lines.append(int(out[0]))
+    slack = np.zeros(len(ids), dtype=bool)          # the tree's root; no edge is built
+    slack[bus_of[tree_index(model).root]] = True
+    return Layout(at=at, bus_of=bus_of, slack=slack, load=load, groups=groups, line_at=line_at,
                   shunts=tuple((k, b.shunt) for k, b in enumerate(buses) if b.shunt is not None),
-                  svr_lines=tuple(children[sv.to_bus][0].index for sv in model.svrs))
+                  svr_lines=tuple(svr_lines))
 
 
 @dataclass(frozen=True)
@@ -307,7 +316,7 @@ def build_stamps(model: FeederModel) -> StampSet:
 
     Raises ``ValueError`` on a singular line impedance, and on a model that
     fails validation so that a stamp would land on another coordinate or a
-    regulator secondary feeds a line other than its own.
+    regulator secondary feeds no line or a line other than its own.
     """
     buses, lines, svrs = model.buses, model.lines, model.svrs
     layout = build_layout(model)
@@ -459,13 +468,11 @@ def _scatter_plan(take, rows, cols, shapes):
 
     # A slot's r-th further summand sits r entries after its first; rank r's
     # entries, in slot order, are those r after the last opening entry.
+    # Ranks are small (a stored value sums a few stamps), so each is one selection.
     slot = opened[1:] - 1
     rank = np.arange(k) - np.flatnonzero(new)[slot]
-    later = np.flatnonzero(rank)
-    by_rank = later[np.argsort(rank[later], kind="stable")]
-    counts = np.bincount(rank[later])[1:]
-    cuts = np.cumsum(counts)[:-1]
-    further = list(zip(np.split(slot[by_rank], cuts), np.split(take[by_rank], cuts)))[:len(counts)]
+    further = [(slot[sel], take[sel]) for sel in
+               (np.flatnonzero(rank == r) for r in range(1, int(rank.max(initial=0)) + 1))]
     templates = []
     for (n_rows, n_cols), r, c in zip(shapes, r0, c0):
         ptr = indptr[c:c + n_cols + 1]

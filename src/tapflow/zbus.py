@@ -66,7 +66,6 @@ class PowerFlowSolution:
     iterations: int
     residual: float                     # inf-norm of the KCL current mismatch
     converged: bool
-    ratios: list = field(repr=False)
     system: AdmittanceSystem = field(repr=False)
     model: FeederModel = field(repr=False)
 
@@ -193,7 +192,7 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
     full = _full_voltages(st, out, system.ratios[:, st.secondaries[2]].T)[0]
     solution = PowerFlowSolution(
         v=full, iterations=int(iterations[0]), residual=float(residual[0]),
-        converged=bool(converged[0]), ratios=list(ratios), system=system, model=model,
+        converged=bool(converged[0]), system=system, model=model,
     )
     # A secondary voltage that is not finite: recovery raises its error.
     if not np.isfinite(full[st.secondaries[0]]).all():

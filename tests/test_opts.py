@@ -531,3 +531,32 @@ def test_run_opts_builds_the_tree_index_once(monkeypatch, ieee13, mode):
     monkeypatch.setattr(ybus, "tree_index", counting)
     tf.run_opts(ieee13, tf.config_from_model(ieee13, constants_mode=mode))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["ieee13", "tiny3"])
+def test_build_lp_reads_the_slack_bus_once(monkeypatch, name, request):
+    """With the bus list reversed, so that finding the slack bus walks every
+    bus, ``build_lp`` reads ``FeederModel.slack`` at most once, and the
+    objective is 1 exactly on the Re flow columns of the edges leaving it."""
+    model = request.getfixturevalue(name)
+    model = dataclasses.replace(model, buses=model.buses[::-1])
+    assert tf.validate(model) == [] and model.buses[-1].is_slack
+    constants = tf.constants_balanced(model)
+    reads = []
+    slack = tf.FeederModel.slack
+
+    def counting(self):
+        reads.append(None)
+        return slack.fget(self)
+
+    monkeypatch.setattr(tf.FeederModel, "slack", property(counting))
+    lp, system = tf.build_lp(model, constants, tf.config_from_model(model))
+    monkeypatch.undo()
+    assert len(reads) <= 1
+    slack_id = model.buses[-1].id
+    heads = {f"{e.from_bus}->{e.to_bus}" for e in (*model.lines, *model.svrs)
+             if e.from_bus == slack_id}
+    _, flow, _ = lp_columns(model, system)
+    want = np.zeros(len(lp.c))
+    want[[re for (key, _), (re, _) in flow.items() if key in heads]] = 1.0
+    assert heads and lp.c.tobytes() == want.tobytes()

@@ -230,6 +230,16 @@ def test_unvalidated_secondary_feeding_two_lines_raises(tiny3):
         build_stamps(model)
 
 
+def test_unvalidated_secondary_feeding_no_line_raises(tiny3):
+    """A hand-built model whose regulator secondary feeds no line fails
+    validation and is refused with an error that says so."""
+    model = dataclasses.replace(tiny3, lines=())
+    assert tf.validate(model)
+    with pytest.raises(ValueError, match="a regulator secondary feeds no line") as err:
+        build_stamps(model)
+    assert "feeds another line" not in str(err.value)
+
+
 def test_zero_row_sum_without_shunts_or_svrs(ieee13):
     """Kirchhoff consistency: Y 1 + Y_NS 1 = 0 when only lines are present."""
     stripped = tf.FeederModel(
@@ -476,7 +486,7 @@ def _edge_import_by_line(solution, model):
             continue
         line = model.lines[children[sv.to_bus][0].index]
         ph = line.z.phases
-        r = np.array([float(solution.ratios[svx][p]) for p in ph])
+        r = solution.system.ratios[0, solution.system.stamps.regulators[svx].cols]
         g = 1.0 / r if sv.kind == "B" else r
         vn = np.array([model.slack_voltage[p] for p in ph])
         vm = np.array([solution.voltages[line.to_bus][p] for p in ph])
@@ -593,6 +603,58 @@ def _assert_same_bytes(a, b, what):
     assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), what
 
 
+_TREE_MAPS = ("edges", "children", "order", "parent")
+
+
+def _assert_tree_parity(model):
+    """``tree_index`` builds no map until one is read, and each map, read in
+    any order, equals the eagerly built reference's: keys, order and edges."""
+    ref = stamps_reference.tree_index(model)
+    for first in _TREE_MAPS:
+        tree = tf.tree_index(model)
+        assert tree.root == ref.root and not set(_TREE_MAPS) & set(vars(tree))
+        getattr(tree, first)
+        assert tree.order == ref.order
+        assert list(map(_edge_fields, tree.edges)) == list(map(_edge_fields, ref.edges))
+        assert [(b, _edge_fields(e)) for b, e in tree.parent.items()] == \
+            [(b, _edge_fields(e)) for b, e in ref.parent.items()]
+        assert [(b, list(map(_edge_fields, es))) for b, es in tree.children.items()] == \
+            [(b, list(map(_edge_fields, es))) for b, es in ref.children.items()]
+
+
+def _reversed_buses(model):
+    """``model`` with its bus list reversed: the slack bus comes last."""
+    out = dataclasses.replace(model, buses=model.buses[::-1])
+    assert tf.validate(out) == []
+    return out
+
+
+TREE_FEEDERS = {
+    "ieee13": lambda request: request.getfixturevalue("ieee13"),
+    "tiny3": lambda request: request.getfixturevalue("tiny3"),
+    "generated": lambda _: bench_feeders().generate_feeder(7, 120),
+    "generated-reversed": lambda _: _reversed_buses(bench_feeders().generate_feeder(7, 120)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_FEEDERS))
+def test_tree_index_builds_its_maps_on_first_read(name, request):
+    _assert_tree_parity(TREE_FEEDERS[name](request))
+
+
+def test_stamp_set_reads_no_tree_map(monkeypatch, ieee13):
+    """A stamp set reads only the tree index's root: no edge is built."""
+    built = []
+
+    def keeping(model):
+        built.append(tf.tree_index(model))
+        return built[-1]
+
+    monkeypatch.setattr(tf.ybus, "tree_index", keeping)
+    build_stamps(ieee13)
+    assert len(built) == 1 and not set(_TREE_MAPS) & set(vars(built[0]))
+
+
 def _assert_stamp_parity(model):
     """``build_stamps`` gives the reference build's stamp set field by field
     and bit for bit, ``tree_index`` gives its fields, and assembly on the
@@ -623,14 +685,8 @@ def _assert_stamp_parity(model):
     _assert_same_bytes(layout.at, ref_layout.at, "at")
     _assert_same_bytes(layout.load, ref_layout.load, "load")
     assert (layout.bus_of, layout.svr_lines) == (ref_layout.bus_of, ref_layout.svr_lines)
-
-    tree, ref_tree = tf.tree_index(model), stamps_reference.tree_index(model)
-    assert (tree.root, tree.order) == (ref_tree.root, ref_tree.order)
-    assert list(map(_edge_fields, tree.edges)) == list(map(_edge_fields, ref_tree.edges))
-    assert {b: _edge_fields(e) for b, e in tree.parent.items()} == \
-        {b: _edge_fields(e) for b, e in ref_tree.parent.items()}
-    assert {b: list(map(_edge_fields, es)) for b, es in tree.children.items()} == \
-        {b: list(map(_edge_fields, es)) for b, es in ref_tree.children.items()}
+    _assert_same_bytes(layout.slack, [b.is_slack for b in model.buses], "slack")
+    _assert_tree_parity(model)
 
     sets = _ratio_sets(model)
     for key in ("zero", "random"):
@@ -641,6 +697,17 @@ def _assert_stamp_parity(model):
 @pytest.mark.parametrize("name", ["ieee13", "tiny3"])
 def test_stamp_set_matches_reference_build_on_fixtures(name, request):
     _assert_stamp_parity(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("case", ["reversed", "800"])
+def test_stamp_set_matches_reference_build_on_large_and_reversed_feeders(case):
+    """Parity beyond the property's 10-300 buses: a feeder whose slack bus is
+    listed last, and one at the top of the one-shot benchmark's sizes."""
+    feeders = bench_feeders()
+    if case == "reversed":
+        _assert_stamp_parity(_reversed_buses(feeders.generate_feeder(11, 200)))
+    else:
+        _assert_stamp_parity(feeders.generate_feeder(12, 800))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None,

@@ -131,7 +131,7 @@ def _edges_from_view(solution, model):
     heads = [(k, None) for k, ln in enumerate(model.lines) if ln.from_bus == model.slack.id]
     for svx, (sv, k) in enumerate(zip(model.svrs, stamps.layout.svr_lines)):
         if sv.from_bus == model.slack.id:
-            r = np.array([float(solution.ratios[svx][p]) for p in model.lines[k].z.phases])
+            r = solution.system.ratios[0, stamps.regulators[svx].cols]
             heads.append((k, 1.0 / r if sv.kind == "B" else r))
     total = 0.0
     for k, g in heads:
