@@ -13,16 +13,18 @@ solution's squared magnitudes and flows to machine precision; with balanced
 rotation entries and zeroed loss vectors they form the classic lossless
 approximation.
 
-The constants are stacked over the line groups of the feeder's one layout
-(``ybus.Layout``), one group per line phase set; from a solution they use
-the group's impedances and the stamp set's inverses of them.
+The constants hold one row per line of the feeder's one layout
+(``ybus.Layout``), in model order and padded over the phases a, b, c with
+exact zeros; from a solution they use the layout's impedances and the stamp
+set's inverses of them, with the matrix products run once per phase count.
 The equations are written once, as the sparse rows of ``linear_system``,
-placed by offset over the layout's tables, with each regulator phase's ratio
-in a window, and solved once, by ``eliminate``: one sparse LU writes every
-solution as x0 + N theta over the high-window slacks theta, one per
-regulator phase. The tap-selection LP uses the attainable ratio range as the
-window and searches over theta; ``linear_powerflow`` fixes every ratio with
-a zero-width window and reads the solution at theta = 0.
+placed by offset over the layout's tables, each kind of line entry one
+broadcast over all lines, with each regulator phase's ratio in a window,
+and solved once, by ``eliminate``: one sparse LU writes every solution as
+x0 + N theta over the high-window slacks theta, one per regulator phase.
+The tap-selection LP uses the attainable ratio range as the window and
+searches over theta; ``linear_powerflow`` fixes every ratio with a
+zero-width window and reads the solution at theta = 0.
 """
 
 from __future__ import annotations
@@ -45,21 +47,15 @@ _BALANCED_GAMMA = np.outer(_UNITS, 1.0 / _UNITS)
 
 
 @dataclass(frozen=True)
-class LineGroup:
-    """The constants of the lines of one ``PhaseGroup`` of the layout, in its order."""
-
-    gamma: np.ndarray        # (L, s, s) voltage ratios, [p, q] = v_to[p] / v_from[q]
-    h: np.ndarray            # (L, s) real voltage-loss terms
-    l: np.ndarray            # (L, s) complex power-loss terms
-
-
-@dataclass(frozen=True)
 class LinearizationConstants:
-    """Per-line constants held fixed by the linear model, stacked per line
-    phase set. Regulator edges carry no impedance and need no constants."""
+    """Per-line constants held fixed by the linear model, one row per line of
+    the layout, in model order, over PHASES with exact zeros off each line's
+    phases. Regulator edges carry no impedance and need no constants."""
 
     layout: Layout
-    groups: tuple            # LineGroup per group of ``layout.groups``, in its order
+    gamma: np.ndarray        # (L, 3, 3) voltage ratios, [p, q] = v_to[p] / v_from[q]
+    h: np.ndarray            # (L, 3) real voltage-loss terms
+    l: np.ndarray            # (L, 3) complex power-loss terms
 
 
 def constants_balanced(model: FeederModel) -> LinearizationConstants:
@@ -67,14 +63,16 @@ def constants_balanced(model: FeederModel) -> LinearizationConstants:
     return _balanced_over(build_layout(model))
 
 
+def _pairs(mask: np.ndarray) -> np.ndarray:
+    """(L, 3, 3): entry [p, q] of a line's matrices is one of its own."""
+    return mask[:, :, None] & mask[:, None, :]
+
+
 def _balanced_over(layout: Layout) -> LinearizationConstants:
     """``constants_balanced`` over a layout already built, such as a stamp set's."""
-    return LinearizationConstants(layout=layout, groups=tuple(
-        LineGroup(h=np.zeros((len(g.lines), len(g.q))),
-                  l=np.zeros((len(g.lines), len(g.q)), dtype=complex),
-                  gamma=np.broadcast_to(_BALANCED_GAMMA[np.ix_(g.q, g.q)],
-                                        (len(g.lines), len(g.q), len(g.q))))
-        for g in layout.groups))
+    return LinearizationConstants(layout=layout, h=np.zeros(layout.mask.shape),
+                                  l=np.zeros(layout.mask.shape, dtype=complex),
+                                  gamma=np.where(_pairs(layout.mask), _BALANCED_GAMMA, 0.0))
 
 
 def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> LinearizationConstants:
@@ -83,31 +81,35 @@ def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> Line
     Per line: with edge current i from the base voltages and I = i i*, the
     voltage-loss vector is diag(Z I Z*) (real up to round-off, asserted) and
     the power-loss vector is diag(Z I). Rotation entries are v_to[p] / v_from[q].
-    The layout, its line groups and their inverses are the stamp set's.
+    The layout and the line inverses are the stamp set's; the matrix
+    products run once per phase count, everything else once over all lines.
     """
     if not base.converged:
         raise ValueError("base power flow must be converged")
     stamps = base.system.stamps
-    at, v = stamps.layout.at, base.v          # v over full coordinates
+    layout, v = stamps.layout, base.v          # v over full coordinates
+    mask, at = layout.mask, layout.at
+    vn = np.where(mask, v[at[layout.frm]], 1.0)        # endpoint voltages, 1 off the phases
+    vm = np.where(mask, v[at[layout.to]], 1.0)
+    drop = vn - vm
+    h, l = np.zeros(mask.shape, dtype=complex), np.zeros(mask.shape, dtype=complex)
+    for ks, q, blocks in layout.by_size:
+        own, z = (ks[:, None], q), np.take(layout.z, blocks)
+        i_edge = (np.take(stamps.zinv, blocks) @ drop[own][:, :, None])[:, :, 0]
+        z_i = z @ (i_edge[:, :, None] * np.conj(i_edge)[:, None, :])
+        h[own] = np.diagonal(z_i @ np.conj(z).transpose(0, 2, 1), axis1=1, axis2=2)
+        l[own] = np.diagonal(z_i, axis1=1, axis2=2)
     # Per line: 1 if an endpoint voltage is zero, 2 if its voltage loss is not real.
-    bad = np.zeros(len(model.lines), dtype=np.int8)
-    parts = []
-    for g, zinv in zip(stamps.layout.groups, stamps.zinv):
-        vn, vm = v[at[g.frm][:, g.q]], v[at[g.to][:, g.q]]
-        i_edge = (zinv @ (vn - vm)[:, :, None])[:, :, 0]
-        z_i = g.z @ (i_edge[:, :, None] * np.conj(i_edge)[:, None, :])
-        h = np.diagonal(z_i @ np.conj(g.z).transpose(0, 2, 1), axis1=1, axis2=2)
-        bad[g.lines] = np.where(np.any(vn == 0.0, axis=1) | np.any(vm == 0.0, axis=1), 1,
-                                2 * (np.max(np.abs(h.imag), axis=1) > 1e-10))
-        parts.append((vn, vm, h.real, np.diagonal(z_i, axis1=1, axis2=2)))
+    bad = np.where(np.any(vn == 0.0, axis=1) | np.any(vm == 0.0, axis=1), 1,
+                   2 * (np.max(np.abs(h.imag), axis=1, initial=0.0) > 1e-10))
     for k in np.flatnonzero(bad)[:1]:
         key = f"{model.lines[k].from_bus}->{model.lines[k].to_bus}"
         if bad[k] == 1:
             raise ValueError(f"zero phase voltage at an endpoint of line {key}")
         raise AssertionError(f"voltage-loss term not real on line {key}")
-    groups = tuple(LineGroup(gamma=vm[:, :, None] * (1.0 / vn)[:, None, :], h=h, l=l)
-                   for vn, vm, h, l in parts)
-    return LinearizationConstants(layout=stamps.layout, groups=groups)
+    return LinearizationConstants(
+        layout=layout, h=h.real, l=l,
+        gamma=np.where(_pairs(mask), vm[:, :, None] * (1.0 / vn)[:, None, :], 0.0))
 
 
 @dataclass(frozen=True)
@@ -152,9 +154,9 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     over (bus, phase) and (edge, phase) tables; zero coefficients, slack-bus
     columns and absent phases are dropped at the end.
     """
-    at, bus_of, load = constants.layout.at, constants.layout.bus_of, constants.layout.load
-    lines = model.lines
-    slack = constants.layout.slack
+    layout = constants.layout
+    at, bus_of, load, slack = layout.at, layout.bus_of, layout.load, layout.slack
+    frm, to, n_lines = layout.frm, layout.to, len(layout.frm)
     has = (at >= 0) & ~slack[:, None]
     n_v = int(has.sum())
     vcol = np.full(at.shape, -1, dtype=np.intp)
@@ -163,53 +165,55 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     for p, square in _slack_squares(model).items():
         sq[slack, PHASES.index(p)] = square
     ybar = np.zeros(at.shape + (len(PHASES),), dtype=complex)   # conj(Y)^T of each shunt
-    for k, shunt in constants.layout.shunts:
+    for k, shunt in layout.shunts:
         q = [PHASES.index(p) for p in shunt.phases]
         ybar[k][np.ix_(q, q)] = np.conj(shunt.array).T
 
-    # pos[e, q]: the place j of edge e's phase PHASES[q] among all edge phases.
-    edges = ([(ln.from_bus, ln.to_bus, ln.z.phases) for ln in lines]
-             + [(sv.from_bus, sv.to_bus, sv.phases) for sv in model.svrs])
-    sizes = [len(ph) for _, _, ph in edges]
-    pos = np.full((len(edges), len(PHASES)), -1, dtype=np.intp)
-    pos[np.repeat(np.arange(len(edges)), sizes),
-        [PHASES.index(p) for _, _, ph in edges for p in ph]] = np.arange(sum(sizes))
-    fcol = np.where(pos >= 0, n_v + 2 * pos, -1)
-    m, n_reg = sum(sizes[:len(lines)]), sum(sizes[len(lines):])
-    # balance[e, q]: the Re row of the power balance at edge e's to-bus.
-    balance = np.select([pos < 0, pos < m], [-1, m + 2 * pos], 3 * m + 4 * (pos - m) + 2)
+    # pos[e, q]: the place j of edge e's phase PHASES[q] among all edge phases;
+    # the edges are the lines, then the regulators.
+    svr_mask = np.zeros((len(model.svrs), len(PHASES)), dtype=bool)
+    for e, sv in enumerate(model.svrs):
+        svr_mask[e, [PHASES.index(p) for p in sv.phases]] = True
+    own = np.concatenate([layout.mask, svr_mask])
+    pos = np.full(own.shape, -1, dtype=np.intp)
+    pos[own] = np.arange(np.count_nonzero(own))
+    fcol = np.where(own, n_v + 2 * pos, -1)
+    m, n_reg = int(np.count_nonzero(layout.mask)), int(np.count_nonzero(svr_mask))
+    # balance[e, q]: the Re row of the power balance at edge e's to-bus, and
+    # the Im row and Im flow column beside it; -1 where e lacks the phase.
+    balance = np.select([~own, pos < m], [-1, m + 2 * pos], 3 * m + 4 * (pos - m) + 2)
+    balance_im, fcol_im = (np.where(own, x + 1, -1) for x in (balance, fcol))
     b = np.zeros(3 * m + 4 * n_reg)
 
-    parts = []                             # (rows, columns, values), broadcast together
-    for c, g in zip(constants.groups, constants.layout.groups):
-        q = g.q
-        r, f = pos[g.lines][:, q], fcol[g.lines][:, q]                  # (L, s)
-        rr, ff, v_to = r[:, :, None], f[:, None, :], vcol[g.to][:, None, :]
-        rot = c.gamma * np.conj(g.z)
-        y = ybar[g.to][:, q]                                            # (L, s, 3)
-        parts += [(r, vcol[g.frm][:, q], 1.0), (r, vcol[g.to][:, q], -1.0),
-                  (rr, ff, -2.0 * rot.real), (rr, ff + 1, 2.0 * rot.imag),
-                  (m + 2 * rr, v_to, -y.real), (m + 2 * rr + 1, v_to, -y.imag)]
-        b[r] = c.h - sq[g.frm][:, q]
-        b[m + 2 * r] = load[g.to][:, q].real + c.l.real
-        b[m + 2 * r + 1] = load[g.to][:, q].imag + c.l.imag
+    # The line rows, each kind of entry one broadcast over all lines.
+    r, f, f_im = pos[:n_lines], fcol[:n_lines, None, :], fcol_im[:n_lines, None, :]
+    bal, bal_im = balance[:n_lines], balance_im[:n_lines]
+    rot = constants.gamma * np.conj(layout.z)
+    y, v_to = ybar[to], vcol[to][:, None, :]
+    parts = [(r, vcol[frm], 1.0), (r, vcol[to], -1.0),       # (rows, columns, values)
+             (r[:, :, None], f, -2.0 * rot.real), (r[:, :, None], f_im, 2.0 * rot.imag),
+             (bal[:, :, None], v_to, -y.real), (bal_im[:, :, None], v_to, -y.imag)]
+    on = layout.mask
+    b[r[on]] = (constants.h - sq[frm])[on]
+    b[bal[on]] = (load[to].real + constants.l.real)[on]
+    b[bal_im[on]] = (load[to].imag + constants.l.imag)[on]
 
     # Each edge's flow enters the balance at its to-bus and leaves the one at
     # its from-bus, on the phases the edge feeding that bus carries.
     feeding = np.full(len(model.buses), -1, dtype=np.intp)          # -1 at the slack bus
-    feeding[[bus_of[t] for _, t, _ in edges]] = np.arange(len(edges))
-    src = feeding[[bus_of[f] for f, _, _ in edges]]                 # the edge into e's from-bus
-    into = np.where(src[:, None] >= 0, balance[src], -1)
-    own, out = pos >= 0, (pos >= 0) & (into >= 0)
-    parts += [(balance[own], fcol[own], 1.0), (balance[own] + 1, fcol[own] + 1, 1.0),
-              (into[out], fcol[out], -1.0), (into[out] + 1, fcol[out] + 1, -1.0)]
+    ends = np.array([(bus_of[sv.from_bus], bus_of[sv.to_bus]) for sv in model.svrs],
+                    dtype=np.intp).reshape(-1, 2)                   # per regulator: (from, to)
+    feeding[np.concatenate([to, ends[:, 1]])] = np.arange(len(own))
+    src = feeding[np.concatenate([frm, ends[:, 0]])]                # the edge into e's from-bus
+    into, into_im = (np.where(src[:, None] >= 0, x[src], -1) for x in (balance, balance_im))
+    parts += [(balance, fcol, 1.0), (balance_im, fcol_im, 1.0),
+              (into, fcol, -1.0), (into_im, fcol_im, -1.0)]
 
     # Regulator ratio windows, slacked. Regulator phases are canonical, so the
     # row-major (e, q) order is the ratio row's: phase i owns rows 3m + 4i (+1).
-    e, q = np.nonzero(pos[len(lines):] >= 0)
-    up_down = [(bus_of[sv.from_bus], bus_of[sv.to_bus]) if sv.kind == "B"
-               else (bus_of[sv.to_bus], bus_of[sv.from_bus]) for sv in model.svrs]
-    up, dn = np.array(up_down, dtype=np.intp).reshape(-1, 2)[e].T
+    e, q = np.nonzero(svr_mask)
+    type_b = np.array([sv.kind == "B" for sv in model.svrs], dtype=bool)[:, None]
+    up, dn = np.where(type_b, ends, ends[:, ::-1])[e].T
     # Python's r ** 2 (C pow): numpy's r * r differs in the last bit for ~0.1 % of ratios.
     r_sq = np.reshape([r ** 2 for r in np.ravel(windows).tolist()], (n_reg, 2))
     row = 3 * m + 4 * np.arange(n_reg)[:, None] + [0, 1]
@@ -225,7 +229,7 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
         zero = np.zeros(np.broadcast(*part).shape, dtype=np.intp)
         flat.append([(zero + a).ravel() for a in part])
     rows, cols, vals = (np.concatenate(x) for x in zip(*flat))
-    keep = (cols >= 0) & (vals != 0.0)
+    keep = (rows >= 0) & (cols >= 0) & (vals != 0.0)
     A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
                       shape=(len(b), n_v + 2 * (m + 2 * n_reg))).tocsc()
     return LinearSystem(A=A, b=b, slack_cols=slack_cols,
@@ -240,7 +244,8 @@ def eliminate(system: LinearSystem, stage: str) -> tuple[np.ndarray, np.ndarray]
     """
     n = system.A.shape[1]
     theta = system.slack_cols[:, 1]
-    keep = np.setdiff1d(np.arange(n), theta)
+    keep = np.ones(n, dtype=bool)
+    keep[theta] = False
     rhs = np.column_stack([system.b, -system.A[:, theta].toarray()])
     try:
         sol = splu(system.A[:, keep].tocsc()).solve(rhs)

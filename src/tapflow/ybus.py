@@ -7,28 +7,30 @@ couples the primary directly to the bus behind the regulator's outgoing line.
 
 A feeder has one ``Layout``, built by reading its buses and its lines once
 each: a (bus, phase) table of its coordinates, its loads and shunts over
-that table, its lines grouped by phase set (one ``PhaseGroup`` per phase
-set: model-order line indices, from- and to-bus positions and stacked
-impedances) and each regulator's outgoing line, the line that leaves its
-secondary, read from the same from-bus positions as the groups. Its slack
-bus is the root of the feeder's ``tree_index``, which builds no edge for
-it. The stamps, ``linflow`` and ``zbus`` read the layout.
+that table, one row per line in model order (from- and to-bus positions, a
+phase mask and the impedance padded to 3 x 3 over PHASES with exact zeros),
+the lines' indices by phase count, and each regulator's outgoing line, the
+line that leaves its secondary, read from the same from-bus positions. Its
+slack bus is the root of the feeder's ``tree_index``, which builds no edge
+for it. The stamps, ``linflow`` and ``zbus`` read the layout. Elementwise
+work runs once over all lines; the kernels whose bits depend on the matrix
+size (``np.linalg.inv``, batched matrix products) run once per phase count,
+on the s x s blocks of that count's lines.
 
 Assembly has two steps. ``build_stamps`` does the tap-independent work once
 per feeder: the layout, the slack voltages, loads and flat start over the
 retained rows, each regulator secondary's coordinates, the primary's and
-its ratio column, the checked inverses of the line impedances (one
-stack per phase-set group), one list of stamped entries in stamp order
+its ratio column, the checked inverses of the line impedances (padded per
+line as the impedances), one list of stamped entries in stamp order
 (lines, then regulators, then shunts, each block row-major), and the final
 CSC pattern of Y, Y_NS and Y_S. Each regulator owns one slice of the entry
 list. The list is placed with numpy: an item's entries start at an offset
 fixed by the block sizes before it (4 s x s blocks per line or regulator,
-one per shunt, s its phase count), and one broadcast per phase-set group
-fills the rows, columns and values of its plain lines and regulator lines
-together, each line's kind choosing its blocks' endpoints and signs; shunts
-take one broadcast per phase set. The coordinates come from the layout; the
-(bus, phase) tuples that name them and each retained bus's rows are built
-only when read.
+one per shunt, s its phase count), and one broadcast per phase count fills
+the rows, columns and values of its plain lines and regulator lines
+together, each line's kind choosing its blocks' endpoints and signs. The
+coordinates come from the layout; the (bus, phase) tuples that name them
+and each retained bus's rows are built only when read.
 
 Below the public API a set of ratios is a row, one float per regulator
 phase: regulators in model order, each one's phases in its own order.
@@ -104,37 +106,33 @@ def _inv(z: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _line_inverses(lines, groups, order) -> tuple:
-    """``_inv`` of each group's stacked impedances, one ``np.linalg.inv`` per
-    group. If an inverse fails the check, the lines are inverted one by one
-    in ``order``, which holds every line, so the error names the first bad
-    line in ``order``."""
+def _unpadded(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The s x s block of a 3 x 3 matrix over the phases where ``mask``."""
+    q = np.flatnonzero(mask)
+    return a[np.ix_(q, q)]
+
+
+def _line_inverses(lines, layout, order) -> np.ndarray:
+    """``_inv`` of every line impedance, (L, 3, 3) over PHASES, one
+    ``np.linalg.inv`` per phase count. If an inverse fails the check, the
+    lines are inverted one by one in ``order``, which holds every line, so
+    the error names the first bad line in ``order``."""
+    zinv = np.zeros_like(layout.z)
     try:
-        out = []
-        for g in groups:
-            inv, n = np.linalg.inv(g.z), len(g.phases)
+        for _, q, blocks in layout.by_size:
+            z, n = np.take(layout.z, blocks), q.shape[1]
+            inv = np.linalg.inv(z)
             # z @ inv - I, summed over j elementwise: no BLAS call per matrix.
-            resid = sum(g.z[:, :, j, None] * inv[:, None, j] for j in range(n)) - np.eye(n)
+            resid = sum(z[:, :, j, None] * inv[:, None, j] for j in range(n)) - np.eye(n)
             if not np.abs(resid).max() <= 1e-8:        # NaN fails too
                 raise np.linalg.LinAlgError
-            out.append(inv)
-        return tuple(out)
+            np.put(zinv, blocks, inv)
     except np.linalg.LinAlgError:
-        one = {k: _inv(lines[k].z.array, f"line {lines[k].from_bus}->{lines[k].to_bus}")
-               for k in order}
-        return tuple(np.array([one[k] for k in g.lines.tolist()]) for g in groups)
-
-
-@dataclass(frozen=True)
-class PhaseGroup:
-    """The lines that share one phase set, in model order."""
-
-    phases: tuple
-    q: list                  # the phases' positions in PHASES
-    lines: np.ndarray        # model.lines indices
-    frm: np.ndarray          # position of each line's from-bus in model.buses
-    to: np.ndarray           # position of each line's to-bus
-    z: np.ndarray            # (L, s, s) impedances
+        for k in order:
+            q = np.flatnonzero(layout.mask[k])
+            ln = lines[k]
+            zinv[k][np.ix_(q, q)] = _inv(ln.z.array, f"line {ln.from_bus}->{ln.to_bus}")
+    return zinv
 
 
 @dataclass(frozen=True)
@@ -147,13 +145,19 @@ class Layout:
     slack: np.ndarray        # slack[k]: bus k is the slack bus
     load: np.ndarray         # load[k, q]: constant-power consumption, 0 where none
     shunts: tuple            # (k, PhaseMatrix) per bus k with a shunt, in model order
-    groups: tuple            # PhaseGroup per line phase set, in order of first appearance
-    line_at: np.ndarray      # line_at[i]: (group, row there) of model.lines[i]
+    frm: np.ndarray          # frm[i]: position of model.lines[i]'s from-bus in model.buses
+    to: np.ndarray           # to[i]: position of its to-bus
+    mask: np.ndarray         # mask[i, q]: model.lines[i] carries phase PHASES[q]
+    z: np.ndarray            # (L, 3, 3) line impedances over PHASES, exact zeros off the mask
+    by_size: tuple           # per phase count s present, ascending: (lines, q, blocks), its
+                             # lines' model.lines indices (L_s,), their phase positions
+                             # (L_s, s) and the flat positions of their s x s blocks in an
+                             # (L, 3, 3) array (L_s, s, s), for np.take and np.put
     svr_lines: tuple         # per regulator: model.lines index of its outgoing line
 
 
 def build_layout(model: FeederModel) -> Layout:
-    """The coordinate table, loads, shunts, line groups and regulator lines
+    """The coordinate table, loads, shunts, line rows and regulator lines
     of a validated model, reading its buses and its lines once each. Full
     coordinates number the buses' phases in model order, each bus's in
     canonical order, so they run row by row through ``at``."""
@@ -172,21 +176,24 @@ def build_layout(model: FeederModel) -> Layout:
              list(map(_PHASE_POS.__getitem__, chain.from_iterable(load_phases)))] = \
             np.concatenate([v.values for v in vecs])
 
-    # Lines by phase set, phase sets in order of first appearance.
+    # One row per line, in model order, its impedance padded over PHASES.
     lines = model.lines
     frm, to, z = [ln.from_bus for ln in lines], [ln.to_bus for ln in lines], [ln.z for ln in lines]
     line_phases = [m.phases for m in z]
-    code = {ph: c for c, ph in enumerate(dict.fromkeys(line_phases))}
-    codes = np.fromiter(map(code.__getitem__, line_phases), np.intp, len(z))
+    sizes = np.fromiter(map(len, line_phases), np.intp, len(z))
     ends = np.fromiter(map(bus_of.__getitem__, chain(frm, to)), np.intp, 2 * len(z)).reshape(2, -1)
-    by_code = np.argsort(codes, kind="stable")
-    counts = np.bincount(codes, minlength=len(code))
-    groups = tuple(
-        PhaseGroup(ph, [_PHASE_POS[p] for p in ph], ks, ends[0, ks], ends[1, ks],
-                   np.concatenate([z[k].array for k in ks.tolist()]).reshape(-1, len(ph), len(ph)))
-        for ph, ks in zip(code, np.split(by_code, np.cumsum(counts)[:-1])))
-    line_at = np.column_stack([codes, codes])
-    line_at[by_code, 1] = np.arange(len(codes)) - np.repeat(np.cumsum(counts) - counts, counts)
+    mask = np.zeros((len(z), len(PHASES)), dtype=bool)
+    mask[np.repeat(np.arange(len(z)), sizes),
+         list(map(_PHASE_POS.__getitem__, chain.from_iterable(line_phases)))] = True
+    z_pad = np.zeros((len(z), len(PHASES), len(PHASES)), dtype=complex)
+    by_size = []
+    for s in range(1, len(PHASES) + 1):
+        ks = np.flatnonzero(sizes == s)
+        if ks.size:
+            q = np.nonzero(mask[ks])[1].reshape(-1, s)
+            blocks = (ks[:, None, None] * len(PHASES) + q[:, :, None]) * len(PHASES) + q[:, None, :]
+            np.put(z_pad, blocks, np.concatenate([z[k].array for k in ks.tolist()]))
+            by_size.append((ks, q, blocks))
     # A regulator's outgoing line: the first line out of its secondary.
     svr_lines = []
     for sv in model.svrs:
@@ -196,8 +203,9 @@ def build_layout(model: FeederModel) -> Layout:
         svr_lines.append(int(out[0]))
     slack = np.zeros(len(ids), dtype=bool)          # the tree's root; no edge is built
     slack[bus_of[tree_index(model).root]] = True
-    return Layout(at=at, bus_of=bus_of, slack=slack, load=load, groups=groups, line_at=line_at,
+    return Layout(at=at, bus_of=bus_of, slack=slack, load=load,
                   shunts=tuple((k, b.shunt) for k, b in enumerate(buses) if b.shunt is not None),
+                  frm=ends[0], to=ends[1], mask=mask, z=z_pad, by_size=tuple(by_size),
                   svr_lines=tuple(svr_lines))
 
 
@@ -240,7 +248,7 @@ class StampSet:
     templates: tuple         # Y, Y_NS, Y_S with their fixed patterns
     regulators: tuple
     layout: Layout
-    zinv: tuple              # per layout line group: its checked inverses, (L, s, s)
+    zinv: np.ndarray         # (L, 3, 3) per model line: its checked inverse, as ``layout.z``
     secondaries: tuple       # per regulator secondary phase, regulators in model order:
                              # its full coordinate, the primary's, the ratio column
                              # and the type-B flag (n, 1)
@@ -249,8 +257,7 @@ class StampSet:
 
     def line_zinv(self, k: int) -> np.ndarray:
         """The checked inverse of ``model.lines[k]``'s impedance."""
-        g, row = self.layout.line_at[k]
-        return self.zinv[g][row]
+        return _unpadded(self.zinv[k], self.layout.mask[k])
 
     # The (bus, phase) tuples name the rows and columns for readers at the
     # boundary; a solve reads only arrays, so they are built on first use.
@@ -320,7 +327,7 @@ def build_stamps(model: FeederModel) -> StampSet:
     """
     buses, lines, svrs = model.buses, model.lines, model.svrs
     layout = build_layout(model)
-    at, bus_of, groups = layout.at, layout.bus_of, layout.groups
+    at, bus_of = layout.at, layout.bus_of
     eliminated = tuple(sv.to_bus for sv in svrs)
     elim = np.zeros(len(buses), dtype=bool)
     elim[[bus_of[b] for b in eliminated]] = True
@@ -330,21 +337,20 @@ def build_stamps(model: FeederModel) -> StampSet:
     # Stamp order: the lines whose from-bus is no regulator secondary (those
     # are handled by elimination), each regulator's outgoing line, shunts.
     svr_lines = np.array(layout.svr_lines, dtype=np.intp)
-    ends, size = np.empty((len(lines), 2), dtype=np.intp), np.empty(len(lines), dtype=np.intp)
-    for g in groups:
-        ends[g.lines, 0], ends[g.lines, 1], size[g.lines] = g.frm, g.to, len(g.phases)
-    stamped = np.concatenate([np.flatnonzero(~elim[ends[:, 0]]), svr_lines])
+    stamped = np.concatenate([np.flatnonzero(~elim[layout.frm]), svr_lines])
     if not np.array_equal(np.sort(stamped), np.arange(len(lines))):
         raise ValueError("model fails validation: a regulator secondary feeds another line")
     # A regulator's blocks sit at its primary n and its line's to-bus m.
     kind = np.zeros(len(lines), dtype=np.intp)
     kind[svr_lines] = 1
+    ends = np.column_stack([layout.frm, layout.to])
     ends[svr_lines, 0] = [bus_of[sv.from_bus] for sv in svrs]
-    zinv = _line_inverses(lines, groups, stamped.tolist())   # stamp order names the first bad line
+    zinv = _line_inverses(lines, layout, stamped.tolist())   # stamp order names the first bad line
 
     # Each item's entries start at its offset: 4 s x s blocks per line or
     # regulator, one per shunt, each row-major.
-    offsets = np.cumsum(np.concatenate([[0], 4 * size[stamped] ** 2,
+    sizes = np.count_nonzero(layout.mask, axis=1)
+    offsets = np.cumsum(np.concatenate([[0], 4 * sizes[stamped] ** 2,
                                         [len(sh.phases) ** 2 for _, sh in layout.shunts]]),
                         dtype=np.intp)
     rows = np.empty(offsets[-1], dtype=np.intp)
@@ -352,20 +358,18 @@ def build_stamps(model: FeederModel) -> StampSet:
     values = np.empty(offsets[-1], dtype=complex)
     line_start = np.empty(len(lines), dtype=np.intp)
     line_start[stamped] = offsets[:len(stamped)]
-    # Per line and block: the bus of its rows and the bus of its columns.
-    row_bus, col_bus = (np.take_along_axis(ends, _BLOCK_ENDS[kind, e], axis=1) for e in (0, 1))
-    for g, inv in zip(groups, zinv):      # one broadcast per phase set
-        k, at_q = g.lines, at[:, g.q]
-        v = np.repeat(inv[:, None], 4, axis=1)                                  # (L, 4, s, s)
+    # Per line and block: the flat position in ``at`` of the bus of its rows
+    # and of the bus of its columns, at phase a.
+    row_bus, col_bus = (len(PHASES) * np.take_along_axis(ends, _BLOCK_ENDS[kind, e], axis=1)
+                        for e in (0, 1))
+    for k, q, blocks in layout.by_size:      # one broadcast per phase count
+        v = np.repeat(np.take(zinv, blocks)[:, None], 4, axis=1)               # (L, 4, s, s)
         np.negative(v[:, 2:], out=v[:, 2:], where=(kind[k] == 0)[:, None, None, None])
-        _place(rows, cols, values, line_start[k], at_q[row_bus[k]], at_q[col_bus[k]], v)
-    by_phases: dict = {}
-    for item, (k, sh) in enumerate(layout.shunts, len(stamped)):
-        by_phases.setdefault(sh.phases, []).append((item, k, sh.array))
-    for ph, group in by_phases.items():      # a shunt puts its admittance at (k, k)
-        items, ks, arrays = map(list, zip(*group))
-        at_k = at[ks][:, None][:, :, [_PHASE_POS[p] for p in ph]]
-        _place(rows, cols, values, offsets[items], at_k, at_k, np.array(arrays)[:, None])
+        _place(rows, cols, values, line_start[k], np.take(at, row_bus[k][:, :, None] + q[:, None]),
+               np.take(at, col_bus[k][:, :, None] + q[:, None]), v)
+    for item, (k, sh) in enumerate(layout.shunts, len(stamped)):   # its admittance at (k, k)
+        at_k = at[k, [_PHASE_POS[p] for p in sh.phases]][None, None]
+        _place(rows, cols, values, offsets[[item]], at_k, at_k, sh.array[None, None])
     v_source = np.full(len(PHASES), np.nan, dtype=complex)
     v_source[[_PHASE_POS[p] for p in model.slack_voltage.phases]] = model.slack_voltage.values
     # Only a model that fails validation stamps a phase its bus lacks (``at``
@@ -377,10 +381,10 @@ def build_stamps(model: FeederModel) -> StampSet:
     # Each regulator's first column in the ratio row.
     starts = list(accumulate((len(sv.phases) for sv in svrs), initial=0))
     regulators = tuple(
-        _RegulatorStamp(svr=sv, cols=[c + sv.phases.index(p) for p in groups[g].phases],
-                        zinv=zinv[g][row], entries=slice(int(offsets[k]), int(offsets[k + 1])))
-        for sv, c, (g, row), k in zip(svrs, starts, layout.line_at[svr_lines].tolist(),
-                                      count(len(stamped) - len(svrs))))
+        _RegulatorStamp(svr=sv, cols=[c + sv.phases.index(p) for p in lines[k].z.phases],
+                        zinv=_unpadded(zinv[k], layout.mask[k]),
+                        entries=slice(int(offsets[i]), int(offsets[i + 1])))
+        for sv, c, k, i in zip(svrs, starts, layout.svr_lines, count(len(stamped) - len(svrs))))
 
     # Route each stored entry once: a slack row goes to Y_S, a slack column
     # to Y_NS, anything else to Y. Their coordinates are taken block-diagonally

@@ -1,9 +1,13 @@
+import cProfile
 import dataclasses
+import pstats
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tapflow as tf
+from tapflow.network import PHASES
 
 import linflow_reference
 from conftest import PARITY_FEEDERS, bench_feeders, chain_model, lp_columns
@@ -15,34 +19,32 @@ ALPHA = np.exp(2j * np.pi / 3)
 def test_balanced_rotation_entries():
     model = chain_model([0.1], phases=("a", "b", "c"))
     const = tf.constants_balanced(model)
-    (group,), (lines,) = const.groups, const.layout.groups
-    assert lines.phases == ("a", "b", "c") and list(lines.lines) == [0]
-    g = group.gamma[0]                      # line sub->b1; rows and columns a, b, c
+    assert const.layout.mask.tolist() == [[True, True, True]]
+    g = const.gamma[0]                      # line sub->b1; rows and columns a, b, c
     assert g[0, 0] == pytest.approx(1.0)
     assert g[0, 1] == pytest.approx(ALPHA)
     assert g[0, 2] == pytest.approx(ALPHA**2)
     assert g[1, 2] == pytest.approx(ALPHA)
     assert g[2, 0] == pytest.approx(ALPHA)
-    assert np.max(np.abs(group.h[0])) == 0.0
-    assert np.max(np.abs(group.l[0])) == 0.0
+    assert np.max(np.abs(const.h[0])) == 0.0
+    assert np.max(np.abs(const.l[0])) == 0.0
 
 
 def test_balanced_single_phase_is_identity():
     model = chain_model([0.1])
-    g = tf.constants_balanced(model).groups[0].gamma[0]
-    assert g.shape == (1, 1) and g[0, 0] == 1.0
+    g = tf.constants_balanced(model).gamma[0]   # padded over a, b, c: only [a, a] is the line's
+    assert g.shape == (3, 3) and g[0, 0] == 1.0 and np.count_nonzero(g) == 1
 
 
 def test_constants_zero_current_base():
     model = chain_model([0.0, 0.0])
     base = tf.solve_zbus(model, [])
     const = tf.constants_from_solution(model, base)
-    (group,), (lines,) = const.groups, const.layout.groups
-    assert list(lines.lines) == [0, 1]      # sub->b1, b1->b2
+    assert const.layout.mask.tolist() == [[True, False, False]] * 2    # sub->b1, b1->b2
     for k in range(2):
-        assert np.max(np.abs(group.h[k])) < 1e-15
-        assert np.max(np.abs(group.l[k])) < 1e-15
-        assert group.gamma[k][0, 0] == pytest.approx(1.0)
+        assert np.max(np.abs(const.h[k])) < 1e-15
+        assert np.max(np.abs(const.l[k])) < 1e-15
+        assert const.gamma[k][0, 0] == pytest.approx(1.0)
 
 
 def test_constants_require_convergence():
@@ -74,7 +76,8 @@ def test_zero_endpoint_voltage_names_the_line(zeroed, named):
 
 def test_zero_endpoint_voltage_names_the_first_line_in_model_order(ieee13, ieee13_base):
     """645->646 (line 4, phases bc) comes before 692->675 (line 11, phases
-    abc), although the abc lines are grouped first."""
+    abc): the first bad line in model order is named, whatever its phase
+    count."""
     base = _with_zero_voltage(ieee13_base, ("675", "646"))
     with pytest.raises(ValueError, match="line 645->646$"):
         tf.constants_from_solution(ieee13, base)
@@ -85,7 +88,7 @@ def test_flat_balanced_base_equals_balanced_constants():
     base = tf.solve_zbus(model, [])
     got = tf.constants_from_solution(model, base)
     want = tf.constants_balanced(model)
-    assert np.allclose(got.groups[0].gamma[0], want.groups[0].gamma[0], atol=1e-12)
+    assert np.allclose(got.gamma[0], want.gamma[0], atol=1e-12)
 
 
 def test_zero_load_linear_flow_flat():
@@ -249,14 +252,22 @@ def test_singular_linear_system_raises_pipeline_error():
     assert err.value.stage == "linear_powerflow"
 
 
+def _lines_reversed(model):
+    """``model`` with its line list reversed, so its phase counts interleave."""
+    return dataclasses.replace(model, lines=model.lines[::-1])
+
+
 LP_FEEDERS = {**PARITY_FEEDERS,
               **{f"gen{seed}-{n}": (lambda _, seed=seed, n=n: bench_feeders().generate_feeder(seed, n))
-                 for seed, n in ((0, 15), (1, 30), (2, 60), (3, 120), (4, 200), (5, 400))}}
+                 for seed, n in ((0, 15), (1, 30), (2, 60), (3, 120), (4, 200), (5, 400))},
+              "gen6-60-lines-reversed": lambda _: _lines_reversed(bench_feeders().generate_feeder(6, 60)),
+              # Only 1-phase laterals: no line has two phases.
+              "gen7-60-1ph": lambda _: bench_feeders().generate_feeder(7, 60, phase_mix=(1.0, 0.0, 0.0))}
 
 
 @pytest.mark.parametrize("name", sorted(LP_FEEDERS))
 def test_lp_matches_reference(name, request):
-    """The grouped constants hold the per-line reference values, and
+    """The per-line rows of constants hold the reference values, and
     ``build_lp`` on them gives the per-entry reference's LP byte for byte,
     for both constants modes."""
     model = LP_FEEDERS[name](request)
@@ -269,16 +280,17 @@ def test_lp_matches_reference(name, request):
         else:
             got = tf.constants_from_solution(model, base)
             want = linflow_reference.constants_from_solution(model, base)
-        layout = got.layout.groups
-        assert len(got.groups) == len(layout)
-        assert sorted(k for g in layout for k in g.lines) == list(range(len(model.lines)))
-        for g, lines in zip(got.groups, layout):
-            for i, k in enumerate(lines.lines):
-                key = f"{model.lines[k].from_bus}->{model.lines[k].to_bus}"
-                assert lines.phases == want.gamma[key].phases
-                assert g.gamma[i].tobytes() == want.gamma[key].array.tobytes(), (mode, key)
-                assert g.h[i].tobytes() == want.h[key].values.real.tobytes(), (mode, key)
-                assert g.l[i].tobytes() == want.l[key].values.tobytes(), (mode, key)
+        mask = got.layout.mask
+        assert got.gamma.shape == (len(model.lines), 3, 3) and got.h.shape == got.l.shape == mask.shape
+        for k, ln in enumerate(model.lines):
+            key, q = f"{ln.from_bus}->{ln.to_bus}", np.flatnonzero(mask[k])
+            assert tuple(PHASES[i] for i in q) == want.gamma[key].phases
+            assert got.gamma[k][np.ix_(q, q)].tobytes() == want.gamma[key].array.tobytes(), (mode, key)
+            assert got.h[k][q].tobytes() == want.h[key].values.real.tobytes(), (mode, key)
+            assert got.l[k][q].tobytes() == want.l[key].values.tobytes(), (mode, key)
+        # Off each line's phases the rows hold exact zeros.
+        off = ~(mask[:, :, None] & mask[:, None, :])
+        assert not got.gamma[off].any() and not got.h[~mask].any() and not got.l[~mask].any()
         lp, varmap = tf.build_lp(model, got, config)
         lp_ref, varmap_ref = linflow_reference.build_lp(model, want, config)
         assert lp.A.shape == lp_ref.A.shape
@@ -286,6 +298,90 @@ def test_lp_matches_reference(name, request):
                     [(getattr(lp, f), getattr(lp_ref, f)) for f in ("b", "c", "lower", "upper")]:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), mode
         assert lp_columns(model, varmap) == (varmap_ref.vsq, varmap_ref.flow, varmap_ref.slack_cols)
+
+
+def _windows(model):
+    return [sv.ratio_range() for sv in model.svrs for _ in sv.phases]
+
+
+def _base_constants(model):
+    base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
+    assert base.converged
+    return tf.constants_from_solution(model, base)
+
+
+TRIPLET_FEEDERS = {
+    "ieee13": lambda request: request.getfixturevalue("ieee13"),
+    "tiny3": lambda request: request.getfixturevalue("tiny3"),
+    **{f"gen8-60-{s}ph": (lambda _, mix=mix: bench_feeders().generate_feeder(8, 60, phase_mix=mix))
+       for s, mix in ((1, (1.0, 0.0, 0.0)), (2, (0.0, 1.0, 0.0)), (3, (0.0, 0.0, 1.0)))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIPLET_FEEDERS))
+def test_linear_system_triplets_are_distinct(name, request, monkeypatch):
+    """No (row, column) repeats among ``linear_system``'s kept triplets, so
+    their order cannot change A: the line rows may be placed in any order."""
+    model = TRIPLET_FEEDERS[name](request)
+    constants, seen = _base_constants(model), []
+    coo = sp.coo_matrix
+
+    def recording(arg, **kwargs):
+        seen.append(arg[1])
+        return coo(arg, **kwargs)
+
+    monkeypatch.setattr(tf.linflow.sp, "coo_matrix", recording)
+    tf.linflow.linear_system(model, constants, _windows(model))
+    (rows, cols), = seen
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows) > 0
+
+
+def _three_phase_sets(model):
+    """``model`` with every 1-phase bus, load and line on phase a and every
+    2-phase one on phases a and b: the same sizes, three phase sets."""
+    on = {1: ("a",), 2: ("a", "b"), 3: ("a", "b", "c")}
+
+    def vec(v):
+        return v and tf.PhaseVector(on[len(v.phases)], v.values)
+
+    def mat(m):
+        return m and tf.PhaseMatrix(on[len(m.phases)], m.array)
+
+    return dataclasses.replace(
+        model, lines=tuple(dataclasses.replace(ln, z=mat(ln.z)) for ln in model.lines),
+        buses=tuple(dataclasses.replace(b, phases=on[len(b.phases)], load=vec(b.load),
+                                        shunt=mat(b.shunt)) for b in model.buses))
+
+
+def _line_calls(model) -> int:
+    """cProfile's count of the Python calls of ``build_stamps``,
+    ``constants_from_solution`` and ``linear_system``, after one warm-up."""
+    base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
+
+    def run():
+        tf.ybus.build_stamps(model)
+        tf.linflow.linear_system(model, tf.constants_from_solution(model, base), _windows(model))
+
+    run()
+    profile = cProfile.Profile()
+    profile.runcall(run)
+    return pstats.Stats(profile).total_calls
+
+
+@pytest.mark.parametrize("seed", [3, 9])
+def test_line_work_does_not_grow_with_the_phase_sets(seed):
+    """The line rows, stamps and constants run per line or per phase count,
+    never per phase set: a feeder whose lines span all seven phase sets
+    costs as many Python calls as a copy with three. The counts may differ
+    by the scatter plan's summand ranks (a call or two each), not by a
+    loop per phase set (about 500 calls on these feeders)."""
+    model = bench_feeders().generate_feeder(seed, 60)
+    relabelled = _three_phase_sets(model)
+    assert not tf.validate(relabelled)
+    assert len({ln.z.phases for ln in model.lines}) == 7
+    assert len({ln.z.phases for ln in relabelled.lines}) == 3
+    assert [len(ln.z.phases) for ln in relabelled.lines] == [len(ln.z.phases) for ln in model.lines]
+    assert abs(_line_calls(model) - _line_calls(relabelled)) <= 20
 
 
 def test_linear_powerflow_rejects_a_wrong_number_of_ratio_maps(ieee13):

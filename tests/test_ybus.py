@@ -177,20 +177,21 @@ def test_singular_impedance_names_the_first_line_in_stamp_order():
 
 
 @pytest.mark.parametrize("bad,named", [
-    # n1->n3 (phase c) is the last phase-set group but the first line in stamp order.
+    # n1->n3 (phase c) is first in the 1-phase batch and in stamp order.
     (("r1->n1", "n1->n3"), "n1->n3"),
-    # Only regulator outgoing lines: the first regulator's line is named.
+    # Only regulator outgoing lines: the first regulator's line is named,
+    # although the 2-phase batch (r2->n2) is inverted before the 3-phase one.
     (("r2->n2",), "r2->n2"),
     (("r2->n2", "r1->n1"), "r1->n1"),
 ])
 def test_singular_impedance_names_the_first_line_across_phase_groups(bad, named):
-    """The lines are inverted per phase set, but a singular one is named in
-    stamp order: plain lines, then regulators' outgoing lines. In
-    cascade_model the groups are abc (r1->n1), ab (r2->n2) and c (n1->n3),
+    """The lines are inverted per phase count, but a singular one is named
+    in stamp order: plain lines, then regulators' outgoing lines. In
+    cascade_model the batches are c (n1->n3), ab (r2->n2) and abc (r1->n1),
     and the stamp order is n1->n3, r1->n1, r2->n2."""
     model = cascade_model()
-    assert [(g.phases, g.lines.tolist()) for g in build_stamps(model).layout.groups] == \
-        [(("a", "b", "c"), [0]), (("a", "b"), [1]), (("c",), [2])]
+    assert [(q.shape[1], ks.tolist()) for ks, q, _ in build_stamps(model).layout.by_size] == \
+        [(1, [2]), (2, [1]), (3, [0])]
 
     def singular(ln):       # rank one, or zero on one phase
         s = len(ln.z.phases)
