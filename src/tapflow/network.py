@@ -11,9 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +19,10 @@ from .errors import FeederFormatError, ModelValidationError
 PHASES = ("a", "b", "c")
 
 _PHASE_POS = {p: i for i, p in enumerate(PHASES)}
+
+# |x| < SQUARE_LIMIT exactly when the float x ** 2 is finite; the LP squares
+# its voltage band and every regulator's ratio window.
+SQUARE_LIMIT = 2.0**512
 
 
 def canonical_phases(phases) -> tuple[str, ...]:
@@ -342,6 +343,8 @@ def validate(model: FeederModel) -> list[Violation]:
             out.append(Violation(name, "svr-bounds", f"tap range [{sv.tap_min}, {sv.tap_max}] must contain 0"))
         if not sv.step > 0 or not math.isfinite(sv.step):      # NaN fails the first test
             out.append(Violation(name, "svr-bounds", "step must be positive and finite"))
+        elif not all(abs(r) < SQUARE_LIMIT for r in sv.ratio_range()):
+            out.append(Violation(name, "svr-bounds", f"ratio range {sv.ratio_range()} must have finite squares"))
         fp, tp = set(by_id[sv.from_bus].phases), set(by_id[sv.to_bus].phases)
         if not set(sv.phases) <= fp & tp:
             out.append(Violation(name, "svr-mask", "SVR phases not present at both endpoints"))
@@ -619,72 +622,18 @@ def serialize(model: FeederModel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tree index (shared by the admittance, linear-flow, and LP builders)
+# Tree index
 # ---------------------------------------------------------------------------
-
-class Edge(NamedTuple):
-    """A series element in tree context: kind is 'line' or 'svr', index into the model."""
-
-    kind: str
-    index: int
-    from_bus: str
-    to_bus: str
-    phases: tuple[str, ...]
-
-    def key(self) -> str:
-        return f"{self.from_bus}->{self.to_bus}"
-
-
-_TO_BUS = itemgetter(3)          # Edge.to_bus
-
 
 @dataclass(frozen=True)
 class TreeIndex:
-    """Parent/child maps and a root-first bus ordering for a validated model.
-    Every map is built on first read: the admittance stamps read only
-    ``root``."""
+    """The root of a validated model's tree, its slack bus. The feeder's
+    ``ybus.Layout`` reads the root from here; the lines and regulators are
+    read from the layout's arrays."""
 
     root: str
-    model: FeederModel = field(repr=False)
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """All edges, model order: lines then svrs."""
-        # tuple.__new__ builds each Edge as Edge._make does, without its Python call.
-        new = tuple.__new__
-        edges = [new(Edge, ("line", i, ln.from_bus, ln.to_bus, ln.z.phases))
-                 for i, ln in enumerate(self.model.lines)]
-        edges += [new(Edge, ("svr", i, sv.from_bus, sv.to_bus, sv.phases))
-                  for i, sv in enumerate(self.model.svrs)]
-        return tuple(edges)
-
-    @cached_property
-    def children(self) -> dict:
-        """Bus id -> tuple of the Edges out of it, in model order."""
-        children: dict[str, list[Edge]] = {b.id: [] for b in self.model.buses}
-        for e in self.edges:
-            children[e.from_bus].append(e)
-        return {k: tuple(v) for k, v in children.items()}
-
-    @cached_property
-    def order(self) -> tuple[str, ...]:
-        """Buses, root first, parents before children."""
-        order = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            kids = self.children[node]
-            if kids:
-                stack.extend(map(_TO_BUS, reversed(kids)))
-        return tuple(order)
-
-    @cached_property
-    def parent(self) -> dict:
-        """Bus id -> the Edge into it (absent for the root)."""
-        return dict(zip(map(_TO_BUS, self.edges), self.edges))
 
 
 def tree_index(model: FeederModel) -> TreeIndex:
     """The traversal index; the model must already be valid."""
-    return TreeIndex(root=model.slack.id, model=model)
+    return TreeIndex(root=model.slack.id)

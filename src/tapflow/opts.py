@@ -48,8 +48,8 @@ from .linflow import (LinearizationConstants, LinearSystem, _balanced_over, _sla
                       constants_balanced, constants_from_solution, eliminate, linear_system)
 # tree_index and constants_balanced are not called here; bench/tracing.py
 # wraps them in this namespace.
-from .network import (PHASES, FeederModel, ratio_to_tap, tap_to_ratio, taps_to_ratios,
-                      tree_index, zero_taps)
+from .network import (PHASES, SQUARE_LIMIT, FeederModel, ratio_to_tap, tap_to_ratio,
+                      taps_to_ratios, tree_index, zero_taps)
 from .simplex import LpSolution, SparseLp, solve_lp
 from .ybus import build_stamps
 from .zbus import (DEFAULT_MAX_ITER, DEFAULT_TOL, block_metrics, feasibility,
@@ -75,6 +75,8 @@ class OptsConfig:
             val = getattr(self, key)
             if isinstance(val, bool) or not isinstance(val, numbers.Real) or math.isnan(val):
                 raise ValueError(f"config key {key!r} must be a number, got {val!r}")
+            if key in ("v_min", "v_max") and not abs(val) < SQUARE_LIMIT:   # build_lp squares them
+                raise ValueError(f"config key {key!r} must have a finite square, got {val!r}")
         if not self.zbus_tol > 0:
             raise ValueError(f"config key 'zbus_tol' must be positive, got {self.zbus_tol!r}")
         val = self.zbus_max_iter
@@ -218,7 +220,10 @@ def _check_lower_bound(lower_bound: float) -> None:
 def optimality_gap(verified: float, lower_bound: float) -> float:
     """Percent gap of a verified objective above an external lower bound."""
     _check_lower_bound(lower_bound)
-    return (verified - lower_bound) / lower_bound * 100.0
+    gap = (verified - lower_bound) / lower_bound * 100.0
+    if not math.isfinite(gap):
+        raise ValueError(f"optimality gap over lower bound {lower_bound!r} is not finite")
+    return gap
 
 
 @dataclass
@@ -243,7 +248,7 @@ class OptsReport:
                        for sid, t, r in zip(self.svr_ids, self.taps, self.ratios)]
         for key in ("svr_ids", "taps", "ratios"):
             del doc[key]
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def summary_csv(self, label: str = "opts") -> str:
         gap = f"{self.gap_percent:.6g}" if self.gap_percent is not None else ""

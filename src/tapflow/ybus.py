@@ -11,11 +11,11 @@ that table, one row per line in model order (from- and to-bus positions, a
 phase mask and the impedance padded to 3 x 3 over PHASES with exact zeros),
 the lines' indices by phase count, and each regulator's outgoing line, the
 line that leaves its secondary, read from the same from-bus positions. Its
-slack bus is the root of the feeder's ``tree_index``, which builds no edge
-for it. The stamps, ``linflow`` and ``zbus`` read the layout. Elementwise
-work runs once over all lines; the kernels whose bits depend on the matrix
-size (``np.linalg.inv``, batched matrix products) run once per phase count,
-on the s x s blocks of that count's lines.
+slack bus is the root of the feeder's ``tree_index``. The stamps,
+``linflow`` and ``zbus`` read the layout. Elementwise work runs once over
+all lines; the kernels whose bits depend on the matrix size
+(``np.linalg.inv``, batched matrix products) run once per phase count, on
+the s x s blocks of that count's lines.
 
 Assembly has two steps. ``build_stamps`` does the tap-independent work once
 per feeder: the layout, the slack voltages, loads and flat start over the
@@ -49,8 +49,9 @@ that one sparse product applies every row's blocks at its own bits.
 ``build_stamps`` also decides whether Y depends on the ratios at all. The
 first three regulator blocks move with them; when every one that is
 nonzero lands in Y_NS or Y_S (a regulator whose primary is the slack bus,
-as on IEEE-13), Y's values are the same bits at every ratio and
-``zbus.solve_zbus`` factors Y once per stamp set.
+as on IEEE-13), Y's values are the same bits at every ratio
+(``StampSet.y_fixed``), so a block of ratio rows can share one
+factorization of Y (``zbus.solve_block``).
 
 The pattern does not depend on the ratios: a regulator block is a diagonal
 rescaling of its line's ``zinv``, so at any finite nonzero ratio it is
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, count
 
@@ -201,7 +202,7 @@ def build_layout(model: FeederModel) -> Layout:
         if not out.size:
             raise ValueError("model fails validation: a regulator secondary feeds no line")
         svr_lines.append(int(out[0]))
-    slack = np.zeros(len(ids), dtype=bool)          # the tree's root; no edge is built
+    slack = np.zeros(len(ids), dtype=bool)          # the tree's root
     slack[bus_of[tree_index(model).root]] = True
     return Layout(at=at, bus_of=bus_of, slack=slack, load=load,
                   shunts=tuple((k, b.shunt) for k, b in enumerate(buses) if b.shunt is not None),
@@ -253,7 +254,6 @@ class StampSet:
                              # its full coordinate, the primary's, the ratio column
                              # and the type-B flag (n, 1)
     y_fixed: bool            # no block that moves with the ratios lands in Y
-    y_lu: list = field(default_factory=list, repr=False)   # Y's factorization, when y_fixed
 
     def line_zinv(self, k: int) -> np.ndarray:
         """The checked inverse of ``model.lines[k]``'s impedance."""

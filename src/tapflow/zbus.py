@@ -10,11 +10,8 @@ and the line inverses come from the feeder's stamp set
 metric rebuilds none of them. The stamp set also fixes the CSC pattern of Y
 and scipy's order of summing its duplicate entries, captured once, so a
 solve at new taps only recomputes the regulator blocks and scatters them.
-When the taps cannot move Y (``StampSet.y_fixed``), the first solve on a
-stamp set keeps its factorization of Y there and later solves reuse it.
-That is exact: Y has the same bits at every tap, and so the same factors;
-the iteration itself, the map that the Z-bus convergence analysis covers,
-is unchanged.
+Each solve, or each block of tap sets, factors Y once; the stamp set keeps
+no factorization.
 
 The iteration is one kernel over an (n, m) block of columns, with one
 multi-column LU solve per step, each column stopping on its own
@@ -147,19 +144,6 @@ def _fixed_point(lu, Y, loads: np.ndarray, w_s: np.ndarray, v: np.ndarray, tol: 
     return out, iterations, residual, converged
 
 
-def _factor(stamps: StampSet, Y):
-    """Y's factorization; kept in the stamp set when the taps cannot move Y."""
-    if stamps.y_lu:
-        return stamps.y_lu[0]
-    try:
-        lu = splu(Y)
-    except RuntimeError as exc:
-        raise PipelineError("powerflow", f"admittance matrix is singular: {exc}") from None
-    if stamps.y_fixed:
-        stamps.y_lu.append(lu)
-    return lu
-
-
 def _solve(system: AdmittanceSystem, tol: float, max_iter: int) -> tuple:
     """``_fixed_point`` on ``system`` from a flat start, column j at ratio
     row j; m > 1 columns share Y's factorization, so need ``y_fixed``."""
@@ -172,7 +156,11 @@ def _solve(system: AdmittanceSystem, tol: float, max_iter: int) -> tuple:
     v_s = st.v_slack if m == 1 else np.tile(st.v_slack, m)   # Y_NS is block-diagonal
     w_s = (system.Y_NS @ v_s).reshape(m, n).T
     start = np.broadcast_to(st.v_flat[:, None], (n, m))
-    return _fixed_point(_factor(st, system.Y), system.Y, st.loads, w_s, start, tol, max_iter)
+    try:
+        lu = splu(system.Y)
+    except RuntimeError as exc:
+        raise PipelineError("powerflow", f"admittance matrix is singular: {exc}") from None
+    return _fixed_point(lu, system.Y, st.loads, w_s, start, tol, max_iter)
 
 
 def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from tapflow.network import FeederModel, PhaseMatrix, PhaseVector, tree_index
+from tapflow.network import FeederModel, PhaseMatrix, PhaseVector
 from tapflow.opts import OptsConfig
 from tapflow.simplex import SparseLp
 from tapflow.zbus import PowerFlowSolution
+
+from stamps_reference import tree_index
 
 _ALPHA = np.exp(2j * np.pi / 3.0)
 _BALANCED_UNIT = {"a": 1.0 + 0.0j, "b": _ALPHA**2, "c": _ALPHA}

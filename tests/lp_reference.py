@@ -21,8 +21,10 @@ import scipy.sparse as sp
 
 from tapflow import simplex
 from tapflow.errors import PipelineError
-from tapflow.network import PhaseVector, tree_index
+from tapflow.network import PhaseVector
 from tapflow.simplex import AT_LOWER, AT_UPPER, BASIC, FREE, SparseLp, solve_lp
+
+from stamps_reference import tree_index
 
 
 class LoopTableau(simplex._Tableau):

@@ -7,12 +7,14 @@ the stamps in one broadcast per (kind, phase set), converts three marker
 matrices in ``_scatter_plan`` and finds each regulator's outgoing line with
 a ``tree_index`` of frozen-dataclass edges that builds its order and parent
 map eagerly. ``ybus.build_stamps`` must give a bit-equal stamp set for the
-same model, and ``network.tree_index`` equal fields.
+same model, and ``network.tree_index`` the same root. The other reference
+modules walk the tree through this ``tree_index``, so they do not depend on
+the code under test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, compress, count
 
 import numpy as np
@@ -172,7 +174,6 @@ class StampSet:
     layout: Layout
     zinv: tuple              # per model line: the checked inverse of its impedance
     y_fixed: bool            # no block that moves with the ratios lands in Y
-    y_lu: list = field(default_factory=list, repr=False)   # Y's factorization, when y_fixed
 
 
 def build_stamps(model: FeederModel) -> StampSet:

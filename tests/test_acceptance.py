@@ -14,6 +14,7 @@ import tapflow as tf
 
 from conftest import chain_model, lp_columns
 from lp_oracle import enumerate_lp, random_lp
+import stamps_reference
 
 
 @contextmanager
@@ -184,7 +185,7 @@ def test_criterion_9_roundtrip_and_relaxation(ieee13, tiny3):
             lp, varmap = tf.build_lp(model, const, cfg)
             sol, _ = tf.solve_lp_lexicographic(lp, varmap)
             assert sol.status == "optimal"
-            idx = tf.tree_index(model)
+            idx = stamps_reference.tree_index(model)
             _, flow, _ = lp_columns(model, varmap)
             for svx, sv in enumerate(model.svrs):
                 child = idx.children[sv.to_bus][0]

@@ -1,12 +1,17 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import tapflow as tf
 from tapflow import opts
@@ -265,9 +270,13 @@ def test_every_flag_is_read_by_its_subcommand():
     ({"v_min_verify": 1.2, "v_max_verify": 0.8}, [], "v_min_verify"),
     ({"v_min_verify": 0.0}, [], "v_min_verify"),
     ({"v_min": 1.2}, [], "v_min"),
+    ({"v_max": 1e308}, [], "v_max"),
+    ({}, ["--vmax", "1e200"], "v_max"),
+    ({"v_max": float("inf")}, [], "v_max"),
 ], ids=["string-band", "fractional-iter", "bool-tol", "typo", "removed-key", "nan-tol",
         "zero-tol", "nan-verify-band", "nan-tol-flag", "inverted-verify-band",
-        "zero-verify-floor", "inverted-lp-band"])
+        "zero-verify-floor", "inverted-lp-band", "huge-lp-band", "huge-vmax-flag",
+        "infinite-lp-band"])
 def test_bad_feeder_config_exit_1(tmp_path, capsys, config, flags, key):
     doc = json.loads((FIXTURES / "tiny3.json").read_text())
     doc["config"].update(config)
@@ -275,6 +284,53 @@ def test_bad_feeder_config_exit_1(tmp_path, capsys, config, flags, key):
     feeder.write_text(json.dumps(doc))
     assert run(["opts", "--feeder", str(feeder)] + flags) == 1
     assert repr(key) in capsys.readouterr().err
+
+
+def test_opts_rejects_a_lower_bound_with_an_infinite_gap(capsys):
+    """A bound of 1e-310 is positive and finite, but the gap over it is not,
+    and the JSON report cannot carry an infinite gap."""
+    assert run(["opts", "--feeder", TINY3, "--lower-bound", "1e-310", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "gap over lower bound 1e-310 is not finite" in err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+EXTREMES = st.sampled_from([0.0, 5e-324, 1e-310, 1e200, 1e308, math.inf, -math.inf, math.nan,
+                            -1.0, -1e200])
+BAND_KEYS = ("v_min", "v_max", "v_min_verify", "v_max_verify", "zbus_tol")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=st.dictionaries(st.sampled_from((*BAND_KEYS, "step", "lower_bound")), EXTREMES,
+                             max_size=3))
+@example(drawn={"v_max": 1e200})
+@example(drawn={"step": 1e200})
+@example(drawn={"lower_bound": 1e-310})
+def test_opts_exits_through_its_codes_on_extreme_numbers(tmp_path_factory, drawn):
+    """On tiny3 with extreme floats in up to three of the band keys,
+    ``zbus_tol``, the regulator's step and ``--lower-bound``, ``opts``
+    returns an exit code of 0-3 without raising, and on exit 0 prints
+    strict JSON. The examples are the inputs that once escaped as an
+    ``OverflowError`` or printed ``Infinity``."""
+    doc = json.loads((FIXTURES / "tiny3.json").read_text())
+    doc["config"].update((key, drawn[key]) for key in BAND_KEYS if key in drawn)
+    if "step" in drawn:
+        doc["svrs"][0]["step"] = drawn["step"]
+    feeder = tmp_path_factory.getbasetemp() / "extreme-tiny3.json"
+    feeder.write_text(json.dumps(doc))
+    argv = ["opts", "--feeder", str(feeder), "--format", "json"]
+    if "lower_bound" in drawn:
+        argv += ["--lower-bound", repr(drawn["lower_bound"])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 def test_help_exits_0(capsys):

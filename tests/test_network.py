@@ -7,6 +7,7 @@ import tapflow as tf
 from tapflow.network import canonical_phases
 
 from conftest import FIXTURES, bench_feeders, chain_model
+import stamps_reference
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +220,9 @@ def test_parse_names_each_structure_error(edit, match):
     ({"step": True}, {}, tf.FeederFormatError, "'step' must be a number"),
     ({"step": float("nan")}, {}, tf.ModelValidationError, "step must be positive and finite"),
     ({"step": float("inf")}, {}, tf.ModelValidationError, "step must be positive and finite"),
+    ({"step": 1e200}, {}, tf.ModelValidationError, r"ratio range \(.*\) must have finite squares"),
     ({}, {"is_slack": "false"}, tf.FeederFormatError, "'is_slack' must be a boolean"),
-], ids=["fractional-tap", "bool-step", "nan-step", "inf-step", "string-slack"])
+], ids=["fractional-tap", "bool-step", "nan-step", "inf-step", "huge-step", "string-slack"])
 def test_parse_types_regulator_and_slack_fields(svr, bus, error, match):
     doc = json.loads((FIXTURES / "tiny3.json").read_text())
     doc["svrs"][0].update(svr)
@@ -359,6 +361,8 @@ RULE_EDITS = {
     "line-diagonal": ("line-diagonal", "diagonal entry is zero", lambda m: dataclasses.replace(
         m, lines=(dataclasses.replace(m.lines[0], z=tf.PhaseMatrix("a", [[0.0]])),))),
     "svr-bounds": ("svr-bounds", "must contain 0", lambda m: _with_svr(m, tap_min=1)),
+    "svr-ratio-square": ("svr-bounds", "must have finite squares",
+                         lambda m: _with_svr(m, step=1e200)),
     "svr-mask": ("svr-mask", "not present at both endpoints",
                  lambda m: _with_svr(m, phases=("a", "b"))),
     "slack-incoming": ("not-a-tree", "slack bus has an incoming edge",
@@ -388,8 +392,8 @@ def test_validate_rule_reached(tiny3, case):
 
 
 def test_every_valid_model_has_unique_root_path(ieee13):
-    idx = tf.tree_index(ieee13)
-    assert idx.root == ieee13.slack.id
+    idx = stamps_reference.tree_index(ieee13)
+    assert idx.root == tf.tree_index(ieee13).root == ieee13.slack.id
     non_slack = [b.id for b in ieee13.buses if not b.is_slack]
     for bid in non_slack:
         # Walk to the root; must terminate without revisiting.

@@ -12,6 +12,7 @@ from tapflow.errors import PipelineError
 
 from conftest import PARITY_FEEDERS, bench_feeders, cascade_model, chain_model, lp_columns
 from lp_reference import pin_row_lexicographic
+import stamps_reference
 from sweep_reference import loop_brute_force
 
 
@@ -190,7 +191,7 @@ def test_svr_power_balance_in_lp_solution(ieee13):
     (lp, varmap), cfg = build(ieee13)
     sol, _ = tf.solve_lp_lexicographic(lp, varmap)
     assert sol.status == "optimal"
-    idx = tf.tree_index(ieee13)
+    idx = stamps_reference.tree_index(ieee13)
     _, flow, _ = lp_columns(ieee13, varmap)
     for svx, sv in enumerate(ieee13.svrs):
         child = idx.children[sv.to_bus][0]
@@ -363,6 +364,8 @@ def test_optimality_gap_paper_values():
     assert tf.optimality_gap(0.4176, 0.4184) < 0.0    # inconsistent bound passes through
     with pytest.raises(ValueError):
         tf.optimality_gap(1.0, 0.0)
+    with pytest.raises(ValueError, match="not finite"):
+        tf.optimality_gap(0.7, 1e-310)       # the gap overflows to inf
 
 
 def test_report_serialization(tiny3):
@@ -377,6 +380,8 @@ def test_report_serialization(tiny3):
     taps_csv = report.taps_csv()
     assert taps_csv.splitlines()[0] == "svr,phases,taps"
     assert taps_csv.splitlines()[1].startswith("sub->reg,a,")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dataclasses.replace(report, unbalance=math.nan).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +468,8 @@ def test_bruteforce_shared_stamps_match_fresh_solves(request, name):
 
 
 def test_bruteforce_blocks_change_no_result(monkeypatch, ieee13):
-    """Blocks of 7 combinations give the sweep's result and still factor Y once."""
+    """Blocks of 7 combinations give the sweep's result, with one
+    factorization of Y per block: 18 blocks over 125 combinations."""
     model = _windowed(ieee13, -2, 2)
     cfg = tf.config_from_model(model)
     want = tf.brute_force(model, cfg)
@@ -476,7 +482,7 @@ def test_bruteforce_blocks_change_no_result(monkeypatch, ieee13):
     monkeypatch.setattr(opts, "_SWEEP_BLOCK", 7)
     monkeypatch.setattr(zbus, "splu", counting)
     got = tf.brute_force(model, cfg)
-    assert len(calls) == 1 and got.evaluated == 125
+    assert len(calls) == 18 and got.evaluated == 125
     assert (got.taps, got.objective.hex(), got.feasible_count) == \
         (want.taps, want.objective.hex(), want.feasible_count)
 

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tapflow as tf
+from tapflow.network import TreeIndex
 from tapflow.ybus import build_stamps
 
 import stamps_reference
@@ -470,7 +471,7 @@ def test_secondaries_are_recovery_bits_to_the_sign_of_zero(kind):
 
 def _edge_import_by_line(solution, model):
     """``import_objective_edges`` inverting each head line's impedance itself
-    and finding each regulator's line through ``tree_index``."""
+    and finding each regulator's line through the reference tree index."""
     slack_id = model.slack.id
     total = 0.0
     for ln in model.lines:
@@ -481,7 +482,7 @@ def _edge_import_by_line(solution, model):
         vm = np.array([solution.voltages[ln.to_bus][p] for p in ph])
         i_edge = np.linalg.inv(ln.z.array) @ (vn - vm)
         total += float(np.sum((vn * np.conj(i_edge)).real))
-    children = tf.tree_index(model).children
+    children = stamps_reference.tree_index(model).children
     for svx, sv in enumerate(model.svrs):
         if sv.from_bus != slack_id:
             continue
@@ -575,8 +576,7 @@ def test_y_fixed_exactly_when_the_ratios_leave_y_alone(name, request):
 @pytest.mark.parametrize("name", ["ieee13", "cascade"])
 def test_written_system_changes_no_later_assembly_or_solve(name, request):
     """Writing into a returned system's values and patterns changes neither
-    the next assembly on its stamp set nor later solves, which reuse the
-    factorization of Y where the stamp set keeps one."""
+    the next assembly on its stamp set nor later solves on it."""
     model = PARITY_FEEDERS[name](request)
     sets = _ratio_sets(model)
     stamps = build_stamps(model)
@@ -592,35 +592,11 @@ def test_written_system_changes_no_later_assembly_or_solve(name, request):
                 m.data[:] = np.nan
                 m.indices[:] = -1
                 m.indptr[:] = -1
-    assert len(stamps.y_lu) == stamps.y_fixed
-
-
-def _edge_fields(e):
-    return (e.kind, e.index, e.from_bus, e.to_bus, e.phases, e.key())
 
 
 def _assert_same_bytes(a, b, what):
     a, b = np.asarray(a), np.asarray(b)
     assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), what
-
-
-_TREE_MAPS = ("edges", "children", "order", "parent")
-
-
-def _assert_tree_parity(model):
-    """``tree_index`` builds no map until one is read, and each map, read in
-    any order, equals the eagerly built reference's: keys, order and edges."""
-    ref = stamps_reference.tree_index(model)
-    for first in _TREE_MAPS:
-        tree = tf.tree_index(model)
-        assert tree.root == ref.root and not set(_TREE_MAPS) & set(vars(tree))
-        getattr(tree, first)
-        assert tree.order == ref.order
-        assert list(map(_edge_fields, tree.edges)) == list(map(_edge_fields, ref.edges))
-        assert [(b, _edge_fields(e)) for b, e in tree.parent.items()] == \
-            [(b, _edge_fields(e)) for b, e in ref.parent.items()]
-        assert [(b, list(map(_edge_fields, es))) for b, es in tree.children.items()] == \
-            [(b, list(map(_edge_fields, es))) for b, es in ref.children.items()]
 
 
 def _reversed_buses(model):
@@ -630,21 +606,8 @@ def _reversed_buses(model):
     return out
 
 
-TREE_FEEDERS = {
-    "ieee13": lambda request: request.getfixturevalue("ieee13"),
-    "tiny3": lambda request: request.getfixturevalue("tiny3"),
-    "generated": lambda _: bench_feeders().generate_feeder(7, 120),
-    "generated-reversed": lambda _: _reversed_buses(bench_feeders().generate_feeder(7, 120)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(TREE_FEEDERS))
-def test_tree_index_builds_its_maps_on_first_read(name, request):
-    _assert_tree_parity(TREE_FEEDERS[name](request))
-
-
 def test_stamp_set_reads_no_tree_map(monkeypatch, ieee13):
-    """A stamp set reads only the tree index's root: no edge is built."""
+    """A stamp set calls ``tree_index`` once and gets only the root."""
     built = []
 
     def keeping(model):
@@ -653,12 +616,12 @@ def test_stamp_set_reads_no_tree_map(monkeypatch, ieee13):
 
     monkeypatch.setattr(tf.ybus, "tree_index", keeping)
     build_stamps(ieee13)
-    assert len(built) == 1 and not set(_TREE_MAPS) & set(vars(built[0]))
+    assert built == [TreeIndex(root="650")]
 
 
 def _assert_stamp_parity(model):
     """``build_stamps`` gives the reference build's stamp set field by field
-    and bit for bit, ``tree_index`` gives its fields, and assembly on the
+    and bit for bit, ``tree_index`` gives its root, and assembly on the
     stamp set gives the per-entry loop's matrices at two ratio sets."""
     got, want = build_stamps(model), stamps_reference.build_stamps(model)
     for name in ("values", "moving", "first", "v_flat", "v_slack", "loads"):
@@ -687,7 +650,7 @@ def _assert_stamp_parity(model):
     _assert_same_bytes(layout.load, ref_layout.load, "load")
     assert (layout.bus_of, layout.svr_lines) == (ref_layout.bus_of, ref_layout.svr_lines)
     _assert_same_bytes(layout.slack, [b.is_slack for b in model.buses], "slack")
-    _assert_tree_parity(model)
+    assert tf.tree_index(model) == TreeIndex(root=stamps_reference.tree_index(model).root)
 
     sets = _ratio_sets(model)
     for key in ("zero", "random"):

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from tapflow.network import FeederModel, tree_index
+from tapflow.network import FeederModel
 from tapflow.ybus import _inv
+
+from stamps_reference import tree_index
 
 
 @dataclass(frozen=True)
