@@ -38,6 +38,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import PipelineError
 from .network import PHASES, FeederModel, PhaseVector
+from .simplex import _csc_columns
 from .ybus import Layout, _ratio_row, build_layout
 from .zbus import PowerFlowSolution, _require_converged
 
@@ -242,13 +243,22 @@ def eliminate(system: LinearSystem, stage: str) -> tuple[np.ndarray, np.ndarray]
 
     Raises ``PipelineError`` tagged ``stage`` when those columns are singular.
     """
-    n = system.A.shape[1]
+    A, (m, n) = system.A, system.A.shape
     theta = system.slack_cols[:, 1]
     keep = np.ones(n, dtype=bool)
     keep[theta] = False
-    rhs = np.column_stack([system.b, -system.A[:, theta].toarray()])
+    # Both column selections read A's arrays. ``linear_system`` drops zero
+    # entries, so A stores no -0.0 and -A's dense columns are -0.0 elsewhere,
+    # as negating ``toarray`` gives.
+    pos, counts = _csc_columns(A, theta)
+    rhs = np.full((m, 1 + len(theta)), -0.0)
+    rhs[:, 0] = system.b
+    rhs[A.indices[pos], 1 + np.repeat(np.arange(len(theta)), counts)] = -A.data[pos]
+    pos, counts = _csc_columns(A, np.flatnonzero(keep))
+    square = sp.csc_matrix((A.data[pos], A.indices[pos], np.concatenate([[0], np.cumsum(counts)])),
+                           shape=(m, n - len(theta)))
     try:
-        sol = splu(system.A[:, keep].tocsc()).solve(rhs)
+        sol = splu(square).solve(rhs)
     except RuntimeError as exc:
         raise PipelineError(stage, f"linear system is singular: {exc}") from None
     x0 = np.zeros(n)

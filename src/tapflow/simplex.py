@@ -71,6 +71,15 @@ class SparseLp:
             raise ValueError("A has an empty row")
 
 
+def _csc_columns(a: sp.csc_matrix, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of columns ``cols`` of the CSC matrix ``a``, read straight
+    from its arrays in ``cols``' order: their positions in ``a.indices`` and
+    ``a.data``, and each column's count."""
+    starts = a.indptr[cols]
+    counts = a.indptr[cols + 1] - starts
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum()), counts
+
+
 @dataclass
 class LpSolution:
     status: str                       # optimal | infeasible | unbounded | iteration_limit
@@ -130,7 +139,10 @@ class _Tableau:
     # -- basis maintenance -------------------------------------------------
 
     def refactor(self) -> bool:
-        bmat = self.A[:, self.basis].toarray()
+        pos, counts = _csc_columns(self.A, self.basis)
+        bmat = np.zeros((self.m, self.m))
+        # 0.0 + x, as ``toarray`` sums into zeros: a stored -0.0 reads 0.0.
+        bmat[self.A.indices[pos], np.repeat(np.arange(self.m), counts)] = self.A.data[pos] + 0.0
         try:
             self.binv = np.linalg.inv(bmat)
         except np.linalg.LinAlgError:

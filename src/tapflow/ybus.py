@@ -22,15 +22,16 @@ per feeder: the layout, the slack voltages, loads and flat start over the
 retained rows, each regulator secondary's coordinates, the primary's and
 its ratio column, the checked inverses of the line impedances (padded per
 line as the impedances), one list of stamped entries in stamp order
-(lines, then regulators, then shunts, each block row-major), and the final
-CSC pattern of Y, Y_NS and Y_S. Each regulator owns one slice of the entry
-list. The list is placed with numpy: an item's entries start at an offset
-fixed by the block sizes before it (4 s x s blocks per line or regulator,
-one per shunt, s its phase count), and one broadcast per phase count fills
-the rows, columns and values of its plain lines and regulator lines
-together, each line's kind choosing its blocks' endpoints and signs. The
-coordinates come from the layout; the (bus, phase) tuples that name them
-and each retained bus's rows are built only when read.
+(lines, then regulators, then shunts, each block row-major), and where
+each nonzero entry lands: its row and column in one matrix holding Y, Y_NS
+and Y_S block-diagonally. Each regulator owns one slice of the entry list.
+The list is placed with numpy: an item's entries start at an offset fixed
+by the block sizes before it (4 s x s blocks per line or regulator, one
+per shunt, s its phase count), and one broadcast per phase count fills the
+rows, columns and values of its plain lines and regulator lines together,
+each line's kind choosing its blocks' endpoints and signs. The coordinates
+come from the layout; the (bus, phase) tuples that name them and each
+retained bus's rows are built only when read.
 
 Below the public API a set of ratios is a row, one float per regulator
 phase: regulators in model order, each one's phases in its own order.
@@ -38,13 +39,13 @@ phase: regulators in model order, each one's phases in its own order.
 (building a stamp set if given none) for ``assemble_block``, which takes m
 rows, checks once that every ratio is finite and nonzero, and computes
 only the regulator blocks G zinv G, -G zinv and -zinv G (G the diagonal
-gain) at each row, elementwise as (g_i zinv_ij) g_j and so on. It reads
-them in place of their entries and scatters the list into the fixed
-patterns. Each matrix is a shallow copy of a template built and checked
-once, given the new values and copies of the pattern, so scipy does not
-check the pattern again. With m > 1 the scatter also runs on (entries, m)
-arrays, and Y_NS and Y_S come back block-diagonal, one block per row, so
-that one sparse product applies every row's blocks at its own bits.
+gain) at each row, elementwise as (g_i zinv_ij) g_j and so on. It writes
+them in place of their entries and converts the nonzero entries once, with
+one ``coo_matrix(...).tocsc()`` of the block-diagonal matrix, which it
+splits into Y, Y_NS and Y_S by column ranges. With m > 1 that one matrix
+holds Y at the first row and then Y_NS and Y_S block-diagonal, one block
+per row, so that one sparse product applies every row's blocks at its own
+bits.
 
 ``build_stamps`` also decides whether Y depends on the ratios at all. The
 first three regulator blocks move with them; when every one that is
@@ -53,22 +54,21 @@ as on IEEE-13), Y's values are the same bits at every ratio
 (``StampSet.y_fixed``), so a block of ratio rows can share one
 factorization of Y (``zbus.solve_block``).
 
-The pattern does not depend on the ratios: a regulator block is a diagonal
-rescaling of its line's ``zinv``, so at any finite nonzero ratio it is
-exactly zero where ``zinv`` is. Exact zeros are not stored. The bits of a
-stored value depend on the order in which its duplicate entries are summed.
-scipy's ``coo_matrix.tocsc`` sorts each column with an unstable sort and
-then sums left to right. ``build_stamps`` lets scipy sort the entry
-positions once, in one marker matrix holding Y, Y_NS and Y_S
-block-diagonally, and keeps that order, so the matrices are bit-identical
-to ``coo_matrix(...).tocsc()`` of the entries in stamp order, whether or not
-the stamp set was reused.
+The nonzero entries do not depend on the ratios: a regulator block is a
+diagonal rescaling of its line's ``zinv``, so at any finite nonzero ratio
+it is exactly zero where ``zinv`` is. Exact zeros are not stored. The bits
+of a stored value depend on the order in which its duplicate entries are
+summed, and scipy sums them itself: ``tocsc`` sorts each column with an
+unstable sort and then sums left to right. A column of the block-diagonal
+matrix holds one matrix's entries, rows shifted by a constant, in stamp
+order, so it sorts and sums as that matrix's own conversion would, and the
+matrices are bit-identical to ``coo_matrix(...).tocsc()`` of their entries
+in stamp order.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, count
@@ -230,10 +230,9 @@ class StampSet:
     holds ``zinv`` four times, the zero pattern of its blocks. The first
     three blocks move with the ratios: ``moving`` numbers their entries in
     stamp order, and ``assemble`` reads those from the blocks it computes.
-    The stored values of Y, Y_NS and Y_S, concatenated, are the entries at
-    ``first`` plus, for each ``(slots, take)`` of ``further`` in turn, the
-    entries at ``take`` added at ``slots``. ``templates`` holds each matrix
-    with its checked CSC pattern; ``assemble`` copies it and sets the data.
+    ``routes`` places each nonzero entry, in stamp order, in one matrix
+    holding Y, Y_NS and Y_S block-diagonally (``shapes``), each shifted past
+    the ones before it; ``assemble`` converts that matrix once.
     """
 
     full_of: tuple           # positions in full_coords of coords and of slack_coords
@@ -244,9 +243,8 @@ class StampSet:
     v_flat: np.ndarray       # flat start: the slack voltage of each row's phase
     values: np.ndarray
     moving: np.ndarray       # per entry: its row among the regulators' moving blocks, or -1
-    first: np.ndarray        # per stored value: position of its first summand
-    further: tuple           # per further summand rank: (slots, positions)
-    templates: tuple         # Y, Y_NS, Y_S with their fixed patterns
+    routes: tuple            # (positions, rows, columns) of the nonzero entries
+    shapes: tuple            # Y's, Y_NS's and Y_S's
     regulators: tuple
     layout: Layout
     zinv: np.ndarray         # (L, 3, 3) per model line: its checked inverse, as ``layout.z``
@@ -400,11 +398,11 @@ def build_stamps(model: FeederModel) -> StampSet:
     for r in regulators:
         moves[r.entries.start:r.entries.stop - r.zinv.size] = True
     y_fixed = not (~to_s & ~to_ns & keep & moves).any()
-    first, further, templates = _scatter_plan(
-        np.flatnonzero(keep),
-        np.where(to_s, 2 * n + slack_of[rows], retained_of[rows] + n * to_ns)[keep],
-        np.where(to_s, n + ns + cols, np.where(to_ns, n + slack_of[cols], retained_of[cols]))[keep],
-        ((n, n), (n, ns), (ns, nf)))
+    # As int32, scipy's index type for these matrices, so that a conversion
+    # neither scans them for their index type nor copies them.
+    frame_rows = np.where(to_s, 2 * n + slack_of[rows], retained_of[rows] + n * to_ns)
+    frame_cols = np.where(to_s, n + ns + cols, np.where(to_ns, n + slack_of[cols], retained_of[cols]))
+    routes = (np.flatnonzero(keep), frame_rows[keep].astype(np.int32), frame_cols[keep].astype(np.int32))
 
     # Each regulator secondary's phases: its full coordinate, the primary's,
     # the ratio column and the kind.
@@ -420,7 +418,7 @@ def build_stamps(model: FeederModel) -> StampSet:
                     v_slack=v_source[phase_of[is_slack]], loads=layout.load[kept][at[kept] >= 0],
                     v_flat=v_source[phase_of[is_retained]],
                     values=values, moving=np.where(moves, np.cumsum(moves) - 1, -1),
-                    first=first, further=further, templates=templates,
+                    routes=routes, shapes=((n, n), (n, ns), (ns, nf)),
                     regulators=regulators, layout=layout, zinv=zinv,
                     secondaries=(sec[:, 0], sec[:, 1], sec[:, 2], sec[:, 3:] == 1),
                     y_fixed=y_fixed)
@@ -434,61 +432,6 @@ def _place(rows, cols, values, starts, r, c, v):
     rows[slots] = r[..., None]
     cols[slots] = c[:, :, None, :]
     values[slots] = v
-
-
-def _scatter_plan(take, rows, cols, shapes):
-    """How entries of the stamp list sum into the CSC matrices that
-    ``coo_matrix.tocsc`` builds from them. The entries ``take`` sit at
-    ``rows`` and ``cols`` of the matrices of ``shapes`` placed
-    block-diagonally, each shifted past the ones before it.
-
-    Returns ``StampSet``'s ``first``, ``further`` and ``templates``.
-    """
-    # tocsc groups a matrix's entries by column, keeping their order, then
-    # sorts each column with libstdc++'s std::sort, which is not stable for
-    # more than 16 entries, and sums each run of equal rows left to right.
-    # The sort permutes by the row indices alone, so a marker matrix holding
-    # the positions ``take`` is sorted exactly like the values. Flagging its
-    # COO form canonical makes tocsc keep the duplicates unsummed. A column
-    # of the block-diagonal marker holds one matrix's rows, shifted by a
-    # constant, in that matrix's order, so it sorts as that matrix's would.
-    r0, c0 = (np.cumsum([0, *dims]).tolist() for dims in zip(*shapes))
-    coo = sp.coo_matrix((take, (rows, cols)), shape=(r0[-1], c0[-1]))
-    coo.has_canonical_format = True
-    marker = coo.tocsc()
-    if marker.nnz != coo.nnz:
-        raise RuntimeError("scipy summed the entries of a marker matrix")
-    marker.sort_indices()
-
-    # The sorted entries; an entry opens a new slot (a stored value) when it
-    # starts a column or changes the row.
-    take, rows, indptr = marker.data, marker.indices, marker.indptr
-    k = len(rows)
-    new = np.zeros(k + 1, dtype=bool)
-    new[1:k] = rows[1:] != rows[:-1]
-    new[indptr] = True
-    new = new[:k]
-    opened = np.concatenate(([0], np.cumsum(new)))      # slots opened before each entry
-
-    # A slot's r-th further summand sits r entries after its first; rank r's
-    # entries, in slot order, are those r after the last opening entry.
-    # Ranks are small (a stored value sums a few stamps), so each is one selection.
-    slot = opened[1:] - 1
-    rank = np.arange(k) - np.flatnonzero(new)[slot]
-    further = [(slot[sel], take[sel]) for sel in
-               (np.flatnonzero(rank == r) for r in range(1, int(rank.max(initial=0)) + 1))]
-    templates = []
-    for (n_rows, n_cols), r, c in zip(shapes, r0, c0):
-        ptr = indptr[c:c + n_cols + 1]
-        block = slice(ptr[0], ptr[-1])
-        indices = rows[block][new[block]] - r
-        # Zeros as one broadcast value: a template's data is never read.
-        t = sp.csc_matrix((np.broadcast_to(0j, len(indices)), indices,
-                           (opened[ptr] - opened[ptr[0]]).astype(indptr.dtype)),
-                          shape=(n_rows, n_cols))
-        t.has_canonical_format = True
-        templates.append(t)
-    return take[new], tuple(further), tuple(templates)
 
 
 def _regulator_blocks(reg: _RegulatorStamp, a: np.ndarray) -> np.ndarray:
@@ -505,35 +448,6 @@ def _regulator_blocks(reg: _RegulatorStamp, a: np.ndarray) -> np.ndarray:
     gz = g[:, :, None] * reg.zinv
     blocks = np.concatenate([gz * g[:, None, :], -gz, -(reg.zinv * g[:, None, :])], axis=1)
     return blocks.reshape(len(a), -1).T
-
-
-def _stored_values(stamps: StampSet, read, rows: slice | None = None) -> np.ndarray:
-    """The stored values of Y, Y_NS and Y_S, concatenated, or ``rows`` of
-    them. ``read(positions)`` gives the entries at those positions of the
-    entry list: a vector for one ratio row, (positions, m) for m rows."""
-    # Sum duplicates left to right in scipy's order; see ``_scatter_plan``.
-    rows = rows or slice(0, len(stamps.first))
-    data = read(stamps.first[rows])
-    for slots, take in stamps.further:
-        if rows.start or rows.stop < len(stamps.first):
-            inside = (rows.start <= slots) & (slots < rows.stop)
-            slots, take = slots[inside] - rows.start, take[inside]
-        data[slots] += read(take)
-    return data
-
-
-def _read_moved(stamps: StampSet, moved: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """The entries at ``pos`` at each of m ratio rows: a moving entry's row
-    of ``moved`` (the stacked regulator blocks, then a zero row), else the
-    fixed value."""
-    k = stamps.moving[pos]
-    return np.where(k[:, None] >= 0, moved[k], stamps.values[pos][:, None])
-
-
-def _slots(stamps: StampSet) -> list:
-    """Each template's rows of the stored values: Y's, Y_NS's and Y_S's."""
-    stops = list(accumulate(len(t.indices) for t in stamps.templates))
-    return list(map(slice, [0, *stops], stops))
 
 
 def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> AdmittanceSystem:
@@ -559,7 +473,8 @@ def assemble_block(stamps: StampSet, ratios: np.ndarray) -> AdmittanceSystem:
     row's blocks at the bits of a single row's; Y is the first row's, and the
     block needs ``stamps.y_fixed``.
     """
-    # The fixed CSC pattern holds only for finite nonzero gains.
+    # Only a finite nonzero gain keeps a regulator block zero exactly where
+    # its ``zinv`` is, the entries that ``routes`` holds.
     ok = np.isfinite(ratios) & (ratios != 0.0)
     if not ok.all():
         j = int(np.argmin(ok.all(axis=1)))
@@ -575,34 +490,47 @@ def assemble_block(stamps: StampSet, ratios: np.ndarray) -> AdmittanceSystem:
                             np.zeros((1, m))])
     values = stamps.values.copy()
     values[stamps.moving >= 0] = moved[:-1, 0]
-    data = _stored_values(stamps, values.__getitem__)
-    slots = _slots(stamps)
-    blocks = [_with_data(t, data[rows]) for t, rows in zip(stamps.templates, slots)]
-    if m > 1:      # only the entries that a stored value sums are gathered for all rows
-        blocks[1:] = [_tiled(t, _stored_values(
-            stamps, lambda pos: _read_moved(stamps, moved, pos), rows))
-            for t, rows in zip(stamps.templates[1:], slots[1:])]
-    Y, Y_NS, Y_S = blocks
+    take, rows, cols = stamps.routes
+    data, shapes = values[take], stamps.shapes
+    if m > 1:
+        # Y at the first row; Y_NS's and Y_S's entries at every row j, shifted
+        # into block j of their block-diagonal matrices.
+        (n, _), (_, ns), (_, nf) = shapes
+        y = rows < n
+        k = stamps.moving[take[~y]]
+        tiled = np.where(k >= 0, moved[k].T, data[~y])                      # (m, entries)
+        to_s, j = rows[~y] >= 2 * n, np.arange(m)[:, None]
+        data = np.concatenate([data[y], tiled.ravel()])
+        rows = np.concatenate([rows[y], (rows[~y] + np.where(to_s, (m - 1) * n + j * ns, j * n)).ravel()])
+        cols = np.concatenate([cols[y], (cols[~y] + np.where(to_s, (m - 1) * ns + j * nf, j * ns)).ravel()])
+        shapes = ((n, n), (m * n, m * ns), (m * ns, m * nf))
+    Y, Y_NS, Y_S = _converted(data, rows, cols, shapes)
     return AdmittanceSystem(Y=Y, Y_NS=Y_NS, Y_S=Y_S, ratios=ratios, stamps=stamps)
 
 
-def _with_data(t: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
-    """Template ``t`` holding ``data``. The template's pattern was checked
-    once; scipy's constructor would check it again. Copies of it, so a
-    caller cannot write into the stamp set."""
-    m = copy.copy(t)
-    m.data, m.indices, m.indptr = data, t.indices.copy(), t.indptr.copy()
-    return m
+def _converted(data, rows, cols, shapes) -> list:
+    """``coo_matrix(...).tocsc()`` of the entries ``data`` at ``rows`` and
+    ``cols`` of the matrices of ``shapes`` placed block-diagonally, each
+    shifted past the ones before it, split into those matrices.
 
-
-def _tiled(t: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
-    """Template ``t``'s pattern repeated block-diagonally, block j holding
-    column j of ``data`` (stored values, m)."""
-    nnz, m = data.shape
-    steps = np.arange(m)[:, None]
-    return sp.csc_matrix((data.T.ravel(), (t.indices + t.shape[0] * steps).ravel(),
-                          np.append((t.indptr[:-1] + nnz * steps).ravel(), m * nnz)),
-                         shape=(m * t.shape[0], m * t.shape[1]))
+    tocsc sorts and sums each column on its own, and a column of the
+    block-diagonal matrix holds one matrix's entries, rows shifted by a
+    constant, in their order, so each matrix gets the bytes and flags of
+    converting its own entries.
+    """
+    r0, c0 = (list(accumulate(dims, initial=0)) for dims in zip(*shapes))
+    whole = sp.coo_matrix((data, (rows, cols)), shape=(r0[-1], c0[-1])).tocsc()
+    out = []
+    for shape, r, c, c1 in zip(shapes, r0, c0, c0[1:]):
+        ptr = whole.indptr[c:c1 + 1]
+        block = slice(ptr[0], ptr[-1])
+        # A copy of the checked, canonical whole with a column range of its
+        # arrays: scipy's constructor would check them again.
+        part = copy.copy(whole)
+        part.data, part.indices, part.indptr = whole.data[block], whole.indices[block] - r, ptr - ptr[0]
+        part._shape = shape
+        out.append(part)
+    return out
 
 
 def recover_svr_secondary(model: FeederModel, ratios, voltages: dict) -> dict:

@@ -7,11 +7,10 @@ Kirchhoff current residual, so every converged solution carries an
 independent physics certificate. The loads, slack voltages, flat start
 and the line inverses come from the feeder's stamp set
 (``ybus.StampSet``) and its layout, built once per feeder, so a solve or a
-metric rebuilds none of them. The stamp set also fixes the CSC pattern of Y
-and scipy's order of summing its duplicate entries, captured once, so a
-solve at new taps only recomputes the regulator blocks and scatters them.
-Each solve, or each block of tap sets, factors Y once; the stamp set keeps
-no factorization.
+metric rebuilds none of them. The stamp set also places every stamped
+entry, so a solve at new taps only recomputes the regulator blocks and
+lets scipy convert the entries once. Each solve, or each block of tap
+sets, factors Y once; the stamp set keeps no factorization.
 
 The iteration is one kernel over an (n, m) block of columns, with one
 multi-column LU solve per step, each column stopping on its own
@@ -196,7 +195,7 @@ def _full_voltages(stamps: StampSet, v: np.ndarray, r: np.ndarray) -> np.ndarray
     the ratio. A part that overflows is left infinite, with no warning."""
     sec_at, prim_at, _, type_b = stamps.secondaries
     retained_at, slack_at = stamps.full_of
-    full = np.empty((v.shape[1], stamps.templates[2].shape[1]), dtype=complex)
+    full = np.empty((v.shape[1], stamps.shapes[2][1]), dtype=complex)
     full[:, slack_at] = stamps.v_slack
     full[:, retained_at] = v.T
     a = full[:, prim_at].T

@@ -7,7 +7,11 @@ the stamps in one broadcast per (kind, phase set), converts three marker
 matrices in ``_scatter_plan`` and finds each regulator's outgoing line with
 a ``tree_index`` of frozen-dataclass edges that builds its order and parent
 map eagerly. ``ybus.build_stamps`` must give a bit-equal stamp set for the
-same model, and ``network.tree_index`` the same root. The other reference
+same model, and ``network.tree_index`` the same root. The scatter plan
+(``first``, ``further`` and ``templates``) is the one ``ybus`` kept until
+each assembly let scipy convert the entries itself; it is kept here as the
+record of that emulation, and the library's stamp set has no such fields to
+compare. The other reference
 modules walk the tree through this ``tree_index``, so they do not depend on
 the code under test.
 """

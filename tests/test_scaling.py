@@ -1,5 +1,5 @@
-"""Linear-scaling guard: the work of each pipeline stage, counted rather than
-timed, grows at most linearly with the feeder.
+"""Linear-scaling guard: the work and the memory of each pipeline stage,
+counted rather than timed, grow at most linearly with the feeder.
 
 A stage's work is the number of Python calls and lines it executes, counted
 with ``sys.settrace``: deterministic for fixed inputs and library versions,
@@ -7,10 +7,15 @@ whatever the host's speed. Lines are counted as well as calls because a scan
 inside one call, such as reading ``FeederModel.slack`` (a loop over the
 buses) once per edge, adds no call but n lines per read. Work done inside
 numpy or scipy's compiled code is not seen.
+
+A stage's memory is the peak of the memory it allocated, traced with
+``tracemalloc``, which sees numpy's arrays too: a dense n x n array adds no
+Python call or line, but 16 times the bytes from n to 4 n.
 """
 
 import dataclasses
 import sys
+import tracemalloc
 
 import pytest
 
@@ -19,8 +24,15 @@ from tapflow.ybus import build_stamps
 
 from conftest import bench_feeders
 
-N = 60          # the feeder sizes compared are N and 4 N buses
-MAX_RATIO = 4.6
+N = 60          # the work is compared at N and 4 N buses
+MAX_WORK_RATIO = 4.6
+# The memory peaks are compared at PEAK_N and 4 PEAK_N buses, where a float
+# array over bus pairs is no longer small against the linear part (at 60
+# buses it is 29 kB against build_stamps' 159 kB). Containers that grow by
+# doubling can double a peak between sizes; a dense n x n array that
+# dominates it makes it 16 times.
+PEAK_N = 240
+MAX_PEAK_RATIO = 8.0
 
 
 def _work(fn, *args):
@@ -41,33 +53,57 @@ def _work(fn, *args):
     return out, count[0]
 
 
-def _stage_work(model) -> dict:
-    """The work of each stage of a parse and a ``run_opts`` on ``model``."""
-    work = {}
+def _peak(fn, *args):
+    """``fn(*args)`` and the peak, in bytes, of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _stage_figures(model, measure) -> dict:
+    """``measure``'s figure for each stage of a parse and a ``run_opts`` on
+    ``model``."""
+    got = {}
     text = tf.serialize(model)
-    model, work["parse_feeder"] = _work(tf.parse_feeder, text)
-    _, work["validate"] = _work(tf.validate, model)
-    stamps, work["build_stamps"] = _work(build_stamps, model)
+    model, got["parse_feeder"] = measure(tf.parse_feeder, text)
+    _, got["validate"] = measure(tf.validate, model)
+    stamps, got["build_stamps"] = measure(build_stamps, model)
     base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)), stamps=stamps)
-    constants, work["constants"] = _work(tf.constants_from_solution, model, base)
-    (lp, varmap), work["build_lp"] = _work(tf.build_lp, model, constants,
-                                           tf.config_from_model(model))
-    (solution, _), work["solve_lp_lexicographic"] = _work(tf.solve_lp_lexicographic, lp, varmap)
-    ratios, work["recover_ratios"] = _work(tf.recover_ratios, solution.x, varmap, model)
-    _, work["verify_solve"] = _work(lambda: tf.solve_zbus(model, ratios, stamps=stamps))
-    return work
+    constants, got["constants"] = measure(tf.constants_from_solution, model, base)
+    (lp, varmap), got["build_lp"] = measure(tf.build_lp, model, constants,
+                                            tf.config_from_model(model))
+    (solution, _), got["solve_lp_lexicographic"] = measure(tf.solve_lp_lexicographic, lp, varmap)
+    ratios, got["recover_ratios"] = measure(tf.recover_ratios, solution.x, varmap, model)
+    _, got["verify_solve"] = measure(lambda: tf.solve_zbus(model, ratios, stamps=stamps))
+    return got
+
+
+def _stage_ratios(order, measure, n) -> dict:
+    """Per stage, ``measure``'s figure at 4 n buses over its figure at n,
+    with the slack bus listed first or last (bus list reversed)."""
+    def feeder(size):
+        model = bench_feeders().generate_feeder(5, size)
+        return model if order == "slack-first" else \
+            dataclasses.replace(model, buses=model.buses[::-1])
+
+    _stage_figures(feeder(15), measure)          # warm-up: lazy imports and caches are not counted
+    small, large = _stage_figures(feeder(n), measure), _stage_figures(feeder(4 * n), measure)
+    return {stage: large[stage] / small[stage] for stage in small}
 
 
 @pytest.mark.parametrize("order", ["slack-first", "bus-reversed"])
 def test_stage_work_grows_at_most_linearly(order):
-    """From N to 4 N buses no stage's work grows by more than 4.6 times, with
-    the slack bus listed first or last (bus list reversed)."""
-    def feeder(n):
-        model = bench_feeders().generate_feeder(5, n)
-        return model if order == "slack-first" else \
-            dataclasses.replace(model, buses=model.buses[::-1])
+    """From N to 4 N buses no stage's work grows by more than 4.6 times."""
+    ratios = _stage_ratios(order, _work, N)
+    assert max(ratios.values()) <= MAX_WORK_RATIO, ratios
 
-    _stage_work(feeder(N // 4))          # warm-up: lazy imports and caches are not counted
-    small, large = _stage_work(feeder(N)), _stage_work(feeder(4 * N))
-    ratios = {stage: large[stage] / small[stage] for stage in small}
-    assert max(ratios.values()) <= MAX_RATIO, ratios
+
+@pytest.mark.parametrize("order", ["slack-first", "bus-reversed"])
+def test_stage_memory_peak_grows_at_most_linearly(order):
+    """From PEAK_N to 4 PEAK_N buses no stage's memory peak grows by more
+    than 8 times."""
+    ratios = _stage_ratios(order, _peak, PEAK_N)
+    assert max(ratios.values()) <= MAX_PEAK_RATIO, ratios

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import tapflow as tf
 from tapflow.network import TreeIndex
-from tapflow.ybus import build_stamps
+from tapflow.ybus import _ratio_row, assemble_block, build_stamps
 
 import stamps_reference
 from conftest import PARITY_FEEDERS, bench_feeders, cascade_model, chain_model
@@ -548,17 +549,79 @@ def test_stamp_set_keeps_no_state_between_ratios():
             m.indptr[:] = -1
 
 
-def test_shared_stamp_set_builds_no_coo_matrix(monkeypatch, ieee13):
-    """With a stamp set, assembly scatters into the fixed CSC pattern and
-    converts no COO matrix."""
+def test_assembly_converts_one_coo_matrix(monkeypatch, ieee13):
+    """``build_stamps`` converts no COO matrix, an assembly converts one, and
+    a block of m ratio rows one whatever m."""
+    conversions = []
+    tocsc = sp.coo_matrix.tocsc
+
+    def counting(self, *args, **kwargs):
+        conversions.append(self.shape)
+        return tocsc(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.coo_matrix, "tocsc", counting)
     stamps = build_stamps(ieee13)
-
-    def no_coo(*args, **kwargs):
-        raise AssertionError("assemble built a COO matrix")
-
-    monkeypatch.setattr(sp, "coo_matrix", no_coo)
+    assert conversions == []
     for ratios in _ratio_sets(ieee13).values():
         tf.assemble(ieee13, ratios, stamps=stamps)
+    assert len(conversions) == len(_ratio_sets(ieee13))
+    rows = np.ones((25, sum(len(sv.phases) for sv in ieee13.svrs)))
+    for m in (1, 2, 25):
+        conversions.clear()
+        assemble_block(stamps, rows[:m])
+        assert len(conversions) == 1
+
+
+def _tap_rows(model):
+    """The ratio row of every tap combination, in ``brute_force``'s order."""
+    axes = [(svx, p, sv) for svx, sv in enumerate(model.svrs) for p in sv.phases]
+    out = []
+    for combo in itertools.product(*(range(sv.tap_min, sv.tap_max + 1) for _, _, sv in axes)):
+        taps = [{} for _ in model.svrs]
+        for (svx, p, _), t in zip(axes, combo):
+            taps[svx][p] = t
+        out.append(_ratio_row(model.svrs, tf.taps_to_ratios(model, taps)))
+    return np.array(out)
+
+
+def _diagonal_block(a, j, shape):
+    """Block j of the block-diagonal CSC matrix ``a``, of blocks of
+    ``shape``: its indptr, indices and data."""
+    (n_rows, n_cols) = shape
+    ptr = a.indptr[j * n_cols:(j + 1) * n_cols + 1]
+    indices = a.indices[ptr[0]:ptr[-1]] - j * n_rows
+    assert ((0 <= indices) & (indices < n_rows)).all(), "an entry off the diagonal block"
+    return ptr - ptr[0], indices, a.data[ptr[0]:ptr[-1]]
+
+
+@pytest.mark.parametrize("case", ["tiny3", "ieee13"])
+def test_block_equals_single_assemblies(case, request):
+    """``assemble_block`` on every tap combination (tiny3's 33 taps, IEEE-13
+    windowed to taps -2..2) gives row 0's Y, and in Y_NS and Y_S, one
+    diagonal block per row j with the bytes of ``assemble`` at row j; both
+    block matrices are canonical, as a single assembly's are."""
+    model = request.getfixturevalue(case)
+    if case == "ieee13":
+        model = dataclasses.replace(model, svrs=tuple(
+            dataclasses.replace(sv, tap_min=-2, tap_max=2) for sv in model.svrs))
+    stamps = build_stamps(model)
+    rows = _tap_rows(model)
+    block = assemble_block(stamps, rows)
+    singles = [assemble_block(stamps, row[None]) for row in rows]
+    # Y is row 0's: with row 0's Y_NS and Y_S, the block is row 0's system.
+    _assert_same_system(dataclasses.replace(block, Y_NS=singles[0].Y_NS, Y_S=singles[0].Y_S),
+                        singles[0])
+    for name in ("Y_NS", "Y_S"):
+        got = getattr(block, name)
+        shape = getattr(singles[0], name).shape
+        assert got.shape == (len(rows) * shape[0], len(rows) * shape[1]), name
+        assert got.has_sorted_indices and got.has_canonical_format, name
+        assert got.nnz == sum(getattr(one, name).nnz for one in singles), name
+        for j, one in enumerate(singles):
+            want = getattr(one, name)
+            for part, ref in zip(_diagonal_block(got, j, shape), (want.indptr, want.indices, want.data)):
+                assert part.dtype == ref.dtype and part.tobytes() == ref.tobytes(), (name, j)
+            assert want.has_sorted_indices and want.has_canonical_format, (name, j)
 
 
 @pytest.mark.parametrize("name", sorted(YBUS_FEEDERS))
@@ -624,18 +687,10 @@ def _assert_stamp_parity(model):
     and bit for bit, ``tree_index`` gives its root, and assembly on the
     stamp set gives the per-entry loop's matrices at two ratio sets."""
     got, want = build_stamps(model), stamps_reference.build_stamps(model)
-    for name in ("values", "moving", "first", "v_flat", "v_slack", "loads"):
+    for name in ("values", "moving", "v_flat", "v_slack", "loads"):
         _assert_same_bytes(getattr(got, name), getattr(want, name), name)
     for a, b in zip(got.full_of, want.full_of, strict=True):
         _assert_same_bytes(a, b, "full_of")
-    assert len(got.further) == len(want.further)
-    for (slots, take), (ref_slots, ref_take) in zip(got.further, want.further):
-        _assert_same_bytes(slots, ref_slots, "further slots")
-        _assert_same_bytes(take, ref_take, "further take")
-    for t, ref in zip(got.templates, want.templates, strict=True):
-        assert t.shape == ref.shape and t.has_canonical_format
-        _assert_same_bytes(t.indices, ref.indices, "template indices")
-        _assert_same_bytes(t.indptr, ref.indptr, "template indptr")
     for name in ("coords", "slack_coords", "full_coords", "eliminated", "y_fixed"):
         assert getattr(got, name) == getattr(want, name), name
     assert [(b.id, rows) for b, rows in got.bus_rows] == [(b.id, rows) for b, rows in want.bus_rows]
