@@ -19,8 +19,10 @@ exact zeros; from a solution they use the layout's impedances and the stamp
 set's inverses of them, with the matrix products run once per phase count.
 The equations are written once, as the sparse rows of ``linear_system``,
 placed by offset over the layout's tables, each kind of line entry one
-broadcast over all lines, with each regulator phase's ratio in a window,
-and solved once, by ``eliminate``: one sparse LU writes every solution as
+broadcast over all lines, with each regulator phase's ratio in a window.
+The regulators' ends, kinds and phases and the slack's squared magnitudes
+are the layout's rows too, so the rows read nothing from the model. They
+are solved once, by ``eliminate``: one sparse LU writes every solution as
 x0 + N theta over the high-window slacks theta, one per regulator phase.
 The tap-selection LP uses the attainable ratio range as the window and
 searches over theta; ``linear_powerflow`` fixes every ratio with a
@@ -104,7 +106,7 @@ def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> Line
     bad = np.where(np.any(vn == 0.0, axis=1) | np.any(vm == 0.0, axis=1), 1,
                    2 * (np.max(np.abs(h.imag), axis=1, initial=0.0) > 1e-10))
     for k in np.flatnonzero(bad)[:1]:
-        key = f"{model.lines[k].from_bus}->{model.lines[k].to_bus}"
+        key = layout.edge_key(layout.frm[k], layout.to[k])
         if bad[k] == 1:
             raise ValueError(f"zero phase voltage at an endpoint of line {key}")
         raise AssertionError(f"voltage-loss term not real on line {key}")
@@ -131,10 +133,6 @@ class LinearSystem:
     fcol: np.ndarray   # fcol[e, q]: Re-flow column of edge e's phase PHASES[q], -1 if absent
 
 
-def _slack_squares(model: FeederModel) -> dict:
-    return {p: abs(model.slack_voltage[p]) ** 2 for p in model.slack_voltage.phases}
-
-
 def linear_system(model: FeederModel, constants: LinearizationConstants,
                   windows) -> LinearSystem:
     """Assemble the linear model with each regulator ratio confined to a window.
@@ -156,15 +154,13 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
     columns and absent phases are dropped at the end.
     """
     layout = constants.layout
-    at, bus_of, load, slack = layout.at, layout.bus_of, layout.load, layout.slack
+    at, load, slack = layout.at, layout.load, layout.slack
     frm, to, n_lines = layout.frm, layout.to, len(layout.frm)
     has = (at >= 0) & ~slack[:, None]
     n_v = int(has.sum())
     vcol = np.full(at.shape, -1, dtype=np.intp)
     vcol[has] = np.arange(n_v)
-    sq = np.zeros(at.shape)                                     # squared slack magnitudes
-    for p, square in _slack_squares(model).items():
-        sq[slack, PHASES.index(p)] = square
+    sq = np.where(slack[:, None], layout.slack_sq, 0.0)          # squared slack magnitudes
     ybar = np.zeros(at.shape + (len(PHASES),), dtype=complex)   # conj(Y)^T of each shunt
     for k, shunt in layout.shunts:
         q = [PHASES.index(p) for p in shunt.phases]
@@ -172,9 +168,7 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
 
     # pos[e, q]: the place j of edge e's phase PHASES[q] among all edge phases;
     # the edges are the lines, then the regulators.
-    svr_mask = np.zeros((len(model.svrs), len(PHASES)), dtype=bool)
-    for e, sv in enumerate(model.svrs):
-        svr_mask[e, [PHASES.index(p) for p in sv.phases]] = True
+    svr_mask = layout.svr_cols >= 0
     own = np.concatenate([layout.mask, svr_mask])
     pos = np.full(own.shape, -1, dtype=np.intp)
     pos[own] = np.arange(np.count_nonzero(own))
@@ -201,20 +195,18 @@ def linear_system(model: FeederModel, constants: LinearizationConstants,
 
     # Each edge's flow enters the balance at its to-bus and leaves the one at
     # its from-bus, on the phases the edge feeding that bus carries.
-    feeding = np.full(len(model.buses), -1, dtype=np.intp)          # -1 at the slack bus
-    ends = np.array([(bus_of[sv.from_bus], bus_of[sv.to_bus]) for sv in model.svrs],
-                    dtype=np.intp).reshape(-1, 2)                   # per regulator: (from, to)
+    feeding = np.full(len(at), -1, dtype=np.intp)                   # -1 at the slack bus
+    ends = layout.svr_ends                                          # per regulator: (from, to)
     feeding[np.concatenate([to, ends[:, 1]])] = np.arange(len(own))
     src = feeding[np.concatenate([frm, ends[:, 0]])]                # the edge into e's from-bus
     into, into_im = (np.where(src[:, None] >= 0, x[src], -1) for x in (balance, balance_im))
     parts += [(balance, fcol, 1.0), (balance_im, fcol_im, 1.0),
               (into, fcol, -1.0), (into_im, fcol_im, -1.0)]
 
-    # Regulator ratio windows, slacked. Regulator phases are canonical, so the
-    # row-major (e, q) order is the ratio row's: phase i owns rows 3m + 4i (+1).
+    # Regulator ratio windows, slacked. The row-major (e, q) order is the
+    # ratio row's (``Layout.svr_cols``): phase i owns rows 3m + 4i (+1).
     e, q = np.nonzero(svr_mask)
-    type_b = np.array([sv.kind == "B" for sv in model.svrs], dtype=bool)[:, None]
-    up, dn = np.where(type_b, ends, ends[:, ::-1])[e].T
+    up, dn = np.where(layout.svr_type_b[:, None], ends, ends[:, ::-1])[e].T
     # Python's r ** 2 (C pow): numpy's r * r differs in the last bit for ~0.1 % of ratios.
     r_sq = np.reshape([r ** 2 for r in np.ravel(windows).tolist()], (n_reg, 2))
     row = 3 * m + 4 * np.arange(n_reg)[:, None] + [0, 1]
@@ -283,8 +275,9 @@ def linear_powerflow(model: FeederModel, constants: LinearizationConstants,
     row = _ratio_row(model.svrs, ratios)
     system = linear_system(model, constants, np.column_stack([row, row]))
     x, _ = eliminate(system, "linear_powerflow")
-    vcol, slack_sq = system.vcol, _slack_squares(model)
-    v_out = {b.id: PhaseVector(b.phases, [slack_sq[p] if b.is_slack else x[vcol[k, PHASES.index(p)]]
+    vcol, slack_sq = system.vcol, constants.layout.slack_sq
+    v_out = {b.id: PhaseVector(b.phases, [slack_sq[PHASES.index(p)] if b.is_slack
+                                          else x[vcol[k, PHASES.index(p)]]
                                           for p in b.phases])
              for k, b in enumerate(model.buses)}
     f_out = {f"{e.from_bus}->{e.to_bus}": PhaseVector(e.phases, [complex(x[c], x[c + 1])

@@ -27,8 +27,10 @@ lowest feasible voltage profile.
 The exhaustive oracle ``brute_force`` numbers the tap combinations as
 integers in product order and verifies them in blocks (``zbus.solve_block``
 and ``zbus.block_metrics``): when the taps cannot move Y, up to
-``_SWEEP_BLOCK`` combinations share one iteration and one factorization;
-otherwise a block is one combination with its own assembly and factorization.
+``_SWEEP_BLOCK`` combinations share one iteration and one factorization,
+fewer on a large feeder, so that a block spans at most ``_SWEEP_CELLS``
+(coordinate, combination) cells; otherwise a block is one combination with
+its own assembly and factorization.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import PipelineError
-from .linflow import (LinearizationConstants, LinearSystem, _balanced_over, _slack_squares,
-                      constants_balanced, constants_from_solution, eliminate, linear_system)
+from .linflow import (LinearizationConstants, LinearSystem, _balanced_over, constants_balanced,
+                      constants_from_solution, eliminate, linear_system)
 # tree_index and constants_balanced are not called here; bench/tracing.py
 # wraps them in this namespace.
 from .network import (PHASES, SQUARE_LIMIT, FeederModel, ratio_to_tap, tap_to_ratio,
@@ -121,8 +123,8 @@ def build_lp(model: FeederModel, constants: LinearizationConstants,
     vsq_cols = system.vcol[system.vcol >= 0]
     lower[vsq_cols], upper[vsq_cols] = config.v_min**2, config.v_max**2
     lower[system.slack_cols] = 0.0
-    slack_id = model.slack.id
-    head = system.fcol[[e.from_bus == slack_id for e in (*model.lines, *model.svrs)]]
+    layout = system.layout
+    head = system.fcol[layout.slack[np.concatenate([layout.frm, layout.svr_ends[:, 0]])]]
     c = np.zeros(n)
     c[head[head >= 0]] = 1.0
     return SparseLp(A=system.A, b=system.b, c=c, lower=lower, upper=upper), system
@@ -191,19 +193,20 @@ def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel) -> l
     Clamps excursions beyond the ratio window up to 1e-6 (solver tolerance);
     anything larger indicates a broken solution and raises.
     """
-    slack_sq = _slack_squares(model)
-    bus_of = varmap.layout.bus_of
+    layout = varmap.layout
+    slack_sq = layout.slack_sq.tolist()
     out = []
-    for sv in model.svrs:
+    for sv, ends, cols, type_b in zip(model.svrs, layout.svr_ends, layout.svr_cols,
+                                      layout.svr_type_b.tolist()):
         r_lo, r_hi = sv.ratio_range()
         ratios = {}
-        for p in sv.phases:
+        for q in np.flatnonzero(cols >= 0).tolist():
+            p = PHASES[q]
             # Squared magnitudes at the primary and the secondary; the slack's are constants.
-            vn, vs = (slack_sq[p] if col < 0 else float(x[col]) for col in
-                      varmap.vcol[[bus_of[sv.from_bus], bus_of[sv.to_bus]], PHASES.index(p)])
+            vn, vs = (slack_sq[q] if col < 0 else float(x[col]) for col in varmap.vcol[ends, q])
             if vn <= 0.0 or vs <= 0.0:
                 raise ValueError(f"nonpositive squared magnitude on svr phase {p}")
-            r = math.sqrt(vn / vs) if sv.kind == "B" else math.sqrt(vs / vn)
+            r = math.sqrt(vn / vs) if type_b else math.sqrt(vs / vn)
             if r < r_lo - 1e-6 or r > r_hi + 1e-6:
                 raise ValueError(
                     f"recovered ratio {r:.8f} outside [{r_lo}, {r_hi}] on svr phase {p}")
@@ -365,8 +368,11 @@ class BruteForceResult:
     evaluated: int
 
 
-# Tap combinations per block of a sweep whose taps cannot move Y.
+# Tap combinations per block of a sweep whose taps cannot move Y: at most
+# _SWEEP_BLOCK, and at most _SWEEP_CELLS (coordinate, combination) cells,
+# since the kernel holds a few complex arrays of that shape.
 _SWEEP_BLOCK = 1024
+_SWEEP_CELLS = 2**20
 
 
 def _tap_order_key(flat_taps) -> tuple:
@@ -392,7 +398,8 @@ def brute_force(model: FeederModel, config: OptsConfig,
     # Each axis's ratio at each of its taps, from the tap grid's own formula.
     tables = [np.array([tap_to_ratio(t, sv.kind, sv.step, sv.tap_min, sv.tap_max)
                         for t in range(sv.tap_min, sv.tap_max + 1)]) for sv in axes]
-    step = _SWEEP_BLOCK if stamps.y_fixed else 1
+    cells = _SWEEP_CELLS // max(1, len(stamps.v_flat))
+    step = max(1, min(_SWEEP_BLOCK, cells)) if stamps.y_fixed else 1
     best_obj = np.inf
     best_key = None
     best_combo = None

@@ -5,33 +5,40 @@ the retained system using the ideal two-port relations v_primary = A v_secondary
 i_primary = A^-1 i_line (type-B, diagonal real gain A), leaving a reduced Y that
 couples the primary directly to the bus behind the regulator's outgoing line.
 
-A feeder has one ``Layout``, built by reading its buses and its lines once
-each: a (bus, phase) table of its coordinates, its loads and shunts over
-that table, one row per line in model order (from- and to-bus positions, a
-phase mask and the impedance padded to 3 x 3 over PHASES with exact zeros),
-the lines' indices by phase count, and each regulator's outgoing line, the
-line that leaves its secondary, read from the same from-bus positions. Its
-slack bus is the root of the feeder's ``tree_index``. The stamps,
-``linflow`` and ``zbus`` read the layout. Elementwise work runs once over
-all lines; the kernels whose bits depend on the matrix size
-(``np.linalg.inv``, batched matrix products) run once per phase count, on
-the s x s blocks of that count's lines.
+A feeder has one ``Layout``, built by reading its buses, its lines and its
+regulators once each: a (bus, phase) table of its coordinates, its loads
+and shunts over that table, one row per line in model order (from- and
+to-bus positions, a phase mask and the impedance padded to 3 x 3 over
+PHASES with exact zeros), the lines' indices by phase count, one row per
+regulator (its primary's and secondary's positions, the ratio row's column
+of each of its phases, its kind, and its outgoing line, the line that
+leaves its secondary, read from the same from-bus positions), and the slack
+voltage and its squared magnitudes per phase. Its slack bus is the root of
+the feeder's ``tree_index``. ``build_layout`` is the only function on the
+solve path that reads the model's lines, regulators and slack voltage: the
+stamps, ``linflow``, ``zbus`` and ``opts`` index the layout, and read the
+model only at the API boundary (ratio maps in, voltages and tap maps out)
+and for the tap specifications. Elementwise work runs once over all lines;
+the kernels whose bits depend on the matrix size (``np.linalg.inv``,
+batched matrix products) run once per phase count, on the s x s blocks of
+that count's lines.
 
 Assembly has two steps. ``build_stamps`` does the tap-independent work once
 per feeder: the layout, the slack voltages, loads and flat start over the
-retained rows, each regulator secondary's coordinates, the primary's and
-its ratio column, the checked inverses of the line impedances (padded per
-line as the impedances), one list of stamped entries in stamp order
-(lines, then regulators, then shunts, each block row-major), and where
-each nonzero entry lands: its row and column in one matrix holding Y, Y_NS
-and Y_S block-diagonally. Each regulator owns one slice of the entry list.
-The list is placed with numpy: an item's entries start at an offset fixed
-by the block sizes before it (4 s x s blocks per line or regulator, one
-per shunt, s its phase count), and one broadcast per phase count fills the
-rows, columns and values of its plain lines and regulator lines together,
-each line's kind choosing its blocks' endpoints and signs. The coordinates
-come from the layout; the (bus, phase) tuples that name them and each
-retained bus's rows are built only when read.
+retained rows, each regulator phase's secondary and primary coordinates
+(the ratio row's order, so a ratio row is also the secondaries' ratios),
+the checked inverses of the line impedances (padded per line as the
+impedances), one list of stamped entries in stamp order (lines, then
+regulators, then shunts, each block row-major), where each regulator's
+moving entries sit in its blocks padded over PHASES, and where each nonzero
+entry lands: its row and column in one matrix holding Y, Y_NS and Y_S
+block-diagonally. The list is placed with numpy: an item's entries start at
+an offset fixed by the block sizes before it (4 s x s blocks per line or
+regulator, one per shunt, s its phase count), and one broadcast per phase
+count fills the rows, columns and values of its plain lines and regulator
+lines together, each line's kind choosing its blocks' endpoints and signs.
+The coordinates come from the layout; the (bus, phase) tuples that name
+them and each retained bus's rows are built only when read.
 
 Below the public API a set of ratios is a row, one float per regulator
 phase: regulators in model order, each one's phases in its own order.
@@ -39,8 +46,9 @@ phase: regulators in model order, each one's phases in its own order.
 (building a stamp set if given none) for ``assemble_block``, which takes m
 rows, checks once that every ratio is finite and nonzero, and computes
 only the regulator blocks G zinv G, -G zinv and -zinv G (G the diagonal
-gain) at each row, elementwise as (g_i zinv_ij) g_j and so on. It writes
-them in place of their entries and converts the nonzero entries once, with
+gain) at each row, elementwise as (g_i zinv_ij) g_j and so on, in one
+broadcast over every regulator's line inverse padded over PHASES. It
+writes their entries in place and converts the nonzero entries once, with
 one ``coo_matrix(...).tocsc()`` of the block-diagonal matrix, which it
 splits into Y, Y_NS and Y_S by column ranges. With m > 1 that one matrix
 holds Y at the first row and then Y_NS and Y_S block-diagonal, one block
@@ -48,11 +56,12 @@ per row, so that one sparse product applies every row's blocks at its own
 bits.
 
 ``build_stamps`` also decides whether Y depends on the ratios at all. The
-first three regulator blocks move with them; when every one that is
-nonzero lands in Y_NS or Y_S (a regulator whose primary is the slack bus,
-as on IEEE-13), Y's values are the same bits at every ratio
-(``StampSet.y_fixed``), so a block of ratio rows can share one
-factorization of Y (``zbus.solve_block``).
+first three regulator blocks move with them. They land in Y_NS or Y_S only
+when the regulator's primary is the slack bus (as on IEEE-13); otherwise
+-G zinv, nonzero for an invertible line, couples two retained buses. So
+when every regulator's primary is the slack bus, Y's values are the same
+bits at every ratio (``StampSet.y_fixed``), and a block of ratio rows can
+share one factorization of Y (``zbus.solve_block``).
 
 The nonzero entries do not depend on the ratios: a regulator block is a
 diagonal rescaling of its line's ``zinv``, so at any finite nonzero ratio
@@ -76,7 +85,7 @@ from itertools import accumulate, chain, compress, count
 import numpy as np
 import scipy.sparse as sp
 
-from .network import _PHASE_POS, PHASES, FeederModel, PhaseVector, SvrSpec, tree_index
+from .network import _PHASE_POS, PHASES, FeederModel, PhaseVector, tree_index
 
 
 def _ratio_row(svrs, ratios) -> np.ndarray:
@@ -107,13 +116,7 @@ def _inv(z: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _unpadded(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The s x s block of a 3 x 3 matrix over the phases where ``mask``."""
-    q = np.flatnonzero(mask)
-    return a[np.ix_(q, q)]
-
-
-def _line_inverses(lines, layout, order) -> np.ndarray:
+def _line_inverses(layout, order) -> np.ndarray:
     """``_inv`` of every line impedance, (L, 3, 3) over PHASES, one
     ``np.linalg.inv`` per phase count. If an inverse fails the check, the
     lines are inverted one by one in ``order``, which holds every line, so
@@ -130,16 +133,16 @@ def _line_inverses(lines, layout, order) -> np.ndarray:
             np.put(zinv, blocks, inv)
     except np.linalg.LinAlgError:
         for k in order:
-            q = np.flatnonzero(layout.mask[k])
-            ln = lines[k]
-            zinv[k][np.ix_(q, q)] = _inv(ln.z.array, f"line {ln.from_bus}->{ln.to_bus}")
+            q = np.ix_(*[np.flatnonzero(layout.mask[k])] * 2)
+            zinv[k][q] = _inv(layout.z[k][q], f"line {layout.edge_key(layout.frm[k], layout.to[k])}")
     return zinv
 
 
 @dataclass(frozen=True)
 class Layout:
     """A feeder's (bus, phase) layout, the one index that the admittance
-    stamps, the linear model and the metrics read."""
+    stamps, the linear model and the metrics read, and the only reader of
+    the model's lines, regulators and slack voltage on the solve path."""
 
     at: np.ndarray           # at[k, q]: full coordinate of bus k's phase PHASES[q], -1 if absent
     bus_of: dict             # bus id -> its position k in model.buses, the rows of the tables
@@ -154,14 +157,26 @@ class Layout:
                              # lines' model.lines indices (L_s,), their phase positions
                              # (L_s, s) and the flat positions of their s x s blocks in an
                              # (L, 3, 3) array (L_s, s, s), for np.take and np.put
+    svr_ends: np.ndarray     # (R, 2) per regulator: positions of its primary and secondary
+    svr_cols: np.ndarray     # svr_cols[r, q]: the ratio row's column of regulator r's phase
+                             # PHASES[q], -1 if it lacks the phase (``_ratio_row``'s order)
+    svr_type_b: np.ndarray   # svr_type_b[r]: regulator r is type B
     svr_lines: tuple         # per regulator: model.lines index of its outgoing line
+    v_source: np.ndarray     # v_source[q]: slack voltage of phase PHASES[q], NaN if absent
+    slack_sq: np.ndarray     # slack_sq[q]: its squared magnitude, Python's abs(v) ** 2; 0 if absent
+
+    def edge_key(self, frm: int, to: int) -> str:
+        """The key "from->to" of the buses at positions ``frm`` and ``to``."""
+        ids = list(self.bus_of)
+        return f"{ids[frm]}->{ids[to]}"
 
 
 def build_layout(model: FeederModel) -> Layout:
-    """The coordinate table, loads, shunts, line rows and regulator lines
-    of a validated model, reading its buses and its lines once each. Full
-    coordinates number the buses' phases in model order, each bus's in
-    canonical order, so they run row by row through ``at``."""
+    """The coordinate table, loads, shunts, line rows, regulator rows and
+    slack voltage of a validated model, reading its buses, lines and
+    regulators once each. Full coordinates number the buses' phases in
+    model order, each bus's in canonical order, so they run row by row
+    through ``at``."""
     buses = model.buses
     ids, phases, loads = [b.id for b in buses], [b.phases for b in buses], [b.load for b in buses]
     bus_of = dict(zip(ids, count()))
@@ -195,31 +210,27 @@ def build_layout(model: FeederModel) -> Layout:
             blocks = (ks[:, None, None] * len(PHASES) + q[:, :, None]) * len(PHASES) + q[:, None, :]
             np.put(z_pad, blocks, np.concatenate([z[k].array for k in ks.tolist()]))
             by_size.append((ks, q, blocks))
-    # A regulator's outgoing line: the first line out of its secondary.
-    svr_lines = []
-    for sv in model.svrs:
-        out = np.flatnonzero(ends[0] == bus_of[sv.to_bus])
-        if not out.size:
-            raise ValueError("model fails validation: a regulator secondary feeds no line")
-        svr_lines.append(int(out[0]))
+
+    # One row per regulator: its ends, its kind, the ratio row's column of
+    # each of its phases, and its outgoing line, the first line out of its
+    # secondary.
+    svrs, col = model.svrs, count()
+    regs = np.array([(bus_of[sv.from_bus], bus_of[sv.to_bus], sv.kind == "B",
+                      *(next(col) if p in sv.phases else -1 for p in PHASES)) for sv in svrs],
+                    dtype=np.intp).reshape(len(svrs), 3 + len(PHASES))
+    out = ends[0] == regs[:, 1:2]
+    if not out.any(axis=1).all():
+        raise ValueError("model fails validation: a regulator secondary feeds no line")
+    source = dict(zip(model.slack_voltage.phases, model.slack_voltage.values.tolist()))
     slack = np.zeros(len(ids), dtype=bool)          # the tree's root
     slack[bus_of[tree_index(model).root]] = True
     return Layout(at=at, bus_of=bus_of, slack=slack, load=load,
                   shunts=tuple((k, b.shunt) for k, b in enumerate(buses) if b.shunt is not None),
                   frm=ends[0], to=ends[1], mask=mask, z=z_pad, by_size=tuple(by_size),
-                  svr_lines=tuple(svr_lines))
-
-
-@dataclass(frozen=True)
-class _RegulatorStamp:
-    """A regulator's tap-independent data: the inverted impedance of its
-    outgoing line and the slice of the entry list its four blocks fill."""
-
-    svr: SvrSpec
-    cols: list               # the ratio row's columns of the line's phases
-    zinv: np.ndarray
-    entries: slice           # the G zinv G, -G zinv, -zinv G and zinv blocks,
-                             # in that order, each row-major
+                  svr_ends=regs[:, :2], svr_type_b=regs[:, 2] == 1, svr_cols=regs[:, 3:],
+                  svr_lines=tuple(out.argmax(axis=1).tolist()) if svrs else (),
+                  v_source=np.array([source.get(p, np.nan) for p in PHASES], dtype=complex),
+                  slack_sq=np.array([abs(source[p]) ** 2 if p in source else 0.0 for p in PHASES]))
 
 
 @dataclass(frozen=True)
@@ -229,7 +240,10 @@ class StampSet:
     ``values`` is every stamped entry in stamp order; each regulator slice
     holds ``zinv`` four times, the zero pattern of its blocks. The first
     three blocks move with the ratios: ``moving`` numbers their entries in
-    stamp order, and ``assemble`` reads those from the blocks it computes.
+    stamp order, and ``assemble`` reads those from the blocks it computes,
+    one broadcast over every regulator's padded line inverse ``svr_zinv``
+    with the gains read from the ratio row's ``Layout.svr_cols``, at the
+    positions ``moved_at``.
     ``routes`` places each nonzero entry, in stamp order, in one matrix
     holding Y, Y_NS and Y_S block-diagonally (``shapes``), each shifted past
     the ones before it; ``assemble`` converts that matrix once.
@@ -245,17 +259,19 @@ class StampSet:
     moving: np.ndarray       # per entry: its row among the regulators' moving blocks, or -1
     routes: tuple            # (positions, rows, columns) of the nonzero entries
     shapes: tuple            # Y's, Y_NS's and Y_S's
-    regulators: tuple
+    svr_zinv: np.ndarray     # (R, 3, 3) per regulator: its line's checked inverse, as ``zinv``
+    inverted: np.ndarray     # (R, 3) the gains that are 1 / ratio: type B, on the line's phases
+    moved_at: np.ndarray     # per moving row: its flat position in the (R, 3, 3, 3)
+                             # regulator blocks G zinv G, -G zinv, -zinv G over PHASES
     layout: Layout
     zinv: np.ndarray         # (L, 3, 3) per model line: its checked inverse, as ``layout.z``
-    secondaries: tuple       # per regulator secondary phase, regulators in model order:
-                             # its full coordinate, the primary's, the ratio column
-                             # and the type-B flag (n, 1)
+    secondaries: tuple       # per regulator phase, in the ratio row's order: the secondary's
+                             # full coordinate, the primary's and the type-B flag (n, 1)
     y_fixed: bool            # no block that moves with the ratios lands in Y
 
     def line_zinv(self, k: int) -> np.ndarray:
         """The checked inverse of ``model.lines[k]``'s impedance."""
-        return _unpadded(self.zinv[k], self.layout.mask[k])
+        return self.zinv[k][np.ix_(*[np.flatnonzero(self.layout.mask[k])] * 2)]
 
     # The (bus, phase) tuples name the rows and columns for readers at the
     # boundary; a solve reads only arrays, so they are built on first use.
@@ -281,7 +297,7 @@ class StampSet:
     def bus_rows(self) -> tuple:
         """Per retained bus, in model order: (bus, its rows as a slice)."""
         kept = ~self.layout.slack
-        kept[[self.layout.bus_of[b] for b in self.eliminated]] = False
+        kept[self.layout.svr_ends[:, 1]] = False
         stops = np.cumsum(np.count_nonzero(self.layout.at[kept] >= 0, axis=1)).tolist()
         return tuple(zip(compress(self.buses, kept.tolist()), map(slice, [0, *stops], stops)))
 
@@ -320,15 +336,14 @@ def build_stamps(model: FeederModel) -> StampSet:
     """Invert every line impedance of a validated model and place its stamps.
 
     Raises ``ValueError`` on a singular line impedance, and on a model that
-    fails validation so that a stamp would land on another coordinate or a
-    regulator secondary feeds no line or a line other than its own.
+    fails validation so that a stamp would land on another coordinate, a
+    regulator's phases are not its secondary's, or a regulator secondary
+    feeds no line or a line other than its own.
     """
-    buses, lines, svrs = model.buses, model.lines, model.svrs
-    layout = build_layout(model)
-    at, bus_of = layout.at, layout.bus_of
-    eliminated = tuple(sv.to_bus for sv in svrs)
+    buses, layout = model.buses, build_layout(model)
+    at, svr_ends = layout.at, layout.svr_ends
     elim = np.zeros(len(buses), dtype=bool)
-    elim[[bus_of[b] for b in eliminated]] = True
+    elim[svr_ends[:, 1]] = True
     kept = ~layout.slack & ~elim
     bus_at, phase_of = np.nonzero(at >= 0)  # full coordinates run row by row through ``at``
 
@@ -336,30 +351,30 @@ def build_stamps(model: FeederModel) -> StampSet:
     # are handled by elimination), each regulator's outgoing line, shunts.
     svr_lines = np.array(layout.svr_lines, dtype=np.intp)
     stamped = np.concatenate([np.flatnonzero(~elim[layout.frm]), svr_lines])
-    if not np.array_equal(np.sort(stamped), np.arange(len(lines))):
+    if not np.array_equal(np.sort(stamped), np.arange(len(layout.frm))):
         raise ValueError("model fails validation: a regulator secondary feeds another line")
     # A regulator's blocks sit at its primary n and its line's to-bus m.
-    kind = np.zeros(len(lines), dtype=np.intp)
+    kind = np.zeros(len(layout.frm), dtype=np.intp)
     kind[svr_lines] = 1
     ends = np.column_stack([layout.frm, layout.to])
-    ends[svr_lines, 0] = [bus_of[sv.from_bus] for sv in svrs]
-    zinv = _line_inverses(lines, layout, stamped.tolist())   # stamp order names the first bad line
+    ends[svr_lines, 0] = svr_ends[:, 0]
+    zinv = _line_inverses(layout, stamped.tolist())   # stamp order names the first bad line
 
     # Each item's entries start at its offset: 4 s x s blocks per line or
     # regulator, one per shunt, each row-major.
-    sizes = np.count_nonzero(layout.mask, axis=1)
+    sizes = layout.mask.sum(axis=1)
     offsets = np.cumsum(np.concatenate([[0], 4 * sizes[stamped] ** 2,
                                         [len(sh.phases) ** 2 for _, sh in layout.shunts]]),
                         dtype=np.intp)
     rows = np.empty(offsets[-1], dtype=np.intp)
     cols = np.empty(offsets[-1], dtype=np.intp)
     values = np.empty(offsets[-1], dtype=complex)
-    line_start = np.empty(len(lines), dtype=np.intp)
+    line_start = np.empty(len(layout.frm), dtype=np.intp)
     line_start[stamped] = offsets[:len(stamped)]
     # Per line and block: the flat position in ``at`` of the bus of its rows
     # and of the bus of its columns, at phase a.
-    row_bus, col_bus = (len(PHASES) * np.take_along_axis(ends, _BLOCK_ENDS[kind, e], axis=1)
-                        for e in (0, 1))
+    row_bus, col_bus = (len(PHASES) * ends[np.arange(len(kind))[:, None, None],
+                                           _BLOCK_ENDS[kind]]).transpose(1, 0, 2)
     for k, q, blocks in layout.by_size:      # one broadcast per phase count
         v = np.repeat(np.take(zinv, blocks)[:, None], 4, axis=1)               # (L, 4, s, s)
         np.negative(v[:, 2:], out=v[:, 2:], where=(kind[k] == 0)[:, None, None, None])
@@ -368,21 +383,30 @@ def build_stamps(model: FeederModel) -> StampSet:
     for item, (k, sh) in enumerate(layout.shunts, len(stamped)):   # its admittance at (k, k)
         at_k = at[k, [_PHASE_POS[p] for p in sh.phases]][None, None]
         _place(rows, cols, values, offsets[[item]], at_k, at_k, sh.array[None, None])
-    v_source = np.full(len(PHASES), np.nan, dtype=complex)
-    v_source[[_PHASE_POS[p] for p in model.slack_voltage.phases]] = model.slack_voltage.values
+    # Each regulator's phases, as the ratio row holds them, at its primary
+    # and at its secondary.
+    owned = layout.svr_cols >= 0
+    prim, sec = at[svr_ends[:, 0]][owned], at[svr_ends[:, 1]]
     # Only a model that fails validation stamps a phase its bus lacks (``at``
-    # is -1 there; every stamped coordinate is also a stamped row) or has a
-    # bus phase the slack voltage lacks.
+    # is -1 there; every stamped coordinate is also a stamped row), has a
+    # regulator phase its primary lacks or a bus phase the slack voltage lacks.
     if (rows.size and (rows.min() < 0 or not (kept | layout.slack)[bus_at[rows]].all())) \
-            or np.isnan(v_source[phase_of]).any():
+            or (prim < 0).any() or np.isnan(layout.v_source[phase_of]).any():
         raise ValueError("model fails validation: a phase has no coordinate or no slack voltage")
-    # Each regulator's first column in the ratio row.
-    starts = list(accumulate((len(sv.phases) for sv in svrs), initial=0))
-    regulators = tuple(
-        _RegulatorStamp(svr=sv, cols=[c + sv.phases.index(p) for p in lines[k].z.phases],
-                        zinv=_unpadded(zinv[k], layout.mask[k]),
-                        entries=slice(int(offsets[i]), int(offsets[i + 1])))
-        for sv, c, k, i in zip(svrs, starts, layout.svr_lines, count(len(stamped) - len(svrs))))
+    if ((sec >= 0) != owned).any():
+        raise ValueError("model fails validation: a regulator's phases are not its secondary's")
+
+    # A regulator's moving entries are the first three of its four blocks,
+    # the last line items in stamp order. ``moved_at`` places them in the
+    # (R, 3, 3, 3) regulator blocks over PHASES: per regulator and block, its
+    # line's phase pairs, row-major, as the entries run.
+    moves = np.zeros(len(values), dtype=bool)
+    bounds = offsets[len(stamped) - len(svr_lines):len(stamped) + 1].tolist()
+    for start, stop in zip(bounds, bounds[1:]):
+        moves[start:start + 3 * (stop - start) // 4] = True
+    line_mask = layout.mask[svr_lines]
+    pairs = line_mask[:, None, :, None] & line_mask[:, None, None, :]       # (R, 1, 3, 3)
+    moved_at = np.flatnonzero(pairs.repeat(3, axis=1))
 
     # Route each stored entry once: a slack row goes to Y_S, a slack column
     # to Y_NS, anything else to Y. Their coordinates are taken block-diagonally
@@ -393,35 +417,28 @@ def build_stamps(model: FeederModel) -> StampSet:
     to_s = is_slack[rows]
     to_ns = ~to_s & is_slack[cols]
     keep = values != 0.0
-    # G zinv G, -G zinv and -zinv G fill a regulator's first three blocks.
-    moves = np.zeros(len(values), dtype=bool)
-    for r in regulators:
-        moves[r.entries.start:r.entries.stop - r.zinv.size] = True
-    y_fixed = not (~to_s & ~to_ns & keep & moves).any()
     # As int32, scipy's index type for these matrices, so that a conversion
     # neither scans them for their index type nor copies them.
     frame_rows = np.where(to_s, 2 * n + slack_of[rows], retained_of[rows] + n * to_ns)
     frame_cols = np.where(to_s, n + ns + cols, np.where(to_ns, n + slack_of[cols], retained_of[cols]))
     routes = (np.flatnonzero(keep), frame_rows[keep].astype(np.int32), frame_cols[keep].astype(np.int32))
 
-    # Each regulator secondary's phases: its full coordinate, the primary's,
-    # the ratio column and the kind.
-    sec = []
-    for c, sv in zip(starts, svrs):
-        for p in buses[bus_of[sv.to_bus]].phases:
-            sec.append((at[bus_of[sv.to_bus], _PHASE_POS[p]], at[bus_of[sv.from_bus], _PHASE_POS[p]],
-                        c + sv.phases.index(p), sv.kind == "B"))
-    sec = np.array(sec, dtype=np.intp).reshape(-1, 4)
-
     return StampSet(full_of=(np.flatnonzero(is_retained), np.flatnonzero(is_slack)),
-                    eliminated=eliminated, buses=buses,
-                    v_slack=v_source[phase_of[is_slack]], loads=layout.load[kept][at[kept] >= 0],
-                    v_flat=v_source[phase_of[is_retained]],
+                    eliminated=tuple(buses[k].id for k in svr_ends[:, 1].tolist()), buses=buses,
+                    v_slack=layout.v_source[phase_of[is_slack]],
+                    loads=layout.load[kept][at[kept] >= 0],
+                    v_flat=layout.v_source[phase_of[is_retained]],
                     values=values, moving=np.where(moves, np.cumsum(moves) - 1, -1),
                     routes=routes, shapes=((n, n), (n, ns), (ns, nf)),
-                    regulators=regulators, layout=layout, zinv=zinv,
-                    secondaries=(sec[:, 0], sec[:, 1], sec[:, 2], sec[:, 3:] == 1),
-                    y_fixed=y_fixed)
+                    # A gain off the line's phases multiplies only zeros; it
+                    # is the ratio as is, so no ratio that no stamp reads is inverted.
+                    svr_zinv=zinv[svr_lines], inverted=layout.svr_type_b[:, None] & line_mask,
+                    moved_at=moved_at, layout=layout, zinv=zinv,
+                    secondaries=(sec[owned], prim,
+                                 (layout.svr_type_b[:, None] & owned)[owned, None]),
+                    # A regulator's moving blocks land in Y unless its primary
+                    # is the slack bus: -G zinv couples two retained buses.
+                    y_fixed=bool(layout.slack[svr_ends[:, 0]].all()))
 
 
 def _place(rows, cols, values, starts, r, c, v):
@@ -434,20 +451,25 @@ def _place(rows, cols, values, starts, r, c, v):
     values[slots] = v
 
 
-def _regulator_blocks(reg: _RegulatorStamp, a: np.ndarray) -> np.ndarray:
-    """The G zinv G, -G zinv and -zinv G blocks of ``reg`` at each row of
-    ratios ``a`` (m, s) over its phases, row-major as in its entry slice:
-    (3 s s, m), column j at row j of ``a``.
+def _regulator_blocks(stamps: StampSet, ratios: np.ndarray) -> np.ndarray:
+    """The moving entries of every regulator at each row of ``ratios`` (m, k),
+    in stamp order: (m, moving entries), row j at ratio row j.
 
-    With G the diagonal gain, (G zinv G)_ij = (g_i zinv_ij) g_j, and so on:
-    elementwise products give the bits of the dense products, whose other
-    summands are exact zeros.
+    One broadcast over the regulators' padded line inverses: with G the
+    diagonal gain, (G zinv G)_ij = (g_i zinv_ij) g_j, and so on, elementwise
+    products that give the bits of the dense products, whose other summands
+    are exact zeros.
     """
-    # Type-B: v_n = A v_n', so v_n' = A^-1 v_n. Type-A mirrors the gain.
-    g = (1.0 / a) if reg.svr.kind == "B" else a
-    gz = g[:, :, None] * reg.zinv
-    blocks = np.concatenate([gz * g[:, None, :], -gz, -(reg.zinv * g[:, None, :])], axis=1)
-    return blocks.reshape(len(a), -1).T
+    if not ratios.shape[1]:          # no regulator phase, so no regulator block
+        return np.empty((len(ratios), 0), dtype=complex)
+    # Type-B: v_n = A v_n', so v_n' = A^-1 v_n. Type-A mirrors the gain. A
+    # phase the regulator lacks reads the last ratio, finite and never inverted.
+    g = ratios[:, stamps.layout.svr_cols]                                   # (m, R, 3)
+    np.divide(1.0, g, out=g, where=stamps.inverted)
+    z = stamps.svr_zinv
+    gz = g[..., None] * z
+    blocks = np.concatenate([gz * g[..., None, :], -gz, -(z * g[..., None, :])], axis=2)
+    return blocks.reshape(len(ratios), -1).take(stamps.moved_at, axis=1)
 
 
 def assemble(model: FeederModel, ratios, stamps: StampSet | None = None) -> AdmittanceSystem:
@@ -477,19 +499,15 @@ def assemble_block(stamps: StampSet, ratios: np.ndarray) -> AdmittanceSystem:
     # its ``zinv`` is, the entries that ``routes`` holds.
     ok = np.isfinite(ratios) & (ratios != 0.0)
     if not ok.all():
-        j = int(np.argmin(ok.all(axis=1)))
-        stops = np.cumsum([len(r.svr.phases) for r in stamps.regulators])
-        i = int(np.searchsorted(stops, np.argmin(ok[j]), side="right"))
-        sv = stamps.regulators[i].svr
-        raise ValueError(f"svr {sv.from_bus}->{sv.to_bus}: ratios must be finite and nonzero, "
-                         f"got {ratios[j, stops[i] - len(sv.phases):stops[i]].tolist()}")
+        layout, j = stamps.layout, int(np.argmin(ok.all(axis=1)))
+        i = int(np.argmax((layout.svr_cols == np.argmin(ok[j])).any(axis=1)))
+        cols = layout.svr_cols[i]
+        raise ValueError(f"svr {layout.edge_key(*layout.svr_ends[i])}: ratios must be finite and "
+                         f"nonzero, got {ratios[j, cols[cols >= 0]].tolist()}")
     m = len(ratios)
-    # The moving blocks, stacked in stamp order, then a zero row for the
-    # fixed entries' -1 in ``stamps.moving`` to index; np.where drops it.
-    moved = np.concatenate([*(_regulator_blocks(r, ratios[:, r.cols]) for r in stamps.regulators),
-                            np.zeros((1, m))])
+    moved = _regulator_blocks(stamps, ratios)
     values = stamps.values.copy()
-    values[stamps.moving >= 0] = moved[:-1, 0]
+    values[stamps.moving >= 0] = moved[0]
     take, rows, cols = stamps.routes
     data, shapes = values[take], stamps.shapes
     if m > 1:
@@ -498,7 +516,8 @@ def assemble_block(stamps: StampSet, ratios: np.ndarray) -> AdmittanceSystem:
         (n, _), (_, ns), (_, nf) = shapes
         y = rows < n
         k = stamps.moving[take[~y]]
-        tiled = np.where(k >= 0, moved[k].T, data[~y])                      # (m, entries)
+        # A fixed entry's -1 reads an appended zero column; np.where drops it.
+        tiled = np.where(k >= 0, np.column_stack([moved, np.zeros(m)])[:, k], data[~y])
         to_s, j = rows[~y] >= 2 * n, np.arange(m)[:, None]
         data = np.concatenate([data[y], tiled.ravel()])
         rows = np.concatenate([rows[y], (rows[~y] + np.where(to_s, (m - 1) * n + j * ns, j * n)).ravel()])

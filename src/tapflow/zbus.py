@@ -18,8 +18,12 @@ multi-column LU solve per step, each column stopping on its own
 ratio row for ``solve_zbus`` and on many for a tap sweep with Y fixed
 (``solve_block``). Both take ratios as ``ybus`` rows over the regulator
 phases, ``solve_zbus`` through ``assemble``, which converts its
-per-regulator maps; the secondaries and the edge-wise import read the rows
-in ``AdmittanceSystem.ratios``.
+per-regulator maps. The secondaries take the rows in
+``AdmittanceSystem.ratios`` as they are, one ratio per regulator phase and
+so per secondary phase; the edge-wise import indexes them with the layout's
+regulator rows and reads the slack voltage from the layout, as every metric
+does. Only the per-bus view, the CSV and the conversion of ratio maps read
+the model, at the boundary.
 
 Voltages are kept as arrays over the stamp set's full coordinates: slack,
 retained rows and regulator secondaries (``_full_voltages``). Each metric
@@ -46,7 +50,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import PipelineError
-from .network import PHASES, FeederModel, PhaseVector
+from .network import FeederModel, PhaseVector
 from .ybus import AdmittanceSystem, StampSet, assemble, assemble_block, recover_svr_secondary
 
 DEFAULT_TOL = 1e-9
@@ -176,7 +180,7 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
     system = assemble(model, ratios, stamps=stamps)
     st = system.stamps
     out, iterations, residual, converged = _solve(system, tol, max_iter)
-    full = _full_voltages(st, out, system.ratios[:, st.secondaries[2]].T)[0]
+    full = _full_voltages(st, out, system.ratios.T)[0]
     solution = PowerFlowSolution(
         v=full, iterations=int(iterations[0]), residual=float(residual[0]),
         converged=bool(converged[0]), system=system, model=model,
@@ -189,11 +193,12 @@ def solve_zbus(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
 
 def _full_voltages(stamps: StampSet, v: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(m, nf) voltages over the full coordinates from the m iterates ``v``
-    (n, m), ``r`` (k, m) the ratios of the k regulator secondary phases: the
+    (n, m), ``r`` (k, m) the ratio rows, one ratio per regulator phase and
+    so per secondary phase (``StampSet.secondaries``): the
     slack, the retained rows, and the secondaries as ``recover_svr_secondary``
     has them, from the primary's voltage divided (type B) or multiplied by
     the ratio. A part that overflows is left infinite, with no warning."""
-    sec_at, prim_at, _, type_b = stamps.secondaries
+    sec_at, prim_at, type_b = stamps.secondaries
     retained_at, slack_at = stamps.full_of
     full = np.empty((v.shape[1], stamps.shapes[2][1]), dtype=complex)
     full[:, slack_at] = stamps.v_slack
@@ -248,7 +253,7 @@ def block_metrics(block: BlockSolution, v_min: float,
     diverged iterate.
     """
     st, ok = block.system.stamps, block.converged
-    full = _full_voltages(st, block.v, block.system.ratios[:, st.secondaries[2]].T)
+    full = _full_voltages(st, block.v, block.system.ratios.T)
     full[~ok] = 0.0
     lo, hi = _envelope(np.abs(full[:, st.nonslack_at]))
     return ok & (v_min <= lo) & (hi <= v_max), np.where(ok, _import(block.system, full), np.nan)
@@ -276,21 +281,21 @@ def import_objective_edges(solution: PowerFlowSolution, model: FeederModel) -> f
     """Same import objective evaluated edge-wise at the feeder head, with the
     stamp set's line inverses and the to-bus voltages read from ``v``."""
     _require_converged(solution)
-    stamps = solution.system.stamps
-    at, bus_of = stamps.layout.at, stamps.layout.bus_of
-    slack_id = model.slack.id
+    stamps, ratios = solution.system.stamps, solution.system.ratios
+    layout = stamps.layout
     # (line, gain) at the head: each line leaving the slack bus, without a
     # gain, then the outgoing line of each regulator at the slack bus.
-    heads = [(k, None) for k, ln in enumerate(model.lines) if ln.from_bus == slack_id]
-    for reg, k in zip(stamps.regulators, stamps.layout.svr_lines):
-        if reg.svr.from_bus == slack_id:
-            r = solution.system.ratios[0, reg.cols]
-            heads.append((k, 1.0 / r if reg.svr.kind == "B" else r))
+    heads = [(k, None) for k in np.flatnonzero(layout.slack[layout.frm]).tolist()]
+    for k, prim, cols, type_b in zip(layout.svr_lines, layout.svr_ends[:, 0].tolist(),
+                                     layout.svr_cols, layout.svr_type_b.tolist()):
+        if layout.slack[prim]:
+            r = ratios[0, cols[layout.mask[k]]]
+            heads.append((k, 1.0 / r if type_b else r))
     total = 0.0
     for k, g in heads:
-        ln, zinv = model.lines[k], stamps.line_zinv(k)
-        vn = np.array([model.slack_voltage[p] for p in ln.z.phases])
-        vm = solution.v[at[bus_of[ln.to_bus], [PHASES.index(p) for p in ln.z.phases]]]
+        q, zinv = np.flatnonzero(layout.mask[k]), stamps.line_zinv(k)
+        vn = layout.v_source[q]
+        vm = solution.v[layout.at[layout.to[k], q]]
         i_edge = zinv @ (vn - vm) if g is None else np.diag(g) @ (zinv @ (g * vn - vm))
         total += float(np.sum((vn * np.conj(i_edge)).real))
     return total

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -17,6 +18,20 @@ def bench_feeders():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def fixed_y_feeder(model, tap_min, tap_max):
+    """A ``generate_feeder`` model whose taps cannot move Y: its mid-feeder
+    regulator replaced by a line with the impedance of the line out of that
+    regulator's secondary, and the head regulator's taps windowed to
+    ``tap_min..tap_max``."""
+    head, mid = model.svrs
+    after = next(ln for ln in model.lines if ln.from_bus == mid.to_bus)
+    line = tf.LineSpec(from_bus=mid.from_bus, to_bus=mid.to_bus, z=after.z)
+    out = dataclasses.replace(model, lines=model.lines + (line,), svrs=(
+        dataclasses.replace(head, tap_min=tap_min, tap_max=tap_max),))
+    assert not tf.validate(out)
+    return out
 
 
 BALANCED = {"a": 1.0 + 0.0j,
@@ -136,6 +151,11 @@ PARITY_FEEDERS = {
                                          phases=("a", "b", "c")),
     "chain-B-3ph": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="B",
                                          phases=("a", "b", "c")),
+    # Regulators on phases a and c: their ratio columns skip phase b.
+    "chain-A-ac": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="A",
+                                        phases=("a", "c")),
+    "chain-B-ac": lambda _: chain_model([0.25 + 0.1j, 0.2 + 0.08j], svr_kind="B",
+                                        phases=("a", "c")),
     "cascade": lambda _: cascade_model(),
     # A conductive shunt makes import depend on the regulator ratios.
     "cascade-lossy": lambda _: cascade_model(shunt_y=0.01 + 0.03j),

@@ -487,6 +487,30 @@ def test_bruteforce_blocks_change_no_result(monkeypatch, ieee13):
         (want.taps, want.objective.hex(), want.feasible_count)
 
 
+def test_bruteforce_blocks_stay_within_the_cell_cap(monkeypatch, ieee13):
+    """A block spans at most ``_SWEEP_CELLS`` (coordinate, combination)
+    cells: with room for 7 combinations over IEEE-13's 29 retained
+    coordinates, 125 combinations take 18 blocks and give the sweep's
+    result."""
+    model = _windowed(ieee13, -2, 2)
+    cfg = tf.config_from_model(model)
+    want = tf.brute_force(model, cfg)
+    n = len(ybus.build_stamps(model).v_flat)
+    assert n == 29
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(opts, "_SWEEP_CELLS", 8 * n - 1)
+    monkeypatch.setattr(zbus, "splu", counting)
+    got = tf.brute_force(model, cfg)
+    assert len(calls) == 18 and got.evaluated == 125
+    assert (got.taps, got.objective.hex(), got.feasible_count) == \
+        (want.taps, want.objective.hex(), want.feasible_count)
+
+
 @pytest.mark.parametrize("kind,zero_tap", [("B", 10), ("A", -10)])
 def test_bruteforce_zero_ratio_raises_the_solve_error(kind, zero_tap):
     """With a step of 0.1 the tap grid reaches ratio 0; the sweep raises the

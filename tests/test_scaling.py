@@ -1,5 +1,6 @@
 """Linear-scaling guard: the work and the memory of each pipeline stage,
-counted rather than timed, grow at most linearly with the feeder.
+and of one tap-sweep block, counted rather than timed, grow at most
+linearly with the feeder.
 
 A stage's work is the number of Python calls and lines it executes, counted
 with ``sys.settrace``: deterministic for fixed inputs and library versions,
@@ -22,7 +23,7 @@ import pytest
 import tapflow as tf
 from tapflow.ybus import build_stamps
 
-from conftest import bench_feeders
+from conftest import bench_feeders, fixed_y_feeder
 
 N = 60          # the work is compared at N and 4 N buses
 MAX_WORK_RATIO = 4.6
@@ -65,7 +66,8 @@ def _peak(fn, *args):
 
 def _stage_figures(model, measure) -> dict:
     """``measure``'s figure for each stage of a parse and a ``run_opts`` on
-    ``model``."""
+    ``model``, and for a ``brute_force`` of one block, 27 combinations, on
+    its variant whose taps cannot move Y."""
     got = {}
     text = tf.serialize(model)
     model, got["parse_feeder"] = measure(tf.parse_feeder, text)
@@ -78,6 +80,8 @@ def _stage_figures(model, measure) -> dict:
     (solution, _), got["solve_lp_lexicographic"] = measure(tf.solve_lp_lexicographic, lp, varmap)
     ratios, got["recover_ratios"] = measure(tf.recover_ratios, solution.x, varmap, model)
     _, got["verify_solve"] = measure(lambda: tf.solve_zbus(model, ratios, stamps=stamps))
+    fixed = fixed_y_feeder(model, -1, 1)
+    _, got["brute_force"] = measure(tf.brute_force, fixed, tf.config_from_model(fixed))
     return got
 
 

@@ -206,17 +206,21 @@ def test_singular_impedance_names_the_first_line_across_phase_groups(bad, named)
         build_stamps(dataclasses.replace(model, lines=lines))
 
 
-@pytest.mark.parametrize("where", ["line", "slack"])
+@pytest.mark.parametrize("where", ["line", "slack", "regulator"])
 def test_unvalidated_phase_mismatch_raises(tiny3, where):
     """A hand-built model that fails validation with a line phase its buses
-    lack, or a bus phase the slack voltage lacks, is refused rather than
-    stamped into another coordinate."""
+    lack, a bus phase the slack voltage lacks, or a regulator secondary
+    phase (c) that the regulator lacks, is refused rather than stamped into
+    another coordinate."""
     if where == "line":
         ln = tiny3.lines[0]
         bad = dataclasses.replace(ln, z=tf.PhaseMatrix(("b",), [[ln.z.array[0, 0]]]))
         model = dataclasses.replace(tiny3, lines=(bad,) + tiny3.lines[1:])
-    else:
+    elif where == "slack":
         model = dataclasses.replace(tiny3, slack_voltage=tf.PhaseVector(("b",), [1.0]))
+    else:
+        model = chain_model([0.1 + 0.05j], svr_kind="B", phases=("a", "c"))
+        model = dataclasses.replace(model, svrs=(dataclasses.replace(model.svrs[0], phases=("a",)),))
     assert tf.validate(model)
     with pytest.raises(ValueError, match="model fails validation"):
         build_stamps(model)
@@ -489,7 +493,8 @@ def _edge_import_by_line(solution, model):
             continue
         line = model.lines[children[sv.to_bus][0].index]
         ph = line.z.phases
-        r = solution.system.ratios[0, solution.system.stamps.regulators[svx].cols]
+        start = sum(len(earlier.phases) for earlier in model.svrs[:svx])
+        r = solution.system.ratios[0, [start + sv.phases.index(p) for p in ph]]
         g = 1.0 / r if sv.kind == "B" else r
         vn = np.array([model.slack_voltage[p] for p in ph])
         vm = np.array([solution.voltages[line.to_bus][p] for p in ph])
@@ -695,12 +700,20 @@ def _assert_stamp_parity(model):
         assert getattr(got, name) == getattr(want, name), name
     assert [(b.id, rows) for b, rows in got.bus_rows] == [(b.id, rows) for b, rows in want.bus_rows]
     assert all(b is ref for (b, _), (ref, _) in zip(got.bus_rows, want.bus_rows))
-    for r, ref in zip(got.regulators, want.regulators, strict=True):
-        assert (r.svr, r.cols, r.entries) == (ref.svr, ref.cols, ref.entries)
-        _assert_same_bytes(r.zinv, ref.zinv, "regulator zinv")
+    # Each reference regulator record: its ends, its kind and the ratio
+    # columns of its line's phases in the layout's rows, its zinv in the
+    # stamp set's.
+    layout, bus_of = got.layout, got.layout.bus_of
+    for i, ref in enumerate(want.regulators):
+        sv, k = ref.svr, layout.svr_lines[i]
+        assert layout.svr_ends[i].tolist() == [bus_of[sv.from_bus], bus_of[sv.to_bus]]
+        assert layout.svr_type_b[i] == (sv.kind == "B")
+        assert layout.svr_cols[i][layout.mask[k]].tolist() == ref.cols
+        _assert_same_bytes(got.svr_zinv[i][np.ix_(layout.mask[k], layout.mask[k])], ref.zinv,
+                           "regulator zinv")
     for k, ref in enumerate(want.zinv):
         _assert_same_bytes(got.line_zinv(k), ref, f"zinv of line {k}")
-    layout, ref_layout = got.layout, want.layout
+    ref_layout = want.layout
     _assert_same_bytes(layout.at, ref_layout.at, "at")
     _assert_same_bytes(layout.load, ref_layout.load, "load")
     assert (layout.bus_of, layout.svr_lines) == (ref_layout.bus_of, ref_layout.svr_lines)

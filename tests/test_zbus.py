@@ -131,7 +131,9 @@ def _edges_from_view(solution, model):
     heads = [(k, None) for k, ln in enumerate(model.lines) if ln.from_bus == model.slack.id]
     for svx, (sv, k) in enumerate(zip(model.svrs, stamps.layout.svr_lines)):
         if sv.from_bus == model.slack.id:
-            r = solution.system.ratios[0, stamps.regulators[svx].cols]
+            start = sum(len(earlier.phases) for earlier in model.svrs[:svx])
+            r = solution.system.ratios[0, [start + sv.phases.index(p)
+                                           for p in model.lines[k].z.phases]]
             heads.append((k, 1.0 / r if sv.kind == "B" else r))
     total = 0.0
     for k, g in heads:
