@@ -133,8 +133,7 @@ class LinearSystem:
     fcol: np.ndarray   # fcol[e, q]: Re-flow column of edge e's phase PHASES[q], -1 if absent
 
 
-def linear_system(model: FeederModel, constants: LinearizationConstants,
-                  windows) -> LinearSystem:
+def linear_system(constants: LinearizationConstants, windows) -> LinearSystem:
     """Assemble the linear model with each regulator ratio confined to a window.
 
     ``windows[i] = (r_lo, r_hi)`` for regulator phase i of the ratio row
@@ -273,7 +272,7 @@ def linear_powerflow(model: FeederModel, constants: LinearizationConstants,
     (real PhaseVector), and complex per-phase flows per edge key.
     """
     row = _ratio_row(model.svrs, ratios)
-    system = linear_system(model, constants, np.column_stack([row, row]))
+    system = linear_system(constants, np.column_stack([row, row]))
     x, _ = eliminate(system, "linear_powerflow")
     vcol, slack_sq = system.vcol, constants.layout.slack_sq
     v_out = {b.id: PhaseVector(b.phases, [slack_sq[PHASES.index(p)] if b.is_slack

@@ -116,7 +116,7 @@ def build_lp(model: FeederModel, constants: LinearizationConstants,
     nonnegative. Objective: real power leaving the slack bus.
     """
     windows = [sv.ratio_range() for sv in model.svrs for _ in sv.phases]
-    system = linear_system(model, constants, windows)
+    system = linear_system(constants, windows)
 
     n = system.A.shape[1]
     lower, upper = np.full(n, -np.inf), np.full(n, np.inf)

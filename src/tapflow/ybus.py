@@ -38,7 +38,13 @@ regulator, one per shunt, s its phase count), and one broadcast per phase
 count fills the rows, columns and values of its plain lines and regulator
 lines together, each line's kind choosing its blocks' endpoints and signs.
 The coordinates come from the layout; the (bus, phase) tuples that name
-them and each retained bus's rows are built only when read.
+them and each retained bus's rows are built only when read, as is
+``StampSet.elimination``, a leaves-first order of Y's rows from the
+layout's line ends, regulator ends and slack flag: each retained bus's rows
+after those of every bus below it, so that a radial feeder's Y is factored
+with no fill-in. ``zbus`` factors a Y of at least ``zbus._TREE_ROWS`` (128)
+rows in that order, within 1e-10 p.u. of COLAMD's solve; smaller feeders
+never build it.
 
 Below the public API a set of ratios is a row, one float per regulator
 phase: regulators in model order, each one's phases in its own order.
@@ -305,6 +311,30 @@ class StampSet:
     def nonslack_at(self) -> np.ndarray:
         """Positions in full_coords of every coordinate but the slack's."""
         return np.flatnonzero(~self.layout.slack[np.nonzero(self.layout.at >= 0)[0]])
+
+    @cached_property
+    def elimination(self) -> np.ndarray:
+        """Y's retained rows leaves first: a stable sort of the rows by
+        descending depth of their bus, so each retained bus's rows, together,
+        come after the rows of every bus below it (Tinney and Walker's fill-free
+        order for a radial network).
+
+        A bus's depth is its distance from the slack bus along its parents, a
+        line's from-bus and a regulator secondary's primary, found by pointer
+        jumping: pass j doubles each bus's jump, so after a pass per bit of the
+        bus count every jump ends at the slack bus.
+        """
+        layout = self.layout
+        n = len(layout.slack)
+        up = np.arange(n)
+        up[layout.to] = layout.frm
+        up[layout.svr_ends[:, 1]] = layout.svr_ends[:, 0]
+        depth = (~layout.slack).astype(np.intp)     # the length of each bus's jump
+        for _ in range(n.bit_length()):
+            depth += depth[up]
+            up = up[up]
+        bus_of_row = np.nonzero(layout.at >= 0)[0][self.full_of[0]]
+        return np.argsort(-depth[bus_of_row], kind="stable")
 
 
 @dataclass(frozen=True)

@@ -331,7 +331,7 @@ def test_linear_system_triplets_are_distinct(name, request, monkeypatch):
         return coo(arg, **kwargs)
 
     monkeypatch.setattr(tf.linflow.sp, "coo_matrix", recording)
-    tf.linflow.linear_system(model, constants, _windows(model))
+    tf.linflow.linear_system(constants, _windows(model))
     (rows, cols), = seen
     assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows) > 0
 
@@ -360,7 +360,7 @@ def _line_calls(model) -> int:
 
     def run():
         tf.ybus.build_stamps(model)
-        tf.linflow.linear_system(model, tf.constants_from_solution(model, base), _windows(model))
+        tf.linflow.linear_system(tf.constants_from_solution(model, base), _windows(model))
 
     run()
     profile = cProfile.Profile()

@@ -66,13 +66,15 @@ def _peak(fn, *args):
 
 def _stage_figures(model, measure) -> dict:
     """``measure``'s figure for each stage of a parse and a ``run_opts`` on
-    ``model``, and for a ``brute_force`` of one block, 27 combinations, on
-    its variant whose taps cannot move Y."""
+    ``model``, for building its stamp set's leaves-first order, and for a
+    ``brute_force`` of one block, 27 combinations, on its variant whose taps
+    cannot move Y."""
     got = {}
     text = tf.serialize(model)
     model, got["parse_feeder"] = measure(tf.parse_feeder, text)
     _, got["validate"] = measure(tf.validate, model)
     stamps, got["build_stamps"] = measure(build_stamps, model)
+    _, got["elimination"] = measure(lambda: stamps.elimination)
     base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)), stamps=stamps)
     constants, got["constants"] = measure(tf.constants_from_solution, model, base)
     (lp, varmap), got["build_lp"] = measure(tf.build_lp, model, constants,

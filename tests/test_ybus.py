@@ -687,6 +687,32 @@ def test_stamp_set_reads_no_tree_map(monkeypatch, ieee13):
     assert built == [TreeIndex(root="650")]
 
 
+def test_elimination_order_puts_each_bus_after_the_buses_below_it():
+    """On a generated feeder whose slack bus is listed last, ``elimination``
+    orders Y's rows so that each retained bus's rows stay together, in phase
+    order, after the rows of every retained bus it feeds: through a line, or
+    through the mid-feeder regulator and the line out of its secondary."""
+    model = _reversed_buses(bench_feeders().generate_feeder(11, 200))
+    stamps = build_stamps(model)
+    order = stamps.elimination
+    assert np.array_equal(np.sort(order), np.arange(len(stamps.v_flat)))
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    rows = {b.id: place[r] for b, r in stamps.bus_rows}
+    assert all((np.diff(at) == 1).all() for at in rows.values())
+    parent = {e.to_bus: e.from_bus for e in (*model.lines, *model.svrs)}
+    checked = set()
+    for bus, at in rows.items():
+        up = parent[bus]
+        if up in parent and up not in rows:          # a regulator secondary
+            up = parent[up]
+        if up in rows:
+            assert at.max() < rows[up].min(), (bus, up)
+            checked.add((bus, up))
+    mid = model.svrs[1]
+    assert (next(ln.to_bus for ln in model.lines if ln.from_bus == mid.to_bus), mid.from_bus) in checked
+
+
 def _assert_stamp_parity(model):
     """``build_stamps`` gives the reference build's stamp set field by field
     and bit for bit, ``tree_index`` gives its root, and assembly on the

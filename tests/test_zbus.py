@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import tapflow as tf
 from tapflow import zbus
 from tapflow.ybus import build_stamps
 
-from conftest import bench_feeders, chain_model
+from conftest import bench_feeders, chain_model, fixed_y_feeder
 
 
 def two_bus_oracle(z: complex, s: complex, vs: float = 1.0) -> complex:
@@ -270,11 +271,12 @@ def _tap_grid(model):
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """The number of factorizations made through ``tapflow.zbus.splu``."""
+    """The keyword arguments of each factorization made through
+    ``tapflow.zbus.splu``, one dict per call."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(None)
+        calls.append(kwargs)
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(zbus, "splu", counting)
@@ -310,6 +312,92 @@ def test_fresh_solve_factors_once(ieee13, splu_calls):
     assert sol.converged and len(splu_calls) == 1
 
 
+# The factorization in the leaves-first order, as ``_TreeLU`` calls splu.
+TREE_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": zbus._DIAG_PIVOT,
+             "panel_size": zbus._PANEL, "options": {"SymmetricMode": True}}
+
+
+def test_factorization_order_switches_at_the_row_constant(splu_calls):
+    """The generated feeders whose Y has just below and just above
+    ``_TREE_ROWS`` rows, found for whatever the constant: the first is factored
+    with splu's defaults (COLAMD) and builds no leaves-first order, the second
+    in that order. Both solves' certificates equal their residuals."""
+    feeders, built = bench_feeders(), {}
+    # A bus has 1-3 rows, so the search starts at a third of the constant.
+    for n_buses in range(max(10, zbus._TREE_ROWS // 3), 2000):
+        model = feeders.generate_feeder(5, n_buses)
+        built[n_buses] = model, build_stamps(model)
+        if built[n_buses][1].shapes[0][0] >= zbus._TREE_ROWS:
+            break
+    else:
+        pytest.fail("no generated feeder below 2000 buses reaches _TREE_ROWS")
+    for (model, st), tree in ((built[n_buses - 1], False), (built[n_buses], True)):
+        del splu_calls[:]
+        sol = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)), stamps=st)
+        assert sol.converged and tf.kcl_certificate(sol, model) == sol.residual
+        assert splu_calls == [TREE_SPLU if tree else {}]
+        assert ("elimination" in vars(st)) == tree
+
+
+def test_small_feeder_pipeline_never_builds_the_order(ieee13, monkeypatch, splu_calls):
+    """IEEE-13's 29 rows stay on COLAMD: a ``run_opts`` builds no
+    leaves-first order on its stamp set."""
+    built = []
+
+    def keeping(model):
+        built.append(build_stamps(model))
+        return built[-1]
+
+    monkeypatch.setattr(tf.opts, "build_stamps", keeping)
+    tf.run_opts(ieee13, tf.config_from_model(ieee13))
+    (stamps,) = built
+    assert "elimination" not in vars(stamps) and splu_calls == [{}, {}]
+
+
+# Generated feeders (seed, buses, bus list reversed) on which the two
+# factorizations must give one solve: 200-5000 buses, and one with the slack
+# bus listed last.
+TREE_FEEDERS = [(5, 200, False), (5, 500, False), (5, 1000, False), (5, 2000, False),
+                (5, 5000, False), (11, 500, True)]
+
+
+@pytest.mark.parametrize("seed,n_buses,reverse", TREE_FEEDERS)
+def test_tree_order_matches_colamd(seed, n_buses, reverse, monkeypatch):
+    """At 8 seeded tap settings in -8..8, the solve with Y factored in the
+    leaves-first order and the solve with COLAMD's (each path forced through
+    the row constant) take the same steps to the same verdict, with voltages
+    within 1e-10 p.u. and imports within a relative 1e-10."""
+    model = bench_feeders().generate_feeder(seed, n_buses)
+    if reverse:
+        model = dataclasses.replace(model, buses=model.buses[::-1])
+    stamps = build_stamps(model)
+    rng = np.random.default_rng([seed, n_buses])
+    for _ in range(8):
+        taps = [{p: int(rng.integers(-8, 9)) for p in sv.phases} for sv in model.svrs]
+        ratios = tf.taps_to_ratios(model, taps)
+        monkeypatch.setattr(zbus, "_TREE_ROWS", 0)
+        tree = tf.solve_zbus(model, ratios, stamps=stamps)
+        monkeypatch.setattr(zbus, "_TREE_ROWS", sys.maxsize)
+        colamd = tf.solve_zbus(model, ratios, stamps=stamps)
+        assert (tree.iterations, tree.converged) == (colamd.iterations, colamd.converged)
+        assert np.abs(tree.v - colamd.v).max() <= 1e-10
+        if colamd.converged:
+            want = tf.import_objective(colamd, model)
+            assert abs(tf.import_objective(tree, model) - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("n_buses", [300, 1000])
+def test_tree_order_fills_no_more_than_colamd(n_buses):
+    """Y factored in the leaves-first order has at most COLAMD's L + U
+    entries, and no fill-in: at most Y's entries and L's unit diagonal."""
+    model = bench_feeders().generate_feeder(5, n_buses)
+    system = tf.assemble(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
+    tree = zbus._TreeLU(system.Y, system.stamps.elimination).lu
+    colamd = splu(system.Y)
+    assert tree.L.nnz + tree.U.nnz <= colamd.L.nnz + colamd.U.nnz
+    assert tree.L.nnz + tree.U.nnz <= system.Y.nnz + system.Y.shape[0]
+
+
 @pytest.mark.parametrize("case,scale", [("tiny3", 1.0), ("ieee13", 1.0), ("ieee13", 0.75)])
 def test_reused_factorization_changes_no_bits_over_the_grid(case, scale, request):
     """At every tap combination, a solve on one shared stamp set equals a
@@ -341,9 +429,11 @@ def test_reused_factorization_changes_no_bits_over_the_grid(case, scale, request
 # (feeder, load scale, max_iter) -> how the columns stop. At load x1.8 some
 # IEEE-13 columns converge and the others run to max_iter; at x1e307 some
 # tiny3 columns stop at a non-finite update and the others run to max_iter.
+# gen300-fixed-y's Y is factored in the leaves-first order.
 BLOCK_CASES = {("tiny3", 1.0, 200): {"converged"}, ("tiny3", 1e307, 200): {"non-finite", "capped"},
                ("tiny3", 1.0, 3): {"capped"}, ("ieee13", 1.0, 200): {"converged"},
-               ("ieee13", 1.8, 200): {"converged", "capped"}, ("ieee13", 1.0, 3): {"capped"}}
+               ("ieee13", 1.8, 200): {"converged", "capped"}, ("ieee13", 1.0, 3): {"capped"},
+               ("gen300-fixed-y", 1.0, 200): {"converged"}}
 
 
 @pytest.mark.parametrize("tol", [0.0, float("nan")])
@@ -376,11 +466,17 @@ def test_block_of_many_sets_needs_fixed_y():
 @pytest.mark.parametrize("case,scale,max_iter", sorted(BLOCK_CASES))
 def test_block_columns_equal_single_solves(case, scale, max_iter, request):
     """Column j of a block solve is ``solve_zbus`` at combination j (tiny3's
-    33 taps, IEEE-13 windowed to taps -2..2): the voltage bytes, steps,
-    residual and converged flag. At converged columns the block metrics are
-    the one-solve metrics to the bit; no metric reads another column, so no
-    overflow warning escapes (warnings are errors under the test settings)."""
-    model = request.getfixturevalue(case)
+    33 taps, IEEE-13 windowed to taps -2..2, generate_feeder(5, 300) with Y
+    fixed and taps -1..1): the voltage bytes, steps, residual and converged
+    flag. At converged columns the block metrics are the one-solve metrics
+    to the bit, and the certificate is the residual; no metric reads another
+    column, so no overflow warning escapes (warnings are errors under the
+    test settings)."""
+    if case == "gen300-fixed-y":
+        model = fixed_y_feeder(bench_feeders().generate_feeder(5, 300), -1, 1)
+        assert build_stamps(model).shapes[0][0] >= zbus._TREE_ROWS
+    else:
+        model = request.getfixturevalue(case)
     if case == "ieee13":
         model = _windowed(model, -2, 2)
     model = bench_feeders().scale_loads(model, lambda _bus, _phase: scale)
@@ -399,6 +495,7 @@ def test_block_columns_equal_single_solves(case, scale, max_iter, request):
         if sol.converged:
             assert feasible[j] == tf.feasibility(sol, model, 0.9, 1.1)
             assert objective[j].hex() == tf.import_objective(sol, model).hex()
+            assert tf.kcl_certificate(sol, model) == sol.residual
         else:
             assert not feasible[j] and np.isnan(objective[j])
         stops.add("converged" if sol.converged
