@@ -21,7 +21,8 @@ PHASES = ("a", "b", "c")
 _PHASE_POS = {p: i for i, p in enumerate(PHASES)}
 
 # |x| < SQUARE_LIMIT exactly when the float x ** 2 is finite; the LP squares
-# its voltage band and every regulator's ratio window.
+# its voltage band, every regulator's ratio window and the slack voltage's
+# magnitudes.
 SQUARE_LIMIT = 2.0**512
 
 
@@ -308,6 +309,9 @@ def validate(model: FeederModel) -> list[Violation]:
             out.append(Violation(b.id, "slack-injection", "slack bus must carry no load and no shunt"))
         if set(model.slack_voltage.phases) != set(b.phases):
             out.append(Violation(b.id, "slack-voltage-mask", "slack_voltage mask must equal the slack bus mask"))
+    if not (np.abs(model.slack_voltage.values) < SQUARE_LIMIT).all():
+        out.append(Violation("slack_voltage", "slack-voltage-square",
+                             f"magnitudes must have finite squares, got {model.slack_voltage.values.tolist()}"))
 
     for b in model.buses:
         if b.load is not None and not set(b.load.phases) <= set(b.phases):

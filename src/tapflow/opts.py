@@ -138,11 +138,19 @@ def _solve_condensed(G: np.ndarray, h: np.ndarray, d: np.ndarray) -> LpSolution:
     is feasible and an unbounded dual means an infeasible primal; both
     outcomes are reported as "infeasible".
     """
-    sol = solve_lp(SparseLp(A=sp.csc_matrix(G.T), b=-d, c=h, lower=np.zeros(len(h)),
+    sol = solve_lp(SparseLp(A=_csc_of_transpose(G), b=-d, c=h, lower=np.zeros(len(h)),
                             upper=np.full(len(h), np.inf)))
     if sol.status in ("unbounded", "infeasible"):
         sol.status = "infeasible"
     return sol
+
+
+def _csc_of_transpose(G: np.ndarray) -> sp.csc_matrix:
+    """``sp.csc_matrix(G.T)`` of a dense ``G``, read from ``np.nonzero(G)``:
+    G's row-major order is G.T's column-major order."""
+    rows, cols = np.nonzero(G)
+    return sp.csc_matrix((G[rows, cols], cols, np.searchsorted(rows, np.arange(len(G) + 1))),
+                         shape=G.T.shape)
 
 
 def solve_lp_lexicographic(lp: SparseLp, varmap: LinearSystem) -> tuple[LpSolution, float]:

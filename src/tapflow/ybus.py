@@ -12,16 +12,18 @@ to-bus positions, a phase mask and the impedance padded to 3 x 3 over
 PHASES with exact zeros), the lines' indices by phase count, one row per
 regulator (its primary's and secondary's positions, the ratio row's column
 of each of its phases, its kind, and its outgoing line, the line that
-leaves its secondary, read from the same from-bus positions), and the slack
-voltage and its squared magnitudes per phase. Its slack bus is the root of
-the feeder's ``tree_index``. ``build_layout`` is the only function on the
-solve path that reads the model's lines, regulators and slack voltage: the
-stamps, ``linflow``, ``zbus`` and ``opts`` index the layout, and read the
-model only at the API boundary (ratio maps in, voltages and tap maps out)
-and for the tap specifications. Elementwise work runs once over all lines;
-the kernels whose bits depend on the matrix size (``np.linalg.inv``,
-batched matrix products) run once per phase count, on the s x s blocks of
-that count's lines.
+leaves its secondary, read from the same from-bus positions), the slack
+voltage and its squared magnitudes per phase, and each bus's depth, its
+distance from the slack bus, the root of the feeder's ``tree_index``: the
+one depth that orders both of the feeder's sparse factorizations, Y's here
+and the linear model's (``linflow.eliminate``). ``build_layout`` is the only
+function on the solve path that reads the model's lines, regulators and
+slack voltage: the stamps, ``linflow``, ``zbus`` and ``opts`` index the
+layout, and read the model only at the API boundary (ratio maps in,
+voltages and tap maps out) and for the tap specifications. Elementwise
+work runs once over all lines; the kernels whose bits depend on the matrix
+size (``np.linalg.inv``, batched matrix products) run once per phase
+count, on the s x s blocks of that count's lines.
 
 Assembly has two steps. ``build_stamps`` does the tap-independent work once
 per feeder: the layout, the slack voltages, loads and flat start over the
@@ -38,13 +40,18 @@ regulator, one per shunt, s its phase count), and one broadcast per phase
 count fills the rows, columns and values of its plain lines and regulator
 lines together, each line's kind choosing its blocks' endpoints and signs.
 The coordinates come from the layout; the (bus, phase) tuples that name
-them and each retained bus's rows are built only when read, as is
-``StampSet.elimination``, a leaves-first order of Y's rows from the
-layout's line ends, regulator ends and slack flag: each retained bus's rows
-after those of every bus below it, so that a radial feeder's Y is factored
-with no fill-in. ``zbus`` factors a Y of at least ``zbus._TREE_ROWS`` (128)
-rows in that order, within 1e-10 p.u. of COLAMD's solve; smaller feeders
-never build it.
+them and each retained bus's rows are built only when read.
+
+Y's rows, and so its columns, are the retained coordinates in model order
+below ``_TREE_ROWS`` (128) rows. From there on they are numbered leaves
+first: a stable sort by descending depth of their bus, so that each
+retained bus's rows, together and in phase order, come after those of every
+bus below it. In that order a radial feeder's Y is factored with no fill-in
+(Tinney and Walker, 1967), and ``zbus`` factors it as assembled, with no
+column ordering. The loads, the flat start and the entries' routes are
+placed in the same numbering, so a solve never permutes. A smaller Y keeps
+model order and COLAMD's factorization, and with them the bits that the
+fixtures pin (IEEE-13 has 29 rows); within 1e-10 p.u. either way.
 
 Below the public API a set of ratios is a row, one float per regulator
 phase: regulators in model order, each one's phases in its own order.
@@ -92,6 +99,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .network import _PHASE_POS, PHASES, FeederModel, PhaseVector, tree_index
+
+# From this many rows on, Y's rows are numbered leaves first (``build_stamps``)
+# and factored in that order. Below it they keep model order, factored in
+# COLAMD's, for the bits that the fixtures pin rather than for speed: a small
+# Y factors faster leaves first too.
+_TREE_ROWS = 128
 
 
 def _ratio_row(svrs, ratios) -> np.ndarray:
@@ -170,6 +183,7 @@ class Layout:
     svr_lines: tuple         # per regulator: model.lines index of its outgoing line
     v_source: np.ndarray     # v_source[q]: slack voltage of phase PHASES[q], NaN if absent
     slack_sq: np.ndarray     # slack_sq[q]: its squared magnitude, Python's abs(v) ** 2; 0 if absent
+    depth: np.ndarray        # depth[k]: bus k's distance from the slack bus (``_depths``)
 
     def edge_key(self, frm: int, to: int) -> str:
         """The key "from->to" of the buses at positions ``frm`` and ``to``."""
@@ -230,13 +244,29 @@ def build_layout(model: FeederModel) -> Layout:
     source = dict(zip(model.slack_voltage.phases, model.slack_voltage.values.tolist()))
     slack = np.zeros(len(ids), dtype=bool)          # the tree's root
     slack[bus_of[tree_index(model).root]] = True
-    return Layout(at=at, bus_of=bus_of, slack=slack, load=load,
+    return Layout(at=at, bus_of=bus_of, slack=slack, load=load, depth=_depths(slack, ends, regs),
                   shunts=tuple((k, b.shunt) for k, b in enumerate(buses) if b.shunt is not None),
                   frm=ends[0], to=ends[1], mask=mask, z=z_pad, by_size=tuple(by_size),
                   svr_ends=regs[:, :2], svr_type_b=regs[:, 2] == 1, svr_cols=regs[:, 3:],
                   svr_lines=tuple(out.argmax(axis=1).tolist()) if svrs else (),
                   v_source=np.array([source.get(p, np.nan) for p in PHASES], dtype=complex),
                   slack_sq=np.array([abs(source[p]) ** 2 if p in source else 0.0 for p in PHASES]))
+
+
+def _depths(slack: np.ndarray, ends: np.ndarray, regs: np.ndarray) -> np.ndarray:
+    """Each bus's distance from the slack bus along its parents, a line's
+    from-bus (``ends`` (2, L)) and a regulator secondary's primary (``regs``'
+    first two columns), found by pointer jumping: pass j doubles each bus's
+    jump, so after a pass per bit of the bus count every jump ends at the
+    slack bus."""
+    up = np.arange(len(slack))
+    up[ends[1]] = ends[0]
+    up[regs[:, 1]] = regs[:, 0]
+    depth = (~slack).astype(np.intp)     # the length of each bus's jump
+    for _ in range(len(slack).bit_length()):
+        depth += depth[up]
+        up = up[up]
+    return depth
 
 
 @dataclass(frozen=True)
@@ -255,7 +285,8 @@ class StampSet:
     the ones before it; ``assemble`` converts that matrix once.
     """
 
-    full_of: tuple           # positions in full_coords of coords and of slack_coords
+    full_of: tuple           # positions in full_coords of Y's rows, in row order, and of
+                             # slack_coords
     eliminated: tuple        # bus ids removed by regulator elimination
     buses: tuple             # the model's buses
     v_slack: np.ndarray      # slack voltages in Y_NS column order
@@ -304,37 +335,17 @@ class StampSet:
         """Per retained bus, in model order: (bus, its rows as a slice)."""
         kept = ~self.layout.slack
         kept[self.layout.svr_ends[:, 1]] = False
-        stops = np.cumsum(np.count_nonzero(self.layout.at[kept] >= 0, axis=1)).tolist()
-        return tuple(zip(compress(self.buses, kept.tolist()), map(slice, [0, *stops], stops)))
+        sizes = np.count_nonzero(self.layout.at[kept] >= 0, axis=1)
+        # A bus's first row: the row of the retained coordinate numbered, in
+        # model order, by the sizes of the buses before it.
+        starts = np.append(np.argsort(self.full_of[0]), 0)[np.cumsum(sizes) - sizes]
+        return tuple(zip(compress(self.buses, kept.tolist()),
+                         map(slice, starts.tolist(), (starts + sizes).tolist())))
 
     @cached_property
     def nonslack_at(self) -> np.ndarray:
         """Positions in full_coords of every coordinate but the slack's."""
         return np.flatnonzero(~self.layout.slack[np.nonzero(self.layout.at >= 0)[0]])
-
-    @cached_property
-    def elimination(self) -> np.ndarray:
-        """Y's retained rows leaves first: a stable sort of the rows by
-        descending depth of their bus, so each retained bus's rows, together,
-        come after the rows of every bus below it (Tinney and Walker's fill-free
-        order for a radial network).
-
-        A bus's depth is its distance from the slack bus along its parents, a
-        line's from-bus and a regulator secondary's primary, found by pointer
-        jumping: pass j doubles each bus's jump, so after a pass per bit of the
-        bus count every jump ends at the slack bus.
-        """
-        layout = self.layout
-        n = len(layout.slack)
-        up = np.arange(n)
-        up[layout.to] = layout.frm
-        up[layout.svr_ends[:, 1]] = layout.svr_ends[:, 0]
-        depth = (~layout.slack).astype(np.intp)     # the length of each bus's jump
-        for _ in range(n.bit_length()):
-            depth += depth[up]
-            up = up[up]
-        bus_of_row = np.nonzero(layout.at >= 0)[0][self.full_of[0]]
-        return np.argsort(-depth[bus_of_row], kind="stable")
 
 
 @dataclass(frozen=True)
@@ -443,7 +454,11 @@ def build_stamps(model: FeederModel) -> StampSet:
     # in one matrix: Y, then Y_NS, then Y_S, each shifted past the ones before.
     is_retained, is_slack = kept[bus_at], layout.slack[bus_at]
     n, ns, nf = int(is_retained.sum()), int(is_slack.sum()), len(bus_at)
-    retained_of, slack_of = np.cumsum(is_retained) - 1, np.cumsum(is_slack) - 1
+    retained = np.flatnonzero(is_retained)          # Y's rows, in row order
+    if n >= _TREE_ROWS:                             # leaves first
+        retained = retained[np.argsort(-layout.depth[bus_at[retained]], kind="stable")]
+    retained_of, slack_of = np.zeros(nf, dtype=np.intp), np.cumsum(is_slack) - 1
+    retained_of[retained] = np.arange(n)
     to_s = is_slack[rows]
     to_ns = ~to_s & is_slack[cols]
     keep = values != 0.0
@@ -453,11 +468,11 @@ def build_stamps(model: FeederModel) -> StampSet:
     frame_cols = np.where(to_s, n + ns + cols, np.where(to_ns, n + slack_of[cols], retained_of[cols]))
     routes = (np.flatnonzero(keep), frame_rows[keep].astype(np.int32), frame_cols[keep].astype(np.int32))
 
-    return StampSet(full_of=(np.flatnonzero(is_retained), np.flatnonzero(is_slack)),
+    return StampSet(full_of=(retained, np.flatnonzero(is_slack)),
                     eliminated=tuple(buses[k].id for k in svr_ends[:, 1].tolist()), buses=buses,
                     v_slack=layout.v_source[phase_of[is_slack]],
-                    loads=layout.load[kept][at[kept] >= 0],
-                    v_flat=layout.v_source[phase_of[is_retained]],
+                    loads=layout.load[bus_at[retained], phase_of[retained]],
+                    v_flat=layout.v_source[phase_of[retained]],
                     values=values, moving=np.where(moves, np.cumsum(moves) - 1, -1),
                     routes=routes, shapes=((n, n), (n, ns), (ns, nf)),
                     # A gain off the line's phases multiplies only zeros; it

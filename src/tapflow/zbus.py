@@ -12,20 +12,17 @@ entry, so a solve at new taps only recomputes the regulator blocks and
 lets scipy convert the entries once. Each solve, or each block of tap
 sets, factors Y once; the stamp set keeps no factorization.
 
-A Y with fewer than ``_TREE_ROWS`` rows (128; IEEE-13 has 29, the
-generated feeders of 15-45 buses at most 90) is factored by SuperLU's
-defaults: COLAMD's column order and partial pivoting. A larger Y is
-factored in the stamp set's leaves-first order (``StampSet.elimination``),
-in which a radial feeder's elimination makes no fill-in (Tinney and Walker,
-1967): permuted once from its CSC arrays and factored with no column
-ordering, one column per panel, keeping diagonal pivots down to
-``_DIAG_PIVOT`` of their column's largest entry (``_TreeLU``). Its solver permutes each right-hand side in and
-the result back, so the iteration and its KCL residuals run on Y in model
-order. The two factorizations give one solve within rounding: on generated
-feeders of 200-5000 buses at taps -8..8, the same steps and verdict,
-voltages within 1e-10 p.u. and imports within a relative 1e-10
-(``tests/test_zbus.py``); over its 48 solves, at most 2.6e-12 p.u. and
-5.4e-12.
+A Y with fewer than ``ybus._TREE_ROWS`` rows (128; IEEE-13 has 29, the
+generated feeders of 15-45 buses at most 90) is in model order and is
+factored by SuperLU's defaults: COLAMD's column order and partial pivoting.
+A larger Y is numbered leaves first by its stamp set, the order in which a
+radial feeder's elimination makes no fill-in (Tinney and Walker, 1967), and
+is factored as assembled (``_TREE_SPLU``): no column ordering, one column
+per panel, keeping diagonal pivots down to a tenth of their column's largest
+entry, and no gather, sort or permutation of Y or of a right-hand side. The two give
+one solve within rounding: on generated feeders of 200-5000 buses at taps
+-8..8, the same steps and verdict, voltages within 1e-10 p.u. and imports
+within a relative 1e-10 (``tests/test_zbus.py``).
 
 The iteration is one kernel over an (n, m) block of columns, with one
 multi-column LU solve per step, each column stopping on its own
@@ -55,7 +52,6 @@ secondary that is not finite raises.
 from __future__ import annotations
 
 import cmath
-import copy
 import io
 import math
 from dataclasses import dataclass, field
@@ -65,6 +61,7 @@ from itertools import chain
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from . import ybus
 from .errors import PipelineError
 from .network import FeederModel, PhaseVector
 from .ybus import AdmittanceSystem, StampSet, assemble, assemble_block, recover_svr_secondary
@@ -72,20 +69,15 @@ from .ybus import AdmittanceSystem, StampSet, assemble, assemble_block, recover_
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
 _KCL_TOL = 5e-9   # stop threshold; comfortably under the 1e-8 certificate
-# Y with at least this many rows is factored in the stamp set's leaves-first
-# order (``_TreeLU``). Below it COLAMD's order is faster: permuting Y and every
-# right-hand side costs more than the smaller factorization saves. Whole
-# solves of generated feeders break even between 104 and 124 rows.
-_TREE_ROWS = 128
-# In the leaves-first order SuperLU keeps a diagonal pivot of at least this
-# share of its column's largest entry, and so keeps the order, which is
-# fill-free only with diagonal pivots; a smaller diagonal still swaps rows.
-_DIAG_PIVOT = 0.1
-# Columns per SuperLU panel in the leaves-first order. Its supernodes are
-# small, mostly one bus's 1-3 columns, so a wider panel only adds sweeps over
-# its work arrays: at 1390 rows the factorization takes 1.96 ms with
-# SuperLU's default panel and 1.05 ms with one column per panel.
-_PANEL = 1
+# splu's settings for a Y numbered leaves first: no column ordering, so the
+# factorization keeps that order; a diagonal pivot kept down to 0.1 of its
+# column's largest entry, since the order is fill-free only with diagonal
+# pivots (a smaller diagonal still swaps rows); and one column per panel:
+# the supernodes are small, mostly one bus's 1-3 columns, so a wider panel
+# only adds sweeps over its work arrays (at 1390 rows the factorization
+# took 1.96 ms with SuperLU's default panel and 1.05 ms with one column).
+_TREE_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, "panel_size": 1,
+              "options": {"SymmetricMode": True}}
 
 
 @dataclass(eq=False)
@@ -177,34 +169,6 @@ def _fixed_point(lu, Y, loads: np.ndarray, w_s: np.ndarray, v: np.ndarray, tol: 
     return out, iterations, residual, converged
 
 
-class _TreeLU:
-    """SuperLU's factors of Y[p][:, p], ``p`` a leaves-first order of Y's rows
-    (``StampSet.elimination``), factored in that order with no column
-    ordering; ``solve`` takes and returns right-hand sides in Y's row order."""
-
-    def __init__(self, Y, p: np.ndarray):
-        n = len(p)
-        self.p, self.q = p, np.empty(n, dtype=Y.indices.dtype)
-        self.q[p] = np.arange(n)
-        # Y[p][:, p] from Y's CSC arrays: column j is Y's column p[j], its rows
-        # renumbered by q and so unsorted, which splu sorts. A copy of the
-        # checked Y with new arrays: scipy's constructor would check them again.
-        ptr = Y.indptr
-        starts = ptr[p]
-        counts = ptr[p + 1] - starts
-        indptr = np.zeros(n + 1, dtype=ptr.dtype)
-        np.cumsum(counts, out=indptr[1:])
-        take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-        permuted = copy.copy(Y)
-        permuted.data, permuted.indices, permuted.indptr = Y.data[take], self.q[Y.indices[take]], indptr
-        permuted.has_canonical_format = permuted.has_sorted_indices = False
-        self.lu = splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=_DIAG_PIVOT,
-                       panel_size=_PANEL, options={"SymmetricMode": True})
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.lu.solve(b[self.p])[self.q]
-
-
 def _solve(system: AdmittanceSystem, tol: float, max_iter: int) -> tuple:
     """``_fixed_point`` on ``system`` from a flat start, column j at ratio
     row j; m > 1 columns share Y's factorization, so need ``y_fixed``."""
@@ -218,7 +182,7 @@ def _solve(system: AdmittanceSystem, tol: float, max_iter: int) -> tuple:
     w_s = (system.Y_NS @ v_s).reshape(m, n).T
     start = np.broadcast_to(st.v_flat[:, None], (n, m))
     try:
-        lu = splu(system.Y) if n < _TREE_ROWS else _TreeLU(system.Y, st.elimination)
+        lu = splu(system.Y, **({} if n < ybus._TREE_ROWS else _TREE_SPLU))
     except RuntimeError as exc:
         raise PipelineError("powerflow", f"admittance matrix is singular: {exc}") from None
     return _fixed_point(lu, system.Y, st.loads, w_s, start, tol, max_iter)

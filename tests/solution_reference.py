@@ -95,8 +95,9 @@ def voltage_unbalance(solution: EagerSolution) -> float:
 
 def kcl_certificate(solution: EagerSolution, model: FeederModel) -> float:
     system = solution.system
+    in_row_order = sorted(system.stamps.bus_rows, key=lambda item: item[1].start)
     return float(_kcl_residual(system.Y, system.stamps.loads, system.Y_NS @ system.stamps.v_slack,
-                               voltage_array(solution, [b for b, _ in system.stamps.bus_rows])))
+                               voltage_array(solution, [b for b, _ in in_row_order])))
 
 
 def _metric_bits(solution, model: FeederModel, m) -> tuple:

@@ -13,7 +13,8 @@ each assembly let scipy convert the entries itself; it is kept here as the
 record of that emulation, and the library's stamp set has no such fields to
 compare. The other reference
 modules walk the tree through this ``tree_index``, so they do not depend on
-the code under test.
+the code under test. Y's rows are numbered by ``leaves_first``, from depths
+counted down this tree, not from the layout's.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from itertools import accumulate, compress, count
 import numpy as np
 import scipy.sparse as sp
 
+from tapflow import ybus
 from tapflow.network import PHASES, FeederModel, SvrSpec
 from tapflow.ybus import _inv
 
@@ -77,6 +79,20 @@ def tree_index(model: FeederModel) -> TreeIndex:
         children={k: tuple(v) for k, v in children.items()},
         edges=tuple(edges),
     )
+
+
+def leaves_first(model: FeederModel, coords) -> tuple:
+    """``coords``, the retained (bus, phase) in model order, as Y's rows: as
+    they are below ``ybus._TREE_ROWS``, else leaves first, sorted stably by
+    descending depth of their bus, the depths counted down the tree from
+    its root."""
+    if len(coords) < ybus._TREE_ROWS:
+        return tuple(coords)
+    idx = tree_index(model)
+    depth = {idx.root: 0}
+    for bus in idx.order[1:]:                # parents before children
+        depth[bus] = depth[idx.parent[bus].from_bus] + 1
+    return tuple(sorted(coords, key=lambda c: -depth[c[0]]))
 
 
 def _line_inverses(lines, order) -> tuple:
@@ -193,7 +209,8 @@ def build_stamps(model: FeederModel) -> StampSet:
     elim_set = set(eliminated)
     kept = np.array([not b.is_slack and b.id not in elim_set for b in buses], dtype=bool)
     retained = list(compress(buses, kept))
-    coords = tuple((b.id, p) for b in retained for p in b.phases)
+    in_model_order = tuple((b.id, p) for b in retained for p in b.phases)
+    coords = leaves_first(model, in_model_order)
     slack_coords = tuple((model.slack.id, p) for p in model.slack.phases)
     full_coords = tuple((b.id, p) for b in buses for p in b.phases)
     bus_at, phase_of = np.nonzero(at >= 0)  # full coordinates run row by row through ``at``
@@ -257,7 +274,11 @@ def build_stamps(model: FeederModel) -> StampSet:
 
     # Route each stored entry once: a slack row goes to Y_S, a slack column
     # to Y_NS, anything else to Y.
-    retained_of, slack_of = (np.where(m, np.cumsum(m) - 1, -1) for m in (is_retained, is_slack))
+    full_index = {c: i for i, c in enumerate(full_coords)}
+    rows_at = np.array([full_index[c] for c in coords], dtype=np.intp)
+    retained_of = np.full(len(full_coords), -1)
+    retained_of[rows_at] = np.arange(len(coords))
+    slack_of = np.where(is_slack, np.cumsum(is_slack) - 1, -1)
     r_ret, c_ret, r_slack, c_slack = (m[rc] for m in (retained_of, slack_of) for rc in (rows, cols))
     to_s = r_slack >= 0
     to_ns = ~to_s & (c_slack >= 0)
@@ -275,13 +296,18 @@ def build_stamps(model: FeederModel) -> StampSet:
                                   (r_ret, r_ret, r_slack), (c_ret, c_slack, cols),
                                   ((n, n), (n, ns), (ns, nf)))])
 
-    stops = list(accumulate(len(b.phases) for b in retained))
-    bus_rows = tuple(zip(retained, map(slice, [0, *stops], stops)))
+    row = {c: i for i, c in enumerate(coords)}
+    starts = [row[b.id, b.phases[0]] for b in retained]
+    bus_rows = tuple(zip(retained, (slice(i, i + len(b.phases)) for i, b in zip(starts, retained))))
+    # Model-order position of each row, for the per-row arrays.
+    model_row = dict(zip(in_model_order, count()))
+    moved = [model_row[c] for c in coords]
     return StampSet(coords=coords, slack_coords=slack_coords, full_coords=full_coords,
-                    full_of=(np.flatnonzero(is_retained), np.flatnonzero(is_slack)),
+                    full_of=(rows_at, np.flatnonzero(is_slack)),
                     eliminated=eliminated, bus_rows=bus_rows,
-                    v_slack=v_source[phase_of[is_slack]], loads=layout.load[kept][at[kept] >= 0],
-                    v_flat=v_source[phase_of[is_retained]],
+                    v_slack=v_source[phase_of[is_slack]],
+                    loads=layout.load[kept][at[kept] >= 0][moved],
+                    v_flat=v_source[phase_of[is_retained]][moved],
                     values=values, moving=np.where(moves, np.cumsum(moves) - 1, -1),
                     first=first, further=further, templates=templates,
                     regulators=regulators, layout=layout, zinv=zinv, y_fixed=y_fixed)

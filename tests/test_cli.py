@@ -286,6 +286,20 @@ def test_bad_feeder_config_exit_1(tmp_path, capsys, config, flags, key):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "powerflow", "opts", "lindiff"])
+def test_slack_voltage_without_a_finite_square_exit_1(tmp_path, capsys, command):
+    """A slack voltage of 1e308 p.u. has no finite square, which the linear
+    model needs: every subcommand refuses the feeder with a message and
+    exit 1, as ``validate`` does, rather than an ``OverflowError``."""
+    doc = json.loads((FIXTURES / "tiny3.json").read_text())
+    doc["slack_voltage"]["values"] = [[1e308, 0.0]]
+    feeder = tmp_path / "huge-slack.json"
+    feeder.write_text(json.dumps(doc))
+    assert run([command, "--feeder", str(feeder)]) == 1
+    out, err = capsys.readouterr()
+    assert "slack_voltage: [slack-voltage-square] magnitudes must have finite squares" in out + err
+
+
 def test_opts_rejects_a_lower_bound_with_an_infinite_gap(capsys):
     """A bound of 1e-310 is positive and finite, but the gap over it is not,
     and the JSON report cannot carry an infinite gap."""

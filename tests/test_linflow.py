@@ -5,6 +5,7 @@ import pstats
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import tapflow as tf
 from tapflow.network import PHASES
@@ -250,6 +251,32 @@ def test_singular_linear_system_raises_pipeline_error():
     with pytest.raises(tf.PipelineError) as err:
         tf.linear_powerflow(model, tf.constants_balanced(model), [])
     assert err.value.stage == "linear_powerflow"
+
+
+# Generated feeders (seed, buses, bus list reversed) whose LPs are factored
+# leaves first: 200-5000 buses, and one with the slack bus listed last.
+TREE_LP_FEEDERS = [(5, 200, False), (5, 800, False), (5, 2000, False), (5, 5000, False),
+                   (11, 500, True)]
+
+
+@pytest.mark.parametrize("seed,n_buses,reverse", TREE_LP_FEEDERS)
+def test_leaves_first_lp_matches_colamd(seed, n_buses, reverse, monkeypatch):
+    """The LP's square columns factored leaves first give x0 and N within a
+    relative 1e-12 of a COLAMD factorization of the same columns, and
+    ``run_opts`` picks the same taps either way."""
+    model = bench_feeders().generate_feeder(seed, n_buses)
+    if reverse:
+        model = dataclasses.replace(model, buses=model.buses[::-1])
+    config = tf.config_from_model(model)
+    _, varmap = tf.build_lp(model, _base_constants(model), config)
+    assert varmap.A.shape[0] >= tf.ybus._TREE_ROWS
+    tree = tf.linflow.eliminate(varmap, "solve_lp")
+    tree_taps = tf.run_opts(model, config).taps
+    monkeypatch.setattr(tf.linflow, "splu", lambda square, **_: splu(square))
+    colamd = tf.linflow.eliminate(varmap, "solve_lp")
+    for got, want in zip(tree, colamd):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert tree_taps == tf.run_opts(model, config).taps
 
 
 def _lines_reversed(model):

@@ -363,6 +363,9 @@ RULE_EDITS = {
     "svr-bounds": ("svr-bounds", "must contain 0", lambda m: _with_svr(m, tap_min=1)),
     "svr-ratio-square": ("svr-bounds", "must have finite squares",
                          lambda m: _with_svr(m, step=1e200)),
+    "slack-voltage-square": ("slack-voltage-square", "must have finite squares",
+                             lambda m: dataclasses.replace(
+                                 m, slack_voltage=tf.PhaseVector("a", [1e308 + 1e308j]))),
     "svr-mask": ("svr-mask", "not present at both endpoints",
                  lambda m: _with_svr(m, phases=("a", "b"))),
     "slack-incoming": ("not-a-tree", "slack bus has an incoming edge",

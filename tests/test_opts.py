@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import tapflow as tf
@@ -287,13 +288,37 @@ def test_infeasible_band_raises_at_solve_lp(model):
 
 
 def test_singular_elimination_raises_pipeline_error(monkeypatch, tiny3):
-    def singular(matrix):
+    """A singular factorization is reported at the LP's stage, for tiny3's
+    LP, in COLAMD's order, and for generate_feeder(5, 200)'s, leaves first."""
+    calls = []
+
+    def singular(matrix, **kwargs):
+        calls.append(kwargs)
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(linflow, "splu", singular)
-    with pytest.raises(PipelineError, match="singular") as err:
-        tf.run_opts(tiny3, tf.config_from_model(tiny3))
-    assert err.value.stage == "solve_lp"
+    for model, kwargs in ((tiny3, {}), (bench_feeders().generate_feeder(5, 200),
+                                        {"permc_spec": "NATURAL"})):
+        del calls[:]
+        with pytest.raises(PipelineError, match="singular") as err:
+            tf.run_opts(model, tf.config_from_model(model))
+        assert err.value.stage == "solve_lp" and calls == [kwargs]
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 3), (4, 0), (1, 1), (7, 2), (60, 6), (257, 12)])
+def test_condensed_transpose_equals_scipy_conversion(rows, cols):
+    """The dual's matrix G.T, read from ``np.nonzero(G)``, has the data bytes,
+    indices and index pointers, dtypes included, of ``sp.csc_matrix(G.T)``,
+    on seeded G with signed zeros, all-zero rows and all-zero columns."""
+    rng = np.random.default_rng([rows, cols])
+    G = rng.normal(size=(rows, cols)) * rng.choice([1.0, 0.0, -0.0], size=(rows, cols))
+    G[::3] = -0.0
+    G[:, ::4] = 0.0
+    got, want = opts._csc_of_transpose(G), sp.csc_matrix(G.T)
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), part
 
 
 def test_lexicographic_reports_tie_break_status(ieee13_lp):

@@ -20,7 +20,10 @@ import tracemalloc
 
 import pytest
 
+import numpy as np
+
 import tapflow as tf
+from tapflow import ybus
 from tapflow.ybus import build_stamps
 
 from conftest import bench_feeders, fixed_y_feeder
@@ -66,7 +69,7 @@ def _peak(fn, *args):
 
 def _stage_figures(model, measure) -> dict:
     """``measure``'s figure for each stage of a parse and a ``run_opts`` on
-    ``model``, for building its stamp set's leaves-first order, and for a
+    ``model``, for its layout's bus depths, and for a
     ``brute_force`` of one block, 27 combinations, on its variant whose taps
     cannot move Y."""
     got = {}
@@ -74,7 +77,9 @@ def _stage_figures(model, measure) -> dict:
     model, got["parse_feeder"] = measure(tf.parse_feeder, text)
     _, got["validate"] = measure(tf.validate, model)
     stamps, got["build_stamps"] = measure(build_stamps, model)
-    _, got["elimination"] = measure(lambda: stamps.elimination)
+    layout = stamps.layout
+    _, got["depth"] = measure(ybus._depths, layout.slack, np.stack([layout.frm, layout.to]),
+                              layout.svr_ends)
     base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)), stamps=stamps)
     constants, got["constants"] = measure(tf.constants_from_solution, model, base)
     (lp, varmap), got["build_lp"] = measure(tf.build_lp, model, constants,

@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse.linalg import splu
 
 import tapflow as tf
-from tapflow import zbus
+from tapflow import ybus, zbus
 from tapflow.ybus import build_stamps
 
 from conftest import bench_feeders, chain_model, fixed_y_feeder
@@ -312,22 +312,24 @@ def test_fresh_solve_factors_once(ieee13, splu_calls):
     assert sol.converged and len(splu_calls) == 1
 
 
-# The factorization in the leaves-first order, as ``_TreeLU`` calls splu.
-TREE_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": zbus._DIAG_PIVOT,
-             "panel_size": zbus._PANEL, "options": {"SymmetricMode": True}}
+# The factorization of a Y numbered leaves first, as ``_solve`` calls splu:
+# in that order, with no column ordering.
+TREE_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, "panel_size": 1,
+             "options": {"SymmetricMode": True}}
 
 
 def test_factorization_order_switches_at_the_row_constant(splu_calls):
     """The generated feeders whose Y has just below and just above
-    ``_TREE_ROWS`` rows, found for whatever the constant: the first is factored
-    with splu's defaults (COLAMD) and builds no leaves-first order, the second
-    in that order. Both solves' certificates equal their residuals."""
+    ``_TREE_ROWS`` rows, found for whatever the constant: the first keeps
+    its rows in model order and is factored with splu's defaults (COLAMD),
+    the second is numbered leaves first and factored in that order. Both
+    solves' certificates equal their residuals."""
     feeders, built = bench_feeders(), {}
     # A bus has 1-3 rows, so the search starts at a third of the constant.
-    for n_buses in range(max(10, zbus._TREE_ROWS // 3), 2000):
+    for n_buses in range(max(10, ybus._TREE_ROWS // 3), 2000):
         model = feeders.generate_feeder(5, n_buses)
         built[n_buses] = model, build_stamps(model)
-        if built[n_buses][1].shapes[0][0] >= zbus._TREE_ROWS:
+        if built[n_buses][1].shapes[0][0] >= ybus._TREE_ROWS:
             break
     else:
         pytest.fail("no generated feeder below 2000 buses reaches _TREE_ROWS")
@@ -336,22 +338,39 @@ def test_factorization_order_switches_at_the_row_constant(splu_calls):
         sol = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)), stamps=st)
         assert sol.converged and tf.kcl_certificate(sol, model) == sol.residual
         assert splu_calls == [TREE_SPLU if tree else {}]
-        assert ("elimination" in vars(st)) == tree
+        assert (np.diff(st.full_of[0]) > 0).all() != tree      # model order below
 
 
-def test_small_feeder_pipeline_never_builds_the_order(ieee13, monkeypatch, splu_calls):
-    """IEEE-13's 29 rows stay on COLAMD: a ``run_opts`` builds no
-    leaves-first order on its stamp set."""
-    built = []
+def test_depth_is_computed_once_per_layout(ieee13, monkeypatch):
+    """A ``run_opts`` builds one layout and computes its bus depths once;
+    on generate_feeder(5, 200) both of its factorizations, Y's and the
+    LP's, take their leaves-first order from that one array, and IEEE-13
+    (29 rows of Y, 99 of the LP) takes neither."""
+    computed, built, lp_calls = [], [], []
+    depths, stamps_of = ybus._depths, tf.opts.build_stamps
+
+    def counting(*args):
+        computed.append(depths(*args))
+        return computed[-1]
 
     def keeping(model):
-        built.append(build_stamps(model))
+        built.append(stamps_of(model))
         return built[-1]
 
+    def factoring(*args, **kwargs):
+        lp_calls.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(ybus, "_depths", counting)
     monkeypatch.setattr(tf.opts, "build_stamps", keeping)
-    tf.run_opts(ieee13, tf.config_from_model(ieee13))
-    (stamps,) = built
-    assert "elimination" not in vars(stamps) and splu_calls == [{}, {}]
+    monkeypatch.setattr(tf.linflow, "splu", factoring)
+    for model, tree in ((ieee13, False), (bench_feeders().generate_feeder(5, 200), True)):
+        del computed[:], built[:], lp_calls[:]
+        tf.run_opts(model, tf.config_from_model(model))
+        (stamps,) = built
+        assert len(computed) == 1 and stamps.layout.depth is computed[0]
+        assert (stamps.shapes[0][0] >= ybus._TREE_ROWS) == tree
+        assert lp_calls == [{"permc_spec": "NATURAL"} if tree else {}]
 
 
 # Generated feeders (seed, buses, bus list reversed) on which the two
@@ -363,22 +382,26 @@ TREE_FEEDERS = [(5, 200, False), (5, 500, False), (5, 1000, False), (5, 2000, Fa
 
 @pytest.mark.parametrize("seed,n_buses,reverse", TREE_FEEDERS)
 def test_tree_order_matches_colamd(seed, n_buses, reverse, monkeypatch):
-    """At 8 seeded tap settings in -8..8, the solve with Y factored in the
-    leaves-first order and the solve with COLAMD's (each path forced through
-    the row constant) take the same steps to the same verdict, with voltages
-    within 1e-10 p.u. and imports within a relative 1e-10."""
+    """At 8 seeded tap settings in -8..8, the solve with Y numbered and
+    factored leaves first and the solve with Y in model order and COLAMD's
+    order (forced through the row constant) take the same steps to the same
+    verdict, with voltages within 1e-10 p.u. and imports within a relative
+    1e-10."""
     model = bench_feeders().generate_feeder(seed, n_buses)
     if reverse:
         model = dataclasses.replace(model, buses=model.buses[::-1])
+    rows = ybus._TREE_ROWS
     stamps = build_stamps(model)
+    monkeypatch.setattr(ybus, "_TREE_ROWS", sys.maxsize)
+    in_model_order = build_stamps(model)
     rng = np.random.default_rng([seed, n_buses])
     for _ in range(8):
         taps = [{p: int(rng.integers(-8, 9)) for p in sv.phases} for sv in model.svrs]
         ratios = tf.taps_to_ratios(model, taps)
-        monkeypatch.setattr(zbus, "_TREE_ROWS", 0)
+        monkeypatch.setattr(ybus, "_TREE_ROWS", rows)
         tree = tf.solve_zbus(model, ratios, stamps=stamps)
-        monkeypatch.setattr(zbus, "_TREE_ROWS", sys.maxsize)
-        colamd = tf.solve_zbus(model, ratios, stamps=stamps)
+        monkeypatch.setattr(ybus, "_TREE_ROWS", sys.maxsize)
+        colamd = tf.solve_zbus(model, ratios, stamps=in_model_order)
         assert (tree.iterations, tree.converged) == (colamd.iterations, colamd.converged)
         assert np.abs(tree.v - colamd.v).max() <= 1e-10
         if colamd.converged:
@@ -388,12 +411,12 @@ def test_tree_order_matches_colamd(seed, n_buses, reverse, monkeypatch):
 
 @pytest.mark.parametrize("n_buses", [300, 1000])
 def test_tree_order_fills_no_more_than_colamd(n_buses):
-    """Y factored in the leaves-first order has at most COLAMD's L + U
-    entries, and no fill-in: at most Y's entries and L's unit diagonal."""
+    """Y numbered leaves first and factored in that order has at most
+    COLAMD's L + U entries, and no fill-in: at most Y's entries and L's unit
+    diagonal."""
     model = bench_feeders().generate_feeder(5, n_buses)
     system = tf.assemble(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
-    tree = zbus._TreeLU(system.Y, system.stamps.elimination).lu
-    colamd = splu(system.Y)
+    tree, colamd = splu(system.Y, **TREE_SPLU), splu(system.Y)
     assert tree.L.nnz + tree.U.nnz <= colamd.L.nnz + colamd.U.nnz
     assert tree.L.nnz + tree.U.nnz <= system.Y.nnz + system.Y.shape[0]
 
@@ -429,11 +452,19 @@ def test_reused_factorization_changes_no_bits_over_the_grid(case, scale, request
 # (feeder, load scale, max_iter) -> how the columns stop. At load x1.8 some
 # IEEE-13 columns converge and the others run to max_iter; at x1e307 some
 # tiny3 columns stop at a non-finite update and the others run to max_iter.
-# gen300-fixed-y's Y is factored in the leaves-first order.
+# gen300-fixed-y's Y is numbered and factored leaves first.
 BLOCK_CASES = {("tiny3", 1.0, 200): {"converged"}, ("tiny3", 1e307, 200): {"non-finite", "capped"},
                ("tiny3", 1.0, 3): {"capped"}, ("ieee13", 1.0, 200): {"converged"},
                ("ieee13", 1.8, 200): {"converged", "capped"}, ("ieee13", 1.0, 3): {"capped"},
                ("gen300-fixed-y", 1.0, 200): {"converged"}}
+
+
+def _rows(sol, stamps) -> np.ndarray:
+    """A solve's per-bus voltages placed at Y's rows, through ``bus_rows``."""
+    v = np.empty(len(stamps.v_flat), dtype=complex)
+    for b, rows in stamps.bus_rows:
+        v[rows] = sol.voltages[b.id].values
+    return v
 
 
 @pytest.mark.parametrize("tol", [0.0, float("nan")])
@@ -459,8 +490,7 @@ def test_block_of_many_sets_needs_fixed_y():
     for row, ratios in zip(flat, grid):
         block = zbus.solve_block(stamps, row[None, :])
         sol = tf.solve_zbus(model, ratios, stamps=stamps)
-        v = np.concatenate([sol.voltages[b.id].values for b, _ in stamps.bus_rows])
-        assert block.converged[0] and block.v[:, 0].tobytes() == v.tobytes()
+        assert block.converged[0] and block.v[:, 0].tobytes() == _rows(sol, stamps).tobytes()
 
 
 @pytest.mark.parametrize("case,scale,max_iter", sorted(BLOCK_CASES))
@@ -474,7 +504,7 @@ def test_block_columns_equal_single_solves(case, scale, max_iter, request):
     test settings)."""
     if case == "gen300-fixed-y":
         model = fixed_y_feeder(bench_feeders().generate_feeder(5, 300), -1, 1)
-        assert build_stamps(model).shapes[0][0] >= zbus._TREE_ROWS
+        assert build_stamps(model).shapes[0][0] >= ybus._TREE_ROWS
     else:
         model = request.getfixturevalue(case)
     if case == "ieee13":
@@ -488,8 +518,7 @@ def test_block_columns_equal_single_solves(case, scale, max_iter, request):
     stops = set()
     for j, ratios in enumerate(grid):
         sol = tf.solve_zbus(model, ratios, max_iter=max_iter, stamps=stamps)
-        v = np.concatenate([sol.voltages[b.id].values for b, _ in stamps.bus_rows])
-        assert block.v[:, j].tobytes() == v.tobytes()
+        assert block.v[:, j].tobytes() == _rows(sol, stamps).tobytes()
         assert (block.iterations[j], block.converged[j]) == (sol.iterations, sol.converged)
         assert float(block.residual[j]).hex() == sol.residual.hex()
         if sol.converged:

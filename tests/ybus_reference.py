@@ -3,8 +3,9 @@
 ``loop_assemble`` is the per-entry stamping loop that built every block of
 Y, Y_NS and Y_S from scratch for each call, before ``ybus.assemble`` split
 the work into a stamp set built once per feeder and a per-ratio step that
-restamps only the regulator blocks. For the same model and ratios both must
-return byte-equal CSC matrices.
+restamps only the regulator blocks. Its rows are numbered as the library
+numbers them (``stamps_reference.leaves_first``). For the same model and
+ratios both must return byte-equal CSC matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import scipy.sparse as sp
 from tapflow.network import FeederModel
 from tapflow.ybus import _inv
 
-from stamps_reference import tree_index
+from stamps_reference import leaves_first, tree_index
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ def loop_assemble(model: FeederModel, ratios) -> LoopSystem:
     elim_set = set(eliminated)
     slack_id = model.slack.id
 
-    coords = [(b.id, p) for b in model.buses if not b.is_slack and b.id not in elim_set
-              for p in b.phases]
+    coords = leaves_first(model, [(b.id, p) for b in model.buses
+                                  if not b.is_slack and b.id not in elim_set for p in b.phases])
     slack_coords = [(slack_id, p) for p in model.slack.phases]
     full_coords = [(b.id, p) for b in model.buses for p in b.phases]
     row = {c: i for i, c in enumerate(coords)}
