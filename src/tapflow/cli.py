@@ -111,8 +111,14 @@ def cmd_lindiff(args) -> int:
     constants = (constants_from_solution(model, exact)
                  if chosen and config.constants_mode == "from_zero_tap_solution"
                  else constants_balanced(model))
-    v_sq, _ = linear_powerflow(model, constants, ratios)
-    _emit(lindiff(model, exact, v_sq).to_csv(), args.out)
+    # The model is valid here, so a value the linear answer cannot hold (a
+    # v~ or flow that is not finite, a v~ with no real root) is the linear
+    # model's numeric failure, not an input error.
+    try:
+        v_sq, _ = linear_powerflow(model, constants, ratios)
+        _emit(lindiff(model, exact, v_sq).to_csv(), args.out)
+    except ValueError as exc:
+        raise PipelineError("lindiff", str(exc)) from None
     return EXIT_OK
 
 
@@ -140,12 +146,13 @@ def cmd_bruteforce(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        _load_model(args.feeder)
+        model = _load_model(args.feeder)
     except ModelValidationError as exc:
         # The violations are this command's report; _run still sets the exit code.
         for v in exc.violations:
             print(str(v))
         raise
+    config_from_model(model)     # the feeder's config, checked as every solver checks it
     print("ok")
     return EXIT_OK
 

@@ -24,14 +24,12 @@ The regulators' ends, kinds and phases and the slack's squared magnitudes
 are the layout's rows too, so the rows read nothing from the model. They
 are solved once, by ``eliminate``: one sparse LU writes every solution as
 x0 + N theta over the high-window slacks theta, one per regulator phase.
-From ``ybus._TREE_ROWS`` rows on it factors the other columns leaves
-first, by the layout's bus depths as ``ybus`` numbers a large Y: each column
-at the depth of its bus, a flow's at its to-bus's and a low slack's at its
-regulator's secondary's, deepest first, with no column ordering and
-SuperLU's row pivoting. On a radial feeder that order makes little fill-in,
-and x0 and N stay within a relative 1e-12 of COLAMD's order
-(``tests/test_linflow.py``). A smaller system keeps COLAMD's order and the
-bits the fixtures pin: IEEE-13's has 99 rows.
+It factors the other columns leaves first, by the layout's bus depths as
+``ybus`` numbers Y: each column at the depth of its bus, a flow's at its
+to-bus's and a low slack's at its regulator's secondary's, deepest first,
+with no column ordering and SuperLU's row pivoting. On a radial feeder that
+order makes little fill-in, and x0 and N stay within a relative 1e-12 of
+COLAMD's order (``tests/test_linflow.py``).
 The tap-selection LP uses the attainable ratio range as the window and
 searches over theta; ``linear_powerflow`` fixes every ratio with a
 zero-width window and reads the solution at theta = 0.
@@ -49,7 +47,7 @@ from scipy.sparse.linalg import splu
 from .errors import PipelineError
 from .network import PHASES, FeederModel, PhaseVector
 from .simplex import _csc_columns
-from .ybus import _TREE_ROWS, Layout, _ratio_row, build_layout
+from .ybus import Layout, _ratio_row, build_layout
 from .zbus import PowerFlowSolution, _require_converged
 
 _ALPHA = np.exp(2j * np.pi / 3.0)
@@ -239,25 +237,22 @@ def linear_system(constants: LinearizationConstants, windows) -> LinearSystem:
 def eliminate(system: LinearSystem, stage: str) -> tuple[np.ndarray, np.ndarray]:
     """(x0, N) with every solution of ``A x = b`` equal to x0 + N theta, theta
     the high-window slack columns; one LU of the remaining square columns,
-    from ``ybus._TREE_ROWS`` rows on taken leaves first (deepest bus first,
-    stable in column order) with no column ordering, below it in COLAMD's.
+    taken leaves first (deepest bus first, stable in column order) with no
+    column ordering.
 
     Raises ``PipelineError`` tagged ``stage`` when those columns are singular.
     """
     A, (m, n), layout = system.A, system.A.shape, system.layout
     theta = system.slack_cols[:, 1]
-    keep = np.ones(n, dtype=bool)
-    keep[theta] = False
-    cols, tree = np.flatnonzero(keep), m >= _TREE_ROWS
-    if tree:
-        # Each column's bus, in column order (``LinearSystem``): a v~ column's
-        # own, a flow pair's edge's to-bus, a slack pair's regulator's
-        # secondary; each table numbers its columns row-major.
-        to = np.concatenate([layout.to, layout.svr_ends[:, 1]])
-        bus = np.concatenate([np.nonzero(system.vcol >= 0)[0],
-                              np.repeat(to[np.nonzero(system.fcol >= 0)[0]], 2),
-                              np.repeat(layout.svr_ends[np.nonzero(layout.svr_cols >= 0)[0], 1], 2)])
-        cols = cols[np.argsort(-layout.depth[bus[cols]], kind="stable")]
+    # Each column's bus, in column order (``LinearSystem``): a v~ column's
+    # own, a flow pair's edge's to-bus, a slack pair's regulator's
+    # secondary; each table numbers its columns row-major.
+    to = np.concatenate([layout.to, layout.svr_ends[:, 1]])
+    bus = np.concatenate([np.nonzero(system.vcol >= 0)[0],
+                          np.repeat(to[np.nonzero(system.fcol >= 0)[0]], 2),
+                          np.repeat(layout.svr_ends[np.nonzero(layout.svr_cols >= 0)[0], 1], 2)])
+    cols = np.flatnonzero(np.bincount(theta, minlength=n) == 0)   # the square columns
+    cols = cols[np.argsort(-layout.depth[bus[cols]], kind="stable")]
     # Both column selections read A's arrays. ``linear_system`` drops zero
     # entries, so A stores no -0.0 and -A's dense columns are -0.0 elsewhere,
     # as negating ``toarray`` gives.
@@ -269,7 +264,7 @@ def eliminate(system: LinearSystem, stage: str) -> tuple[np.ndarray, np.ndarray]
     square = sp.csc_matrix((A.data[pos], A.indices[pos], np.concatenate([[0], np.cumsum(counts)])),
                            shape=(m, n - len(theta)))
     try:
-        sol = (splu(square, permc_spec="NATURAL") if tree else splu(square)).solve(rhs)
+        sol = splu(square, permc_spec="NATURAL").solve(rhs)
     except RuntimeError as exc:
         raise PipelineError(stage, f"linear system is singular: {exc}") from None
     x0 = np.zeros(n)

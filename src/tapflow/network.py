@@ -22,7 +22,7 @@ _PHASE_POS = {p: i for i, p in enumerate(PHASES)}
 
 # |x| < SQUARE_LIMIT exactly when the float x ** 2 is finite; the LP squares
 # its voltage band, every regulator's ratio window and the slack voltage's
-# magnitudes.
+# magnitudes, and doubles and multiplies the line impedances' entries.
 SQUARE_LIMIT = 2.0**512
 
 
@@ -340,6 +340,8 @@ def validate(model: FeederModel) -> list[Violation]:
             out.append(Violation(name, "line-symmetric", "impedance matrix is not symmetric"))
         if np.any(np.abs(np.diag(ln.z.array)) == 0.0):
             out.append(Violation(name, "line-diagonal", "impedance diagonal entry is zero"))
+        if not (np.abs(ln.z.array) < SQUARE_LIMIT).all():
+            out.append(Violation(name, "line-square", "impedance entries must have finite squares"))
 
     for i, sv in enumerate(model.svrs):
         name = f"svr {sv.from_bus}->{sv.to_bus}"

@@ -42,16 +42,13 @@ lines together, each line's kind choosing its blocks' endpoints and signs.
 The coordinates come from the layout; the (bus, phase) tuples that name
 them and each retained bus's rows are built only when read.
 
-Y's rows, and so its columns, are the retained coordinates in model order
-below ``_TREE_ROWS`` (128) rows. From there on they are numbered leaves
+Y's rows, and so its columns, are the retained coordinates numbered leaves
 first: a stable sort by descending depth of their bus, so that each
 retained bus's rows, together and in phase order, come after those of every
 bus below it. In that order a radial feeder's Y is factored with no fill-in
 (Tinney and Walker, 1967), and ``zbus`` factors it as assembled, with no
 column ordering. The loads, the flat start and the entries' routes are
-placed in the same numbering, so a solve never permutes. A smaller Y keeps
-model order and COLAMD's factorization, and with them the bits that the
-fixtures pin (IEEE-13 has 29 rows); within 1e-10 p.u. either way.
+placed in the same numbering, so a solve never permutes.
 
 Below the public API a set of ratios is a row, one float per regulator
 phase: regulators in model order, each one's phases in its own order.
@@ -99,12 +96,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .network import _PHASE_POS, PHASES, FeederModel, PhaseVector, tree_index
-
-# From this many rows on, Y's rows are numbered leaves first (``build_stamps``)
-# and factored in that order. Below it they keep model order, factored in
-# COLAMD's, for the bits that the fixtures pin rather than for speed: a small
-# Y factors faster leaves first too.
-_TREE_ROWS = 128
 
 
 def _ratio_row(svrs, ratios) -> np.ndarray:
@@ -454,9 +445,8 @@ def build_stamps(model: FeederModel) -> StampSet:
     # in one matrix: Y, then Y_NS, then Y_S, each shifted past the ones before.
     is_retained, is_slack = kept[bus_at], layout.slack[bus_at]
     n, ns, nf = int(is_retained.sum()), int(is_slack.sum()), len(bus_at)
-    retained = np.flatnonzero(is_retained)          # Y's rows, in row order
-    if n >= _TREE_ROWS:                             # leaves first
-        retained = retained[np.argsort(-layout.depth[bus_at[retained]], kind="stable")]
+    retained = np.flatnonzero(is_retained)          # Y's rows, leaves first
+    retained = retained[np.argsort(-layout.depth[bus_at[retained]], kind="stable")]
     retained_of, slack_of = np.zeros(nf, dtype=np.intp), np.cumsum(is_slack) - 1
     retained_of[retained] = np.arange(n)
     to_s = is_slack[rows]

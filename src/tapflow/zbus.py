@@ -12,17 +12,15 @@ entry, so a solve at new taps only recomputes the regulator blocks and
 lets scipy convert the entries once. Each solve, or each block of tap
 sets, factors Y once; the stamp set keeps no factorization.
 
-A Y with fewer than ``ybus._TREE_ROWS`` rows (128; IEEE-13 has 29, the
-generated feeders of 15-45 buses at most 90) is in model order and is
-factored by SuperLU's defaults: COLAMD's column order and partial pivoting.
-A larger Y is numbered leaves first by its stamp set, the order in which a
-radial feeder's elimination makes no fill-in (Tinney and Walker, 1967), and
-is factored as assembled (``_TREE_SPLU``): no column ordering, one column
-per panel, keeping diagonal pivots down to a tenth of their column's largest
-entry, and no gather, sort or permutation of Y or of a right-hand side. The two give
-one solve within rounding: on generated feeders of 200-5000 buses at taps
--8..8, the same steps and verdict, voltages within 1e-10 p.u. and imports
-within a relative 1e-10 (``tests/test_zbus.py``).
+Y is numbered leaves first by its stamp set, the order in which a radial
+feeder's elimination makes no fill-in (Tinney and Walker, 1967), and is
+factored as assembled (``_TREE_SPLU``): no column ordering, one column per
+panel, keeping diagonal pivots down to a tenth of their column's largest
+entry, and no gather, sort or permutation of Y or of a right-hand side. This
+gives the solve of Y in model order with COLAMD's column order and partial
+pivoting within rounding: on tiny3, IEEE-13 and generated feeders of 15-5000
+buses at taps -8..8, the same steps and verdict, voltages within 1e-10 p.u.
+and imports within a relative 1e-10 (``tests/test_zbus.py``).
 
 The iteration is one kernel over an (n, m) block of columns, with one
 multi-column LU solve per step, each column stopping on its own
@@ -61,7 +59,6 @@ from itertools import chain
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from . import ybus
 from .errors import PipelineError
 from .network import FeederModel, PhaseVector
 from .ybus import AdmittanceSystem, StampSet, assemble, assemble_block, recover_svr_secondary
@@ -182,7 +179,7 @@ def _solve(system: AdmittanceSystem, tol: float, max_iter: int) -> tuple:
     w_s = (system.Y_NS @ v_s).reshape(m, n).T
     start = np.broadcast_to(st.v_flat[:, None], (n, m))
     try:
-        lu = splu(system.Y, **({} if n < ybus._TREE_ROWS else _TREE_SPLU))
+        lu = splu(system.Y, **_TREE_SPLU)
     except RuntimeError as exc:
         raise PipelineError("powerflow", f"admittance matrix is singular: {exc}") from None
     return _fixed_point(lu, system.Y, st.loads, w_s, start, tol, max_iter)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import tapflow as tf
 from tapflow.network import PHASES
@@ -50,6 +51,37 @@ def lp_columns(model, system) -> tuple[dict, dict, dict]:
             for p, c in zip(PHASES, row) if c >= 0}
     regulator_phases = [(svx, p) for svx, sv in enumerate(model.svrs) for p in sv.phases]
     return vsq, flow, dict(zip(regulator_phases, map(tuple, system.slack_cols.tolist())))
+
+
+def colamd_in_model_order(monkeypatch):
+    """Set up, through ``monkeypatch``, the factorizations that the
+    leaves-first ones are compared against: every bus at depth 0, so that a
+    layout built from here on keeps Y's rows in model order and the LP's
+    columns in column order (both are sorted stably by depth), and
+    ``zbus.splu`` and ``linflow.splu`` with splu's defaults, COLAMD's column
+    order and partial pivoting."""
+    monkeypatch.setattr(tf.ybus, "_depths", lambda slack, *_: np.zeros(len(slack), dtype=np.intp))
+    monkeypatch.setattr(tf.zbus, "splu", lambda matrix, **_: splu(matrix))
+    monkeypatch.setattr(tf.linflow, "splu", lambda matrix, **_: splu(matrix))
+
+
+# The fixtures and the generated feeders (seed, buses, bus list reversed)
+# of 15-120 buses on which a leaves-first factorization is compared with
+# ``colamd_in_model_order``'s, as parameters for ``small_or_generated``.
+SMALL_FEEDERS = [pytest.param("tiny3", None, False, id="tiny3"),
+                 pytest.param("ieee13", None, False, id="ieee13"),
+                 (5, 15, False), (5, 30, False), (5, 45, False), (5, 60, False), (5, 90, False),
+                 (5, 120, False), (11, 60, True)]
+
+
+def small_or_generated(seed, n_buses, reverse, request):
+    """The fixture named ``seed`` when ``n_buses`` is None, else
+    ``generate_feeder(seed, n_buses)``, its bus list reversed if ``reverse``."""
+    if n_buses is None:
+        model = request.getfixturevalue(seed)
+    else:
+        model = bench_feeders().generate_feeder(seed, n_buses)
+    return dataclasses.replace(model, buses=model.buses[::-1]) if reverse else model
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from itertools import accumulate, compress, count
 import numpy as np
 import scipy.sparse as sp
 
-from tapflow import ybus
 from tapflow.network import PHASES, FeederModel, SvrSpec
 from tapflow.ybus import _inv
 
@@ -81,17 +80,19 @@ def tree_index(model: FeederModel) -> TreeIndex:
     )
 
 
-def leaves_first(model: FeederModel, coords) -> tuple:
-    """``coords``, the retained (bus, phase) in model order, as Y's rows: as
-    they are below ``ybus._TREE_ROWS``, else leaves first, sorted stably by
-    descending depth of their bus, the depths counted down the tree from
-    its root."""
-    if len(coords) < ybus._TREE_ROWS:
-        return tuple(coords)
+def depths(model: FeederModel) -> dict:
+    """bus id -> its depth, counted down the tree from its root."""
     idx = tree_index(model)
     depth = {idx.root: 0}
     for bus in idx.order[1:]:                # parents before children
         depth[bus] = depth[idx.parent[bus].from_bus] + 1
+    return depth
+
+
+def leaves_first(model: FeederModel, coords) -> tuple:
+    """``coords``, the retained (bus, phase) in model order, as Y's rows:
+    leaves first, sorted stably by descending depth of their bus."""
+    depth = depths(model)
     return tuple(sorted(coords, key=lambda c: -depth[c[0]]))
 
 

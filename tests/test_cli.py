@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -284,6 +285,10 @@ def test_bad_feeder_config_exit_1(tmp_path, capsys, config, flags, key):
     feeder.write_text(json.dumps(doc))
     assert run(["opts", "--feeder", str(feeder)] + flags) == 1
     assert repr(key) in capsys.readouterr().err
+    if not flags:            # validate agrees with the solvers on the feeder's own config
+        assert run(["validate", "--feeder", str(feeder)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and repr(key) in err
 
 
 @pytest.mark.parametrize("command", ["validate", "powerflow", "opts", "lindiff"])
@@ -345,6 +350,105 @@ def test_opts_exits_through_its_codes_on_extreme_numbers(tmp_path_factory, drawn
     assert code in (0, 1, 2, 3), err.getvalue()
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+# The documents that the mutation property starts from: both fixtures and a
+# small generated feeder, as parsed JSON.
+MUTATED_DOCS = {name: json.loads((FIXTURES / f"{name}.json").read_text()) for name in ("tiny3", "ieee13")}
+MUTATED_DOCS["gen15"] = json.loads(tf.serialize(bench_feeders().generate_feeder(0, 15)))
+# What replaces a leaf: extreme numbers, and values of a wrong type or
+# phase strings.
+NUMBERS = st.sampled_from([0.0, 1e-300, 1e308, -1e308, -1.0, 2.5, 1e6, 10**20, math.nan, math.inf,
+                           -math.inf])
+LEAVES = NUMBERS | st.sampled_from(["", "a", "abc", "d", None, True, [], {}, [[1.0, 0.0]]])
+
+
+def _places(node, path=()):
+    """Every (path, value) under ``node``, containers included, ``node``
+    itself first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _places(child, (*path, key))
+
+
+def _mutate(doc, mutation):
+    """Apply one (kind, path, leaf) mutation to ``doc`` in place: replace
+    the value at ``path`` by ``leaf``, delete the key at ``path`` or
+    duplicate the list item at ``path``."""
+    kind, path, leaf = mutation
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "replace":
+        parent[path[-1]] = copy.deepcopy(leaf)
+    elif kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent.insert(path[-1], copy.deepcopy(parent[path[-1]]))
+
+
+@st.composite
+def mutated_feeders(draw):
+    """(document name, 1-3 mutations), each drawn on the document as the
+    ones before it left it: a number replaced by an extreme one, any leaf
+    replaced by an extreme number or a wrong-typed value, a key deleted or
+    a list item duplicated. A number kept a number leaves more documents
+    valid, so that the solvers run on some."""
+    name = draw(st.sampled_from(sorted(MUTATED_DOCS)))
+    doc, mutations = copy.deepcopy(MUTATED_DOCS[name]), []
+    for _ in range(draw(st.integers(1, 3))):
+        places = list(_places(doc))[1:]
+        leaves = [(p, v) for p, v in places if not isinstance(v, (dict, list))]
+        paths = {"number": [p for p, v in leaves if type(v) in (int, float)],
+                 "replace": [p for p, _ in leaves],
+                 "delete": [p for p, _ in places if isinstance(p[-1], str)],
+                 "duplicate": [p for p, _ in places if isinstance(p[-1], int)]}
+        kind = draw(st.sampled_from([k for k, found in paths.items() if found]))
+        # The top-level key first, so that the short sections (slack_voltage,
+        # svrs, config) are drawn as often as the long ones.
+        section = draw(st.sampled_from(sorted({p[0] for p in paths[kind]})))
+        path = draw(st.sampled_from([p for p in paths[kind] if p[0] == section]))
+        leaf = draw({"number": NUMBERS, "replace": LEAVES}.get(kind, st.none()))
+        mutation = ("replace" if kind == "number" else kind, path, leaf)
+        _mutate(doc, mutation)
+        mutations.append(mutation)
+    return name, tuple(mutations)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated=mutated_feeders())
+@example(mutated=("tiny3", (("replace", ("slack_voltage", "values", 0, 0), 1e308),)))
+@example(mutated=("tiny3", (("replace", ("config", "v_min"), math.nan),)))
+@example(mutated=("ieee13", (("replace", ("buses", 13, "shunt", "rows", 0, 1, 1), -1.0),)))
+@example(mutated=("ieee13", (("replace", ("lines", 6, "z", "rows", 1, 1, 0), 1e308),)))
+def test_mutated_feeders_exit_through_their_codes(tmp_path_factory, mutated):
+    """On a fixture or a small generated feeder with 1-3 structure-aware
+    mutations, ``validate``, ``powerflow``, ``opts`` and ``lindiff`` each
+    return an exit code of 0-3 without raising, and a feeder that
+    ``validate`` accepts fails in no solver with an input error (exit 1).
+    The examples once broke it: a slack voltage with no finite square
+    passed ``validate`` and escaped the solvers as an ``OverflowError``; a
+    NaN ``v_min`` passed ``validate`` and every solver refused it; on
+    IEEE-13 a shunt susceptance of -1 between phases a and b of bus 675
+    made the linear model's v~ negative, and an impedance entry of 1e308
+    made it overflow, both of which ``lindiff`` reported as an input
+    error."""
+    name, mutations = mutated
+    doc = copy.deepcopy(MUTATED_DOCS[name])
+    for mutation in mutations:
+        _mutate(doc, mutation)
+    feeder = tmp_path_factory.getbasetemp() / "mutated.json"
+    feeder.write_text(json.dumps(doc))
+    codes = {}
+    for command in ("validate", "powerflow", "opts", "lindiff"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes[command] = run([command, "--feeder", str(feeder)])
+        assert codes[command] in (0, 1, 2, 3), err.getvalue()
+    if codes["validate"] == 0:
+        assert 1 not in codes.values(), codes
 
 
 def test_help_exits_0(capsys):

@@ -11,7 +11,9 @@ import tapflow as tf
 from tapflow.network import PHASES
 
 import linflow_reference
-from conftest import PARITY_FEEDERS, bench_feeders, chain_model, lp_columns
+import stamps_reference
+from conftest import (PARITY_FEEDERS, SMALL_FEEDERS, bench_feeders, chain_model,
+                      colamd_in_model_order, lp_columns, small_or_generated)
 from lp_reference import sweep_powerflow
 
 ALPHA = np.exp(2j * np.pi / 3)
@@ -254,29 +256,57 @@ def test_singular_linear_system_raises_pipeline_error():
 
 
 # Generated feeders (seed, buses, bus list reversed) whose LPs are factored
-# leaves first: 200-5000 buses, and one with the slack bus listed last.
-TREE_LP_FEEDERS = [(5, 200, False), (5, 800, False), (5, 2000, False), (5, 5000, False),
-                   (11, 500, True)]
+# leaves first: 200-5000 buses, and one with the slack bus listed last; and
+# the fixtures and small feeders of ``SMALL_FEEDERS``.
+TREE_LP_FEEDERS = [*SMALL_FEEDERS, (5, 200, False), (5, 800, False), (5, 2000, False),
+                   (5, 5000, False), (11, 500, True)]
 
 
 @pytest.mark.parametrize("seed,n_buses,reverse", TREE_LP_FEEDERS)
-def test_leaves_first_lp_matches_colamd(seed, n_buses, reverse, monkeypatch):
+def test_leaves_first_lp_matches_colamd(seed, n_buses, reverse, request, monkeypatch):
     """The LP's square columns factored leaves first give x0 and N within a
-    relative 1e-12 of a COLAMD factorization of the same columns, and
-    ``run_opts`` picks the same taps either way."""
-    model = bench_feeders().generate_feeder(seed, n_buses)
-    if reverse:
-        model = dataclasses.replace(model, buses=model.buses[::-1])
+    relative 1e-12 of the same columns kept in column order and factored in
+    COLAMD's order (``colamd_in_model_order``), and ``run_opts`` picks the
+    same taps either way."""
+    model = small_or_generated(seed, n_buses, reverse, request)
     config = tf.config_from_model(model)
     _, varmap = tf.build_lp(model, _base_constants(model), config)
-    assert varmap.A.shape[0] >= tf.ybus._TREE_ROWS
     tree = tf.linflow.eliminate(varmap, "solve_lp")
     tree_taps = tf.run_opts(model, config).taps
-    monkeypatch.setattr(tf.linflow, "splu", lambda square, **_: splu(square))
-    colamd = tf.linflow.eliminate(varmap, "solve_lp")
+    colamd_in_model_order(monkeypatch)
+    layout = dataclasses.replace(varmap.layout, depth=np.zeros_like(varmap.layout.depth))
+    colamd = tf.linflow.eliminate(dataclasses.replace(varmap, layout=layout), "solve_lp")
     for got, want in zip(tree, colamd):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert tree_taps == tf.run_opts(model, config).taps
+
+
+@pytest.mark.parametrize("seed,n_buses,reverse", SMALL_FEEDERS)
+def test_lp_columns_are_factored_leaves_first(seed, n_buses, reverse, request, monkeypatch):
+    """``eliminate`` factors every column but the high window slacks, each
+    at the depth of its bus (a v~ column's own, a flow's to-bus, a low
+    slack's regulator secondary), deepest first and stable in column order,
+    with no column ordering; the depths are counted down
+    ``stamps_reference``'s own tree."""
+    model = small_or_generated(seed, n_buses, reverse, request)
+    _, varmap = tf.build_lp(model, _base_constants(model), tf.config_from_model(model))
+    vsq, flow, slack = lp_columns(model, varmap)
+    bus_of = {c: bus for (bus, _), c in vsq.items()}
+    bus_of.update((c, key.split("->")[1]) for (key, _), cols in flow.items() for c in cols)
+    bus_of.update((low, model.svrs[svx].to_bus) for (svx, _), (low, _) in slack.items())
+    depth = stamps_reference.depths(model)
+    order = sorted(sorted(bus_of), key=lambda c: -depth[bus_of[c]])
+    factored = []
+
+    def keeping(square, **kwargs):
+        factored.append((square, kwargs))
+        return splu(square, **kwargs)
+
+    monkeypatch.setattr(tf.linflow, "splu", keeping)
+    tf.linflow.eliminate(varmap, "solve_lp")
+    ((square, kwargs),) = factored
+    assert kwargs == {"permc_spec": "NATURAL"}
+    assert (square != varmap.A[:, order]).nnz == 0
 
 
 def _lines_reversed(model):

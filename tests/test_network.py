@@ -360,6 +360,8 @@ RULE_EDITS = {
                    lambda m: _with_bus(m, "load", shunt=tf.PhaseMatrix("b", [[0.01j]]))),
     "line-diagonal": ("line-diagonal", "diagonal entry is zero", lambda m: dataclasses.replace(
         m, lines=(dataclasses.replace(m.lines[0], z=tf.PhaseMatrix("a", [[0.0]])),))),
+    "line-square": ("line-square", "must have finite squares", lambda m: dataclasses.replace(
+        m, lines=(dataclasses.replace(m.lines[0], z=tf.PhaseMatrix("a", [[1e308 + 0.16j]])),))),
     "svr-bounds": ("svr-bounds", "must contain 0", lambda m: _with_svr(m, tap_min=1)),
     "svr-ratio-square": ("svr-bounds", "must have finite squares",
                          lambda m: _with_svr(m, step=1e200)),

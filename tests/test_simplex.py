@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import tapflow as tf
 from tapflow import linflow, opts, simplex
 
-from conftest import cascade_model
+from conftest import cascade_model, colamd_in_model_order
 from lp_oracle import enumerate_lp, random_lp
 from lp_reference import LoopTableau
 
@@ -158,12 +158,18 @@ def test_random_lps_match_vertex_oracle_under_bland(monkeypatch):
     _check_random_corpus()
 
 
-def test_ieee13_pass1_matches_recorded(ieee13_lp):
+def test_ieee13_pass1_matches_recorded(ieee13, monkeypatch):
     """Pass 1 on the IEEE-13 LP makes as many pivots and lands on the same bits
     as the row-by-row pivot loop did when ieee13_lp_pass1.json was recorded
-    (exact equality assumes the same BLAS kernels)."""
+    (exact equality assumes the same BLAS kernels). The LP's constants come
+    from the zero-tap base solve with Y in model order and factored in
+    COLAMD's order, as at the recording."""
     ref = json.loads((Path(__file__).parent / "ieee13_lp_pass1.json").read_text())
-    sol = tf.solve_lp(ieee13_lp[0])
+    colamd_in_model_order(monkeypatch)
+    base = tf.solve_zbus(ieee13, tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13)))
+    lp, _ = tf.build_lp(ieee13, tf.constants_from_solution(ieee13, base),
+                        tf.config_from_model(ieee13))
+    sol = tf.solve_lp(lp)
     assert sol.status == ref["status"]
     assert sol.iterations == ref["iterations"]
     assert np.array_equal(sol.x, np.array(ref["x"]))

@@ -426,7 +426,8 @@ def test_shared_stamp_set_changes_no_bits(name, request):
     # Each bus's rows hold its phases in order, and together they cover the rows.
     assert all(stamps.coords[rows] == tuple((b.id, p) for p in b.phases)
                for b, rows in stamps.bus_rows)
-    assert [c for _, rows in stamps.bus_rows for c in stamps.coords[rows]] == list(stamps.coords)
+    in_row_order = sorted((rows for _, rows in stamps.bus_rows), key=lambda rows: rows.start)
+    assert [c for rows in in_row_order for c in stamps.coords[rows]] == list(stamps.coords)
     for ratios in _ratio_sets(model).values():
         assert tf.assemble(model, ratios, stamps=stamps).stamps is stamps
         shared = tf.solve_zbus(model, ratios, stamps=stamps)
@@ -688,14 +689,13 @@ def test_stamp_set_reads_no_tree_map(monkeypatch, ieee13):
 
 
 def test_elimination_order_puts_each_bus_after_the_buses_below_it():
-    """On a generated feeder whose slack bus is listed last, and whose Y has
-    at least ``_TREE_ROWS`` rows, the stamp set numbers Y's rows so that
-    each retained bus's rows stay together, in phase order, after the rows
-    of every retained bus it feeds: through a line, or through the
-    mid-feeder regulator and the line out of its secondary."""
+    """On a generated feeder whose slack bus is listed last, the stamp set
+    numbers Y's rows so that each retained bus's rows stay together, in
+    phase order, after the rows of every retained bus it feeds: through a
+    line, or through the mid-feeder regulator and the line out of its
+    secondary."""
     model = _reversed_buses(bench_feeders().generate_feeder(11, 200))
     stamps = build_stamps(model)
-    assert stamps.shapes[0][0] >= tf.ybus._TREE_ROWS
     rows = {b.id: np.arange(r.start, r.stop) for b, r in stamps.bus_rows}
     assert np.array_equal(np.sort(np.concatenate(list(rows.values()))), np.arange(len(stamps.v_flat)))
     assert all(stamps.coords[r] == tuple((b.id, p) for p in b.phases) for b, r in stamps.bus_rows)
@@ -713,20 +713,18 @@ def test_elimination_order_puts_each_bus_after_the_buses_below_it():
 
 
 @pytest.mark.parametrize("case", ["ieee13", "gen-small", "gen200", "gen200-reversed"])
-def test_rows_are_numbered_leaves_first_from_the_row_constant(case, ieee13):
-    """Below ``_TREE_ROWS`` rows Y's rows are the retained coordinates in
-    model order; from there on each bus's rows are contiguous, in phase
-    order, and come after those of every bus below it, in either bus
-    order. A solution's per-bus view keeps model key order either way:
-    the slack bus, the retained buses in model order, the regulator
+def test_rows_are_numbered_leaves_first_at_every_size(case, ieee13):
+    """At every size each bus's rows are contiguous, in phase order, and
+    come after those of every bus below it, in either bus order, and that
+    numbering is not model order. A solution's per-bus view keeps model key
+    order: the slack bus, the retained buses in model order, the regulator
     secondaries."""
     feeders = bench_feeders()
     model = {"ieee13": lambda: ieee13, "gen-small": lambda: feeders.generate_feeder(5, 40),
              "gen200": lambda: feeders.generate_feeder(5, 200),
              "gen200-reversed": lambda: _reversed_buses(feeders.generate_feeder(5, 200))}[case]()
     stamps = build_stamps(model)
-    n, tree = len(stamps.v_flat), case.startswith("gen200")
-    assert (n >= tf.ybus._TREE_ROWS) == tree
+    n = len(stamps.v_flat)
     depth = stamps.layout.depth
     bus_of = stamps.layout.bus_of
     # Each row's bus depth, and the rows of each bus in phase order.
@@ -734,11 +732,8 @@ def test_rows_are_numbered_leaves_first_from_the_row_constant(case, ieee13):
     for b, rows in stamps.bus_rows:
         assert stamps.coords[rows] == tuple((b.id, p) for p in b.phases)
         row_depth[rows] = depth[bus_of[b.id]]
-    if tree:
-        assert (np.diff(row_depth) <= 0).all()
-        assert not (np.diff(stamps.full_of[0]) > 0).all()
-    else:
-        assert (np.diff(stamps.full_of[0]) > 0).all()
+    assert (np.diff(row_depth) <= 0).all()
+    assert not (np.diff(stamps.full_of[0]) > 0).all()
     sol = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)), stamps=stamps)
     assert list(sol.voltages) == [model.slack.id, *(b.id for b, _ in stamps.bus_rows),
                                   *(sv.to_bus for sv in model.svrs)]

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -10,7 +9,8 @@ import tapflow as tf
 from tapflow import ybus, zbus
 from tapflow.ybus import build_stamps
 
-from conftest import bench_feeders, chain_model, fixed_y_feeder
+from conftest import (SMALL_FEEDERS, bench_feeders, chain_model, colamd_in_model_order,
+                      fixed_y_feeder, small_or_generated)
 
 
 def two_bus_oracle(z: complex, s: complex, vs: float = 1.0) -> complex:
@@ -318,34 +318,25 @@ TREE_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, "panel_size": 1,
              "options": {"SymmetricMode": True}}
 
 
-def test_factorization_order_switches_at_the_row_constant(splu_calls):
-    """The generated feeders whose Y has just below and just above
-    ``_TREE_ROWS`` rows, found for whatever the constant: the first keeps
-    its rows in model order and is factored with splu's defaults (COLAMD),
-    the second is numbered leaves first and factored in that order. Both
-    solves' certificates equal their residuals."""
-    feeders, built = bench_feeders(), {}
-    # A bus has 1-3 rows, so the search starts at a third of the constant.
-    for n_buses in range(max(10, ybus._TREE_ROWS // 3), 2000):
-        model = feeders.generate_feeder(5, n_buses)
-        built[n_buses] = model, build_stamps(model)
-        if built[n_buses][1].shapes[0][0] >= ybus._TREE_ROWS:
-            break
-    else:
-        pytest.fail("no generated feeder below 2000 buses reaches _TREE_ROWS")
-    for (model, st), tree in ((built[n_buses - 1], False), (built[n_buses], True)):
+def test_every_size_is_factored_leaves_first(tiny3, ieee13, splu_calls):
+    """At every size, from tiny3's one row of Y to generate_feeder(5, 200)'s,
+    Y's rows are numbered leaves first and Y is factored in that order, and
+    the solve's certificate equals its residual."""
+    feeders = bench_feeders()
+    for model in (tiny3, ieee13, *(feeders.generate_feeder(5, n) for n in (15, 45, 120, 200))):
         del splu_calls[:]
+        st = build_stamps(model)
         sol = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)), stamps=st)
         assert sol.converged and tf.kcl_certificate(sol, model) == sol.residual
-        assert splu_calls == [TREE_SPLU if tree else {}]
-        assert (np.diff(st.full_of[0]) > 0).all() != tree      # model order below
+        assert splu_calls == [TREE_SPLU]
+        bus_at = np.nonzero(st.layout.at >= 0)[0]
+        assert (np.diff(st.layout.depth[bus_at[st.full_of[0]]]) <= 0).all()
 
 
 def test_depth_is_computed_once_per_layout(ieee13, monkeypatch):
     """A ``run_opts`` builds one layout and computes its bus depths once;
-    on generate_feeder(5, 200) both of its factorizations, Y's and the
-    LP's, take their leaves-first order from that one array, and IEEE-13
-    (29 rows of Y, 99 of the LP) takes neither."""
+    on IEEE-13 and on generate_feeder(5, 200) both of its factorizations,
+    Y's and the LP's, take their leaves-first order from that one array."""
     computed, built, lp_calls = [], [], []
     depths, stamps_of = ybus._depths, tf.opts.build_stamps
 
@@ -364,44 +355,42 @@ def test_depth_is_computed_once_per_layout(ieee13, monkeypatch):
     monkeypatch.setattr(ybus, "_depths", counting)
     monkeypatch.setattr(tf.opts, "build_stamps", keeping)
     monkeypatch.setattr(tf.linflow, "splu", factoring)
-    for model, tree in ((ieee13, False), (bench_feeders().generate_feeder(5, 200), True)):
+    for model in (ieee13, bench_feeders().generate_feeder(5, 200)):
         del computed[:], built[:], lp_calls[:]
         tf.run_opts(model, tf.config_from_model(model))
         (stamps,) = built
         assert len(computed) == 1 and stamps.layout.depth is computed[0]
-        assert (stamps.shapes[0][0] >= ybus._TREE_ROWS) == tree
-        assert lp_calls == [{"permc_spec": "NATURAL"} if tree else {}]
+        assert lp_calls == [{"permc_spec": "NATURAL"}]
 
 
 # Generated feeders (seed, buses, bus list reversed) on which the two
 # factorizations must give one solve: 200-5000 buses, and one with the slack
-# bus listed last.
-TREE_FEEDERS = [(5, 200, False), (5, 500, False), (5, 1000, False), (5, 2000, False),
-                (5, 5000, False), (11, 500, True)]
+# bus listed last; and the fixtures and small feeders of ``SMALL_FEEDERS``.
+TREE_FEEDERS = [*SMALL_FEEDERS, (5, 200, False), (5, 500, False), (5, 1000, False),
+                (5, 2000, False), (5, 5000, False), (11, 500, True)]
 
 
 @pytest.mark.parametrize("seed,n_buses,reverse", TREE_FEEDERS)
-def test_tree_order_matches_colamd(seed, n_buses, reverse, monkeypatch):
+def test_tree_order_matches_colamd(seed, n_buses, reverse, request, monkeypatch):
     """At 8 seeded tap settings in -8..8, the solve with Y numbered and
     factored leaves first and the solve with Y in model order and COLAMD's
-    order (forced through the row constant) take the same steps to the same
+    order (``colamd_in_model_order``) take the same steps to the same
     verdict, with voltages within 1e-10 p.u. and imports within a relative
     1e-10."""
-    model = bench_feeders().generate_feeder(seed, n_buses)
-    if reverse:
-        model = dataclasses.replace(model, buses=model.buses[::-1])
-    rows = ybus._TREE_ROWS
+    model = small_or_generated(seed, n_buses, reverse, request)
     stamps = build_stamps(model)
-    monkeypatch.setattr(ybus, "_TREE_ROWS", sys.maxsize)
-    in_model_order = build_stamps(model)
-    rng = np.random.default_rng([seed, n_buses])
+    with monkeypatch.context() as reference:
+        colamd_in_model_order(reference)
+        in_model_order = build_stamps(model)
+    assert (np.diff(in_model_order.full_of[0]) > 0).all()
+    rng = np.random.default_rng([seed, n_buses] if n_buses else list(seed.encode()))
     for _ in range(8):
         taps = [{p: int(rng.integers(-8, 9)) for p in sv.phases} for sv in model.svrs]
         ratios = tf.taps_to_ratios(model, taps)
-        monkeypatch.setattr(ybus, "_TREE_ROWS", rows)
         tree = tf.solve_zbus(model, ratios, stamps=stamps)
-        monkeypatch.setattr(ybus, "_TREE_ROWS", sys.maxsize)
-        colamd = tf.solve_zbus(model, ratios, stamps=in_model_order)
+        with monkeypatch.context() as reference:
+            colamd_in_model_order(reference)
+            colamd = tf.solve_zbus(model, ratios, stamps=in_model_order)
         assert (tree.iterations, tree.converged) == (colamd.iterations, colamd.converged)
         assert np.abs(tree.v - colamd.v).max() <= 1e-10
         if colamd.converged:
@@ -504,7 +493,6 @@ def test_block_columns_equal_single_solves(case, scale, max_iter, request):
     test settings)."""
     if case == "gen300-fixed-y":
         model = fixed_y_feeder(bench_feeders().generate_feeder(5, 300), -1, 1)
-        assert build_stamps(model).shapes[0][0] >= ybus._TREE_ROWS
     else:
         model = request.getfixturevalue(case)
     if case == "ieee13":
