@@ -37,7 +37,8 @@ broken = tf.FeederModel(
 for v in tf.validate(broken):
     print("deliberately broken model:", v)
 
-# Tap positions map to effective regulator ratios and back.
+# Each regulator maps its tap positions to effective ratios and back.
+sv = model.svrs[0]
 for tap in (-16, -8, 0, 4, 16):
-    r = tf.tap_to_ratio(tap, "B")
-    print(f"type-B tap {tap:+3d} -> ratio {r:.5f} -> tap {tf.ratio_to_tap(r, 'B'):+3d}")
+    r = sv.ratio(tap)
+    print(f"type-{sv.kind} tap {tap:+3d} -> ratio {r:.5f} -> tap {sv.tap(r):+3d}")

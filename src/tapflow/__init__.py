@@ -9,8 +9,8 @@ fixed-point iteration.
 from .errors import FeederFormatError, ModelValidationError, PipelineError
 from .linflow import constants_balanced, constants_from_solution, lindiff, linear_powerflow
 from .network import (BusSpec, FeederModel, LineSpec, PhaseMatrix, PhaseVector,
-                      SvrSpec, parse_feeder, ratio_to_tap, serialize, tap_to_ratio,
-                      taps_to_ratios, tree_index, validate, zero_taps)
+                      SvrSpec, parse_feeder, serialize, taps_to_ratios, tree_index, validate,
+                      zero_taps)
 from .opts import (OptsConfig, brute_force, build_lp, config_from_model, optimality_gap,
                    recover_ratios, run_opts, solve_lp_lexicographic)
 from .simplex import SparseLp, residuals, solve_lp
@@ -25,8 +25,8 @@ __all__ = [
     "SparseLp", "SvrSpec", "assemble", "brute_force", "build_lp", "config_from_model",
     "constants_balanced", "constants_from_solution", "feasibility", "import_objective",
     "import_objective_edges", "kcl_certificate", "lindiff", "linear_powerflow",
-    "optimality_gap", "parse_feeder", "ratio_to_tap", "recover_ratios",
-    "recover_svr_secondary", "residuals", "run_opts", "serialize", "solution_csv",
-    "solve_lp", "solve_lp_lexicographic", "solve_zbus", "tap_to_ratio", "taps_to_ratios",
-    "tree_index", "validate", "voltage_envelope", "voltage_unbalance", "zero_taps",
+    "optimality_gap", "parse_feeder", "recover_ratios", "recover_svr_secondary", "residuals",
+    "run_opts", "serialize", "solution_csv", "solve_lp", "solve_lp_lexicographic", "solve_zbus",
+    "taps_to_ratios", "tree_index", "validate", "voltage_envelope", "voltage_unbalance",
+    "zero_taps",
 ]

@@ -178,10 +178,38 @@ class SvrSpec:
             raise ValueError(f"SVR kind must be 'A' or 'B', got {self.kind!r}")
 
     def ratio_range(self) -> tuple[float, float]:
-        """Attainable effective-ratio interval implied by the tap bounds."""
-        if self.kind == "B":
-            return (1.0 - self.step * self.tap_max, 1.0 - self.step * self.tap_min)
-        return (1.0 + self.step * self.tap_min, 1.0 + self.step * self.tap_max)
+        """Attainable effective-ratio interval implied by the tap bounds.
+
+        The bounds are not checked: ``validate`` calls this on any spec.
+        """
+        ends = (self._grid(self.tap_min), self._grid(self.tap_max))
+        return ends[::-1] if self.kind == "B" else ends
+
+    def ratio(self, tap: int) -> float:
+        """Effective ratio for an integer tap position within the tap bounds."""
+        if not self.tap_min <= tap <= self.tap_max:
+            raise ValueError(f"tap {tap} outside [{self.tap_min}, {self.tap_max}]")
+        return self._grid(tap)
+
+    def tap(self, ratio: float) -> int:
+        """Nearest integer tap for a continuous ratio, clamped to the tap bounds.
+
+        Ties round half away from zero.
+        """
+        if not (math.isfinite(ratio) and ratio > 0.0):
+            raise ValueError(f"ratio must be finite and positive, got {ratio}")
+        raw = (ratio - 1.0) / self.step * self._sign
+        nearest = math.floor(raw + 0.5) if raw >= 0 else math.ceil(raw - 0.5)
+        return max(self.tap_min, min(self.tap_max, nearest))
+
+    def _grid(self, tap: int) -> float:
+        """The tap grid, bounds unchecked. Type-B: r = 1 - step*tap (raising
+        taps boosts the secondary voltage). Type-A: r = 1 + step*tap."""
+        return 1.0 + self._sign * self.step * tap
+
+    @property
+    def _sign(self) -> float:
+        return -1.0 if self.kind == "B" else 1.0
 
 
 @dataclass(frozen=True)
@@ -214,58 +242,16 @@ class FeederModel:
 
 
 # ---------------------------------------------------------------------------
-# Tap <-> effective-ratio algebra
+# Taps of a whole feeder
 # ---------------------------------------------------------------------------
-
-def tap_to_ratio(tap: int, kind: str = "B", step: float = 0.00625,
-                 tap_min: int = -16, tap_max: int = 16) -> float:
-    """Effective regulator ratio for an integer tap position.
-
-    Type-B: r = 1 - step*tap (raising taps boosts the secondary voltage).
-    Type-A: r = 1 + step*tap.
-    """
-    if not tap_min <= tap <= tap_max:
-        raise ValueError(f"tap {tap} outside [{tap_min}, {tap_max}]")
-    if kind == "B":
-        return 1.0 - step * tap
-    if kind == "A":
-        return 1.0 + step * tap
-    raise ValueError(f"unknown SVR kind {kind!r}")
-
-
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
-
-
-def ratio_to_tap(ratio: float, kind: str = "B", step: float = 0.00625,
-                 tap_min: int = -16, tap_max: int = 16) -> int:
-    """Nearest integer tap for a continuous ratio, clamped to the tap bounds.
-
-    Ties round half away from zero.
-    """
-    if not (math.isfinite(ratio) and ratio > 0.0):
-        raise ValueError(f"ratio must be finite and positive, got {ratio}")
-    if kind == "B":
-        raw = (1.0 - ratio) / step
-    elif kind == "A":
-        raw = (ratio - 1.0) / step
-    else:
-        raise ValueError(f"unknown SVR kind {kind!r}")
-    return max(tap_min, min(tap_max, _round_half_away(raw)))
-
 
 def taps_to_ratios(model: FeederModel, taps) -> list[dict[str, float]]:
     """Map per-SVR/per-phase integer taps to effective ratios.
 
     ``taps`` is a list aligned with ``model.svrs``; each item maps phase to tap.
     """
-    out = []
-    for svr, tap_map in zip(model.svrs, taps, strict=True):
-        out.append({
-            p: tap_to_ratio(tap_map[p], svr.kind, svr.step, svr.tap_min, svr.tap_max)
-            for p in svr.phases
-        })
-    return out
+    return [{p: svr.ratio(tap_map[p]) for p in svr.phases}
+            for svr, tap_map in zip(model.svrs, taps, strict=True)]
 
 
 def zero_taps(model: FeederModel) -> list[dict[str, int]]:
@@ -561,9 +547,9 @@ def parse_feeder(text: str) -> FeederModel:
             to_bus=to_bus,
             kind=node["kind"],
             phases=canonical_phases(_phases(node, where)),
-            tap_min=_scalar(node, "tap_min", -16, "an integer", where),
-            tap_max=_scalar(node, "tap_max", 16, "an integer", where),
-            step=float(_scalar(node, "step", 0.00625, "a number", where)),
+            tap_min=_scalar(node, "tap_min", SvrSpec.tap_min, "an integer", where),
+            tap_max=_scalar(node, "tap_max", SvrSpec.tap_max, "an integer", where),
+            step=float(_scalar(node, "step", SvrSpec.step, "a number", where)),
         ))
 
     config = doc.get("config", {})

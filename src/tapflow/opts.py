@@ -50,8 +50,7 @@ from .linflow import (LinearizationConstants, LinearSystem, _balanced_over, cons
                       constants_from_solution, eliminate, linear_system)
 # tree_index and constants_balanced are not called here; bench/tracing.py
 # wraps them in this namespace.
-from .network import (PHASES, SQUARE_LIMIT, FeederModel, ratio_to_tap, tap_to_ratio,
-                      taps_to_ratios, tree_index, zero_taps)
+from .network import PHASES, SQUARE_LIMIT, FeederModel, taps_to_ratios, tree_index, zero_taps
 from .simplex import LpSolution, SparseLp, solve_lp
 from .ybus import build_stamps
 from .zbus import (DEFAULT_MAX_ITER, DEFAULT_TOL, block_metrics, feasibility,
@@ -332,8 +331,8 @@ def run_opts(model: FeederModel, config: OptsConfig,
 
         stage("recover")
         cont_ratios = recover_ratios(sol.x, varmap, model)
-        taps = [{p: ratio_to_tap(rmap[p], sv.kind, sv.step, sv.tap_min, sv.tap_max)
-                 for p in sv.phases} for sv, rmap in zip(model.svrs, cont_ratios)]
+        taps = [{p: sv.tap(rmap[p]) for p in sv.phases}
+                for sv, rmap in zip(model.svrs, cont_ratios)]
         snapped = taps_to_ratios(model, taps)
         done("recover")
 
@@ -404,8 +403,7 @@ def brute_force(model: FeederModel, config: OptsConfig,
 
     stamps = build_stamps(model)          # only the regulator blocks change per combination
     # Each axis's ratio at each of its taps, from the tap grid's own formula.
-    tables = [np.array([tap_to_ratio(t, sv.kind, sv.step, sv.tap_min, sv.tap_max)
-                        for t in range(sv.tap_min, sv.tap_max + 1)]) for sv in axes]
+    tables = [np.array([sv.ratio(t) for t in range(sv.tap_min, sv.tap_max + 1)]) for sv in axes]
     cells = _SWEEP_CELLS // max(1, len(stamps.v_flat))
     step = max(1, min(_SWEEP_BLOCK, cells)) if stamps.y_fixed else 1
     best_obj = np.inf

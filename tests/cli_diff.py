@@ -2,8 +2,8 @@
 
     python tests/cli_diff.py BASE_SRC NEW_SRC
 
-runs each command of ``runs()`` on ``fixtures/tiny3.json`` and
-``fixtures/ieee13.json`` once with ``BASE_SRC`` and once with ``NEW_SRC`` as
+runs each command of ``runs()`` on ``fixtures/tiny3.json``,
+``fixtures/ieee13.json`` and ``fixtures/gen30.json`` once with ``BASE_SRC`` and once with ``NEW_SRC`` as
 the package path, and compares the two results: the exit codes, stdout and
 stderr must have the same non-numeric bytes, the same integers, and every
 other number within ``ABS_TOL``. Wall-clock fields (``timings``,
@@ -20,11 +20,13 @@ import subprocess
 import sys
 
 ABS_TOL = 1e-10
-FIXTURES = ("tiny3", "ieee13")
+FIXTURES = ("tiny3", "ieee13", "gen30")
 # powerflow's tap settings per fixture: zero, the opts answer, and the
 # upper tap limit; tiny3 has one single-phase regulator, IEEE-13 one
-# three-phase regulator.
-TAPS = {"tiny3": ("0", "2", "16"), "ieee13": ("0", "2,-6,6", "16,16,16")}
+# three-phase regulator, gen30 a three-phase type-B regulator at the head and
+# a three-phase type-A one mid-feeder, both on taps -1..1.
+TAPS = {"tiny3": ("0", "2", "16"), "ieee13": ("0", "2,-6,6", "16,16,16"),
+        "gen30": ("0", "-1,-1,-1;-1,-1,-1", "1,1,1;1,1,1")}
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 

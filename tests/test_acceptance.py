@@ -167,8 +167,9 @@ def test_criterion_8_lp_solver_suite():
 def test_criterion_9_roundtrip_and_relaxation(ieee13, tiny3):
     with criterion(9, "tap round-trip, ratio-window membership, SVR balance"):
         for kind in ("A", "B"):
+            sv = tf.SvrSpec("x", "y", kind=kind)
             for t in range(-16, 17):
-                assert tf.ratio_to_tap(tf.tap_to_ratio(t, kind), kind) == t
+                assert sv.tap(sv.ratio(t)) == t
 
         rng = np.random.default_rng(5)
         for _ in range(1000):

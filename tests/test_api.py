@@ -1,4 +1,4 @@
-"""The public API is the 43 names that the CLI, demos, tests and bench use."""
+"""The public API is the 41 names that the CLI, demos, tests and bench use."""
 
 import importlib
 
@@ -10,15 +10,15 @@ PUBLIC = [
     "SparseLp", "SvrSpec", "assemble", "brute_force", "build_lp", "config_from_model",
     "constants_balanced", "constants_from_solution", "feasibility", "import_objective",
     "import_objective_edges", "kcl_certificate", "lindiff", "linear_powerflow",
-    "optimality_gap", "parse_feeder", "ratio_to_tap", "recover_ratios",
-    "recover_svr_secondary", "residuals", "run_opts", "serialize", "solution_csv",
-    "solve_lp", "solve_lp_lexicographic", "solve_zbus", "tap_to_ratio", "taps_to_ratios",
-    "tree_index", "validate", "voltage_envelope", "voltage_unbalance", "zero_taps",
+    "optimality_gap", "parse_feeder", "recover_ratios", "recover_svr_secondary", "residuals",
+    "run_opts", "serialize", "solution_csv", "solve_lp", "solve_lp_lexicographic", "solve_zbus",
+    "taps_to_ratios", "tree_index", "validate", "voltage_envelope", "voltage_unbalance",
+    "zero_taps",
 ]
 
 
-def test_all_is_the_43_public_names():
-    assert len(PUBLIC) == 43
+def test_all_is_the_41_public_names():
+    assert len(PUBLIC) == 41
     assert sorted(tf.__all__) == PUBLIC
 
 

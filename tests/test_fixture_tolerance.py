@@ -3,7 +3,8 @@
 The values below were recorded with Y in model order and both sparse
 factorizations, Y's and the LP's, in COLAMD's order. Y and the LP are now
 factored leaves first at every size, which moves IEEE-13's numbers in their
-last digits and leaves tiny3's bits as they were. The stated tolerance:
+last digits and leaves tiny3's bits as they were. gen30's values were
+recorded with the leaves-first factorizations. The stated tolerance:
 taps and counts equal, every number within 1e-10 absolute, and the verified
 import within 1e-12 relative.
 """
@@ -14,6 +15,8 @@ import pytest
 
 import tapflow as tf
 
+from conftest import FIXTURES
+
 ABS_TOL = 1e-10
 IMPORT_REL_TOL = 1e-12
 
@@ -22,7 +25,9 @@ IMPORT_REL_TOL = 1e-12
 # v_exact, with balanced constants and with constants from the zero-tap
 # solution; brute_force's taps, objective and (evaluated, feasible) counts,
 # for IEEE-13 on the window 12..16 of every regulator phase, which holds the
-# full grid's optimum (35,937 combinations, the same bits).
+# full grid's optimum (35,937 combinations, the same bits). gen30 is
+# generate_feeder(5, 30) with both regulators on taps -1..1: a type-B head
+# regulator and a type-A mid-feeder one, whose taps move Y.
 RECORDED = {
     "tiny3": {
         "opts": ([{"a": 2}], 0.6628958151476876, 0.6625113062467821,
@@ -42,6 +47,20 @@ RECORDED = {
                      0.8858642713975671, 0.8858642714504222)},
         "bruteforce": ([{"a": 14, "b": 13, "c": 14}], 0.7142790613732702, (125, 18)),
     },
+    "gen30": {
+        "opts": ([{"a": -1, "b": -1, "c": -1}, {"a": -1, "b": -1, "c": -1}],
+                 0.7116908543455134, 0.7118705724914123,
+                 (0.9382485129877082, 0.9937888198757763), 2.481132044707733),
+        "lindiff": {
+            "balanced": ({"a": 0.0005502265258863215, "b": 0.004097712125425201,
+                          "c": 0.0006323526249750744},
+                         0.9491992936524257, 0.9451015815270005),
+            "base": ({"a": 1.9559909247846008e-12, "b": 2.736566528938056e-11,
+                      "c": 1.4538703574373812e-11},
+                     0.945101581499635, 0.9451015815270005)},
+        "bruteforce": ([{"a": 1, "b": 1, "c": 1}, {"a": 1, "b": 1, "c": 1}], 0.7115134371294579,
+                       (729, 729)),
+    },
 }
 
 
@@ -50,8 +69,8 @@ def _close(got, want):
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED))
-def test_fixture_answers_within_stated_tolerance(name, request):
-    model = request.getfixturevalue(name)
+def test_fixture_answers_within_stated_tolerance(name):
+    model = tf.parse_feeder((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
     want = RECORDED[name]
     config = tf.config_from_model(model)
 

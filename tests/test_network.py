@@ -2,6 +2,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tapflow as tf
 from tapflow.network import canonical_phases
@@ -45,44 +47,81 @@ def test_phase_matrix_shape_checked():
 # Tap <-> ratio algebra
 # ---------------------------------------------------------------------------
 
-def test_tap_to_ratio_known_values():
-    assert tf.tap_to_ratio(0, "B") == 1.0
-    assert tf.tap_to_ratio(16, "B") == pytest.approx(0.9)
-    assert tf.tap_to_ratio(-16, "B") == pytest.approx(1.1)
-    assert tf.tap_to_ratio(4, "B") == pytest.approx(0.975)
-    assert tf.tap_to_ratio(16, "A") == pytest.approx(1.1)
-    with pytest.raises(ValueError):
-        tf.tap_to_ratio(17, "B")
+TYPE_B, TYPE_A = tf.SvrSpec("x", "y"), tf.SvrSpec("x", "y", kind="A")
 
 
-def test_ratio_to_tap_known_values():
-    assert tf.ratio_to_tap(1.0, "B") == 0
-    assert tf.ratio_to_tap(0.9, "B") == 16
-    assert tf.ratio_to_tap(0.95, "B") == 8
-    assert tf.ratio_to_tap(0.5, "B") == 16      # clamped
-    assert tf.ratio_to_tap(1.5, "B") == -16
+def test_ratio_known_values():
+    assert TYPE_B.ratio(0) == 1.0
+    assert TYPE_B.ratio(16) == pytest.approx(0.9)
+    assert TYPE_B.ratio(-16) == pytest.approx(1.1)
+    assert TYPE_B.ratio(4) == pytest.approx(0.975)
+    assert TYPE_A.ratio(16) == pytest.approx(1.1)
     with pytest.raises(ValueError):
-        tf.ratio_to_tap(-0.1, "B")
+        TYPE_B.ratio(17)
+
+
+def test_tap_known_values():
+    assert TYPE_B.tap(1.0) == 0
+    assert TYPE_B.tap(0.9) == 16
+    assert TYPE_B.tap(0.95) == 8
+    assert TYPE_B.tap(0.5) == 16      # clamped
+    assert TYPE_B.tap(1.5) == -16
+    with pytest.raises(ValueError):
+        TYPE_B.tap(-0.1)
 
 
 def test_round_trip_every_tap_both_kinds():
-    for kind in ("A", "B"):
+    for sv in (TYPE_A, TYPE_B):
         for t in range(-16, 17):
-            r = tf.tap_to_ratio(t, kind)
-            assert tf.ratio_to_tap(r, kind) == t
+            r = sv.ratio(t)
+            assert sv.tap(r) == t
 
 
-def test_tap_to_ratio_monotone():
-    rb = [tf.tap_to_ratio(t, "B") for t in range(-16, 17)]
-    ra = [tf.tap_to_ratio(t, "A") for t in range(-16, 17)]
+def test_ratio_monotone():
+    rb = [TYPE_B.ratio(t) for t in range(-16, 17)]
+    ra = [TYPE_A.ratio(t) for t in range(-16, 17)]
     assert all(x > y for x, y in zip(rb, rb[1:]))   # strictly decreasing
     assert all(x < y for x, y in zip(ra, ra[1:]))   # strictly increasing
 
 
 def test_rounding_half_away_from_zero():
     # 1 - 0.9971875 = 0.0028125 = 0.45 steps -> 0; half-step boundary rounds away.
-    assert tf.ratio_to_tap(1.0 - 0.5 * 0.00625, "B") == 1
-    assert tf.ratio_to_tap(1.0 + 0.5 * 0.00625, "B") == -1
+    assert TYPE_B.tap(1.0 - 0.5 * 0.00625) == 1
+    assert TYPE_B.tap(1.0 + 0.5 * 0.00625) == -1
+    # With a step of 2**-7 the half steps are exact ties: 0.5 and 2.5 steps
+    # round to 1 and 3, not to the even 0 and 2.
+    for sv in (dataclasses.replace(TYPE_A, step=2**-7), dataclasses.replace(TYPE_B, step=2**-7)):
+        sign = 1 if sv.kind == "A" else -1
+        for half, want in ((0.5, 1), (2.5, 3), (-0.5, -1), (-2.5, -3)):
+            assert sv.tap(1.0 + sign * half * 2**-7) == want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@example(kind="B", step=0.00625, tap_min=-16, tap_max=16, keys=set())
+@given(kind=st.sampled_from("AB"), step=st.floats(1e-4, 0.02),
+       tap_min=st.integers(-40, 0), tap_max=st.integers(0, 40),
+       keys=st.sets(st.sampled_from(("tap_min", "tap_max", "step"))))
+def test_tap_grid_property(kind, step, tap_min, tap_max, keys):
+    """Every tap round-trips; the ratio range is the ratios at the two bounds,
+    low ratio first; ``ratio`` raises outside the bounds and ``tap`` clamps
+    there; a tap key left out of the feeder file parses to the field default."""
+    sv = tf.SvrSpec("x", "y", kind=kind, tap_min=tap_min, tap_max=tap_max, step=step)
+    assert all(sv.tap(sv.ratio(t)) == t for t in range(tap_min, tap_max + 1))
+    ends = (sv.ratio(tap_min), sv.ratio(tap_max))
+    low, high = sv.ratio_range()
+    assert (low, high) == (ends[::-1] if kind == "B" else ends)
+    for t in (tap_min - 1, tap_max + 1):
+        with pytest.raises(ValueError, match="outside"):
+            sv.ratio(t)
+    clamped = (sv.tap(low - step), sv.tap(high + step), sv.tap(1e-9), sv.tap(1e9))
+    assert clamped == ((tap_max, tap_min) if kind == "B" else (tap_min, tap_max)) * 2
+
+    doc = json.loads((FIXTURES / "tiny3.json").read_text())
+    kept = {k: getattr(sv, k) for k in keys}
+    node = doc["svrs"][0]
+    doc["svrs"] = [{"from": node["from"], "to": node["to"], "kind": kind, "phases": "a", **kept}]
+    assert tf.parse_feeder(json.dumps(doc)).svrs == (
+        tf.SvrSpec(node["from"], node["to"], kind=kind, phases="a", **kept),)
 
 
 # ---------------------------------------------------------------------------

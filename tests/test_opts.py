@@ -175,8 +175,7 @@ def test_tap_snap_consistency(tiny3):
     report = tf.run_opts(tiny3, tf.config_from_model(tiny3))
     for sv, taps, ratios in zip(tiny3.svrs, report.taps, report.ratios):
         for p in sv.phases:
-            assert ratios[p] == tf.tap_to_ratio(taps[p], sv.kind, sv.step,
-                                                sv.tap_min, sv.tap_max)
+            assert ratios[p] == sv.ratio(taps[p])
 
 
 def test_monotone_versus_no_svr_on_fixtures(ieee13, tiny3):
@@ -232,7 +231,9 @@ def test_condensed_matches_full_lp_reference(request, name):
     """On the parity feeders and generated 15-60 bus feeders the condensed
     solve lands on the full-LP reference's taps and import value. The
     injecting shunt (negative conductance) makes the lowest profile import
-    more than the optimum, so there the pin row decides the answer."""
+    more than the optimum, so there the pin row decides the answer. The
+    generated feeders' shunts get a conductance of 0.3 |b|, so that import
+    depends on the taps and the import pass and its pin row run."""
     if name in PARITY_FEEDERS:
         model = PARITY_FEEDERS[name](request)
     elif name == "cascade-injecting":
@@ -240,7 +241,13 @@ def test_condensed_matches_full_lp_reference(request, name):
     else:
         seed, n_buses = (int(v) for v in name[3:].split("-"))
         model = bench_feeders().generate_feeder(seed, n_buses)
+        model = dataclasses.replace(model, buses=tuple(
+            b if b.shunt is None else dataclasses.replace(b, shunt=tf.PhaseMatrix(
+                b.shunt.phases, b.shunt.array + 0.3 * np.abs(b.shunt.array.imag)))
+            for b in model.buses))
     (lp, varmap), _ = build(model)
+    if name.startswith("gen"):
+        assert np.any(lp.c @ linflow.eliminate(varmap, "solve_lp")[1])
     sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
     ref, ref_value = pin_row_lexicographic(lp, varmap)
     assert sol.status == ref.status == "optimal" and sol.tie_break == "optimal"
@@ -250,8 +257,7 @@ def test_condensed_matches_full_lp_reference(request, name):
     assert primal <= 1e-9 and bound <= 1e-9
 
     def taps(x):
-        return [{p: tf.ratio_to_tap(r[p], sv.kind, sv.step, sv.tap_min, sv.tap_max)
-                 for p in sv.phases}
+        return [{p: sv.tap(r[p]) for p in sv.phases}
                 for sv, r in zip(model.svrs, tf.recover_ratios(x, varmap, model))]
 
     assert taps(sol.x) == taps(ref.x)
@@ -324,7 +330,10 @@ def test_lexicographic_reports_tie_break_status(ieee13_lp):
     lp, varmap = ieee13_lp
     sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
     assert sol.status == "optimal" and sol.tie_break == "optimal"
-    assert import_value == tf.solve_lp(lp).objective
+    # IEEE-13's import is constant over the feasible set (c @ N = 0), so the
+    # import pass is skipped and the value is read at the profile pass's
+    # point: a different LP than solve_lp's, equal up to rounding.
+    assert import_value == pytest.approx(tf.solve_lp(lp).objective, rel=1e-12, abs=0)
 
 
 def test_lp_objective_not_above_feasible_zero_tap_point(tiny3):
@@ -541,7 +550,7 @@ def test_bruteforce_zero_ratio_raises_the_solve_error(kind, zero_tap):
     error of the first combination there, as the per-combination loop does."""
     model = chain_model([0.1 + 0.05j], svr_kind=kind)
     model = dataclasses.replace(model, svrs=(dataclasses.replace(model.svrs[0], step=0.1),))
-    assert tf.tap_to_ratio(zero_tap, kind, 0.1) == 0.0
+    assert model.svrs[0].ratio(zero_tap) == 0.0
     cfg = tf.config_from_model(model)
     with pytest.raises(ValueError) as want:
         loop_brute_force(model, cfg)
