@@ -175,7 +175,7 @@ class SvrSpec:
     def __post_init__(self):
         object.__setattr__(self, "phases", canonical_phases(self.phases))
         if self.kind not in ("A", "B"):
-            raise ValueError(f"SVR kind must be 'A' or 'B', got {self.kind!r}")
+            raise ValueError(f"svr kind must be 'A' or 'B', got {self.kind!r}")
 
     def ratio_range(self) -> tuple[float, float]:
         """Attainable effective-ratio interval implied by the tap bounds.
@@ -536,21 +536,19 @@ def parse_feeder(text: str) -> FeederModel:
     for k, node in enumerate(_objects(doc, "svrs")):
         if not {"from", "to", "kind", "phases"} <= set(node):
             raise FeederFormatError("svr entries need 'from', 'to', 'kind', 'phases'")
-        if node["kind"] not in ("A", "B"):
-            raise FeederFormatError(f"svr kind must be 'A' or 'B', got {node['kind']!r}")
         from_bus = _bus_ref(node, "from", f"svrs[{k}]")
         to_bus = _bus_ref(node, "to", f"svrs[{k}]")
         where = f"svr {from_bus}->{to_bus}"
         _known(node, ("from", "to", "kind", "phases", "tap_min", "tap_max", "step"), where)
-        svrs.append(SvrSpec(
-            from_bus=from_bus,
-            to_bus=to_bus,
-            kind=node["kind"],
-            phases=canonical_phases(_phases(node, where)),
-            tap_min=_scalar(node, "tap_min", SvrSpec.tap_min, "an integer", where),
-            tap_max=_scalar(node, "tap_max", SvrSpec.tap_max, "an integer", where),
-            step=float(_scalar(node, "step", SvrSpec.step, "a number", where)),
-        ))
+        spec = dict(from_bus=from_bus, to_bus=to_bus, kind=node["kind"],
+                    phases=canonical_phases(_phases(node, where)),
+                    tap_min=_scalar(node, "tap_min", SvrSpec.tap_min, "an integer", where),
+                    tap_max=_scalar(node, "tap_max", SvrSpec.tap_max, "an integer", where),
+                    step=float(_scalar(node, "step", SvrSpec.step, "a number", where)))
+        try:                        # SvrSpec owns the kind rule
+            svrs.append(SvrSpec(**spec))
+        except ValueError as exc:
+            raise FeederFormatError(f"{where}: {exc}") from None
 
     config = doc.get("config", {})
     if not isinstance(config, dict):

@@ -26,11 +26,15 @@ lowest feasible voltage profile.
 
 The exhaustive oracle ``brute_force`` numbers the tap combinations as
 integers in product order and verifies them in blocks (``zbus.solve_block``
-and ``zbus.block_metrics``): when the taps cannot move Y, up to
+and ``zbus.block_metrics``). It visits them with the taps that move Y
+(``ybus.StampSet.moves_y``) outermost, so that each group of combinations
+that agree on those taps shares Y, and cuts blocks inside each group: up to
 ``_SWEEP_BLOCK`` combinations share one iteration and one factorization,
 fewer on a large feeder, so that a block spans at most ``_SWEEP_CELLS``
-(coordinate, combination) cells; otherwise a block is one combination with
-its own assembly and factorization.
+(coordinate, combination) cells. On a feeder whose regulators all sit at
+the slack bus no tap moves Y, and the whole sweep is one group. The sweep
+keeps every combination's verified import and picks the optimum once, after
+it ends, so the answer does not depend on the order of the visits.
 """
 
 from __future__ import annotations
@@ -375,9 +379,9 @@ class BruteForceResult:
     evaluated: int
 
 
-# Tap combinations per block of a sweep whose taps cannot move Y: at most
-# _SWEEP_BLOCK, and at most _SWEEP_CELLS (coordinate, combination) cells,
-# since the kernel holds a few complex arrays of that shape.
+# Tap combinations per block of a sweep, within a group that shares Y: at
+# most _SWEEP_BLOCK, and at most _SWEEP_CELLS (coordinate, combination)
+# cells, since the kernel holds a few complex arrays of that shape.
 _SWEEP_BLOCK = 1024
 _SWEEP_CELLS = 2**20
 
@@ -390,10 +394,11 @@ def _tap_order_key(flat_taps) -> tuple:
 def brute_force(model: FeederModel, config: OptsConfig,
                 cap: int = 100_000) -> BruteForceResult:
     """Enumerate every tap combination, verify each with the exact power flow,
-    and keep the feasible minimum import. Ties (within 1e-12) prefer small
-    tap magnitudes, so the all-zero vector wins on lossless networks.
-    Combinations run in ``itertools.product`` order over the regulators'
-    phases.
+    and keep the feasible minimum import. Imports within 1e-12 of the least
+    tie, and ties prefer small tap magnitudes (``_tap_order_key``), so the
+    all-zero vector wins on lossless networks. Combinations are numbered in
+    ``itertools.product`` order over the regulators' phases; the sweep visits
+    them with the phases whose taps move Y outermost.
     """
     axes = [sv for sv in model.svrs for _ in sv.phases]
     sizes = [sv.tap_max - sv.tap_min + 1 for sv in axes]
@@ -402,32 +407,36 @@ def brute_force(model: FeederModel, config: OptsConfig,
         raise ValueError(f"{total} tap combinations exceed cap {cap}")
 
     stamps = build_stamps(model)          # only the regulator blocks change per combination
+    # The combinations' numbers in product order, as the sweep visits them:
+    # the axes that move Y outermost, so that each group of combinations that
+    # agree on them shares one Y.
+    order = np.argsort(~stamps.moves_y, kind="stable")
+    visits = np.arange(total).reshape(sizes).transpose(order).ravel()
+    group = math.prod(size for size, moves in zip(sizes, stamps.moves_y) if not moves)
+    step = max(1, min(_SWEEP_BLOCK, _SWEEP_CELLS // max(1, len(stamps.v_flat))))
     # Each axis's ratio at each of its taps, from the tap grid's own formula.
     tables = [np.array([sv.ratio(t) for t in range(sv.tap_min, sv.tap_max + 1)]) for sv in axes]
-    cells = _SWEEP_CELLS // max(1, len(stamps.v_flat))
-    step = max(1, min(_SWEEP_BLOCK, cells)) if stamps.y_fixed else 1
-    best_obj = np.inf
-    best_key = None
-    best_combo = None
+    objective = np.full(total, np.nan)    # each combination's verified import, NaN if infeasible
     feasible_count = 0
-    for start in range(0, total, step):
-        combos = np.arange(start, min(start + step, total))
+    # A block starts at every step-th combination of each group.
+    for combos in np.split(visits, np.flatnonzero(np.arange(total) % group % step == 0)[1:]):
         digits = np.unravel_index(combos, sizes) if axes else ()
         # (combinations, axes), also with no axes at all.
         ratios = np.array([tab[d] for tab, d in zip(tables, digits)]).T.reshape(len(combos),
                                                                                 len(axes))
         block = solve_block(stamps, ratios, tol=config.zbus_tol, max_iter=config.zbus_max_iter)
-        feasible, objective = block_metrics(block, config.v_min_verify, config.v_max_verify)
+        feasible, obj = block_metrics(block, config.v_min_verify, config.v_max_verify)
+        objective[combos] = np.where(feasible, obj, np.nan)
         feasible_count += int(feasible.sum())
-        for j, obj in zip(np.flatnonzero(feasible).tolist(), objective[feasible].tolist()):
-            if obj < best_obj - 1e-12 or abs(obj - best_obj) <= 1e-12:
-                combo = tuple(int(d[j]) + sv.tap_min for d, sv in zip(digits, axes))
-                key = _tap_order_key(combo)
-                if obj < best_obj - 1e-12 or best_key is None or key < best_key:
-                    best_obj, best_key, best_combo = obj, key, combo
-    if best_combo is None:
+    if not feasible_count:
         raise PipelineError("bruteforce", "no feasible tap combination found")
-    flat = iter(best_combo)
+    # One selection, whatever the sweep's order: the least import, and among
+    # the imports within 1e-12 of it the smallest ``_tap_order_key``.
+    ties = np.flatnonzero(np.abs(objective - np.nanmin(objective)) <= 1e-12)
+    digits = np.unravel_index(ties, sizes) if axes else ()
+    taps = [[int(d[j]) + sv.tap_min for d, sv in zip(digits, axes)] for j in range(len(ties))]
+    best = min(range(len(ties)), key=lambda j: _tap_order_key(taps[j]))
+    flat = iter(taps[best])
     return BruteForceResult(taps=[{p: next(flat) for p in sv.phases} for sv in model.svrs],
-                            objective=float(best_obj),
+                            objective=float(objective[ties[best]]),
                             feasible_count=feasible_count, evaluated=total)

@@ -65,13 +65,14 @@ holds Y at the first row and then Y_NS and Y_S block-diagonal, one block
 per row, so that one sparse product applies every row's blocks at its own
 bits.
 
-``build_stamps`` also decides whether Y depends on the ratios at all. The
-first three regulator blocks move with them. They land in Y_NS or Y_S only
-when the regulator's primary is the slack bus (as on IEEE-13); otherwise
--G zinv, nonzero for an invertible line, couples two retained buses. So
-when every regulator's primary is the slack bus, Y's values are the same
-bits at every ratio (``StampSet.y_fixed``), and a block of ratio rows can
-share one factorization of Y (``zbus.solve_block``).
+``build_stamps`` also marks which ratios move Y. The first three regulator
+blocks move with the ratios of their line's phases. They land in Y_NS or
+Y_S only when the regulator's primary is the slack bus (as on IEEE-13);
+otherwise -G zinv, nonzero for an invertible line, couples two retained
+buses. So a column of the ratio row moves Y exactly when its phase is on
+its regulator's outgoing line and that regulator's primary is not the slack
+bus (``StampSet.moves_y``), and ratio rows that agree on those columns give
+Y the same bits and can share one factorization of it (``zbus.solve_block``).
 
 The nonzero entries do not depend on the ratios: a regulator block is a
 diagonal rescaling of its line's ``zinv``, so at any finite nonzero ratio
@@ -295,7 +296,7 @@ class StampSet:
     zinv: np.ndarray         # (L, 3, 3) per model line: its checked inverse, as ``layout.z``
     secondaries: tuple       # per regulator phase, in the ratio row's order: the secondary's
                              # full coordinate, the primary's and the type-B flag (n, 1)
-    y_fixed: bool            # no block that moves with the ratios lands in Y
+    moves_y: np.ndarray      # (k,) per ratio column: a block that moves with it lands in Y
 
     def line_zinv(self, k: int) -> np.ndarray:
         """The checked inverse of ``model.lines[k]``'s impedance."""
@@ -471,9 +472,10 @@ def build_stamps(model: FeederModel) -> StampSet:
                     moved_at=moved_at, layout=layout, zinv=zinv,
                     secondaries=(sec[owned], prim,
                                  (layout.svr_type_b[:, None] & owned)[owned, None]),
-                    # A regulator's moving blocks land in Y unless its primary
-                    # is the slack bus: -G zinv couples two retained buses.
-                    y_fixed=bool(layout.slack[svr_ends[:, 0]].all()))
+                    # A ratio moves its regulator's blocks on its line's phases
+                    # only, and they land in Y unless the primary is the slack
+                    # bus: -G zinv couples two retained buses.
+                    moves_y=(line_mask & ~layout.slack[svr_ends[:, 0], None])[owned])
 
 
 def _place(rows, cols, values, starts, r, c, v):
@@ -527,8 +529,9 @@ def assemble_block(stamps: StampSet, ratios: np.ndarray) -> AdmittanceSystem:
     ratio must be finite and nonzero, else ``ValueError`` names the first bad
     row's first bad regulator. With m > 1, Y_NS and Y_S are block-diagonal,
     row j's blocks at j times their shape, so one sparse product applies each
-    row's blocks at the bits of a single row's; Y is the first row's, and the
-    block needs ``stamps.y_fixed``.
+    row's blocks at the bits of a single row's; Y is the first row's, and
+    ``zbus.solve_block`` needs the rows to agree on every ratio that moves Y
+    (``stamps.moves_y``).
     """
     # Only a finite nonzero gain keeps a regulator block zero exactly where
     # its ``zinv`` is, the entries that ``routes`` holds.

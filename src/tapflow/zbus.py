@@ -25,9 +25,10 @@ and imports within a relative 1e-10 (``tests/test_zbus.py``).
 The iteration is one kernel over an (n, m) block of columns, with one
 multi-column LU solve per step, each column stopping on its own
 (``_fixed_point``). One core, ``_solve``, runs it from a flat start, on one
-ratio row for ``solve_zbus`` and on many for a tap sweep with Y fixed
-(``solve_block``). Both take ratios as ``ybus`` rows over the regulator
-phases, ``solve_zbus`` through ``assemble``, which converts its
+ratio row for ``solve_zbus`` and on many for a tap sweep (``solve_block``),
+whose rows agree on every ratio that moves Y (``StampSet.moves_y``) and so
+share Y and its factorization. Both take ratios as ``ybus`` rows over the
+regulator phases, ``solve_zbus`` through ``assemble``, which converts its
 per-regulator maps. The secondaries take the rows in
 ``AdmittanceSystem.ratios`` as they are, one ratio per regulator phase and
 so per secondary phase; the edge-wise import indexes them with the layout's
@@ -168,13 +169,14 @@ def _fixed_point(lu, Y, loads: np.ndarray, w_s: np.ndarray, v: np.ndarray, tol: 
 
 def _solve(system: AdmittanceSystem, tol: float, max_iter: int) -> tuple:
     """``_fixed_point`` on ``system`` from a flat start, column j at ratio
-    row j; m > 1 columns share Y's factorization, so need ``y_fixed``."""
+    row j; m > 1 columns share Y's factorization, so their rows must agree
+    on every ratio that moves Y (``StampSet.moves_y``)."""
     if not tol > 0:      # also rejects NaN
         raise ValueError("tol must be positive")
-    st = system.stamps
-    n, m = len(st.v_flat), len(system.ratios)
-    if m > 1 and not st.y_fixed:
-        raise ValueError("a block of ratio sets needs taps that cannot move Y")
+    st, r = system.stamps, system.ratios
+    n, m = len(st.v_flat), len(r)
+    if m > 1 and (r[:, st.moves_y] != r[0, st.moves_y]).any():
+        raise ValueError("a block of ratio sets must agree on every ratio that moves Y")
     v_s = st.v_slack if m == 1 else np.tile(st.v_slack, m)   # Y_NS is block-diagonal
     w_s = (system.Y_NS @ v_s).reshape(m, n).T
     start = np.broadcast_to(st.v_flat[:, None], (n, m))
@@ -254,8 +256,8 @@ def solve_block(stamps: StampSet, ratios: np.ndarray,
     """``solve_zbus`` from a flat start at each ratio row of ``ratios`` (m, k)
     (``ybus.assemble_block``), as one iteration over m columns.
 
-    More than one row needs ``stamps.y_fixed`` (else ``ValueError``): the
-    rows then share one factorization of Y.
+    The rows share one factorization of Y, so they must agree on every
+    ratio that moves Y (``stamps.moves_y``), else ``ValueError``.
     """
     system = assemble_block(stamps, ratios)
     v, iterations, residual, converged = _solve(system, tol, max_iter)

@@ -194,7 +194,7 @@ class StampSet:
     regulators: tuple
     layout: Layout
     zinv: tuple              # per model line: the checked inverse of its impedance
-    y_fixed: bool            # no block that moves with the ratios lands in Y
+    moves_y: np.ndarray      # (k,) per ratio column: a block that moves with it lands in Y
 
 
 def build_stamps(model: FeederModel) -> StampSet:
@@ -289,7 +289,11 @@ def build_stamps(model: FeederModel) -> StampSet:
     moves = np.zeros(len(values), dtype=bool)
     for r in regulators:
         moves[r.entries.start:r.entries.stop - r.zinv.size] = True
-    y_fixed = not (to_y & keep & moves).any()
+    # A ratio moves Y when its phase is on its regulator's line and the
+    # regulator's primary is not the slack bus.
+    moves_y = np.zeros(sum(len(sv.phases) for sv in model.svrs), dtype=bool)
+    for r in regulators:
+        moves_y[r.cols] = r.svr.from_bus != model.slack.id
     n, ns, nf = len(coords), len(slack_coords), len(full_coords)
     first, further, templates = _scatter_plan([
         (np.flatnonzero(m), r[m], c[m], shape)
@@ -311,7 +315,7 @@ def build_stamps(model: FeederModel) -> StampSet:
                     v_flat=v_source[phase_of[is_retained]][moved],
                     values=values, moving=np.where(moves, np.cumsum(moves) - 1, -1),
                     first=first, further=further, templates=templates,
-                    regulators=regulators, layout=layout, zinv=zinv, y_fixed=y_fixed)
+                    regulators=regulators, layout=layout, zinv=zinv, moves_y=moves_y)
 
 
 def _scatter_plan(targets):

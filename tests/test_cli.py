@@ -361,6 +361,9 @@ MUTATED_DOCS["gen15"] = json.loads(tf.serialize(bench_feeders().generate_feeder(
 NUMBERS = st.sampled_from([0.0, 1e-300, 1e308, -1e308, -1.0, 2.5, 1e6, 10**20, math.nan, math.inf,
                            -math.inf])
 LEAVES = NUMBERS | st.sampled_from(["", "a", "abc", "d", None, True, [], {}, [[1.0, 0.0]]])
+# What scales a number: to zero, its negative, far down or up, or by one
+# rounding step, so that many scaled documents stay valid.
+FACTORS = st.sampled_from([0.0, -1.0, 1e-6, 1e6, 1 + 1e-9])
 
 
 def _places(node, path=()):
@@ -374,14 +377,17 @@ def _places(node, path=()):
 
 def _mutate(doc, mutation):
     """Apply one (kind, path, leaf) mutation to ``doc`` in place: replace
-    the value at ``path`` by ``leaf``, delete the key at ``path`` or
-    duplicate the list item at ``path``."""
+    the value at ``path`` by ``leaf``, multiply the number there by ``leaf``
+    (an integer stays an integer), delete the key at ``path`` or duplicate
+    the list item at ``path``."""
     kind, path, leaf = mutation
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     if kind == "replace":
         parent[path[-1]] = copy.deepcopy(leaf)
+    elif kind == "scale":
+        parent[path[-1]] = type(parent[path[-1]])(parent[path[-1]] * leaf)
     elif kind == "delete":
         del parent[path[-1]]
     else:
@@ -391,16 +397,18 @@ def _mutate(doc, mutation):
 @st.composite
 def mutated_feeders(draw):
     """(document name, 1-3 mutations), each drawn on the document as the
-    ones before it left it: a number replaced by an extreme one, any leaf
-    replaced by an extreme number or a wrong-typed value, a key deleted or
-    a list item duplicated. A number kept a number leaves more documents
-    valid, so that the solvers run on some."""
+    ones before it left it: a number replaced by an extreme one or scaled,
+    any leaf replaced by an extreme number or a wrong-typed value, a key
+    deleted or a list item duplicated. A number kept a number, and above
+    all a scaled one, leaves more documents valid, so that the solvers run
+    on some."""
     name = draw(st.sampled_from(sorted(MUTATED_DOCS)))
     doc, mutations = copy.deepcopy(MUTATED_DOCS[name]), []
     for _ in range(draw(st.integers(1, 3))):
         places = list(_places(doc))[1:]
         leaves = [(p, v) for p, v in places if not isinstance(v, (dict, list))]
-        paths = {"number": [p for p, v in leaves if type(v) in (int, float)],
+        numbers = [p for p, v in leaves if type(v) in (int, float)]
+        paths = {"number": numbers, "scale": numbers,
                  "replace": [p for p, _ in leaves],
                  "delete": [p for p, _ in places if isinstance(p[-1], str)],
                  "duplicate": [p for p, _ in places if isinstance(p[-1], int)]}
@@ -409,7 +417,7 @@ def mutated_feeders(draw):
         # svrs, config) are drawn as often as the long ones.
         section = draw(st.sampled_from(sorted({p[0] for p in paths[kind]})))
         path = draw(st.sampled_from([p for p in paths[kind] if p[0] == section]))
-        leaf = draw({"number": NUMBERS, "replace": LEAVES}.get(kind, st.none()))
+        leaf = draw({"number": NUMBERS, "scale": FACTORS, "replace": LEAVES}.get(kind, st.none()))
         mutation = ("replace" if kind == "number" else kind, path, leaf)
         _mutate(doc, mutation)
         mutations.append(mutation)

@@ -254,6 +254,19 @@ def test_parse_names_each_structure_error(edit, match):
         tf.parse_feeder(json.dumps(doc))
 
 
+def test_parse_reports_the_svr_specs_kind_rule():
+    """``parse_feeder`` holds no kind rule of its own: it reports
+    ``SvrSpec``'s, naming the svr."""
+    doc = json.loads(MINIMAL)
+    doc["svrs"].append(dict(_SVR, kind="C"))
+    with pytest.raises(ValueError) as want:
+        tf.SvrSpec(from_bus="src", to_bus="load", kind="C", phases=("a",))
+    with pytest.raises(tf.FeederFormatError) as got:
+        tf.parse_feeder(json.dumps(doc))
+    assert str(got.value) == f"svr src->load: {want.value}"
+    assert str(want.value) == "svr kind must be 'A' or 'B', got 'C'"
+
+
 @pytest.mark.parametrize("svr,bus,error,match", [
     ({"tap_min": -15.7}, {}, tf.FeederFormatError, "'tap_min' must be an integer"),
     ({"step": True}, {}, tf.FeederFormatError, "'step' must be a number"),

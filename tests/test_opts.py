@@ -500,6 +500,46 @@ def test_bruteforce_shared_stamps_match_fresh_solves(request, name):
     assert (got.feasible_count, got.evaluated) == (want.feasible_count, want.evaluated)
 
 
+def test_bruteforce_picks_the_optimum_whatever_the_visit_order(monkeypatch):
+    """Imports in a chain of near ties, the least, +0.7e-12 and +1.4e-12,
+    at taps -2, -1 and 0, visited in that order while their tap keys fall:
+    the winner is the smallest key within 1e-12 of the least import (tap
+    -1), not the end of the chain (tap 0), which a running best that
+    re-anchors its tie window at each new winner would return."""
+    model = chain_model([0.1 + 0.05j], svr_kind="B")
+    sv = dataclasses.replace(model.svrs[0], tap_min=-2, tap_max=0)
+    model = dataclasses.replace(model, svrs=(sv,))
+    imports = {sv.ratio(-2): 0.5, sv.ratio(-1): 0.5 + 0.7e-12, sv.ratio(0): 0.5 + 1.4e-12}
+
+    def chained(block, v_min, v_max):
+        ratios = block.system.ratios[:, 0].tolist()
+        return np.ones(len(ratios), dtype=bool), np.array([imports[r] for r in ratios])
+
+    monkeypatch.setattr(opts, "block_metrics", chained)
+    got = tf.brute_force(model, tf.config_from_model(model))
+    assert got.taps == [{"a": -1}]
+    assert got.objective.hex() == (0.5 + 0.7e-12).hex()
+    assert (got.feasible_count, got.evaluated) == (3, 3)
+
+
+def test_bruteforce_near_lossless_ieee13_ties_to_the_least_import(ieee13):
+    """IEEE-13 with every line resistance scaled by 1e-9 and taps windowed
+    to -3..3: all 343 combinations are feasible and their imports lie within
+    a few 1e-12 of each other. The optimum is taps (1, -2, 3), the smallest
+    tap key within 1e-12 of the least import; the per-combination loop
+    agrees to the bit."""
+    lines = tuple(dataclasses.replace(ln, z=tf.PhaseMatrix(
+        ln.z.phases, ln.z.array.real * 1e-9 + 1j * ln.z.array.imag)) for ln in ieee13.lines)
+    model = _windowed(dataclasses.replace(ieee13, lines=lines), -3, 3)
+    assert not tf.validate(model)
+    cfg = tf.config_from_model(model)
+    got, want = tf.brute_force(model, cfg), loop_brute_force(model, cfg)
+    assert got.taps == [{"a": 1, "b": -2, "c": 3}]
+    assert (got.feasible_count, got.evaluated) == (343, 343)
+    assert (got.taps, got.objective.hex(), got.feasible_count) == \
+        (want.taps, want.objective.hex(), want.feasible_count)
+
+
 def test_bruteforce_blocks_change_no_result(monkeypatch, ieee13):
     """Blocks of 7 combinations give the sweep's result, with one
     factorization of Y per block: 18 blocks over 125 combinations."""

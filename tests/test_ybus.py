@@ -579,7 +579,8 @@ def test_assembly_converts_one_coo_matrix(monkeypatch, ieee13):
 
 
 def _tap_rows(model):
-    """The ratio row of every tap combination, in ``brute_force``'s order."""
+    """The ratio row of every tap combination, in product order, the order
+    in which ``brute_force`` numbers them."""
     axes = [(svx, p, sv) for svx, sv in enumerate(model.svrs) for p in sv.phases]
     out = []
     for combo in itertools.product(*(range(sv.tap_min, sv.tap_max + 1) for _, _, sv in axes)):
@@ -632,14 +633,25 @@ def test_block_equals_single_assemblies(case, request):
 
 @pytest.mark.parametrize("name", sorted(YBUS_FEEDERS))
 def test_y_fixed_exactly_when_the_ratios_leave_y_alone(name, request):
-    """A stamp set marks Y fixed exactly when Y's bytes are equal at every
-    ratio set: on the feeders whose regulators all sit at the slack bus."""
+    """Moving one ratio alone from the zero-tap set changes Y's bytes
+    exactly at the columns that the stamp set marks as moving Y: the phases
+    on the outgoing line of a regulator whose primary is not the slack bus.
+    Y's bytes are the same at every ratio set exactly when no column moves
+    Y, on the feeders whose regulators all sit at the slack bus."""
     model = YBUS_FEEDERS[name](request)
     stamps = build_stamps(model)
+    zero = _ratio_row(model.svrs, tf.taps_to_ratios(model, tf.zero_taps(model)))
+    y_zero = assemble_block(stamps, zero[None]).Y.data.tobytes()
+    moved = []
+    for col in range(len(zero)):
+        row = zero.copy()
+        row[col] = 1.05
+        moved.append(assemble_block(stamps, row[None]).Y.data.tobytes() != y_zero)
+    assert stamps.moves_y.dtype == bool and stamps.moves_y.tolist() == moved
     ys = [tf.assemble(model, ratios, stamps=stamps).Y for ratios in _ratio_sets(model).values()]
     same = all(y.data.tobytes() == ys[0].data.tobytes() for y in ys)
-    assert stamps.y_fixed == same
-    assert stamps.y_fixed == all(sv.from_bus == model.slack.id for sv in model.svrs)
+    assert (not stamps.moves_y.any()) == same
+    assert same == all(sv.from_bus == model.slack.id for sv in model.svrs)
 
 
 @pytest.mark.parametrize("name", ["ieee13", "cascade"])
@@ -746,11 +758,11 @@ def _assert_stamp_parity(model):
     and bit for bit, ``tree_index`` gives its root, and assembly on the
     stamp set gives the per-entry loop's matrices at two ratio sets."""
     got, want = build_stamps(model), stamps_reference.build_stamps(model)
-    for name in ("values", "moving", "v_flat", "v_slack", "loads"):
+    for name in ("values", "moving", "v_flat", "v_slack", "loads", "moves_y"):
         _assert_same_bytes(getattr(got, name), getattr(want, name), name)
     for a, b in zip(got.full_of, want.full_of, strict=True):
         _assert_same_bytes(a, b, "full_of")
-    for name in ("coords", "slack_coords", "full_coords", "eliminated", "y_fixed"):
+    for name in ("coords", "slack_coords", "full_coords", "eliminated"):
         assert getattr(got, name) == getattr(want, name), name
     assert [(b.id, rows) for b, rows in got.bus_rows] == [(b.id, rows) for b, rows in want.bus_rows]
     assert all(b is ref for (b, _), (ref, _) in zip(got.bus_rows, want.bus_rows))

@@ -9,8 +9,9 @@ import tapflow as tf
 from tapflow import ybus, zbus
 from tapflow.ybus import build_stamps
 
-from conftest import (SMALL_FEEDERS, bench_feeders, chain_model, colamd_in_model_order,
-                      fixed_y_feeder, small_or_generated)
+from conftest import (FIXTURES, SMALL_FEEDERS, bench_feeders, cascade_model, chain_model,
+                      colamd_in_model_order, fixed_y_feeder, small_or_generated)
+from sweep_reference import loop_brute_force
 
 
 def two_bus_oracle(z: complex, s: complex, vs: float = 1.0) -> complex:
@@ -260,7 +261,8 @@ def _windowed(model, lo, hi):
 
 
 def _tap_grid(model):
-    """Ratios of every tap combination, in ``brute_force``'s order."""
+    """Ratios of every tap combination, in product order, the order in
+    which ``brute_force`` numbers them."""
     axes = [(svx, p, sv) for svx, sv in enumerate(model.svrs) for p in sv.phases]
     for combo in itertools.product(*(range(sv.tap_min, sv.tap_max + 1) for _, _, sv in axes)):
         taps = [{} for _ in model.svrs]
@@ -298,13 +300,31 @@ def test_one_factorization_per_sweep_when_y_is_fixed(case, request, splu_calls):
     assert len(splu_calls) == 1 and result.evaluated == (125 if case == "ieee13" else 33)
 
 
-def test_one_factorization_per_combination_when_taps_move_y(splu_calls):
-    """A generated feeder's type-A regulator sits mid-feeder, so its blocks
-    land in Y and every combination factors Y again."""
-    model = _windowed(bench_feeders().generate_feeder(3, 30), 0, 1)
-    result = tf.brute_force(model, tf.config_from_model(model, v_min_verify=0.5,
-                                                        v_max_verify=1.5))
-    assert len(splu_calls) == result.evaluated == 64
+@pytest.mark.parametrize("case,groups", [("gen3-30", 8), ("gen30", 27), ("cascade", 9)],
+                         ids=["gen3-30", "gen30", "cascade"])
+def test_one_factorization_per_y_group_when_taps_move_y(case, groups, splu_calls):
+    """Where taps move Y, the sweep factors Y once per set of those taps,
+    each factorization shared by the combinations that agree on them, and
+    returns what one solve per combination returns: taps, objective to the
+    bit and counts. generate_feeder(3, 30) on taps 0..1 has 2^3 sets of its
+    mid-feeder regulator's taps among 64 combinations, ``fixtures/gen30.json``
+    3^3 among 729, and the cascade on taps -1..1 3^2 among 729: its second
+    regulator moves Y on phases a and b, the phases of its outgoing line,
+    and not on phase c."""
+    band = {}
+    if case == "gen3-30":
+        model = _windowed(bench_feeders().generate_feeder(3, 30), 0, 1)
+        band = {"v_min_verify": 0.5, "v_max_verify": 1.5}
+    elif case == "gen30":
+        model = tf.parse_feeder((FIXTURES / "gen30.json").read_text(encoding="utf-8"))
+    else:
+        model = _windowed(cascade_model(), -1, 1)
+    cfg = tf.config_from_model(model, **band)
+    result = tf.brute_force(model, cfg)
+    assert len(splu_calls) == groups
+    want = loop_brute_force(model, cfg)
+    assert (result.taps, result.objective.hex(), result.feasible_count, result.evaluated) == \
+        (want.taps, want.objective.hex(), want.feasible_count, want.evaluated)
 
 
 def test_fresh_solve_factors_once(ieee13, splu_calls):
@@ -420,7 +440,7 @@ def test_reused_factorization_changes_no_bits_over_the_grid(case, scale, request
         model = _windowed(model, -2, 2)
     model = bench_feeders().scale_loads(model, lambda _bus, _phase: scale)
     stamps = build_stamps(model)
-    assert stamps.y_fixed
+    assert not stamps.moves_y.any()
     y_data = set()
     for ratios in _tap_grid(model):
         shared = tf.solve_zbus(model, ratios, stamps=stamps)
@@ -465,21 +485,34 @@ def test_block_rejects_nonpositive_or_nan_tol(tiny3, tol):
 
 
 def test_block_of_many_sets_needs_fixed_y():
-    """Y of generate_feeder(3, 30) moves with its taps, so two ratio sets
-    cannot share one factorization of it: the block raises. One set at a
-    time, as the sweep sends them there, is ``solve_zbus`` to the bit."""
+    """Y of generate_feeder(3, 30) moves with its mid-feeder regulator's
+    ratios, so two ratio sets that differ there cannot share one
+    factorization of it: the block raises. One set at a time is
+    ``solve_zbus`` to the bit, and so is each column of a block of sets that
+    differ only in the head regulator's ratios, which leave Y alone."""
     model = bench_feeders().generate_feeder(3, 30)
     stamps = build_stamps(model)
-    assert not stamps.y_fixed
+    assert stamps.moves_y.tolist() == [False] * 3 + [True] * 3
     base = tf.taps_to_ratios(model, tf.zero_taps(model))
     grid = [base, [{p: r + 0.05 for p, r in ratios.items()} for ratios in base]]
     flat = np.array([[r[p] for r in ratios for p in r] for ratios in grid])
-    with pytest.raises(ValueError, match="taps that cannot move Y"):
+    with pytest.raises(ValueError, match="a block of ratio sets must agree on every ratio "
+                                         "that moves Y"):
         zbus.solve_block(stamps, flat)
     for row, ratios in zip(flat, grid):
         block = zbus.solve_block(stamps, row[None, :])
         sol = tf.solve_zbus(model, ratios, stamps=stamps)
         assert block.converged[0] and block.v[:, 0].tobytes() == _rows(sol, stamps).tobytes()
+    head = [[{p: r + 0.00625 * t for p, r in base[0].items()}, base[1]] for t in (-2, 0, 1, 3)]
+    flat = np.array([[r[p] for r in ratios for p in r] for ratios in head])
+    block = zbus.solve_block(stamps, flat)
+    feasible, objective = zbus.block_metrics(block, 0.5, 1.5)
+    for j, ratios in enumerate(head):
+        sol = tf.solve_zbus(model, ratios, stamps=stamps)
+        assert block.converged[j] and block.v[:, j].tobytes() == _rows(sol, stamps).tobytes()
+        assert (block.iterations[j], float(block.residual[j]).hex()) == \
+            (sol.iterations, sol.residual.hex())
+        assert feasible[j] and objective[j].hex() == tf.import_objective(sol, model).hex()
 
 
 @pytest.mark.parametrize("case,scale,max_iter", sorted(BLOCK_CASES))
