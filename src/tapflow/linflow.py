@@ -46,7 +46,6 @@ from scipy.sparse.linalg import splu
 
 from .errors import PipelineError
 from .network import PHASES, FeederModel, PhaseVector
-from .simplex import _csc_columns
 from .ybus import Layout, _ratio_row, build_layout
 from .zbus import PowerFlowSolution, _require_converged
 
@@ -232,6 +231,15 @@ def linear_system(constants: LinearizationConstants, windows) -> LinearSystem:
                       shape=(len(b), n_v + 2 * (m + 2 * n_reg))).tocsc()
     return LinearSystem(A=A, b=b, slack_cols=slack_cols,
                         layout=constants.layout, vcol=vcol, fcol=fcol)
+
+
+def _csc_columns(a: sp.csc_matrix, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of columns ``cols`` of the CSC matrix ``a``, read straight
+    from its arrays in ``cols``' order: their positions in ``a.indices`` and
+    ``a.data``, and each column's count."""
+    starts = a.indptr[cols]
+    counts = a.indptr[cols + 1] - starts
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum()), counts
 
 
 def eliminate(system: LinearSystem, stage: str) -> tuple[np.ndarray, np.ndarray]:

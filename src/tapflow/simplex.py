@@ -1,4 +1,4 @@
-"""Self-contained sparse LP solver: two-phase revised simplex with bounds.
+"""Self-contained LP solver: two-phase revised simplex with bounds.
 
 Problems are equality-constrained (A x = b) with per-variable lower/upper
 bounds, +-inf allowed. The basis inverse is kept dense and updated by one
@@ -18,10 +18,13 @@ basic variable has the smallest index leaves. In exact arithmetic that rule
 cannot cycle; here ties are decided up to the tolerances.
 
 The tableau's matrix [A | diag(s)], s the artificial columns' signs, is
-built straight from A's canonical CSC arrays, and its CSR transpose, which
-pricing multiplies by, is a view on the same arrays: no sparse stacking or
-conversion, whose fixed cost exceeds the pivots' on the small condensed
-duals of the tap-selection LP.
+one dense array, with its C-ordered transpose beside it, whose rows are the
+entering columns: the condensed duals of the tap-selection LP have a few
+dense rows, where sparse products only add overhead. Every product sums in
+the order of A's sparse products, so a solve has the bits of one on sparse
+A: pricing adds A's rows to 0.0 one at a time, as the CSR product of A^T
+does, and b - A x_N adds the nonbasic columns at nonzero values to 0.0 one
+at a time, in column order, as the CSC product of A does.
 
 An optimal solution carries the row duals of its final basis,
 y = B^-T c_B, which the tap-selection pipeline reads as the primal point of
@@ -71,15 +74,6 @@ class SparseLp:
             raise ValueError("A has an empty row")
 
 
-def _csc_columns(a: sp.csc_matrix, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of columns ``cols`` of the CSC matrix ``a``, read straight
-    from its arrays in ``cols``' order: their positions in ``a.indices`` and
-    ``a.data``, and each column's count."""
-    starts = a.indptr[cols]
-    counts = a.indptr[cols + 1] - starts
-    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum()), counts
-
-
 @dataclass
 class LpSolution:
     status: str                       # optimal | infeasible | unbounded | iteration_limit
@@ -109,18 +103,11 @@ class _Tableau:
         resid = lp.b - lp.A @ start
         art_sign = np.where(resid >= 0.0, 1.0, -1.0)
 
-        # [A | diag(art_sign)] built from A's canonical CSC arrays: column
-        # n + i holds art_sign[i] in row i. Its CSR transpose is a view on
-        # the same arrays.
-        a = lp.A
-        if not a.has_canonical_format:
-            a = a.copy()
-            a.sum_duplicates()
-        arrays = (np.concatenate([a.data, art_sign]),
-                  np.concatenate([a.indices, np.arange(m, dtype=a.indices.dtype)]),
-                  np.concatenate([a.indptr, a.nnz + np.arange(1, m + 1, dtype=a.indptr.dtype)]))
-        self.A = sp.csc_matrix(arrays, shape=(m, n + m))
-        self.AT = sp.csr_matrix(arrays, shape=(n + m, m))
+        # [A | diag(art_sign)] and its transpose, both C-ordered: pricing's
+        # reduction runs over A's rows one at a time only in that order.
+        # ``toarray`` sums into zeros, so a stored -0.0 reads 0.0.
+        self.A = np.ascontiguousarray(np.hstack([lp.A.toarray(), np.diag(art_sign)]))
+        self.AT = np.ascontiguousarray(self.A.T)
         self.lower = np.concatenate([lp.lower, np.zeros(m)])
         self.upper = np.concatenate([lp.upper, np.full(m, np.inf)])
         self.b = lp.b.copy()
@@ -139,33 +126,26 @@ class _Tableau:
     # -- basis maintenance -------------------------------------------------
 
     def refactor(self) -> bool:
-        pos, counts = _csc_columns(self.A, self.basis)
-        bmat = np.zeros((self.m, self.m))
-        # 0.0 + x, as ``toarray`` sums into zeros: a stored -0.0 reads 0.0.
-        bmat[self.A.indices[pos], np.repeat(np.arange(self.m), counts)] = self.A.data[pos] + 0.0
         try:
-            self.binv = np.linalg.inv(bmat)
+            self.binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError:
             return False
         self.since_refactor = 0
         return True
 
     def recompute_basics(self):
+        # b - A x_N, each column added to 0.0 in turn: not an axis reduction,
+        # which numpy sums pairwise on a one-row A.
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        rhs = self.b - self.A @ xn
-        self.x[self.basis] = self.binv @ rhs
+        ax = np.zeros(self.m)
+        for j in np.flatnonzero(xn):
+            ax += self.AT[j] * xn[j]
+        self.x[self.basis] = self.binv @ (self.b - ax)
 
     def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         y = self.binv.T @ cost[self.basis]
-        return cost - self.AT @ y
-
-    def column(self, j: int) -> np.ndarray:
-        """Dense copy of column j, read straight from the CSC arrays."""
-        col = np.zeros(self.m)
-        sl = slice(self.A.indptr[j], self.A.indptr[j + 1])
-        col[self.A.indices[sl]] = self.A.data[sl]
-        return col
+        return cost - np.add.reduce(self.A * y[:, None], axis=0, initial=0.0)
 
     # -- one simplex phase ---------------------------------------------------
 
@@ -195,7 +175,7 @@ class _Tableau:
                 return "optimal"
             direction = 1.0 if d[enter] < 0.0 else -1.0
 
-            w = self.binv @ self.column(enter)
+            w = self.binv @ self.AT[enter]
 
             # Ratio test: entering moves by t in `direction`; basics move -t*dir*w.
             # Scanning rows in order, a row replaces the current candidate only

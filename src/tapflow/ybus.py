@@ -556,7 +556,7 @@ def assemble_block(stamps: StampSet, ratios: np.ndarray) -> AdmittanceSystem:
         k = stamps.moving[take[~y]]
         # A fixed entry's -1 reads an appended zero column; np.where drops it.
         tiled = np.where(k >= 0, np.column_stack([moved, np.zeros(m)])[:, k], data[~y])
-        to_s, j = rows[~y] >= 2 * n, np.arange(m)[:, None]
+        to_s, j = rows[~y] >= 2 * n, np.arange(m, dtype=np.int32)[:, None]
         data = np.concatenate([data[y], tiled.ravel()])
         rows = np.concatenate([rows[y], (rows[~y] + np.where(to_s, (m - 1) * n + j * ns, j * n)).ravel()])
         cols = np.concatenate([cols[y], (cols[~y] + np.where(to_s, (m - 1) * ns + j * nf, j * ns)).ravel()])

@@ -2,7 +2,9 @@
 
 ``LoopTableau`` is the simplex tableau with the row-by-row and column-by-column
 pivot loop the vectorized ``_Tableau.run`` replaced (with the same Bland
-leaving rule: among ratio-test ties, the smallest basic index leaves); swapped
+leaving rule: among ratio-test ties, the smallest basic index leaves). It
+prices with a CSR product of A^T and reads the entering column from a CSC
+copy of A, the sparse products whose bits the dense tableau keeps; swapped
 in for ``tapflow.simplex._Tableau`` it must make the same pivots and return
 the same bits. ``pin_row_lexicographic`` is the full-LP lexicographic method
 the condensed solve replaced: solve ``build_lp``'s whole LP for import, then
@@ -28,6 +30,12 @@ from stamps_reference import tree_index
 
 
 class LoopTableau(simplex._Tableau):
+    def __init__(self, lp):
+        super().__init__(lp)
+        # Sparse copies of the dense tableau, for CSR pricing and CSC column reads.
+        self.A_csc = sp.csc_matrix(self.A)
+        self.AT_csr = sp.csr_matrix(self.AT)
+
     def run(self, cost, max_iter, allow_unbounded):
         it = 0
         while True:
@@ -37,7 +45,7 @@ class LoopTableau(simplex._Tableau):
             self.pivots += 1
 
             y = self.binv.T @ cost[self.basis]
-            d = cost - self.AT @ y
+            d = cost - self.AT_csr @ y
 
             use_bland = self.degen_streak >= simplex._DEGEN_STREAK
             enter, direction, best = -1, 0.0, simplex._TOL_COST
@@ -61,7 +69,7 @@ class LoopTableau(simplex._Tableau):
             if enter < 0:
                 return "optimal"
 
-            w = self.binv @ self.A[:, enter].toarray().ravel()
+            w = self.binv @ self.A_csc[:, enter].toarray().ravel()
 
             t_max = self.upper[enter] - self.lower[enter] if self.state[enter] != FREE else np.inf
             leave, leave_bound = -1, 0.0

@@ -223,20 +223,53 @@ def test_vectorized_pivots_match_loop_reference(monkeypatch, ieee13_lp, degen_st
 
 
 def test_condensed_solve_stacks_no_sparse_matrix(monkeypatch, ieee13_lp):
-    """The tableau is built from A's arrays: a condensed solve calls neither
-    ``sp.hstack`` nor ``sp.diags``, and gives the duals of an unpatched solve."""
+    """The tableau is dense: once the condensed dual's ``SparseLp`` exists,
+    a solve builds no sparse matrix, and gives the duals of an unpatched solve."""
     duals = _condensed_duals(*ieee13_lp)
     want = [tf.solve_lp(lp) for lp in duals]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the tableau stacked a sparse matrix")
+        raise AssertionError("the solve built a sparse matrix")
 
-    monkeypatch.setattr(sp, "hstack", refuse)
-    monkeypatch.setattr(sp, "diags", refuse)
+    for name in ("csc_matrix", "csr_matrix", "coo_matrix", "hstack", "diags"):
+        monkeypatch.setattr(sp, name, refuse)
     for lp, w in zip(duals, want):
         g = tf.solve_lp(lp)
         assert (g.status, g.iterations) == (w.status, w.iterations)
         assert g.duals.tobytes() == w.duals.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 9])
+def test_tableau_products_sum_in_sparse_order(m):
+    """The dense tableau's products carry the bits of A's sparse products:
+    pricing those of c - csr(A^T) y, ``recompute_basics`` those of
+    B^-1 (b - csc(A) x_N). Every structural sits at a nonzero bound, and a
+    one-row A has at least 9 nonbasic columns with nonzero entries, enough
+    for numpy's pairwise sum to part from a column-by-column one."""
+    rng = np.random.default_rng(m)
+    for _ in range(25):
+        n = int(rng.integers(m + 20, 2 * m + 30))
+        A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.8)
+        lower, upper = -rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+        lp = make_lp(A, rng.normal(size=m), rng.normal(size=n), lower, upper)
+        tab = simplex._Tableau(lp)
+        tab.x[:n] = np.where(rng.random(n) < 0.5, lower, upper)
+        tab.basis = rng.choice(n + m, m, replace=False)
+        while not tab.refactor():
+            tab.basis = rng.choice(n + m, m, replace=False)
+        nonbasic = np.setdiff1d(np.arange(n), tab.basis)
+        assert m > 1 or np.count_nonzero(A[0, nonbasic]) >= 9
+
+        cost = rng.normal(size=n + m)
+        y = tab.binv.T @ cost[tab.basis]
+        want = cost - sp.csr_matrix(tab.AT) @ y
+        assert tab.reduced_costs(cost).tobytes() == want.tobytes()
+
+        xn = tab.x.copy()
+        xn[tab.basis] = 0.0
+        want = tab.binv @ (tab.b - sp.csc_matrix(tab.A) @ xn)
+        tab.recompute_basics()
+        assert tab.x[tab.basis].tobytes() == want.tobytes()
 
 
 def test_tie_break_fallback_keeps_pass1_point(monkeypatch):
