@@ -25,6 +25,9 @@ _PHASE_POS = {p: i for i, p in enumerate(PHASES)}
 # magnitudes, and doubles and multiplies the line impedances' entries.
 SQUARE_LIMIT = 2.0**512
 
+# A matrix is symmetric when each entry is within this of its transpose's.
+_SYMMETRY_TOL = 1e-12
+
 
 def canonical_phases(phases) -> tuple[str, ...]:
     """Normalize a phase iterable or string like 'ca' to canonical a<b<c order."""
@@ -116,8 +119,8 @@ class PhaseMatrix:
         except ValueError:
             raise KeyError(f"phase pair ({p},{q}) not in mask {''.join(self.phases)}") from None
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return bool((abs(self.array - self.array.T) <= tol).all())
+    def is_symmetric(self) -> bool:
+        return bool((abs(self.array - self.array.T) <= _SYMMETRY_TOL).all())
 
     def __eq__(self, other) -> bool:
         return (
@@ -404,7 +407,8 @@ FORMAT_VERSION = 1
 
 # JSON value kinds a scalar field may hold. JSON's true and false are never
 # numbers here, although Python's bool is an int.
-_KINDS = {"a boolean": (bool,), "an integer": (int,), "a number": (int, float)}
+_KINDS = {"a boolean": (bool,), "an integer": (int,), "a number": (int, float),
+          "a string": (str,)}
 
 
 def _scalar(node: dict, key: str, default, kind: str, where: str):
@@ -438,13 +442,6 @@ def _phases(node: dict, where: str) -> str:
     except ValueError as exc:
         raise FeederFormatError(f"{where}: {exc}") from None
     return phases
-
-
-def _bus_ref(node: dict, key: str, where: str) -> str:
-    value = node[key]
-    if not isinstance(value, str):
-        raise FeederFormatError(f"{where}: {key!r} must be a string, got {value!r}")
-    return value
 
 
 def _as_complex(node, where: str) -> complex:
@@ -503,7 +500,7 @@ def parse_feeder(text: str) -> FeederModel:
     for k, node in enumerate(_objects(doc, "buses")):
         if "id" not in node or "phases" not in node:
             raise FeederFormatError("bus entries need 'id' and 'phases'")
-        bus_id = _bus_ref(node, "id", f"buses[{k}]")
+        bus_id = _scalar(node, "id", None, "a string", f"buses[{k}]")
         where = f"bus {bus_id}"
         load = shunt = None
         if node.get("load") is not None:
@@ -525,8 +522,8 @@ def parse_feeder(text: str) -> FeederModel:
     for k, node in enumerate(_objects(doc, "lines")):
         if not {"from", "to", "z"} <= set(node):
             raise FeederFormatError("line entries need 'from', 'to', 'z'")
-        from_bus = _bus_ref(node, "from", f"lines[{k}]")
-        to_bus = _bus_ref(node, "to", f"lines[{k}]")
+        from_bus = _scalar(node, "from", None, "a string", f"lines[{k}]")
+        to_bus = _scalar(node, "to", None, "a string", f"lines[{k}]")
         where = f"line {from_bus}->{to_bus}"
         _known(node, ("from", "to", "z"), where)
         lines.append(LineSpec(from_bus=from_bus, to_bus=to_bus,
@@ -536,8 +533,8 @@ def parse_feeder(text: str) -> FeederModel:
     for k, node in enumerate(_objects(doc, "svrs")):
         if not {"from", "to", "kind", "phases"} <= set(node):
             raise FeederFormatError("svr entries need 'from', 'to', 'kind', 'phases'")
-        from_bus = _bus_ref(node, "from", f"svrs[{k}]")
-        to_bus = _bus_ref(node, "to", f"svrs[{k}]")
+        from_bus = _scalar(node, "from", None, "a string", f"svrs[{k}]")
+        to_bus = _scalar(node, "to", None, "a string", f"svrs[{k}]")
         where = f"svr {from_bus}->{to_bus}"
         _known(node, ("from", "to", "kind", "phases", "tap_min", "tap_max", "step"), where)
         spec = dict(from_bus=from_bus, to_bus=to_bus, kind=node["kind"],
@@ -615,15 +612,8 @@ def serialize(model: FeederModel) -> str:
 # Tree index
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TreeIndex:
-    """The root of a validated model's tree, its slack bus. The feeder's
-    ``ybus.Layout`` reads the root from here; the lines and regulators are
-    read from the layout's arrays."""
-
-    root: str
-
-
-def tree_index(model: FeederModel) -> TreeIndex:
-    """The traversal index; the model must already be valid."""
-    return TreeIndex(root=model.slack.id)
+def tree_index(model: FeederModel) -> str:
+    """The root of a validated model's tree: its slack bus's id. The
+    feeder's ``ybus.Layout`` reads the root from here; the lines and
+    regulators are read from the layout's arrays."""
+    return model.slack.id

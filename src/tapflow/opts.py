@@ -264,14 +264,14 @@ class OptsReport:
             del doc[key]
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
-    def summary_csv(self, label: str = "opts") -> str:
+    def summary_csv(self) -> str:
         gap = f"{self.gap_percent:.6g}" if self.gap_percent is not None else ""
         obj_lp = f"{self.objective_lp:.6g}" if self.objective_lp is not None else ""
         total = sum(self.timings.values())
         return (
             "method,objective_lp,objective_verified,v_min,v_max,feasible,unbalance_percent,"
             "time_sec,gap_percent\n"
-            f"{label},{obj_lp},{self.objective_verified:.6g},{self.v_envelope[0]:.6g},"
+            f"opts,{obj_lp},{self.objective_verified:.6g},{self.v_envelope[0]:.6g},"
             f"{self.v_envelope[1]:.6g},{'feas' if self.feasible else 'infeas'},"
             f"{self.unbalance:.6g},{total:.4g},{gap}\n"
         )

@@ -40,7 +40,7 @@ regulator, one per shunt, s its phase count), and one broadcast per phase
 count fills the rows, columns and values of its plain lines and regulator
 lines together, each line's kind choosing its blocks' endpoints and signs.
 The coordinates come from the layout; the (bus, phase) tuples that name
-them and each retained bus's rows are built only when read.
+them are built only when read.
 
 Y's rows, and so its columns, are the retained coordinates numbered leaves
 first: a stable sort by descending depth of their bus, so that each
@@ -91,7 +91,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, count
 
 import numpy as np
 import scipy.sparse as sp
@@ -235,7 +235,7 @@ def build_layout(model: FeederModel) -> Layout:
         raise ValueError("model fails validation: a regulator secondary feeds no line")
     source = dict(zip(model.slack_voltage.phases, model.slack_voltage.values.tolist()))
     slack = np.zeros(len(ids), dtype=bool)          # the tree's root
-    slack[bus_of[tree_index(model).root]] = True
+    slack[bus_of[tree_index(model)]] = True
     return Layout(at=at, bus_of=bus_of, slack=slack, load=load, depth=_depths(slack, ends, regs),
                   shunts=tuple((k, b.shunt) for k, b in enumerate(buses) if b.shunt is not None),
                   frm=ends[0], to=ends[1], mask=mask, z=z_pad, by_size=tuple(by_size),
@@ -279,8 +279,6 @@ class StampSet:
 
     full_of: tuple           # positions in full_coords of Y's rows, in row order, and of
                              # slack_coords
-    eliminated: tuple        # bus ids removed by regulator elimination
-    buses: tuple             # the model's buses
     v_slack: np.ndarray      # slack voltages in Y_NS column order
     loads: np.ndarray        # constant-power consumption per retained row
     v_flat: np.ndarray       # flat start: the slack voltage of each row's phase
@@ -323,18 +321,6 @@ class StampSet:
         return tuple(map(self.full_coords.__getitem__, self.full_of[1].tolist()))
 
     @cached_property
-    def bus_rows(self) -> tuple:
-        """Per retained bus, in model order: (bus, its rows as a slice)."""
-        kept = ~self.layout.slack
-        kept[self.layout.svr_ends[:, 1]] = False
-        sizes = np.count_nonzero(self.layout.at[kept] >= 0, axis=1)
-        # A bus's first row: the row of the retained coordinate numbered, in
-        # model order, by the sizes of the buses before it.
-        starts = np.append(np.argsort(self.full_of[0]), 0)[np.cumsum(sizes) - sizes]
-        return tuple(zip(compress(self.buses, kept.tolist()),
-                         map(slice, starts.tolist(), (starts + sizes).tolist())))
-
-    @cached_property
     def nonslack_at(self) -> np.ndarray:
         """Positions in full_coords of every coordinate but the slack's."""
         return np.flatnonzero(~self.layout.slack[np.nonzero(self.layout.at >= 0)[0]])
@@ -373,9 +359,9 @@ def build_stamps(model: FeederModel) -> StampSet:
     regulator's phases are not its secondary's, or a regulator secondary
     feeds no line or a line other than its own.
     """
-    buses, layout = model.buses, build_layout(model)
+    layout = build_layout(model)
     at, svr_ends = layout.at, layout.svr_ends
-    elim = np.zeros(len(buses), dtype=bool)
+    elim = np.zeros(len(layout.slack), dtype=bool)
     elim[svr_ends[:, 1]] = True
     kept = ~layout.slack & ~elim
     bus_at, phase_of = np.nonzero(at >= 0)  # full coordinates run row by row through ``at``
@@ -460,7 +446,6 @@ def build_stamps(model: FeederModel) -> StampSet:
     routes = (np.flatnonzero(keep), frame_rows[keep].astype(np.int32), frame_cols[keep].astype(np.int32))
 
     return StampSet(full_of=(retained, np.flatnonzero(is_slack)),
-                    eliminated=tuple(buses[k].id for k in svr_ends[:, 1].tolist()), buses=buses,
                     v_slack=layout.v_source[phase_of[is_slack]],
                     loads=layout.load[bus_at[retained], phase_of[retained]],
                     v_flat=layout.v_source[phase_of[retained]],

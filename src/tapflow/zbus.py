@@ -33,19 +33,22 @@ per-regulator maps. The secondaries take the rows in
 ``AdmittanceSystem.ratios`` as they are, one ratio per regulator phase and
 so per secondary phase; the edge-wise import indexes them with the layout's
 regulator rows and reads the slack voltage from the layout, as every metric
-does. Only the per-bus view, the CSV and the conversion of ratio maps read
-the model, at the boundary.
+does. Only the per-bus view and the conversion of ratio maps read the
+model, at the boundary; the CSV names ``v``'s entries with the stamp set's
+``full_coords``.
 
-Voltages are kept as arrays over the stamp set's full coordinates: slack,
-retained rows and regulator secondaries (``_full_voltages``). Each metric
-has one implementation that reads them, for one solve or for every column
-of a block (``block_metrics``). A ``PowerFlowSolution`` is always a solve's
-result: it holds the solve's array ``v`` and its system, and its per-bus
-``voltages`` dict is built from ``v`` only when read, for readers at the
-boundary. Its vectors skip ``PhaseVector``'s canonicalisation and finiteness
-check: bus phases are canonical (``BusSpec`` sorts them), every solve starts
-flat (``StampSet.v_flat``), the iteration keeps only finite iterates and a
-secondary that is not finite raises.
+Voltages are kept as arrays over the stamp set's full coordinates, which
+run bus by bus in model order: the slack, the retained rows and the
+regulator secondaries, each in its model place (``_full_voltages``). Each
+metric has one implementation that reads them, for one solve or for every
+column of a block (``block_metrics``). A ``PowerFlowSolution`` is always a
+solve's result: it holds the solve's array ``v`` and its system. Its per-bus
+``voltages`` dict, for readers at the boundary, is built only when read, as
+a split of ``v`` in model order. Its vectors skip ``PhaseVector``'s
+canonicalisation and finiteness check: bus phases are canonical
+(``BusSpec`` sorts them), every solve starts flat (``StampSet.v_flat``), the
+iteration keeps only finite iterates and a secondary that is not finite
+raises.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -91,16 +93,12 @@ class PowerFlowSolution:
 
     @cached_property
     def voltages(self) -> dict:
-        """bus id -> PhaseVector, built on first read: the slack bus (the
-        model's ``slack_voltage``), the retained buses in model order, then the
-        regulator secondaries in regulator order, each vector a view of ``v``."""
-        st, bus_of = self.system.stamps, self.system.stamps.layout.bus_of
-        stops = np.cumsum(np.count_nonzero(st.layout.at >= 0, axis=1)).tolist()
-        out = {self.model.slack.id: self.model.slack_voltage}
-        for b in chain((b for b, _ in st.bus_rows), (st.buses[bus_of[i]] for i in st.eliminated)):
-            stop = stops[bus_of[b.id]]
-            out[b.id] = PhaseVector._wrap(b.phases, self.v[stop - len(b.phases):stop])
-        return out
+        """bus id -> PhaseVector in model order, built on first read: each
+        bus's vector is a view of its slice of ``v``, whose full coordinates
+        run bus by bus in model order."""
+        stops = np.cumsum(np.count_nonzero(self.system.stamps.layout.at >= 0, axis=1)).tolist()
+        return {b.id: PhaseVector._wrap(b.phases, self.v[stop - len(b.phases):stop])
+                for b, stop in zip(self.model.buses, stops)}
 
 
 def _load_currents(loads: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -372,10 +370,7 @@ def solution_csv(solution: PowerFlowSolution, model: FeederModel) -> str:
     """CSV dump with one row per (bus, phase), deterministic byte-for-byte."""
     buf = io.StringIO()
     buf.write("bus,phase,re,im,magnitude,angle_deg\n")
-    for b in model.buses:
-        vec = solution.voltages[b.id]
-        for p in vec.phases:
-            z = vec[p]
-            buf.write(f"{b.id},{p},{z.real:.12g},{z.imag:.12g},"
-                      f"{abs(z):.12g},{cmath.phase(z) * 180.0 / np.pi:.12g}\n")
+    for (bus, p), z in zip(solution.system.stamps.full_coords, solution.v.tolist()):
+        buf.write(f"{bus},{p},{z.real:.12g},{z.imag:.12g},"
+                  f"{abs(z):.12g},{cmath.phase(z) * 180.0 / np.pi:.12g}\n")
     return buf.getvalue()

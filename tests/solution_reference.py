@@ -3,17 +3,20 @@
 ``eager_solve`` is ``solve_zbus`` as it built its result before a solve
 kept its voltages as one array over the full coordinates: a plain dict
 holding the model's ``slack_voltage``, one ``PhaseVector`` per retained bus
-wrapping its rows of the final iterate, and the regulator secondaries from
+holding its rows of the final iterate, and the regulator secondaries from
 ``recover_svr_secondary``. The metric functions below read that dict, as
-the library's did; ``EagerSolution`` is the result type they read.
-``assert_solution_parity`` checks that for the same model and ratios the
-library's per-bus view has the reference dict's keys in order, phases and
-value bits, and that its metrics, on its own array, have the reference
-metrics' bits.
+the library's did; ``EagerSolution`` is the result type they read, and
+``solution_csv`` writes the CSV from a per-bus dict, bus by bus, as the
+library did. ``assert_solution_parity`` checks that for the same model and
+ratios the library's per-bus view has the model's bus order as its keys and
+the reference dict's phases and value bits, and that its metrics, on its
+own array, have the reference metrics' bits.
 """
 
 from __future__ import annotations
 
+import cmath
+import io
 import sys
 from dataclasses import dataclass
 
@@ -44,9 +47,11 @@ def eager_solve(model: FeederModel, ratios, tol: float = DEFAULT_TOL,
     st = system.stamps
     out, iterations, residual, converged = _solve(system, tol, max_iter)
     v = out[:, 0]
+    row = {c: i for i, c in enumerate(st.coords)}        # Y's row of each retained (bus, phase)
     voltages = {model.slack.id: model.slack_voltage}
-    for b, rows in st.bus_rows:
-        voltages[b.id] = PhaseVector._wrap(b.phases, v[rows])
+    for b in model.buses:
+        if (b.id, b.phases[0]) in row:
+            voltages[b.id] = PhaseVector._wrap(b.phases, v[[row[b.id, p] for p in b.phases]])
     voltages.update(recover_svr_secondary(model, ratios, voltages))
     return EagerSolution(
         voltages=voltages, iterations=int(iterations[0]), residual=float(residual[0]),
@@ -95,9 +100,23 @@ def voltage_unbalance(solution: EagerSolution) -> float:
 
 def kcl_certificate(solution: EagerSolution, model: FeederModel) -> float:
     system = solution.system
-    in_row_order = sorted(system.stamps.bus_rows, key=lambda item: item[1].start)
-    return float(_kcl_residual(system.Y, system.stamps.loads, system.Y_NS @ system.stamps.v_slack,
-                               voltage_array(solution, [b for b, _ in in_row_order])))
+    v = np.array([solution.voltages[bus][p] for bus, p in system.stamps.coords], dtype=complex)
+    return float(_kcl_residual(system.Y, system.stamps.loads, system.Y_NS @ system.stamps.v_slack, v))
+
+
+def solution_csv(solution, model: FeederModel) -> str:
+    """The CSV of ``zbus.solution_csv`` written from the per-bus dict
+    ``solution.voltages``, bus by bus in model order, each bus's phases in
+    its vector's order."""
+    buf = io.StringIO()
+    buf.write("bus,phase,re,im,magnitude,angle_deg\n")
+    for b in model.buses:
+        vec = solution.voltages[b.id]
+        for p in vec.phases:
+            z = vec[p]
+            buf.write(f"{b.id},{p},{z.real:.12g},{z.imag:.12g},"
+                      f"{abs(z):.12g},{cmath.phase(z) * 180.0 / np.pi:.12g}\n")
+    return buf.getvalue()
 
 
 def _metric_bits(solution, model: FeederModel, m) -> tuple:
@@ -109,17 +128,19 @@ def _metric_bits(solution, model: FeederModel, m) -> tuple:
 
 def assert_solution_parity(model: FeederModel, ratios, stamps=None) -> None:
     """The library's solve at ``ratios`` against ``eager_solve``: equal
-    convergence, keys in order, phases and value bits, and equal metric bits
-    from its array and by the reference metrics on the reference dict."""
+    convergence, keys in model order, equal phases and value bits, equal
+    CSV bytes, and equal metric bits from its array and by the reference
+    metrics on the reference dict."""
     got = tf.solve_zbus(model, ratios, stamps=stamps)
     want = eager_solve(model, ratios, stamps=stamps)
     assert (got.iterations, got.residual.hex(), got.converged) == \
         (want.iterations, want.residual.hex(), want.converged)
-    assert list(got.voltages) == list(want.voltages)
-    assert got.voltages[model.slack.id] is model.slack_voltage
+    assert list(got.voltages) == [b.id for b in model.buses]
+    assert got.voltages.keys() == want.voltages.keys()
     for bus, vec in want.voltages.items():
         assert got.voltages[bus].phases == vec.phases, bus
         assert got.voltages[bus].values.tobytes() == vec.values.tobytes(), bus
+    assert tf.solution_csv(got, model) == solution_csv(want, model)
     if want.converged:
         bits = _metric_bits(want, model, sys.modules[__name__])
         assert _metric_bits(got, model, tf.zbus) == bits

@@ -181,8 +181,6 @@ class StampSet:
     slack_coords: tuple      # slack (bus, phase) in Y_NS column order
     full_coords: tuple       # every (bus, phase) in Y_S column order
     full_of: tuple           # positions in full_coords of coords and of slack_coords
-    eliminated: tuple        # bus ids removed by regulator elimination
-    bus_rows: tuple          # per retained bus, in model order: (bus, its rows as a slice)
     v_slack: np.ndarray      # slack voltages in Y_NS column order
     loads: np.ndarray        # constant-power consumption per retained row
     v_flat: np.ndarray       # flat start: the slack voltage of each row's phase
@@ -206,8 +204,7 @@ def build_stamps(model: FeederModel) -> StampSet:
     buses = model.buses
     layout = build_layout(model)
     at, bus_of = layout.at, layout.bus_of
-    eliminated = tuple(sv.to_bus for sv in model.svrs)
-    elim_set = set(eliminated)
+    elim_set = {sv.to_bus for sv in model.svrs}
     kept = np.array([not b.is_slack and b.id not in elim_set for b in buses], dtype=bool)
     retained = list(compress(buses, kept))
     in_model_order = tuple((b.id, p) for b in retained for p in b.phases)
@@ -301,15 +298,11 @@ def build_stamps(model: FeederModel) -> StampSet:
                                   (r_ret, r_ret, r_slack), (c_ret, c_slack, cols),
                                   ((n, n), (n, ns), (ns, nf)))])
 
-    row = {c: i for i, c in enumerate(coords)}
-    starts = [row[b.id, b.phases[0]] for b in retained]
-    bus_rows = tuple(zip(retained, (slice(i, i + len(b.phases)) for i, b in zip(starts, retained))))
     # Model-order position of each row, for the per-row arrays.
     model_row = dict(zip(in_model_order, count()))
     moved = [model_row[c] for c in coords]
     return StampSet(coords=coords, slack_coords=slack_coords, full_coords=full_coords,
                     full_of=(rows_at, np.flatnonzero(is_slack)),
-                    eliminated=eliminated, bus_rows=bus_rows,
                     v_slack=v_source[phase_of[is_slack]],
                     loads=layout.load[kept][at[kept] >= 0][moved],
                     v_flat=v_source[phase_of[is_retained]][moved],

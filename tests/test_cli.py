@@ -93,7 +93,7 @@ def test_opts_feeder_without_svrs(tmp_path):
     assert doc["svrs"] == [] and doc["feasible"] is True
 
 
-@pytest.mark.parametrize("command", ["opts", "bruteforce"])
+@pytest.mark.parametrize("command", ["opts", "bruteforce", "lindiff"])
 def test_slack_only_feeder_exit_1(tmp_path, capsys, command):
     """A feeder whose only bus is the slack is valid and solves, but has no
     voltage envelope to check, so the commands that need one stop with a
@@ -110,6 +110,27 @@ def test_slack_only_feeder_exit_1(tmp_path, capsys, command):
     capsys.readouterr()
     assert run([command, "--feeder", str(feeder)]) == 1
     assert "no non-slack bus" in capsys.readouterr().err
+
+
+def test_three_phase_slack_only_feeder(tmp_path, capsys):
+    """On a three-phase feeder whose only bus is the slack, powerflow writes
+    one CSV row per slack phase, and lindiff, with no non-slack bus to
+    compare, stops with exit 1 and opts' message, before the linear model
+    runs."""
+    feeder = tmp_path / "slack-only-abc.json"
+    feeder.write_text(json.dumps({
+        "format": 1,
+        "slack_voltage": {"phases": "abc", "values": [[1.0, 0.0], [-0.5, -0.75], [-0.5, 0.75]]},
+        "buses": [{"id": "s", "phases": "abc", "is_slack": True}],
+        "lines": [], "svrs": [],
+    }))
+    assert run(["powerflow", "--feeder", str(feeder)]) == 0
+    assert capsys.readouterr().out == ("bus,phase,re,im,magnitude,angle_deg\n"
+                                       "s,a,1,0,1,0\n"
+                                       "s,b,-0.5,-0.75,0.901387818866,-123.690067526\n"
+                                       "s,c,-0.5,0.75,0.901387818866,123.690067526\n")
+    assert run(["lindiff", "--feeder", str(feeder)]) == 1
+    assert capsys.readouterr() == ("", "no voltage envelope: the feeder has no non-slack bus\n")
 
 
 def test_opts_infeasible_exit_code(tmp_path):

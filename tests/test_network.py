@@ -450,7 +450,7 @@ def test_validate_rule_reached(tiny3, case):
 
 def test_every_valid_model_has_unique_root_path(ieee13):
     idx = stamps_reference.tree_index(ieee13)
-    assert idx.root == tf.tree_index(ieee13).root == ieee13.slack.id
+    assert idx.root == tf.tree_index(ieee13) == ieee13.slack.id
     non_slack = [b.id for b in ieee13.buses if not b.is_slack]
     for bid in non_slack:
         # Walk to the root; must terminate without revisiting.

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tapflow as tf
-from tapflow.network import TreeIndex
 from tapflow.ybus import _ratio_row, assemble_block, build_stamps
 
 import stamps_reference
@@ -368,7 +367,7 @@ def _layout(system):
     # An AdmittanceSystem keeps its layout in its stamp set; the loop
     # reference's record carries its own.
     s = getattr(system, "stamps", system)
-    return s.coords, s.slack_coords, s.full_coords, s.eliminated
+    return s.coords, s.slack_coords, s.full_coords
 
 
 def _assert_same_system(got, ref):
@@ -423,11 +422,7 @@ def test_shared_stamp_set_changes_no_bits(name, request):
     returned voltages equals the residual the solve stopped on."""
     model = PARITY_FEEDERS[name](request)
     stamps = build_stamps(model)
-    # Each bus's rows hold its phases in order, and together they cover the rows.
-    assert all(stamps.coords[rows] == tuple((b.id, p) for p in b.phases)
-               for b, rows in stamps.bus_rows)
-    in_row_order = sorted((rows for _, rows in stamps.bus_rows), key=lambda rows: rows.start)
-    assert [c for rows in in_row_order for c in stamps.coords[rows]] == list(stamps.coords)
+    _assert_leaves_first(stamps)
     for ratios in _ratio_sets(model).values():
         assert tf.assemble(model, ratios, stamps=stamps).stamps is stamps
         shared = tf.solve_zbus(model, ratios, stamps=stamps)
@@ -688,7 +683,7 @@ def _reversed_buses(model):
 
 
 def test_stamp_set_reads_no_tree_map(monkeypatch, ieee13):
-    """A stamp set calls ``tree_index`` once and gets only the root."""
+    """A stamp set calls ``tree_index`` once and gets only the root's id."""
     built = []
 
     def keeping(model):
@@ -697,7 +692,27 @@ def test_stamp_set_reads_no_tree_map(monkeypatch, ieee13):
 
     monkeypatch.setattr(tf.ybus, "tree_index", keeping)
     build_stamps(ieee13)
-    assert built == [TreeIndex(root="650")]
+    assert built == ["650"]
+
+
+def _assert_leaves_first(stamps) -> np.ndarray:
+    """Check, from ``full_of[0]``, ``layout.at`` and ``layout.depth``, that
+    Y's rows are the retained buses' coordinates, that each retained bus's
+    rows are together and in phase order, and that they come leaves first,
+    by descending depth. Returns each full coordinate's row of Y, -1 off Y."""
+    layout, retained = stamps.layout, stamps.full_of[0]
+    bus_at = np.nonzero(layout.at >= 0)[0]          # each full coordinate's bus
+    kept = ~layout.slack
+    kept[layout.svr_ends[:, 1]] = False
+    assert np.array_equal(np.unique(bus_at[retained]), np.flatnonzero(kept))
+    assert len(retained) == np.count_nonzero(layout.at[kept] >= 0)
+    row_of = np.full(len(bus_at), -1)
+    row_of[retained] = np.arange(len(retained))
+    for k in np.flatnonzero(kept).tolist():
+        rows = row_of[layout.at[k][layout.at[k] >= 0]]
+        assert np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows))), k
+    assert (np.diff(layout.depth[bus_at[retained]]) <= 0).all()
+    return row_of
 
 
 def test_elimination_order_puts_each_bus_after_the_buses_below_it():
@@ -708,17 +723,19 @@ def test_elimination_order_puts_each_bus_after_the_buses_below_it():
     secondary."""
     model = _reversed_buses(bench_feeders().generate_feeder(11, 200))
     stamps = build_stamps(model)
-    rows = {b.id: np.arange(r.start, r.stop) for b, r in stamps.bus_rows}
-    assert np.array_equal(np.sort(np.concatenate(list(rows.values()))), np.arange(len(stamps.v_flat)))
-    assert all(stamps.coords[r] == tuple((b.id, p) for p in b.phases) for b, r in stamps.bus_rows)
+    row_of, at = _assert_leaves_first(stamps), stamps.layout.at
+    rows = {b.id: row_of[at[k][at[k] >= 0]] for k, b in enumerate(model.buses)}
     parent = {e.to_bus: e.from_bus for e in (*model.lines, *model.svrs)}
+    secondaries = {sv.to_bus for sv in model.svrs}
     checked = set()
-    for bus, at in rows.items():
+    for bus, at_bus in rows.items():
+        if bus == model.slack.id or bus in secondaries:
+            continue
         up = parent[bus]
-        if up in parent and up not in rows:          # a regulator secondary
+        if up in secondaries:
             up = parent[up]
-        if up in rows:
-            assert at.max() < rows[up].min(), (bus, up)
+        if up != model.slack.id:
+            assert at_bus.max() < rows[up].min(), (bus, up)
             checked.add((bus, up))
     mid = model.svrs[1]
     assert (next(ln.to_bus for ln in model.lines if ln.from_bus == mid.to_bus), mid.from_bus) in checked
@@ -729,28 +746,16 @@ def test_rows_are_numbered_leaves_first_at_every_size(case, ieee13):
     """At every size each bus's rows are contiguous, in phase order, and
     come after those of every bus below it, in either bus order, and that
     numbering is not model order. A solution's per-bus view keeps model key
-    order: the slack bus, the retained buses in model order, the regulator
-    secondaries."""
+    order, the slack bus and the regulator secondaries in their model places."""
     feeders = bench_feeders()
     model = {"ieee13": lambda: ieee13, "gen-small": lambda: feeders.generate_feeder(5, 40),
              "gen200": lambda: feeders.generate_feeder(5, 200),
              "gen200-reversed": lambda: _reversed_buses(feeders.generate_feeder(5, 200))}[case]()
     stamps = build_stamps(model)
-    n = len(stamps.v_flat)
-    depth = stamps.layout.depth
-    bus_of = stamps.layout.bus_of
-    # Each row's bus depth, and the rows of each bus in phase order.
-    row_depth = np.empty(n, dtype=np.intp)
-    for b, rows in stamps.bus_rows:
-        assert stamps.coords[rows] == tuple((b.id, p) for p in b.phases)
-        row_depth[rows] = depth[bus_of[b.id]]
-    assert (np.diff(row_depth) <= 0).all()
+    _assert_leaves_first(stamps)
     assert not (np.diff(stamps.full_of[0]) > 0).all()
     sol = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)), stamps=stamps)
-    assert list(sol.voltages) == [model.slack.id, *(b.id for b, _ in stamps.bus_rows),
-                                  *(sv.to_bus for sv in model.svrs)]
-    assert [b.id for b, _ in stamps.bus_rows] == [
-        b.id for b in model.buses if not b.is_slack and b.id not in {sv.to_bus for sv in model.svrs}]
+    assert list(sol.voltages) == [b.id for b in model.buses]
 
 
 def _assert_stamp_parity(model):
@@ -762,10 +767,8 @@ def _assert_stamp_parity(model):
         _assert_same_bytes(getattr(got, name), getattr(want, name), name)
     for a, b in zip(got.full_of, want.full_of, strict=True):
         _assert_same_bytes(a, b, "full_of")
-    for name in ("coords", "slack_coords", "full_coords", "eliminated"):
+    for name in ("coords", "slack_coords", "full_coords"):
         assert getattr(got, name) == getattr(want, name), name
-    assert [(b.id, rows) for b, rows in got.bus_rows] == [(b.id, rows) for b, rows in want.bus_rows]
-    assert all(b is ref for (b, _), (ref, _) in zip(got.bus_rows, want.bus_rows))
     # Each reference regulator record: its ends, its kind and the ratio
     # columns of its line's phases in the layout's rows, its zinv in the
     # stamp set's.
@@ -784,7 +787,7 @@ def _assert_stamp_parity(model):
     _assert_same_bytes(layout.load, ref_layout.load, "load")
     assert (layout.bus_of, layout.svr_lines) == (ref_layout.bus_of, ref_layout.svr_lines)
     _assert_same_bytes(layout.slack, [b.is_slack for b in model.buses], "slack")
-    assert tf.tree_index(model) == TreeIndex(root=stamps_reference.tree_index(model).root)
+    assert tf.tree_index(model) == stamps_reference.tree_index(model).root
 
     sets = _ratio_sets(model)
     for key in ("zero", "random"):

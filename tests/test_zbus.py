@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 import tapflow as tf
@@ -11,6 +13,7 @@ from tapflow.ybus import build_stamps
 
 from conftest import (FIXTURES, SMALL_FEEDERS, bench_feeders, cascade_model, chain_model,
                       colamd_in_model_order, fixed_y_feeder, small_or_generated)
+import solution_reference
 from sweep_reference import loop_brute_force
 
 
@@ -86,9 +89,10 @@ def test_singular_admittance_matrix_raises_pipeline_error(tiny3):
 
 @pytest.mark.parametrize("case", ["ieee13", "overflowing-tiny3"])
 def test_returned_voltages_alias_no_solver_state(case, ieee13, tiny3):
-    """Writing into a returned bus vector leaves the stamp set's flat start
-    and loads alone, and a second solve on the shared stamp set gives the
-    same bits. The overflowing load's first update is not finite, so that
+    """Writing into every returned bus vector, the slack bus's included,
+    leaves the model's slack voltage and the stamp set's flat start and
+    loads alone, and a second solve on the shared stamp set gives the same
+    bits. The overflowing load's first update is not finite, so that
     solve stops at iteration 1 with the flat start as its iterate."""
     if case == "ieee13":
         model, ratios = ieee13, tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
@@ -96,16 +100,65 @@ def test_returned_voltages_alias_no_solver_state(case, ieee13, tiny3):
         model, ratios = _huge_load_tiny3(tiny3, 1.7e308 - 1.7e308j), [{"a": 1.0}]
     stamps = build_stamps(model)
     v_flat, loads = stamps.v_flat.tobytes(), stamps.loads.tobytes()
+    slack = model.slack_voltage.values.tobytes()
     first = tf.solve_zbus(model, ratios, stamps=stamps)
     assert first.converged == (case == "ieee13")
     assert case == "ieee13" or first.iterations == 1
     bits = {bus: vec.values.tobytes() for bus, vec in first.voltages.items()}
-    for bus, _ in stamps.bus_rows:
-        first.voltages[bus.id].values[:] = 7.0 + 7.0j
+    for vec in first.voltages.values():
+        vec.values[:] = 7.0 + 7.0j
     assert stamps.v_flat.tobytes() == v_flat and stamps.loads.tobytes() == loads
+    assert model.slack_voltage.values.tobytes() == slack
     again = tf.solve_zbus(model, ratios, stamps=stamps)
     assert (again.iterations, again.converged) == (first.iterations, first.converged)
     assert {bus: vec.values.tobytes() for bus, vec in again.voltages.items()} == bits
+
+
+def _assert_view_splits_v(model, taps):
+    """A solve's per-bus view has ``model.buses``' order as its keys and,
+    as each value, a view of its bus's slice of ``v`` with its bus's phases;
+    the CSV, written from ``v``, is the per-bus reference writer's."""
+    sol = tf.solve_zbus(model, tf.taps_to_ratios(model, taps))
+    assert list(sol.voltages) == [b.id for b in model.buses]
+    stop = 0
+    for b, vec in zip(model.buses, sol.voltages.values()):
+        start, stop = stop, stop + len(b.phases)
+        assert vec.phases == b.phases, b.id
+        assert vec.values.tobytes() == sol.v[start:stop].tobytes(), b.id
+        assert np.shares_memory(vec.values, sol.v), b.id
+    assert stop == len(sol.v)
+    assert tf.solution_csv(sol, model) == solution_reference.solution_csv(sol, model)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), n_buses=st.integers(10, 150), reverse=st.booleans(),
+       tap=st.integers(-4, 4))
+def test_per_bus_view_and_csv_read_v_in_model_order(seed, n_buses, reverse, tap):
+    """On generated feeders of drawn size, in either bus order, at drawn
+    taps: the slack bus and the regulator secondaries sit in their model
+    places in the view and the CSV (``_assert_view_splits_v``)."""
+    model = bench_feeders().generate_feeder(seed, n_buses)
+    if reverse:
+        model = dataclasses.replace(model, buses=model.buses[::-1])
+    _assert_view_splits_v(model, [{p: tap for p in sv.phases} for sv in model.svrs])
+
+
+@pytest.mark.parametrize("case", ["gen200-reversed", "gen30"])
+def test_per_bus_view_and_csv_with_slack_last_or_secondaries_mid_feeder(case):
+    """``_assert_view_splits_v`` on generate_feeder(5, 200) with its bus list
+    reversed, the slack bus last, and on fixtures/gen30.json, whose
+    regulator secondaries are listed second and eighth, at zero taps and at
+    the top of gen30's window."""
+    if case == "gen30":
+        model = tf.parse_feeder((FIXTURES / "gen30.json").read_text(encoding="utf-8"))
+        assert [b.id for b in model.buses].index("rm") == 7
+    else:
+        model = bench_feeders().generate_feeder(5, 200)
+        model = dataclasses.replace(model, buses=model.buses[::-1])
+        assert model.buses[-1].is_slack
+    for tap in (0, 1):
+        _assert_view_splits_v(model, [{p: tap for p in sv.phases} for sv in model.svrs])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
@@ -468,14 +521,6 @@ BLOCK_CASES = {("tiny3", 1.0, 200): {"converged"}, ("tiny3", 1e307, 200): {"non-
                ("gen300-fixed-y", 1.0, 200): {"converged"}}
 
 
-def _rows(sol, stamps) -> np.ndarray:
-    """A solve's per-bus voltages placed at Y's rows, through ``bus_rows``."""
-    v = np.empty(len(stamps.v_flat), dtype=complex)
-    for b, rows in stamps.bus_rows:
-        v[rows] = sol.voltages[b.id].values
-    return v
-
-
 @pytest.mark.parametrize("tol", [0.0, float("nan")])
 def test_block_rejects_nonpositive_or_nan_tol(tiny3, tol):
     """A block checks ``tol`` as ``solve_zbus`` does, rather than running
@@ -502,14 +547,14 @@ def test_block_of_many_sets_needs_fixed_y():
     for row, ratios in zip(flat, grid):
         block = zbus.solve_block(stamps, row[None, :])
         sol = tf.solve_zbus(model, ratios, stamps=stamps)
-        assert block.converged[0] and block.v[:, 0].tobytes() == _rows(sol, stamps).tobytes()
+        assert block.converged[0] and block.v[:, 0].tobytes() == sol.v[stamps.full_of[0]].tobytes()
     head = [[{p: r + 0.00625 * t for p, r in base[0].items()}, base[1]] for t in (-2, 0, 1, 3)]
     flat = np.array([[r[p] for r in ratios for p in r] for ratios in head])
     block = zbus.solve_block(stamps, flat)
     feasible, objective = zbus.block_metrics(block, 0.5, 1.5)
     for j, ratios in enumerate(head):
         sol = tf.solve_zbus(model, ratios, stamps=stamps)
-        assert block.converged[j] and block.v[:, j].tobytes() == _rows(sol, stamps).tobytes()
+        assert block.converged[j] and block.v[:, j].tobytes() == sol.v[stamps.full_of[0]].tobytes()
         assert (block.iterations[j], float(block.residual[j]).hex()) == \
             (sol.iterations, sol.residual.hex())
         assert feasible[j] and objective[j].hex() == tf.import_objective(sol, model).hex()
@@ -539,7 +584,7 @@ def test_block_columns_equal_single_solves(case, scale, max_iter, request):
     stops = set()
     for j, ratios in enumerate(grid):
         sol = tf.solve_zbus(model, ratios, max_iter=max_iter, stamps=stamps)
-        assert block.v[:, j].tobytes() == _rows(sol, stamps).tobytes()
+        assert block.v[:, j].tobytes() == sol.v[stamps.full_of[0]].tobytes()
         assert (block.iterations[j], block.converged[j]) == (sol.iterations, sol.converged)
         assert float(block.residual[j]).hex() == sol.residual.hex()
         if sol.converged:

@@ -31,7 +31,6 @@ class LoopSystem:
     coords: tuple
     slack_coords: tuple
     full_coords: tuple
-    eliminated: tuple
 
 
 def loop_assemble(model: FeederModel, ratios) -> LoopSystem:
@@ -40,8 +39,7 @@ def loop_assemble(model: FeederModel, ratios) -> LoopSystem:
     ``ratios`` is a list aligned with ``model.svrs``, each item mapping phase to
     the effective ratio. Constant-admittance shunts are folded onto the diagonal.
     """
-    eliminated = tuple(sv.to_bus for sv in model.svrs)
-    elim_set = set(eliminated)
+    elim_set = {sv.to_bus for sv in model.svrs}
     slack_id = model.slack.id
 
     coords = leaves_first(model, [(b.id, p) for b in model.buses
@@ -118,5 +116,5 @@ def loop_assemble(model: FeederModel, ratios) -> LoopSystem:
     return LoopSystem(
         Y=Y, Y_NS=Y_NS, Y_S=Y_S,
         coords=tuple(coords), slack_coords=tuple(slack_coords),
-        full_coords=tuple(full_coords), eliminated=eliminated,
+        full_coords=tuple(full_coords),
     )
