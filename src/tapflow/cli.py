@@ -84,7 +84,7 @@ def cmd_powerflow(args) -> int:
         print(f"power flow did not converge after {sol.iterations} iterations "
               f"(residual {sol.residual:.3e})", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(solution_csv(sol, model), args.out)
+    _emit(solution_csv(sol), args.out)
     return EXIT_OK
 
 
@@ -109,7 +109,7 @@ def cmd_lindiff(args) -> int:
     voltage_envelope(exact, model)   # a feeder with no non-slack bus has nothing to compare
     # A flag or the feeder's config chooses the constants; lindiff's default is balanced.
     chosen = args.constants is not None or "constants_mode" in model.config
-    constants = (constants_from_solution(model, exact)
+    constants = (constants_from_solution(exact)
                  if chosen and config.constants_mode == "from_zero_tap_solution"
                  else constants_balanced(model))
     # The model is valid here, so a value the linear answer cannot hold (a
@@ -117,7 +117,7 @@ def cmd_lindiff(args) -> int:
     # model's numeric failure, not an input error.
     try:
         v_sq, _ = linear_powerflow(model, constants, ratios)
-        _emit(lindiff(model, exact, v_sq).to_csv(), args.out)
+        _emit(lindiff(exact, v_sq).to_csv(), args.out)
     except ValueError as exc:
         raise PipelineError("lindiff", str(exc)) from None
     return EXIT_OK

@@ -32,7 +32,11 @@ order makes little fill-in, and x0 and N stay within a relative 1e-12 of
 COLAMD's order (``tests/test_linflow.py``).
 The tap-selection LP uses the attainable ratio range as the window and
 searches over theta; ``linear_powerflow`` fixes every ratio with a
-zero-width window and reads the solution at theta = 0.
+zero-width window and reads the solution at theta = 0, as arrays: the
+squared magnitudes over the full coordinates in ``PowerFlowSolution.v``'s
+order, the slack's included, and the flows per edge over PHASES. So
+``lindiff`` compares the linear and the exact answers index for index over
+the stamp set's non-slack coordinates, in one pass.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import PipelineError
-from .network import PHASES, FeederModel, PhaseVector
+from .network import PHASES, FeederModel
 from .ybus import Layout, _ratio_row, build_layout
 from .zbus import PowerFlowSolution, _require_converged
 
@@ -83,7 +87,7 @@ def _balanced_over(layout: Layout) -> LinearizationConstants:
                                   gamma=np.where(_pairs(layout.mask), _BALANCED_GAMMA, 0.0))
 
 
-def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> LinearizationConstants:
+def constants_from_solution(base: PowerFlowSolution) -> LinearizationConstants:
     """Constants evaluated at a converged base solution.
 
     Per line: with edge current i from the base voltages and I = i i*, the
@@ -284,28 +288,28 @@ def eliminate(system: LinearSystem, stage: str) -> tuple[np.ndarray, np.ndarray]
 
 
 def linear_powerflow(model: FeederModel, constants: LinearizationConstants,
-                     ratios) -> tuple[dict, dict]:
+                     ratios) -> tuple[np.ndarray, np.ndarray]:
     """Solve the linear model at fixed regulator ratios.
 
     These are ``linear_system``'s rows at a zero-width window ``(r, r)``,
     solved by ``eliminate`` and read at theta = 0, where both window slacks
     are zero.
 
-    Returns (v_sq, flows): squared voltage magnitudes per bus, slack included
-    (real PhaseVector), and complex per-phase flows per edge key.
+    Returns (v_sq, flows): the squared voltage magnitudes over the full
+    coordinates, in ``PowerFlowSolution.v``'s order, the slack's included;
+    and the complex flows (E, 3), the edges as in ``LinearSystem`` over
+    PHASES, exact zeros off each edge's phases.
     """
     row = _ratio_row(model.svrs, ratios)
     system = linear_system(constants, np.column_stack([row, row]))
     x, _ = eliminate(system, "linear_powerflow")
-    vcol, slack_sq = system.vcol, constants.layout.slack_sq
-    v_out = {b.id: PhaseVector(b.phases, [slack_sq[PHASES.index(p)] if b.is_slack
-                                          else x[vcol[k, PHASES.index(p)]]
-                                          for p in b.phases])
-             for k, b in enumerate(model.buses)}
-    f_out = {f"{e.from_bus}->{e.to_bus}": PhaseVector(e.phases, [complex(x[c], x[c + 1])
-                                                                 for c in cols if c >= 0])
-             for e, cols in zip((*model.lines, *model.svrs), system.fcol)}
-    return v_out, f_out
+    layout, vcol, fcol = constants.layout, system.vcol, system.fcol
+    # A v~ column's value, else (at the slack) its square; x may be empty.
+    v_sq = np.where(vcol >= 0, np.append(x, 0.0)[vcol], layout.slack_sq)[layout.at >= 0]
+    # Re and Im filled apart: x_re + 1j * x_im would turn a -0.0 Im into +0.0.
+    flows, on = np.zeros(fcol.shape, dtype=complex), fcol >= 0
+    flows.real[on], flows.imag[on] = x[fcol[on]], x[fcol[on] + 1]
+    return v_sq, flows
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +334,22 @@ class LinDiffReport:
         return buf.getvalue()
 
 
-def lindiff(model: FeederModel, exact: PowerFlowSolution, v_sq: dict) -> LinDiffReport:
-    """Compare a linear solution against a converged exact one over non-slack
-    buses; a negative or non-finite v~ raises ``ValueError``."""
+def lindiff(exact: PowerFlowSolution, v_sq: np.ndarray) -> LinDiffReport:
+    """Compare a linear solution, squared magnitudes in ``exact.v``'s order,
+    against a converged exact one over the non-slack coordinates; a negative
+    or non-finite v~ raises ``ValueError``, naming the first in model order."""
     _require_converged(exact)
-    slack_id = model.slack.id
-    max_diff: dict[str, float] = {}
-    min_lin = np.inf
-    min_exact = np.inf
-    for b in model.buses:
-        if b.id == slack_id:
-            continue
-        for p in b.phases:
-            sq = float(v_sq[b.id][p].real)
-            if not 0.0 <= sq < np.inf:      # also rejects NaN
-                raise ValueError(f"linear v~ at bus {b.id} phase {p} is {sq!r}, not a finite square")
-            lin_mag = float(np.sqrt(sq))
-            ex_mag = abs(exact.voltages[b.id][p])
-            max_diff[p] = max(max_diff.get(p, 0.0), abs(lin_mag - ex_mag))
-            min_lin = min(min_lin, lin_mag)
-            min_exact = min(min_exact, ex_mag)
-    return LinDiffReport(max_diff=max_diff, min_lin=float(min_lin), min_exact=float(min_exact))
+    if np.shape(v_sq) != exact.v.shape:
+        raise ValueError(f"linear v~ has shape {np.shape(v_sq)}, the exact voltages {exact.v.shape}")
+    stamps = exact.system.stamps
+    at = stamps.nonslack_at
+    sq = v_sq[at]
+    for k in at[np.flatnonzero(~((0.0 <= sq) & (sq < np.inf)))[:1]]:     # NaN fails both
+        bus, p = stamps.full_coords[k]
+        raise ValueError(f"linear v~ at bus {bus} phase {p} is {float(v_sq[k])!r}, "
+                         "not a finite square")
+    lin, ex = np.sqrt(sq), np.abs(exact.v[at])
+    phase, diff = np.nonzero(stamps.layout.at >= 0)[1][at], np.abs(lin - ex)
+    return LinDiffReport(
+        max_diff={PHASES[q]: float(diff[phase == q].max()) for q in np.unique(phase)},
+        min_lin=float(lin.min(initial=np.inf)), min_exact=float(ex.min(initial=np.inf)))

@@ -320,7 +320,7 @@ def run_opts(model: FeederModel, config: OptsConfig,
         if config.constants_mode == "balanced":
             constants = _balanced_over(stamps.layout)     # the layout is built once
         else:
-            constants = constants_from_solution(model, base)
+            constants = constants_from_solution(base)
         done("constants")
 
         stage("build_lp")

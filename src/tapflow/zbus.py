@@ -366,7 +366,7 @@ def kcl_certificate(solution: PowerFlowSolution, model: FeederModel) -> float:
     return float(_kcl_residual(system.Y, st.loads, system.Y_NS @ st.v_slack, v))
 
 
-def solution_csv(solution: PowerFlowSolution, model: FeederModel) -> str:
+def solution_csv(solution: PowerFlowSolution) -> str:
     """CSV dump with one row per (bus, phase), deterministic byte-for-byte."""
     buf = io.StringIO()
     buf.write("bus,phase,re,im,magnitude,angle_deg\n")

@@ -106,7 +106,7 @@ def ieee13_base(ieee13):
 @pytest.fixture(scope="session")
 def ieee13_lp(ieee13, ieee13_base):
     """(LP, variable map) of IEEE-13 at the default config, zero-tap constants."""
-    const = tf.constants_from_solution(ieee13, ieee13_base)
+    const = tf.constants_from_solution(ieee13_base)
     return tf.build_lp(ieee13, const, tf.config_from_model(ieee13))
 
 

@@ -10,6 +10,11 @@ the same model, ``tapflow.build_lp`` on the library's constants must give
 this ``build_lp``'s ``A``, ``b``, ``c`` and bounds byte for byte, and the
 grouped constants must hold these values. ``lp_reference.sweep_powerflow`` reads
 these constants.
+
+``lindiff`` compares the linear and the exact answers bus by bus, as the
+library did before both answers shared one order: it splits the squared
+magnitudes per bus and reads the solution's per-bus view with Python's
+``abs``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import scipy.sparse as sp
 from tapflow.network import FeederModel, PhaseMatrix, PhaseVector
 from tapflow.opts import OptsConfig
 from tapflow.simplex import SparseLp
-from tapflow.zbus import PowerFlowSolution
+from tapflow.linflow import LinDiffReport
+from tapflow.zbus import PowerFlowSolution, _require_converged
 
 from stamps_reference import tree_index
 
@@ -265,3 +271,31 @@ def build_lp(model: FeederModel, constants: LinearizationConstants,
             for p in e.phases:
                 c[system.flow[(e.key(), p)][0]] = 1.0
     return SparseLp(A=system.A, b=system.b, c=c, lower=lower, upper=upper), system
+
+
+def lindiff(model: FeederModel, exact: PowerFlowSolution, v_sq: np.ndarray) -> LinDiffReport:
+    """``tapflow.lindiff`` in a per-bus loop: ``v_sq``, in the order of
+    ``exact.v``, split bus by bus in model order, each bus's phases in
+    canonical order, beside ``exact.voltages``."""
+    _require_converged(exact)
+    per_bus, start = {}, 0
+    for b in model.buses:
+        per_bus[b.id] = dict(zip(b.phases, v_sq[start:start + len(b.phases)].tolist()))
+        start += len(b.phases)
+    slack_id = model.slack.id
+    max_diff: dict[str, float] = {}
+    min_lin = np.inf
+    min_exact = np.inf
+    for b in model.buses:
+        if b.id == slack_id:
+            continue
+        for p in b.phases:
+            sq = float(per_bus[b.id][p])
+            if not 0.0 <= sq < np.inf:      # also rejects NaN
+                raise ValueError(f"linear v~ at bus {b.id} phase {p} is {sq!r}, not a finite square")
+            lin_mag = float(np.sqrt(sq))
+            ex_mag = abs(exact.voltages[b.id][p])
+            max_diff[p] = max(max_diff.get(p, 0.0), abs(lin_mag - ex_mag))
+            min_lin = min(min_lin, lin_mag)
+            min_exact = min(min_exact, ex_mag)
+    return LinDiffReport(max_diff=max_diff, min_lin=float(min_lin), min_exact=float(min_exact))

@@ -140,7 +140,7 @@ def assert_solution_parity(model: FeederModel, ratios, stamps=None) -> None:
     for bus, vec in want.voltages.items():
         assert got.voltages[bus].phases == vec.phases, bus
         assert got.voltages[bus].values.tobytes() == vec.values.tobytes(), bus
-    assert tf.solution_csv(got, model) == solution_csv(want, model)
+    assert tf.solution_csv(got) == solution_csv(want, model)
     if want.converged:
         bits = _metric_bits(want, model, sys.modules[__name__])
         assert _metric_bits(got, model, tf.zbus) == bits

@@ -40,7 +40,7 @@ def test_criterion_1_linear_vs_exact_comparison(ieee13):
         exact = tf.solve_zbus(ieee13, ratios)
         assert exact.converged
         v_sq, _ = tf.linear_powerflow(ieee13, tf.constants_balanced(ieee13), ratios)
-        rep = tf.lindiff(ieee13, exact, v_sq)
+        rep = tf.lindiff(exact, v_sq)
         elapsed = time.perf_counter() - t0
 
         for phase in ("a", "b", "c"):
@@ -142,12 +142,10 @@ def test_criterion_7_linearization_point_exactness(ieee13, tiny3):
                 ]
                 sol = tf.solve_zbus(model, ratios, tol=1e-12)
                 assert sol.converged
-                const = tf.constants_from_solution(model, sol)
+                const = tf.constants_from_solution(sol)
                 v_sq, _ = tf.linear_powerflow(model, const, ratios)
-                for bid, vec in sol.voltages.items():
-                    for p in vec.phases:
-                        err = abs(v_sq[bid][p].real - abs(vec[p]) ** 2)
-                        assert err <= 1e-8, (bid, p, err)
+                err = np.abs(v_sq - np.abs(sol.v) ** 2)
+                assert err.max() <= 1e-8, sol.system.stamps.full_coords[err.argmax()]
 
 
 def test_criterion_8_lp_solver_suite():
@@ -182,7 +180,7 @@ def test_criterion_9_roundtrip_and_relaxation(ieee13, tiny3):
         for model in (ieee13, tiny3):
             cfg = tf.config_from_model(model)
             base = tf.solve_zbus(model, zero_tap_ratios(model))
-            const = tf.constants_from_solution(model, base)
+            const = tf.constants_from_solution(base)
             lp, varmap = tf.build_lp(model, const, cfg)
             sol, _ = tf.solve_lp_lexicographic(lp, varmap)
             assert sol.status == "optimal"

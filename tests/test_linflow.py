@@ -5,6 +5,8 @@ import pstats
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 import tapflow as tf
@@ -12,7 +14,7 @@ from tapflow.network import PHASES
 
 import linflow_reference
 import stamps_reference
-from conftest import (PARITY_FEEDERS, SMALL_FEEDERS, bench_feeders, chain_model,
+from conftest import (FIXTURES, PARITY_FEEDERS, SMALL_FEEDERS, bench_feeders, chain_model,
                       colamd_in_model_order, lp_columns, small_or_generated)
 from lp_reference import sweep_powerflow
 
@@ -42,7 +44,7 @@ def test_balanced_single_phase_is_identity():
 def test_constants_zero_current_base():
     model = chain_model([0.0, 0.0])
     base = tf.solve_zbus(model, [])
-    const = tf.constants_from_solution(model, base)
+    const = tf.constants_from_solution(base)
     assert const.layout.mask.tolist() == [[True, False, False]] * 2    # sub->b1, b1->b2
     for k in range(2):
         assert np.max(np.abs(const.h[k])) < 1e-15
@@ -54,7 +56,7 @@ def test_constants_require_convergence():
     model = chain_model([40.0 + 20.0j], z_per_edge=0.05 + 0.15j)
     sol = tf.solve_zbus(model, [], max_iter=50)
     with pytest.raises(ValueError):
-        tf.constants_from_solution(model, sol)
+        tf.constants_from_solution(sol)
 
 
 def _with_zero_voltage(solution, buses):
@@ -74,7 +76,7 @@ def test_zero_endpoint_voltage_names_the_line(zeroed, named):
     model = chain_model([0.1, 0.1])
     base = _with_zero_voltage(tf.solve_zbus(model, []), zeroed)
     with pytest.raises(ValueError, match=f"zero phase voltage at an endpoint of line {named}$"):
-        tf.constants_from_solution(model, base)
+        tf.constants_from_solution(base)
 
 
 def test_zero_endpoint_voltage_names_the_first_line_in_model_order(ieee13, ieee13_base):
@@ -83,37 +85,48 @@ def test_zero_endpoint_voltage_names_the_first_line_in_model_order(ieee13, ieee1
     count."""
     base = _with_zero_voltage(ieee13_base, ("675", "646"))
     with pytest.raises(ValueError, match="line 645->646$"):
-        tf.constants_from_solution(ieee13, base)
+        tf.constants_from_solution(base)
 
 
 def test_flat_balanced_base_equals_balanced_constants():
     model = chain_model([0.0], phases=("a", "b", "c"))
     base = tf.solve_zbus(model, [])
-    got = tf.constants_from_solution(model, base)
+    got = tf.constants_from_solution(base)
     want = tf.constants_balanced(model)
     assert np.allclose(got.gamma[0], want.gamma[0], atol=1e-12)
+
+
+def _flatten(model, v_sq, flows=None):
+    """Per-bus squared magnitudes (bus id -> phase -> value) as one array in
+    model order, each bus's phases in canonical order, as ``PowerFlowSolution.v``
+    runs; and per-edge flows (edge key -> ``PhaseVector``) as an (E, 3) array
+    over PHASES, the lines then the regulators, zeros off each edge's phases."""
+    v = np.array([v_sq[b.id][p].real for b in model.buses for p in b.phases])
+    if flows is None:
+        return v
+    out = np.zeros((len(model.lines) + len(model.svrs), len(PHASES)), dtype=complex)
+    for row, e in zip(out, (*model.lines, *model.svrs)):
+        vec = flows[f"{e.from_bus}->{e.to_bus}"]
+        row[[PHASES.index(p) for p in vec.phases]] = vec.values
+    return v, out
 
 
 def test_zero_load_linear_flow_flat():
     model = chain_model([0.0, 0.0], phases=("a", "b", "c"))
     ratios = []
     v_sq, flows = tf.linear_powerflow(model, tf.constants_balanced(model), ratios)
-    for bid in ("b1", "b2"):
-        assert np.allclose([v_sq[bid][p].real for p in "abc"], 1.0, atol=1e-14)
-    for vec in flows.values():
-        assert np.max(np.abs(vec.values)) < 1e-14
+    assert v_sq.shape == (9,) and flows.shape == (2, 3)    # sub, b1, b2; sub->b1, b1->b2
+    assert np.allclose(v_sq[3:], 1.0, atol=1e-14)
+    assert np.max(np.abs(flows)) < 1e-14
 
 
 def exactness_error(model, ratios):
     sol = tf.solve_zbus(model, ratios, tol=1e-12)
     assert sol.converged
-    const = tf.constants_from_solution(model, sol)
+    const = tf.constants_from_solution(sol)
     v_sq, flows = tf.linear_powerflow(model, const, ratios)
-    worst = 0.0
-    for bid, vec in sol.voltages.items():
-        for p in vec.phases:
-            worst = max(worst, abs(v_sq[bid][p].real - abs(vec[p]) ** 2))
-    return worst
+    want = {b: {p: abs(vec[p]) ** 2 for p in vec.phases} for b, vec in sol.voltages.items()}
+    return np.max(np.abs(v_sq - _flatten(model, want)))
 
 
 def test_exactness_at_linearization_point_chain():
@@ -136,7 +149,7 @@ def test_exactness_type_a():
 
 def test_linear_rows_satisfied_by_sweep_solution(ieee13, ieee13_base):
     """The sweep solution solves the same equations the LP assembles."""
-    const = tf.constants_from_solution(ieee13, ieee13_base)
+    const = tf.constants_from_solution(ieee13_base)
     ratios = tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
     v_sq, flows = tf.linear_powerflow(ieee13, const, ratios)
 
@@ -144,11 +157,13 @@ def test_linear_rows_satisfied_by_sweep_solution(ieee13, ieee13_base):
     lp, varmap = tf.build_lp(ieee13, const, cfg)
     x = np.zeros(lp.A.shape[1])
     vsq, flow, _ = lp_columns(ieee13, varmap)
+    coord = {c: i for i, c in enumerate(ieee13_base.system.stamps.full_coords)}
+    edge = {f"{e.from_bus}->{e.to_bus}": i for i, e in enumerate((*ieee13.lines, *ieee13.svrs))}
     for (bus, p), col in vsq.items():
-        x[col] = v_sq[bus][p].real
+        x[col] = v_sq[coord[bus, p]]
     for (key, p), (re_col, im_col) in flow.items():
-        x[re_col] = flows[key][p].real
-        x[im_col] = flows[key][p].imag
+        x[re_col] = flows[edge[key], PHASES.index(p)].real
+        x[im_col] = flows[edge[key], PHASES.index(p)].imag
     resid = lp.A @ x - lp.b
     # Ratio-window rows contain slack columns we left at zero; check the rest.
     eq_rows = [i for i in range(lp.A.shape[0])]
@@ -174,45 +189,148 @@ def test_lindiff_requires_a_converged_exact_solution():
     exact = tf.solve_zbus(model, [], max_iter=50)
     assert not exact.converged
     with pytest.raises(ValueError, match="did not converge"):
-        tf.lindiff(model, exact, v_sq)
+        tf.lindiff(exact, v_sq)
 
 
 @pytest.mark.parametrize("bad", [None, float("nan"), float("inf")],
                          ids=["negative", "nan", "inf"])
 def test_lindiff_rejects_a_negative_or_nonfinite_square(bad):
     """A v~ that has no real square root raises, rather than dropping out of
-    the worst difference (max(0.0, nan) is 0.0)."""
+    the worst difference (max(0.0, nan) is 0.0), naming the first bad
+    coordinate in model order and its value."""
     model, v_sq = _heavy_chain()
     light = chain_model([0.1 + 0.05j], z_per_edge=0.05 + 0.15j, phases=("a", "b", "c"))
     exact = tf.solve_zbus(light, [])
-    assert exact.converged and v_sq["b1"]["a"].real < 0.0
+    assert exact.converged and v_sq[3] < 0.0          # b1, phase a
+    named = f"b1 phase a is {float(v_sq[3])!r}"
     if bad is not None:
-        v_sq = {bus: {p: 1.0 for p in vec.phases} for bus, vec in v_sq.items()}
-        v_sq["b1"]["b"] = bad
-    with pytest.raises(ValueError, match="not a finite square"):
-        tf.lindiff(light, exact, v_sq)
+        v_sq = _flatten(light, {b.id: {p: 1.0 for p in b.phases} for b in light.buses})
+        v_sq[4] = bad                                  # b1, phase b
+        named = f"b1 phase b is {bad!r}"
+    with pytest.raises(ValueError, match=f"^linear v~ at bus {named}, not a finite square$"):
+        tf.lindiff(exact, v_sq)
+
+
+@pytest.mark.parametrize("shape", [(5,), (7,), (6, 1)])
+def test_lindiff_rejects_a_square_array_of_another_shape(shape):
+    light = chain_model([0.1 + 0.05j], z_per_edge=0.05 + 0.15j, phases=("a", "b", "c"))
+    exact = tf.solve_zbus(light, [])
+    with pytest.raises(ValueError, match=r"has shape .*, the exact voltages \(6,\)"):
+        tf.lindiff(exact, np.ones(shape))
 
 
 def test_overestimation_on_shipped_fixtures(ieee13, ieee13_base, tiny3):
     ratios = tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
     v_sq, _ = tf.linear_powerflow(ieee13, tf.constants_balanced(ieee13), ratios)
-    rep = tf.lindiff(ieee13, ieee13_base, v_sq)
+    rep = tf.lindiff(ieee13_base, v_sq)
     assert rep.min_lin >= rep.min_exact
 
     r3 = tf.taps_to_ratios(tiny3, tf.zero_taps(tiny3))
     sol3 = tf.solve_zbus(tiny3, r3)
     v_sq3, _ = tf.linear_powerflow(tiny3, tf.constants_balanced(tiny3), r3)
-    rep3 = tf.lindiff(tiny3, sol3, v_sq3)
+    rep3 = tf.lindiff(sol3, v_sq3)
     assert rep3.min_lin >= rep3.min_exact
 
 
 def test_lindiff_csv_schema(ieee13, ieee13_base):
     ratios = tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
     v_sq, _ = tf.linear_powerflow(ieee13, tf.constants_balanced(ieee13), ratios)
-    text = tf.lindiff(ieee13, ieee13_base, v_sq).to_csv()
+    text = tf.lindiff(ieee13_base, v_sq).to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "phase,max_abs_diff,min_v_linear,min_v_exact"
     assert [ln.split(",")[0] for ln in lines[1:]] == ["a", "b", "c", "all"]
+
+
+def _fixture(name):
+    return tf.parse_feeder((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _zero_tap_answers(model):
+    """(zero-tap ratios, the exact solve there) of ``model``."""
+    ratios = tf.taps_to_ratios(model, tf.zero_taps(model))
+    exact = tf.solve_zbus(model, ratios)
+    assert exact.converged
+    return ratios, exact
+
+
+ENVELOPE_FEEDERS = {
+    **{name: (lambda name=name: _fixture(name)) for name in ("tiny3", "ieee13", "gen30")},
+    **{f"gen{s}-60": (lambda s=s: bench_feeders().generate_feeder(s, 60)) for s in range(20)},
+    "exporting-chain": lambda: chain_model([-0.3 - 0.1j, -0.2], phases=("a", "b", "c")),
+}
+
+
+@pytest.mark.parametrize("name", list(ENVELOPE_FEEDERS))
+def test_lindiff_min_exact_is_the_envelope_minimum(name):
+    """lindiff's minimum exact magnitude has the bits of ``voltage_envelope``'s
+    on the same solution: both take ``np.abs`` of the non-slack coordinates.
+    Python's ``abs`` of each complex voltage differs in the last bit on
+    IEEE-13 and on 9 of these 20 generated feeders. On a chain that exports,
+    every non-slack magnitude is above the slack's 1.0, so a minimum over
+    the slack's rows too would differ."""
+    model = ENVELOPE_FEEDERS[name]()
+    ratios, exact = _zero_tap_answers(model)
+    v_sq, _ = tf.linear_powerflow(model, tf.constants_balanced(model), ratios)
+    lowest = tf.voltage_envelope(exact, model)[0]
+    assert tf.lindiff(exact, v_sq).min_exact.hex() == lowest.hex()
+    assert name != "exporting-chain" or lowest > 1.0
+
+
+def _assert_lindiff_parity(model):
+    """On both kinds of constants, ``lindiff`` has the per-bus reference's
+    phases, its ``min_lin`` bits and its ``max_diff`` and ``min_exact``
+    within one rounding of a magnitude near 1 (the reference takes Python's
+    ``abs`` of each voltage); and at the linearization point v~ is |v|^2
+    index for index."""
+    ratios, exact = _zero_tap_answers(model)
+    for constants in (tf.constants_balanced(model), tf.constants_from_solution(exact)):
+        v_sq, _ = tf.linear_powerflow(model, constants, ratios)
+        got, want = tf.lindiff(exact, v_sq), linflow_reference.lindiff(model, exact, v_sq)
+        assert got.max_diff.keys() == want.max_diff.keys()
+        assert got.min_lin.hex() == want.min_lin.hex()
+        for p, diff in want.max_diff.items():
+            assert abs(got.max_diff[p] - diff) <= 2.3e-16, p
+        assert abs(got.min_exact - want.min_exact) <= 2.3e-16
+    assert np.max(np.abs(v_sq - np.abs(exact.v) ** 2)) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["gen30", "gen5-3000-reversed"])
+def test_lindiff_matches_reference(name):
+    _assert_lindiff_parity(_fixture(name) if name == "gen30" else small_or_generated(5, 3000, True, None))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), n_buses=st.integers(10, 300), reverse=st.booleans())
+def test_lindiff_matches_reference_on_drawn_feeders(seed, n_buses, reverse):
+    _assert_lindiff_parity(small_or_generated(seed, n_buses, reverse, None))
+
+
+def test_linear_answer_builds_no_phase_vector(ieee13, ieee13_base, monkeypatch):
+    """``linear_powerflow`` and ``lindiff`` read and write arrays only: no
+    ``PhaseVector`` is built, checked or wrapped, with either kind of
+    constants. The per-bus view, built on first read, shows that the
+    count sees one."""
+    ratios = tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13))
+    all_constants = (tf.constants_balanced(ieee13), tf.constants_from_solution(ieee13_base))
+    built, init, wrap = [], tf.PhaseVector.__init__, tf.PhaseVector._wrap.__func__
+
+    def counted_init(self, *args):
+        built.append("init")
+        init(self, *args)
+
+    def counted_wrap(cls, *args):
+        built.append("wrap")
+        return wrap(cls, *args)
+
+    monkeypatch.setattr(tf.PhaseVector, "__init__", counted_init)
+    monkeypatch.setattr(tf.PhaseVector, "_wrap", classmethod(counted_wrap))
+    for constants in all_constants:
+        v_sq, _ = tf.linear_powerflow(ieee13, constants, ratios)
+        tf.lindiff(ieee13_base, v_sq)
+    assert built == []
+    dataclasses.replace(ieee13_base).voltages
+    assert built == ["wrap"] * len(ieee13.buses)
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_FEEDERS))
@@ -224,20 +342,25 @@ def test_linear_powerflow_matches_sweep(name, request):
     shifted = tf.taps_to_ratios(model, taps)
     base = tf.solve_zbus(model, zero, tol=1e-12)
     assert base.converged
+    edges = (*model.lines, *model.svrs)
+    edge_phases = [*(ln.z.phases for ln in model.lines), *(sv.phases for sv in model.svrs)]
+    on = np.array([[p in phases for p in PHASES] for phases in edge_phases]).reshape(-1, 3)
     for constants, reference in (
             (tf.constants_balanced(model), linflow_reference.constants_balanced(model)),
-            (tf.constants_from_solution(model, base),
+            (tf.constants_from_solution(base),
              linflow_reference.constants_from_solution(model, base))):
         for ratios in (zero, shifted):
             v_sq, flows = tf.linear_powerflow(model, constants, ratios)
             v_ref, f_ref = sweep_powerflow(model, reference, ratios)
-            assert v_sq.keys() == v_ref.keys() and flows.keys() == f_ref.keys()
-            for bid, vec in v_ref.items():
-                assert v_sq[bid].phases == vec.phases
-                assert np.max(np.abs(v_sq[bid].values - vec.values)) <= 1e-12
-            for key, vec in f_ref.items():
-                assert flows[key].phases == vec.phases
-                assert np.max(np.abs(flows[key].values - vec.values)) <= 1e-12
+            assert v_ref.keys() == {b.id for b in model.buses}
+            assert [v_ref[b.id].phases for b in model.buses] == [b.phases for b in model.buses]
+            assert f_ref.keys() == {f"{e.from_bus}->{e.to_bus}" for e in edges}
+            assert [f_ref[f"{e.from_bus}->{e.to_bus}"].phases for e in edges] == edge_phases
+            v_want, f_want = _flatten(model, v_ref, f_ref)
+            assert v_sq.shape == v_want.shape and flows.shape == f_want.shape
+            assert np.max(np.abs(v_sq - v_want)) <= 1e-12
+            assert np.max(np.abs(flows - f_want)) <= 1e-12
+            assert not flows[~on].any()       # exact zeros off each edge's phases
 
 
 def test_singular_linear_system_raises_pipeline_error():
@@ -335,7 +458,7 @@ def test_lp_matches_reference(name, request):
         if mode == "balanced":
             got, want = tf.constants_balanced(model), linflow_reference.constants_balanced(model)
         else:
-            got = tf.constants_from_solution(model, base)
+            got = tf.constants_from_solution(base)
             want = linflow_reference.constants_from_solution(model, base)
         mask = got.layout.mask
         assert got.gamma.shape == (len(model.lines), 3, 3) and got.h.shape == got.l.shape == mask.shape
@@ -364,7 +487,7 @@ def _windows(model):
 def _base_constants(model):
     base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
     assert base.converged
-    return tf.constants_from_solution(model, base)
+    return tf.constants_from_solution(base)
 
 
 TRIPLET_FEEDERS = {
@@ -417,7 +540,7 @@ def _line_calls(model) -> int:
 
     def run():
         tf.ybus.build_stamps(model)
-        tf.linflow.linear_system(tf.constants_from_solution(model, base), _windows(model))
+        tf.linflow.linear_system(tf.constants_from_solution(base), _windows(model))
 
     run()
     profile = cProfile.Profile()

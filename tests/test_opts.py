@@ -31,7 +31,7 @@ def census(model):
 def build(model, **cfg_over):
     cfg = tf.config_from_model(model, **cfg_over)
     base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
-    const = tf.constants_from_solution(model, base)
+    const = tf.constants_from_solution(base)
     return tf.build_lp(model, const, cfg), cfg
 
 
@@ -268,14 +268,14 @@ def test_condensed_without_regulators():
     it is returned when it lies inside the band and reported infeasible when not."""
     model = chain_model([0.25 + 0.1j, 0.2 + 0.08j])
     base = tf.solve_zbus(model, [])
-    const = tf.constants_from_solution(model, base)
+    const = tf.constants_from_solution(base)
     v_sq, flows = tf.linear_powerflow(model, const, [])
     lp, varmap = tf.build_lp(model, const, tf.config_from_model(model))
     sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
     assert sol.status == "optimal" and sol.tie_break == "optimal"
-    for (bus, p), col in lp_columns(model, varmap)[0].items():
-        assert sol.x[col] == pytest.approx(v_sq[bus][p].real, abs=1e-12)
-    assert import_value == pytest.approx(flows["sub->b1"]["a"].real, abs=1e-12)
+    vcol = varmap.vcol[varmap.layout.at >= 0]      # per coordinate of v_sq, -1 at the slack
+    assert sol.x[vcol[vcol >= 0]] == pytest.approx(v_sq[vcol >= 0], abs=1e-12)
+    assert import_value == pytest.approx(flows[0, 0].real, abs=1e-12)    # sub->b1, phase a
 
     tight = tf.config_from_model(model, v_min=1.0, v_max=1.05)
     lp, varmap = tf.build_lp(model, const, tight)
@@ -341,14 +341,13 @@ def test_lp_objective_not_above_feasible_zero_tap_point(tiny3):
     point whenever that point is feasible (relaxed voltage band)."""
     (lp, varmap), cfg = build(tiny3, v_min=0.8, v_max=1.2)
     base = tf.solve_zbus(tiny3, tf.taps_to_ratios(tiny3, tf.zero_taps(tiny3)))
-    const = tf.constants_from_solution(tiny3, base)
+    const = tf.constants_from_solution(base)
     v_sq, flows = tf.linear_powerflow(tiny3, const,
                                       tf.taps_to_ratios(tiny3, tf.zero_taps(tiny3)))
-    assert all(cfg.v_min**2 <= v_sq[b][p].real <= cfg.v_max**2
-               for b in v_sq if b != "sub" for p in v_sq[b].phases)
-    zero_tap_obj = sum(flows[key][p].real
-                       for key in flows for p in flows[key].phases
-                       if key.startswith("sub->"))
+    nonslack = v_sq[base.system.stamps.nonslack_at]
+    assert np.all((cfg.v_min**2 <= nonslack) & (nonslack <= cfg.v_max**2))
+    layout = const.layout                     # the edges out of the slack bus
+    zero_tap_obj = flows[layout.slack[np.concatenate([layout.frm, layout.svr_ends[:, 0]])]].real.sum()
     sol = tf.solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective <= zero_tap_obj + 1e-9

@@ -81,7 +81,7 @@ def _stage_figures(model, measure) -> dict:
     _, got["depth"] = measure(ybus._depths, layout.slack, np.stack([layout.frm, layout.to]),
                               layout.svr_ends)
     base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)), stamps=stamps)
-    constants, got["constants"] = measure(tf.constants_from_solution, model, base)
+    constants, got["constants"] = measure(tf.constants_from_solution, base)
     (lp, varmap), got["build_lp"] = measure(tf.build_lp, model, constants,
                                             tf.config_from_model(model))
     (solution, _), got["solve_lp_lexicographic"] = measure(tf.solve_lp_lexicographic, lp, varmap)

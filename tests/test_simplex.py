@@ -167,7 +167,7 @@ def test_ieee13_pass1_matches_recorded(ieee13, monkeypatch):
     ref = json.loads((Path(__file__).parent / "ieee13_lp_pass1.json").read_text())
     colamd_in_model_order(monkeypatch)
     base = tf.solve_zbus(ieee13, tf.taps_to_ratios(ieee13, tf.zero_taps(ieee13)))
-    lp, _ = tf.build_lp(ieee13, tf.constants_from_solution(ieee13, base),
+    lp, _ = tf.build_lp(ieee13, tf.constants_from_solution(base),
                         tf.config_from_model(ieee13))
     sol = tf.solve_lp(lp)
     assert sol.status == ref["status"]
@@ -195,7 +195,7 @@ def _condensed_duals(lp, varmap):
 def _cascade_lp(shunt_y):
     model = cascade_model(shunt_y=shunt_y)
     base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
-    return tf.build_lp(model, tf.constants_from_solution(model, base),
+    return tf.build_lp(model, tf.constants_from_solution(base),
                        tf.config_from_model(model))
 
 

@@ -127,7 +127,7 @@ def _assert_view_splits_v(model, taps):
         assert vec.values.tobytes() == sol.v[start:stop].tobytes(), b.id
         assert np.shares_memory(vec.values, sol.v), b.id
     assert stop == len(sol.v)
-    assert tf.solution_csv(sol, model) == solution_reference.solution_csv(sol, model)
+    assert tf.solution_csv(sol) == solution_reference.solution_csv(sol, model)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None,
@@ -297,11 +297,11 @@ def test_ieee13_import_at_zero_taps(ieee13, ieee13_base):
 
 def test_solution_csv_format(tiny3):
     sol = tf.solve_zbus(tiny3, [{"a": 1.0}])
-    text = tf.solution_csv(sol, tiny3)
+    text = tf.solution_csv(sol)
     lines = text.strip().splitlines()
     assert lines[0] == "bus,phase,re,im,magnitude,angle_deg"
     assert len(lines) == 1 + 3   # three single-phase buses
-    assert text == tf.solution_csv(sol, tiny3)   # deterministic
+    assert text == tf.solution_csv(sol)   # deterministic
 
 
 # ---------------------------------------------------------------------------
