@@ -2,10 +2,15 @@
 
 Subcommands: powerflow, opts, lindiff, bruteforce, validate; each accepts
 only the flags its handler reads. Exit codes are a stable contract: 0 ok,
-1 input error (bad file, feeder config or usage), 2 numeric failure,
-3 infeasible result. ``_run`` is the one place that maps an exception to an
-exit code. Outputs are deterministic byte-for-byte, except the wall-clock
-fields of ``opts``: ``time_sec`` in its CSV and ``timings`` in its JSON.
+1 input error (bad file, feeder config or usage, or an ``--out`` path that
+cannot be written), 2 numeric failure (a stage of a valid feeder's solve
+failed: power flow, constants, LP, recover, or the linear answer that
+``lindiff`` compares), 3 infeasible result. ``_run`` is the one place that
+maps an exception to an exit code: argparse's exit on a usage error, a
+``ValueError`` or an ``OSError`` is an input error, and a ``PipelineError``
+names the stage that failed.
+Outputs are deterministic byte-for-byte, except the wall-clock fields of
+``opts``: ``time_sec`` in its CSV and ``timings`` in its JSON.
 """
 
 from __future__ import annotations
@@ -112,14 +117,8 @@ def cmd_lindiff(args) -> int:
     constants = (constants_from_solution(exact)
                  if chosen and config.constants_mode == "from_zero_tap_solution"
                  else constants_balanced(model))
-    # The model is valid here, so a value the linear answer cannot hold (a
-    # v~ or flow that is not finite, a v~ with no real root) is the linear
-    # model's numeric failure, not an input error.
-    try:
-        v_sq, _ = linear_powerflow(model, constants, ratios)
-        _emit(lindiff(exact, v_sq).to_csv(), args.out)
-    except ValueError as exc:
-        raise PipelineError("lindiff", str(exc)) from None
+    v_sq, _ = linear_powerflow(model, constants, ratios)
+    _emit(lindiff(exact, v_sq).to_csv(), args.out)
     return EXIT_OK
 
 
@@ -202,10 +201,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
+def _run(argv) -> int:
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (FeederFormatError, ModelValidationError, ValueError) as exc:
+    except SystemExit as exc:
+        # argparse has already printed the help (exit 0) or a usage error (exit 2).
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     except PipelineError as exc:
@@ -215,13 +218,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse has already printed the help (exit 0) or a usage error (exit 2).
-        code = EXIT_OK if exc.code == 0 else EXIT_INPUT
-    else:
-        code = _run(args)
+    code = _run(argv)
     if argv is None:
         sys.exit(code)
     return code

@@ -91,10 +91,15 @@ def constants_from_solution(base: PowerFlowSolution) -> LinearizationConstants:
     """Constants evaluated at a converged base solution.
 
     Per line: with edge current i from the base voltages and I = i i*, the
-    voltage-loss vector is diag(Z I Z*) (real up to round-off, asserted) and
-    the power-loss vector is diag(Z I). Rotation entries are v_to[p] / v_from[q].
+    voltage-loss vector is diag(Z I Z*) (real up to round-off) and the
+    power-loss vector is diag(Z I). Rotation entries are v_to[p] / v_from[q].
     The layout and the line inverses are the stamp set's; the matrix
     products run once per phase count, everything else once over all lines.
+
+    An unconverged ``base`` is the caller's error, a ``ValueError``. A zero
+    endpoint voltage or a voltage-loss term that is not real is a numeric
+    failure of the stage: ``PipelineError("constants", ...)``, naming the
+    first such line in model order.
     """
     if not base.converged:
         raise ValueError("base power flow must be converged")
@@ -116,9 +121,8 @@ def constants_from_solution(base: PowerFlowSolution) -> LinearizationConstants:
                    2 * (np.max(np.abs(h.imag), axis=1, initial=0.0) > 1e-10))
     for k in np.flatnonzero(bad)[:1]:
         key = layout.edge_key(layout.frm[k], layout.to[k])
-        if bad[k] == 1:
-            raise ValueError(f"zero phase voltage at an endpoint of line {key}")
-        raise AssertionError(f"voltage-loss term not real on line {key}")
+        raise PipelineError("constants", f"zero phase voltage at an endpoint of line {key}"
+                            if bad[k] == 1 else f"voltage-loss term not real on line {key}")
     return LinearizationConstants(
         layout=layout, h=h.real, l=l,
         gamma=np.where(_pairs(mask), vm[:, :, None] * (1.0 / vn)[:, None, :], 0.0))
@@ -336,8 +340,13 @@ class LinDiffReport:
 
 def lindiff(exact: PowerFlowSolution, v_sq: np.ndarray) -> LinDiffReport:
     """Compare a linear solution, squared magnitudes in ``exact.v``'s order,
-    against a converged exact one over the non-slack coordinates; a negative
-    or non-finite v~ raises ``ValueError``, naming the first in model order."""
+    against a converged exact one over the non-slack coordinates.
+
+    An unconverged ``exact`` or a ``v_sq`` of another shape is the caller's
+    error, a ``ValueError``. A negative or non-finite v~ has no real root to
+    compare; on a valid model that is the linear model's numeric failure,
+    not an input error, so it raises ``PipelineError("lindiff", ...)``,
+    naming the first such coordinate in model order."""
     _require_converged(exact)
     if np.shape(v_sq) != exact.v.shape:
         raise ValueError(f"linear v~ has shape {np.shape(v_sq)}, the exact voltages {exact.v.shape}")
@@ -346,8 +355,8 @@ def lindiff(exact: PowerFlowSolution, v_sq: np.ndarray) -> LinDiffReport:
     sq = v_sq[at]
     for k in at[np.flatnonzero(~((0.0 <= sq) & (sq < np.inf)))[:1]]:     # NaN fails both
         bus, p = stamps.full_coords[k]
-        raise ValueError(f"linear v~ at bus {bus} phase {p} is {float(v_sq[k])!r}, "
-                         "not a finite square")
+        raise PipelineError("lindiff", f"linear v~ at bus {bus} phase {p} is "
+                                       f"{float(v_sq[k])!r}, not a finite square")
     lin, ex = np.sqrt(sq), np.abs(exact.v[at])
     phase, diff = np.nonzero(stamps.layout.at >= 0)[1][at], np.abs(lin - ex)
     return LinDiffReport(

@@ -340,6 +340,8 @@ def validate(model: FeederModel) -> list[Violation]:
             out.append(Violation(name, "svr-bounds", "step must be positive and finite"))
         elif not all(abs(r) < SQUARE_LIMIT for r in sv.ratio_range()):
             out.append(Violation(name, "svr-bounds", f"ratio range {sv.ratio_range()} must have finite squares"))
+        elif not sv.ratio_range()[0] > 0.0:
+            out.append(Violation(name, "svr-bounds", f"ratio range {sv.ratio_range()} must be positive"))
         fp, tp = set(by_id[sv.from_bus].phases), set(by_id[sv.to_bus].phases)
         if not set(sv.phases) <= fp & tp:
             out.append(Violation(name, "svr-mask", "SVR phases not present at both endpoints"))
@@ -448,7 +450,17 @@ def _as_complex(node, where: str) -> complex:
     if (not isinstance(node, (list, tuple)) or len(node) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)):
         raise FeederFormatError(f"{where}: complex values must be [re, im] 2-arrays")
+    if not all(math.isfinite(x) for x in node):
+        raise FeederFormatError(f"{where}: complex values must be finite, got {node!r}")
     return complex(node[0], node[1])
+
+
+def _parse_int(literal: str) -> int:
+    """A JSON integer, which every number field reads as a float: one that a
+    float cannot hold is a format error, not an ``OverflowError`` later."""
+    if not math.isfinite(float(literal)):
+        raise FeederFormatError(f"an integer of {len(literal.lstrip('-'))} digits does not fit a float")
+    return int(literal)
 
 
 def _phased(node, key: str, where: str) -> tuple:
@@ -484,7 +496,7 @@ def _parse_phase_matrix(node, where: str) -> PhaseMatrix:
 def parse_feeder(text: str) -> FeederModel:
     """Parse a UTF-8 JSON feeder document and validate the resulting model."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise FeederFormatError(f"JSON syntax error: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(doc, dict):

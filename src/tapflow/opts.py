@@ -156,16 +156,18 @@ def _csc_of_transpose(G: np.ndarray) -> sp.csc_matrix:
                          shape=G.T.shape)
 
 
-def solve_lp_lexicographic(lp: SparseLp, varmap: LinearSystem) -> tuple[LpSolution, float]:
+def solve_lp_lexicographic(lp: SparseLp, varmap: LinearSystem) -> LpSolution:
     """Minimize import, then break the (typically massive) tie by minimizing
     the total squared-magnitude profile over the optimal-import face.
 
     Both passes run on the condensed LP (``linflow.eliminate``). The import pass is
     skipped when import does not depend on theta; the profile pass carries
-    the pin row import <= optimum + 1e-9. Returns (solution at the tie-broken
-    point, in the full column space, and the optimal import objective). When
-    the profile pass does not end optimal, ``solution.tie_break`` says so and
-    the solution is the import pass's point.
+    the pin row import <= optimum + 1e-9. Returns the solution at the
+    tie-broken point, in the full column space; its status alone says
+    whether the LP was solved, and an optimal solution's ``objective`` is
+    the optimal import. When the profile pass does not end optimal,
+    ``solution.tie_break`` says so and the solution is the import pass's
+    point.
     """
     x0, N = eliminate(varmap, "solve_lp")
     upper, lower = np.isfinite(lp.upper), np.isfinite(lp.lower)
@@ -180,7 +182,7 @@ def solve_lp_lexicographic(lp: SparseLp, varmap: LinearSystem) -> tuple[LpSoluti
         first = _solve_condensed(G, h, import_cost)
         pivots = first.iterations
         if first.status != "optimal":
-            return LpSolution(first.status, x0, float(lp.c @ x0), pivots), math.nan
+            return LpSolution(first.status, x0, float(lp.c @ x0), pivots)
         x1 = x0 + N @ first.duals
         import_value = float(lp.c @ x1)
         G = np.vstack([G, import_cost])
@@ -192,17 +194,18 @@ def solve_lp_lexicographic(lp: SparseLp, varmap: LinearSystem) -> tuple[LpSoluti
         x = x0 + N @ second.duals
         if x1 is None:
             import_value = float(lp.c @ x)
-        return LpSolution("optimal", x, import_value, pivots, tie_break="optimal"), import_value
+        return LpSolution("optimal", x, import_value, pivots, tie_break="optimal")
     if x1 is None:
-        return LpSolution(second.status, x0, float(lp.c @ x0), pivots), math.nan
-    return LpSolution("optimal", x1, import_value, pivots, tie_break=second.status), import_value
+        return LpSolution(second.status, x0, float(lp.c @ x0), pivots)
+    return LpSolution("optimal", x1, import_value, pivots, tie_break=second.status)
 
 
 def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel) -> list[dict]:
     """Effective ratios from the optimal squared magnitudes, r = sqrt(up/down).
 
-    Clamps excursions beyond the ratio window up to 1e-6 (solver tolerance);
-    anything larger indicates a broken solution and raises.
+    Clamps excursions beyond the ratio window up to 1e-6 (solver tolerance).
+    A nonpositive squared magnitude or a larger excursion means the LP's
+    answer holds no ratio, a numeric failure: ``PipelineError("recover", ...)``.
     """
     layout = varmap.layout
     slack_sq = layout.slack_sq.tolist()
@@ -216,11 +219,11 @@ def recover_ratios(x: np.ndarray, varmap: LinearSystem, model: FeederModel) -> l
             # Squared magnitudes at the primary and the secondary; the slack's are constants.
             vn, vs = (slack_sq[q] if col < 0 else float(x[col]) for col in varmap.vcol[ends, q])
             if vn <= 0.0 or vs <= 0.0:
-                raise ValueError(f"nonpositive squared magnitude on svr phase {p}")
+                raise PipelineError("recover", f"nonpositive squared magnitude on svr phase {p}")
             r = math.sqrt(vn / vs) if type_b else math.sqrt(vs / vn)
             if r < r_lo - 1e-6 or r > r_hi + 1e-6:
-                raise ValueError(
-                    f"recovered ratio {r:.8f} outside [{r_lo}, {r_hi}] on svr phase {p}")
+                raise PipelineError("recover", f"recovered ratio {r:.8f} outside "
+                                               f"[{r_lo}, {r_hi}] on svr phase {p}")
             ratios[p] = min(max(r, r_lo), r_hi)
         out.append(ratios)
     return out
@@ -328,9 +331,10 @@ def run_opts(model: FeederModel, config: OptsConfig,
         done("build_lp")
 
         stage("solve_lp")
-        sol, import_value = solve_lp_lexicographic(lp, varmap)
+        sol = solve_lp_lexicographic(lp, varmap)
         if sol.status != "optimal":
             raise PipelineError("solve_lp", f"LP terminated with status {sol.status}")
+        import_value = sol.objective
         done("solve_lp")
 
         stage("recover")

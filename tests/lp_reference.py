@@ -131,7 +131,11 @@ class LoopTableau(simplex._Tableau):
 
 
 def pin_row_lexicographic(lp, varmap):
-    """Same contract as ``tapflow.solve_lp_lexicographic``, by two full solves."""
+    """``tapflow.solve_lp_lexicographic``'s method, by two full solves.
+
+    Returns (solution, optimal import): the second solve's objective is the
+    profile, not the import, so the import comes apart (NaN when the first
+    solve does not end optimal)."""
     first = solve_lp(lp)
     if first.status != "optimal":
         return first, math.nan

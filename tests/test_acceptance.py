@@ -182,7 +182,7 @@ def test_criterion_9_roundtrip_and_relaxation(ieee13, tiny3):
             base = tf.solve_zbus(model, zero_tap_ratios(model))
             const = tf.constants_from_solution(base)
             lp, varmap = tf.build_lp(model, const, cfg)
-            sol, _ = tf.solve_lp_lexicographic(lp, varmap)
+            sol = tf.solve_lp_lexicographic(lp, varmap)
             assert sol.status == "optimal"
             idx = stamps_reference.tree_index(model)
             _, flow, _ = lp_columns(model, varmap)

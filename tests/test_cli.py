@@ -415,6 +415,11 @@ def _mutate(doc, mutation):
         parent.insert(path[-1], copy.deepcopy(parent[path[-1]]))
 
 
+# The real part of gen15's phase-c slack voltage times 1e6: a valid feeder
+# whose base-case voltage-loss terms are not real to within 1e-10.
+GEN15_LOSS_NOT_REAL = ("scale", ("slack_voltage", "values", 2, 0), 1e6)
+
+
 @st.composite
 def mutated_feeders(draw):
     """(document name, 1-3 mutations), each drawn on the document as the
@@ -452,6 +457,7 @@ def mutated_feeders(draw):
 @example(mutated=("tiny3", (("replace", ("config", "v_min"), math.nan),)))
 @example(mutated=("ieee13", (("replace", ("buses", 13, "shunt", "rows", 0, 1, 1), -1.0),)))
 @example(mutated=("ieee13", (("replace", ("lines", 6, "z", "rows", 1, 1, 0), 1e308),)))
+@example(mutated=("gen15", (GEN15_LOSS_NOT_REAL,)))
 def test_mutated_feeders_exit_through_their_codes(tmp_path_factory, mutated):
     """On a fixture or a small generated feeder with 1-3 structure-aware
     mutations, ``validate``, ``powerflow``, ``opts`` and ``lindiff`` each
@@ -463,7 +469,9 @@ def test_mutated_feeders_exit_through_their_codes(tmp_path_factory, mutated):
     IEEE-13 a shunt susceptance of -1 between phases a and b of bus 675
     made the linear model's v~ negative, and an impedance entry of 1e308
     made it overflow, both of which ``lindiff`` reported as an input
-    error."""
+    error; on gen15 a phase-c slack voltage scaled by 1e6 made
+    ``constants_from_solution`` raise an ``AssertionError``, which escaped
+    ``opts``."""
     name, mutations = mutated
     doc = copy.deepcopy(MUTATED_DOCS[name])
     for mutation in mutations:
@@ -478,6 +486,37 @@ def test_mutated_feeders_exit_through_their_codes(tmp_path_factory, mutated):
         assert codes[command] in (0, 1, 2, 3), err.getvalue()
     if codes["validate"] == 0:
         assert 1 not in codes.values(), codes
+
+
+@pytest.mark.parametrize("argv", [["opts"], ["lindiff", "--constants", "base"]],
+                         ids=["opts", "lindiff-base"])
+def test_constants_failure_exit_2(tmp_path, capsys, argv):
+    """The constants stage's numeric failure on a valid feeder is exit 2 with
+    the stage's tag, whichever subcommand takes constants from the base case."""
+    doc = copy.deepcopy(MUTATED_DOCS["gen15"])
+    _mutate(doc, GEN15_LOSS_NOT_REAL)
+    feeder = tmp_path / "gen15-loss-not-real.json"
+    feeder.write_text(json.dumps(doc))
+    assert run(["validate", "--feeder", str(feeder)]) == 0
+    capsys.readouterr()
+    assert run([*argv, "--feeder", str(feeder)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "[constants] voltage-loss term not real on line rh->t1\n"
+
+
+@pytest.mark.parametrize("command", ["powerflow", "opts", "lindiff", "bruteforce"])
+def test_out_into_a_missing_directory_exit_1(tmp_path, command):
+    """An --out path that cannot be written is an input error: one line on
+    stderr, exit 1, no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    out = tmp_path / "no-such-directory" / "out.txt"
+    proc = subprocess.run([sys.executable, "-m", "tapflow.cli", command, "--feeder", TINY3,
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"[Errno 2] No such file or directory: '{out}'"]
+    assert proc.stdout == ""
 
 
 def test_help_exits_0(capsys):

@@ -75,8 +75,10 @@ def _with_zero_voltage(solution, buses):
 def test_zero_endpoint_voltage_names_the_line(zeroed, named):
     model = chain_model([0.1, 0.1])
     base = _with_zero_voltage(tf.solve_zbus(model, []), zeroed)
-    with pytest.raises(ValueError, match=f"zero phase voltage at an endpoint of line {named}$"):
+    with pytest.raises(tf.PipelineError,
+                       match=f"zero phase voltage at an endpoint of line {named}$") as err:
         tf.constants_from_solution(base)
+    assert err.value.stage == "constants"
 
 
 def test_zero_endpoint_voltage_names_the_first_line_in_model_order(ieee13, ieee13_base):
@@ -84,8 +86,27 @@ def test_zero_endpoint_voltage_names_the_first_line_in_model_order(ieee13, ieee1
     abc): the first bad line in model order is named, whatever its phase
     count."""
     base = _with_zero_voltage(ieee13_base, ("675", "646"))
-    with pytest.raises(ValueError, match="line 645->646$"):
+    with pytest.raises(tf.PipelineError, match="line 645->646$") as err:
         tf.constants_from_solution(base)
+    assert err.value.stage == "constants"
+
+
+def test_voltage_loss_not_real_is_a_constants_failure():
+    """generate_feeder(0, 15) with the real part of its phase-c slack voltage
+    times 1e6 is valid and its zero-tap solve converges, but the voltage-loss
+    term of line rh->t1 has an imaginary part above 1e-10: a numeric failure
+    of the constants stage, not an ``AssertionError``."""
+    model = bench_feeders().generate_feeder(0, 15)
+    v = model.slack_voltage.values.copy()
+    v[2] = complex(v[2].real * 1e6, v[2].imag)
+    model = dataclasses.replace(model, slack_voltage=tf.PhaseVector(model.slack_voltage.phases, v))
+    assert tf.validate(model) == []
+    base = tf.solve_zbus(model, tf.taps_to_ratios(model, tf.zero_taps(model)))
+    assert base.converged
+    with pytest.raises(tf.PipelineError,
+                       match=r"^\[constants\] voltage-loss term not real on line rh->t1$") as err:
+        tf.constants_from_solution(base)
+    assert err.value.stage == "constants"
 
 
 def test_flat_balanced_base_equals_balanced_constants():
@@ -207,8 +228,10 @@ def test_lindiff_rejects_a_negative_or_nonfinite_square(bad):
         v_sq = _flatten(light, {b.id: {p: 1.0 for p in b.phases} for b in light.buses})
         v_sq[4] = bad                                  # b1, phase b
         named = f"b1 phase b is {bad!r}"
-    with pytest.raises(ValueError, match=f"^linear v~ at bus {named}, not a finite square$"):
+    with pytest.raises(tf.PipelineError, match=f"^\\[lindiff\\] linear v~ at bus {named}, "
+                       "not a finite square$") as err:
         tf.lindiff(exact, v_sq)
+    assert err.value.stage == "lindiff"
 
 
 @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1)])

@@ -273,13 +273,54 @@ def test_parse_reports_the_svr_specs_kind_rule():
     ({"step": float("nan")}, {}, tf.ModelValidationError, "step must be positive and finite"),
     ({"step": float("inf")}, {}, tf.ModelValidationError, "step must be positive and finite"),
     ({"step": 1e200}, {}, tf.ModelValidationError, r"ratio range \(.*\) must have finite squares"),
+    # tiny3's type-B regulator has taps -16..16: tap 16 reaches ratio 1 - 16 step.
+    ({"step": 0.1}, {}, tf.ModelValidationError,
+     r"\[svr-bounds\] ratio range \(-0.6000000000000001, 2.6\) must be positive"),
+    ({"step": 0.0625}, {}, tf.ModelValidationError,
+     r"\[svr-bounds\] ratio range \(0.0, 2.0\) must be positive"),
+    ({"kind": "A", "step": 0.0625}, {}, tf.ModelValidationError,
+     r"\[svr-bounds\] ratio range \(0.0, 2.0\) must be positive"),
     ({}, {"is_slack": "false"}, tf.FeederFormatError, "'is_slack' must be a boolean"),
-], ids=["fractional-tap", "bool-step", "nan-step", "inf-step", "huge-step", "string-slack"])
+], ids=["fractional-tap", "bool-step", "nan-step", "inf-step", "huge-step", "negative-ratio",
+        "zero-ratio", "zero-ratio-type-a", "string-slack"])
 def test_parse_types_regulator_and_slack_fields(svr, bus, error, match):
     doc = json.loads((FIXTURES / "tiny3.json").read_text())
     doc["svrs"][0].update(svr)
     doc["buses"][2].update(bus)
     with pytest.raises(error, match=match):
+        tf.parse_feeder(json.dumps(doc))
+
+
+@pytest.mark.parametrize("place", [
+    lambda d, big: d["buses"][2]["load"]["values"][0].__setitem__(0, big),
+    lambda d, big: d["svrs"][0].update(step=big),
+    lambda d, big: d["svrs"][0].update(tap_max=big),
+    lambda d, big: d["svrs"][0].update(tap_min=-big),
+    lambda d, big: d["config"].update(v_min=big),
+], ids=["load", "step", "tap-max", "tap-min", "config"])
+def test_parse_rejects_an_integer_no_float_holds(place):
+    """Every number field is read as a float, so an integer beyond float
+    range (here 1 followed by 400 zeros) is a format error, not an
+    ``OverflowError`` later."""
+    doc = json.loads((FIXTURES / "tiny3.json").read_text())
+    place(doc, 10**400)
+    with pytest.raises(tf.FeederFormatError, match="^an integer of 401 digits does not fit a float$"):
+        tf.parse_feeder(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("place, where", [
+    (lambda d, bad: d["buses"][2]["load"]["values"][0].__setitem__(1, bad), "bus load"),
+    (lambda d, bad: d["lines"][0]["z"]["rows"][0][0].__setitem__(0, bad), "line reg->load"),
+    (lambda d, bad: d["slack_voltage"]["values"][0].__setitem__(0, bad), "slack_voltage"),
+], ids=["load", "impedance", "slack-voltage"])
+def test_parse_rejects_a_nonfinite_complex_part_naming_its_place(place, where, bad):
+    """NaN, Infinity and 1e999 (which reads as Infinity) in a complex value
+    are format errors that name the entry."""
+    doc = json.loads((FIXTURES / "tiny3.json").read_text())
+    place(doc, bad)
+    with pytest.raises(tf.FeederFormatError, match=f"^{where}: complex values must be finite, got "):
         tf.parse_feeder(json.dumps(doc))
 
 

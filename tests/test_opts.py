@@ -97,8 +97,9 @@ def test_recover_ratio_formula(tiny3):
 def test_recover_rejects_nonpositive(tiny3):
     (lp, varmap), _ = build(tiny3)
     x = np.zeros(lp.A.shape[1])
-    with pytest.raises(ValueError, match="nonpositive"):
+    with pytest.raises(PipelineError, match="nonpositive") as err:
         tf.recover_ratios(x, varmap, tiny3)
+    assert err.value.stage == "recover"
 
 
 def test_recover_rejects_large_excursion(tiny3):
@@ -107,8 +108,9 @@ def test_recover_rejects_large_excursion(tiny3):
     x = np.zeros(lp.A.shape[1])
     x[vsq[("reg", "a")]] = 4.0     # ratio sqrt(1/4) = 0.5, far out of range
     x[vsq[("load", "a")]] = 4.0
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(PipelineError, match="outside") as err:
         tf.recover_ratios(x, varmap, tiny3)
+    assert err.value.stage == "recover"
 
 
 def test_recover_clamps_solver_noise(tiny3):
@@ -189,7 +191,7 @@ def test_monotone_versus_no_svr_on_fixtures(ieee13, tiny3):
 
 def test_svr_power_balance_in_lp_solution(ieee13):
     (lp, varmap), cfg = build(ieee13)
-    sol, _ = tf.solve_lp_lexicographic(lp, varmap)
+    sol = tf.solve_lp_lexicographic(lp, varmap)
     assert sol.status == "optimal"
     idx = stamps_reference.tree_index(ieee13)
     _, flow, _ = lp_columns(ieee13, varmap)
@@ -200,6 +202,13 @@ def test_svr_power_balance_in_lp_solution(ieee13):
             re_c, im_c = flow[(child.key(), p)]
             assert abs(sol.x[re_s] - sol.x[re_c]) <= 1e-7
             assert abs(sol.x[im_s] - sol.x[im_c]) <= 1e-7
+
+
+def _pinned(lp, varmap):
+    """``pin_row_lexicographic`` in ``solve_lp_lexicographic``'s shape: its
+    solution, with the import value as the objective."""
+    sol, import_value = pin_row_lexicographic(lp, varmap)
+    return dataclasses.replace(sol, objective=import_value)
 
 
 def test_in_place_tie_break_matches_pin_row_reference(monkeypatch, ieee13, tiny3):
@@ -213,7 +222,7 @@ def test_in_place_tie_break_matches_pin_row_reference(monkeypatch, ieee13, tiny3
                           phases=("a", "b", "c")),
               cascade_model(shunt_y=0.01 + 0.03j)]
     got = [tf.run_opts(m, tf.config_from_model(m)) for m in models]
-    monkeypatch.setattr(opts, "solve_lp_lexicographic", pin_row_lexicographic)
+    monkeypatch.setattr(opts, "solve_lp_lexicographic", _pinned)
     for model, report in zip(models, got):
         want = tf.run_opts(model, tf.config_from_model(model))
         assert report.taps == want.taps
@@ -248,11 +257,10 @@ def test_condensed_matches_full_lp_reference(request, name):
     (lp, varmap), _ = build(model)
     if name.startswith("gen"):
         assert np.any(lp.c @ linflow.eliminate(varmap, "solve_lp")[1])
-    sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
+    sol = tf.solve_lp_lexicographic(lp, varmap)
     ref, ref_value = pin_row_lexicographic(lp, varmap)
     assert sol.status == ref.status == "optimal" and sol.tie_break == "optimal"
-    assert abs(import_value - ref_value) <= 1e-9
-    assert sol.objective == import_value
+    assert abs(sol.objective - ref_value) <= 1e-9
     primal, bound = tf.residuals(lp, sol)
     assert primal <= 1e-9 and bound <= 1e-9
 
@@ -271,16 +279,16 @@ def test_condensed_without_regulators():
     const = tf.constants_from_solution(base)
     v_sq, flows = tf.linear_powerflow(model, const, [])
     lp, varmap = tf.build_lp(model, const, tf.config_from_model(model))
-    sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
+    sol = tf.solve_lp_lexicographic(lp, varmap)
     assert sol.status == "optimal" and sol.tie_break == "optimal"
     vcol = varmap.vcol[varmap.layout.at >= 0]      # per coordinate of v_sq, -1 at the slack
     assert sol.x[vcol[vcol >= 0]] == pytest.approx(v_sq[vcol >= 0], abs=1e-12)
-    assert import_value == pytest.approx(flows[0, 0].real, abs=1e-12)    # sub->b1, phase a
+    assert sol.objective == pytest.approx(flows[0, 0].real, abs=1e-12)    # sub->b1, phase a
 
     tight = tf.config_from_model(model, v_min=1.0, v_max=1.05)
     lp, varmap = tf.build_lp(model, const, tight)
-    sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
-    assert sol.status == "infeasible" and math.isnan(import_value)
+    sol = tf.solve_lp_lexicographic(lp, varmap)
+    assert sol.status == "infeasible"
 
 
 @pytest.mark.parametrize("model", [cascade_model(), cascade_model(shunt_y=0.01 + 0.03j)],
@@ -328,12 +336,12 @@ def test_condensed_transpose_equals_scipy_conversion(rows, cols):
 
 def test_lexicographic_reports_tie_break_status(ieee13_lp):
     lp, varmap = ieee13_lp
-    sol, import_value = tf.solve_lp_lexicographic(lp, varmap)
+    sol = tf.solve_lp_lexicographic(lp, varmap)
     assert sol.status == "optimal" and sol.tie_break == "optimal"
     # IEEE-13's import is constant over the feasible set (c @ N = 0), so the
     # import pass is skipped and the value is read at the profile pass's
     # point: a different LP than solve_lp's, equal up to rounding.
-    assert import_value == pytest.approx(tf.solve_lp(lp).objective, rel=1e-12, abs=0)
+    assert sol.objective == pytest.approx(tf.solve_lp(lp).objective, rel=1e-12, abs=0)
 
 
 def test_lp_objective_not_above_feasible_zero_tap_point(tiny3):

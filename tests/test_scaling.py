@@ -84,7 +84,7 @@ def _stage_figures(model, measure) -> dict:
     constants, got["constants"] = measure(tf.constants_from_solution, base)
     (lp, varmap), got["build_lp"] = measure(tf.build_lp, model, constants,
                                             tf.config_from_model(model))
-    (solution, _), got["solve_lp_lexicographic"] = measure(tf.solve_lp_lexicographic, lp, varmap)
+    solution, got["solve_lp_lexicographic"] = measure(tf.solve_lp_lexicographic, lp, varmap)
     ratios, got["recover_ratios"] = measure(tf.recover_ratios, solution.x, varmap, model)
     _, got["verify_solve"] = measure(lambda: tf.solve_zbus(model, ratios, stamps=stamps))
     fixed = fixed_y_feeder(model, -1, 1)
