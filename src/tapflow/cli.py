@@ -24,7 +24,7 @@ from .errors import FeederFormatError, ModelValidationError, PipelineError
 from .linflow import constants_balanced, constants_from_solution, lindiff, linear_powerflow
 from .network import parse_feeder, taps_to_ratios, validate, zero_taps
 from .opts import brute_force, config_from_model, run_opts
-from .zbus import solution_csv, solve_zbus, voltage_envelope
+from .zbus import solution_csv, solve_zbus
 
 EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_INFEASIBLE = 0, 1, 2, 3
 
@@ -111,7 +111,6 @@ def cmd_lindiff(args) -> int:
     if not exact.converged:
         print("exact power flow did not converge", file=sys.stderr)
         return EXIT_NUMERIC
-    voltage_envelope(exact, model)   # a feeder with no non-slack bus has nothing to compare
     # A flag or the feeder's config chooses the constants; lindiff's default is balanced.
     chosen = args.constants is not None or "constants_mode" in model.config
     constants = (constants_from_solution(exact)

@@ -51,7 +51,7 @@ from scipy.sparse.linalg import splu
 from .errors import PipelineError
 from .network import PHASES, FeederModel
 from .ybus import Layout, _ratio_row, build_layout
-from .zbus import PowerFlowSolution, _require_converged
+from .zbus import PowerFlowSolution, _envelope, _require_converged
 
 _ALPHA = np.exp(2j * np.pi / 3.0)
 _UNITS = np.array([1.0 + 0.0j, _ALPHA**2, _ALPHA])           # balanced phases a, b, c
@@ -91,15 +91,17 @@ def constants_from_solution(base: PowerFlowSolution) -> LinearizationConstants:
     """Constants evaluated at a converged base solution.
 
     Per line: with edge current i from the base voltages and I = i i*, the
-    voltage-loss vector is diag(Z I Z*) (real up to round-off) and the
-    power-loss vector is diag(Z I). Rotation entries are v_to[p] / v_from[q].
+    voltage-loss vector is diag(Z I Z*) and the power-loss vector is
+    diag(Z I). Each voltage-loss term is |(Z i)[p]|^2, real and nonnegative
+    by construction, so its real part is taken and any imaginary part is
+    round-off. Rotation entries are v_to[p] / v_from[q].
     The layout and the line inverses are the stamp set's; the matrix
     products run once per phase count, everything else once over all lines.
 
     An unconverged ``base`` is the caller's error, a ``ValueError``. A zero
-    endpoint voltage or a voltage-loss term that is not real is a numeric
-    failure of the stage: ``PipelineError("constants", ...)``, naming the
-    first such line in model order.
+    endpoint voltage is a numeric failure of the stage:
+    ``PipelineError("constants", ...)``, naming the first such line in
+    model order.
     """
     if not base.converged:
         raise ValueError("base power flow must be converged")
@@ -108,6 +110,9 @@ def constants_from_solution(base: PowerFlowSolution) -> LinearizationConstants:
     mask, at = layout.mask, layout.at
     vn = np.where(mask, v[at[layout.frm]], 1.0)        # endpoint voltages, 1 off the phases
     vm = np.where(mask, v[at[layout.to]], 1.0)
+    for k in np.flatnonzero(np.any((vn == 0.0) | (vm == 0.0), axis=1))[:1]:
+        key = layout.edge_key(layout.frm[k], layout.to[k])
+        raise PipelineError("constants", f"zero phase voltage at an endpoint of line {key}")
     drop = vn - vm
     h, l = np.zeros(mask.shape, dtype=complex), np.zeros(mask.shape, dtype=complex)
     for ks, q, blocks in layout.by_size:
@@ -116,13 +121,6 @@ def constants_from_solution(base: PowerFlowSolution) -> LinearizationConstants:
         z_i = z @ (i_edge[:, :, None] * np.conj(i_edge)[:, None, :])
         h[own] = np.diagonal(z_i @ np.conj(z).transpose(0, 2, 1), axis1=1, axis2=2)
         l[own] = np.diagonal(z_i, axis1=1, axis2=2)
-    # Per line: 1 if an endpoint voltage is zero, 2 if its voltage loss is not real.
-    bad = np.where(np.any(vn == 0.0, axis=1) | np.any(vm == 0.0, axis=1), 1,
-                   2 * (np.max(np.abs(h.imag), axis=1, initial=0.0) > 1e-10))
-    for k in np.flatnonzero(bad)[:1]:
-        key = layout.edge_key(layout.frm[k], layout.to[k])
-        raise PipelineError("constants", f"zero phase voltage at an endpoint of line {key}"
-                            if bad[k] == 1 else f"voltage-loss term not real on line {key}")
     return LinearizationConstants(
         layout=layout, h=h.real, l=l,
         gamma=np.where(_pairs(mask), vm[:, :, None] * (1.0 / vn)[:, None, :], 0.0))
@@ -343,7 +341,9 @@ def lindiff(exact: PowerFlowSolution, v_sq: np.ndarray) -> LinDiffReport:
     against a converged exact one over the non-slack coordinates.
 
     An unconverged ``exact`` or a ``v_sq`` of another shape is the caller's
-    error, a ``ValueError``. A negative or non-finite v~ has no real root to
+    error, a ``ValueError``, as is a feeder with no non-slack bus: there is
+    nothing to compare, and ``zbus``'s voltage envelope raises its own
+    ``ValueError`` for it. A negative or non-finite v~ has no real root to
     compare; on a valid model that is the linear model's numeric failure,
     not an input error, so it raises ``PipelineError("lindiff", ...)``,
     naming the first such coordinate in model order."""
@@ -358,7 +358,8 @@ def lindiff(exact: PowerFlowSolution, v_sq: np.ndarray) -> LinDiffReport:
         raise PipelineError("lindiff", f"linear v~ at bus {bus} phase {p} is "
                                        f"{float(v_sq[k])!r}, not a finite square")
     lin, ex = np.sqrt(sq), np.abs(exact.v[at])
+    min_exact, _ = _envelope(ex)
     phase, diff = np.nonzero(stamps.layout.at >= 0)[1][at], np.abs(lin - ex)
     return LinDiffReport(
         max_diff={PHASES[q]: float(diff[phase == q].max()) for q in np.unique(phase)},
-        min_lin=float(lin.min(initial=np.inf)), min_exact=float(ex.min(initial=np.inf)))
+        min_lin=float(lin.min()), min_exact=float(min_exact))

@@ -353,25 +353,22 @@ def validate(model: FeederModel) -> list[Violation]:
     for kind, i, fb, tb in edges:
         incoming[tb].append(f"{kind} {fb}->{tb}")
         outgoing[fb].append((kind, i, tb))
-    root = slacks[0].id
     for b in model.buses:
         n_in = len(incoming[b.id])
         if b.is_slack and n_in != 0:
             out.append(Violation(b.id, "not-a-tree", "slack bus has an incoming edge"))
         if not b.is_slack and n_in != 1:
             out.append(Violation(b.id, "not-a-tree", f"bus has {n_in} incoming edges, expected 1"))
-    seen = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            out.append(Violation(node, "not-a-tree", "cycle detected"))
-            break
-        seen.add(node)
-        stack.extend(tb for _, _, tb in outgoing[node])
-    unreachable = [i for i in ids if i not in seen]
-    if unreachable and not any(v.rule == "not-a-tree" for v in out):
-        out.append(Violation(",".join(unreachable), "not-a-tree", "bus not reachable from the slack bus"))
+    if not any(v.rule == "not-a-tree" for v in out):
+        # Every bus but the slack has one parent, so the walk meets no bus twice.
+        seen, stack = set(), [slacks[0].id]
+        while stack:
+            node = stack.pop()
+            seen.add(node)
+            stack.extend(tb for _, _, tb in outgoing[node])
+        unreachable = [i for i in ids if i not in seen]
+        if unreachable:
+            out.append(Violation(",".join(unreachable), "not-a-tree", "bus not reachable from the slack bus"))
 
     # Phase continuity: a bus can only carry phases its parent edge supplies.
     for kind, i, fb, tb in edges:

@@ -44,6 +44,7 @@ import json
 import math
 import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -300,74 +301,66 @@ def run_opts(model: FeederModel, config: OptsConfig,
         _check_lower_bound(lower_bound)
     timings: dict[str, float] = {}
 
+    @contextmanager
     def stage(name):
         timings[name] = time.perf_counter()
-        return name
-
-    def done(name):
+        yield
         timings[name] = time.perf_counter() - timings[name]
 
-    stage("base_powerflow")
-    stamps = build_stamps(model)          # shared by the base and verify solves
-    base_ratios = taps_to_ratios(model, zero_taps(model))
-    base = solve_zbus(model, base_ratios, tol=config.zbus_tol, max_iter=config.zbus_max_iter,
-                      stamps=stamps)
-    if not base.converged:
-        raise PipelineError("base_powerflow", "zero-tap power flow did not converge")
-    done("base_powerflow")
+    with stage("base_powerflow"):
+        stamps = build_stamps(model)          # shared by the base and verify solves
+        base_ratios = taps_to_ratios(model, zero_taps(model))
+        base = solve_zbus(model, base_ratios, tol=config.zbus_tol, max_iter=config.zbus_max_iter,
+                          stamps=stamps)
+        if not base.converged:
+            raise PipelineError("base_powerflow", "zero-tap power flow did not converge")
 
     # Without regulators there is nothing to decide: the base case is the answer.
     taps, snapped, import_value, verified = [], [], None, base
     if model.svrs:
-        stage("constants")
-        if config.constants_mode == "balanced":
-            constants = _balanced_over(stamps.layout)     # the layout is built once
-        else:
-            constants = constants_from_solution(base)
-        done("constants")
+        with stage("constants"):
+            if config.constants_mode == "balanced":
+                constants = _balanced_over(stamps.layout)     # the layout is built once
+            else:
+                constants = constants_from_solution(base)
 
-        stage("build_lp")
-        lp, varmap = build_lp(model, constants, config)
-        done("build_lp")
+        with stage("build_lp"):
+            lp, varmap = build_lp(model, constants, config)
 
-        stage("solve_lp")
-        sol = solve_lp_lexicographic(lp, varmap)
-        if sol.status != "optimal":
-            raise PipelineError("solve_lp", f"LP terminated with status {sol.status}")
-        import_value = sol.objective
-        done("solve_lp")
+        with stage("solve_lp"):
+            sol = solve_lp_lexicographic(lp, varmap)
+            if sol.status != "optimal":
+                raise PipelineError("solve_lp", f"LP terminated with status {sol.status}")
+            import_value = sol.objective
 
-        stage("recover")
-        cont_ratios = recover_ratios(sol.x, varmap, model)
-        taps = [{p: sv.tap(rmap[p]) for p in sv.phases}
-                for sv, rmap in zip(model.svrs, cont_ratios)]
-        snapped = taps_to_ratios(model, taps)
-        done("recover")
+        with stage("recover"):
+            cont_ratios = recover_ratios(sol.x, varmap, model)
+            taps = [{p: sv.tap(rmap[p]) for p in sv.phases}
+                    for sv, rmap in zip(model.svrs, cont_ratios)]
+            snapped = taps_to_ratios(model, taps)
 
-        stage("verify_powerflow")
-        verified = solve_zbus(model, snapped, tol=config.zbus_tol,
-                              max_iter=config.zbus_max_iter, stamps=stamps)
-        if not verified.converged:
-            raise PipelineError("verify_powerflow",
-                                "power flow at snapped taps did not converge")
-        done("verify_powerflow")
+        with stage("verify_powerflow"):
+            verified = solve_zbus(model, snapped, tol=config.zbus_tol,
+                                  max_iter=config.zbus_max_iter, stamps=stamps)
+            if not verified.converged:
+                raise PipelineError("verify_powerflow",
+                                    "power flow at snapped taps did not converge")
 
-    stage("metrics")
-    objective_verified = import_objective(verified, model)
-    envelope = voltage_envelope(verified, model)
-    report = OptsReport(
-        svr_ids=[f"{sv.from_bus}->{sv.to_bus}" for sv in model.svrs],
-        taps=taps,
-        ratios=snapped,
-        objective_lp=import_value,
-        objective_verified=objective_verified,
-        v_envelope=envelope,
-        feasible=feasibility(verified, model, config.v_min_verify, config.v_max_verify),
-        unbalance=voltage_unbalance(verified),
-        gap_percent=None if lower_bound is None else optimality_gap(objective_verified, lower_bound),
-        timings=timings,
-    )
-    done("metrics")
+    with stage("metrics"):
+        objective_verified = import_objective(verified, model)
+        envelope = voltage_envelope(verified, model)
+        report = OptsReport(
+            svr_ids=[f"{sv.from_bus}->{sv.to_bus}" for sv in model.svrs],
+            taps=taps,
+            ratios=snapped,
+            objective_lp=import_value,
+            objective_verified=objective_verified,
+            v_envelope=envelope,
+            feasible=feasibility(verified, model, config.v_min_verify, config.v_max_verify),
+            unbalance=voltage_unbalance(verified),
+            gap_percent=None if lower_bound is None else optimality_gap(objective_verified, lower_bound),
+            timings=timings,
+        )
     return report
 
 

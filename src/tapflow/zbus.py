@@ -327,16 +327,12 @@ def voltage_unbalance(solution: PowerFlowSolution) -> float:
     Per bus: 100 * max_phase |  |v| - mean| / mean  with mean over phase magnitudes.
     """
     _require_converged(solution)
-    v, sizes = solution.v, np.count_nonzero(solution.system.stamps.layout.at >= 0, axis=1)
-    starts = np.cumsum(sizes) - sizes
-    worst = 0.0
-    for size in dict.fromkeys(sizes.tolist()):      # in order of first appearance
-        if size >= 2:
-            mags = np.abs(v[starts[sizes == size][:, None] + np.arange(size)])
-            avg = np.mean(mags, axis=1)
-            dev = np.max(np.abs(mags - avg[:, None]), axis=1)
-            worst = max(worst, float(np.max(100.0 * dev / avg)))
-    return worst
+    at = solution.system.stamps.layout.at
+    mags = np.where(at >= 0, np.abs(solution.v)[at], np.nan)      # NaN off each bus's phases
+    mags = mags[np.count_nonzero(at >= 0, axis=1) >= 2]
+    avg = np.nanmean(mags, axis=1)
+    dev = np.nanmax(np.abs(mags - avg[:, None]), axis=1)
+    return float(np.max(100.0 * dev / avg, initial=0.0))
 
 
 def voltage_envelope(solution: PowerFlowSolution, model: FeederModel) -> tuple[float, float]:

@@ -65,8 +65,9 @@ def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> Line
     """Constants evaluated at a converged base solution.
 
     Per line: with edge current i from the base voltages and I = i i*, the
-    voltage-loss vector is diag(Z I Z*) (real up to round-off, asserted) and
-    the power-loss vector is diag(Z I). Rotation entries are v_to[p] / v_from[q].
+    voltage-loss vector is diag(Z I Z*) (|(Z i)[p]|^2, real: its real part is
+    kept) and the power-loss vector is diag(Z I). Rotation entries are
+    v_to[p] / v_from[q].
     """
     if not base.converged:
         raise ValueError("base power flow must be converged")
@@ -82,8 +83,6 @@ def constants_from_solution(model: FeederModel, base: PowerFlowSolution) -> Line
         i_edge = np.linalg.inv(z) @ (vn - vm)
         big_i = np.outer(i_edge, np.conj(i_edge))
         h_cplx = np.diag(z @ big_i @ np.conj(z).T)
-        if np.max(np.abs(h_cplx.imag)) > 1e-10:
-            raise AssertionError(f"voltage-loss term not real on line {key}")
         gamma[key] = PhaseMatrix(ph, np.outer(vm, 1.0 / vn))
         h[key] = PhaseVector(ph, h_cplx.real.astype(complex))
         l[key] = PhaseVector(ph, np.diag(z @ big_i))

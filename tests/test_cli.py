@@ -115,8 +115,7 @@ def test_slack_only_feeder_exit_1(tmp_path, capsys, command):
 def test_three_phase_slack_only_feeder(tmp_path, capsys):
     """On a three-phase feeder whose only bus is the slack, powerflow writes
     one CSV row per slack phase, and lindiff, with no non-slack bus to
-    compare, stops with exit 1 and opts' message, before the linear model
-    runs."""
+    compare, stops with exit 1 and opts' message."""
     feeder = tmp_path / "slack-only-abc.json"
     feeder.write_text(json.dumps({
         "format": 1,
@@ -416,8 +415,9 @@ def _mutate(doc, mutation):
 
 
 # The real part of gen15's phase-c slack voltage times 1e6: a valid feeder
-# whose base-case voltage-loss terms are not real to within 1e-10.
-GEN15_LOSS_NOT_REAL = ("scale", ("slack_voltage", "values", 2, 0), 1e6)
+# whose base-case voltage-loss terms of up to 3e6 carry an imaginary
+# round-off of about 1e-10.
+GEN15_LOSS_ROUND_OFF = ("scale", ("slack_voltage", "values", 2, 0), 1e6)
 
 
 @st.composite
@@ -457,7 +457,7 @@ def mutated_feeders(draw):
 @example(mutated=("tiny3", (("replace", ("config", "v_min"), math.nan),)))
 @example(mutated=("ieee13", (("replace", ("buses", 13, "shunt", "rows", 0, 1, 1), -1.0),)))
 @example(mutated=("ieee13", (("replace", ("lines", 6, "z", "rows", 1, 1, 0), 1e308),)))
-@example(mutated=("gen15", (GEN15_LOSS_NOT_REAL,)))
+@example(mutated=("gen15", (GEN15_LOSS_ROUND_OFF,)))
 def test_mutated_feeders_exit_through_their_codes(tmp_path_factory, mutated):
     """On a fixture or a small generated feeder with 1-3 structure-aware
     mutations, ``validate``, ``powerflow``, ``opts`` and ``lindiff`` each
@@ -471,7 +471,7 @@ def test_mutated_feeders_exit_through_their_codes(tmp_path_factory, mutated):
     made it overflow, both of which ``lindiff`` reported as an input
     error; on gen15 a phase-c slack voltage scaled by 1e6 made
     ``constants_from_solution`` raise an ``AssertionError``, which escaped
-    ``opts``."""
+    ``opts``, for an imaginary round-off in its voltage-loss terms."""
     name, mutations = mutated
     doc = copy.deepcopy(MUTATED_DOCS[name])
     for mutation in mutations:
@@ -488,20 +488,25 @@ def test_mutated_feeders_exit_through_their_codes(tmp_path_factory, mutated):
         assert 1 not in codes.values(), codes
 
 
-@pytest.mark.parametrize("argv", [["opts"], ["lindiff", "--constants", "base"]],
-                         ids=["opts", "lindiff-base"])
-def test_constants_failure_exit_2(tmp_path, capsys, argv):
-    """The constants stage's numeric failure on a valid feeder is exit 2 with
-    the stage's tag, whichever subcommand takes constants from the base case."""
+@pytest.mark.parametrize("argv, code, err", [
+    (["opts"], 2, "[solve_lp] LP terminated with status infeasible\n"),
+    (["lindiff", "--constants", "base"], 0, ""),
+], ids=["opts", "lindiff-base"])
+def test_round_off_in_the_voltage_loss_fails_no_stage(tmp_path, capsys, argv, code, err):
+    """Round-off in the base-case voltage-loss terms is no failure of the
+    constants stage: on gen15 with its phase-c slack voltage scaled, lindiff
+    compares on base-case constants, and opts runs on to an LP that has no
+    feasible point."""
     doc = copy.deepcopy(MUTATED_DOCS["gen15"])
-    _mutate(doc, GEN15_LOSS_NOT_REAL)
-    feeder = tmp_path / "gen15-loss-not-real.json"
+    _mutate(doc, GEN15_LOSS_ROUND_OFF)
+    feeder = tmp_path / "gen15-loss-round-off.json"
     feeder.write_text(json.dumps(doc))
     assert run(["validate", "--feeder", str(feeder)]) == 0
     capsys.readouterr()
-    assert run([*argv, "--feeder", str(feeder)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == "[constants] voltage-loss term not real on line rh->t1\n"
+    assert run([*argv, "--feeder", str(feeder)]) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    assert out.startswith("phase,max_abs_diff,") if code == 0 else out == ""
 
 
 @pytest.mark.parametrize("command", ["powerflow", "opts", "lindiff", "bruteforce"])

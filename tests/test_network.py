@@ -373,6 +373,16 @@ def test_cycle_detected():
     assert "not-a-tree" in rules
 
 
+def test_bus_fed_twice_lists_only_its_in_degree_violations():
+    """A bus fed by two lines is reported once, by its in-degree, and by no
+    second "cycle detected" violation from the tree walk."""
+    model = chain_model([0.1 + 0.05j, 0.05j])
+    twice = dataclasses.replace(model, lines=model.lines + (
+        tf.LineSpec(from_bus="sub", to_bus="b2", z=model.lines[1].z),))
+    assert [(v.element, v.rule, v.message) for v in tf.validate(twice)] == [
+        ("b2", "not-a-tree", "bus has 2 incoming edges, expected 1")]
+
+
 def test_two_slacks_rejected():
     model = chain_model([0.1])
     bad = tf.FeederModel(
